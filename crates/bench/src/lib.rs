@@ -1,83 +1,4 @@
-//! Shared miniature-simulation builders for the per-figure Criterion
-//! benches.
-//!
-//! Each bench regenerates a scaled-down slice of its figure per iteration:
-//! the bench time tracks the cost of the simulation that produces the
-//! figure's data, and the returned numbers let the benches assert the
-//! figure's qualitative shape as a sanity check (a bench that silently
-//! measured a broken simulation would be worthless).
-
-use dynmds_core::{SimConfig, SimReport, Simulation};
-use dynmds_event::{SimDuration, SimTime};
-use dynmds_namespace::{NamespaceSpec, Snapshot};
-use dynmds_partition::StrategyKind;
-use dynmds_workload::{FlashCrowd, GeneralWorkload, WorkloadConfig};
-
-/// A small steady-state run of one strategy: 4 servers, 24 clients, ~6k
-/// items, 4 virtual seconds (1 warm-up + 3 measured).
-pub fn mini_steady(strategy: StrategyKind, cache_capacity: usize) -> SimReport {
-    let mut cfg = SimConfig::small(strategy);
-    cfg.n_mds = 4;
-    cfg.n_clients = 24;
-    cfg.cache_capacity = cache_capacity;
-    cfg.journal_capacity = cache_capacity;
-    cfg.seed = 17;
-    let snap = mini_snapshot(cfg.seed);
-    let wl = Box::new(GeneralWorkload::new(
-        WorkloadConfig { seed: 23, ..Default::default() },
-        cfg.n_clients as usize,
-        &snap.user_homes,
-        &snap.shared_roots,
-        &snap.ns,
-    ));
-    let sim = Simulation::new(cfg, snap, wl);
-    sim.run_measured(SimDuration::from_secs(1), SimDuration::from_secs(3))
-}
-
-/// The snapshot shared by the miniature runs.
-pub fn mini_snapshot(seed: u64) -> Snapshot {
-    NamespaceSpec::with_target_items(24, 6_000, seed).generate()
-}
-
-/// A small flash-crowd run, traffic control configurable.
-pub fn mini_flash(traffic_control: bool) -> SimReport {
-    let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
-    cfg.n_mds = 4;
-    cfg.n_clients = 200;
-    cfg.cache_capacity = 2_000;
-    cfg.traffic_control = traffic_control;
-    cfg.replication_threshold = 32.0;
-    cfg.balancing = false;
-    cfg.costs.think_mean = SimDuration::from_millis(20);
-    cfg.seed = 29;
-    let snap = NamespaceSpec { users: 8, seed: 31, ..Default::default() }.generate();
-    let target =
-        snap.ns.walk(snap.shared_roots[0]).find(|&id| !snap.ns.is_dir(id)).expect("file exists");
-    let wl = Box::new(FlashCrowd::new(target, cfg.n_clients as usize));
-    let mut sim = Simulation::with_start(
-        cfg,
-        snap,
-        wl,
-        SimTime::from_millis(50),
-        SimDuration::from_millis(100),
-    );
-    sim.run_until(SimTime::from_millis(800));
-    sim.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mini_steady_produces_work() {
-        let r = mini_steady(StrategyKind::DynamicSubtree, 600);
-        assert!(r.total_served() > 500);
-    }
-
-    #[test]
-    fn mini_flash_produces_work() {
-        let r = mini_flash(true);
-        assert!(r.total_served() > 100);
-    }
-}
+//! Criterion component microbenches (`benches/components.rs`) and the
+//! scheduler microbench (`benches/scheduler.rs`). The library itself is
+//! empty: Cargo needs a target for the bench-only package. Whole-figure
+//! timings come from `experiments bench` and the `hostbench` package.

@@ -47,9 +47,6 @@ impl Cluster {
                 self.busy_streak[i] = 0;
             }
         }
-        if self.cfg.elastic.enabled {
-            self.elastic_tick(now);
-        }
         if self.cfg.balancing && self.cfg.strategy.rebalances() {
             self.rebalance(now);
             self.consolidate_partition(now);

@@ -30,11 +30,6 @@ pub struct ClientPool {
     uids: Vec<u32>,
     rng: SimRng,
     n_mds: u16,
-    /// The *announced* membership random routing draws from. Full pool by
-    /// default; the elastic controller narrows it when nodes are parked
-    /// (clients are told about planned membership changes, unlike
-    /// crashes, which they discover by timeout).
-    member_ids: Vec<u16>,
     lease_hits: u64,
 }
 
@@ -48,19 +43,8 @@ impl ClientPool {
             uids: vec![0; n_clients as usize],
             rng: SimRng::seed_from_u64(seed ^ 0xC11E_47B0),
             n_mds,
-            member_ids: (0..n_mds).collect(),
             lease_hits: 0,
         }
-    }
-
-    /// Announces the active membership (elastic scaling only — crash
-    /// failures are *not* announced). With the full pool active the
-    /// random-routing draw below is bit-identical to the membership-less
-    /// implementation.
-    pub fn set_membership(&mut self, active: &[bool]) {
-        self.member_ids =
-            active.iter().enumerate().filter(|&(_, &a)| a).map(|(i, _)| i as u16).collect();
-        assert!(!self.member_ids.is_empty(), "membership cannot be empty");
     }
 
     /// Whether `client` holds a live lease on `item` at `now`. A hit is
@@ -128,15 +112,9 @@ impl ClientPool {
         }
     }
 
-    /// A uniformly random server among the announced membership.
+    /// A uniformly random server.
     pub fn random_mds(&mut self) -> MdsId {
-        if self.member_ids.len() == self.n_mds as usize {
-            // Full pool: same draw as a membership-less pool, so every
-            // statically provisioned run is unchanged bit-for-bit.
-            return MdsId(self.rng.below(self.n_mds as u64) as u16);
-        }
-        let k = self.rng.below(self.member_ids.len() as u64) as usize;
-        MdsId(self.member_ids[k])
+        MdsId(self.rng.below(self.n_mds as u64) as u16)
     }
 
     /// Records location info delivered with a reply ("all responses sent
@@ -155,22 +133,6 @@ impl ClientPool {
     /// forwarding + re-learning).
     pub fn forget(&mut self, client: ClientId, item: InodeId) {
         self.routes[client.index()].remove(&item);
-    }
-
-    /// Rewrites every location entry naming `from` to that item's new
-    /// authority — the redirect set a *voluntarily* departing node sends
-    /// as part of its handoff (a crashed node sends nothing; staleness
-    /// after a crash is still discovered by timeout). Entries are
-    /// rewritten independently, so map iteration order cannot influence
-    /// the outcome.
-    pub fn redirect_routes(&mut self, from: MdsId, new_authority: impl Fn(InodeId) -> MdsId) {
-        for map in &mut self.routes {
-            for (&item, loc) in map.iter_mut() {
-                if *loc == KnownLocation::Single(from) {
-                    *loc = KnownLocation::Single(new_authority(item));
-                }
-            }
-        }
     }
 
     /// Total location entries across all clients (memory accounting).

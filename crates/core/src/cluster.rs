@@ -111,10 +111,6 @@ pub struct Cluster {
     /// untaken branch per migration.
     pub migration_log: Option<Vec<MigrationRecord>>,
 
-    // --- elastic autoscaling (ROADMAP item 3) ---------------------------
-    /// Controller state; inert unless [`SimConfig::elastic`] is enabled.
-    pub elastic: crate::elastic::ElasticState,
-
     // --- failover state (§2.1.2) ---------------------------------------
     /// Liveness per node.
     pub(crate) alive: Vec<bool>,
@@ -240,7 +236,7 @@ impl Cluster {
             clients.set_uid(ClientId(c), uid);
         }
         let n = cfg.n_mds as usize;
-        let mut cluster = Cluster {
+        Cluster {
             rng: SimRng::seed_from_u64(cfg.seed ^ 0x5EED),
             ns,
             partition,
@@ -261,7 +257,6 @@ impl Cluster {
             busy_streak: vec![0; n],
             migrations: 0,
             migration_log: None,
-            elastic: crate::elastic::ElasticState::new(n),
             alive: vec![true; n],
             failures: 0,
             recoveries: 0,
@@ -300,11 +295,7 @@ impl Cluster {
             received_series: vec![TimeSeries::new(); n],
             latency: Summary::new(),
             cfg,
-        };
-        if cluster.cfg.elastic.enabled {
-            cluster.park_initial_standby();
         }
-        cluster
     }
 
     /// Attaches a fresh [`DstProbe`](crate::check::DstProbe) so a DST
@@ -388,11 +379,6 @@ impl Cluster {
             n.life = Default::default();
             n.win = Default::default();
         }
-        // Provisioned-capacity accounting restarts with the measured
-        // window (scale events during warmup are still counted as events,
-        // but their node-time is not billed to the measurement).
-        self.elastic.provisioned_node_us = 0;
-        self.elastic.last_account = now;
         self.obs.reset();
     }
 

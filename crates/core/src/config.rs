@@ -42,15 +42,15 @@ impl Default for CostModel {
     }
 }
 
-/// Elastic autoscaling knobs (ROADMAP item 3, λFS-style). The controller
-/// watches the same smoothed heartbeat load signal the balancer uses and
-/// activates / parks nodes between `min_nodes` and `n_mds` (the
-/// provisioned pool ceiling). All thresholds are per-*live*-node rates so
-/// they are independent of the heartbeat interval.
+/// Elastic autoscaling knobs (ROADMAP item 3, λFS-style) for the
+/// controller in `elastic.rs`, which only the sharded engine runs. The controller watches the balancer's heartbeat load
+/// signal and activates / parks nodes between `min_nodes` and `n_mds`
+/// (the provisioned pool ceiling). All thresholds are per-*live*-node
+/// rates so they are independent of the heartbeat interval.
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
-    /// Master switch; off keeps the cluster statically provisioned and
-    /// the fast path branch-identical to builds without elasticity.
+    /// Master switch; off keeps the cluster statically provisioned.
+    /// The legacy [`Simulation`](crate::Simulation) refuses it on.
     pub enabled: bool,
     /// Never park below this many live nodes.
     pub min_nodes: u16,

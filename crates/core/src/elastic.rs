@@ -1,368 +1,257 @@
-//! Elastic MDS autoscaling (ROADMAP item 3, λFS-style).
+//! Elastic MDS autoscaling (ROADMAP item 3, λFS-style): the controller
+//! behind the sixth strategy,
+//! [`StrategyKind::ElasticSubtree`](dynmds_partition::StrategyKind).
+//! The pool is *provisioned* with `n_mds` nodes but keeps only a
+//! load-determined subset *active*; λFS (ASPLOS'24) shows this beating
+//! static provisioning on cost at equal latency under CFS-style diurnal
+//! load. Only [`ShardedSimulation`](crate::ShardedSimulation) runs it.
 //!
-//! λFS (ASPLOS'24) shows a serverless-elastic metadata service beating
-//! statically provisioned clusters on cost at equal latency; CFS supplies
-//! the diurnal traffic shapes that make it pay off. This module adds that
-//! capability as the sixth strategy
-//! ([`StrategyKind::ElasticSubtree`](dynmds_partition::StrategyKind)):
-//! the cluster is *provisioned* with `n_mds` nodes but only keeps a
-//! load-determined subset *active*.
-//!
-//! * **Signal** — the same smoothed per-node heartbeat load the §4.3
-//!   balancer uses (`hb_ewma`: served + miss-weighted misses), averaged
-//!   over live nodes and normalized to a per-second rate. Watermarks with
-//!   sustain counters (the controller's analogue of `busy_streak`) plus a
-//!   post-action cooldown keep it from flapping.
-//! * **Scale-out** — the lowest-indexed standby node is activated and
-//!   pays the §4.6 cold-start cost: one sequential journal read plus
-//!   per-record replay to re-warm its cache from its last tenure's
-//!   working set (empty on first activation — a true cold start). The
-//!   balancer then migrates load onto it over subsequent heartbeats, as
-//!   it would onto any recovered node.
-//! * **Scale-in** — *voluntary departure*, deliberately distinct from
-//!   crash failover: the least-loaded node first hands every delegation
-//!   (with its cached state) to the surviving nodes via the balancer's
-//!   own migration path, sends clients redirects for the routes that
-//!   named it, and only then releases its RAM. Nothing is lost and no
-//!   request ever times out against a parked node.
-//!
-//! Determinism: the controller runs inside the heartbeat (a fixed event
-//! grid), reads only simulation state, and draws nothing from any RNG,
-//! so elastic runs are byte-identical across reruns; with `enabled =
-//! false` every code path multiplies by the same branches as before and
-//! static runs stay bit-for-bit unchanged.
+//! The signal is the §4.3 balancer's per-node heartbeat load (served +
+//! miss-weighted fetches), averaged over live nodes as a per-second
+//! rate. [`ElasticCtl::step`] is a pure function of the controller's own
+//! state and `(alive, loads, at)`: watermarks held for `sustain`
+//! heartbeats, plus a post-action cooldown, yield
+//! [`ScaleAction::Activate`] or [`ScaleAction::Park`]. The engine applies
+//! the action at the window barrier. Nothing here draws from an RNG, so
+//! elastic runs are byte-identical across reruns and shard counts; with
+//! `enabled = false` every step returns `None` and accounts nothing.
 
-use dynmds_event::SimTime;
-use dynmds_namespace::MdsId;
+use dynmds_event::SimDuration;
+use dynmds_namespace::{InodeId, MdsId};
 
-use crate::cluster::Cluster;
+use crate::config::ElasticConfig;
 
-/// Mutable controller state, one per cluster. Inert (all zeros, all
-/// nodes active) unless [`ElasticConfig::enabled`] is set.
-///
-/// [`ElasticConfig::enabled`]: crate::config::ElasticConfig
-#[derive(Clone, Debug)]
-pub struct ElasticState {
-    /// Nodes currently parked *by the controller* — disjoint from
-    /// crashed nodes, which are `!alive` but not standby.
-    pub standby: Vec<bool>,
-    /// Consecutive heartbeats the live mean sat above the high watermark.
-    pub high_streak: u32,
-    /// Consecutive heartbeats the live mean sat below the low watermark.
-    pub low_streak: u32,
-    /// Heartbeats remaining before the controller may act again.
-    pub cooldown: u32,
+/// What one controller step asks the engine to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ScaleAction {
+    /// Bring this standby node back into service.
+    Activate(MdsId),
+    /// Hand off this live node's delegations, then park it.
+    Park(MdsId),
+}
+
+/// Controller state, one per run. Inert unless
+/// [`ElasticConfig::enabled`] is set.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ElasticCtl {
+    cfg: ElasticConfig,
+    hb_secs: f64,
+    /// Announced membership: every node the controller has not parked.
+    /// Clients are told about planned changes, so routing draws from
+    /// this set; crashed nodes stay members until clients time out.
+    pub(crate) members: Vec<bool>,
+    /// Delegations each node held when it was parked; the engine hands
+    /// them back on the node's next activation so a returning node is
+    /// immediately useful.
+    pub(crate) parked_roots: Vec<Vec<InodeId>>,
+    high_streak: u32,
+    low_streak: u32,
+    cooldown: u32,
     /// Standby activations performed.
-    pub scale_outs: u64,
+    pub(crate) scale_outs: u64,
     /// Voluntary departures performed.
-    pub scale_ins: u64,
-    /// Provisioned capacity consumed so far, in node-microseconds,
-    /// integrated at heartbeat granularity.
-    pub provisioned_node_us: u64,
+    pub(crate) scale_ins: u64,
+    /// Provisioned node-microseconds, integrated at heartbeat ticks.
+    node_us: u64,
     /// Upper edge of the last accounted interval.
-    pub last_account: SimTime,
+    last_account: u64,
 }
 
-impl ElasticState {
-    /// Fresh state for an `n`-node pool, everything active.
-    pub fn new(n: usize) -> Self {
-        ElasticState {
-            standby: vec![false; n],
-            high_streak: 0,
-            low_streak: 0,
-            cooldown: 0,
-            scale_outs: 0,
-            scale_ins: 0,
-            provisioned_node_us: 0,
-            last_account: SimTime::ZERO,
+impl ElasticCtl {
+    /// Fresh controller for an `n`-node pool, every node a member. Load
+    /// rates are normalized by the `heartbeat` interval.
+    pub fn new(cfg: ElasticConfig, heartbeat: SimDuration, n: usize) -> Self {
+        ElasticCtl {
+            cfg,
+            hb_secs: heartbeat.as_secs_f64(),
+            members: vec![true; n],
+            parked_roots: vec![Vec::new(); n],
+            ..Default::default()
         }
     }
 
-    /// Provisioned capacity in node-seconds.
-    pub fn provisioned_node_secs(&self) -> f64 {
-        self.provisioned_node_us as f64 / 1e6
-    }
-}
-
-impl Cluster {
-    /// Construction-time provisioning for elastic runs: the pool holds
-    /// `n_mds` nodes but only `min_nodes` start active. The initial
-    /// partition is re-delegated onto the active set (a deployment-time
-    /// decision: no costs, no migration counters) and clients are told
-    /// the starting membership, so nothing ever routes to a parked node.
-    pub(crate) fn park_initial_standby(&mut self) {
-        let n = self.nodes.len();
-        let min = (self.cfg.elastic.min_nodes.max(1) as usize).min(n);
-        for parked in min..n {
-            if let Some(sub) = self.partition.as_subtree() {
-                let owned = sub.delegations_of(MdsId(parked as u16));
-                for (k, root) in owned.into_iter().enumerate() {
-                    let heir = MdsId((k % min) as u16);
-                    self.partition.as_subtree_mut().expect("subtree").delegate(root, heir);
-                    // Marked imported: when the pool scales out these are
-                    // the first trees the balancer hands back.
-                    self.imported[heir.index()].push(root);
-                }
-            }
-            self.alive[parked] = false;
-            self.elastic.standby[parked] = true;
+    /// One heartbeat step at `at` µs, given node liveness and each
+    /// node's load since the last heartbeat. Accounts provisioned
+    /// node-time under the population that held since the last step,
+    /// then applies the watermark/sustain/cooldown policy. A returned
+    /// action is already recorded (membership, scale counters); the
+    /// caller applies it to the cluster before the next step.
+    pub fn step(&mut self, alive: &[bool], loads: &[f64], at: u64) -> Option<ScaleAction> {
+        if !self.cfg.enabled {
+            return None;
         }
-        self.clients.set_membership(&self.alive);
-    }
-
-    /// One controller step, run from the heartbeat (after the EWMA
-    /// update, before rebalancing). Accounts provisioned node-time, then
-    /// applies the watermark/sustain/cooldown policy.
-    pub(crate) fn elastic_tick(&mut self, now: SimTime) {
-        // Accounting first, under the population that held since the last
-        // tick (membership only changes inside ticks, so this is exact).
-        let live = self.live_nodes() as u64;
-        let dt = now.saturating_since(self.elastic.last_account).as_micros();
-        self.elastic.provisioned_node_us += live * dt;
-        self.elastic.last_account = now;
-
-        let hb_secs = self.cfg.heartbeat.as_secs_f64();
-        let mean_rate = self.live_load_mean() / hb_secs;
-        let e = self.cfg.elastic;
-        if mean_rate > e.high_load_per_s {
-            self.elastic.high_streak += 1;
-            self.elastic.low_streak = 0;
-        } else if mean_rate < e.low_load_per_s {
-            self.elastic.low_streak += 1;
-            self.elastic.high_streak = 0;
-        } else {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-        }
-        if self.elastic.cooldown > 0 {
-            self.elastic.cooldown -= 1;
-            return;
+        let live: Vec<usize> = (0..alive.len()).filter(|&m| alive[m]).collect();
+        self.node_us += live.len() as u64 * at.saturating_sub(self.last_account);
+        self.last_account = self.last_account.max(at);
+        if live.is_empty() {
+            self.high_streak = 0;
+            self.low_streak = 0;
+            return None;
         }
 
-        if self.elastic.high_streak >= e.sustain {
-            // Lowest-indexed standby node; crashed nodes are not eligible
+        let mean_rate =
+            live.iter().map(|&m| loads[m]).sum::<f64>() / live.len() as f64 / self.hb_secs;
+        let e = self.cfg;
+        let high = mean_rate > e.high_load_per_s;
+        let low = !high && mean_rate < e.low_load_per_s;
+        self.high_streak = if high { self.high_streak + 1 } else { 0 };
+        self.low_streak = if low { self.low_streak + 1 } else { 0 };
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+            return None;
+        }
+
+        if self.high_streak >= e.sustain {
+            // Lowest-indexed parked node; crashed nodes are not eligible
             // (they come back through recovery, not scaling).
-            let candidate =
-                (0..self.nodes.len()).find(|&i| self.elastic.standby[i] && !self.alive[i]);
-            if let Some(i) = candidate {
-                self.activate_node(now, MdsId(i as u16));
-                self.elastic.high_streak = 0;
-                self.elastic.cooldown = e.cooldown_heartbeats;
-            }
-        } else if self.elastic.low_streak >= e.sustain
-            && self.live_nodes() > (e.min_nodes.max(1) as usize)
-        {
+            let i = (0..alive.len()).find(|&i| !self.members[i] && !alive[i])?;
+            self.members[i] = true;
+            self.scale_outs += 1;
+            self.high_streak = 0;
+            self.cooldown = e.cooldown_heartbeats;
+            Some(ScaleAction::Activate(MdsId(i as u16)))
+        } else if self.low_streak >= e.sustain && live.len() > e.min_nodes.max(1) as usize {
             // Least-loaded live node departs; index breaks ties.
-            let victim = (0..self.nodes.len())
-                .filter(|&i| self.alive[i])
-                .min_by(|&a, &b| {
-                    self.hb_ewma[a].partial_cmp(&self.hb_ewma[b]).expect("finite").then(a.cmp(&b))
-                })
+            let victim = *live
+                .iter()
+                .min_by(|&&a, &&b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)))
                 .expect("live nodes exist");
-            self.deactivate_node(now, MdsId(victim as u16));
-            self.elastic.low_streak = 0;
-            self.elastic.cooldown = e.cooldown_heartbeats;
+            self.members[victim] = false;
+            self.scale_ins += 1;
+            self.low_streak = 0;
+            self.cooldown = e.cooldown_heartbeats;
+            Some(ScaleAction::Park(MdsId(victim as u16)))
+        } else {
+            None
         }
     }
 
-    /// Provisioned node-seconds consumed by `now`: the integral kept by
-    /// the heartbeat ticks plus the still-open interval since the last
-    /// tick, under the current live population.
-    pub fn provisioned_node_secs(&self, now: SimTime) -> f64 {
-        let open = now.saturating_since(self.elastic.last_account).as_micros();
-        (self.elastic.provisioned_node_us + self.live_nodes() as u64 * open) as f64 / 1e6
+    /// Restarts provisioned-capacity accounting at `at` µs (end of
+    /// warm-up: scale events during warm-up still count as events, but
+    /// their node-time is not billed to the measurement).
+    pub fn reset_accounting(&mut self, at: u64) {
+        self.node_us = 0;
+        self.last_account = at;
     }
 
-    /// Scale-out: brings a standby node into service, paying the §4.6
-    /// cold-start cost (journal replay + cache warming — empty, hence
-    /// free, on first-ever activation).
-    pub fn activate_node(&mut self, now: SimTime, mds: MdsId) {
-        if self.alive[mds.index()] {
-            return;
-        }
-        self.alive[mds.index()] = true;
-        self.elastic.standby[mds.index()] = false;
-        self.elastic.scale_outs += 1;
-        self.obs.on_scale_out();
-        if self.cfg.journal_warming {
-            self.warm_own_journal(now, mds);
-        }
-        self.clients.set_membership(&self.alive);
-    }
-
-    /// Scale-in: voluntary departure. Hands every delegation (and its
-    /// cached state) to the remaining live nodes through the balancer's
-    /// migration path, redirects clients, then parks the node.
-    pub fn deactivate_node(&mut self, now: SimTime, mds: MdsId) {
-        if !self.alive[mds.index()] || self.live_nodes() <= 1 {
-            return;
-        }
-        // Heirs: live peers, least-loaded first; subtrees round-robin
-        // over them so one peer doesn't inherit everything.
-        let mut heirs: Vec<usize> =
-            (0..self.nodes.len()).filter(|&i| self.alive[i] && i != mds.index()).collect();
-        heirs.sort_by(|&a, &b| {
-            self.hb_ewma[a].partial_cmp(&self.hb_ewma[b]).expect("finite").then(a.cmp(&b))
-        });
-        let owned = match self.partition.as_subtree() {
-            Some(sub) => sub.delegations_of(mds),
-            None => Vec::new(),
-        };
-        for (k, root) in owned.into_iter().enumerate() {
-            let heir = MdsId(heirs[k % heirs.len()] as u16);
-            self.migrate_subtree(now, root, mds, heir);
-        }
-
-        // The departing node's goodbye: clients that knew it as an
-        // authority are redirected to the new owners (disjoint field
-        // borrows: routes mutate, partition/namespace only read).
-        let (clients, partition, ns) = (&mut self.clients, &self.partition, &self.ns);
-        if let Some(sub) = partition.as_subtree() {
-            clients.redirect_routes(mds, |item| sub.authority(ns, item));
-        }
-
-        // Now it can stop serving and release its RAM — after the
-        // handoff, unlike a crash, so nothing is lost.
-        self.alive[mds.index()] = false;
-        self.elastic.standby[mds.index()] = true;
-        self.hb_ewma[mds.index()] = 0.0;
-        self.busy_streak[mds.index()] = 0;
-        self.hb_served[mds.index()] = 0;
-        self.hb_misses[mds.index()] = 0;
-        let cap = self.cfg.cache_capacity;
-        self.nodes[mds.index()].cache = dynmds_cache::MetaCache::new(cap);
-        self.elastic.scale_ins += 1;
-        self.obs.on_scale_in();
-        self.clients.set_membership(&self.alive);
+    /// Provisioned node-microseconds consumed by `now`: the integral the
+    /// heartbeat steps kept plus the still-open interval under `live`
+    /// nodes.
+    pub fn provisioned_node_us(&self, live: usize, now: u64) -> u64 {
+        self.node_us + live as u64 * now.saturating_sub(self.last_account)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use dynmds_event::SimTime;
-    use dynmds_namespace::{MdsId, NamespaceSpec, Snapshot};
-    use dynmds_partition::StrategyKind;
+    use super::*;
 
-    use crate::cluster::Cluster;
-    use crate::config::SimConfig;
-    use crate::testutil::NullWorkload;
+    const HB: SimDuration = SimDuration::from_secs(5);
 
-    fn elastic_cluster() -> Cluster {
-        let mut cfg = SimConfig::small(StrategyKind::ElasticSubtree);
-        cfg.n_mds = 4;
-        cfg.n_clients = 8;
-        cfg.seed = 1;
-        cfg.elastic.min_nodes = 2;
-        cfg.elastic.sustain = 2;
-        cfg.elastic.cooldown_heartbeats = 0;
-        let snap: Snapshot = NamespaceSpec { users: 8, seed: 2, ..Default::default() }.generate();
-        Cluster::new(cfg, snap, Box::new(NullWorkload { n: 8 }))
+    fn at(k: u64) -> u64 {
+        k * HB.as_micros()
+    }
+
+    /// A 4-node pool with `min_nodes = 2`, watermarks 100/s and 10/s.
+    fn ctl(sustain: u32, cooldown_heartbeats: u32) -> ElasticCtl {
+        let cfg = ElasticConfig {
+            enabled: true,
+            min_nodes: 2,
+            high_load_per_s: 100.0,
+            low_load_per_s: 10.0,
+            sustain,
+            cooldown_heartbeats,
+        };
+        ElasticCtl::new(cfg, HB, 4)
+    }
+
+    /// Runs `steps` heartbeats at constant `loads`, applying each action
+    /// to `alive` the way the engine does, and collects the answers.
+    fn drive(
+        c: &mut ElasticCtl,
+        alive: &mut [bool],
+        loads: &[f64],
+        steps: u64,
+    ) -> Vec<Option<ScaleAction>> {
+        (1..=steps)
+            .map(|k| {
+                let a = c.step(alive, loads, at(k));
+                match a {
+                    Some(ScaleAction::Activate(m)) => alive[m.index()] = true,
+                    Some(ScaleAction::Park(m)) => alive[m.index()] = false,
+                    None => {}
+                }
+                a
+            })
+            .collect()
     }
 
     #[test]
-    fn pool_starts_at_min_nodes_with_no_orphan_delegations() {
-        let c = elastic_cluster();
-        assert_eq!(c.live_nodes(), 2);
-        assert!(c.elastic.standby[2] && c.elastic.standby[3]);
-        let sub = c.partition.as_subtree().unwrap();
-        for (_, owner) in sub.delegations() {
-            assert!(c.is_alive_node(owner), "no delegation names a parked node");
-        }
+    fn idle_pool_parks_down_to_the_floor_and_never_below() {
+        let mut c = ctl(2, 0);
+        let mut alive = [true; 4];
+        let actions = drive(&mut c, &mut alive, &[0.0; 4], 12);
+        let parks: Vec<_> = actions.into_iter().flatten().collect();
+        // Least-loaded first, index breaks ties; then the floor holds.
+        assert_eq!(parks, [ScaleAction::Park(MdsId(0)), ScaleAction::Park(MdsId(1))]);
+        assert_eq!(alive, [false, false, true, true]);
+        assert_eq!((c.scale_ins, c.members), (2, vec![false, false, true, true]));
+    }
+
+    /// A 2-of-4 pool at 200/s per live node.
+    fn overload(sustain: u32, cooldown: u32, steps: u64) -> (ElasticCtl, Vec<Option<ScaleAction>>) {
+        let mut c = ctl(sustain, cooldown);
+        c.members = vec![true, true, false, false];
+        let actions = drive(&mut c, &mut [true, true, false, false], &[1_000.0; 4], steps);
+        (c, actions)
     }
 
     #[test]
-    fn sustained_overload_activates_standby_nodes() {
-        let mut c = elastic_cluster();
-        let hb = c.cfg.heartbeat.as_secs_f64();
-        let hot = (c.cfg.elastic.high_load_per_s * hb * 2.0) as u64;
-        for k in 1..=3u64 {
-            for i in 0..2 {
-                c.hb_served[i] = hot;
-            }
-            c.heartbeat(SimTime::from_secs(5 * k));
-        }
-        assert_eq!(c.elastic.scale_outs, 1, "one activation after the sustain window");
-        assert_eq!(c.live_nodes(), 3);
-        assert!(!c.elastic.standby[2], "lowest-indexed standby joined");
+    fn sustain_and_cooldown_gate_each_action() {
+        let (a2, a3) =
+            (Some(ScaleAction::Activate(MdsId(2))), Some(ScaleAction::Activate(MdsId(3))));
+        // Sustain 3, no cooldown: each activation needs three heartbeats
+        // over the watermark, and the streak restarts after acting.
+        let (c, actions) = overload(3, 0, 7);
+        assert_eq!(actions, [None, None, a2, None, None, a3, None]);
+        assert_eq!((c.scale_outs, c.members), (2, vec![true; 4]));
+        // Sustain 1, cooldown 2: the watermark holds every heartbeat, but
+        // the controller sits out two heartbeats after each action.
+        assert_eq!(overload(1, 2, 5).1, [a2, None, None, a3, None]);
     }
 
     #[test]
-    fn sustained_idle_parks_down_to_the_floor() {
-        let mut c = elastic_cluster();
-        // Activate everything first.
-        c.activate_node(SimTime::from_secs(1), MdsId(2));
-        c.activate_node(SimTime::from_secs(1), MdsId(3));
-        assert_eq!(c.live_nodes(), 4);
-        for k in 1..=12u64 {
-            c.heartbeat(SimTime::from_secs(5 * k)); // zero load throughout
-        }
-        assert_eq!(c.live_nodes(), 2, "parked down to min_nodes, never below");
-        assert_eq!(c.elastic.scale_ins, 2);
-        let sub = c.partition.as_subtree().unwrap();
-        for (_, owner) in sub.delegations() {
-            assert!(c.is_alive_node(owner), "handoff left no orphan delegations");
-        }
+    fn crashed_nodes_are_not_activated() {
+        let mut c = ctl(1, 0);
+        c.members[3] = false;
+        // Node 2 is down but still a member: a crash, not a parking.
+        let actions = drive(&mut c, &mut [true, true, false, false], &[1_000.0; 4], 2);
+        assert_eq!(actions, [Some(ScaleAction::Activate(MdsId(3))), None]);
     }
 
     #[test]
-    fn departure_hands_off_state_instead_of_losing_it() {
-        let mut c = elastic_cluster();
-        let victim = MdsId(0);
-        let sub = c.partition.as_subtree().unwrap();
-        let owned = sub.delegations_of(victim);
-        assert!(!owned.is_empty(), "victim owns subtrees initially");
-        // Cache something under an owned subtree at the victim.
-        let root = owned[0];
-        let item = c.ns.walk(root).find(|&i| !c.ns.is_dir(i)).unwrap_or(root);
-        let mut chain: Vec<_> = c.ns.ancestors(item).collect();
-        chain.reverse();
-        for anc in chain.into_iter().chain(std::iter::once(item)) {
-            let parent = c.ns.parent(anc).unwrap().filter(|p| c.nodes[0].cache.peek(*p));
-            let kind = if c.ns.is_dir(anc) {
-                dynmds_cache::InsertKind::Prefix
-            } else {
-                dynmds_cache::InsertKind::Target
-            };
-            c.nodes[0].cache.insert(anc, parent, kind);
-        }
-        c.deactivate_node(SimTime::from_secs(2), victim);
-        assert!(!c.is_alive_node(victim));
-        assert_eq!(c.failures, 0, "departure is not a crash");
-        let sub = c.partition.as_subtree().unwrap();
-        let new_owner = sub.authority(&c.ns, item);
-        assert_ne!(new_owner, victim);
-        assert!(c.is_alive_node(new_owner));
-        assert!(
-            c.nodes[new_owner.index()].cache.peek(item),
-            "cached state migrated with the subtree"
-        );
-        assert_eq!(c.migrations as usize, owned.len(), "one migration per delegation");
-    }
-
-    #[test]
-    fn provisioned_node_seconds_track_the_live_population() {
-        let mut c = elastic_cluster();
-        c.heartbeat(SimTime::from_secs(5)); // 2 live × 5 s
-        assert_eq!(c.elastic.provisioned_node_us, 2 * 5_000_000);
-        c.activate_node(SimTime::from_secs(5), MdsId(2));
-        c.heartbeat(SimTime::from_secs(10)); // 3 live × 5 s more
-        assert_eq!(c.elastic.provisioned_node_us, 2 * 5_000_000 + 3 * 5_000_000);
+    fn provisioned_node_us_integrates_live_times_dt_exactly() {
+        let mut c = ctl(100, 0);
+        let loads = [50.0; 4]; // between the watermarks: no action
+        assert_eq!(c.step(&[true, true, false, false], &loads, at(1)), None);
+        assert_eq!(c.provisioned_node_us(2, at(1)), 2 * 5_000_000);
+        assert_eq!(c.step(&[true, true, true, false], &loads, at(2)), None);
+        assert_eq!(c.provisioned_node_us(3, at(2)), (2 + 3) * 5_000_000);
+        // The open interval since the last step bills the live count.
+        assert_eq!(c.provisioned_node_us(3, at(2) + 7), (2 + 3) * 5_000_000 + 3 * 7);
+        c.reset_accounting(at(2));
+        assert_eq!(c.provisioned_node_us(3, at(3)), 3 * 5_000_000);
     }
 
     #[test]
     fn controller_is_inert_when_disabled() {
-        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
-        cfg.n_mds = 4;
-        cfg.n_clients = 8;
-        cfg.seed = 1;
-        let snap: Snapshot = NamespaceSpec { users: 8, seed: 2, ..Default::default() }.generate();
-        let mut c = Cluster::new(cfg, snap, Box::new(NullWorkload { n: 8 }));
-        assert_eq!(c.live_nodes(), 4, "static strategies keep the full pool");
-        for k in 1..=6u64 {
-            c.heartbeat(SimTime::from_secs(5 * k));
-        }
-        assert_eq!(c.live_nodes(), 4);
-        assert_eq!(c.elastic.scale_outs + c.elastic.scale_ins, 0);
-        assert_eq!(c.elastic.provisioned_node_us, 0, "no accounting when disabled");
+        let mut c = ctl(1, 0);
+        c.cfg.enabled = false;
+        c.members[3] = false;
+        let mut alive = [true, true, true, false];
+        assert_eq!(drive(&mut c, &mut alive, &[1e9; 4], 3), [None; 3]);
+        assert_eq!(drive(&mut c, &mut alive, &[0.0; 4], 3), [None; 3]);
+        assert_eq!(c.scale_outs + c.scale_ins, 0);
+        assert_eq!(c.provisioned_node_us(0, 0), 0, "no accounting when disabled");
     }
 }

@@ -185,9 +185,6 @@ impl Cluster {
             return;
         }
         self.alive[mds.index()] = true;
-        // Recovery supersedes any elastic parking: the node is live again
-        // and the controller will re-park it if it stays idle.
-        self.elastic.standby[mds.index()] = false;
         self.recoveries += 1;
         self.obs.on_recovery();
         if !self.cfg.journal_warming {
@@ -196,9 +193,9 @@ impl Cluster {
         self.warm_own_journal(now, mds);
     }
 
-    /// The §4.6 cold-start model, shared by crash recovery and elastic
-    /// scale-out: preload the node's cache from its own journal's working
-    /// set (one fast sequential read plus per-record replay cost).
+    /// The §4.6 cold-start model of crash recovery: preload the node's
+    /// cache from its own journal's working set (one fast sequential read
+    /// plus per-record replay cost).
     pub(crate) fn warm_own_journal(&mut self, now: SimTime, mds: MdsId) {
         // §4.6 cache warming: the log approximates the working set.
         let mut ws: Vec<InodeId> = self.nodes[mds.index()].journal.working_set().collect();

@@ -31,7 +31,7 @@ pub mod check;
 pub mod client;
 pub mod cluster;
 pub mod config;
-pub mod elastic;
+pub(crate) mod elastic;
 pub mod failover;
 pub mod fault;
 pub mod node;
@@ -49,7 +49,6 @@ pub use failover::FAILOVER_TIMEOUT;
 pub use check::{AppliedOp, DstProbe, DstRecord};
 pub use cluster::{Cluster, MigrationRecord};
 pub use config::{CostModel, ElasticConfig, SimConfig};
-pub use elastic::ElasticState;
 pub use fault::{ChurnSpec, DiskScope, FaultEvent, FaultSchedule, NetFaultSpec, RetryPolicy};
 pub use obs::{ClusterObs, ObsExport};
 pub use report::{NodeSnapshot, SimReport};

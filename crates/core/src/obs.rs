@@ -83,8 +83,6 @@ struct Handles {
     delegation_merges: CounterId,
     failures: CounterId,
     recoveries: CounterId,
-    scale_outs: CounterId,
-    scale_ins: CounterId,
     retries: CounterId,
     gave_up: CounterId,
     net_lost: CounterId,
@@ -160,8 +158,6 @@ impl ClusterObs {
             delegation_merges: reg.counter("delegation_merges", 1),
             failures: reg.counter("node_failures", 1),
             recoveries: reg.counter("node_recoveries", 1),
-            scale_outs: reg.counter("elastic_scale_outs", 1),
-            scale_ins: reg.counter("elastic_scale_ins", 1),
             retries: reg.counter("client_retries", 1),
             gave_up: reg.counter("ops_gave_up", 1),
             net_lost: reg.counter("net_messages_lost", 1),
@@ -445,20 +441,6 @@ impl ClusterObs {
         inner.reg.inc(inner.h.recoveries, 0);
     }
 
-    /// The elastic controller activated a standby node.
-    #[inline]
-    pub fn on_scale_out(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.scale_outs, 0);
-    }
-
-    /// The elastic controller parked a live node after handoff.
-    #[inline]
-    pub fn on_scale_in(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.scale_ins, 0);
-    }
-
     /// `n` working-set items were preloaded into `mds`'s cache from a
     /// shared-storage journal.
     #[inline]
@@ -588,8 +570,7 @@ impl ClusterObs {
         ));
         out.push_str(&format!(
             "cluster: lease-local {}, estale {}, failover timeouts {}, replications {} (-{}), \
-             migrations {}, splits {}, merges {}, failures {}, recoveries {}, \
-             scale-outs {}, scale-ins {}\n",
+             migrations {}, splits {}, merges {}, failures {}, recoveries {}\n",
             reg.counter_total(h.lease_local),
             reg.counter_total(h.estale),
             reg.counter_total(h.dead_timeouts),
@@ -600,8 +581,6 @@ impl ClusterObs {
             reg.counter_total(h.delegation_merges),
             reg.counter_total(h.failures),
             reg.counter_total(h.recoveries),
-            reg.counter_total(h.scale_outs),
-            reg.counter_total(h.scale_ins),
         ));
         out.push_str(&format!(
             "faults: retries {}, gave up {}, net lost {}, net dup {}\n",

@@ -56,6 +56,7 @@ use dynmds_storage::{AccessKind, DiskFault, DiskModel};
 use dynmds_workload::Workload;
 
 use crate::config::SimConfig;
+use crate::elastic::{ElasticCtl, ScaleAction};
 use crate::fault::{DiskScope, FaultEvent, NetFaultSpec, RetryPolicy};
 use crate::node::MdsNode;
 use crate::report::NodeSnapshot;
@@ -363,11 +364,9 @@ struct ShardStats {
 struct World {
     snapshot: Snapshot,
     alive: Vec<bool>,
-    /// *Announced* cluster membership: elastic scaling is voluntary and
-    /// planned, so clients are told about it (unlike crashes, which they
-    /// discover by timeout). With elasticity off this is all-true and the
-    /// unknown-item routing draw is bit-identical to a uniform pick.
-    members: Vec<bool>,
+    /// The elastic controller; its `members` are the *announced*
+    /// membership that unknown-item routing draws from.
+    elastic: ElasticCtl,
     net: Option<NetFaultSpec>,
     replicated: FxHashSet<InodeId>,
     /// Items the proxy tier serves (heartbeat-announced, like
@@ -617,7 +616,7 @@ impl Shard {
                 // Unknown item: guess among announced members. With the
                 // full pool announced this consumes the same single draw
                 // as `below(n_mds)` and returns the same node.
-                None => pick_alive(&world.members, &mut cl.rng),
+                None => pick_alive(&world.elastic.members, &mut cl.rng),
             }
         };
 
@@ -968,47 +967,6 @@ enum Step {
     Net(Option<NetFaultSpec>),
 }
 
-/// Barrier-side elastic autoscaling state (ROADMAP item 3), the sharded
-/// counterpart of [`crate::ElasticState`]. All mutations happen at
-/// window barriers in global node order and draw nothing from any RNG,
-/// so elastic runs keep the shard-count-invariance argument intact. The
-/// sharded model simplifies the legacy mechanics in two documented ways:
-/// scale-in hands off delegations and reroutes clients but approximates
-/// the cache handoff (the heirs re-fetch on first touch), and scale-out
-/// hands back the trees the node parked with instead of replaying its
-/// journal.
-struct ElasticCtl {
-    /// Nodes parked by the controller — disjoint from crashed nodes.
-    standby: Vec<bool>,
-    /// Delegations each node held when it was parked; handed back on its
-    /// next activation so a returning node is immediately useful.
-    parked_roots: Vec<Vec<InodeId>>,
-    high_streak: u32,
-    low_streak: u32,
-    cooldown: u32,
-    scale_outs: u64,
-    scale_ins: u64,
-    /// Provisioned node-microseconds, integrated at heartbeat ticks.
-    node_us: u64,
-    last_account: u64,
-}
-
-impl ElasticCtl {
-    fn new(n: usize) -> Self {
-        ElasticCtl {
-            standby: vec![false; n],
-            parked_roots: vec![Vec::new(); n],
-            high_streak: 0,
-            low_streak: 0,
-            cooldown: 0,
-            scale_outs: 0,
-            scale_ins: 0,
-            node_us: 0,
-            last_account: 0,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // the sharded simulation
 // ---------------------------------------------------------------------
@@ -1037,7 +995,6 @@ pub struct ShardedSimulation {
     merge_scratch: Vec<(u64, usize, Ev)>,
     measure_start: u64,
     migrations: u64,
-    elastic: ElasticCtl,
     snapshots: Option<SnapshotSeries>,
 }
 
@@ -1186,7 +1143,7 @@ impl ShardedSimulation {
             world: World {
                 snapshot,
                 alive: vec![true; n_mds],
-                members: vec![true; n_mds],
+                elastic: ElasticCtl::new(cfg.elastic, cfg.heartbeat, n_mds),
                 net: None,
                 replicated: FxHashSet::default(),
                 proxy_hot: FxHashSet::default(),
@@ -1203,7 +1160,6 @@ impl ShardedSimulation {
             merge_scratch: Vec::new(),
             measure_start: 0,
             migrations: 0,
-            elastic: ElasticCtl::new(n_mds),
             snapshots,
             cfg,
         };
@@ -1234,10 +1190,9 @@ impl ShardedSimulation {
                     }
                 }
             }
-            self.elastic.parked_roots[parked] = roots;
-            self.elastic.standby[parked] = true;
+            self.world.elastic.parked_roots[parked] = roots;
+            self.world.elastic.members[parked] = false;
             self.world.alive[parked] = false;
-            self.world.members[parked] = false;
         }
     }
 
@@ -1365,8 +1320,7 @@ impl ShardedSimulation {
                     // A recovered node is back in service whatever took it
                     // out; scaling re-parks it if the load doesn't justify
                     // the capacity.
-                    self.world.members[m.index()] = true;
-                    self.elastic.standby[m.index()] = false;
+                    self.world.elastic.members[m.index()] = true;
                 }
                 (_, Step::Disk { scope, fault, node_salt }) => {
                     let (scope, fault, salt) = (*scope, *fault, *node_salt);
@@ -1411,28 +1365,33 @@ impl ShardedSimulation {
         let cache_capacity = self.cfg.cache_capacity;
         let node = self.shards[shard_of_node(dead.index(), n_mds, k)].node(dead);
         node.m.cache = MetaCache::new(cache_capacity);
-        let heir = (1..n_mds)
-            .map(|d| (dead.index() + d) % n_mds)
-            .find(|&m| self.world.alive[m])
-            .map(|m| MdsId(m as u16));
-        let Some(heir) = heir else { return };
-        let roots: Vec<InodeId> = match self.shards[0].partition.as_subtree_mut() {
-            Some(sp) => sp.delegations_of(dead),
+        // The next live node in the ring inherits (`dead` is already down).
+        let Some(heir) = self.live_ring(dead) else { return };
+        let moves: Vec<_> = match self.shards[0].partition.as_subtree() {
+            Some(sp) => sp.delegations_of(dead).into_iter().map(|r| (r, dead, heir)).collect(),
             None => return,
         };
-        if roots.is_empty() {
-            return;
-        }
+        self.redelegate(&moves);
+    }
+
+    /// Moves each `(root, from, to)` delegation on every shard's
+    /// partition replica and counts it as an export of `from` and an
+    /// import of `to`. Entries with `from == to` are skipped.
+    fn redelegate(&mut self, moves: &[(InodeId, MdsId, MdsId)]) {
+        let n_mds = self.cfg.n_mds as usize;
+        let k = self.shards.len();
+        let moves = moves.iter().filter(|(_, from, to)| from != to);
         for shard in &mut self.shards {
             if let Some(sp) = shard.partition.as_subtree_mut() {
-                for &r in &roots {
-                    sp.delegate(r, heir);
+                for &(r, _, to) in moves.clone() {
+                    sp.delegate(r, to);
                 }
             }
         }
-        let moved = roots.len() as u64;
-        self.shards[shard_of_node(dead.index(), n_mds, k)].node(dead).m.life.subtrees_out += moved;
-        self.shards[shard_of_node(heir.index(), n_mds, k)].node(heir).m.life.subtrees_in += moved;
+        for &(_, from, to) in moves {
+            self.shards[shard_of_node(from.index(), n_mds, k)].node(from).m.life.subtrees_out += 1;
+            self.shards[shard_of_node(to.index(), n_mds, k)].node(to).m.life.subtrees_in += 1;
+        }
     }
 
     /// Heartbeat: promote replication candidates cluster-wide (traffic
@@ -1466,7 +1425,6 @@ impl ShardedSimulation {
             return;
         }
         let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
         let miss_weight = self.cfg.miss_weight;
         // Load per node since the last heartbeat.
         let mut loads = vec![0f64; n_mds];
@@ -1479,8 +1437,10 @@ impl ShardedSimulation {
                 loads[n.m.id.index()] = served as f64 + miss_weight * fetches as f64;
             }
         }
-        if self.cfg.elastic.enabled {
-            self.elastic_tick(at, &loads);
+        match self.world.elastic.step(&self.world.alive, &loads, at) {
+            Some(ScaleAction::Activate(m)) => self.elastic_activate(m),
+            Some(ScaleAction::Park(m)) => self.elastic_park(m, &loads),
+            None => {}
         }
         if !self.cfg.balancing {
             return;
@@ -1495,7 +1455,7 @@ impl ShardedSimulation {
         }
         let root = self.world.snapshot.ns.root();
         let mut budget = self.cfg.max_migrations_per_heartbeat;
-        let mut deltas: Vec<(InodeId, MdsId)> = Vec::new();
+        let mut moves: Vec<(InodeId, MdsId, MdsId)> = Vec::new();
         for &m in &live {
             if budget == 0 {
                 break;
@@ -1518,23 +1478,11 @@ impl ShardedSimulation {
             if target == m {
                 continue;
             }
-            deltas.push((subtree, MdsId(target as u16)));
-            self.shards[shard_of_node(m, n_mds, k)].node(donor).m.life.subtrees_out += 1;
-            self.shards[shard_of_node(target, n_mds, k)]
-                .node(MdsId(target as u16))
-                .m
-                .life
-                .subtrees_in += 1;
+            moves.push((subtree, donor, MdsId(target as u16)));
             budget -= 1;
             self.migrations += 1;
         }
-        for shard in &mut self.shards {
-            if let Some(sp) = shard.partition.as_subtree_mut() {
-                for &(r, to) in &deltas {
-                    sp.delegate(r, to);
-                }
-            }
-        }
+        self.redelegate(&moves);
     }
 
     /// Heartbeat flush of proxy-coalesced write deltas: each proxy (in
@@ -1588,95 +1536,19 @@ impl ShardedSimulation {
         (0..n).map(|d| (m.index() + d) % n).find(|&i| self.world.alive[i]).map(|i| MdsId(i as u16))
     }
 
-    /// One elastic controller step (mirrors the legacy
-    /// [`Cluster::elastic_tick`](crate::Cluster)): account provisioned
-    /// node-time under the population that held since the last tick, then
-    /// apply the watermark/sustain/cooldown policy to the mean per-second
-    /// load of the live nodes.
-    fn elastic_tick(&mut self, at: u64, loads: &[f64]) {
-        let n_mds = self.cfg.n_mds as usize;
-        let live: Vec<usize> = (0..n_mds).filter(|&m| self.world.alive[m]).collect();
-        self.elastic.node_us += live.len() as u64 * at.saturating_sub(self.elastic.last_account);
-        self.elastic.last_account = self.elastic.last_account.max(at);
-        if live.is_empty() {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-            return;
-        }
-
-        let hb_secs = self.cfg.heartbeat.as_secs_f64();
-        let mean_rate = live.iter().map(|&m| loads[m]).sum::<f64>() / live.len() as f64 / hb_secs;
-        let e = self.cfg.elastic;
-        if mean_rate > e.high_load_per_s {
-            self.elastic.high_streak += 1;
-            self.elastic.low_streak = 0;
-        } else if mean_rate < e.low_load_per_s {
-            self.elastic.low_streak += 1;
-            self.elastic.high_streak = 0;
-        } else {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-        }
-        if self.elastic.cooldown > 0 {
-            self.elastic.cooldown -= 1;
-            return;
-        }
-
-        if self.elastic.high_streak >= e.sustain {
-            // Lowest-indexed standby node; crashed nodes are not eligible
-            // (they come back through recovery, not scaling).
-            let candidate = (0..n_mds).find(|&i| self.elastic.standby[i] && !self.world.alive[i]);
-            if let Some(i) = candidate {
-                self.elastic_activate(MdsId(i as u16));
-                self.elastic.high_streak = 0;
-                self.elastic.cooldown = e.cooldown_heartbeats;
-            }
-        } else if self.elastic.low_streak >= e.sustain && live.len() > (e.min_nodes.max(1) as usize)
-        {
-            // Least-loaded live node departs; index breaks ties.
-            let victim = *live
-                .iter()
-                .min_by(|&&a, &&b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)))
-                .expect("live nodes exist");
-            self.elastic_park(MdsId(victim as u16), loads);
-            self.elastic.low_streak = 0;
-            self.elastic.cooldown = e.cooldown_heartbeats;
-        }
-    }
-
     /// Scale-out: a standby node rejoins and is handed back the
     /// delegations it parked with (empty on first-ever activation — the
     /// balancer then migrates load onto it, as onto a recovered node).
     fn elastic_activate(&mut self, m: MdsId) {
-        let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
         self.world.alive[m.index()] = true;
-        self.world.members[m.index()] = true;
-        self.elastic.standby[m.index()] = false;
-        self.elastic.scale_outs += 1;
-        let roots = std::mem::take(&mut self.elastic.parked_roots[m.index()]);
-        if roots.is_empty() {
-            return;
-        }
-        // Count the handoff against the current owners, in root order.
-        let owners: Vec<MdsId> = {
-            let sp = self.shards[0].partition.as_subtree().expect("elastic is a subtree strategy");
-            roots.iter().map(|&r| sp.delegation_of(r).expect("delegated root")).collect()
-        };
-        for &from in &owners {
-            if from == m {
-                continue;
-            }
-            self.shards[shard_of_node(from.index(), n_mds, k)].node(from).m.life.subtrees_out += 1;
-            self.shards[shard_of_node(m.index(), n_mds, k)].node(m).m.life.subtrees_in += 1;
-        }
-        for shard in &mut self.shards {
-            if let Some(sp) = shard.partition.as_subtree_mut() {
-                for &r in &roots {
-                    sp.delegate(r, m);
-                }
-            }
-        }
+        let roots = std::mem::take(&mut self.world.elastic.parked_roots[m.index()]);
+        let Some(sp) = self.shards[0].partition.as_subtree() else { return };
+        // Count the handoff against the current owners.
+        let moves: Vec<_> = roots
+            .into_iter()
+            .map(|r| (r, sp.delegation_of(r).expect("delegated root"), m))
+            .collect();
+        self.redelegate(&moves);
     }
 
     /// Scale-in: voluntary departure, distinct from a crash. The victim
@@ -1687,27 +1559,20 @@ impl ShardedSimulation {
     fn elastic_park(&mut self, victim: MdsId, loads: &[f64]) {
         let n_mds = self.cfg.n_mds as usize;
         let k = self.shards.len();
+        // The controller never parks the last live node, so heirs exist.
         let mut heirs: Vec<usize> =
             (0..n_mds).filter(|&i| self.world.alive[i] && i != victim.index()).collect();
-        if heirs.is_empty() {
-            return;
-        }
         heirs.sort_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)));
         let roots = match self.shards[0].partition.as_subtree() {
             Some(sp) => sp.delegations_of(victim),
             None => Vec::new(),
         };
-        for (j, &r) in roots.iter().enumerate() {
-            let heir = MdsId(heirs[j % heirs.len()] as u16);
-            for shard in &mut self.shards {
-                if let Some(sp) = shard.partition.as_subtree_mut() {
-                    sp.delegate(r, heir);
-                }
-            }
-            self.shards[shard_of_node(heir.index(), n_mds, k)].node(heir).m.life.subtrees_in += 1;
-        }
-        self.shards[shard_of_node(victim.index(), n_mds, k)].node(victim).m.life.subtrees_out +=
-            roots.len() as u64;
+        let moves: Vec<_> = roots
+            .iter()
+            .enumerate()
+            .map(|(j, &r)| (r, victim, MdsId(heirs[j % heirs.len()] as u16)))
+            .collect();
+        self.redelegate(&moves);
         // The departing node's goodbye: rewrite every client route that
         // named it to the post-handoff authority. Per-entry rewrites are
         // order-independent, so map iteration order cannot leak in.
@@ -1722,12 +1587,9 @@ impl ShardedSimulation {
                 }
             }
         }
-        // Park: drop membership and RAM only after the handoff.
-        self.elastic.parked_roots[victim.index()] = roots;
-        self.elastic.standby[victim.index()] = true;
-        self.elastic.scale_ins += 1;
+        // Park: stop serving and release RAM only after the handoff.
+        self.world.elastic.parked_roots[victim.index()] = roots;
         self.world.alive[victim.index()] = false;
-        self.world.members[victim.index()] = false;
         let cap = self.cfg.cache_capacity;
         self.shards[shard_of_node(victim.index(), n_mds, k)].node(victim).m.cache =
             MetaCache::new(cap);
@@ -1778,8 +1640,7 @@ impl ShardedSimulation {
             }
         }
         self.migrations = 0;
-        self.elastic.node_us = 0;
-        self.elastic.last_account = self.now_us;
+        self.world.elastic.reset_accounting(self.now_us);
         if let Some(s) = self.snapshots.as_mut() {
             s.reset();
         }
@@ -1841,8 +1702,8 @@ impl ShardedSimulation {
         // integral closed out to `now` for elastic runs, the full pool for
         // everything else.
         let provisioned_node_us = if self.cfg.elastic.enabled {
-            let live = self.world.alive.iter().filter(|a| **a).count() as u64;
-            self.elastic.node_us + live * self.now_us.saturating_sub(self.elastic.last_account)
+            let live = self.world.alive.iter().filter(|a| **a).count();
+            self.world.elastic.provisioned_node_us(live, self.now_us)
         } else {
             self.cfg.n_mds as u64 * (self.now_us - self.measure_start)
         };
@@ -1853,7 +1714,7 @@ impl ShardedSimulation {
                 &lat,
                 &nodes,
                 self.migrations,
-                (self.elastic.scale_outs, self.elastic.scale_ins),
+                (self.world.elastic.scale_outs, self.world.elastic.scale_ins),
                 &ptotals,
                 self.snapshots.as_ref(),
             )
@@ -1878,8 +1739,8 @@ impl ShardedSimulation {
             failed: stats.failed,
             stale_replies: stats.stale,
             migrations: self.migrations,
-            scale_outs: self.elastic.scale_outs,
-            scale_ins: self.elastic.scale_ins,
+            scale_outs: self.world.elastic.scale_outs,
+            scale_ins: self.world.elastic.scale_ins,
             provisioned_node_us,
             latency: lat,
             obs,
@@ -2296,11 +2157,45 @@ mod tests {
             .run_measured(SimDuration::from_secs(2), SimDuration::from_secs(6))
     }
 
+    /// Day/night per-node rates measured on this configuration (daytime
+    /// is server-saturated around 700–1500/s per node, the ×150 night
+    /// trough is think-limited well under 200/s); the watermarks sit
+    /// between the two plateaus.
+    const ELASTIC_HIGH: f64 = 500.0;
+    const ELASTIC_LOW: f64 = 250.0;
+
+    /// Every delegation on every shard's partition replica names a live
+    /// node, and every down node is one the controller parked.
+    fn assert_no_parked_owner(sim: &ShardedSimulation, when: &str) {
+        for shard in &sim.shards {
+            for (root, owner) in shard.partition.as_subtree().unwrap().delegations() {
+                assert!(
+                    sim.world.alive[owner.index()],
+                    "{when}: {root:?} owned by parked {owner:?}"
+                );
+            }
+        }
+        for m in 0..sim.world.alive.len() {
+            assert_eq!(sim.world.alive[m], sim.world.elastic.members[m], "{when}: node {m}");
+        }
+    }
+
     #[test]
     fn elastic_pool_scales_with_the_diurnal_cycle() {
         // Watermarks straddle the day/night per-node rates: daytime load
-        // activates standby nodes, the night trough parks them again.
-        let r = run_elastic(1, ELASTIC_HIGH, ELASTIC_LOW);
+        // activates standby nodes, the night trough parks them again. At
+        // every heartbeat no delegation may name a parked node.
+        let mut sim = build_elastic(2, ELASTIC_HIGH, ELASTIC_LOW);
+        assert_eq!(sim.world.alive, [true, true, false, false], "pool starts at min_nodes");
+        assert_no_parked_owner(&sim, "construction");
+        for step in 1..=32u64 {
+            if step == 9 {
+                sim.reset_measurement(); // after 2 s of warm-up
+            }
+            sim.run_until(SimTime::from_millis(250 * step));
+            assert_no_parked_owner(&sim, &format!("t={}ms", 250 * step));
+        }
+        let r = sim.finish();
         assert!(r.scale_outs >= 1, "daytime peak never activated a standby node");
         assert!(r.scale_ins >= 1, "night trough never parked a node");
         assert!(r.ops > 1_000, "only {} ops completed", r.ops);
@@ -2310,13 +2205,6 @@ mod tests {
             "elastic run should use less than the full static pool"
         );
     }
-
-    /// Day/night per-node rates measured on this configuration (daytime
-    /// is server-saturated around 700–1500/s per node, the ×150 night
-    /// trough is think-limited well under 200/s); the watermarks sit
-    /// between the two plateaus.
-    const ELASTIC_HIGH: f64 = 500.0;
-    const ELASTIC_LOW: f64 = 250.0;
 
     #[test]
     fn elastic_report_is_invariant_across_shard_counts() {

@@ -33,6 +33,10 @@ impl Simulation {
         start: SimTime,
         spread: SimDuration,
     ) -> Self {
+        assert!(
+            !cfg.elastic.enabled,
+            "elastic autoscaling runs on the sharded engine only (ShardedSimulation)"
+        );
         assert_eq!(
             workload.clients(),
             cfg.n_clients as usize,
@@ -235,6 +239,16 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         let after = sim.cluster().ns.total_items();
         assert!(after > before, "creates must land: {before} -> {after}");
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded engine only")]
+    fn legacy_engine_refuses_elastic_configs() {
+        let cfg = SimConfig::small(StrategyKind::ElasticSubtree);
+        assert!(cfg.elastic.enabled);
+        let snap = snapshot(3);
+        let wl = workload(&snap, cfg.n_clients as usize, 9);
+        drop(Simulation::new(cfg, snap, wl));
     }
 
     #[test]

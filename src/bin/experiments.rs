@@ -45,6 +45,12 @@ struct Args {
     shards: usize,
 }
 
+/// The figure runner's subcommands (`torture` and `scale` dispatch
+/// earlier and parse their own flags).
+const COMMANDS: &str = "fig2|fig3|fig4|fig5|fig6|fig7|sci|ablate-prefetch|ablate-balance|\
+                        ablate-dirhash|ablate-warming|ablate-leases|ablate-shared-writes|\
+                        ablate-probation|availability|elasticity|hotspot|all|bench|bench-sharded|obs";
+
 fn parse_args() -> Args {
     let mut scale = ExperimentScale::Full;
     let mut csv_dir = None;
@@ -80,14 +86,11 @@ fn parse_args() -> Args {
             other => usage(&format!("unknown argument: {other}")),
         }
     }
-    Args {
-        scale,
-        csv_dir,
-        command: command.unwrap_or_else(|| "all".to_string()),
-        obs,
-        faults,
-        shards,
+    let command = command.unwrap_or_else(|| "all".to_string());
+    if !COMMANDS.split('|').any(|c| c == command) {
+        usage(&format!("unknown subcommand: {command}"));
     }
+    Args { scale, csv_dir, command, obs, faults, shards }
 }
 
 fn usage(err: &str) -> ! {
@@ -96,7 +99,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: experiments [--quick] [--csv DIR] [--obs|--obs-trace] [--faults SPEC] [--shards K] \
-         <fig2|fig3|fig4|fig5|fig6|fig7|sci|ablate-prefetch|ablate-balance|ablate-dirhash|ablate-warming|ablate-leases|ablate-shared-writes|ablate-probation|availability|elasticity|hotspot|all|bench|obs>\n\
+         <{}>\n\
          \n\
          or:    experiments torture [--seeds N] [--seed-base B] [--ops K] [--strategy NAME|all]\n\
          \u{20}                     [--out DIR] [--shrink-budget P] [--no-repeat-check] [--threads T]\n\
@@ -110,7 +113,8 @@ fn usage(err: &str) -> ! {
          \u{20}                   [--warmup-ms M] [--measure-ms M] [--shards K] [--threads T]\n\
          \u{20}                   [--strategy NAME|all] [--seed S] [--out DIR]\n\
          (the scale tier: streaming namespace + ScaleWorkload on the sharded engine;\n\
-         \u{20}--full defaults to 10^6 clients against a 10^8-inode logical namespace)"
+         \u{20}--full defaults to 10^6 clients against a 10^8-inode logical namespace)",
+        COMMANDS
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -4,6 +4,7 @@
 //! ```text
 //! simulate [flags]
 //!   --strategy  static|dynamic|dirhash|filehash|lazyhybrid|elastic (dynamic)
+//!                       (elastic needs --shards: only the sharded engine autoscales)
 //!   --mds N             servers                               (8)
 //!   --clients N         clients                               (80)
 //!   --items N           metadata items in the snapshot        (32000)
@@ -205,6 +206,9 @@ fn parse_args() -> Args {
             "-h" | "--help" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
+    }
+    if a.strategy == StrategyKind::ElasticSubtree && a.shards == 0 {
+        usage("--strategy elastic needs --shards N (only the sharded engine autoscales)");
     }
     a
 }
