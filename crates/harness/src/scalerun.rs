@@ -15,7 +15,8 @@
 //!   ops, latency quantiles, namespace footprint — and is byte-identical
 //!   across reruns, shard counts, and thread counts at a fixed seed;
 //! * wall-clock throughput and peak RSS are machine-dependent and go to
-//!   stdout / `BENCH_sim.json` only, never into the CSV.
+//!   stdout only, never into the CSV (`hostbench`'s `scale_tier`
+//!   workload times the same run from the outside).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -17,11 +17,13 @@
 //! Cold traffic bypasses the proxy entirely, so proxy-off runs are
 //! byte-identical to a build without this crate.
 //!
-//! This crate holds only the engine-agnostic state machine ([`ProxyCore`])
-//! shared by the legacy event-loop cluster and the sharded engine; the
-//! transport (extra network hops, proxy CPU, flush scheduling) lives with
-//! each engine. Keeping the coherence rules in one place is what lets the
-//! DST oracle and the property tests in `tests/` speak for both engines.
+//! The full state machine ([`ProxyCore`]) is used by the legacy
+//! event-loop cluster only; the transport (extra network hops, proxy CPU,
+//! flush scheduling) lives in that engine. The sharded engine keeps its
+//! own reduced per-shard proxy state (no names, so no negative-lookup
+//! cache) and takes only [`HotDetector`] from this crate. The DST
+//! proxy-coherence oracle and the property tests in `tests/` therefore
+//! check the legacy engine's proxy tier, not the sharded one's.
 
 use dynmds_namespace::{FxHashMap, FxHashSet, InodeId};
 

@@ -9,9 +9,8 @@
 //! `ablate-balance` `ablate-dirhash` `ablate-warming` `ablate-leases`
 //! `ablate-shared-writes` `ablate-probation` (design-choice ablations),
 //! `availability` (every strategy under node churn; `--faults SPEC`
-//! overrides the default schedule — same grammar as `simulate`), `all`,
-//! or `bench` (time every `--quick` stage and write `BENCH_sim.json` —
-//! see [`run_bench`]; bench stays fault-free).
+//! overrides the default schedule — same grammar as `simulate`),
+//! `elasticity` and `hotspot` (sharded-engine figures), `all`, or `obs`.
 //!
 //! Each subcommand prints the figure's data as an aligned table; `--csv`
 //! additionally writes machine-readable CSVs.
@@ -20,13 +19,14 @@
 //! spans) run one instrumented representative steady-state simulation
 //! after the chosen subcommand, print its summary, and write
 //! `obs_metrics.jsonl` / `obs_snapshots.jsonl` / `obs_trace.jsonl` (to
-//! `--csv DIR` when given, else the working directory). With `bench`,
-//! the instrumented run is timed against the uninstrumented one and the
-//! observability overhead is reported.
+//! `--csv DIR` when given, else the working directory).
+//!
+//! Host-time benchmarking lives in the separate `hostbench/` package
+//! (workloads declared in `BENCHMARK.json`), not in this binary.
 
 use std::io::Write as _;
 
-use dynmds_event::{SimDuration, SimRng, SimTime};
+use dynmds_event::SimDuration;
 use dynmds_harness::parallel::parallel_map;
 use dynmds_harness::{
     ablation, availability, flashrun, hitrate, scaling, scirun, shiftrun, ExperimentScale,
@@ -49,7 +49,7 @@ struct Args {
 /// earlier and parse their own flags).
 const COMMANDS: &str = "fig2|fig3|fig4|fig5|fig6|fig7|sci|ablate-prefetch|ablate-balance|\
                         ablate-dirhash|ablate-warming|ablate-leases|ablate-shared-writes|\
-                        ablate-probation|availability|elasticity|hotspot|all|bench|bench-sharded|obs";
+                        ablate-probation|availability|elasticity|hotspot|all|obs";
 
 fn parse_args() -> Args {
     let mut scale = ExperimentScale::Full;
@@ -119,9 +119,9 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// The configuration both `bench` and `--obs` use as the representative
-/// steady-state simulation: the largest quick dynamic-subtree scaling
-/// point, the shape the hot path is tuned for.
+/// The representative steady-state simulation `--obs` and `obs`
+/// instrument: the largest quick dynamic-subtree scaling point, the
+/// shape the hot path is tuned for.
 fn representative_config(obs: ObsConfig) -> dynmds_core::SimConfig {
     let mut cfg = dynmds_harness::params::scaling_config(
         dynmds_partition::StrategyKind::DynamicSubtree,
@@ -167,186 +167,35 @@ fn emit(args: &Args, name: &str, table: &Table) {
     }
 }
 
-/// Scheduler-only microbenchmark: a timer wheel holding ~100k pending
-/// events driven through a steady pop-then-reschedule cycle, the shape
-/// the simulation hot loop imposes on it. Deltas come from a table
-/// precomputed outside the timed region so the RNG never shares the
-/// loop with the queue. Returns the median ops/sec (one op = one
-/// schedule or one pop) over ten runs.
-fn scheduler_ops_per_sec() -> f64 {
-    use dynmds_event::EventQueue;
-    use std::time::Instant;
-    const PENDING: usize = 100_000;
-    const STEADY_OPS: usize = 400_000;
-    const DELTA_MASK: usize = 8191;
-    let deltas: Vec<u64> = {
-        let mut rng = SimRng::seed_from_u64(0xD1CE);
-        (0..=DELTA_MASK).map(|_| 1 + rng.below(1 << 16)).collect()
-    };
-    let mut samples: Vec<f64> = (0..10)
-        .map(|_| {
-            let mut q: EventQueue<u32> = EventQueue::with_delta_hint(SimDuration::from_millis(1));
-            let mut now = SimTime::ZERO;
-            for i in 0..PENDING {
-                q.schedule(now + SimDuration::from_micros(deltas[i & DELTA_MASK]), i as u32);
-            }
-            let t = Instant::now();
-            for i in 0..STEADY_OPS {
-                let ev = q.pop().expect("queue never drains in steady state");
-                now = ev.at;
-                q.schedule(now + SimDuration::from_micros(deltas[i & DELTA_MASK]), ev.event);
-            }
-            (2 * STEADY_OPS) as f64 / t.elapsed().as_secs_f64().max(1e-9)
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    (samples[4] + samples[5]) / 2.0
-}
-
-/// One sharded-engine throughput run: a lease-heavy hot-set workload
-/// where nearly every operation is a client-local lease completion (one
-/// timer-wheel event per op), so the figure measures engine overhead —
-/// queue, window loop, exchange — rather than protocol round trips.
-/// Returns (simulated ops, ops per wall-clock second).
-fn sharded_bench_run(shards: usize, measure: SimDuration) -> (dynmds_core::ShardReport, f64) {
-    use std::time::Instant;
-    let mut cfg = dynmds_core::SimConfig::small(dynmds_partition::StrategyKind::DynamicSubtree);
-    cfg.n_mds = 8;
-    cfg.n_clients = 2_000;
-    cfg.cache_capacity = 4_000;
-    cfg.journal_capacity = 16_000;
-    cfg.n_osds = 16;
-    cfg.client_leases = true;
-    // Leases must outlive the run so the measured window never refreshes:
-    // every measured op is then a client-local completion.
-    cfg.lease_ttl = SimDuration::from_secs(120);
-    // A dense event stream (mean 4k ops/s per client) keeps hundreds of
-    // events in every 100µs conservative window, amortizing the
-    // per-window barrier across many operations.
-    cfg.costs.think_mean = SimDuration::from_micros(250);
-    // A modern flash OSD pool; the 2004 commodity-disk default would
-    // stretch the lease-population warmup to tens of virtual seconds.
-    cfg.costs.osd_disk =
-        dynmds_storage::DiskParams { latency: SimDuration::from_micros(200), iops: 20_000.0 };
-    cfg.balancing = false;
-    cfg.traffic_control = false;
-    cfg.seed = 42;
-    dynmds_harness::parallel::install_shard_driver();
-    let snap =
-        dynmds_namespace::NamespaceSpec::with_target_items(64, 8_000, cfg.seed ^ 0xF5).generate();
-    let n_clients = cfg.n_clients as usize;
-    let seed = cfg.seed;
-    let mut sim = dynmds_core::ShardedSimulation::new(cfg, shards, None, snap, &move |ns| {
-        Box::new(dynmds_workload::HotSetWorkload::new(ns, n_clients, 32, seed ^ 0x17))
-    });
-    let warmup = SimDuration::from_secs(3);
-    sim.run_until(dynmds_event::SimTime::ZERO + warmup);
-    sim.reset_measurement();
-    // Only the measured span is timed: the warmup's lease-population
-    // traffic would otherwise dilute the steady-state figure.
-    let t = Instant::now();
-    sim.run_until(dynmds_event::SimTime::ZERO + warmup + measure);
-    let wall = t.elapsed().as_secs_f64();
-    let report = sim.finish();
-    let rate = report.ops as f64 / wall.max(1e-9);
-    (report, rate)
-}
-
-/// Sparse-schedule throughput probe: the same lease-heavy hot-set
-/// engine workload as [`sharded_bench_run`], but with two orders of
-/// magnitude fewer and slower clients, so the mean event spacing
-/// (~1.3 ms cluster-wide) dwarfs the 100 µs conservative window. Nearly
-/// every barrier faces an empty span, so the figure measures the
-/// idle-window skip — a `--force-dense` run would execute ~12 empty
-/// windows per operation. Returns (report, ops per wall-second).
-fn sparse_bench_run(shards: usize, measure: SimDuration) -> (dynmds_core::ShardReport, f64) {
-    use std::time::Instant;
-    let mut cfg = dynmds_core::SimConfig::small(dynmds_partition::StrategyKind::DynamicSubtree);
-    cfg.n_mds = 8;
-    cfg.n_clients = 32;
-    cfg.cache_capacity = 4_000;
-    cfg.journal_capacity = 16_000;
-    cfg.n_osds = 16;
-    cfg.client_leases = true;
-    cfg.lease_ttl = SimDuration::from_secs(600);
-    // 32 clients thinking 40 ms apart: one event per ~1.25 ms against a
-    // 100 µs window grid. This is the elasticity figure's "night" regime.
-    cfg.costs.think_mean = SimDuration::from_millis(40);
-    cfg.costs.osd_disk =
-        dynmds_storage::DiskParams { latency: SimDuration::from_micros(200), iops: 20_000.0 };
-    cfg.balancing = false;
-    cfg.traffic_control = false;
-    cfg.seed = 42;
-    dynmds_harness::parallel::install_shard_driver();
-    let snap =
-        dynmds_namespace::NamespaceSpec::with_target_items(64, 8_000, cfg.seed ^ 0xF5).generate();
-    let n_clients = cfg.n_clients as usize;
-    let seed = cfg.seed;
-    let mut sim = dynmds_core::ShardedSimulation::new(cfg, shards, None, snap, &move |ns| {
-        Box::new(dynmds_workload::HotSetWorkload::new(ns, n_clients, 32, seed ^ 0x17))
-    });
-    // Long warmup relative to the dense probe: populating each client's
-    // 32-item lease ring takes ~32 think periods at the 40 ms mean.
-    let warmup = SimDuration::from_secs(6);
-    sim.run_until(dynmds_event::SimTime::ZERO + warmup);
-    sim.reset_measurement();
-    let t = Instant::now();
-    sim.run_until(dynmds_event::SimTime::ZERO + warmup + measure);
-    let wall = t.elapsed().as_secs_f64();
-    let report = sim.finish();
-    let rate = report.ops as f64 / wall.max(1e-9);
-    (report, rate)
-}
-
 /// Entry point for `experiments scale` — the million-client scale tier.
 /// Owns its flag grammar (like `torture`): sizing defaults come from
 /// `--smoke` (CI) or `--full` (the ≥10⁶-client, ≥10⁸-inode run), with
 /// every knob individually overridable. Prints the deterministic table,
 /// writes `scale.csv` to `--out`, and reports wall-clock throughput and
 /// peak RSS on stdout only (machine-dependent, never in the CSV).
-fn run_scale_cli(raw: &[String]) -> i32 {
+fn run_scale_cli(raw: &[String]) {
     use dynmds_harness::ScaleParams;
     let mut p = ScaleParams::smoke();
     let mut out_dir = ".".to_string();
     let mut it = raw.iter();
-    let parse_err = |flag: &str, v: &str| -> ! {
-        eprintln!("scale: bad value for {flag}: {v}");
-        std::process::exit(2);
-    };
+    let parse_err =
+        |flag: &str, v: &str| -> ! { usage(&format!("scale: bad value for {flag}: {v}")) };
     while let Some(a) = it.next() {
         let mut val = |flag: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("scale: missing value for {flag}");
-                std::process::exit(2);
-            })
+            it.next().cloned().unwrap_or_else(|| usage(&format!("scale: missing value for {flag}")))
         };
         match a.as_str() {
             "--smoke" => p = ScaleParams::smoke(),
             "--full" => p = ScaleParams::full(),
-            "--clients" => {
-                let v = val("--clients");
-                p.clients = v.parse().unwrap_or_else(|_| parse_err("--clients", &v));
-            }
-            "--users" => {
-                let v = val("--users");
-                p.users = v.parse().unwrap_or_else(|_| parse_err("--users", &v));
-            }
+            "--clients" => p.clients = positive(a, &val(a)),
+            "--users" => p.users = positive(a, &val(a)),
             "--target-inodes" => {
                 let v = val("--target-inodes");
                 p.target_items = v.parse().unwrap_or_else(|_| parse_err("--target-inodes", &v));
             }
-            "--materialize" => {
-                let v = val("--materialize");
-                p.materialize_users = v.parse().unwrap_or_else(|_| parse_err("--materialize", &v));
-            }
-            "--ring" => {
-                let v = val("--ring");
-                p.ring = v.parse().unwrap_or_else(|_| parse_err("--ring", &v));
-            }
-            "--mds" => {
-                let v = val("--mds");
-                p.n_mds = v.parse().unwrap_or_else(|_| parse_err("--mds", &v));
-            }
+            "--materialize" => p.materialize_users = positive(a, &val(a)),
+            "--ring" => p.ring = positive(a, &val(a)),
+            "--mds" => p.n_mds = positive(a, &val(a)),
             "--cache" => {
                 let v = val("--cache");
                 p.cache_capacity = v.parse().unwrap_or_else(|_| parse_err("--cache", &v));
@@ -396,10 +245,7 @@ fn run_scale_cli(raw: &[String]) -> i32 {
                 }
             }
             "--out" => out_dir = val("--out"),
-            other => {
-                eprintln!("scale: unknown argument: {other}");
-                return 2;
-            }
+            other => usage(&format!("scale: unknown argument: {other}")),
         }
     }
 
@@ -429,7 +275,14 @@ fn run_scale_cli(raw: &[String]) -> i32 {
     let path = format!("{out_dir}/scale.csv");
     std::fs::write(&path, table.to_csv()).expect("write scale.csv");
     eprintln!("wrote {path}");
-    0
+}
+
+/// Parses a sizing flag that must be at least 1: a zero would reach an
+/// engine assert and panic instead of failing here as bad usage.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: &str) -> T {
+    v.parse().ok().filter(|n| *n != T::default()).unwrap_or_else(|| {
+        usage(&format!("scale: bad value for {flag}: {v} (want a positive integer)"))
+    })
 }
 
 /// Peak resident set (VmHWM) in bytes, 0 where /proc is unavailable.
@@ -446,206 +299,6 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Benchmark mode: runs the fixed `--quick` scenario (every figure and
-/// ablation stage), timing each, plus one representative steady-state
-/// simulation whose served-operation count yields a simulated-ops/sec
-/// figure and a scheduler-only microbenchmark. Results go to
-/// `BENCH_sim.json` (in `--csv DIR` when given, else the working
-/// directory). Tables and CSVs are *not* emitted — this mode exists to
-/// track wall-clock, not figure output.
-fn run_bench(args: &Args) {
-    use std::time::Instant;
-    let scale = ExperimentScale::Quick;
-
-    // Wall-clock for the full quick suite on the seed revision of this
-    // repo, measured on the same class of machine the suite targets.
-    // Kept so speedup_vs_seed in BENCH_sim.json is self-describing.
-    const SEED_QUICK_WALL_S: f64 = 17.0;
-
-    // Representative simulation: the largest quick dynamic-subtree
-    // scaling point, the configuration the hot path is tuned for.
-    eprintln!("bench: representative steady-state run...");
-    let t0 = Instant::now();
-    let report =
-        dynmds_harness::params::run_steady(representative_config(ObsConfig::default()), scale);
-    let rep_wall_s = t0.elapsed().as_secs_f64();
-    let ops_simulated = report.total_served();
-    let ops_per_sec = ops_simulated as f64 / rep_wall_s.max(1e-9);
-
-    eprintln!("bench: scheduler microbench (100k pending, median of 10)...");
-    let sched_ops_per_sec = scheduler_ops_per_sec();
-
-    // Sharded-engine throughput: the scaling curve over shard counts,
-    // with the 8-shard point as the headline `sharded_ops_per_sec`.
-    let mut sharded_curve: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        eprintln!("bench: sharded hot-set run ({shards} shards)...");
-        let (report, rate) = sharded_bench_run(shards, SimDuration::from_secs(2));
-        assert!(
-            report.lease_hits * 10 >= report.ops * 9,
-            "sharded bench drifted out of the lease fast path"
-        );
-        sharded_curve.push((shards, rate));
-    }
-    let sharded_ops_per_sec = sharded_curve.last().map(|&(_, r)| r).unwrap_or(0.0);
-
-    // Sparse-schedule probe: same engine, ~12 empty windows per op, so
-    // this figure tracks the idle-window skip rather than event
-    // execution. The lease floor is looser than the dense probe's — the
-    // 32-client population re-faults a few leases per measured minute.
-    eprintln!("bench: sparse sharded run (idle-window skip)...");
-    let sparse_ops_per_sec = {
-        let (report, rate) = sparse_bench_run(8, SimDuration::from_secs(60));
-        assert!(
-            report.lease_hits * 10 >= report.ops * 8,
-            "sparse bench drifted out of the lease fast path"
-        );
-        rate
-    };
-
-    // Wall-clock probes for the two figure stages the skip was built
-    // for: the diurnal elasticity run (sharded engine, sparse nights)
-    // and availability-under-churn (legacy serial engine — reported so
-    // the pair is tracked together, though skipping cannot move it).
-    eprintln!("bench: elasticity figure wall probe...");
-    let elasticity_wall_s = {
-        let t = Instant::now();
-        drop(dynmds_harness::elasticrun::run_elasticity(scale, 4, None));
-        t.elapsed().as_secs_f64()
-    };
-    eprintln!("bench: availability figure wall probe...");
-    let availability_wall_s = {
-        let t = Instant::now();
-        drop(availability::run_availability(scale, &availability::default_schedule(scale)));
-        t.elapsed().as_secs_f64()
-    };
-
-    // Scale-tier probe: a shrunken smoke run (not a timed figure stage —
-    // it tracks the streaming-namespace memory story, not suite wall
-    // time). Yields the headline scale_ops_per_sec (wall) and the
-    // namespace footprint per materialized inode.
-    eprintln!("bench: scale-tier probe (streaming namespace)...");
-    let scale_probe = {
-        let mut p = dynmds_harness::ScaleParams::smoke();
-        p.clients = 10_000;
-        p.users = 4_000;
-        p.target_items = 200_000;
-        p.materialize_users = 256;
-        p.strategies = vec![dynmds_partition::StrategyKind::DynamicSubtree];
-        dynmds_harness::run_scale(&p).remove(0)
-    };
-    let scale_ops_per_sec = scale_probe.wall_ops_per_sec();
-    let namespace_bytes_per_inode = scale_probe.bytes_per_inode();
-
-    // Hotspot-absorption probe: the proxy-vs-redirect storm suite on the
-    // sharded engine. Like the scale probe it stays out of the timed
-    // figure stages (the seed baseline predates it); the headline is
-    // total simulated storm ops per wall-second.
-    eprintln!("bench: hotspot-absorption probe (proxy vs redirect)...");
-    let hotspot_ops_per_sec = {
-        let t = Instant::now();
-        let pts = dynmds_harness::hotspotrun::run_hotspot(scale, 4, None);
-        let ops: u64 = pts.iter().map(|p| p.report.ops).sum();
-        ops as f64 / t.elapsed().as_secs_f64().max(1e-9)
-    };
-
-    // With --obs/--obs-trace, time the same run instrumented and report
-    // the observability overhead (not part of BENCH_sim.json: the
-    // committed baseline tracks the uninstrumented hot path).
-    if args.obs.enabled() {
-        eprintln!("bench: instrumented representative run...");
-        let t = Instant::now();
-        let obs_report = dynmds_harness::params::run_steady(representative_config(args.obs), scale);
-        let obs_wall_s = t.elapsed().as_secs_f64();
-        assert!(obs_report.obs.is_some(), "obs enabled but report carries no export");
-        println!(
-            "bench: obs {} overhead: {obs_wall_s:.3}s vs {rep_wall_s:.3}s ({:+.1}%)",
-            if args.obs.trace { "metrics+trace" } else { "metrics" },
-            100.0 * (obs_wall_s - rep_wall_s) / rep_wall_s.max(1e-9)
-        );
-    }
-
-    let mut stages: Vec<(&str, f64)> = Vec::new();
-    let mut stage = |name: &'static str, body: &mut dyn FnMut()| {
-        eprintln!("bench: {name}...");
-        let t = Instant::now();
-        body();
-        stages.push((name, t.elapsed().as_secs_f64()));
-    };
-    stage("fig2_fig3", &mut || drop(scaling::run_scaling(scale)));
-    stage("fig4", &mut || drop(hitrate::run_hitrate(scale)));
-    stage("fig5_fig6", &mut || drop(shiftrun::run_shift(scale)));
-    stage("fig7", &mut || drop(flashrun::run_flash(scale)));
-    stage("sci", &mut || drop(scirun::run_sci(scale)));
-    stage("ablate_prefetch", &mut || drop(ablation::run_ablate_prefetch(scale)));
-    stage("ablate_balance", &mut || drop(ablation::run_ablate_balance(scale)));
-    stage("ablate_dirhash", &mut || drop(ablation::run_ablate_dir_hash(scale)));
-    stage("ablate_leases", &mut || drop(ablation::run_ablate_leases(scale)));
-    stage("ablate_probation", &mut || drop(ablation::run_ablate_probation(scale)));
-    stage("ablate_shared_writes", &mut || drop(ablation::run_ablate_shared_writes(scale)));
-    stage("ablate_warming", &mut || drop(ablation::run_ablate_journal_warming(scale)));
-
-    let total_wall_s: f64 = stages.iter().map(|(_, s)| s).sum();
-
-    // Hand-rolled JSON: the workspace deliberately has no JSON dependency.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"scale\": \"quick\",\n");
-    json.push_str(&format!("  \"ops_simulated\": {ops_simulated},\n"));
-    json.push_str(&format!("  \"representative_wall_s\": {rep_wall_s:.3},\n"));
-    json.push_str(&format!("  \"ops_per_sec\": {ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"scheduler_ops_per_sec\": {sched_ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"sharded_ops_per_sec\": {sharded_ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"sparse_ops_per_sec\": {sparse_ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"scale_ops_per_sec\": {scale_ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"hotspot_ops_per_sec\": {hotspot_ops_per_sec:.1},\n"));
-    json.push_str(&format!("  \"elasticity_wall_s\": {elasticity_wall_s:.3},\n"));
-    json.push_str(&format!("  \"availability_wall_s\": {availability_wall_s:.3},\n"));
-    json.push_str(&format!("  \"namespace_bytes_per_inode\": {namespace_bytes_per_inode:.1},\n"));
-    json.push_str("  \"sharded_scaling\": [\n");
-    for (i, (shards, rate)) in sharded_curve.iter().enumerate() {
-        let comma = if i + 1 < sharded_curve.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"shards\": {shards}, \"ops_per_sec\": {rate:.1}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"cores\": {},\n",
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-    ));
-    json.push_str(&format!("  \"peak_rss_bytes\": {},\n", peak_rss_bytes()));
-    json.push_str("  \"figures\": [\n");
-    for (i, (name, secs)) in stages.iter().enumerate() {
-        let comma = if i + 1 < stages.len() { "," } else { "" };
-        json.push_str(&format!("    {{\"name\": \"{name}\", \"wall_s\": {secs:.3}}}{comma}\n"));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_wall_s\": {total_wall_s:.3},\n"));
-    json.push_str(&format!("  \"seed_quick_wall_s\": {SEED_QUICK_WALL_S:.1},\n"));
-    json.push_str(&format!(
-        "  \"speedup_vs_seed\": {:.2}\n",
-        SEED_QUICK_WALL_S / total_wall_s.max(1e-9)
-    ));
-    json.push_str("}\n");
-
-    let path = match &args.csv_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("create output dir");
-            format!("{dir}/BENCH_sim.json")
-        }
-        None => "BENCH_sim.json".to_string(),
-    };
-    std::fs::write(&path, &json).expect("write BENCH_sim.json");
-    println!(
-        "bench: {total_wall_s:.2}s for the quick suite ({:.2}x vs seed), \
-         {ops_per_sec:.0} simulated ops/s, {sched_ops_per_sec:.0} scheduler ops/s, \
-         {sharded_ops_per_sec:.0} sharded ops/s @ 8 shards",
-        SEED_QUICK_WALL_S / total_wall_s.max(1e-9)
-    );
-    eprintln!("wrote {path}");
-}
-
 fn main() {
     // `torture` owns its flag grammar; dispatch before the figure parser.
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -654,28 +307,10 @@ fn main() {
     }
     // `scale` owns its flag grammar too.
     if raw.first().map(String::as_str) == Some("scale") {
-        std::process::exit(run_scale_cli(&raw[1..]));
+        run_scale_cli(&raw[1..]);
+        return;
     }
     let args = parse_args();
-    if args.command == "bench" {
-        run_bench(&args);
-        return;
-    }
-    // Sharded-engine throughput only (the scaling curve `bench` embeds in
-    // BENCH_sim.json), for quick iteration and the CI bench smoke.
-    if args.command == "bench-sharded" {
-        for shards in [1usize, 2, 4, 8] {
-            let (r, rate) = sharded_bench_run(shards, SimDuration::from_secs(2));
-            println!(
-                "shards {shards}: {} ops ({:.1}% lease hits), {rate:.0} ops/s",
-                r.ops,
-                100.0 * r.lease_hits as f64 / r.ops.max(1) as f64
-            );
-        }
-        let (r, rate) = sparse_bench_run(8, SimDuration::from_secs(60));
-        println!("sparse 8 shards: {} ops, {rate:.0} ops/s (idle-window skip)", r.ops);
-        return;
-    }
     let scale = args.scale;
     let series_bin = match scale {
         ExperimentScale::Quick => SimDuration::from_secs(1),

@@ -89,6 +89,15 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
+/// Parses a sizing flag that must be at least 1: a zero would reach an
+/// engine assert and panic instead of failing here as bad usage.
+fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str, flag: &str) -> T {
+    v.parse()
+        .ok()
+        .filter(|n| *n != T::default())
+        .unwrap_or_else(|| usage(&format!("bad {flag}: {v} (want a positive integer)")))
+}
+
 fn parse_fault(v: &str) -> (u16, u64) {
     let (m, s) =
         v.split_once('@').unwrap_or_else(|| usage(&format!("bad fault spec {v}; want MDS@SECS")));
@@ -143,17 +152,13 @@ fn parse_args() -> Args {
                     other => usage(&format!("unknown strategy {other}")),
                 }
             }
-            "--mds" => a.n_mds = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --mds")),
-            "--clients" => {
-                a.n_clients = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --clients"))
-            }
+            "--mds" => a.n_mds = positive(&next(&mut it, &f), &f),
+            "--clients" => a.n_clients = positive(&next(&mut it, &f), &f),
             "--items" => {
                 a.items = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --items"))
             }
-            "--cache" => {
-                a.cache = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --cache"))
-            }
-            "--osds" => a.osds = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --osds")),
+            "--cache" => a.cache = positive(&next(&mut it, &f), &f),
+            "--osds" => a.osds = positive(&next(&mut it, &f), &f),
             "--seconds" => {
                 a.seconds = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --seconds"))
             }

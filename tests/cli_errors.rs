@@ -1,5 +1,6 @@
 //! Bad command lines fail loudly: the binaries exit 2 with a usage
-//! message instead of doing nothing or running the wrong engine.
+//! message instead of doing nothing, running the wrong engine, or
+//! panicking on an engine assert.
 
 use std::process::Command;
 
@@ -9,12 +10,47 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
+/// Text each binary's usage error prints.
+const EXPERIMENTS_USAGE: &str = "usage: experiments";
+const SIMULATE_USAGE: &str = "see `simulate --help`";
+
 #[test]
 fn experiments_rejects_an_unknown_subcommand() {
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_experiments"), &["--quick", "frobnicate"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("unknown subcommand: frobnicate"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: experiments"), "stderr: {stderr}");
+    // `bench` and `bench-sharded` are retired: `hostbench/` is the benchmark.
+    for sub in ["frobnicate", "bench", "bench-sharded"] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_experiments"), &["--quick", sub]);
+        assert_eq!(code, Some(2), "{sub}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("unknown subcommand: {sub}")), "{sub}: stderr: {stderr}");
+        assert!(stderr.contains(EXPERIMENTS_USAGE), "{sub}: stderr: {stderr}");
+    }
+}
+
+#[test]
+fn zero_sizing_flags_are_usage_errors() {
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (simulate, &["--mds", "0"], SIMULATE_USAGE),
+        (simulate, &["--mds", "0", "--shards", "2"], SIMULATE_USAGE),
+        (simulate, &["--clients", "0"], SIMULATE_USAGE),
+        (simulate, &["--osds", "0"], SIMULATE_USAGE),
+        (simulate, &["--cache", "0"], SIMULATE_USAGE),
+        (experiments, &["scale", "--mds", "0"], EXPERIMENTS_USAGE),
+        (experiments, &["scale", "--clients", "0"], EXPERIMENTS_USAGE),
+        (experiments, &["scale", "--users", "0"], EXPERIMENTS_USAGE),
+        (experiments, &["scale", "--materialize", "0"], EXPERIMENTS_USAGE),
+        (experiments, &["scale", "--ring", "0"], EXPERIMENTS_USAGE),
+    ];
+    for &(bin, args, banner) in cases {
+        let (code, stderr) = run(bin, args);
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("case names a flag");
+        assert_eq!(code, Some(2), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: 0 (want a positive integer)")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(banner), "{args:?}: stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -9,10 +9,11 @@
 //! timing is part of its expected output. The fault-free tables are
 //! still the seed's bytes.)
 //!
-//! Only the cheaper figures are regenerated (the full quick suite is a
-//! release-binary job — `experiments bench` covers it); together these
+//! Only the cheaper figures are regenerated here; together these
 //! exercise the flash-crowd path, the balancer's delegation churn, cache
-//! insertion policy, shared writes and journal replay.
+//! insertion policy, shared writes and journal replay. All 18 goldens,
+//! these included, are diffed against a release-binary
+//! `experiments --quick --csv DIR all` run by CI's `golden-diff` job.
 
 use dynmds_event::SimDuration;
 use dynmds_harness::{ablation, flashrun, hotspotrun, ExperimentScale};
