@@ -19,6 +19,7 @@ struct Counter {
 }
 
 /// Decaying popularity counters keyed by inode.
+#[derive(Clone, Debug)]
 pub struct Popularity {
     half_life: SimDuration,
     counters: FxHashMap<InodeId, Counter>,
@@ -50,6 +51,11 @@ impl Popularity {
         self.counters.get(&id).map(|&c| self.decayed(c, now)).unwrap_or(0.0)
     }
 
+    /// Whether `id` has a counter (however far it has decayed).
+    pub fn contains(&self, id: InodeId) -> bool {
+        self.counters.contains_key(&id)
+    }
+
     /// Forgets an item (e.g. after its metadata was unlinked or migrated).
     pub fn forget(&mut self, id: InodeId) {
         self.counters.remove(&id);
@@ -58,8 +64,6 @@ impl Popularity {
     /// Drops counters that have decayed below `threshold` — periodic
     /// housekeeping so long simulations don't accumulate dead entries.
     pub fn prune(&mut self, now: SimTime, threshold: f64) {
-        let hl = self.half_life;
-        let _ = hl;
         let keep: Vec<(InodeId, Counter)> = self
             .counters
             .iter()
@@ -143,6 +147,7 @@ mod tests {
             p.record(SimTime::ZERO, id(3));
         }
         p.forget(id(1));
+        assert!(!p.contains(id(1)) && p.contains(id(2)));
         assert_eq!(p.len(), 2);
         // After 50s, singles are < 0.05; the 100-burst is ~3.1.
         p.prune(SimTime::from_secs(50), 0.1);

@@ -171,14 +171,6 @@ pub struct Cluster {
     pub(crate) proxies: Vec<dynmds_proxy::ProxyCore>,
     /// Items with coalesced proxy write deltas not yet at the authority.
     pub(crate) proxy_dirty: FxHashSet<InodeId>,
-    /// Ops fully absorbed at a proxy (negative lookups, hot reads,
-    /// coalesced writes) — they never entered the cluster.
-    pub proxy_absorbed: u64,
-    /// Hot ops a proxy relayed into the cluster.
-    pub proxy_forwarded: u64,
-    /// Coalesced item deltas merged at authorities (heartbeat + read
-    /// callbacks).
-    pub proxy_flushes: u64,
 
     // --- observability ---------------------------------------------------
     /// Metrics registry + op-trace spans + snapshots; inert (one branch
@@ -279,9 +271,6 @@ impl Cluster {
                 .map(|_| dynmds_proxy::ProxyCore::new(&cfg.proxy))
                 .collect(),
             proxy_dirty: FxHashSet::default(),
-            proxy_absorbed: 0,
-            proxy_forwarded: 0,
-            proxy_flushes: 0,
             obs: ClusterObs::with_proxies(
                 cfg.obs,
                 n,
@@ -487,7 +476,7 @@ impl Cluster {
     ) -> Option<Op> {
         let p = client.0 as usize % self.proxies.len();
         let target = op.target();
-        let hot = self.proxies[p].observe(target, now.as_micros());
+        let hot = self.proxies[p].observe(target, now);
         let cpu = SimDuration::from_micros(self.cfg.proxy.proxy_cpu_us);
         // Absorbed answers cost client→proxy→client plus the proxy's CPU.
         let reply_at = now + self.cfg.costs.net_hop.saturating_mul(2) + cpu;
@@ -512,12 +501,7 @@ impl Cluster {
 
         // 2. Hot read the proxy has read through, with no unflushed
         //    deltas that could make the cached copy stale.
-        if !op.is_update()
-            && self.proxies[p].is_cached(target)
-            && !self.proxies[p].has_pending(target)
-            && self.ns.is_alive(target)
-        {
-            self.proxies[p].stats.read_absorbs += 1;
+        if !op.is_update() && self.ns.is_alive(target) && self.proxies[p].absorb_read(target) {
             if let Some(probe) = self.probe.as_deref_mut() {
                 probe.on_proxy_read_serve(now, client, target);
             }
@@ -542,8 +526,7 @@ impl Cluster {
 
         // 4. Hot but not absorbable: relay to the authority. One proxy
         //    hop replaces the client's own (possibly stale) routing.
-        self.proxies[p].stats.forwarded += 1;
-        self.proxy_forwarded += 1;
+        self.proxies[p].note_forwarded();
         self.obs.on_proxy_forward(p);
         let dest = self.live_authority(self.authority_for_op(&op));
         let req = Request {
@@ -568,10 +551,15 @@ impl Cluster {
         reply_at: SimTime,
         queue: &mut EventQueue<SimEvent>,
     ) {
-        self.proxy_absorbed += 1;
         self.latency.record(reply_at.saturating_since(now).as_secs_f64());
         self.obs.on_proxy_serve(reply_at, client.0, now);
         queue.schedule(reply_at, SimEvent::Reply { client });
+    }
+
+    /// The proxy tier's counters summed over every proxy (all zero
+    /// when the tier is off).
+    pub fn proxy_stats(&self) -> dynmds_proxy::ProxyStats {
+        self.proxies.iter().map(|p| p.stats()).sum()
     }
 
     /// Puts a request on the wire towards `mds` at `at`, applying the
@@ -853,7 +841,6 @@ impl Cluster {
                 ino.mtime_us = ino.mtime_us.max(now.as_micros());
             });
         }
-        self.proxy_flushes += contributors as u64;
         contributors
     }
 

@@ -47,11 +47,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use dynmds_cache::{InsertKind, MetaCache};
+use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Snapshot};
 use dynmds_obs::{Registry, SnapshotSeries};
 use dynmds_partition::{Partition, StrategyKind};
+use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::{AccessKind, DiskFault, DiskModel};
 use dynmds_workload::Workload;
 
@@ -296,36 +297,20 @@ struct ShardNode {
     hb_fetches: u64,
     /// Hot-object detector feeding the proxy tier (touched only when the
     /// tier is enabled; records reads *and* writes, unlike `popularity`).
-    proxy_pop: dynmds_proxy::HotDetector,
+    proxy_pop: Popularity,
     /// Proxy-tier hot candidates observed since the last heartbeat.
     proxy_hot_pending: Vec<InodeId>,
 }
 
-/// One hotspot proxy as owned by a shard (sharded-engine counterpart of
-/// [`dynmds_proxy::ProxyCore`], reduced to the frozen-namespace op model:
-/// no names, so no negative-lookup cache — reads absorb through the
-/// read-through set, writes coalesce into per-item deltas).
-#[derive(Debug, Default)]
+/// One hotspot proxy as owned by a shard: the shared state machine plus
+/// this engine's transport. The namespace is frozen, so the core's
+/// negative-lookup cache stays empty here.
+#[derive(Debug)]
 struct ProxySt {
-    /// Items read through to the authority at least once.
-    cached: FxHashSet<InodeId>,
-    /// Coalesced write deltas awaiting the heartbeat flush.
-    pending: FxHashMap<InodeId, u64>,
+    core: ProxyCore,
     /// Serial-CPU availability, µs.
     free_at: u64,
     send_seq: u64,
-    stats: ProxyShardStats,
-}
-
-/// Commutative proxy counters, aggregated into the report in proxy id
-/// order.
-#[derive(Clone, Copy, Debug, Default)]
-struct ProxyShardStats {
-    absorbed: u64,
-    coalesced: u64,
-    forwarded: u64,
-    flushes: u64,
-    flushed_items: u64,
 }
 
 /// One client as owned by a shard.
@@ -824,7 +809,7 @@ impl Shard {
         // Hotspot proxy tier: nodes detect hot objects (reads and writes
         // both count) and announce them at the heartbeat.
         if proxy_on && !world.proxy_hot.contains(&item) {
-            let v = n.proxy_pop.record(item, t);
+            let v = n.proxy_pop.record(now, item);
             if v >= proxy_threshold {
                 n.proxy_hot_pending.push(item);
             }
@@ -881,26 +866,37 @@ impl Shard {
         let done = px.free_at.max(t) + cpu;
         px.free_at = done;
 
-        enum Action {
-            Ack,
-            Relay,
-        }
-        let action = if write {
-            *px.pending.entry(item).or_insert(0) += 1;
-            px.stats.coalesced += 1;
-            Action::Ack
-        } else if px.cached.contains(&item) && !px.pending.contains_key(&item) {
-            px.stats.absorbed += 1;
-            Action::Ack
+        let relay = if write {
+            px.core.absorb_write(item);
+            false
+        } else if px.core.absorb_read(item) {
+            false
         } else {
-            px.stats.forwarded += 1;
-            px.cached.insert(item);
-            Action::Relay
+            px.core.note_forwarded();
+            px.core.note_cached(item);
+            true
         };
         let seq = px.send_seq;
         px.send_seq += 1;
-        match action {
-            Action::Ack => self.send(
+        if relay {
+            let auth = self.partition.authority(&world.snapshot.ns, item);
+            let auth_shard = shard_of_node(auth.index(), n_mds, k);
+            self.send(
+                auth_shard,
+                done,
+                Ev::Request {
+                    node: auth,
+                    client,
+                    op_seq,
+                    item,
+                    write,
+                    hop: 1,
+                    src: proxy_rank(p),
+                    seq,
+                },
+            );
+        } else {
+            self.send(
                 client_shard,
                 done,
                 Ev::Reply {
@@ -914,25 +910,7 @@ impl Shard {
                     src: proxy_rank(p),
                     seq,
                 },
-            ),
-            Action::Relay => {
-                let auth = self.partition.authority(&world.snapshot.ns, item);
-                let auth_shard = shard_of_node(auth.index(), n_mds, k);
-                self.send(
-                    auth_shard,
-                    done,
-                    Ev::Request {
-                        node: auth,
-                        client,
-                        op_seq,
-                        item,
-                        write,
-                        hop: 1,
-                        src: proxy_rank(p),
-                        seq,
-                    },
-                );
-            }
+            );
         }
     }
 
@@ -1050,7 +1028,7 @@ impl ShardedSimulation {
                     hot_pending: Vec::new(),
                     hb_served: 0,
                     hb_fetches: 0,
-                    proxy_pop: dynmds_proxy::HotDetector::new(cfg.proxy.half_life_us),
+                    proxy_pop: Popularity::new(SimDuration::from_micros(cfg.proxy.half_life_us)),
                     proxy_hot_pending: Vec::new(),
                 })
                 .collect();
@@ -1088,7 +1066,7 @@ impl ShardedSimulation {
                 .unwrap_or(n_proxies) as u16;
             let proxies: Vec<ProxySt> = (0..n_proxies)
                 .filter(|&p| shard_of_proxy(p, n_proxies, k) == s)
-                .map(|_| ProxySt::default())
+                .map(|_| ProxySt { core: ProxyCore::new(&cfg.proxy), free_at: 0, send_seq: 0 })
                 .collect();
             shard_vec.push(Shard {
                 queue,
@@ -1498,27 +1476,14 @@ impl ShardedSimulation {
         let hop = self.window_us;
         for s in 0..k {
             for i in 0..self.shards[s].proxies.len() {
-                let mut drained: Vec<(InodeId, u64)> =
-                    self.shards[s].proxies[i].pending.drain().collect();
-                if drained.is_empty() {
-                    continue;
-                }
-                drained.sort();
+                let drained = self.shards[s].proxies[i].core.drain_pending();
                 let p = self.shards[s].proxy_lo + i as u16;
-                {
-                    let px = &mut self.shards[s].proxies[i];
-                    px.stats.flushes += 1;
-                    px.stats.flushed_items += drained.len() as u64;
-                }
                 for (item, delta) in drained {
                     let auth = self.shards[s].partition.authority(&self.world.snapshot.ns, item);
                     let Some(auth) = self.live_ring(auth) else { continue };
-                    let seq = {
-                        let px = &mut self.shards[s].proxies[i];
-                        let seq = px.send_seq;
-                        px.send_seq += 1;
-                        seq
-                    };
+                    let px = &mut self.shards[s].proxies[i];
+                    let seq = px.send_seq;
+                    px.send_seq += 1;
                     let dst = shard_of_node(auth.index(), n_mds, k);
                     self.shards[dst].queue.schedule(
                         SimTime::from_micros(at + hop),
@@ -1629,7 +1594,7 @@ impl ShardedSimulation {
             shard.stats = ShardStats::default();
             shard.lat = LatencyAgg::new();
             for px in &mut shard.proxies {
-                px.stats = ProxyShardStats::default();
+                px.core.reset_stats();
             }
             for n in &mut shard.nodes {
                 n.m.cache.reset_stats();
@@ -1667,7 +1632,8 @@ impl ShardedSimulation {
     pub fn finish(self) -> ShardReport {
         let mut stats = ShardStats::default();
         let mut lat = LatencyAgg::new();
-        let mut ptotals = ProxyShardStats::default();
+        let proxy: ProxyStats =
+            self.shards.iter().flat_map(|s| &s.proxies).map(|px| px.core.stats()).sum();
         let mut nodes = Vec::with_capacity(self.cfg.n_mds as usize);
         for shard in &self.shards {
             stats.ops += shard.stats.ops;
@@ -1677,13 +1643,6 @@ impl ShardedSimulation {
             stats.failed += shard.stats.failed;
             stats.stale += shard.stats.stale;
             lat.merge(&shard.lat);
-            for px in &shard.proxies {
-                ptotals.absorbed += px.stats.absorbed;
-                ptotals.coalesced += px.stats.coalesced;
-                ptotals.forwarded += px.stats.forwarded;
-                ptotals.flushes += px.stats.flushes;
-                ptotals.flushed_items += px.stats.flushed_items;
-            }
             for n in &shard.nodes {
                 let cs = n.m.cache.stats();
                 nodes.push(NodeSnapshot {
@@ -1715,7 +1674,7 @@ impl ShardedSimulation {
                 &nodes,
                 self.migrations,
                 (self.world.elastic.scale_outs, self.world.elastic.scale_ins),
-                &ptotals,
+                &proxy,
                 self.snapshots.as_ref(),
             )
         });
@@ -1724,11 +1683,7 @@ impl ShardedSimulation {
             n_mds: self.cfg.n_mds,
             shards: self.shards.len(),
             proxies: self.cfg.proxy.count,
-            proxy_absorbed: ptotals.absorbed,
-            proxy_coalesced: ptotals.coalesced,
-            proxy_forwarded: ptotals.forwarded,
-            proxy_flushed_items: ptotals.flushed_items,
-            proxy_flushes: ptotals.flushes,
+            proxy,
             measure_start: SimTime::from_micros(self.measure_start),
             measure_end: SimTime::from_micros(self.now_us),
             nodes,
@@ -1764,19 +1719,11 @@ pub struct ShardReport {
     /// Shard count the run executed with (not part of `render`, which
     /// must be byte-identical across shard counts).
     pub shards: usize,
-    /// Proxy-tier size the run was configured with (0 = tier off; every
-    /// proxy field below is then 0 and absent from `render`).
+    /// Proxy-tier size the run was configured with (0 = tier off;
+    /// `proxy` is then all zero and absent from `render`).
     pub proxies: u16,
-    /// Ops absorbed at a proxy (hot cached reads).
-    pub proxy_absorbed: u64,
-    /// Writes coalesced at a proxy (acked immediately, flushed later).
-    pub proxy_coalesced: u64,
-    /// Hot ops a proxy relayed to the authority.
-    pub proxy_forwarded: u64,
-    /// Coalesced item deltas delivered to authorities.
-    pub proxy_flushed_items: u64,
-    /// Heartbeat flush batches with at least one delta.
-    pub proxy_flushes: u64,
+    /// The proxy tier's counters, summed over every proxy.
+    pub proxy: ProxyStats,
     /// Measurement window start.
     pub measure_start: SimTime,
     /// Measurement window end.
@@ -1870,11 +1817,11 @@ impl ShardReport {
                 out,
                 "proxy ({}): absorbed {}  coalesced {}  forwarded {}  flushed {} in {} batches",
                 self.proxies,
-                self.proxy_absorbed,
-                self.proxy_coalesced,
-                self.proxy_forwarded,
-                self.proxy_flushed_items,
-                self.proxy_flushes
+                self.proxy.read_absorbs,
+                self.proxy.writes_coalesced,
+                self.proxy.forwarded,
+                self.proxy.flushed_items,
+                self.proxy.flush_batches
             );
         }
         let _ = writeln!(
@@ -1918,7 +1865,7 @@ fn build_obs(
     nodes: &[NodeSnapshot],
     migrations: u64,
     (scale_outs, scale_ins): (u64, u64),
-    ptotals: &ProxyShardStats,
+    ptotals: &ProxyStats,
     snapshots: Option<&SnapshotSeries>,
 ) -> crate::obs::ObsExport {
     let n_mds = cfg.n_mds as usize;
@@ -1965,11 +1912,11 @@ fn build_obs(
         let pf = reg.counter("proxy.forwarded", 1);
         let pfi = reg.counter("proxy.flushed_items", 1);
         let pfb = reg.counter("proxy.flushes", 1);
-        reg.add(pa, 0, ptotals.absorbed);
-        reg.add(pc, 0, ptotals.coalesced);
+        reg.add(pa, 0, ptotals.read_absorbs);
+        reg.add(pc, 0, ptotals.writes_coalesced);
         reg.add(pf, 0, ptotals.forwarded);
         reg.add(pfi, 0, ptotals.flushed_items);
-        reg.add(pfb, 0, ptotals.flushes);
+        reg.add(pfb, 0, ptotals.flush_batches);
     }
     let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
     let summary = format!(
@@ -2085,16 +2032,19 @@ mod tests {
         let r = run_proxied(1);
         assert!(r.ops > 1_000, "only {} ops completed", r.ops);
         assert!(
-            r.proxy_absorbed + r.proxy_coalesced > 0,
+            r.proxy.read_absorbs + r.proxy.writes_coalesced > 0,
             "flash crowd never engaged the proxies: {r:?}"
         );
-        assert!(r.proxy_flushed_items <= r.proxy_coalesced);
+        assert!(r.proxy.flushed_items <= r.proxy.writes_coalesced);
     }
 
     #[test]
     fn proxied_report_is_invariant_across_shard_counts() {
         let base = run_proxied(1);
-        assert!(base.proxy_absorbed + base.proxy_coalesced > 0, "tier must act for this to bite");
+        assert!(
+            base.proxy.read_absorbs + base.proxy.writes_coalesced > 0,
+            "tier must act for this to bite"
+        );
         for k in [2usize, 4] {
             let r = run_proxied(k);
             assert_eq!(base.render(), r.render(), "render diverged at {k} shards");

@@ -349,9 +349,10 @@ fn drive(sc: &Scenario, snap: Snapshot, wl: Box<dyn Workload>, uids: Vec<u32>) -
     for node in &cl.nodes {
         digest = (digest ^ node.cache.len() as u64).wrapping_mul(0x100_0000_01b3);
     }
+    let proxy = cl.proxy_stats();
     if sc.n_proxies > 0 {
         for (i, w) in
-            [cl.proxy_absorbed, cl.proxy_forwarded, cl.proxy_flushes].into_iter().enumerate()
+            [proxy.absorbed(), proxy.forwarded, proxy.flushed_items].into_iter().enumerate()
         {
             digest = (digest ^ w.rotate_left(17 + i as u32)).wrapping_mul(0x100_0000_01b3);
         }
@@ -363,7 +364,7 @@ fn drive(sc: &Scenario, snap: Snapshot, wl: Box<dyn Workload>, uids: Vec<u32>) -
         trace: Trace::default(),
         uids,
         checkpoints: oracle.checkpoints,
-        proxy_absorbed: cl.proxy_absorbed,
+        proxy_absorbed: proxy.absorbed(),
     }
 }
 

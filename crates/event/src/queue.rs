@@ -595,8 +595,8 @@ fn scan_from(words: &[u64], from: usize) -> Option<usize> {
 }
 
 /// The original binary-heap scheduler, kept as the reference
-/// implementation for differential tests and the baseline side of the
-/// `crates/bench` scheduler microbenchmark. Observable behavior
+/// implementation for the wheel-vs-heap differential tests
+/// (`tests/differential.rs`). Observable behavior
 /// (including lazy-cancel semantics of `peek_time`) matches
 /// [`EventQueue`] exactly.
 pub struct HeapEventQueue<E> {

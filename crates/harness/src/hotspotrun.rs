@@ -147,10 +147,10 @@ pub fn hotspot_table(points: &[HotspotPoint]) -> Table {
             r.latency.quantile_us(0.50).to_string(),
             r.latency.quantile_us(0.99).to_string(),
             r.failed.to_string(),
-            r.proxy_absorbed.to_string(),
-            r.proxy_coalesced.to_string(),
-            r.proxy_forwarded.to_string(),
-            r.proxy_flushes.to_string(),
+            r.proxy.read_absorbs.to_string(),
+            r.proxy.writes_coalesced.to_string(),
+            r.proxy.forwarded.to_string(),
+            r.proxy.flush_batches.to_string(),
         ]);
     }
     t
@@ -174,10 +174,10 @@ mod tests {
         let redirect = point(&points, "create_storm", "redirect");
         let proxy = point(&points, "create_storm", "proxy");
         assert!(
-            proxy.report.proxy_absorbed + proxy.report.proxy_coalesced > 0,
+            proxy.report.proxy.read_absorbs + proxy.report.proxy.writes_coalesced > 0,
             "proxy mode never engaged the tier"
         );
-        assert_eq!(redirect.report.proxy_absorbed, 0, "redirect mode must not touch the tier");
+        assert_eq!(redirect.report.proxy.read_absorbs, 0, "redirect mode must not touch the tier");
         let (rp99, pp99) =
             (redirect.report.latency.quantile_us(0.99), proxy.report.latency.quantile_us(0.99));
         // Redirect never replicates write-hot items, so the create storm

@@ -304,64 +304,13 @@ where
         .collect()
 }
 
-/// Covariant-free shared wrapper for a raw element pointer so the claim
-/// loop below can hand disjoint `&mut` elements to workers.
-struct SharedMut<T>(*mut T);
-unsafe impl<T: Send> Sync for SharedMut<T> {}
-
-impl<T> SharedMut<T> {
-    /// Element pointer; going through `&self` (rather than the raw field)
-    /// keeps closures capturing the `Sync` wrapper, not the bare pointer.
-    fn at(&self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-
-/// Applies `f(i, &mut items[i])` to every element in place on the shared
-/// worker pool — the fan-out primitive for the sharded simulation loop,
-/// where each shard is stepped exclusively by whichever worker claims
-/// it. Claim order is racy but irrelevant: each index is mutated by
-/// exactly one worker, and the caller regains exclusive access to the
-/// whole slice when the call returns. `threads` follows the same policy
-/// as [`parallel_map_threads`]; with one worker everything runs inline
-/// on the caller with zero synchronization.
-pub fn parallel_for_mut<T, F>(items: &mut [T], threads: Option<usize>, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = worker_count(n, threads);
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let base = SharedMut(items.as_mut_ptr());
-    scoped(workers - 1, &|| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        // Safety: index i was claimed exclusively via fetch_add, so this
-        // is the only live reference to element i; the borrow of `items`
-        // outlives `scoped`, which drains all workers before returning.
-        let item = unsafe { &mut *base.at(i) };
-        f(i, item);
-    });
-}
-
-/// Runs `body(i)` for every index in `0..n` on the shared worker pool.
-/// The allocation-free sibling of [`parallel_for_mut`] for callers whose
-/// items live behind their own indexed storage — the sharded engine
-/// calls this once per 100µs simulation window, so even one `Vec` per
-/// call would show up in throughput.
+/// Runs `body(i)` for every index in `0..n` on the shared worker pool —
+/// the fan-out primitive of the sharded simulation loop, which calls it
+/// once per 100µs window to step each shard on whichever worker claims
+/// it (so it allocates nothing). Claim order is racy but irrelevant:
+/// each index runs exactly once. `threads` follows the same policy as
+/// [`parallel_map_threads`]; with one worker everything runs inline on
+/// the caller with zero synchronization.
 pub fn parallel_for_indices(n: usize, threads: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
@@ -474,8 +423,11 @@ mod tests {
         for round in 0..200 {
             let out = parallel_map_threads(&items, Some(4), |&x| x + round);
             assert_eq!(out[0], round);
-            let mut shards: Vec<u64> = (0..4).collect();
-            parallel_for_mut(&mut shards, Some(4), |_, s| *s += 1);
+            let steps = AtomicUsize::new(0);
+            parallel_for_indices(4, Some(4), &|_| {
+                steps.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(steps.into_inner(), 4);
         }
         assert_eq!(
             pool().threads_spawned(),
@@ -498,14 +450,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_mut_mutates_every_element_in_place() {
+    fn parallel_for_indices_runs_every_index_once() {
         for threads in [Some(1), Some(3), None] {
-            let mut items: Vec<u64> = (0..41).collect();
-            parallel_for_mut(&mut items, threads, |i, x| {
-                assert_eq!(*x, i as u64);
-                *x = *x * 10 + 1;
+            let hits: Vec<AtomicUsize> = (0..41).map(|_| AtomicUsize::new(0)).collect();
+            parallel_for_indices(hits.len(), threads, &|i| {
+                hits[i].fetch_add(i * 10 + 1, Ordering::Relaxed);
             });
-            assert_eq!(items, (0..41).map(|x| x * 10 + 1).collect::<Vec<_>>(), "{threads:?}");
+            let got: Vec<usize> = hits.into_iter().map(AtomicUsize::into_inner).collect();
+            assert_eq!(got, (0..41).map(|x| x * 10 + 1).collect::<Vec<_>>(), "{threads:?}");
         }
     }
 

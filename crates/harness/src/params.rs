@@ -130,35 +130,6 @@ pub fn run_steady(cfg: SimConfig, scale: ExperimentScale) -> dynmds_core::SimRep
     sim.run_measured(scale.warmup(), scale.measure())
 }
 
-/// Builds and runs one steady-state run on the sharded engine with the
-/// standard workload, returning its (shard-count-invariant) report.
-/// `threads` follows the worker policy; the shard fan-out runs on the
-/// shared pool.
-pub fn run_steady_sharded(
-    cfg: SimConfig,
-    scale: ExperimentScale,
-    shards: usize,
-    threads: Option<usize>,
-) -> dynmds_core::ShardReport {
-    crate::parallel::install_shard_driver();
-    let snap = scaling_snapshot(&cfg, scale);
-    let n_clients = cfg.n_clients as usize;
-    let homes = snap.user_homes.clone();
-    let shared = snap.shared_roots.clone();
-    let wl_seed = cfg.seed ^ 0x17;
-    let (warmup, measure) = (scale.warmup(), scale.measure());
-    let sim = dynmds_core::ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
-        Box::new(GeneralWorkload::new(
-            WorkloadConfig { seed: wl_seed, ..Default::default() },
-            n_clients,
-            &homes,
-            &shared,
-            ns,
-        ))
-    });
-    sim.run_measured(warmup, measure)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,9 @@
 //! Adaptive hotspot proxy tier (ROADMAP item 4).
 //!
 //! MIDAS-style middleware that sits between the client population and the
-//! MDS cluster. Each proxy runs an online hot-object detector (EWMA over
-//! inode touch rates) and, for items it considers hot, absorbs work that
-//! would otherwise hammer the authority:
+//! MDS cluster. Each proxy runs an online hot-object detector (the §4.4
+//! decayed access counter, [`Popularity`]) and, for items it considers
+//! hot, absorbs work that would otherwise hammer the authority:
 //!
 //! * **negative-lookup caching** — a name already known to be absent is
 //!   answered at the proxy; creates/renames that materialize the name
@@ -17,14 +17,16 @@
 //! Cold traffic bypasses the proxy entirely, so proxy-off runs are
 //! byte-identical to a build without this crate.
 //!
-//! The full state machine ([`ProxyCore`]) is used by the legacy
-//! event-loop cluster only; the transport (extra network hops, proxy CPU,
-//! flush scheduling) lives in that engine. The sharded engine keeps its
-//! own reduced per-shard proxy state (no names, so no negative-lookup
-//! cache) and takes only [`HotDetector`] from this crate. The DST
-//! proxy-coherence oracle and the property tests in `tests/` therefore
-//! check the legacy engine's proxy tier, not the sharded one's.
+//! [`ProxyCore`] is the one proxy state machine, and it keeps every
+//! [`ProxyStats`] counter itself. Both engines drive it; each keeps only
+//! its own transport (extra network hops, proxy CPU, flush scheduling).
+//! The sharded engine's namespace is frozen, so it never teaches a
+//! proxy a negative entry and that cache stays empty there. The DST
+//! proxy-coherence oracle runs on the legacy engine only; the property
+//! tests in `tests/` check the state machine itself.
 
+use dynmds_cache::Popularity;
+use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::{FxHashMap, FxHashSet, InodeId};
 
 /// Proxy-tier knobs, carried inside the simulation config. `count == 0`
@@ -36,7 +38,10 @@ pub struct ProxyConfig {
     /// Number of proxies fronting the cluster (0 = tier disabled).
     /// Clients map to proxies statically: `client mod count`.
     pub count: u16,
-    /// Decayed touch-rate above which an item counts as hot.
+    /// Decayed touch count above which an item counts as hot. A stream
+    /// of `r` touches/second converges on about `r * half_life / ln 2`,
+    /// so the threshold picks out items whose *sustained* rate is high,
+    /// not one-off bursts.
     pub hot_threshold: f64,
     /// Half-life of the hot detector's decayed counters, microseconds.
     pub half_life_us: u64,
@@ -55,58 +60,6 @@ impl ProxyConfig {
     /// Whether the proxy tier is active.
     pub fn enabled(&self) -> bool {
         self.count > 0
-    }
-}
-
-/// EWMA hot-object detector: a decayed touch counter per item. A stream
-/// of `r` touches/second converges on a value of about
-/// `r * half_life / ln 2`, so the threshold picks out items whose
-/// *sustained* rate is high, not one-off bursts.
-#[derive(Clone, Debug)]
-pub struct HotDetector {
-    half_life_us: f64,
-    rates: FxHashMap<InodeId, (f64, u64)>,
-}
-
-impl HotDetector {
-    /// New detector with the given half-life (microseconds).
-    pub fn new(half_life_us: u64) -> Self {
-        HotDetector { half_life_us: half_life_us.max(1) as f64, rates: FxHashMap::default() }
-    }
-
-    fn decayed(&self, entry: &(f64, u64), now_us: u64) -> f64 {
-        let dt = now_us.saturating_sub(entry.1) as f64;
-        entry.0 * (-dt / self.half_life_us).exp2()
-    }
-
-    /// Records one touch of `item` at `now_us`; returns the new decayed
-    /// counter value.
-    pub fn record(&mut self, item: InodeId, now_us: u64) -> f64 {
-        let e = self.rates.entry(item).or_insert((0.0, now_us));
-        let dt = now_us.saturating_sub(e.1) as f64;
-        e.0 = e.0 * (-dt / self.half_life_us).exp2() + 1.0;
-        e.1 = now_us;
-        e.0
-    }
-
-    /// The decayed counter of `item` at `now_us` without touching it.
-    pub fn value(&self, item: InodeId, now_us: u64) -> f64 {
-        self.rates.get(&item).map(|e| self.decayed(e, now_us)).unwrap_or(0.0)
-    }
-
-    /// Drops all state for `item` (unlinked inodes must not linger).
-    pub fn forget(&mut self, item: InodeId) {
-        self.rates.remove(&item);
-    }
-
-    /// Number of tracked items (inspection hook).
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// Whether the detector tracks nothing.
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
     }
 }
 
@@ -133,6 +86,30 @@ pub struct ProxyStats {
     pub invalidations: u64,
 }
 
+impl ProxyStats {
+    /// Ops answered at the proxy that never entered the cluster:
+    /// negative lookups, absorbed reads and coalesced writes.
+    pub fn absorbed(&self) -> u64 {
+        self.neg_hits + self.read_absorbs + self.writes_coalesced
+    }
+}
+
+impl<'a> std::iter::Sum<&'a ProxyStats> for ProxyStats {
+    fn sum<I: Iterator<Item = &'a ProxyStats>>(iter: I) -> Self {
+        iter.fold(ProxyStats::default(), |mut t, s| {
+            t.neg_hits += s.neg_hits;
+            t.neg_inserts += s.neg_inserts;
+            t.read_absorbs += s.read_absorbs;
+            t.writes_coalesced += s.writes_coalesced;
+            t.flush_batches += s.flush_batches;
+            t.flushed_items += s.flushed_items;
+            t.forwarded += s.forwarded;
+            t.invalidations += s.invalidations;
+            t
+        })
+    }
+}
+
 /// The engine-agnostic state of one proxy: hot detector, negative-lookup
 /// cache, read-through cache and write coalescer, plus the invalidation
 /// protocol tying them together. All per-item state is keyed by
@@ -141,15 +118,15 @@ pub struct ProxyStats {
 #[derive(Clone, Debug)]
 pub struct ProxyCore {
     hot_threshold: f64,
-    detector: HotDetector,
+    detector: Popularity,
     /// Names known to be absent, per directory.
     neg: FxHashMap<InodeId, FxHashSet<String>>,
     /// Hot items the proxy has read through and may answer for.
     cached: FxHashSet<InodeId>,
     /// Coalesced write deltas (count of absorbed size/mtime bumps).
     pending: FxHashMap<InodeId, u64>,
-    /// Absorption counters.
-    pub stats: ProxyStats,
+    /// Absorption counters; only this type's methods bump them.
+    stats: ProxyStats,
 }
 
 impl ProxyCore {
@@ -157,7 +134,7 @@ impl ProxyCore {
     pub fn new(cfg: &ProxyConfig) -> Self {
         ProxyCore {
             hot_threshold: cfg.hot_threshold,
-            detector: HotDetector::new(cfg.half_life_us),
+            detector: Popularity::new(SimDuration::from_micros(cfg.half_life_us)),
             neg: FxHashMap::default(),
             cached: FxHashSet::default(),
             pending: FxHashMap::default(),
@@ -165,23 +142,28 @@ impl ProxyCore {
         }
     }
 
+    /// This proxy's absorption counters.
+    pub fn stats(&self) -> &ProxyStats {
+        &self.stats
+    }
+
+    /// Zeroes the counters (end of warm-up); every cache stays warm.
+    pub fn reset_stats(&mut self) {
+        self.stats = ProxyStats::default();
+    }
+
     // ---- hot detection -------------------------------------------------
 
     /// Records one touch of `item` and reports whether it is now hot.
-    pub fn observe(&mut self, item: InodeId, now_us: u64) -> bool {
-        self.detector.record(item, now_us) >= self.hot_threshold
-    }
-
-    /// Whether `item` is currently hot (without recording a touch).
-    pub fn is_hot(&self, item: InodeId, now_us: u64) -> bool {
-        self.detector.value(item, now_us) >= self.hot_threshold
+    pub fn observe(&mut self, item: InodeId, now: SimTime) -> bool {
+        self.detector.record(now, item) >= self.hot_threshold
     }
 
     // ---- negative-lookup cache ----------------------------------------
 
     /// Whether `(dir, name)` is cached as absent; counts a hit.
     pub fn neg_lookup(&mut self, dir: InodeId, name: &str) -> bool {
-        let hit = self.neg.get(&dir).is_some_and(|names| names.contains(name));
+        let hit = self.neg_contains(dir, name);
         if hit {
             self.stats.neg_hits += 1;
         }
@@ -207,9 +189,20 @@ impl ProxyCore {
         self.cached.insert(item);
     }
 
-    /// Whether the proxy may answer a read of `item` itself.
-    pub fn is_cached(&self, item: InodeId) -> bool {
-        self.cached.contains(&item)
+    /// Answers a read of `item` at the proxy if it has read the item
+    /// through and holds no unflushed delta that would make that copy
+    /// stale; counts the absorb.
+    pub fn absorb_read(&mut self, item: InodeId) -> bool {
+        let hit = self.cached.contains(&item) && !self.pending.contains_key(&item);
+        if hit {
+            self.stats.read_absorbs += 1;
+        }
+        hit
+    }
+
+    /// Counts one hot request the proxy relays to the cluster.
+    pub fn note_forwarded(&mut self) {
+        self.stats.forwarded += 1;
     }
 
     // ---- write coalescing ----------------------------------------------
@@ -221,11 +214,6 @@ impl ProxyCore {
         let e = self.pending.entry(item).or_insert(0);
         *e += 1;
         *e
-    }
-
-    /// Whether `item` has unflushed coalesced deltas.
-    pub fn has_pending(&self, item: InodeId) -> bool {
-        self.pending.contains_key(&item)
     }
 
     /// Removes and returns the pending delta for one item (read-triggered
@@ -293,13 +281,8 @@ impl ProxyCore {
     pub fn mentions(&self, item: InodeId) -> bool {
         self.cached.contains(&item)
             || self.pending.contains_key(&item)
-            || self.detector.value(item, u64::MAX) != 0.0
+            || self.detector.contains(item)
             || self.neg.contains_key(&item)
-    }
-
-    /// Number of unflushed coalesced items (inspection hook).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -312,29 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn detector_decays_by_half_life() {
-        let mut d = HotDetector::new(1000);
-        for _ in 0..8 {
-            d.record(InodeId(7), 0);
-        }
-        let v0 = d.value(InodeId(7), 0);
-        assert_eq!(v0, 8.0);
-        let v1 = d.value(InodeId(7), 1000);
-        assert!((v1 - 4.0).abs() < 1e-9, "one half-life halves the counter, got {v1}");
-        assert_eq!(d.value(InodeId(8), 0), 0.0);
-        d.forget(InodeId(7));
-        assert_eq!(d.value(InodeId(7), 0), 0.0);
-    }
-
-    #[test]
     fn sustained_touches_cross_the_threshold() {
         let mut p = core();
         let mut hot = false;
         for i in 0..2000u64 {
-            hot = p.observe(InodeId(42), i * 100); // 10k touches/s
+            hot = p.observe(InodeId(42), SimTime::from_micros(i * 100)); // 10k touches/s
         }
         assert!(hot, "sustained 10k/s stream must register as hot");
-        assert!(!p.is_hot(InodeId(42), u64::MAX / 2), "far future: decayed cold");
+        let later = SimTime::from_secs(3600);
+        assert!(!p.observe(InodeId(42), later), "an hour later one touch is cold");
     }
 
     #[test]
@@ -354,22 +323,25 @@ mod tests {
     #[test]
     fn coalescer_drains_sorted_and_empties() {
         let mut p = core();
+        p.note_cached(InodeId(2));
         for id in [9u64, 2, 5, 2, 9, 9] {
             p.absorb_write(InodeId(id));
         }
+        assert!(!p.absorb_read(InodeId(2)), "an unflushed delta makes the cached copy stale");
         let drained = p.drain_pending();
         assert_eq!(drained, vec![(InodeId(2), 2), (InodeId(5), 1), (InodeId(9), 3)]);
-        assert_eq!(p.pending_len(), 0);
         assert!(p.drain_pending().is_empty(), "second drain finds nothing");
+        assert!(p.absorb_read(InodeId(2)), "flushed: the cached copy answers again");
         assert_eq!(p.stats.flush_batches, 1);
         assert_eq!(p.stats.flushed_items, 3);
+        assert_eq!(p.stats.read_absorbs, 1);
     }
 
     #[test]
     fn forget_item_purges_every_table() {
         let mut p = core();
         let id = InodeId(11);
-        p.observe(id, 0);
+        p.observe(id, SimTime::ZERO);
         p.note_cached(id);
         p.absorb_write(id);
         p.note_negative(id, "child"); // id as a directory
@@ -386,7 +358,7 @@ mod tests {
         p.note_cached(dir);
         p.note_cached(file);
         p.dir_mutated(dir);
-        assert!(!p.is_cached(dir), "mutated dir listing is stale");
-        assert!(p.is_cached(file), "unrelated item survives");
+        assert!(!p.absorb_read(dir), "mutated dir listing is stale");
+        assert!(p.absorb_read(file), "unrelated item survives");
     }
 }

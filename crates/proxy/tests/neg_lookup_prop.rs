@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use dynmds_event::SimRng;
+use dynmds_event::{SimRng, SimTime};
 use dynmds_namespace::InodeId;
 use dynmds_proxy::{ProxyConfig, ProxyCore};
 
@@ -89,7 +89,7 @@ fn never_stale_negative_never_leaked_entry() {
                 // unlink must fully purge.
                 _ => {
                     if let Some(&id) = reference.get(name) {
-                        p.observe(InodeId(id), step as u64 * 50);
+                        p.observe(InodeId(id), SimTime::from_micros(step as u64 * 50));
                         if rng.chance(0.5) {
                             p.note_cached(InodeId(id));
                         } else {

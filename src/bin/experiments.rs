@@ -248,6 +248,12 @@ fn run_scale_cli(raw: &[String]) {
             other => usage(&format!("scale: unknown argument: {other}")),
         }
     }
+    if p.materialize_users > p.users {
+        usage(&format!(
+            "scale: bad value for --materialize: {} (want at most --users, {})",
+            p.materialize_users, p.users
+        ));
+    }
 
     // Honor --threads in every pool fan-out, not just the engine windows.
     dynmds_harness::parallel::set_thread_override(p.threads);

@@ -312,8 +312,7 @@ fn main() {
     let timeouts = sim.cluster().failover_timeouts;
     let (retries, gave_up) = (sim.cluster().retries_total, sim.cluster().gave_up);
     let (net_lost, net_dup) = (sim.cluster().net_lost, sim.cluster().net_dup);
-    let (proxy_absorbed, proxy_forwarded) =
-        (sim.cluster().proxy_absorbed, sim.cluster().proxy_forwarded);
+    let proxy = sim.cluster().proxy_stats();
     let report = sim.finish();
 
     println!("== results over {:.0} measured seconds ==", report.span_secs());
@@ -339,8 +338,8 @@ fn main() {
     if absorbed > 0 {
         println!("shared writes absorbed: {absorbed}");
     }
-    if proxy_absorbed > 0 || proxy_forwarded > 0 {
-        println!("proxy absorbed     : {proxy_absorbed} ({proxy_forwarded} forwarded hot)");
+    if proxy.absorbed() > 0 || proxy.forwarded > 0 {
+        println!("proxy absorbed     : {} ({} forwarded hot)", proxy.absorbed(), proxy.forwarded);
     }
     if timeouts > 0 {
         println!("failover timeouts  : {timeouts}");

@@ -25,6 +25,8 @@ fn experiments_rejects_an_unknown_subcommand() {
     }
 }
 
+/// Sizing flags no run can honour (a zero, or more materialized users
+/// than users) fail at parse time instead of on an engine assert.
 #[test]
 fn zero_sizing_flags_are_usage_errors() {
     let simulate = env!("CARGO_BIN_EXE_simulate");
@@ -40,13 +42,15 @@ fn zero_sizing_flags_are_usage_errors() {
         (experiments, &["scale", "--users", "0"], EXPERIMENTS_USAGE),
         (experiments, &["scale", "--materialize", "0"], EXPERIMENTS_USAGE),
         (experiments, &["scale", "--ring", "0"], EXPERIMENTS_USAGE),
+        (experiments, &["scale", "--materialize", "5", "--users", "4"], EXPERIMENTS_USAGE),
     ];
     for &(bin, args, banner) in cases {
         let (code, stderr) = run(bin, args);
-        let flag = args.iter().find(|a| a.starts_with("--")).expect("case names a flag");
+        let i = args.iter().position(|a| a.starts_with("--")).expect("case names a flag");
         assert_eq!(code, Some(2), "{args:?}: stderr: {stderr}");
+        // The error names the first flag and its rejected value.
         assert!(
-            stderr.contains(&format!("{flag}: 0 (want a positive integer)")),
+            stderr.contains(&format!("{}: {} (want ", args[i], args[i + 1])),
             "{args:?}: {stderr}"
         );
         assert!(stderr.contains(banner), "{args:?}: stderr: {stderr}");
