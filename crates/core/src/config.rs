@@ -165,12 +165,13 @@ pub struct SimConfig {
     /// Lease lifetime (staleness bound).
     pub lease_ttl: SimDuration,
 
-    /// Debug switch for the sharded engine: keep executing every
-    /// conservative window densely instead of skipping idle spans.
-    /// Skipping stays on the window grid, so runs are byte-identical
-    /// either way — this exists so tests and CI can prove that, and so
-    /// a suspected skip bug can be ruled out with one flag. Ignored by
-    /// the legacy serial engine (which is event-driven, never idle).
+    /// Debug switch for the sharded engine: execute every conservative
+    /// window with the full worker count, instead of skipping idle spans
+    /// and running a window with at most one busy shard on one thread.
+    /// Both stay on the window grid, so runs are byte-identical either
+    /// way — this exists so tests and CI can prove that, and so a
+    /// suspected skip or dispatch bug can be ruled out with one flag. Ignored by the
+    /// legacy serial engine (which is event-driven, never idle).
     pub force_dense: bool,
 
     /// Metrics sampling interval (time-series bin width).

@@ -82,23 +82,33 @@ pub fn install_parallel_driver(driver: ParallelDriver) {
     let _ = DRIVER.set(driver);
 }
 
-/// Runs `f` once per shard, in parallel when a driver is installed.
-/// Claim flags turn a misbehaving driver (double dispatch) into a panic
-/// instead of two `&mut` aliases.
-fn for_each_shard(shards: &mut [Shard], threads: Option<usize>, f: impl Fn(&mut Shard) + Sync) {
-    if shards.len() == 1 {
-        return f(&mut shards[0]);
-    }
-    let Some(driver) = DRIVER.get() else {
+/// Runs `f` once on every shard: through `driver` when one is given (the
+/// call site passes the installed one) and there is more than one shard,
+/// else serially in id order. `threads` goes to the driver unchanged.
+/// Claim flags turn a driver that dispatches a shard twice, or never,
+/// into a panic instead of two `&mut` aliases or a skipped shard.
+fn for_each_shard<S: Send>(
+    shards: &mut [S],
+    driver: Option<ParallelDriver>,
+    threads: Option<usize>,
+    f: impl Fn(&mut S) + Sync,
+) {
+    let Some(driver) = driver.filter(|_| shards.len() > 1) else {
         for s in shards.iter_mut() {
             f(s);
         }
         return;
     };
-    struct Base(*mut Shard);
-    unsafe impl Sync for Base {}
-    impl Base {
-        fn at(&self, i: usize) -> *mut Shard {
+    struct Base<S>(*mut S);
+    // SAFETY: the one field points at `shards`, which stays mutably
+    // borrowed for the whole fan-out. A worker makes a `&mut S` only for
+    // a shard it claimed, so each `S` is reached from one thread at a
+    // time, and `S: Send` lets it be used on that thread.
+    unsafe impl<S: Send> Sync for Base<S> {}
+    impl<S> Base<S> {
+        fn at(&self, i: usize) -> *mut S {
+            // SAFETY: the only caller indexes `claims[i]` first, and
+            // `claims` has one flag per shard, so `i` is in bounds.
             unsafe { self.0.add(i) }
         }
     }
@@ -106,6 +116,8 @@ fn for_each_shard(shards: &mut [Shard], threads: Option<usize>, f: impl Fn(&mut 
     let base = Base(shards.as_mut_ptr());
     driver(shards.len(), threads, &|i| {
         assert!(!claims[i].swap(true, Ordering::AcqRel), "driver dispatched shard {i} twice");
+        // SAFETY: this call just claimed shard `i`, so no other `&mut`
+        // to it exists while `f` runs.
         f(unsafe { &mut *base.at(i) });
     });
     for (i, c) in claims.iter().enumerate() {
@@ -1181,26 +1193,40 @@ impl ShardedSimulation {
 
     /// Advances all shards to `until_us`, window by window. Idle window
     /// spans — no shard event, no calendar step due — are skipped in one
-    /// jump (unless `force_dense`), staying on the same window grid so
-    /// the state trajectory is byte-identical with skipping on or off.
+    /// jump, staying on the same window grid so the state trajectory is
+    /// byte-identical with skipping on or off. An executed window with at
+    /// most one busy shard runs its fan-out on this thread alone (one
+    /// worker): the idle shards' `run_window` calls only peek, so waking
+    /// pool workers for them would cost more than it saves. `force_dense`
+    /// turns both off and fans every window out with the full worker
+    /// count.
     fn run_windows(&mut self, until_us: u64) {
         self.apply_steps(self.now_us);
-        let skip = !self.cfg.force_dense;
+        let dense = self.cfg.force_dense;
         while self.now_us < until_us {
-            if skip {
+            if !dense {
                 self.skip_idle_windows(until_us);
                 if self.now_us >= until_us {
                     break;
                 }
             }
             let end = (self.now_us + self.window_us).min(until_us);
+            let threads = if dense || self.several_busy(end) { self.threads } else { Some(1) };
             let world = &self.world;
-            let threads = self.threads;
-            for_each_shard(&mut self.shards, threads, |s| s.run_window(world, end));
+            let driver = DRIVER.get().copied();
+            for_each_shard(&mut self.shards, driver, threads, |s| s.run_window(world, end));
             self.now_us = end;
             self.exchange();
             self.apply_steps(end);
         }
+    }
+
+    /// Whether more than one shard has an event before `end`, by the same
+    /// `peek_time` test `run_window`'s loop makes. It only picks the
+    /// window's worker count; every shard still runs.
+    fn several_busy(&self, end: u64) -> bool {
+        let busy = |s: &&Shard| s.queue.peek_time().is_some_and(|t| t.as_micros() < end);
+        self.shards.iter().filter(busy).nth(1).is_some()
     }
 
     /// From a barrier, jumps `now_us` forward over windows that would
@@ -1968,6 +1994,65 @@ mod tests {
     fn run(strategy: StrategyKind, shards: usize, obs: bool) -> ShardReport {
         build(strategy, shards, obs)
             .run_measured(SimDuration::from_secs(2), SimDuration::from_secs(4))
+    }
+
+    /// Fake fan-out driver: one scoped thread per item, and the item
+    /// count and `threads` of its last call recorded per test thread.
+    fn threaded_driver(n: usize, threads: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
+        LAST_FANOUT.with(|c| c.set(Some((n, threads))));
+        std::thread::scope(|s| {
+            for i in 0..n {
+                s.spawn(move || body(i));
+            }
+        });
+    }
+
+    thread_local! {
+        static LAST_FANOUT: std::cell::Cell<Option<(usize, Option<usize>)>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Runs eight counters through `driver`; returns each one's run count.
+    fn fan_out(driver: Option<ParallelDriver>, threads: Option<usize>) -> [u32; 8] {
+        let mut shards = [0u32; 8];
+        for_each_shard(&mut shards, driver, threads, |s| *s += 1);
+        shards
+    }
+
+    #[test]
+    fn fan_out_runs_every_shard_once_and_forwards_threads() {
+        for threads in [Some(1), Some(3), None] {
+            LAST_FANOUT.with(|c| c.set(None));
+            assert_eq!(fan_out(Some(threaded_driver), threads), [1; 8]);
+            assert_eq!(LAST_FANOUT.with(|c| c.get()), Some((8, threads)));
+            assert_eq!(fan_out(None, threads), [1; 8]);
+        }
+        // One shard is stepped directly, as without a driver.
+        let mut one = [0u32];
+        LAST_FANOUT.with(|c| c.set(None));
+        for_each_shard(&mut one, Some(threaded_driver), None, |s| *s += 1);
+        assert_eq!((one, LAST_FANOUT.with(|c| c.get())), ([1], None));
+    }
+
+    #[test]
+    #[should_panic(expected = "driver dispatched shard 0 twice")]
+    fn double_dispatch_panics() {
+        fn twice(n: usize, _: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
+            for i in 0..n {
+                body(i);
+                body(i);
+            }
+        }
+        fan_out(Some(twice), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "driver never dispatched shard 7")]
+    fn skipped_dispatch_panics() {
+        fn short(n: usize, _: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
+            (0..n - 1).for_each(body);
+        }
+        fan_out(Some(short), None);
     }
 
     #[test]

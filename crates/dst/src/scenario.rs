@@ -71,10 +71,12 @@ pub struct Scenario {
     /// Proxy hot-detector threshold (stored as an integer so the repro
     /// text round-trips exactly; the config maps it to `f64`).
     pub proxy_thr: u64,
-    /// Run the sharded engine densely (execute every conservative window)
-    /// instead of skipping idle spans. Skipping is invisible by
-    /// construction, so the fuzzer draws this to keep both window paths
-    /// under continuous test; the legacy oracle engine ignores it.
+    /// Run the sharded engine densely (every conservative window, on the
+    /// full worker count) instead of skipping idle spans and running
+    /// one-busy-shard windows on one thread. Both are
+    /// invisible by construction, so the fuzzer draws this to keep both
+    /// window paths under continuous test; the legacy oracle engine
+    /// ignores it.
     pub force_dense: bool,
     /// Fault schedule (generated: scripted windows + churn; shrunk: an
     /// explicit event list with `churn: None`).

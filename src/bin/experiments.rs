@@ -105,7 +105,7 @@ fn usage(err: &str) -> ! {
          \u{20}                     [--out DIR] [--shrink-budget P] [--no-repeat-check] [--threads T]\n\
          \u{20}                     [--shards K]  (cross-check sharded engine reports, K vs 1)\n\
          \u{20}                     [--proxy P]   (force P hotspot proxies on every scenario)\n\
-         \u{20}                     [--force-dense] (sharded cross-check never skips idle windows)\n\
+         \u{20}                     [--force-dense] (sharded cross-check runs every window on all workers)\n\
          (seeded fuzz scenarios against the DST oracle; repros land in dst/repros/)\n\
          \n\
          or:    experiments scale [--smoke|--full] [--clients N] [--users N] [--target-inodes N]\n\

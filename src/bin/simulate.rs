@@ -15,7 +15,7 @@
 //!   --seed N            RNG seed                              (7)
 //!   --shards N          run the sharded engine on N event queues (0 = legacy serial engine)
 //!   --threads N         worker threads for the shard fan-out   (worker policy)
-//!   --force-dense       sharded engine: execute every window, never skip idle spans
+//!   --force-dense       sharded engine: run every window on all workers, never skip
 //!                       (debug/CI knob — output is byte-identical either way)
 //!   --workload general|scientific|hotset|diurnal              (general)
 //!   --diurnal-period N  diurnal day length, virtual seconds    (4)

@@ -129,11 +129,17 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
     //   fault churn — crash/recover/churn/disk/net events land via the
     //                barrier-global step calendar mid-gap;
     //   elastic    — the autoscaling controller acts on heartbeat steps
-    //                that the skip must not jump past.
+    //                that the skip must not jump past;
+    //   sparse     — eight shards, six clients thinking 50 ms: nearly
+    //                every executed window has at most one busy shard,
+    //                so its fan-out runs on one worker.
+    // Every run must also match the one-shard skip-on run.
     struct Case {
         label: &'static str,
         strategy: StrategyKind,
         faults: bool,
+        n_mds: u16,
+        n_clients: u32,
         think: SimDuration,
         warmup: SimDuration,
         measure: SimDuration,
@@ -143,6 +149,8 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
             label: "tie storm",
             strategy: StrategyKind::DynamicSubtree,
             faults: false,
+            n_mds: 4,
+            n_clients: 24,
             think: SimDuration::from_micros(10),
             warmup: SimDuration::from_millis(200),
             measure: SimDuration::from_millis(500),
@@ -151,6 +159,8 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
             label: "long gaps",
             strategy: StrategyKind::DynamicSubtree,
             faults: false,
+            n_mds: 4,
+            n_clients: 24,
             think: SimDuration::from_millis(200),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
@@ -159,6 +169,8 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
             label: "fault churn",
             strategy: StrategyKind::DynamicSubtree,
             faults: true,
+            n_mds: 4,
+            n_clients: 24,
             think: SimDuration::from_millis(1),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
@@ -167,20 +179,38 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
             label: "elastic",
             strategy: StrategyKind::ElasticSubtree,
             faults: false,
+            n_mds: 4,
+            n_clients: 24,
             think: SimDuration::from_millis(20),
+            warmup: SimDuration::from_secs(2),
+            measure: SimDuration::from_secs(7),
+        },
+        Case {
+            label: "sparse",
+            strategy: StrategyKind::DynamicSubtree,
+            faults: false,
+            n_mds: 8,
+            n_clients: 6,
+            think: SimDuration::from_millis(50),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
         },
     ];
     for case in &cases {
-        for k in [1usize, 2, 4] {
-            let mut skip = config(case.strategy, 99, case.faults);
-            skip.costs.think_mean = case.think;
-            let mut dense = skip.clone();
-            dense.force_dense = true;
-            let a = run_span(skip, k, case.warmup, case.measure);
-            let b = run_span(dense, k, case.warmup, case.measure);
-            assert_eq!(a, b, "{}: skip vs force-dense surfaces differ at {k} shards", case.label);
+        let mut skip = config(case.strategy, 99, case.faults);
+        skip.n_mds = case.n_mds;
+        skip.n_clients = case.n_clients;
+        skip.costs.think_mean = case.think;
+        let mut dense = skip.clone();
+        dense.force_dense = true;
+        let one = run_span(skip.clone(), 1, case.warmup, case.measure);
+        for k in [1usize, 2, 4, 8].into_iter().filter(|&k| k <= case.n_mds as usize) {
+            if k > 1 {
+                let a = run_span(skip.clone(), k, case.warmup, case.measure);
+                assert_eq!(one, a, "{}: surfaces differ between 1 and {k} shards", case.label);
+            }
+            let b = run_span(dense.clone(), k, case.warmup, case.measure);
+            assert_eq!(one, b, "{}: skip vs force-dense surfaces differ at {k} shards", case.label);
         }
     }
 }
