@@ -1,7 +1,8 @@
 //! Segmented LRU with prefix pinning.
 //!
-//! Layout: two intrusive doubly-linked lists over a hash map —
-//! a **protected** segment for directly requested items and traversal
+//! Layout: two intrusive doubly-linked lists over a capacity-sized
+//! arena, found through a flat id index (see [`MetaCache`]) — a
+//! **protected** segment for directly requested items and traversal
 //! prefixes, and a **probation** segment where prefetched items enter
 //! ("near the tail of the LRU list", §4.5). Eviction scans the probation
 //! tail first, then the protected tail, skipping *pinned* entries —
@@ -42,24 +43,40 @@ enum Segment {
     Probation,
 }
 
+/// Null arena slot: the end of a list, or an empty segment.
+const NIL: u32 = u32::MAX;
+
+/// Index growth granule in ids (4 KiB of `u32`): the index never runs
+/// more than this past the largest id seen, yet ascending ids (creates)
+/// reallocate only once per granule.
+const INDEX_CHUNK: usize = 1024;
+
+/// One cached entry. `prev`/`next` are arena slots (`NIL` at the ends).
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    prev: Option<InodeId>,
-    next: Option<InodeId>,
-    seg: Segment,
+    id: InodeId,
     /// Parent in the cached tree (must itself be cached), `None` for root.
     parent: Option<InodeId>,
+    prev: u32,
+    next: u32,
     /// Number of cached children pointing at this entry.
     pins: u32,
+    seg: Segment,
     /// Still held only as a traversal prefix / unrequested prefetch.
     is_prefix: bool,
 }
 
-/// Head/tail pointers of one segment. `head` is the MRU end.
-#[derive(Clone, Copy, Debug, Default)]
+/// Head/tail arena slots of one segment. `head` is the MRU end.
+#[derive(Clone, Copy, Debug)]
 struct Ends {
-    head: Option<InodeId>,
-    tail: Option<InodeId>,
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Ends {
+    fn default() -> Self {
+        Ends { head: NIL, tail: NIL }
+    }
 }
 
 /// Cumulative cache counters.
@@ -91,15 +108,17 @@ impl CacheStats {
 /// the paper's treatment of MDS memory as "cache size relative to total
 /// metadata size".
 ///
-/// Entries live in a dense slab indexed by `InodeId::index()` — ids are
-/// allocated sequentially and never reused, so every lookup, list splice
-/// and eviction step is a direct array access instead of a hash probe.
-/// The slab grows to the namespace's id bound; the occupied count (not
-/// the slab length) is what capacity bounds.
+/// Storage is sized by capacity, not by the namespace. A dense arena
+/// (`nodes`) holds exactly the cached entries, at most `cap` plus
+/// counted overflows, and the LRU lists link arena slots. Ids are allocated sequentially and never reused, so a
+/// flat `index` maps `InodeId::index()` to arena slot + 1 (0 = not
+/// cached): every lookup, list splice and eviction step is two array
+/// accesses instead of a hash probe, at 4 B per id seen. Removal
+/// `swap_remove`s the arena entry and relinks the one that moved.
 pub struct MetaCache {
     cap: usize,
-    slots: Vec<Option<Node>>,
-    len: usize,
+    index: Vec<u32>,
+    nodes: Vec<Node>,
     protected: Ends,
     probation: Ends,
     probation_enabled: bool,
@@ -120,8 +139,8 @@ impl MetaCache {
         assert!(cap > 0, "cache capacity must be positive");
         MetaCache {
             cap,
-            slots: Vec::new(),
-            len: 0,
+            index: Vec::new(),
+            nodes: Vec::new(),
             protected: Ends::default(),
             probation: Ends::default(),
             probation_enabled,
@@ -129,14 +148,18 @@ impl MetaCache {
         }
     }
 
+    /// Arena slot of `id`, if cached.
     #[inline]
-    fn node(&self, id: InodeId) -> Option<&Node> {
-        self.slots.get(id.index()).and_then(|s| s.as_ref())
+    fn slot(&self, id: InodeId) -> Option<u32> {
+        match self.index.get(id.index()) {
+            Some(&s) if s != 0 => Some(s - 1),
+            _ => None,
+        }
     }
 
     #[inline]
-    fn node_mut(&mut self, id: InodeId) -> Option<&mut Node> {
-        self.slots.get_mut(id.index()).and_then(|s| s.as_mut())
+    fn node(&self, id: InodeId) -> Option<&Node> {
+        self.slot(id).map(|s| &self.nodes[s as usize])
     }
 
     /// Capacity in entries.
@@ -146,17 +169,17 @@ impl MetaCache {
 
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
     /// Whether `id` is cached (no LRU side effects).
     pub fn contains(&self, id: InodeId) -> bool {
-        self.node(id).is_some()
+        self.slot(id).is_some()
     }
 
     /// Cumulative counters.
@@ -190,21 +213,31 @@ impl MetaCache {
 
     /// Count of prefix-only entries — the Figure 3 numerator.
     pub fn prefix_count(&self) -> usize {
-        self.slots.iter().flatten().filter(|n| n.is_prefix).count()
+        self.nodes.iter().filter(|n| n.is_prefix).count()
     }
 
     /// Fraction of the cache holding prefix-only entries (0 when empty).
     pub fn prefix_fraction(&self) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             0.0
         } else {
-            self.prefix_count() as f64 / self.len as f64
+            self.prefix_count() as f64 / self.len() as f64
         }
     }
 
     /// Iterates over all cached ids (ascending id order).
     pub fn iter_ids(&self) -> impl Iterator<Item = InodeId> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| InodeId(i as u64)))
+        let mut ids: Vec<InodeId> = self.nodes.iter().map(|n| n.id).collect();
+        ids.sort_unstable();
+        ids.into_iter()
+    }
+
+    /// Heap bytes held: the id index and the entry arena. Counts
+    /// capacities (what the allocator handed out), like
+    /// `Namespace::heap_bytes`.
+    pub fn heap_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u32>()
+            + self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 
     // ---- intrusive list plumbing ------------------------------------
@@ -216,38 +249,39 @@ impl MetaCache {
         }
     }
 
-    /// Detaches `id` from its current list (entry stays in the slab).
-    fn detach(&mut self, id: InodeId) {
-        let node = *self.node(id).expect("present");
-        match node.prev {
-            Some(p) => self.node_mut(p).expect("list link").next = node.next,
-            None => self.ends_mut(node.seg).head = node.next,
+    /// Detaches arena slot `s` from its current list (entry stays in the
+    /// arena).
+    fn detach(&mut self, s: u32) {
+        let Node { prev, next, seg, .. } = self.nodes[s as usize];
+        if prev == NIL {
+            self.ends_mut(seg).head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
         }
-        match node.next {
-            Some(n) => self.node_mut(n).expect("list link").prev = node.prev,
-            None => self.ends_mut(node.seg).tail = node.prev,
+        if next == NIL {
+            self.ends_mut(seg).tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
         }
-        let e = self.node_mut(id).expect("present");
-        e.prev = None;
-        e.next = None;
+        let e = &mut self.nodes[s as usize];
+        e.prev = NIL;
+        e.next = NIL;
     }
 
-    /// Attaches a detached `id` at the MRU head of `seg`.
-    fn attach_head(&mut self, id: InodeId, seg: Segment) {
+    /// Attaches detached arena slot `s` at the MRU head of `seg`.
+    fn attach_head(&mut self, s: u32, seg: Segment) {
         let old_head = self.ends_mut(seg).head;
-        {
-            let e = self.node_mut(id).expect("present");
-            e.seg = seg;
-            e.prev = None;
-            e.next = old_head;
-        }
-        if let Some(h) = old_head {
-            self.node_mut(h).expect("list link").prev = Some(id);
+        let e = &mut self.nodes[s as usize];
+        e.seg = seg;
+        e.prev = NIL;
+        e.next = old_head;
+        if old_head != NIL {
+            self.nodes[old_head as usize].prev = s;
         }
         let ends = self.ends_mut(seg);
-        ends.head = Some(id);
-        if ends.tail.is_none() {
-            ends.tail = Some(id);
+        ends.head = s;
+        if ends.tail == NIL {
+            ends.tail = s;
         }
     }
 
@@ -257,17 +291,20 @@ impl MetaCache {
     /// the protected MRU head; `as_target` additionally clears its prefix
     /// flag (it is now known-useful data, not just a traversal step).
     pub fn lookup(&mut self, id: InodeId, as_target: bool) -> bool {
-        if self.contains(id) {
-            self.stats.hits += 1;
-            self.detach(id);
-            self.attach_head(id, Segment::Protected);
-            if as_target {
-                self.node_mut(id).expect("present").is_prefix = false;
+        match self.slot(id) {
+            Some(s) => {
+                self.stats.hits += 1;
+                self.detach(s);
+                self.attach_head(s, Segment::Protected);
+                if as_target {
+                    self.nodes[s as usize].is_prefix = false;
+                }
+                true
             }
-            true
-        } else {
-            self.stats.misses += 1;
-            false
+            None => {
+                self.stats.misses += 1;
+                false
+            }
         }
     }
 
@@ -281,15 +318,19 @@ impl MetaCache {
     /// cached, keeping the cached subset a tree; `None` for the root).
     /// Returns the entries evicted to make room. Inserting an existing id
     /// just refreshes its position/kind.
+    ///
+    /// # Panics
+    ///
+    /// If `parent` is not cached: the link would dangle and never pin.
     pub fn insert(
         &mut self,
         id: InodeId,
         parent: Option<InodeId>,
         kind: InsertKind,
     ) -> Vec<InodeId> {
-        if let Some(p) = parent {
-            debug_assert!(self.contains(p), "parent {p} must be cached before child {id}");
-        }
+        let parent_slot = parent.map(|p| {
+            self.slot(p).unwrap_or_else(|| panic!("parent {p} must be cached before child {id}"))
+        });
         if self.contains(id) {
             // Refresh: possibly upgrade from prefix to target.
             let as_target = kind == InsertKind::Target;
@@ -306,20 +347,22 @@ impl MetaCache {
             _ => Segment::Protected,
         };
         let idx = id.index();
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
+        if idx >= self.index.len() {
+            let want = (idx + 1).next_multiple_of(INDEX_CHUNK);
+            self.index.reserve_exact(want - self.index.len());
+            self.index.resize(want, 0);
         }
-        self.slots[idx] = Some(Node { prev: None, next: None, seg, parent, pins: 0, is_prefix });
-        self.len += 1;
-        self.attach_head(id, seg);
-        if let Some(p) = parent {
-            if let Some(pn) = self.node_mut(p) {
-                pn.pins += 1;
-            }
+        assert!(self.nodes.len() < NIL as usize, "metadata cache arena full");
+        let s = self.nodes.len() as u32;
+        self.nodes.push(Node { id, parent, prev: NIL, next: NIL, pins: 0, seg, is_prefix });
+        self.index[idx] = s + 1;
+        self.attach_head(s, seg);
+        if let Some(ps) = parent_slot {
+            self.nodes[ps as usize].pins += 1;
         }
 
         let mut evicted = Vec::new();
-        while self.len > self.cap {
+        while self.nodes.len() > self.cap {
             match self.evict_one(id) {
                 Some(victim) => evicted.push(victim),
                 None => {
@@ -335,17 +378,14 @@ impl MetaCache {
     /// then the protected tail. `protect` (the just-inserted id) is never
     /// chosen. Returns the victim, or `None` if everything is pinned.
     fn evict_one(&mut self, protect: InodeId) -> Option<InodeId> {
-        for seg in [Segment::Probation, Segment::Protected] {
-            let mut cur = match seg {
-                Segment::Probation => self.probation.tail,
-                Segment::Protected => self.protected.tail,
-            };
-            while let Some(id) = cur {
-                let node = *self.node(id).expect("list link");
-                if node.pins == 0 && id != protect {
-                    self.remove_internal(id);
+        for tail in [self.probation.tail, self.protected.tail] {
+            let mut cur = tail;
+            while cur != NIL {
+                let node = self.nodes[cur as usize];
+                if node.pins == 0 && node.id != protect {
+                    self.remove_internal(cur);
                     self.stats.evictions += 1;
-                    return Some(id);
+                    return Some(node.id);
                 }
                 cur = node.prev;
             }
@@ -353,15 +393,31 @@ impl MetaCache {
         None
     }
 
-    /// Removes `id` regardless of segment, unpinning its parent.
-    fn remove_internal(&mut self, id: InodeId) {
-        self.detach(id);
-        let node = self.slots[id.index()].take().expect("present");
-        self.len -= 1;
-        debug_assert_eq!(node.pins, 0, "removing pinned entry {id}");
+    /// Removes arena slot `s` regardless of segment, unpinning its
+    /// parent. The arena's last entry moves into `s`.
+    fn remove_internal(&mut self, s: u32) {
+        self.detach(s);
+        let node = self.nodes.swap_remove(s as usize);
+        self.index[node.id.index()] = 0;
+        debug_assert_eq!(node.pins, 0, "removing pinned entry {}", node.id);
+        if let Some(&moved) = self.nodes.get(s as usize) {
+            // Relink the entry that moved from the old last slot.
+            if moved.prev == NIL {
+                self.ends_mut(moved.seg).head = s;
+            } else {
+                self.nodes[moved.prev as usize].next = s;
+            }
+            if moved.next == NIL {
+                self.ends_mut(moved.seg).tail = s;
+            } else {
+                self.nodes[moved.next as usize].prev = s;
+            }
+            self.index[moved.id.index()] = s + 1;
+        }
         if let Some(p) = node.parent {
-            if let Some(pn) = self.node_mut(p) {
-                debug_assert!(pn.pins > 0, "pin underflow on {p}");
+            if let Some(ps) = self.slot(p) {
+                let pn = &mut self.nodes[ps as usize];
+                assert!(pn.pins > 0, "pin underflow on {p}");
                 pn.pins -= 1;
             }
         }
@@ -370,14 +426,12 @@ impl MetaCache {
     /// Explicitly removes `id` (replica invalidation, subtree migration).
     /// Fails if the entry still has cached children.
     pub fn remove(&mut self, id: InodeId) -> Result<(), CacheError> {
-        match self.node(id) {
-            None => Err(CacheError::NotCached),
-            Some(n) if n.pins > 0 => Err(CacheError::Pinned),
-            Some(_) => {
-                self.remove_internal(id);
-                Ok(())
-            }
+        let s = self.slot(id).ok_or(CacheError::NotCached)?;
+        if self.nodes[s as usize].pins > 0 {
+            return Err(CacheError::Pinned);
         }
+        self.remove_internal(s);
+        Ok(())
     }
 
     /// Removes a set of entries that form a subtree (or any set closed
@@ -389,15 +443,15 @@ impl MetaCache {
         // Repeatedly strip unpinned members; children leave before parents.
         loop {
             let mut progress = false;
-            pending.retain(|&id| {
-                if self.node(id).map(|n| n.pins == 0).unwrap_or(false) {
-                    self.remove_internal(id);
+            pending.retain(|&id| match self.slot(id) {
+                Some(s) if self.nodes[s as usize].pins == 0 => {
+                    self.remove_internal(s);
                     removed += 1;
                     progress = true;
                     false
-                } else {
-                    self.contains(id)
                 }
+                Some(_) => true,
+                None => false,
             });
             if !progress || pending.is_empty() {
                 break;
@@ -407,7 +461,8 @@ impl MetaCache {
     }
 
     /// Debug invariant check used by tests: list structure consistent,
-    /// pins match child counts, parents always cached.
+    /// index and arena agree, pins match child counts, parents always
+    /// cached.
     #[doc(hidden)]
     pub fn check_integrity(&self) {
         // Walk both lists, count reachable nodes.
@@ -415,34 +470,41 @@ impl MetaCache {
         for (ends, seg) in
             [(self.protected, Segment::Protected), (self.probation, Segment::Probation)]
         {
-            let mut prev: Option<InodeId> = None;
+            let mut prev = NIL;
             let mut cur = ends.head;
-            while let Some(id) = cur {
-                let n = self.node(id).expect("list member cached");
-                assert_eq!(n.seg, seg, "entry {id} on wrong segment list");
-                assert_eq!(n.prev, prev, "broken prev link at {id}");
+            while cur != NIL {
+                let n = &self.nodes[cur as usize];
+                assert_eq!(n.seg, seg, "entry {} on wrong segment list", n.id);
+                assert_eq!(n.prev, prev, "broken prev link at {}", n.id);
                 seen += 1;
-                prev = Some(id);
+                prev = cur;
                 cur = n.next;
             }
             assert_eq!(ends.tail, prev, "tail pointer mismatch");
         }
-        assert_eq!(seen, self.len, "list membership mismatch");
+        assert_eq!(seen, self.nodes.len(), "list membership mismatch");
+
+        // The index points at exactly the arena's entries.
+        for (s, n) in self.nodes.iter().enumerate() {
+            assert_eq!(self.slot(n.id), Some(s as u32), "index disagrees on {}", n.id);
+        }
+        let indexed = self.index.iter().filter(|&&s| s != 0).count();
+        assert_eq!(indexed, self.nodes.len(), "stale index entries");
 
         // Pins equal cached-child counts; parents are cached.
         let mut child_counts: FxHashMap<InodeId, u32> = FxHashMap::default();
-        for n in self.slots.iter().flatten() {
+        for n in &self.nodes {
             if let Some(p) = n.parent {
                 assert!(self.contains(p), "cached child with uncached parent {p}");
                 *child_counts.entry(p).or_insert(0) += 1;
             }
         }
-        for id in self.iter_ids() {
-            let n = self.node(id).expect("present");
+        for n in &self.nodes {
             assert_eq!(
                 n.pins,
-                child_counts.get(&id).copied().unwrap_or(0),
-                "pin count wrong on {id}"
+                child_counts.get(&n.id).copied().unwrap_or(0),
+                "pin count wrong on {}",
+                n.id
             );
         }
     }
@@ -657,6 +719,37 @@ mod tests {
         let ev2 = c.insert(id(4), None, InsertKind::Target);
         assert_eq!(ev1, vec![id(1)]);
         assert_eq!(ev2, vec![id(2)]);
+    }
+
+    #[test]
+    fn footprint_scales_with_capacity_not_id_bound() {
+        // 4,000 entries drawn from ids spread up to 10^6, in pseudo-random
+        // order: one 56 B slot per id seen would hold ~56 MB.
+        let cap = 4_000;
+        let mut c = MetaCache::new(cap);
+        let mut x = 12_345u64;
+        let mut max_id = 0;
+        for _ in 0..50_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let n = (x >> 33) % 1_000_000;
+            max_id = max_id.max(n);
+            c.insert(id(n), None, InsertKind::Target);
+        }
+        assert_eq!(c.len(), cap);
+        let ids_seen = max_id as usize + 1;
+        assert!(
+            c.heap_bytes() <= 4 * ids_seen + 64 * cap,
+            "{} B for {ids_seen} ids at cap {cap}",
+            c.heap_bytes()
+        );
+        c.check_integrity();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be cached before child")]
+    fn uncached_parent_rejected() {
+        let mut c = MetaCache::new(4);
+        c.insert(id(2), Some(id(1)), InsertKind::Target);
     }
 
     #[test]

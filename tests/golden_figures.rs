@@ -1,6 +1,6 @@
 //! Golden-figure regression test: the optimized hot path (memoized
-//! authority, dense LRU slab, allocation-free traversal and sampling)
-//! must not change simulation *results*, only their cost. Each table here
+//! authority, capacity-sized LRU arena, allocation-free traversal and
+//! sampling) must not change simulation *results*, only their cost. Each table here
 //! is regenerated in-process at `--quick` scale and compared byte-for-byte
 //! against the CSVs under `tests/golden/quick/`, which were produced by
 //! the seed revision's `experiments --quick --csv` run. (`ablate_warming`
