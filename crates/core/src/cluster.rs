@@ -1,7 +1,8 @@
 //! The MDS cluster: event handling and the request-service pipeline.
 //!
-//! One [`Cluster`] is the [`Handler`] driven by the event engine. The
-//! service pipeline for a request follows §4:
+//! [`Simulation`](crate::Simulation) drives one [`Cluster`], handing it
+//! each event through [`Cluster::handle`]. The service pipeline for a
+//! request follows §4:
 //!
 //! 1. **Routing** — the client picked a server (deepest known prefix, or
 //!    the hash function); if that server is not authoritative and cannot
@@ -20,7 +21,7 @@
 //! 6. **Reply** — carries location information that educates the client.
 
 use dynmds_cache::InsertKind;
-use dynmds_event::{EventQueue, Handler, SimDuration, SimRng, SimTime};
+use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds_metrics::{Summary, TimeSeries};
 use dynmds_namespace::{
     ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Namespace, Permissions, Snapshot,
@@ -1374,8 +1375,11 @@ impl Cluster {
     }
 }
 
-impl Handler<SimEvent> for Cluster {
-    fn handle(&mut self, now: SimTime, event: SimEvent, queue: &mut EventQueue<SimEvent>) {
+impl Cluster {
+    /// Handles one event at virtual time `now`; follow-up events go into
+    /// `queue` at `now` or later. [`Simulation`](crate::Simulation) calls
+    /// this for every event it dispatches.
+    pub fn handle(&mut self, now: SimTime, event: SimEvent, queue: &mut EventQueue<SimEvent>) {
         match event {
             SimEvent::Issue(client) => self.on_issue(now, client, queue),
             SimEvent::Arrive { mds, req } => self.on_arrive(now, mds, req, queue),
@@ -1411,7 +1415,7 @@ impl Handler<SimEvent> for Cluster {
 
 #[cfg(test)]
 mod tests {
-    use dynmds_event::{EventQueue, Handler, SimTime};
+    use dynmds_event::{EventQueue, SimTime};
     use dynmds_namespace::{ClientId, MdsId};
     use dynmds_partition::StrategyKind;
     use dynmds_workload::Op;

@@ -1060,7 +1060,7 @@ impl ShardedSimulation {
                     send_seq: 0,
                 })
                 .collect();
-            let mut queue = EventQueue::with_delta_hint(cfg.costs.think_mean);
+            let mut queue = EventQueue::new();
             // First requests spread over one think period, same ramp as
             // the legacy engine.
             for (i, _) in clients.iter().enumerate() {
@@ -1231,7 +1231,7 @@ impl ShardedSimulation {
 
     /// From a barrier, jumps `now_us` forward over windows that would
     /// execute nothing: let `t_min` be the minimum over every shard's
-    /// next live event time and the next-due calendar step. Every window
+    /// next event time and the next-due calendar step. Every window
     /// strictly before the one containing `t_min` pops no event and its
     /// barrier applies no step (outboxes are empty at barriers, so there
     /// are no in-flight deliveries to account for) — running those
@@ -1245,7 +1245,7 @@ impl ShardedSimulation {
     fn skip_idle_windows(&mut self, until_us: u64) {
         let mut t_min = self.next_due;
         for s in &self.shards {
-            if let Some(t) = s.queue.next_event_time() {
+            if let Some(t) = s.queue.peek_time() {
                 t_min = t_min.min(t.as_micros());
             }
         }

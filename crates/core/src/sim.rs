@@ -1,6 +1,6 @@
 //! Top-level simulation runner.
 
-use dynmds_event::{Engine, EventQueue, SimDuration, SimTime};
+use dynmds_event::{EventQueue, SimDuration, SimTime};
 use dynmds_namespace::{ClientId, Snapshot};
 use dynmds_workload::Workload;
 
@@ -9,9 +9,12 @@ use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::request::SimEvent;
 
-/// A configured, runnable simulation.
+/// A configured, runnable simulation: the cluster, its event queue and
+/// the virtual clock.
 pub struct Simulation {
-    engine: Engine<SimEvent, Cluster>,
+    queue: EventQueue<SimEvent>,
+    cluster: Cluster,
+    now: SimTime,
 }
 
 impl Simulation {
@@ -45,17 +48,12 @@ impl Simulation {
         let n_clients = cfg.n_clients;
         let heartbeat = cfg.heartbeat;
         let sample = cfg.sample_every;
-        // Inter-event deltas are dominated by client think time; size the
-        // scheduler's timer wheel for it so the near-future page absorbs
-        // the steady-state schedule/pop cycle.
-        let queue = EventQueue::with_delta_hint(cfg.costs.think_mean);
+        let mut q = EventQueue::new();
         // Expand the fault schedule before `Cluster::new` consumes `cfg`.
         let fault_events = cfg.faults.expanded(cfg.n_mds as usize);
         let cluster = Cluster::new(cfg, snapshot, workload);
-        let mut engine = Engine::with_queue(cluster, queue);
         for ev in fault_events {
             use crate::fault::FaultEvent;
-            let q = engine.queue_mut();
             match ev {
                 FaultEvent::Crash { at, mds } => {
                     q.schedule(at, SimEvent::Fail(mds));
@@ -79,58 +77,75 @@ impl Simulation {
             } else {
                 SimDuration::ZERO
             };
-            engine.queue_mut().schedule(start + offset, SimEvent::Issue(ClientId(c)));
+            q.schedule(start + offset, SimEvent::Issue(ClientId(c)));
         }
-        engine.queue_mut().schedule(SimTime::ZERO + heartbeat, SimEvent::Heartbeat);
-        engine.queue_mut().schedule(SimTime::ZERO + sample, SimEvent::Sample);
-        Simulation { engine }
+        q.schedule(SimTime::ZERO + heartbeat, SimEvent::Heartbeat);
+        q.schedule(SimTime::ZERO + sample, SimEvent::Sample);
+        Simulation { queue: q, cluster, now: SimTime::ZERO }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.now
     }
 
     /// The simulated system (inspection).
     pub fn cluster(&self) -> &Cluster {
-        self.engine.handler()
+        &self.cluster
     }
 
     /// The simulated system (mutation, e.g. scripted fault injection).
     pub fn cluster_mut(&mut self) -> &mut Cluster {
-        self.engine.handler_mut()
+        &mut self.cluster
     }
 
-    /// Advances virtual time to `until`.
+    /// Advances virtual time to `until`: dispatches every event due at or
+    /// before it, one instant at a time (including zero-delay follow-ups
+    /// scheduled mid-instant), and returns how many fired. The clock ends
+    /// at `until` even if the tail was quiet, so rates over a window stay
+    /// well defined.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
-        self.engine.run_until(until)
+        let mut n = 0;
+        while let Some(at) = self.queue.peek_time() {
+            if at > until {
+                break;
+            }
+            // An event scheduled between the last dispatch and a quiet
+            // tail's horizon fires at the (later) clock, never before it.
+            self.now = self.now.max(at);
+            while let Some(ev) = self.queue.pop_due(at) {
+                n += 1;
+                self.cluster.handle(self.now, ev, &mut self.queue);
+            }
+        }
+        self.now = self.now.max(until);
+        n
     }
 
     /// Schedules a node failure (fault injection).
     pub fn schedule_failure(&mut self, at: SimTime, mds: dynmds_namespace::MdsId) {
-        self.engine.queue_mut().schedule(at, SimEvent::Fail(mds));
+        self.queue.schedule(at, SimEvent::Fail(mds));
     }
 
     /// Schedules a node recovery.
     pub fn schedule_recovery(&mut self, at: SimTime, mds: dynmds_namespace::MdsId) {
-        self.engine.queue_mut().schedule(at, SimEvent::Recover(mds));
+        self.queue.schedule(at, SimEvent::Recover(mds));
     }
 
     /// Runs `warmup` of unmeasured time, resets statistics, runs `measure`
     /// more, and reports.
     pub fn run_measured(mut self, warmup: SimDuration, measure: SimDuration) -> SimReport {
         let w_end = SimTime::ZERO + warmup;
-        self.engine.run_until(w_end);
-        self.engine.handler_mut().reset_measurement(w_end);
+        self.run_until(w_end);
+        self.cluster.reset_measurement(w_end);
         let end = w_end + measure;
-        self.engine.run_until(end);
+        self.run_until(end);
         self.finish()
     }
 
     /// Stops and produces the report.
     pub fn finish(self) -> SimReport {
-        let now = self.engine.now();
-        self.engine.into_handler().into_report(now)
+        self.cluster.into_report(self.now)
     }
 }
 
@@ -257,5 +272,27 @@ mod tests {
         let b = run_small(StrategyKind::DynamicSubtree);
         assert_eq!(a.total_served(), b.total_served());
         assert_eq!(a.total_forwarded(), b.total_forwarded());
+    }
+
+    #[test]
+    fn run_until_drains_through_the_horizon_and_advances_the_clock() {
+        // A hand-built simulation with only inert events queued
+        // (`SetNetFault(None)` schedules nothing), so every count is exact.
+        let mut sim = Simulation {
+            queue: EventQueue::new(),
+            cluster: crate::testutil::tiny_cluster(StrategyKind::DynamicSubtree),
+            now: SimTime::ZERO,
+        };
+        for us in [5, 10, 10, 15] {
+            sim.queue.schedule(SimTime::from_micros(us), SimEvent::SetNetFault(None));
+        }
+        assert_eq!(sim.run_until(SimTime::from_micros(10)), 3, "t=5 and both t=10 events fire");
+        assert_eq!(sim.queue.len(), 1, "the t=15 event stays queued");
+        assert_eq!(sim.now(), SimTime::from_micros(10));
+        assert_eq!(sim.run_until(SimTime::from_micros(12)), 0);
+        assert_eq!(sim.now(), SimTime::from_micros(12), "the clock crosses a quiet tail");
+        assert_eq!(sim.run_until(SimTime::from_secs(3)), 1);
+        assert_eq!(sim.now(), SimTime::from_secs(3));
+        assert!(sim.queue.is_empty());
     }
 }

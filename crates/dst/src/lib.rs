@@ -8,7 +8,7 @@
 //! * [`scenario`] — a seeded fuzzer: one `u64` seed expands into a full
 //!   scenario (cluster size, workload mix, cache pressure, fault/churn
 //!   schedule), run against the oracle with the op trace recorded;
-//! * [`shrink`] + [`repro`] — on divergence, delta-debug the recorded
+//! * [`shrink`](mod@shrink) + [`repro`] — on divergence, delta-debug the recorded
 //!   trace and fault schedule down to a minimal reproducer and write it
 //!   as a plain-text file under `dst/repros/`, replayable by
 //!   `tests/dst_repros.rs`.

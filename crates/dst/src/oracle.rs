@@ -3,8 +3,9 @@
 //! A [`RefModel`] is a deliberately *flat* model filesystem: a map of
 //! inode attributes plus a dentry multimap, with none of the simulator's
 //! partitioning, caching, journaling, or failover machinery. It consumes
-//! the cluster's applied-op log (via the [`DstProbe`] hooks) and mirrors
-//! exactly the namespace semantics of `dynmds_namespace::Namespace` —
+//! the cluster's applied-op log (via the
+//! [`DstProbe`](dynmds_core::DstProbe) hooks) and mirrors exactly the
+//! namespace semantics of `dynmds_namespace::Namespace` —
 //! including failure outcomes — so any disagreement between the two is a
 //! bug in the simulator's service pipeline, not in the model's guess.
 //!

@@ -331,11 +331,39 @@ fn parse_fault(
     let at = |k: &str| -> Result<SimTime, String> {
         Ok(SimTime::ZERO + SimDuration::from_micros(num(kv, k)?))
     };
-    match kind {
-        "crash" => Ok(FaultEvent::Crash { at: at("at_us")?, mds: MdsId(num(kv, "mds")? as u16) }),
-        "recover" => {
-            Ok(FaultEvent::Recover { at: at("at_us")?, mds: MdsId(num(kv, "mds")? as u16) })
+    // The same ranges `FaultSchedule::parse` enforces on `--faults`.
+    let mds = || -> Result<MdsId, String> {
+        let v = num(kv, "mds")?;
+        u16::try_from(v).map(MdsId).map_err(|_| format!("fault key `mds`: {v} is not a node index"))
+    };
+    let window = || -> Result<(SimTime, SimTime), String> {
+        let (from, until) = (at("from_us")?, at("until_us")?);
+        if until <= from {
+            return Err(format!(
+                "empty fault window {}..{} us",
+                from.as_micros(),
+                until.as_micros()
+            ));
         }
+        Ok((from, until))
+    };
+    let mult = |k: &str| -> Result<f64, String> {
+        let v = f64::from_bits(num(kv, k)?);
+        if !v.is_finite() || v < 0.0 {
+            return Err(format!("fault key `{k}`: multiplier {v} must be finite and non-negative"));
+        }
+        Ok(v)
+    };
+    let prob = |k: &str| -> Result<f64, String> {
+        let v = f64::from_bits(num(kv, k)?);
+        if !(0.0..=1.0).contains(&v) {
+            return Err(format!("fault key `{k}`: probability {v} must be in [0, 1]"));
+        }
+        Ok(v)
+    };
+    match kind {
+        "crash" => Ok(FaultEvent::Crash { at: at("at_us")?, mds: mds()? }),
+        "recover" => Ok(FaultEvent::Recover { at: at("at_us")?, mds: mds()? }),
         "disk" => {
             let scope = match kv.get("scope").map(String::as_str) {
                 Some("osd") => DiskScope::Osd,
@@ -343,25 +371,22 @@ fn parse_fault(
                 Some("all") => DiskScope::All,
                 other => return Err(format!("bad disk scope {other:?}")),
             };
-            Ok(FaultEvent::DiskDegrade {
-                from: at("from_us")?,
-                until: at("until_us")?,
-                fault: DiskFault {
-                    latency_mult: f64::from_bits(num(kv, "lat_bits")?),
-                    iops_mult: f64::from_bits(num(kv, "iops_bits")?),
-                    error_p: f64::from_bits(num(kv, "err_bits")?),
-                },
-                scope,
-            })
+            let (from, until) = window()?;
+            let fault = DiskFault {
+                latency_mult: mult("lat_bits")?,
+                iops_mult: mult("iops_bits")?,
+                error_p: prob("err_bits")?,
+            };
+            if fault.iops_mult <= 0.0 {
+                return Err("fault key `iops_bits`: iops multiplier must be positive".into());
+            }
+            Ok(FaultEvent::DiskDegrade { from, until, fault, scope })
         }
-        "net" => Ok(FaultEvent::NetFault {
-            from: at("from_us")?,
-            until: at("until_us")?,
-            spec: NetFaultSpec {
-                loss_p: f64::from_bits(num(kv, "loss_bits")?),
-                dup_p: f64::from_bits(num(kv, "dup_bits")?),
-            },
-        }),
+        "net" => {
+            let (from, until) = window()?;
+            let spec = NetFaultSpec { loss_p: prob("loss_bits")?, dup_p: prob("dup_bits")? };
+            Ok(FaultEvent::NetFault { from, until, spec })
+        }
         other => Err(format!("unknown fault kind `{other}`")),
     }
 }
@@ -507,6 +532,27 @@ mod tests {
         let r = sample();
         let text = r.to_text().replace("strategy=DynamicSubtree", "strategy=Bogus");
         assert!(Repro::parse(&text).is_err(), "unknown strategy");
+    }
+
+    #[test]
+    fn out_of_range_fault_fields_are_rejected() {
+        let text = sample().to_text();
+        let bits = |k: &str, v: f64| format!("{k}={:#x}", v.to_bits());
+        let bad = [
+            ("mds=1\n".to_string(), "mds=65537\n".to_string()),
+            ("from_us=1000 until_us=9000".into(), "from_us=9000 until_us=9000".into()),
+            ("from_us=5000 until_us=7000".into(), "from_us=7000 until_us=5000".into()),
+            (bits("lat_bits", 3.25), bits("lat_bits", f64::NAN)),
+            (bits("iops_bits", 0.5), bits("iops_bits", 0.0)),
+            (bits("err_bits", 0.0125), bits("err_bits", f64::NAN)),
+            (bits("loss_bits", 0.0314), bits("loss_bits", 1.5)),
+            (bits("dup_bits", 0.001), bits("dup_bits", -0.5)),
+        ];
+        for (good, evil) in bad {
+            assert!(text.contains(&good), "sample lacks `{good}`");
+            let broken = text.replacen(&good, &evil, 1);
+            assert!(Repro::parse(&broken).is_err(), "accepted `{evil}`");
+        }
     }
 
     #[test]

@@ -5,20 +5,16 @@
 //! scheduled for the same instant fire in insertion order; this stability
 //! is what makes whole-simulation runs reproducible, and the wheel
 //! preserves it bit-for-bit relative to the original binary-heap
-//! scheduler (kept below as [`HeapEventQueue`] for differential tests and
-//! benchmarks).
+//! scheduler (kept below as [`HeapEventQueue`] for differential tests).
 //!
 //! # Geometry
 //!
-//! Three wheel levels cover a near-future *span page* of `2^(b0 + 16)`
-//! microseconds around the dispatch cursor, where `b0` is the level-0
-//! size exponent (default 10, tunable via
-//! [`EventQueue::with_delta_hint`]):
+//! Three wheel levels cover a near-future *span page* of `2^26`
+//! microseconds (≈67 virtual seconds) around the dispatch cursor:
 //!
-//! * level 0 — `2^b0` slots of exactly 1 µs each; a slot is a FIFO of
+//! * level 0 — `2^10` slots of exactly 1 µs each; a slot is a FIFO of
 //!   same-timestamp events, so dispatch within a slot *is* seq order;
-//! * levels 1 and 2 — 256 slots each, `2^b0` µs and `2^(b0+8)` µs wide
-//!   (≈67 virtual seconds of total span at the default geometry);
+//! * levels 1 and 2 — 256 slots each, `2^10` µs and `2^18` µs wide;
 //! * an overflow binary heap for events beyond the current span page.
 //!
 //! Placement is by `diff = at ^ cursor`: the highest differing bit picks
@@ -33,8 +29,8 @@
 //! # Determinism argument
 //!
 //! The wheel only ever holds events inside the cursor's span page, and
-//! every pending event is `>= cursor` (the engine never schedules in the
-//! past). Consequences, each load-bearing for order stability:
+//! every pending event is `>= cursor` ([`EventQueue::schedule`] asserts
+//! it). Consequences, each load-bearing for order stability:
 //!
 //! 1. an upper-level slot is cascaded exactly once, at the moment the
 //!    cursor first enters the region it covers, *before* any same-region
@@ -45,18 +41,13 @@
 //! 3. a level-0 slot holds exactly one timestamp, so FIFO pop order is
 //!    `(time, seq)` order.
 //!
-//! Cancellation ([`EventQueue::cancel`]) is a lazy tombstone: the entry
-//! stays in its slot and is reaped when popped. [`EventQueue::peek_time`]
-//! may therefore report the time of a cancelled-but-unreaped entry;
-//! callers that must not observe tombstones (the sharded engine's
-//! idle-window skip) use [`EventQueue::next_event_time`] instead.
-//! [`HeapEventQueue`] mirrors exactly the same lazy semantics so the two
-//! implementations stay observably identical.
+//! Events cannot be cancelled: neither engine needs it, so every pending
+//! entry is live and [`EventQueue::peek_time`] is exact.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An event plus its dispatch time, as returned by [`EventQueue::pop`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,11 +57,6 @@ pub struct ScheduledEvent<E> {
     /// The payload.
     pub event: E,
 }
-
-/// Ticket identifying one scheduled event, for [`EventQueue::cancel`].
-/// Sequence numbers are never reused within a queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 struct Entry<E> {
     at: u64,
@@ -98,26 +84,29 @@ impl<E> PartialEq for FarEntry<E> {
 }
 impl<E> Eq for FarEntry<E> {}
 
+/// Level-0 size exponent: `2^10` one-microsecond slots.
+const L0_BITS: u32 = 10;
+const L0_SLOTS: usize = 1 << L0_BITS;
+const L0_MASK: u64 = (1 << L0_BITS) - 1;
+const OCC0_WORDS: usize = L0_SLOTS / 64;
 /// Slots per upper wheel level.
 const LEVEL_BITS: u32 = 8;
 const LEVEL_SLOTS: usize = 1 << LEVEL_BITS;
 const OCC_WORDS: usize = LEVEL_SLOTS / 64;
-const DEFAULT_L0_BITS: u32 = 10;
+/// Bit offset of the level-2 slot index.
+const L2_SHIFT: u32 = L0_BITS + LEVEL_BITS;
+/// Width exponent of the whole wheel span page.
+const SPAN_BITS: u32 = L0_BITS + 2 * LEVEL_BITS;
 
 /// Priority queue of future events, ordered by time then insertion order.
 pub struct EventQueue<E> {
-    /// Level-0 size exponent: `2^l0_bits` one-microsecond slots.
-    l0_bits: u32,
-    l0_mask: u64,
-    /// Width exponent of the whole wheel span page (`l0_bits + 16`).
-    span_bits: u32,
     l0: Box<[VecDeque<Entry<E>>]>,
     l1: Box<[Vec<Entry<E>>]>,
     l2: Box<[Vec<Entry<E>>]>,
-    occ0: Box<[u64]>,
+    occ0: [u64; OCC0_WORDS],
     /// Summary of `occ0`: bit `w` is set iff `occ0[w] != 0`, so scanning
     /// a mostly-empty level 0 costs one find-first-set instead of a walk
-    /// over all `2^b0 / 64` words (the sparse-schedule fast path).
+    /// over all 16 words (the sparse-schedule fast path).
     sum0: u64,
     occ1: [u64; OCC_WORDS],
     occ2: [u64; OCC_WORDS],
@@ -133,21 +122,14 @@ pub struct EventQueue<E> {
     min2: Box<[u64]>,
     overflow: BinaryHeap<FarEntry<E>>,
     /// Wheel position: the dispatch time of the most recently removed
-    /// entry (live or reaped tombstone). All pending events are at
-    /// `cursor` or later.
+    /// entry. All pending events are at `cursor` or later.
     cursor: u64,
-    /// Caller-visible dispatch point: the last time returned by `pop` or
-    /// drained via `pop_due`. `cursor` can run ahead of this while
-    /// reaping tombstones; when the wheel empties it rewinds here so the
-    /// schedule floor never exceeds what the caller has observed.
-    floor: u64,
-    /// Memoized earliest pending timestamp (tombstones included).
+    /// Memoized earliest pending timestamp.
     next_at: Option<u64>,
+    /// Insertion counter: the next event's seq, and so the number of
+    /// events ever scheduled.
     next_seq: u64,
     pending: usize,
-    scheduled_total: u64,
-    /// Seqs cancelled but not yet physically reaped from their slot.
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -157,40 +139,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the default level-0 wheel size.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_bits(DEFAULT_L0_BITS)
-    }
-
-    /// Creates an empty queue. Slot storage grows on demand and is
-    /// recycled thereafter; the capacity hint is accepted for API
-    /// compatibility with the heap-based scheduler.
-    pub fn with_capacity(_cap: usize) -> Self {
-        Self::new()
-    }
-
-    /// Creates a queue whose level-0 wheel is sized for workloads whose
-    /// typical inter-event delta is `hint` — roughly four deltas fit in
-    /// the exact-time page; beyond that the upper levels and overflow
-    /// heap take over.
-    pub fn with_delta_hint(hint: SimDuration) -> Self {
-        // The exponent is clamped to [8, 10]; pre-clamping the hint keeps
-        // `next_power_of_two` far from overflow for absurd inputs.
-        let us = hint.as_micros().clamp(1, 1 << 20);
-        let bits = (us * 4).next_power_of_two().trailing_zeros().clamp(8, 10);
-        Self::with_bits(bits)
-    }
-
-    fn with_bits(l0_bits: u32) -> Self {
-        let slots0 = 1usize << l0_bits;
         EventQueue {
-            l0_bits,
-            l0_mask: (1u64 << l0_bits) - 1,
-            span_bits: l0_bits + 2 * LEVEL_BITS,
-            l0: (0..slots0).map(|_| VecDeque::new()).collect(),
+            l0: (0..L0_SLOTS).map(|_| VecDeque::new()).collect(),
             l1: (0..LEVEL_SLOTS).map(|_| Vec::new()).collect(),
             l2: (0..LEVEL_SLOTS).map(|_| Vec::new()).collect(),
-            occ0: vec![0u64; slots0 / 64].into_boxed_slice(),
+            occ0: [0; OCC0_WORDS],
             sum0: 0,
             occ1: [0; OCC_WORDS],
             occ2: [0; OCC_WORDS],
@@ -201,72 +156,37 @@ impl<E> EventQueue<E> {
             min2: vec![0u64; LEVEL_SLOTS].into_boxed_slice(),
             overflow: BinaryHeap::new(),
             cursor: 0,
-            floor: 0,
             next_at: None,
             next_seq: 0,
             pending: 0,
-            scheduled_total: 0,
-            cancelled: HashSet::new(),
         }
     }
 
-    /// Schedules `event` to fire at `at`. Returns a ticket usable with
-    /// [`cancel`](Self::cancel).
+    /// Schedules `event` to fire at `at`.
     ///
-    /// `at` must not precede the queue's dispatch point — the last time
+    /// # Panics
+    ///
+    /// If `at` precedes the queue's dispatch point — the last time
     /// returned by [`pop`](Self::pop) or drained via
-    /// [`pop_due`](Self::pop_due) — the same no-scheduling-into-the-past
-    /// rule the [`Engine`](crate::Engine) imposes on handlers. Debug
-    /// builds assert; release builds clamp.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    /// [`pop_due`](Self::pop_due). Such an event would break the wheel's
+    /// `(time, seq)` order, so this fails loudly in release builds too.
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        let at = at.as_micros();
+        assert!(at >= self.cursor, "event scheduled before an already-dispatched time");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.pending += 1;
-        debug_assert!(
-            at.as_micros() >= self.cursor,
-            "event scheduled before an already-dispatched time"
-        );
-        // Release builds clamp a stale timestamp to the cursor rather
-        // than corrupt the wheel invariants.
-        let at = at.as_micros().max(self.cursor);
         if self.next_at.is_none_or(|n| at < n) {
             self.next_at = Some(at);
         }
         self.place(Entry { at, seq, event });
-        EventId(seq)
-    }
-
-    /// Cancels a pending event, O(1) via a lazy tombstone. Returns
-    /// whether the ticket was newly cancelled. The ticket must refer to
-    /// an event that has not fired; cancelling an already-dispatched
-    /// ticket is a logic error (debug builds assert).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        debug_assert!(id.0 < self.next_seq, "cancel of a never-issued ticket");
-        if id.0 < self.next_seq && self.cancelled.insert(id.0) {
-            debug_assert!(self.pending > 0, "cancel of an already-fired ticket");
-            self.pending = self.pending.saturating_sub(1);
-            true
-        } else {
-            false
-        }
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        loop {
-            let Some(t) = self.next_at else {
-                // Tombstone reaping may have advanced the wheel past the
-                // last time the caller saw; the wheel is physically empty
-                // now, so rewind to keep the schedule floor observable.
-                self.cursor = self.floor;
-                return None;
-            };
-            if let Some(e) = self.take_front(t) {
-                self.floor = e.at;
-                return Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event });
-            }
-        }
+        let t = self.next_at?;
+        let e = self.take_front(t);
+        Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event })
     }
 
     /// Removes the next event only if it fires exactly at `now` — the
@@ -274,63 +194,18 @@ impl<E> EventQueue<E> {
     /// still has entries.
     pub fn pop_due(&mut self, now: SimTime) -> Option<E> {
         let t = now.as_micros();
-        loop {
-            if self.next_at != Some(t) {
-                return None;
-            }
-            // The caller named this instant, so it becomes the dispatch
-            // point even if every entry here turns out to be a tombstone.
-            self.floor = t;
-            if let Some(e) = self.take_front(t) {
-                return Some(e.event);
-            }
+        if self.next_at != Some(t) {
+            return None;
         }
+        Some(self.take_front(t).event)
     }
 
-    /// The dispatch time of the earliest pending entry, if any. May
-    /// report a cancelled-but-unreaped entry's time (see module docs).
+    /// The dispatch time of the earliest pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
         self.next_at.map(SimTime::from_micros)
     }
 
-    /// The dispatch time of the earliest *live* pending event — unlike
-    /// [`peek_time`](Self::peek_time) this never reports a
-    /// cancelled-but-unreaped entry's time, so a caller skipping idle
-    /// spans can't under-skip into a window holding only tombstones.
-    ///
-    /// Read-only: the wheel position (and so the scheduling floor) is
-    /// untouched, making this safe to call between dispatches even if
-    /// the caller still intends to schedule near the floor. O(1) with
-    /// no tombstones outstanding (the simulation hot path); otherwise
-    /// it scans the pending entries.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if self.cancelled.is_empty() {
-            return self.next_at.map(SimTime::from_micros);
-        }
-        let mut best: Option<u64> = None;
-        let mut consider = |e: &Entry<E>| {
-            if !self.cancelled.contains(&e.seq) && best.is_none_or(|b| e.at < b) {
-                best = Some(e.at);
-            }
-        };
-        for (w, &word) in self.occ0.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.l0[s].iter().for_each(&mut consider);
-            }
-        }
-        for bucket in self.l1.iter().chain(self.l2.iter()) {
-            bucket.iter().for_each(&mut consider);
-        }
-        for far in &self.overflow {
-            consider(&far.0);
-        }
-        best.map(SimTime::from_micros)
-    }
-
-    /// Number of pending (scheduled, not fired, not cancelled) events.
+    /// Number of pending (scheduled, not yet fired) events.
     pub fn len(&self) -> usize {
         self.pending
     }
@@ -342,12 +217,12 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
-    /// Number of far-future events currently parked in the overflow heap
-    /// (diagnostic; exercised by the horizon-boundary tests).
-    pub fn overflow_len(&self) -> usize {
+    /// Number of far-future events currently parked in the overflow heap.
+    #[cfg(test)]
+    fn overflow_len(&self) -> usize {
         self.overflow.len()
     }
 
@@ -356,8 +231,8 @@ impl<E> EventQueue<E> {
     /// migration so append order always follows call order.
     fn place(&mut self, e: Entry<E>) {
         let diff = e.at ^ self.cursor;
-        if diff >> self.l0_bits == 0 {
-            let s = (e.at & self.l0_mask) as usize;
+        if diff >> L0_BITS == 0 {
+            let s = (e.at & L0_MASK) as usize;
             let (w, m) = (s >> 6, 1u64 << (s & 63));
             if self.occ0[w] & m == 0 {
                 self.occ0[w] |= m;
@@ -365,8 +240,8 @@ impl<E> EventQueue<E> {
                 self.live0 += 1;
             }
             self.l0[s].push_back(e);
-        } else if diff >> (self.l0_bits + LEVEL_BITS) == 0 {
-            let s = (e.at >> self.l0_bits) as usize & (LEVEL_SLOTS - 1);
+        } else if diff >> L2_SHIFT == 0 {
+            let s = (e.at >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
             let (w, m) = (s >> 6, 1u64 << (s & 63));
             if self.occ1[w] & m == 0 {
                 self.occ1[w] |= m;
@@ -376,8 +251,8 @@ impl<E> EventQueue<E> {
                 self.min1[s] = e.at;
             }
             self.l1[s].push(e);
-        } else if diff >> self.span_bits == 0 {
-            let s = (e.at >> (self.l0_bits + LEVEL_BITS)) as usize & (LEVEL_SLOTS - 1);
+        } else if diff >> SPAN_BITS == 0 {
+            let s = (e.at >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
             let (w, m) = (s >> 6, 1u64 << (s & 63));
             if self.occ2[w] & m == 0 {
                 self.occ2[w] |= m;
@@ -396,7 +271,7 @@ impl<E> EventQueue<E> {
     /// turn, migrates newly-near overflow events in; then cascades the
     /// upper-level slots covering `t` down to exact level-0 slots.
     fn settle_to(&mut self, t: u64) {
-        if (t ^ self.cursor) >> self.span_bits != 0 {
+        if (t ^ self.cursor) >> SPAN_BITS != 0 {
             // Page turn: t is the minimum pending time and lies outside
             // the old page, so every wheel slot is empty and the cursor
             // can jump. Heap pops arrive in (time, seq) order and
@@ -404,7 +279,7 @@ impl<E> EventQueue<E> {
             debug_assert!(self.wheel_slots_empty(), "page turn with occupied wheel slots");
             self.cursor = t;
             while let Some(top) = self.overflow.peek() {
-                if (top.0.at ^ t) >> self.span_bits != 0 {
+                if (top.0.at ^ t) >> SPAN_BITS != 0 {
                     break;
                 }
                 let FarEntry(e) = self.overflow.pop().expect("peeked");
@@ -413,26 +288,25 @@ impl<E> EventQueue<E> {
         } else {
             self.cursor = t;
         }
-        let shift1 = self.l0_bits + LEVEL_BITS;
-        let s2 = (t >> shift1) as usize & (LEVEL_SLOTS - 1);
+        let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
         if self.occ2[s2 >> 6] & (1 << (s2 & 63)) != 0 {
             self.occ2[s2 >> 6] &= !(1 << (s2 & 63));
             self.live2 -= 1;
             let mut bucket = std::mem::take(&mut self.l2[s2]);
             for e in bucket.drain(..) {
-                debug_assert_eq!(e.at >> shift1, t >> shift1, "stale entry in cascaded slot");
+                debug_assert_eq!(e.at >> L2_SHIFT, t >> L2_SHIFT, "stale entry in cascaded slot");
                 self.place(e);
             }
             // Hand the emptied Vec back so its capacity is recycled.
             self.l2[s2] = bucket;
         }
-        let s1 = (t >> self.l0_bits) as usize & (LEVEL_SLOTS - 1);
+        let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
         if self.occ1[s1 >> 6] & (1 << (s1 & 63)) != 0 {
             self.occ1[s1 >> 6] &= !(1 << (s1 & 63));
             self.live1 -= 1;
             let mut bucket = std::mem::take(&mut self.l1[s1]);
             for e in bucket.drain(..) {
-                debug_assert_eq!(e.at >> self.l0_bits, t >> self.l0_bits, "stale entry");
+                debug_assert_eq!(e.at >> L0_BITS, t >> L0_BITS, "stale entry");
                 self.place(e);
             }
             self.l1[s1] = bucket;
@@ -445,10 +319,8 @@ impl<E> EventQueue<E> {
             && self.occ2.iter().all(|&w| w == 0)
     }
 
-    /// Removes the physically-first `(time, seq)` entry; requires
-    /// `next_at == Some(t)`. Returns `None` when that entry was a reaped
-    /// tombstone (callers loop).
-    fn take_front(&mut self, t: u64) -> Option<Entry<E>> {
+    /// Removes the first `(time, seq)` entry; requires `next_at == Some(t)`.
+    fn take_front(&mut self, t: u64) -> Entry<E> {
         let e = if t == self.cursor {
             self.take_level0(t)
         } else if let Some(e) = self.take_sparse(t) {
@@ -457,17 +329,14 @@ impl<E> EventQueue<E> {
             self.settle_to(t);
             self.take_level0(t)
         };
-        if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-            return None;
-        }
         self.pending -= 1;
-        Some(e)
+        e
     }
 
     /// Pops the front of the level-0 slot holding `t` (the slow-path tail
-    /// of [`take_front`], after any needed cascade).
+    /// of [`take_front`](Self::take_front), after any needed cascade).
     fn take_level0(&mut self, t: u64) -> Entry<E> {
-        let s = (t & self.l0_mask) as usize;
+        let s = (t & L0_MASK) as usize;
         let e = self.l0[s].pop_front().expect("next_at points at an occupied slot");
         debug_assert_eq!(e.at, t);
         if self.l0[s].is_empty() {
@@ -495,11 +364,11 @@ impl<E> EventQueue<E> {
     /// untouched is required because `advance_next` scans strictly past
     /// the cursor's own slot at every level.
     fn take_sparse(&mut self, t: u64) -> Option<Entry<E>> {
-        if self.live0 != 0 || (t ^ self.cursor) >> self.span_bits != 0 {
+        if self.live0 != 0 || (t ^ self.cursor) >> SPAN_BITS != 0 {
             return None;
         }
-        let s1 = (t >> self.l0_bits) as usize & (LEVEL_SLOTS - 1);
-        let s2 = (t >> (self.l0_bits + LEVEL_BITS)) as usize & (LEVEL_SLOTS - 1);
+        let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
+        let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
         let (w1, m1) = (s1 >> 6, 1u64 << (s1 & 63));
         let (w2, m2) = (s2 >> 6, 1u64 << (s2 & 63));
         let in1 = self.occ1[w1] & m1 != 0;
@@ -528,15 +397,15 @@ impl<E> EventQueue<E> {
     fn advance_next(&mut self) {
         let t = self.cursor;
         if self.live0 > 0 {
-            let s0 = (t & self.l0_mask) as usize;
+            let s0 = (t & L0_MASK) as usize;
             if let Some(s) = self.scan_occ0(s0 + 1) {
-                self.next_at = Some((t & !self.l0_mask) | s as u64);
+                self.next_at = Some((t & !L0_MASK) | s as u64);
                 return;
             }
             debug_assert!(false, "live0 > 0 but no occupied slot ahead of the cursor");
         }
         if self.live1 > 0 {
-            let s1 = (t >> self.l0_bits) as usize & (LEVEL_SLOTS - 1);
+            let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
             if let Some(s) = scan_from(&self.occ1, s1 + 1) {
                 self.next_at = Some(self.min1[s]);
                 return;
@@ -544,7 +413,7 @@ impl<E> EventQueue<E> {
             debug_assert!(false, "live1 > 0 but no occupied slot ahead of the cursor");
         }
         if self.live2 > 0 {
-            let s2 = (t >> (self.l0_bits + LEVEL_BITS)) as usize & (LEVEL_SLOTS - 1);
+            let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
             if let Some(s) = scan_from(&self.occ2, s2 + 1) {
                 self.next_at = Some(self.min2[s]);
                 return;
@@ -555,11 +424,11 @@ impl<E> EventQueue<E> {
     }
 
     /// First occupied level-0 slot at or after `from`, using the summary
-    /// word to jump over empty bitmap words (level 0 has at most
-    /// `2^10 / 64 = 16` words, so the summary always fits in one `u64`).
+    /// word to jump over empty bitmap words (level 0 has `2^10 / 64 = 16`
+    /// words, so the summary fits in one `u64`).
     fn scan_occ0(&self, from: usize) -> Option<usize> {
         let w0 = from >> 6;
-        if w0 >= self.occ0.len() {
+        if w0 >= OCC0_WORDS {
             return None;
         }
         let first = self.occ0[w0] & (!0u64 << (from & 63));
@@ -596,15 +465,11 @@ fn scan_from(words: &[u64], from: usize) -> Option<usize> {
 
 /// The original binary-heap scheduler, kept as the reference
 /// implementation for the wheel-vs-heap differential tests
-/// (`tests/differential.rs`). Observable behavior
-/// (including lazy-cancel semantics of `peek_time`) matches
+/// (`tests/differential.rs`). Its observable behaviour matches
 /// [`EventQueue`] exactly.
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<FarEntry<E>>,
     next_seq: u64,
-    pending: usize,
-    scheduled_total: u64,
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -616,104 +481,48 @@ impl<E> Default for HeapEventQueue<E> {
 impl<E> HeapEventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pending: 0,
-            scheduled_total: 0,
-            cancelled: HashSet::new(),
-        }
-    }
-
-    /// Creates an empty queue with room for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapEventQueue { heap: BinaryHeap::with_capacity(cap), ..Self::new() }
+        HeapEventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedules `event` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.pending += 1;
         self.heap.push(FarEntry(Entry { at: at.as_micros(), seq, event }));
-        EventId(seq)
-    }
-
-    /// Cancels a pending event via a lazy tombstone; same contract as
-    /// [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        debug_assert!(id.0 < self.next_seq, "cancel of a never-issued ticket");
-        if id.0 < self.next_seq && self.cancelled.insert(id.0) {
-            debug_assert!(self.pending > 0, "cancel of an already-fired ticket");
-            self.pending = self.pending.saturating_sub(1);
-            true
-        } else {
-            false
-        }
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        loop {
-            let FarEntry(e) = self.heap.pop()?;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            self.pending -= 1;
-            return Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event });
-        }
+        let FarEntry(e) = self.heap.pop()?;
+        Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event })
     }
 
     /// Removes the next event only if it fires exactly at `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<E> {
-        let t = now.as_micros();
-        loop {
-            if self.heap.peek().map(|f| f.0.at) != Some(t) {
-                return None;
-            }
-            let FarEntry(e) = self.heap.pop().expect("peeked");
-            if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            self.pending -= 1;
-            return Some(e.event);
+        if self.peek_time() != Some(now) {
+            return None;
         }
+        self.heap.pop().map(|FarEntry(e)| e.event)
     }
 
-    /// The dispatch time of the earliest pending entry, if any
-    /// (tombstones included, as for [`EventQueue::peek_time`]).
+    /// The dispatch time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|f| SimTime::from_micros(f.0.at))
     }
 
-    /// The dispatch time of the earliest *live* pending event; same
-    /// contract as [`EventQueue::next_event_time`].
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if self.cancelled.is_empty() {
-            return self.heap.peek().map(|f| SimTime::from_micros(f.0.at));
-        }
-        self.heap
-            .iter()
-            .filter(|f| !self.cancelled.contains(&f.0.seq))
-            .map(|f| f.0.at)
-            .min()
-            .map(SimTime::from_micros)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 }
 
@@ -793,7 +602,7 @@ mod tests {
 
     // --- wheel-specific edge cases -------------------------------------
 
-    /// Span page width for the default geometry (b0 = 10): 2^26 µs.
+    /// Span page width: 2^26 µs.
     const SPAN: u64 = 1 << 26;
 
     #[test]
@@ -899,103 +708,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_reaps_lazily_and_updates_len() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(5), "a");
-        let b = q.schedule(t(6), "b");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        // The tombstone still occupies the slot until reaped.
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.pop().unwrap().event, "b");
-        assert!(q.pop().is_none());
-        let _ = b;
-    }
-
-    #[test]
-    fn next_event_time_skips_head_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(5), "a");
-        q.schedule(t(900), "b");
-        assert_eq!(q.next_event_time(), Some(t(5)));
-        assert!(q.cancel(a));
-        // peek_time still reports the unreaped tombstone; the skip-aware
-        // probe must see through it to the first live event.
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.next_event_time(), Some(t(900)));
-        // The probe is read-only: the tombstone is still there to reap
-        // and scheduling before it (but at/after the floor) stays legal.
-        q.schedule(t(3), "c");
-        assert_eq!(q.next_event_time(), Some(t(3)));
-        assert_eq!(q.pop().unwrap().event, "c");
-        assert_eq!(q.pop().unwrap().event, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn next_event_time_sees_through_tombstones_on_every_level() {
-        let mut q = EventQueue::new();
-        let near = q.schedule(t(2), 0);
-        let mid = q.schedule(t(500_000), 1);
-        let far = q.schedule(t(3 * SPAN), 2);
-        assert!(q.cancel(near));
-        assert_eq!(q.next_event_time(), Some(t(500_000)), "level-1 live entry");
-        assert!(q.cancel(mid));
-        assert_eq!(q.next_event_time(), Some(t(3 * SPAN)), "overflow live entry");
-        assert!(q.cancel(far));
-        assert_eq!(q.next_event_time(), None, "all tombstones: no live event");
-        assert!(q.peek_time().is_some(), "while the unreaped heads remain visible to peek_time");
-        assert!(q.pop().is_none());
-
-        let mut h = HeapEventQueue::new();
-        let x = h.schedule(t(7), "x");
-        h.schedule(t(40), "y");
-        assert!(h.cancel(x));
-        assert_eq!(h.peek_time(), Some(t(7)));
-        assert_eq!(h.next_event_time(), Some(t(40)));
-    }
-
-    #[test]
-    fn cancel_across_levels_and_overflow() {
-        let mut q = EventQueue::new();
-        let near = q.schedule(t(2), 0);
-        let mid = q.schedule(t(500_000), 1);
-        let far = q.schedule(t(3 * SPAN), 2);
-        let keep = q.schedule(t(700_000), 3);
-        assert!(q.cancel(near));
-        assert!(q.cancel(mid));
-        assert!(q.cancel(far));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().event, 3);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-        let _ = keep;
-    }
-
-    #[test]
-    fn delta_hint_changes_geometry_not_order() {
-        for hint_us in [1u64, 40, 50_000, u64::MAX / 8] {
-            let mut q = EventQueue::with_delta_hint(SimDuration::from_micros(hint_us));
-            let times = [9u64, 3, 3, 1 << 22, 40, 1 << 31, 40];
-            for (i, &us) in times.iter().enumerate() {
-                q.schedule(t(us), i);
-            }
-            let mut expect: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &us)| (us, i)).collect();
-            expect.sort_unstable();
-            let got: Vec<(u64, usize)> =
-                std::iter::from_fn(|| q.pop().map(|e| (e.at.as_micros(), e.event))).collect();
-            assert_eq!(got, expect, "hint {hint_us}");
-        }
-    }
-
-    #[test]
     fn sparse_schedules_match_heap_reference() {
         // Inter-event gaps larger than the level-0 page drive every pop
         // through the sparse fast path (single-occupant upper buckets);
-        // mixing in same-time ties, dense clusters and cancels forces the
+        // mixing in same-time ties and dense clusters forces the
         // fall-back to the cascade path. Differential against the heap.
         let mut xs = 0x5EED_CAFE_u64;
         let mut rand = move || {
@@ -1004,41 +720,31 @@ mod tests {
             xs ^= xs << 17;
             xs
         };
-        let mut wheel = EventQueue::with_bits(8);
+        let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut now = 0u64;
-        // Live tickets by payload; popped or cancelled entries become
-        // `None` so we never cancel an already-fired ticket (a contract
-        // violation both queues assert on in debug builds).
-        let mut tickets: Vec<Option<(EventId, EventId)>> = Vec::new();
         for i in 0..5_000usize {
             let gap = match rand() % 10 {
-                0..=5 => 300 + rand() % 100_000,     // beyond the 2^8 µs page
+                0..=5 => 1_100 + rand() % 100_000,   // beyond the 2^10 µs page
                 6..=7 => rand() % 8,                 // dense / tied
                 _ => (1 << 20) + rand() % (1 << 22), // deep level 2
             };
             let at = t(now + gap);
-            tickets.push(Some((wheel.schedule(at, i), heap.schedule(at, i))));
-            if rand() % 7 == 0 {
-                let pick = (rand() % tickets.len() as u64) as usize;
-                if let Some((wt, ht)) = tickets[pick].take() {
-                    assert_eq!(wheel.cancel(wt), heap.cancel(ht));
-                }
-            }
+            wheel.schedule(at, i);
+            heap.schedule(at, i);
             if rand() % 3 == 0 {
                 let (w, h) = (wheel.pop(), heap.pop());
                 match (&w, &h) {
                     (Some(a), Some(b)) => {
                         assert_eq!((a.at, a.event), (b.at, b.event));
                         now = a.at.as_micros();
-                        tickets[a.event] = None;
                     }
                     (None, None) => {}
                     _ => panic!("wheel/heap divergence: {w:?} vs {h:?}"),
                 }
             }
             assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.next_event_time(), heap.next_event_time());
+            assert_eq!(wheel.peek_time(), heap.peek_time());
         }
         loop {
             match (wheel.pop(), heap.pop()) {
@@ -1050,14 +756,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "before an already-dispatched time")]
+    fn scheduling_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(t(50), "a");
+        assert_eq!(q.pop().unwrap().at, t(50));
+        q.schedule(t(49), "late");
+    }
+
+    #[test]
     fn heap_reference_queue_matches_basic_contract() {
         let mut q = HeapEventQueue::new();
         q.schedule(t(30), "c");
-        let a = q.schedule(t(10), "a");
+        q.schedule(t(10), "a");
         q.schedule(t(20), "b");
         assert_eq!(q.peek_time(), Some(t(10)));
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().unwrap().event, "a");
+        assert_eq!(q.pop_due(t(30)), None, "t=20 is due first");
         assert_eq!(q.pop().unwrap().event, "b");
         assert_eq!(q.pop_due(t(30)), Some("c"));
         assert!(q.pop().is_none());

@@ -1,10 +1,10 @@
 //! Seeded randomness with the distribution helpers the generators need.
 //!
-//! Workload and namespace generation in the paper are statistical: op mixes,
-//! skewed directory popularity, bursty inter-arrival times. This module
-//! wraps a seeded PRNG and provides exactly those samplers so the rest of
-//! the workspace never touches `rand` directly, keeping determinism policy
-//! in one place.
+//! Workload and namespace generation in the paper are statistical: op
+//! mixes, weighted choices, exponential think times, geometric depths.
+//! This module wraps a seeded PRNG and provides exactly those samplers so
+//! the rest of the workspace never touches `rand` directly, keeping
+//! determinism policy in one place.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,67 +108,6 @@ impl SimRng {
         }
         let u = 1.0 - self.unit();
         (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `s`; used for skewed
-    /// popularity (hot directories, hot files). Sampled by inverse CDF over
-    /// a cumulative table — fine for the `n` the generators use.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf over empty support");
-        // Harmonic normalization; O(n) but callers cache popularity via
-        // `ZipfTable` for hot loops.
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-        }
-        let x = self.unit() * total;
-        let mut cum = 0.0;
-        for k in 1..=n {
-            cum += 1.0 / (k as f64).powf(s);
-            if x < cum {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-}
-
-/// Precomputed Zipf sampler for repeated draws over the same support.
-pub struct ZipfTable {
-    cum: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds the cumulative table for ranks `[0, n)` with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf over empty support");
-        let mut cum = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cum.push(total);
-        }
-        ZipfTable { cum }
-    }
-
-    /// Support size.
-    pub fn len(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// Whether the support is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cum.is_empty()
-    }
-
-    /// Draws a rank using `rng`.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let total = *self.cum.last().expect("non-empty by construction");
-        let x = rng.unit() * total;
-        match self.cum.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
-            Ok(i) => (i + 1).min(self.cum.len() - 1),
-            Err(i) => i.min(self.cum.len() - 1),
-        }
     }
 }
 
@@ -285,38 +224,6 @@ mod tests {
         let mean = total as f64 / n as f64;
         // mean of geometric (failures before success) is (1-p)/p = 1.
         assert!((0.9..1.1).contains(&mean), "got {mean}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let mut r = SimRng::seed_from_u64(29);
-        let mut counts = vec![0usize; 10];
-        for _ in 0..20_000 {
-            counts[r.zipf(10, 1.0)] += 1;
-        }
-        assert!(counts[0] > counts[9] * 3, "rank 0 should dominate: {counts:?}");
-        assert!(counts.iter().all(|&c| c > 0), "all ranks reachable: {counts:?}");
-    }
-
-    #[test]
-    fn zipf_table_matches_direct_sampling_statistics() {
-        let table = ZipfTable::new(10, 1.0);
-        let mut r = SimRng::seed_from_u64(31);
-        let mut counts = vec![0usize; 10];
-        for _ in 0..20_000 {
-            counts[table.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[9] * 3, "{counts:?}");
-        assert_eq!(table.len(), 10);
-        assert!(!table.is_empty());
-    }
-
-    #[test]
-    fn zipf_single_element_support() {
-        let mut r = SimRng::seed_from_u64(37);
-        assert_eq!(r.zipf(1, 1.2), 0);
-        let t = ZipfTable::new(1, 1.2);
-        assert_eq!(t.sample(&mut r), 0);
     }
 
     #[test]

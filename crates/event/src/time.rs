@@ -108,11 +108,6 @@ impl SimDuration {
         assert!(factor >= 0.0 && factor.is_finite(), "factor must be finite and non-negative");
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
-
-    /// Integer division of the span, used to split costs across items.
-    pub fn div_by(self, divisor: u64) -> SimDuration {
-        SimDuration(self.0 / divisor.max(1))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -221,8 +216,6 @@ mod tests {
         let d = SimDuration::from_micros(100);
         assert_eq!(d.saturating_mul(3), SimDuration::from_micros(300));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_micros(50));
-        assert_eq!(d.div_by(4), SimDuration::from_micros(25));
-        assert_eq!(d.div_by(0), SimDuration::from_micros(100), "div by zero clamps to 1");
         assert_eq!(d - SimDuration::from_micros(150), SimDuration::ZERO);
     }
 

@@ -1,8 +1,8 @@
 //! Property tests: the event queue behaves exactly like a reference
-//! model (sorted stable multimap), and the engine never moves time
-//! backwards.
+//! model (sorted stable multimap), and a drain loop over it never moves
+//! time backwards.
 
-use dynmds_event::{Engine, EventQueue, Handler, SimDuration, SimTime};
+use dynmds_event::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Reference model: (time, seq) ordered pairs.
@@ -35,9 +35,9 @@ proptest! {
     fn interleaved_pops_stay_ordered(
         batches in prop::collection::vec(prop::collection::vec(0u64..500, 1..10), 1..20),
     ) {
-        // Schedule a batch, pop one, repeat. The queue's contract (same
-        // as the engine enforces on handlers) is that nothing is ever
-        // scheduled before the most recently dispatched time, so each
+        // Schedule a batch, pop one, repeat. The queue's contract (it
+        // asserts it) is that nothing is ever scheduled before the most
+        // recently dispatched time, so each
         // batch lands at or after the pop frontier; each pop then yields
         // the current minimum.
         let mut q = EventQueue::new();
@@ -58,25 +58,22 @@ proptest! {
     }
 
     #[test]
-    fn engine_clock_is_monotone(events in prop::collection::vec((0u64..10_000, 0u64..100), 1..100)) {
-        struct Recorder {
-            times: Vec<u64>,
+    fn drain_loop_clock_is_monotone(events in prop::collection::vec((0u64..10_000, 0u64..100), 1..100)) {
+        // The engines' loop: peek the next instant, drain it with
+        // `pop_due`; handlers may reschedule forward.
+        let mut q = EventQueue::new();
+        for &(t, d) in &events {
+            q.schedule(SimTime::from_micros(t), d);
         }
-        impl Handler<u64> for Recorder {
-            fn handle(&mut self, now: SimTime, delay: u64, queue: &mut EventQueue<u64>) {
-                self.times.push(now.as_micros());
-                // Events may reschedule themselves forward.
-                if delay > 0 && self.times.len() < 5_000 {
-                    queue.schedule(now + SimDuration::from_micros(delay), 0);
+        let mut times: Vec<u64> = Vec::new();
+        while let Some(now) = q.peek_time() {
+            while let Some(delay) = q.pop_due(now) {
+                times.push(now.as_micros());
+                if delay > 0 && times.len() < 5_000 {
+                    q.schedule(now + SimDuration::from_micros(delay), 0);
                 }
             }
         }
-        let mut engine = Engine::new(Recorder { times: Vec::new() });
-        for &(t, d) in &events {
-            engine.queue_mut().schedule(SimTime::from_micros(t), d);
-        }
-        engine.run_to_quiescence();
-        let times = &engine.handler().times;
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "clock went backwards");
         prop_assert!(times.len() >= events.len());
     }

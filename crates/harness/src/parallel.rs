@@ -8,7 +8,8 @@
 //! participates inline itself, so:
 //!
 //! * idle steady state is flat — repeated calls reuse the same threads
-//!   and spawn nothing new ([`tests::idle_steady_state_spawns_no_new_threads`]);
+//!   and spawn nothing new (unit test
+//!   `idle_steady_state_spawns_no_new_threads`);
 //! * nesting cannot deadlock — a worker running an outer job that issues
 //!   an inner call simply drains the inner items inline; helper tickets
 //!   that no worker ever picks up are cancelled, not waited for;

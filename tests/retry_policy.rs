@@ -5,7 +5,7 @@
 
 use dynmds::core::cluster::Cluster;
 use dynmds::core::{NetFaultSpec, Request, RetryPolicy, SimConfig, SimEvent};
-use dynmds::event::{EventQueue, Handler, SimDuration, SimRng, SimTime};
+use dynmds::event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds::namespace::{ClientId, MdsId, NamespaceSpec};
 use dynmds::partition::StrategyKind;
 use dynmds::workload::{GeneralWorkload, Op, WorkloadConfig};
