@@ -167,7 +167,8 @@ pub struct SimConfig {
 
     /// Debug switch for the sharded engine: execute every conservative
     /// window with the full worker count, instead of skipping idle spans
-    /// and running a window with at most one busy shard on one thread.
+    /// and running a window on one thread unless several shards are busy
+    /// and the previous window handled enough events to pay for the pool.
     /// Both stay on the window grid, so runs are byte-identical either
     /// way — this exists so tests and CI can prove that, and so a
     /// suspected skip or dispatch bug can be ruled out with one flag. Ignored by the

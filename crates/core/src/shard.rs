@@ -86,9 +86,12 @@ pub fn install_parallel_driver(driver: ParallelDriver) {
 /// call site passes the installed one) and there is more than one shard,
 /// else serially in id order. `threads` goes to the driver unchanged.
 /// Claim flags turn a driver that dispatches a shard twice, or never,
-/// into a panic instead of two `&mut` aliases or a skipped shard.
+/// into a panic instead of two `&mut` aliases or a skipped shard. The
+/// caller owns the flags (one per shard, all clear) so a per-window
+/// fan-out allocates nothing; the final check clears them again.
 fn for_each_shard<S: Send>(
     shards: &mut [S],
+    claims: &[AtomicBool],
     driver: Option<ParallelDriver>,
     threads: Option<usize>,
     f: impl Fn(&mut S) + Sync,
@@ -112,7 +115,7 @@ fn for_each_shard<S: Send>(
             unsafe { self.0.add(i) }
         }
     }
-    let claims: Vec<AtomicBool> = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
+    assert_eq!(claims.len(), shards.len(), "one claim flag per shard");
     let base = Base(shards.as_mut_ptr());
     driver(shards.len(), threads, &|i| {
         assert!(!claims[i].swap(true, Ordering::AcqRel), "driver dispatched shard {i} twice");
@@ -121,7 +124,7 @@ fn for_each_shard<S: Send>(
         f(unsafe { &mut *base.at(i) });
     });
     for (i, c) in claims.iter().enumerate() {
-        assert!(c.load(Ordering::Acquire), "driver never dispatched shard {i}");
+        assert!(c.swap(false, Ordering::AcqRel), "driver never dispatched shard {i}");
     }
 }
 
@@ -398,6 +401,8 @@ struct Shard {
     sent: bool,
     /// Same-timestamp batch scratch (allocation reused across windows).
     batch: Vec<Ev>,
+    /// Events the last [`Shard::run_window`] handled.
+    window_events: u64,
     stats: ShardStats,
     lat: LatencyAgg,
 }
@@ -450,9 +455,10 @@ impl Shard {
     /// Runs every event strictly before `end` (µs). Same-timestamp
     /// batches are collected and canonically sorted before processing;
     /// follow-ups are always at least 1 µs out, so a batch is closed by
-    /// the time it is sorted.
+    /// the time it is sorted. Records how many events it handled.
     fn run_window(&mut self, world: &World, end: u64) {
         let mut batch = std::mem::take(&mut self.batch);
+        let mut handled = 0;
         while let Some(tt) = self.queue.peek_time() {
             let t = tt.as_micros();
             if t >= end {
@@ -462,7 +468,10 @@ impl Shard {
             match self.queue.pop_due(tt) {
                 // The common case by far is one event per timestamp;
                 // handle it without touching the batch buffer at all.
-                None => self.handle(world, t, first),
+                None => {
+                    handled += 1;
+                    self.handle(world, t, first);
+                }
                 Some(second) => {
                     batch.push(first);
                     batch.push(second);
@@ -470,6 +479,7 @@ impl Shard {
                         batch.push(ev);
                     }
                     batch.sort_by_key(canonical_key);
+                    handled += batch.len() as u64;
                     for ev in batch.drain(..) {
                         self.handle(world, t, ev);
                     }
@@ -477,6 +487,7 @@ impl Shard {
             }
         }
         self.batch = batch;
+        self.window_events = handled;
     }
 
     fn handle(&mut self, world: &World, t: u64, ev: Ev) {
@@ -967,8 +978,15 @@ enum Step {
 pub struct ShardedSimulation {
     cfg: SimConfig,
     shards: Vec<Shard>,
+    /// Claim flags for [`for_each_shard`], one per shard, reused by
+    /// every window.
+    claims: Vec<AtomicBool>,
+    /// The fan-out driver installed when the run was built.
+    driver: Option<ParallelDriver>,
     world: World,
     threads: Option<usize>,
+    /// Events the last executed window handled, over all shards.
+    last_window_events: u64,
     window_us: u64,
     now_us: u64,
     steps: Vec<(u64, Step)>,
@@ -990,6 +1008,16 @@ pub struct ShardedSimulation {
 
 /// Snapshot-series field layout (one slot per node each).
 const SNAP_FIELDS: &[&str] = &["served", "forwarded", "received", "misses"];
+
+/// Fewest events the previous executed window must have handled, over
+/// all shards, for the next one to go to the pool. Events per executed
+/// window of the benchmark's sharded workloads: the day/night elastic
+/// load handles 1 event in 55–73% of its windows, 2–3 in 25–34%, 4–7 in
+/// 2–10% and 8 or more in under 0.2%, so it stays inline; the scale tier
+/// has fewer than 8 in 4% and 16 or more in 71%, and the dense K=8 run
+/// never fewer than 64, so both still fan out. The gate reads a count of
+/// simulated events, the same for every K and host, never a host time.
+const FANOUT_MIN_EVENTS: u64 = 8;
 
 impl ShardedSimulation {
     /// Builds a run over `shards` event queues. The shard count is
@@ -1096,6 +1124,7 @@ impl ShardedSimulation {
                 workload,
                 outbox: (0..k).map(|_| Vec::new()).collect(),
                 batch: Vec::new(),
+                window_events: 0,
                 stats: ShardStats::default(),
                 lat: LatencyAgg::new(),
             });
@@ -1138,8 +1167,11 @@ impl ShardedSimulation {
                 replicated: FxHashSet::default(),
                 proxy_hot: FxHashSet::default(),
             },
+            claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
+            driver: DRIVER.get().copied(),
             shards: shard_vec,
             threads,
+            last_window_events: 0,
             window_us,
             now_us: 0,
             steps,
@@ -1194,12 +1226,13 @@ impl ShardedSimulation {
     /// Advances all shards to `until_us`, window by window. Idle window
     /// spans — no shard event, no calendar step due — are skipped in one
     /// jump, staying on the same window grid so the state trajectory is
-    /// byte-identical with skipping on or off. An executed window with at
-    /// most one busy shard runs its fan-out on this thread alone (one
-    /// worker): the idle shards' `run_window` calls only peek, so waking
-    /// pool workers for them would cost more than it saves. `force_dense`
-    /// turns both off and fans every window out with the full worker
-    /// count.
+    /// byte-identical with skipping on or off. An executed window goes to
+    /// the pool only when it has more than one busy shard and the
+    /// previous executed window handled at least [`FANOUT_MIN_EVENTS`]
+    /// events; any other window runs its fan-out on this thread alone
+    /// (one worker), since waking pool workers for a few events costs
+    /// more than it saves. `force_dense` turns both off and fans every
+    /// window out with the full worker count.
     fn run_windows(&mut self, until_us: u64) {
         self.apply_steps(self.now_us);
         let dense = self.cfg.force_dense;
@@ -1211,10 +1244,14 @@ impl ShardedSimulation {
                 }
             }
             let end = (self.now_us + self.window_us).min(until_us);
-            let threads = if dense || self.several_busy(end) { self.threads } else { Some(1) };
+            let fan_out =
+                dense || (self.last_window_events >= FANOUT_MIN_EVENTS && self.several_busy(end));
+            let threads = if fan_out { self.threads } else { Some(1) };
             let world = &self.world;
-            let driver = DRIVER.get().copied();
-            for_each_shard(&mut self.shards, driver, threads, |s| s.run_window(world, end));
+            for_each_shard(&mut self.shards, &self.claims, self.driver, threads, |s| {
+                s.run_window(world, end)
+            });
+            self.last_window_events = self.shards.iter().map(|s| s.window_events).sum();
             self.now_us = end;
             self.exchange();
             self.apply_steps(end);
@@ -2015,7 +2052,9 @@ mod tests {
     /// Runs eight counters through `driver`; returns each one's run count.
     fn fan_out(driver: Option<ParallelDriver>, threads: Option<usize>) -> [u32; 8] {
         let mut shards = [0u32; 8];
-        for_each_shard(&mut shards, driver, threads, |s| *s += 1);
+        let claims: [AtomicBool; 8] = Default::default();
+        for_each_shard(&mut shards, &claims, driver, threads, |s| *s += 1);
+        assert!(claims.iter().all(|c| !c.load(Ordering::Relaxed)), "flags cleared for reuse");
         shards
     }
 
@@ -2030,7 +2069,9 @@ mod tests {
         // One shard is stepped directly, as without a driver.
         let mut one = [0u32];
         LAST_FANOUT.with(|c| c.set(None));
-        for_each_shard(&mut one, Some(threaded_driver), None, |s| *s += 1);
+        for_each_shard(&mut one, &[AtomicBool::new(false)], Some(threaded_driver), None, |s| {
+            *s += 1
+        });
         assert_eq!((one, LAST_FANOUT.with(|c| c.get())), ([1], None));
     }
 
@@ -2053,6 +2094,70 @@ mod tests {
             (0..n - 1).for_each(body);
         }
         fan_out(Some(short), None);
+    }
+
+    /// Fake fan-out driver: steps every item inline in id order and
+    /// appends the `threads` of each call to [`FANOUTS`].
+    fn recording_driver(n: usize, threads: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
+        FANOUTS.with(|f| f.borrow_mut().push(threads));
+        (0..n).for_each(body);
+    }
+
+    thread_local! {
+        static FANOUTS: std::cell::RefCell<Vec<Option<usize>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The `threads` of every fan-out of a K=4 run with three workers:
+    /// `n_mds` servers, `n_clients` clients at `think_us` mean think time.
+    fn fanouts(n_mds: u16, n_clients: u32, think_us: u64, force_dense: bool) -> Vec<Option<usize>> {
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.n_mds = n_mds;
+        cfg.n_clients = n_clients;
+        cfg.costs.think_mean = SimDuration::from_micros(think_us);
+        cfg.force_dense = force_dense;
+        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
+        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+        let mut sim = ShardedSimulation::new(cfg, 4, Some(3), snap, &move |ns| {
+            Box::new(GeneralWorkload::new(
+                WorkloadConfig::default(),
+                n_clients as usize,
+                &homes,
+                &shared,
+                ns,
+            ))
+        });
+        sim.driver = Some(recording_driver);
+        FANOUTS.with(|f| f.borrow_mut().clear());
+        let r = sim.run_measured(SimDuration::from_millis(200), SimDuration::from_millis(300));
+        assert!(r.ops > 0);
+        FANOUTS.with(|f| f.take())
+    }
+
+    #[test]
+    fn sparse_windows_run_inline() {
+        // Three clients thinking 20 ms each: no window handles 8 events.
+        let calls = fanouts(4, 3, 20_000, false);
+        assert!(calls.len() > 50, "only {} windows executed", calls.len());
+        assert!(calls.iter().all(|&t| t == Some(1)), "{calls:?}");
+    }
+
+    #[test]
+    fn dense_windows_fan_out_once_the_first_is_seen() {
+        // 2000 clients at 2 ms over 16 servers: every window after the
+        // first has every shard busy and dozens of events. The first has
+        // no predecessor to vouch for it, so it runs inline.
+        let calls = fanouts(16, 2_000, 2_000, false);
+        assert!(calls.len() > 1_000, "only {} windows executed", calls.len());
+        assert_eq!(calls[0], Some(1));
+        assert!(calls[1..].iter().all(|&t| t == Some(3)), "{calls:?}");
+    }
+
+    #[test]
+    fn force_dense_fans_every_window_out_with_every_worker() {
+        let calls = fanouts(4, 3, 20_000, true);
+        assert_eq!(calls.len(), 5_000, "every 100 µs window of 0.5 s executes");
+        assert!(calls.iter().all(|&t| t == Some(3)));
     }
 
     #[test]

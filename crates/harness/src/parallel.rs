@@ -21,7 +21,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// One result slot. Each index is written by exactly one worker (the one
@@ -102,8 +102,8 @@ struct JobState {
     panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A scoped job: a borrowed `Fn() + Sync` body that the caller and any
-/// number of pool workers execute concurrently. The lifetime of the body
+/// A scoped job: a borrowed `Fn() + Sync` body that any number of pool
+/// workers execute while the caller runs its own share. The lifetime of the body
 /// is erased to place it in the process-wide queue; safety rests on the
 /// cancel-then-drain handshake in [`scoped`]: the body pointer is only
 /// dereferenced by a worker that registered in `running` while the job
@@ -194,19 +194,19 @@ impl WorkerPool {
     }
 }
 
-/// Runs `body` on the calling thread plus up to `helpers` pool workers,
-/// returning once every execution of `body` has finished. `body` is
-/// typically a claim-loop over a shared atomic counter, so however many
-/// workers actually show up, each item runs exactly once. Helper tickets
-/// still queued when the caller finishes are cancelled rather than
-/// waited for — that is what makes nested calls deadlock-free even when
-/// every worker is busy.
-fn scoped(helpers: usize, body: &(dyn Fn() + Sync)) {
+/// Runs `inline` on the calling thread and `helper` on up to `helpers`
+/// pool workers, returning once every execution of either has finished.
+/// Both are typically claim-loops over shared atomic state, so however
+/// many workers actually show up, each item runs exactly once. Helper
+/// tickets still queued when the caller finishes are cancelled rather
+/// than waited for — that is what makes nested calls deadlock-free even
+/// when every worker is busy.
+fn scoped(helpers: usize, helper: &(dyn Fn() + Sync), inline: &dyn Fn()) {
     let pool = pool();
     pool.ensure_workers(helpers);
     // Erase the borrow lifetime; see `Job` for the safety argument.
     let body_static: *const (dyn Fn() + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body) };
+        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(helper) };
     let job = Arc::new(Job {
         body: body_static,
         gate: Mutex::new(JobState { cancelled: false, running: 0, panic: None }),
@@ -218,7 +218,14 @@ fn scoped(helpers: usize, body: &(dyn Fn() + Sync)) {
             queue.push_back(Arc::clone(&job));
         }
     }
-    pool.wake.notify_all();
+    // One wakeup per ticket, not `notify_all`: a pool that an earlier
+    // call grew to many workers must not wake all of them for one helper
+    // ticket. No wakeup is lost: tickets are pushed under the queue lock,
+    // and a worker checks the queue under that lock before it waits, so
+    // a worker that misses a notification finds the ticket itself.
+    for _ in 0..helpers {
+        pool.wake.notify_one();
+    }
 
     /// Drop guard: even if the inline share of the body unwinds, the job
     /// is cancelled and in-flight workers are drained before the stack
@@ -235,7 +242,7 @@ fn scoped(helpers: usize, body: &(dyn Fn() + Sync)) {
     }
 
     let finish = Finish(&job);
-    let inline = catch_unwind(AssertUnwindSafe(body));
+    let inline = catch_unwind(AssertUnwindSafe(inline));
     drop(finish);
     let worker_panic = job.gate.lock().unwrap().panic.take();
     if let Err(payload) = inline {
@@ -286,7 +293,7 @@ where
     // uninitialized memory: we only assume all slots on full completion.
     let filled = AtomicUsize::new(0);
 
-    scoped(workers - 1, &|| loop {
+    let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -295,7 +302,8 @@ where
         // Safety: index i was claimed exclusively via fetch_add.
         unsafe { (*slots[i].0.get()).write(r) };
         filled.fetch_add(1, Ordering::Release);
-    });
+    };
+    scoped(workers - 1, &work, &work);
 
     assert_eq!(filled.load(Ordering::Acquire), n, "every slot filled");
     slots
@@ -307,11 +315,20 @@ where
 
 /// Runs `body(i)` for every index in `0..n` on the shared worker pool —
 /// the fan-out primitive of the sharded simulation loop, which calls it
-/// once per 100µs window to step each shard on whichever worker claims
-/// it (so it allocates nothing). Claim order is racy but irrelevant:
-/// each index runs exactly once. `threads` follows the same policy as
-/// [`parallel_map_threads`]; with one worker everything runs inline on
-/// the caller with zero synchronization.
+/// once per 100µs window to step each shard. Each index runs exactly
+/// once. `threads` follows the same policy as [`parallel_map_threads`];
+/// with one worker everything runs inline on the caller with zero
+/// synchronization.
+///
+/// Indices stay on the same participant from call to call where they
+/// can: with `W` workers the caller is participant 0, helpers number
+/// themselves `1..W` in arrival order, and participant `p` first runs
+/// the indices `i ≡ p (mod W)` it can claim, then steals any index still
+/// unclaimed. A shard stepped every window thus keeps its queue, caches
+/// and clients in one core's private caches instead of moving with
+/// whichever core grabbed it first; a helper that never arrives costs
+/// nothing, since its indices are stolen. Claims are atomic bits, one
+/// word per 64 indices, on the stack when `n <= 64`.
 pub fn parallel_for_indices(n: usize, threads: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
@@ -323,14 +340,52 @@ pub fn parallel_for_indices(n: usize, threads: Option<usize>, body: &(dyn Fn(usi
         }
         return;
     }
-    let next = AtomicUsize::new(0);
-    scoped(workers - 1, &|| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+    let word = [AtomicU64::new(0)];
+    let heap: Vec<AtomicU64>;
+    let claims: &[AtomicU64] = if n <= 64 {
+        &word
+    } else {
+        heap = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        &heap
+    };
+    let arrived = AtomicUsize::new(1);
+    scoped(
+        workers - 1,
+        &|| run_share(claims, n, workers, arrived.fetch_add(1, Ordering::Relaxed), body),
+        &|| run_share(claims, n, workers, 0, body),
+    );
+}
+
+/// Participant `p`'s share of a [`parallel_for_indices`] call over
+/// `workers` participants: every index `i ≡ p (mod workers)` it can
+/// claim, then every index still unclaimed. `claims` holds one bit per
+/// index, set by whoever runs it, so each index runs exactly once however
+/// many participants show up.
+fn run_share(claims: &[AtomicU64], n: usize, workers: usize, p: usize, body: &dyn Fn(usize)) {
+    // Relaxed suffices: a claim bit publishes no data (the `fetch_or`
+    // alone decides who runs an index), and the bodies' writes reach the
+    // caller through the job's mutex when `scoped` drains its helpers.
+    let claim = |i: usize| {
+        let bit = 1u64 << (i % 64);
+        claims[i / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0
+    };
+    for i in (p..n).step_by(workers) {
+        if claim(i) {
+            body(i);
         }
-        body(i);
-    });
+    }
+    for (w, word) in claims.iter().enumerate() {
+        loop {
+            // Lowest unclaimed bit; past `n` only the unused tail is left.
+            let i = w * 64 + (!word.load(Ordering::Relaxed)).trailing_zeros() as usize;
+            if i >= n.min(w * 64 + 64) {
+                break;
+            }
+            if claim(i) {
+                body(i);
+            }
+        }
+    }
 }
 
 /// Routes the sharded engine's per-window fan-out through this worker
@@ -415,10 +470,13 @@ mod tests {
     #[test]
     fn idle_steady_state_spawns_no_new_threads() {
         let items: Vec<u64> = (0..32).collect();
-        // Warm the pool to (at least) three helpers.
-        let _ = parallel_map_threads(&items, Some(4), |&x| x);
+        // Warm the pool to the largest helper count any test in this
+        // module asks for (63, at `Some(64)` over 64 items), so a test
+        // running alongside cannot grow it between the two reads.
+        let wide: Vec<u64> = (0..64).collect();
+        let _ = parallel_map_threads(&wide, Some(64), |&x| x);
         let after_warmup = pool().threads_spawned();
-        assert!(after_warmup >= 3, "warm-up grew the pool to {after_warmup}");
+        assert!(after_warmup >= 63, "warm-up grew the pool to {after_warmup}");
         // A shard-loop-shaped usage pattern: many small fan-outs. The
         // pool must recycle its parked workers, not spawn per call.
         for round in 0..200 {
@@ -460,6 +518,61 @@ mod tests {
             let got: Vec<usize> = hits.into_iter().map(AtomicUsize::into_inner).collect();
             assert_eq!(got, (0..41).map(|x| x * 10 + 1).collect::<Vec<_>>(), "{threads:?}");
         }
+    }
+
+    /// Per-index run counts of `run(hits)` over `n` fresh counters.
+    fn index_runs(n: usize, run: impl FnOnce(&[AtomicUsize])) -> Vec<usize> {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        run(&hits);
+        hits.into_iter().map(AtomicUsize::into_inner).collect()
+    }
+
+    #[test]
+    fn parallel_for_indices_runs_once_across_claim_word_edges() {
+        for n in [1, 2, 63, 64, 65, 130] {
+            for threads in [1, 2, 4] {
+                let runs = index_runs(n, |hits| {
+                    parallel_for_indices(n, Some(threads), &|i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                assert_eq!(runs, vec![1; n], "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_participant_alone_runs_every_index_once() {
+        // A helper that never arrives: participant 0 (or any other) of
+        // four, running by itself, steals the other three shares.
+        for n in [1usize, 2, 63, 64, 65, 130] {
+            for p in [0, 3] {
+                let claims: Vec<AtomicU64> =
+                    (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+                let runs = index_runs(n, |hits| {
+                    run_share(&claims, n, 4, p, &|i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                assert_eq!(runs, vec![1; n], "n={n} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_parallel_for_indices_in_a_busy_pool_runs_once() {
+        // Every participant of the outer call issues an inner call, so
+        // the inner calls' helper tickets queue behind busy workers and
+        // their callers steal the shares of helpers that never arrive.
+        let inner = 130;
+        let runs = index_runs(4 * inner, |hits| {
+            parallel_for_indices(4, Some(4), &|o| {
+                parallel_for_indices(inner, Some(4), &|i| {
+                    hits[o * inner + i].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        });
+        assert_eq!(runs, vec![1; 4 * inner]);
     }
 
     #[test]
