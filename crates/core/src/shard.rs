@@ -49,9 +49,9 @@ use std::sync::OnceLock;
 
 use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
-use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Snapshot};
+use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Namespace, Snapshot};
 use dynmds_obs::{Registry, SnapshotSeries};
-use dynmds_partition::{Partition, StrategyKind};
+use dynmds_partition::{Partition, StrategyKind, SubtreePartition};
 use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::{AccessKind, DiskFault, DiskModel};
 use dynmds_workload::Workload;
@@ -363,6 +363,10 @@ struct ShardStats {
 /// barrier (which holds `&mut` everything) may write.
 struct World {
     snapshot: Snapshot,
+    /// The authority of every snapshot id, indexed by `InodeId::index()`
+    /// up to the id bound: the one partition's answers, read-only during
+    /// windows. See [`fill_placement`] and [`repaint_region`].
+    placement: Vec<MdsId>,
     alive: Vec<bool>,
     /// The elastic controller; its `members` are the *announced*
     /// membership that unknown-item routing draws from.
@@ -376,9 +380,6 @@ struct World {
 
 struct Shard {
     queue: EventQueue<Ev>,
-    /// This shard's replica of the placement function; all replicas
-    /// receive identical mutation deltas at barriers.
-    partition: Partition,
     cfg: SimConfig,
     node_lo: usize,
     nodes: Vec<ShardNode>,
@@ -616,7 +617,7 @@ impl Shard {
         let dst = if world.replicated.contains(&item) && !write {
             pick_alive(&world.alive, &mut self.client(c).rng)
         } else if hashed {
-            self.partition.authority(&world.snapshot.ns, item)
+            world.placement[item.index()]
         } else {
             let cl = self.client(c);
             match cl.routes.get(&item) {
@@ -773,7 +774,7 @@ impl Shard {
         }
 
         let replicated = world.replicated.contains(&item) && !write;
-        let auth = self.partition.authority(&world.snapshot.ns, item);
+        let auth = world.placement[item.index()];
         let n = self.node(m);
         n.m.win.received += 1;
         n.m.life.received += 1;
@@ -902,7 +903,7 @@ impl Shard {
         let seq = px.send_seq;
         px.send_seq += 1;
         if relay {
-            let auth = self.partition.authority(&world.snapshot.ns, item);
+            let auth = world.placement[item.index()];
             let auth_shard = shard_of_node(auth.index(), n_mds, k);
             self.send(
                 auth_shard,
@@ -955,6 +956,62 @@ impl Shard {
 }
 
 // ---------------------------------------------------------------------
+// placement table
+// ---------------------------------------------------------------------
+
+/// Every snapshot id's authority under `partition`, indexed by
+/// `InodeId::index()` up to the id bound, tombstones included. Hashed
+/// strategies ask `authority` per id. Subtree strategies start every id
+/// at the tree root's owner and repaint each delegation point's region
+/// over it; the regions are disjoint, so their order does not matter,
+/// and the partition's per-id memo stays empty.
+fn fill_placement(partition: &Partition, ns: &Namespace) -> Vec<MdsId> {
+    let bound = ns.id_bound();
+    let Some(sp) = partition.as_subtree() else {
+        return (0..bound).map(|i| partition.authority(ns, InodeId(i))).collect();
+    };
+    let root_owner = sp.delegation_of(ns.root()).expect("the tree root is delegated");
+    let mut placement = vec![root_owner; bound as usize];
+    for (point, _) in sp.delegations() {
+        repaint_region(sp, ns, &mut placement, point);
+    }
+    placement
+}
+
+/// Points delegation point `point`, and every id it governs, at its
+/// owner: its descendants down to, not into, nested delegation points.
+/// A file counts under its primary parent only, the chain
+/// [`SubtreePartition::authority`] follows, so a hard link elsewhere
+/// keeps its own answer. Tombstones without a delegation of their own
+/// resolve to the tree root's owner, so repainting the root repaints
+/// them too.
+fn repaint_region(sp: &SubtreePartition, ns: &Namespace, placement: &mut [MdsId], point: InodeId) {
+    let owner = sp.delegation_of(point).expect("a delegation point");
+    placement[point.index()] = owner;
+    if point == ns.root() {
+        for (i, slot) in placement.iter_mut().enumerate() {
+            let id = InodeId(i as u64);
+            if !ns.is_alive(id) && sp.delegation_of(id).is_none() {
+                *slot = owner;
+            }
+        }
+    }
+    let mut dirs = vec![point];
+    while let Some(dir) = dirs.pop() {
+        let Ok(kids) = ns.children_syms(dir) else { continue };
+        for (_, c) in kids {
+            let primary = matches!(ns.parent(c), Ok(Some(p)) if p == dir);
+            if primary && sp.delegation_of(c).is_none() {
+                placement[c.index()] = owner;
+                if ns.is_dir(c) {
+                    dirs.push(c);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // barrier-global steps
 // ---------------------------------------------------------------------
 
@@ -977,6 +1034,10 @@ enum Step {
 /// module docs for the argument.
 pub struct ShardedSimulation {
     cfg: SimConfig,
+    /// The placement function, one for all shards. Only the barrier
+    /// changes it, and [`Self::delegate`] repaints `world.placement` to
+    /// match.
+    partition: Partition,
     shards: Vec<Shard>,
     /// Claim flags for [`for_each_shard`], one per shard, reused by
     /// every window.
@@ -1110,7 +1171,6 @@ impl ShardedSimulation {
                 .collect();
             shard_vec.push(Shard {
                 queue,
-                partition: Partition::initial(cfg.strategy, &snapshot.ns, cfg.n_mds),
                 cfg: cfg.clone(),
                 hop_us: window_us,
                 direct: k == 1,
@@ -1158,8 +1218,10 @@ impl ShardedSimulation {
             if cfg.obs.metrics { Some(SnapshotSeries::new(SNAP_FIELDS, n_mds)) } else { None };
         let heartbeat = cfg.heartbeat.as_micros();
         let sample = cfg.sample_every.as_micros();
+        let partition = Partition::initial(cfg.strategy, &snapshot.ns, cfg.n_mds);
         let mut sim = ShardedSimulation {
             world: World {
+                placement: fill_placement(&partition, &snapshot.ns),
                 snapshot,
                 alive: vec![true; n_mds],
                 elastic: ElasticCtl::new(cfg.elastic, cfg.heartbeat, n_mds),
@@ -1169,6 +1231,7 @@ impl ShardedSimulation {
             },
             claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
             driver: DRIVER.get().copied(),
+            partition,
             shards: shard_vec,
             threads,
             last_window_events: 0,
@@ -1194,23 +1257,19 @@ impl ShardedSimulation {
 
     /// Construction-time provisioning for elastic runs: the pool holds
     /// `n_mds` nodes but only `min_nodes` start active. Each parked
-    /// node's delegations move round-robin onto the active set (across
-    /// every shard's partition replica) and the starting membership is
-    /// announced, so nothing routes to a parked node.
+    /// node's delegations move round-robin onto the active set and the
+    /// starting membership is announced, so nothing routes to a parked
+    /// node.
     fn park_initial_standby(&mut self) {
         let n_mds = self.cfg.n_mds as usize;
         let min = (self.cfg.elastic.min_nodes.max(1) as usize).min(n_mds);
         for parked in min..n_mds {
-            let roots = match self.shards[0].partition.as_subtree() {
+            let roots = match self.partition.as_subtree() {
                 Some(sp) => sp.delegations_of(MdsId(parked as u16)),
                 None => Vec::new(),
             };
-            for shard in &mut self.shards {
-                if let Some(sp) = shard.partition.as_subtree_mut() {
-                    for (j, &r) in roots.iter().enumerate() {
-                        sp.delegate(r, MdsId((j % min) as u16));
-                    }
-                }
+            for (j, &r) in roots.iter().enumerate() {
+                self.delegate(r, MdsId((j % min) as u16));
             }
             self.world.elastic.parked_roots[parked] = roots;
             self.world.elastic.members[parked] = false;
@@ -1396,8 +1455,7 @@ impl ShardedSimulation {
     }
 
     /// Node failure: mark dead, drop its cache, and hand its delegations
-    /// to the next live node in the ring (subtree strategies). All
-    /// partition replicas receive the same deltas.
+    /// to the next live node in the ring (subtree strategies).
     fn crash(&mut self, dead: MdsId) {
         let n_mds = self.cfg.n_mds as usize;
         let k = self.shards.len();
@@ -1408,31 +1466,33 @@ impl ShardedSimulation {
         node.m.cache = MetaCache::new(cache_capacity);
         // The next live node in the ring inherits (`dead` is already down).
         let Some(heir) = self.live_ring(dead) else { return };
-        let moves: Vec<_> = match self.shards[0].partition.as_subtree() {
+        let moves: Vec<_> = match self.partition.as_subtree() {
             Some(sp) => sp.delegations_of(dead).into_iter().map(|r| (r, dead, heir)).collect(),
             None => return,
         };
         self.redelegate(&moves);
     }
 
-    /// Moves each `(root, from, to)` delegation on every shard's
-    /// partition replica and counts it as an export of `from` and an
-    /// import of `to`. Entries with `from == to` are skipped.
+    /// Moves each `(root, from, to)` delegation and counts it as an
+    /// export of `from` and an import of `to`. Entries with `from == to`
+    /// are skipped.
     fn redelegate(&mut self, moves: &[(InodeId, MdsId, MdsId)]) {
         let n_mds = self.cfg.n_mds as usize;
         let k = self.shards.len();
-        let moves = moves.iter().filter(|(_, from, to)| from != to);
-        for shard in &mut self.shards {
-            if let Some(sp) = shard.partition.as_subtree_mut() {
-                for &(r, _, to) in moves.clone() {
-                    sp.delegate(r, to);
-                }
-            }
-        }
-        for &(_, from, to) in moves {
+        for &(r, from, to) in moves.iter().filter(|(_, from, to)| from != to) {
+            self.delegate(r, to);
             self.shards[shard_of_node(from.index(), n_mds, k)].node(from).m.life.subtrees_out += 1;
             self.shards[shard_of_node(to.index(), n_mds, k)].node(to).m.life.subtrees_in += 1;
         }
+    }
+
+    /// Delegates the subtree at `root` to `to` and repaints the region
+    /// it governs in the placement table — the only way the barrier
+    /// changes a delegation. A no-op for hashed strategies.
+    fn delegate(&mut self, root: InodeId, to: MdsId) {
+        let Some(sp) = self.partition.as_subtree_mut() else { return };
+        sp.delegate(root, to);
+        repaint_region(sp, &self.world.snapshot.ns, &mut self.world.placement, root);
     }
 
     /// Heartbeat: promote replication candidates cluster-wide (traffic
@@ -1507,7 +1567,7 @@ impl ShardedSimulation {
             // Shed the first (sorted) delegation that is not the tree
             // root to the least-loaded live node.
             let donor = MdsId(m as u16);
-            let roots = match self.shards[0].partition.as_subtree_mut() {
+            let roots = match self.partition.as_subtree() {
                 Some(sp) => sp.delegations_of(donor),
                 None => return,
             };
@@ -1542,7 +1602,7 @@ impl ShardedSimulation {
                 let drained = self.shards[s].proxies[i].core.drain_pending();
                 let p = self.shards[s].proxy_lo + i as u16;
                 for (item, delta) in drained {
-                    let auth = self.shards[s].partition.authority(&self.world.snapshot.ns, item);
+                    let auth = self.world.placement[item.index()];
                     let Some(auth) = self.live_ring(auth) else { continue };
                     let px = &mut self.shards[s].proxies[i];
                     let seq = px.send_seq;
@@ -1570,7 +1630,7 @@ impl ShardedSimulation {
     fn elastic_activate(&mut self, m: MdsId) {
         self.world.alive[m.index()] = true;
         let roots = std::mem::take(&mut self.world.elastic.parked_roots[m.index()]);
-        let Some(sp) = self.shards[0].partition.as_subtree() else { return };
+        let Some(sp) = self.partition.as_subtree() else { return };
         // Count the handoff against the current owners.
         let moves: Vec<_> = roots
             .into_iter()
@@ -1591,7 +1651,7 @@ impl ShardedSimulation {
         let mut heirs: Vec<usize> =
             (0..n_mds).filter(|&i| self.world.alive[i] && i != victim.index()).collect();
         heirs.sort_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)));
-        let roots = match self.shards[0].partition.as_subtree() {
+        let roots = match self.partition.as_subtree() {
             Some(sp) => sp.delegations_of(victim),
             None => Vec::new(),
         };
@@ -1604,13 +1664,12 @@ impl ShardedSimulation {
         // The departing node's goodbye: rewrite every client route that
         // named it to the post-handoff authority. Per-entry rewrites are
         // order-independent, so map iteration order cannot leak in.
-        let ns = &self.world.snapshot.ns;
+        let placement = &self.world.placement;
         for shard in &mut self.shards {
-            let Some(sp) = shard.partition.as_subtree() else { continue };
             for cl in &mut shard.clients {
                 for (&item, m) in cl.routes.iter_mut() {
                     if *m == victim {
-                        *m = sp.authority(ns, item);
+                        *m = placement[item.index()];
                     }
                 }
             }
@@ -2304,19 +2363,83 @@ mod tests {
     const ELASTIC_HIGH: f64 = 500.0;
     const ELASTIC_LOW: f64 = 250.0;
 
-    /// Every delegation on every shard's partition replica names a live
-    /// node, and every down node is one the controller parked.
+    /// Every delegation names a live node, and every down node is one
+    /// the controller parked.
     fn assert_no_parked_owner(sim: &ShardedSimulation, when: &str) {
-        for shard in &sim.shards {
-            for (root, owner) in shard.partition.as_subtree().unwrap().delegations() {
-                assert!(
-                    sim.world.alive[owner.index()],
-                    "{when}: {root:?} owned by parked {owner:?}"
-                );
-            }
+        for (root, owner) in sim.partition.as_subtree().unwrap().delegations() {
+            assert!(sim.world.alive[owner.index()], "{when}: {root:?} owned by parked {owner:?}");
         }
         for m in 0..sim.world.alive.len() {
             assert_eq!(sim.world.alive[m], sim.world.elastic.members[m], "{when}: node {m}");
+        }
+    }
+
+    /// The placement table holds the partition's answer for every id
+    /// below the id bound.
+    fn assert_placement_matches(sim: &ShardedSimulation, when: &str) {
+        let ns = &sim.world.snapshot.ns;
+        assert_eq!(sim.world.placement.len() as u64, ns.id_bound(), "{when}");
+        for (i, &m) in sim.world.placement.iter().enumerate() {
+            let id = InodeId(i as u64);
+            assert_eq!(m, sim.partition.authority(ns, id), "{when}: {id:?}");
+        }
+    }
+
+    /// Runs `slices` slices of `slice_ms` each, checking the placement
+    /// table after construction and after every slice.
+    fn run_checking_placement(sim: &mut ShardedSimulation, slices: u64, slice_ms: u64) {
+        assert_placement_matches(sim, "construction");
+        for step in 1..=slices {
+            sim.run_until(SimTime::from_millis(slice_ms * step));
+            assert_placement_matches(sim, &format!("t={}ms", slice_ms * step));
+        }
+    }
+
+    #[test]
+    fn placement_follows_balancing_and_a_crash_with_links_and_tombstones() {
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.heartbeat = SimDuration::from_millis(250);
+        // Crash the tree root's owner, so its delegations, the root's
+        // among them, move to an heir.
+        let root_owner = dynmds_partition::path_hash("/", cfg.n_mds);
+        cfg.faults =
+            crate::fault::FaultSchedule::parse(&format!("crash:{}@1s", root_owner.0)).unwrap();
+        let mut snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
+        // A hard link into another home, and a tombstone.
+        let ns = &mut snap.ns;
+        let (home_a, home_b) = (snap.user_homes[0], snap.user_homes[1]);
+        let file = ns.walk(home_a).find(|&i| !ns.is_dir(i)).expect("a file in home 0");
+        ns.link(file, home_b, "hardlink").unwrap();
+        let doomed = ns.walk(home_b).find(|&i| !ns.is_dir(i) && i != file).expect("a file");
+        let (dir, name) =
+            (ns.parent(doomed).unwrap().unwrap(), ns.name(doomed).unwrap().to_owned());
+        ns.unlink(dir, &name).unwrap();
+        assert!(!ns.is_alive(doomed));
+        let n_clients = cfg.n_clients as usize;
+        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+        let mut sim = ShardedSimulation::new(cfg, 2, Some(1), snap, &move |ns| {
+            Box::new(GeneralWorkload::new(
+                WorkloadConfig::default(),
+                n_clients,
+                &homes,
+                &shared,
+                ns,
+            ))
+        });
+        run_checking_placement(&mut sim, 12, 250);
+        let root = sim.world.snapshot.ns.root();
+        let now_owner = sim.partition.as_subtree().unwrap().delegation_of(root);
+        assert_ne!(now_owner, Some(root_owner), "the crash moved the root");
+        let r = sim.finish();
+        assert!(r.migrations >= 1, "balancer idle: {r:?}");
+    }
+
+    #[test]
+    fn placement_matches_hashed_strategies() {
+        for strategy in [StrategyKind::FileHash, StrategyKind::LazyHybrid] {
+            let mut sim = build(strategy, 2, false);
+            run_checking_placement(&mut sim, 4, 250);
+            assert!(sim.finish().ops > 0, "{strategy:?}");
         }
     }
 
@@ -2324,20 +2447,24 @@ mod tests {
     fn elastic_pool_scales_with_the_diurnal_cycle() {
         // Watermarks straddle the day/night per-node rates: daytime load
         // activates standby nodes, the night trough parks them again. At
-        // every heartbeat no delegation may name a parked node.
+        // every heartbeat no delegation may name a parked node, and the
+        // placement table follows every move.
         let mut sim = build_elastic(2, ELASTIC_HIGH, ELASTIC_LOW);
         assert_eq!(sim.world.alive, [true, true, false, false], "pool starts at min_nodes");
         assert_no_parked_owner(&sim, "construction");
+        assert_placement_matches(&sim, "construction");
         for step in 1..=32u64 {
             if step == 9 {
                 sim.reset_measurement(); // after 2 s of warm-up
             }
             sim.run_until(SimTime::from_millis(250 * step));
             assert_no_parked_owner(&sim, &format!("t={}ms", 250 * step));
+            assert_placement_matches(&sim, &format!("t={}ms", 250 * step));
         }
         let r = sim.finish();
         assert!(r.scale_outs >= 1, "daytime peak never activated a standby node");
         assert!(r.scale_ins >= 1, "night trough never parked a node");
+        assert!(r.migrations >= 1, "the balancer never moved a subtree");
         assert!(r.ops > 1_000, "only {} ops completed", r.ops);
         assert!(
             r.provisioned_node_us

@@ -675,15 +675,7 @@ impl Namespace {
     /// Counts live items in the subtree rooted at `id` (inclusive).
     pub fn subtree_count(&self, id: InodeId) -> Result<u64, NamespaceError> {
         self.check(id)?;
-        let mut count = 0u64;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            count += 1;
-            if let Ok(kids) = self.children(cur) {
-                stack.extend(kids.map(|(_, c)| c));
-            }
-        }
-        Ok(count)
+        Ok(self.walk(id).count() as u64)
     }
 
     /// Pre-order walk of the subtree rooted at `id` (inclusive).
@@ -777,11 +769,10 @@ impl Iterator for WalkIter<'_> {
     type Item = InodeId;
     fn next(&mut self) -> Option<InodeId> {
         let cur = self.stack.pop()?;
-        if let Ok(kids) = self.ns.children(cur) {
+        if let Ok(ti) = self.ns.dir_table(cur) {
             // Push in reverse name order so pop yields name order.
-            let mut ids: Vec<InodeId> = kids.map(|(_, c)| c).collect();
-            ids.reverse();
-            self.stack.extend(ids);
+            let kids = self.ns.tables[ti].iter().rev();
+            self.stack.extend(kids.map(|e| InodeId(e.child as u64)));
         }
         Some(cur)
     }

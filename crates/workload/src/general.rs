@@ -281,10 +281,8 @@ impl GeneralWorkload {
                 // readdir → burst of stats over the entries (§2.2).
                 let (lo, hi) = self.cfg.readdir_stats;
                 let want = c.rng.range(lo as u64, hi as u64 + 1) as usize;
-                let kids: Vec<InodeId> =
-                    ns.children(dir).map(|it| it.map(|(_, k)| k).collect()).unwrap_or_default();
-                for &k in kids.iter().take(want) {
-                    c.pending.push_back(Op::Stat(k));
+                if let Ok(kids) = ns.children_syms(dir) {
+                    c.pending.extend(kids.take(want).map(|(_, k)| Op::Stat(k)));
                 }
                 Op::Readdir(dir)
             }
