@@ -16,11 +16,15 @@
 //!   mid-window.
 //! * **Cross-shard queues.** All entity-to-entity messages (requests,
 //!   forwards, replies, loss notifications) go through per-destination
-//!   outboxes — even when source and destination share a shard. At each
-//!   window barrier the destination shard merges its inbound messages in
-//!   `(send_time, src_shard, outbox order)` order before scheduling, so
-//!   queue sequence numbers — and therefore the whole run — are
-//!   byte-identical for a fixed shard count.
+//!   outboxes — even when source and destination share a shard. At the
+//!   end of its window step a shard swaps each non-empty outbox into its
+//!   `[parity][src][dst]` mail cell; at the start of the next executed
+//!   window the destination schedules that mail itself, on whichever
+//!   worker steps it, so the barrier only hands each shard the list of
+//!   sources that wrote to it. A message lands at exactly `send + L`, and
+//!   every same-timestamp batch is sorted by its canonical key, whose
+//!   equal keys mean identical events; the order mail is queued in
+//!   therefore cannot change the run.
 //! * **Shard-count invariance.** The *report surface* (rendered report,
 //!   CSV fields, obs exports) is identical for any K. The argument is
 //!   that entity state evolves identically: (1) every same-timestamp
@@ -45,7 +49,7 @@
 //! heartbeat-quantized traffic control, omniscient loss notification).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
@@ -133,6 +137,7 @@ fn _thread_bounds() {
     fn sync<T: Sync>() {}
     send::<Shard>();
     sync::<World>();
+    sync::<Mail>();
 }
 
 // ---------------------------------------------------------------------
@@ -214,6 +219,30 @@ fn canonical_key(ev: &Ev) -> (u8, u64, u64, u64) {
 struct OutMsg {
     send: u64,
     ev: Ev,
+}
+
+/// Mail in flight between shards, one cell per `[parity][src][dst]`,
+/// where parity is that of the executed window the mail was sent in. A
+/// cell is filled by `src` at the end of one window step and drained by
+/// `dst` at the start of the next executed one, whose senders fill the
+/// cells of the other parity, so the two sides never touch a cell at the
+/// same time and its lock is never contended. Only pairs with mail
+/// touch a cell, once per window.
+struct Mail {
+    k: usize,
+    cells: Vec<Mutex<Vec<OutMsg>>>,
+}
+
+impl Mail {
+    fn new(k: usize) -> Self {
+        Mail { k, cells: (0..2 * k * k).map(|_| Mutex::new(Vec::new())).collect() }
+    }
+
+    fn cell(&self, parity: usize, src: usize, dst: usize) -> MutexGuard<'_, Vec<OutMsg>> {
+        self.cells[(parity * self.k + src) * self.k + dst]
+            .lock()
+            .expect("a shard step panicked while holding this mail cell")
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -388,18 +417,23 @@ struct Shard {
     proxy_lo: u16,
     proxies: Vec<ProxySt>,
     workload: Box<dyn Workload + Send>,
-    /// Outgoing messages per destination shard, drained at barriers.
+    /// This shard's index: the `src` of the mail it posts.
+    id: usize,
+    /// Outgoing messages per destination shard, swapped into the mail
+    /// cells at the end of each window step.
     outbox: Vec<Vec<OutMsg>>,
+    /// Destination shards this window's step has sent to, in first-send
+    /// order; the barrier turns them into the destinations' `inbound`.
+    sent_to: Vec<usize>,
+    /// Source shards whose cells hold mail for this shard, scheduled at
+    /// the start of its next window step.
+    inbound: Vec<usize>,
     /// Cross-shard delivery latency, µs (== the window width): messages
     /// land at `send + hop_us`, always at or past the next barrier.
     hop_us: u64,
     /// Single-shard run: [`Shard::send`] schedules straight into the own
     /// queue at the delivery time, bypassing the outbox entirely.
     direct: bool,
-    /// Whether this shard pushed any outbox message since the last
-    /// barrier — lets the barrier skip the k×k exchange scan when no
-    /// shard sent anything (the common case in sparse phases).
-    sent: bool,
     /// Same-timestamp batch scratch (allocation reused across windows).
     batch: Vec<Ev>,
     /// Events the last [`Shard::run_window`] handled.
@@ -453,11 +487,19 @@ impl Shard {
         &mut self.clients[(c.0 - self.client_lo) as usize]
     }
 
-    /// Runs every event strictly before `end` (µs). Same-timestamp
-    /// batches are collected and canonically sorted before processing;
-    /// follow-ups are always at least 1 µs out, so a batch is closed by
-    /// the time it is sorted. Records how many events it handled.
-    fn run_window(&mut self, world: &World, end: u64) {
+    /// One window step of parity `parity`: schedules the mail posted to
+    /// this shard in the previous executed window, runs every event
+    /// strictly before `end` (µs), then posts its outboxes to this
+    /// window's cells. Same-timestamp batches are collected and
+    /// canonically sorted before processing; follow-ups are always at
+    /// least 1 µs out, so a batch is closed by the time it is sorted.
+    /// Records how many events it handled.
+    fn run_window(&mut self, world: &World, mail: &Mail, parity: usize, end: u64) {
+        for src in self.inbound.drain(..) {
+            for m in mail.cell(parity ^ 1, src, self.id).drain(..) {
+                self.queue.schedule(SimTime::from_micros(m.send + self.hop_us), m.ev);
+            }
+        }
         let mut batch = std::mem::take(&mut self.batch);
         let mut handled = 0;
         while let Some(tt) = self.queue.peek_time() {
@@ -489,6 +531,12 @@ impl Shard {
         }
         self.batch = batch;
         self.window_events = handled;
+        for &dst in &self.sent_to {
+            let mut cell = mail.cell(parity, self.id, dst);
+            debug_assert!(cell.is_empty(), "a cell is drained in the window after it is filled");
+            // The swap hands the cell's drained allocation back as the outbox.
+            std::mem::swap(&mut *cell, &mut self.outbox[dst]);
+        }
     }
 
     fn handle(&mut self, world: &World, t: u64, ev: Ev) {
@@ -522,11 +570,14 @@ impl Shard {
             // or past the window end (hop == window width), so it never
             // fires intra-window, and pops order strictly by (time, seq)
             // with same-time batches canonically sorted — byte-identical
-            // to the merge-at-barrier path.
+            // to the mail path.
             self.queue.schedule(SimTime::from_micros(send + self.hop_us), ev);
         } else {
-            self.outbox[dst_shard].push(OutMsg { send, ev });
-            self.sent = true;
+            let outbox = &mut self.outbox[dst_shard];
+            if outbox.is_empty() {
+                self.sent_to.push(dst_shard);
+            }
+            outbox.push(OutMsg { send, ev });
         }
     }
 
@@ -1045,6 +1096,9 @@ pub struct ShardedSimulation {
     /// The fan-out driver installed when the run was built.
     driver: Option<ParallelDriver>,
     world: World,
+    mail: Mail,
+    /// Parity of the next executed window, which names its mail cells.
+    parity: usize,
     threads: Option<usize>,
     /// Events the last executed window handled, over all shards.
     last_window_events: u64,
@@ -1060,8 +1114,6 @@ pub struct ShardedSimulation {
     /// schedules above, and the idle-window skip uses it as the global
     /// step bound.
     next_due: u64,
-    /// Barrier merge scratch, pooled across exchanges.
-    merge_scratch: Vec<(u64, usize, Ev)>,
     measure_start: u64,
     migrations: u64,
     snapshots: Option<SnapshotSeries>,
@@ -1174,7 +1226,6 @@ impl ShardedSimulation {
                 cfg: cfg.clone(),
                 hop_us: window_us,
                 direct: k == 1,
-                sent: false,
                 node_lo,
                 nodes,
                 client_lo,
@@ -1182,7 +1233,10 @@ impl ShardedSimulation {
                 proxy_lo,
                 proxies,
                 workload,
+                id: s,
                 outbox: (0..k).map(|_| Vec::new()).collect(),
+                sent_to: Vec::new(),
+                inbound: Vec::new(),
                 batch: Vec::new(),
                 window_events: 0,
                 stats: ShardStats::default(),
@@ -1229,6 +1283,8 @@ impl ShardedSimulation {
                 replicated: FxHashSet::default(),
                 proxy_hot: FxHashSet::default(),
             },
+            mail: Mail::new(k),
+            parity: 0,
             claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
             driver: DRIVER.get().copied(),
             partition,
@@ -1242,7 +1298,6 @@ impl ShardedSimulation {
             next_heartbeat: heartbeat,
             next_sample: sample,
             next_due: 0,
-            merge_scratch: Vec::new(),
             measure_start: 0,
             migrations: 0,
             snapshots,
@@ -1282,16 +1337,19 @@ impl ShardedSimulation {
         self.shards.len()
     }
 
-    /// Advances all shards to `until_us`, window by window. Idle window
-    /// spans — no shard event, no calendar step due — are skipped in one
-    /// jump, staying on the same window grid so the state trajectory is
-    /// byte-identical with skipping on or off. An executed window goes to
-    /// the pool only when it has more than one busy shard and the
-    /// previous executed window handled at least [`FANOUT_MIN_EVENTS`]
-    /// events; any other window runs its fan-out on this thread alone
-    /// (one worker), since waking pool workers for a few events costs
-    /// more than it saves. `force_dense` turns both off and fans every
-    /// window out with the full worker count.
+    /// Advances all shards to `until_us`, window by window. Windows end on
+    /// the fixed grid of multiples of the window width; a stop off the
+    /// grid splits one window in two but moves no barrier, so how callers
+    /// slice a run into `run_until` calls cannot change it. Idle window
+    /// spans — no shard event, no mail, no calendar step due — are
+    /// skipped in one jump, staying on the same grid so the state
+    /// trajectory is byte-identical with skipping on or off. An executed
+    /// window goes to the pool only when it has more than one busy shard
+    /// and the previous executed window handled at least
+    /// [`FANOUT_MIN_EVENTS`] events; any other window runs its fan-out on
+    /// this thread alone (one worker), since waking pool workers for a few
+    /// events costs more than it saves. `force_dense` turns both off and
+    /// fans every window out with the full worker count.
     fn run_windows(&mut self, until_us: u64) {
         self.apply_steps(self.now_us);
         let dense = self.cfg.force_dense;
@@ -1302,50 +1360,75 @@ impl ShardedSimulation {
                     break;
                 }
             }
-            let end = (self.now_us + self.window_us).min(until_us);
+            let end = self.next_grid().min(until_us);
             let fan_out =
                 dense || (self.last_window_events >= FANOUT_MIN_EVENTS && self.several_busy(end));
             let threads = if fan_out { self.threads } else { Some(1) };
-            let world = &self.world;
+            let (world, mail, parity) = (&self.world, &self.mail, self.parity);
             for_each_shard(&mut self.shards, &self.claims, self.driver, threads, |s| {
-                s.run_window(world, end)
+                s.run_window(world, mail, parity, end)
             });
+            self.parity ^= 1;
             self.last_window_events = self.shards.iter().map(|s| s.window_events).sum();
             self.now_us = end;
-            self.exchange();
+            self.address_mail();
             self.apply_steps(end);
         }
     }
 
-    /// Whether more than one shard has an event before `end`, by the same
-    /// `peek_time` test `run_window`'s loop makes. It only picks the
-    /// window's worker count; every shard still runs.
+    /// The first grid barrier after `now_us`: where the current window ends.
+    fn next_grid(&self) -> u64 {
+        (self.now_us / self.window_us + 1) * self.window_us
+    }
+
+    /// Whether more than one shard has inbound mail or an event before
+    /// `end`, by the same `peek_time` test `run_window`'s loop makes. It
+    /// only picks the window's worker count; every shard still runs.
     fn several_busy(&self, end: u64) -> bool {
-        let busy = |s: &&Shard| s.queue.peek_time().is_some_and(|t| t.as_micros() < end);
+        let busy = |s: &&Shard| {
+            !s.inbound.is_empty() || s.queue.peek_time().is_some_and(|t| t.as_micros() < end)
+        };
         self.shards.iter().filter(busy).nth(1).is_some()
     }
 
+    /// Barrier side of the mail: turns the destinations each shard sent
+    /// to in the window just run into each destination's list of sources
+    /// to drain. Costs one push per `(src, dst)` pair with mail.
+    fn address_mail(&mut self) {
+        for src in 0..self.shards.len() {
+            let mut sent_to = std::mem::take(&mut self.shards[src].sent_to);
+            for dst in sent_to.drain(..) {
+                self.shards[dst].inbound.push(src);
+            }
+            self.shards[src].sent_to = sent_to;
+        }
+    }
+
     /// From a barrier, jumps `now_us` forward over windows that would
-    /// execute nothing: let `t_min` be the minimum over every shard's
+    /// execute nothing. Mail still in its cells blocks the jump: it is
+    /// not in any queue yet, and every message lands in the next window
+    /// anyway. Otherwise let `t_min` be the minimum over every shard's
     /// next event time and the next-due calendar step. Every window
     /// strictly before the one containing `t_min` pops no event and its
-    /// barrier applies no step (outboxes are empty at barriers, so there
-    /// are no in-flight deliveries to account for) — running those
-    /// windows densely would be a pure no-op, so the jump lands on the
-    /// grid barrier `⌊(t_min − now) / w⌋·w` with identical state. When
-    /// nothing is due before `until_us`, time jumps to the final barrier
-    /// and its steps (due exactly at `until_us`, as in a dense run)
-    /// apply. `t_min` is a function of the event-time multiset and the
-    /// calendar, both shard-count-invariant at barriers, so every K
-    /// takes the same jumps.
+    /// barrier applies no step — running those windows densely would be
+    /// a pure no-op, so the jump lands on the grid barrier `⌊t_min / w⌋·w`
+    /// with identical state. When nothing is due before `until_us`, time
+    /// jumps to the final barrier and its steps (due exactly at
+    /// `until_us`, as in a dense run) apply. Whether mail is pending and
+    /// `t_min` are functions of the sent messages, the event-time
+    /// multiset and the calendar, all shard-count-invariant at barriers,
+    /// so every K takes the same jumps.
     fn skip_idle_windows(&mut self, until_us: u64) {
         let mut t_min = self.next_due;
         for s in &self.shards {
+            if !s.inbound.is_empty() {
+                return; // mail in flight
+            }
             if let Some(t) = s.queue.peek_time() {
                 t_min = t_min.min(t.as_micros());
             }
         }
-        if t_min < self.now_us + self.window_us {
+        if t_min < self.next_grid() {
             return; // something due in the current window: no skip
         }
         if t_min >= until_us {
@@ -1353,45 +1436,9 @@ impl ShardedSimulation {
             self.apply_steps(until_us);
             return;
         }
-        let barrier = self.now_us + (t_min - self.now_us) / self.window_us * self.window_us;
+        let barrier = t_min / self.window_us * self.window_us;
         self.now_us = barrier;
         self.apply_steps(barrier);
-    }
-
-    /// Barrier message exchange: each destination merges its inbound
-    /// messages in `(send_time, src_shard, outbox order)` and schedules
-    /// them at `send + net_hop`. Merge scratch and outbox buffers are
-    /// pooled across barriers, and barriers where no shard sent anything
-    /// skip the k×k scan entirely.
-    fn exchange(&mut self) {
-        let k = self.shards.len();
-        if k == 1 {
-            return; // Shard::send went direct; outboxes stay empty
-        }
-        if !self.shards.iter().any(|s| s.sent) {
-            return;
-        }
-        for s in &mut self.shards {
-            s.sent = false;
-        }
-        let hop = self.window_us;
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        for dst in 0..k {
-            merged.clear();
-            for src in 0..k {
-                // drain (not take) keeps the outbox allocation alive.
-                merged.extend(self.shards[src].outbox[dst].drain(..).map(|m| (m.send, src, m.ev)));
-            }
-            if merged.is_empty() {
-                continue;
-            }
-            merged.sort_by_key(|(send, src, _)| (*send, *src)); // stable
-            let q = &mut self.shards[dst].queue;
-            for (send, _, ev) in merged.drain(..) {
-                q.schedule(SimTime::from_micros(send + hop), ev);
-            }
-        }
-        self.merge_scratch = merged;
     }
 
     /// Recomputes the next-due-step calendar after anything that moves
@@ -2071,12 +2118,18 @@ mod tests {
         if obs {
             cfg.obs = dynmds_obs::ObsConfig::metrics_only();
         }
+        build_with(cfg, shards, Some(1))
+    }
+
+    /// A run of `cfg` over `shards` queues on a 6,000-item namespace with
+    /// a `GeneralWorkload` driving every configured client.
+    fn build_with(cfg: SimConfig, shards: usize, threads: Option<usize>) -> ShardedSimulation {
         let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
         let n_clients = cfg.n_clients as usize;
         let homes = snap.user_homes.clone();
         let shared = snap.shared_roots.clone();
         let wl_seed = cfg.seed ^ 0x17;
-        ShardedSimulation::new(cfg, shards, Some(1), snap, &move |ns| {
+        ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
             Box::new(GeneralWorkload::new(
                 WorkloadConfig { seed: wl_seed, ..Default::default() },
                 n_clients,
@@ -2175,17 +2228,7 @@ mod tests {
         cfg.n_clients = n_clients;
         cfg.costs.think_mean = SimDuration::from_micros(think_us);
         cfg.force_dense = force_dense;
-        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
-        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
-        let mut sim = ShardedSimulation::new(cfg, 4, Some(3), snap, &move |ns| {
-            Box::new(GeneralWorkload::new(
-                WorkloadConfig::default(),
-                n_clients as usize,
-                &homes,
-                &shared,
-                ns,
-            ))
-        });
+        let mut sim = build_with(cfg, 4, Some(3));
         sim.driver = Some(recording_driver);
         FANOUTS.with(|f| f.borrow_mut().clear());
         let r = sim.run_measured(SimDuration::from_millis(200), SimDuration::from_millis(300));
@@ -2217,6 +2260,48 @@ mod tests {
         let calls = fanouts(4, 3, 20_000, true);
         assert_eq!(calls.len(), 5_000, "every 100 µs window of 0.5 s executes");
         assert!(calls.iter().all(|&t| t == Some(3)));
+    }
+
+    /// Runs `cfg` over `k` shards to each time in `stops` (µs) in turn,
+    /// resetting the statistics at the 100 ms warm-up stop, and reports.
+    fn run_in_stops(cfg: &SimConfig, k: usize, stops: &[u64]) -> ShardReport {
+        let mut sim = build_with(cfg.clone(), k, Some(2));
+        sim.driver = Some(threaded_driver);
+        for &t in stops {
+            sim.run_until(SimTime::from_micros(t));
+            if t == 100_000 {
+                sim.reset_measurement();
+            }
+        }
+        sim.finish()
+    }
+
+    #[test]
+    fn mail_crosses_run_until_boundaries() {
+        // K=4 with every window busy, and K=8 with most windows idle;
+        // heartbeats (balancing) and samples fall inside the run.
+        for (n_clients, think_us, k) in [(400, 1_000, 4), (6, 20_000, 8)] {
+            let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+            cfg.n_mds = 8;
+            cfg.n_clients = n_clients;
+            cfg.costs.think_mean = SimDuration::from_micros(think_us);
+            cfg.heartbeat = SimDuration::from_millis(40);
+            cfg.sample_every = SimDuration::from_millis(20);
+            cfg.obs = dynmds_obs::ObsConfig::metrics_only();
+            let whole = run_in_stops(&cfg, k, &[100_000, 300_000]);
+            let split = run_in_stops(
+                &cfg,
+                k,
+                &[13, 37_913, 37_950, 100_000, 100_001, 123_457, 211_111, 299_999, 300_000],
+            );
+            assert!(whole.ops > 0);
+            let obs = |r: &ShardReport| {
+                let o = r.obs.as_ref().expect("metrics on");
+                (o.metrics_jsonl.clone(), o.snapshots_jsonl.clone())
+            };
+            assert_eq!(whole.render(), split.render(), "{n_clients} clients, K={k}");
+            assert_eq!(obs(&whole), obs(&split), "{n_clients} clients, K={k}");
+        }
     }
 
     #[test]

@@ -361,6 +361,14 @@ impl Namespace {
         Ok(self.tables[ti].len())
     }
 
+    /// The `i`-th entry of a directory in name order, as
+    /// `(name_symbol, child_id)`: one index into the sorted dentry table.
+    /// Panics unless `i` is below [`child_count`](Self::child_count).
+    pub fn child_at(&self, dir: InodeId, i: usize) -> Result<(u32, InodeId), NamespaceError> {
+        let e = self.tables[self.dir_table(dir)?][i];
+        Ok((e.sym, InodeId(e.child as u64)))
+    }
+
     /// Looks up `name` in `dir`.
     pub fn lookup(&self, dir: InodeId, name: &str) -> Result<InodeId, NamespaceError> {
         let ti = self.dir_table(dir)?;
@@ -1000,6 +1008,10 @@ mod tests {
         }
         let names: Vec<&str> = ns.children(ns.root()).unwrap().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
+        for (i, (name, id)) in ns.children(ns.root()).unwrap().enumerate() {
+            let (sym, at) = ns.child_at(ns.root(), i).unwrap();
+            assert_eq!((ns.resolve_sym(sym), at), (name, id));
+        }
     }
 
     #[test]

@@ -166,26 +166,20 @@ impl GeneralWorkload {
                 return cur;
             }
             let i = rng.below(n_kids as u64) as usize;
-            let pick =
-                ns.children(cur).expect("counted above").nth(i).expect("index < child count").1;
+            let pick = ns.child_at(cur, i).expect("counted above").1;
             if !ns.is_dir(pick) {
                 if want_file {
                     return pick;
                 }
                 // Want a directory: try again among dir children only.
-                let n_dirs =
-                    ns.children(cur).expect("counted above").filter(|&(_, k)| ns.is_dir(k)).count();
+                let dirs =
+                    || ns.children_syms(cur).expect("counted above").filter(|&(_, k)| ns.is_dir(k));
+                let n_dirs = dirs().count();
                 if n_dirs == 0 {
                     return cur;
                 }
                 let j = rng.below(n_dirs as u64) as usize;
-                cur = ns
-                    .children(cur)
-                    .expect("counted above")
-                    .filter(|&(_, k)| ns.is_dir(k))
-                    .nth(j)
-                    .expect("index < dir count")
-                    .1;
+                cur = dirs().nth(j).expect("index < dir count").1;
             } else {
                 // Descend, sometimes stopping here.
                 if !want_file && rng.chance(0.35) {
@@ -197,20 +191,17 @@ impl GeneralWorkload {
         cur
     }
 
-    /// A random file in `dir`, if any. Allocates only the returned name.
-    fn random_file_in(ns: &Namespace, rng: &mut SimRng, dir: InodeId) -> Option<(String, InodeId)> {
-        let n_files = ns.children(dir).ok()?.filter(|&(_, c)| !ns.is_dir(c)).count();
+    /// A random file in `dir`, if any, as its dentry's name symbol (a
+    /// hard link keeps the name it has in `dir`) and its id. Allocates
+    /// nothing; only callers that need the name resolve the symbol.
+    fn random_file_in(ns: &Namespace, rng: &mut SimRng, dir: InodeId) -> Option<(u32, InodeId)> {
+        let files = || ns.children_syms(dir).map(|it| it.filter(|&(_, c)| !ns.is_dir(c)));
+        let n_files = files().ok()?.count();
         if n_files == 0 {
             return None;
         }
         let i = rng.below(n_files as u64) as usize;
-        let (name, id) = ns
-            .children(dir)
-            .ok()?
-            .filter(|&(_, c)| !ns.is_dir(c))
-            .nth(i)
-            .expect("index < file count");
-        Some((name.to_string(), id))
+        Some(files().ok()?.nth(i).expect("index < file count"))
     }
 
     fn generate(&mut self, ns: &Namespace, client: ClientId) -> Op {
@@ -298,7 +289,7 @@ impl GeneralWorkload {
                 }
             }
             OpKind::Unlink => match Self::random_file_in(ns, &mut c.rng, c.cwd) {
-                Some((name, _)) => Op::Unlink { dir: c.cwd, name },
+                Some((sym, _)) => Op::Unlink { dir: c.cwd, name: ns.resolve_sym(sym).to_string() },
                 None => Op::Readdir(c.cwd),
             },
             OpKind::Rename => {
@@ -319,11 +310,11 @@ impl GeneralWorkload {
                     }
                 }
                 match Self::random_file_in(ns, &mut c.rng, c.cwd) {
-                    Some((name, _)) => {
+                    Some((sym, _)) => {
                         c.create_seq += 1;
                         Op::Rename {
                             dir: c.cwd,
-                            name,
+                            name: ns.resolve_sym(sym).to_string(),
                             new_name: format!("mv{}_{}", client.0, c.create_seq),
                         }
                     }
@@ -513,6 +504,46 @@ mod tests {
             })
             .count();
         assert!(creates > 300, "create-heavy after relocation, got {creates}");
+    }
+
+    #[test]
+    fn hard_links_are_named_by_their_own_dentry() {
+        use dynmds_namespace::Permissions;
+        let mut ns = Namespace::new();
+        let perm = Permissions::shared(1);
+        let a = ns.mkdir(ns.root(), "a", perm).unwrap();
+        let b = ns.mkdir(ns.root(), "b", perm).unwrap();
+        let orig = ns.create_file(a, "orig", perm).unwrap();
+        ns.link(orig, b, "alias").unwrap();
+        let only = |unlink, rename| OpMix {
+            stat: 0.0,
+            open: 0.0,
+            readdir: 0.0,
+            create: 0.0,
+            mkdir: 0.0,
+            unlink,
+            rename,
+            chmod: 0.0,
+            setattr: 0.0,
+            link: 0.0,
+        };
+        let cfg =
+            WorkloadConfig { navigate_prob: 0.0, dir_rename_fraction: 0.0, ..Default::default() };
+        let mut wl = GeneralWorkload::new(cfg, 1, &[b], &[], &ns);
+        wl.relocate(ClientId(0), b, only(1.0, 0.0));
+        for _ in 0..20 {
+            match wl.next_op(&ns, ClientId(0), SimTime::ZERO) {
+                Op::Unlink { dir, name } => assert_eq!((dir, name.as_str()), (b, "alias")),
+                op => assert_eq!(op.kind(), OpKind::Readdir, "{op:?}"),
+            }
+        }
+        wl.relocate(ClientId(0), b, only(0.0, 1.0));
+        for _ in 0..20 {
+            match wl.next_op(&ns, ClientId(0), SimTime::ZERO) {
+                Op::Rename { dir, name, .. } => assert_eq!((dir, name.as_str()), (b, "alias")),
+                op => assert_eq!(op.kind(), OpKind::Readdir, "{op:?}"),
+            }
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn report_and_obs_are_invariant_across_shard_counts_under_faults() {
 
 #[test]
 fn every_strategy_is_shard_count_invariant() {
-    // The canonical merge order may not depend on strategy-specific
+    // The canonical event order may not depend on strategy-specific
     // routing (hashed placement, forwards, replicas), so sweep them all
     // fault-free at the K extremes.
     for strategy in StrategyKind::ALL {
@@ -220,4 +220,19 @@ fn fixed_shard_count_reruns_are_bit_identical() {
     let run = || run_k(config(StrategyKind::DynamicSubtree, 55, true), 4);
     let (a, b) = (run(), run());
     assert_eq!(a, b, "same seed, same shard count: reruns must be byte-identical");
+}
+
+#[test]
+fn more_than_64_shards_match_one_shard() {
+    // Shards keep lists of the shards they mail, not a 64-bit mask, so
+    // nothing caps K: 80 shards, one node each, must reproduce the
+    // one-shard surface.
+    let mut cfg = config(StrategyKind::DynamicSubtree, 13, false);
+    cfg.n_mds = 80;
+    cfg.n_clients = 240;
+    let span =
+        |k| run_span(cfg.clone(), k, SimDuration::from_millis(500), SimDuration::from_secs(1));
+    let one = span(1);
+    assert!(one.0.contains("ops "), "report renders");
+    assert_eq!(one, span(80), "surfaces differ between 1 and 80 shards");
 }
