@@ -209,11 +209,10 @@ impl Cluster {
         if children.is_empty() {
             return;
         }
-        let sub = self.partition.as_subtree_mut().expect("subtree strategy");
         let mut created = Vec::new();
         for c in children {
-            if sub.delegation_of(c).is_none() {
-                sub.delegate(c, MdsId(busy as u16));
+            if self.partition.as_subtree().expect("subtree strategy").delegation_of(c).is_none() {
+                self.partition.delegate(&self.ns, c, MdsId(busy as u16));
                 created.push(c);
             }
         }
@@ -257,9 +256,8 @@ impl Cluster {
             return;
         }
         self.obs.on_delegation_merge(to_merge.len() as u64);
-        let sub = self.partition.as_subtree_mut().expect("subtree strategy");
         for d in to_merge {
-            sub.undelegate(d);
+            self.partition.undelegate(&self.ns, d);
             self.split_at.remove(&d);
             self.last_migrated.remove(&d);
             for imp in &mut self.imported {
@@ -273,11 +271,10 @@ impl Cluster {
     /// metadata are transferred … to avoid the disk I/O that would
     /// otherwise be required"). (Public within the crate for tests.)
     pub(crate) fn migrate_subtree(&mut self, now: SimTime, root: InodeId, from: MdsId, to: MdsId) {
-        let sub = match self.partition.as_subtree_mut() {
-            Some(s) => s,
-            None => return,
-        };
-        sub.delegate(root, to);
+        if self.partition.as_subtree().is_none() {
+            return;
+        }
+        self.partition.delegate(&self.ns, root, to);
         if let Some(log) = &mut self.migration_log {
             log.push(crate::cluster::MigrationRecord {
                 at: now,
@@ -433,7 +430,7 @@ mod tests {
         // delegation that still names the dead node (a heartbeat racing
         // the crash) plus residual load figures that make it "busiest".
         let home = c.ns.resolve("/home/user0000").unwrap();
-        c.partition.as_subtree_mut().unwrap().delegate(home, dead);
+        c.partition.delegate(&c.ns, home, dead);
         c.hb_ewma[dead.index()] = 100_000.0;
         c.busy_streak[dead.index()] = 5;
         c.hb_ewma[0] = 30_000.0;
@@ -483,7 +480,7 @@ mod tests {
                 .map(|(_, i)| i)
                 .find(|&i| c.ns.is_dir(i))
                 .expect("home has subdirs");
-        c.partition.as_subtree_mut().unwrap().delegate(child, owner);
+        c.partition.delegate(&c.ns, child, owner);
         let before = c.partition.as_subtree().unwrap().delegation_count();
         c.consolidate_partition(SimTime::from_secs(200));
         let sub = c.partition.as_subtree().unwrap();
@@ -511,9 +508,9 @@ mod tests {
         let other = MdsId((owner.0 + 1) % 4);
         let cross = dir_list[0];
         let fresh = dir_list[1];
-        c.partition.as_subtree_mut().unwrap().delegate(cross, other);
+        c.partition.delegate(&c.ns, cross, other);
         // Fresh split fragment (same owner) protected by split_at.
-        c.partition.as_subtree_mut().unwrap().delegate(fresh, owner);
+        c.partition.delegate(&c.ns, fresh, owner);
         c.split_at.insert(fresh, SimTime::from_secs(199));
         c.consolidate_partition(SimTime::from_secs(200));
         assert!(

@@ -308,7 +308,7 @@ impl Cluster {
                 }
             }
         }
-        self.partition.authority(&self.ns, id)
+        self.partition.authority(id)
     }
 
     /// The authoritative MDS for an *operation*: like [`authority_of`] on
@@ -1043,6 +1043,7 @@ impl Cluster {
             Op::Create { dir, name } => {
                 let perm = Permissions::shared(req.uid);
                 if let Ok(id) = self.ns.create_file(*dir, name, perm) {
+                    self.partition.refresh(&self.ns, id);
                     let parent = self.cached_parent(mds, id);
                     self.nodes[i].cache.insert(id, parent, InsertKind::Target);
                     touched.push(id);
@@ -1053,6 +1054,7 @@ impl Cluster {
             Op::Mkdir { dir, name } => {
                 let perm = Permissions::directory(req.uid);
                 if let Ok(id) = self.ns.mkdir(*dir, name, perm) {
+                    self.partition.refresh(&self.ns, id);
                     let parent = self.cached_parent(mds, id);
                     self.nodes[i].cache.insert(id, parent, InsertKind::Target);
                     touched.push(id);
@@ -1062,6 +1064,8 @@ impl Cluster {
             }
             Op::Unlink { dir, name } => {
                 if let Ok(id) = self.ns.unlink(*dir, name) {
+                    // A death or a promoted surviving link.
+                    self.partition.refresh(&self.ns, id);
                     primary = Some(id);
                     if self.ns.is_alive(id) {
                         // A hard link was dropped; if only one link
@@ -1102,6 +1106,7 @@ impl Cluster {
             }
             Op::Rename { dir, name, new_name } => {
                 if let Ok(id) = self.ns.rename(*dir, name, *dir, new_name) {
+                    self.partition.refresh(&self.ns, id);
                     if self.ns.is_dir(id) {
                         self.anchors.on_rename(&self.ns, id);
                         if let Some(lh) = self.partition.as_lazy_mut() {
@@ -1492,6 +1497,7 @@ mod tests {
         let parent = c.ns.parent(file).unwrap().unwrap();
         let name = c.ns.name(file).unwrap().to_string();
         c.ns.unlink(parent, &name).unwrap();
+        c.partition.refresh(&c.ns, file);
         let mut q: EventQueue<SimEvent> = EventQueue::new();
         c.handle(
             SimTime::from_millis(1),

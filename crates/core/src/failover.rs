@@ -123,9 +123,7 @@ impl Cluster {
         let offset = self.failures as usize;
         for (k, root) in owned.into_iter().enumerate() {
             let heir = survivors[(k + offset) % survivors.len()];
-            if let Some(sub) = self.partition.as_subtree_mut() {
-                sub.delegate(root, heir);
-            }
+            self.partition.delegate(&self.ns, root, heir);
             self.imported[mds.index()].retain(|&d| d != root);
             self.imported[heir.index()].push(root);
             if self.cfg.journal_warming {

@@ -53,9 +53,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
-use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Namespace, Snapshot};
+use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Snapshot};
 use dynmds_obs::{Registry, SnapshotSeries};
-use dynmds_partition::{Partition, StrategyKind, SubtreePartition};
+use dynmds_partition::{Partition, StrategyKind};
 use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::{AccessKind, DiskFault, DiskModel};
 use dynmds_workload::Workload;
@@ -392,10 +392,10 @@ struct ShardStats {
 /// barrier (which holds `&mut` everything) may write.
 struct World {
     snapshot: Snapshot,
-    /// The authority of every snapshot id, indexed by `InodeId::index()`
-    /// up to the id bound: the one partition's answers, read-only during
-    /// windows. See [`fill_placement`] and [`repaint_region`].
-    placement: Vec<MdsId>,
+    /// The placement, one for all shards: its table answers every
+    /// snapshot id with one load. Only the barrier changes it, through
+    /// [`Partition::delegate`], which repaints the moved region.
+    partition: Partition,
     alive: Vec<bool>,
     /// The elastic controller; its `members` are the *announced*
     /// membership that unknown-item routing draws from.
@@ -668,7 +668,7 @@ impl Shard {
         let dst = if world.replicated.contains(&item) && !write {
             pick_alive(&world.alive, &mut self.client(c).rng)
         } else if hashed {
-            world.placement[item.index()]
+            world.partition.authority(item)
         } else {
             let cl = self.client(c);
             match cl.routes.get(&item) {
@@ -825,7 +825,7 @@ impl Shard {
         }
 
         let replicated = world.replicated.contains(&item) && !write;
-        let auth = world.placement[item.index()];
+        let auth = world.partition.authority(item);
         let n = self.node(m);
         n.m.win.received += 1;
         n.m.life.received += 1;
@@ -954,7 +954,7 @@ impl Shard {
         let seq = px.send_seq;
         px.send_seq += 1;
         if relay {
-            let auth = world.placement[item.index()];
+            let auth = world.partition.authority(item);
             let auth_shard = shard_of_node(auth.index(), n_mds, k);
             self.send(
                 auth_shard,
@@ -1007,62 +1007,6 @@ impl Shard {
 }
 
 // ---------------------------------------------------------------------
-// placement table
-// ---------------------------------------------------------------------
-
-/// Every snapshot id's authority under `partition`, indexed by
-/// `InodeId::index()` up to the id bound, tombstones included. Hashed
-/// strategies ask `authority` per id. Subtree strategies start every id
-/// at the tree root's owner and repaint each delegation point's region
-/// over it; the regions are disjoint, so their order does not matter,
-/// and the partition's per-id memo stays empty.
-fn fill_placement(partition: &Partition, ns: &Namespace) -> Vec<MdsId> {
-    let bound = ns.id_bound();
-    let Some(sp) = partition.as_subtree() else {
-        return (0..bound).map(|i| partition.authority(ns, InodeId(i))).collect();
-    };
-    let root_owner = sp.delegation_of(ns.root()).expect("the tree root is delegated");
-    let mut placement = vec![root_owner; bound as usize];
-    for (point, _) in sp.delegations() {
-        repaint_region(sp, ns, &mut placement, point);
-    }
-    placement
-}
-
-/// Points delegation point `point`, and every id it governs, at its
-/// owner: its descendants down to, not into, nested delegation points.
-/// A file counts under its primary parent only, the chain
-/// [`SubtreePartition::authority`] follows, so a hard link elsewhere
-/// keeps its own answer. Tombstones without a delegation of their own
-/// resolve to the tree root's owner, so repainting the root repaints
-/// them too.
-fn repaint_region(sp: &SubtreePartition, ns: &Namespace, placement: &mut [MdsId], point: InodeId) {
-    let owner = sp.delegation_of(point).expect("a delegation point");
-    placement[point.index()] = owner;
-    if point == ns.root() {
-        for (i, slot) in placement.iter_mut().enumerate() {
-            let id = InodeId(i as u64);
-            if !ns.is_alive(id) && sp.delegation_of(id).is_none() {
-                *slot = owner;
-            }
-        }
-    }
-    let mut dirs = vec![point];
-    while let Some(dir) = dirs.pop() {
-        let Ok(kids) = ns.children_syms(dir) else { continue };
-        for (_, c) in kids {
-            let primary = matches!(ns.parent(c), Ok(Some(p)) if p == dir);
-            if primary && sp.delegation_of(c).is_none() {
-                placement[c.index()] = owner;
-                if ns.is_dir(c) {
-                    dirs.push(c);
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // barrier-global steps
 // ---------------------------------------------------------------------
 
@@ -1085,10 +1029,6 @@ enum Step {
 /// module docs for the argument.
 pub struct ShardedSimulation {
     cfg: SimConfig,
-    /// The placement function, one for all shards. Only the barrier
-    /// changes it, and [`Self::delegate`] repaints `world.placement` to
-    /// match.
-    partition: Partition,
     shards: Vec<Shard>,
     /// Claim flags for [`for_each_shard`], one per shard, reused by
     /// every window.
@@ -1272,10 +1212,9 @@ impl ShardedSimulation {
             if cfg.obs.metrics { Some(SnapshotSeries::new(SNAP_FIELDS, n_mds)) } else { None };
         let heartbeat = cfg.heartbeat.as_micros();
         let sample = cfg.sample_every.as_micros();
-        let partition = Partition::initial(cfg.strategy, &snapshot.ns, cfg.n_mds);
         let mut sim = ShardedSimulation {
             world: World {
-                placement: fill_placement(&partition, &snapshot.ns),
+                partition: Partition::initial(cfg.strategy, &snapshot.ns, cfg.n_mds),
                 snapshot,
                 alive: vec![true; n_mds],
                 elastic: ElasticCtl::new(cfg.elastic, cfg.heartbeat, n_mds),
@@ -1287,7 +1226,6 @@ impl ShardedSimulation {
             parity: 0,
             claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
             driver: DRIVER.get().copied(),
-            partition,
             shards: shard_vec,
             threads,
             last_window_events: 0,
@@ -1319,12 +1257,12 @@ impl ShardedSimulation {
         let n_mds = self.cfg.n_mds as usize;
         let min = (self.cfg.elastic.min_nodes.max(1) as usize).min(n_mds);
         for parked in min..n_mds {
-            let roots = match self.partition.as_subtree() {
+            let roots = match self.world.partition.as_subtree() {
                 Some(sp) => sp.delegations_of(MdsId(parked as u16)),
                 None => Vec::new(),
             };
             for (j, &r) in roots.iter().enumerate() {
-                self.delegate(r, MdsId((j % min) as u16));
+                self.world.partition.delegate(&self.world.snapshot.ns, r, MdsId((j % min) as u16));
             }
             self.world.elastic.parked_roots[parked] = roots;
             self.world.elastic.members[parked] = false;
@@ -1513,7 +1451,7 @@ impl ShardedSimulation {
         node.m.cache = MetaCache::new(cache_capacity);
         // The next live node in the ring inherits (`dead` is already down).
         let Some(heir) = self.live_ring(dead) else { return };
-        let moves: Vec<_> = match self.partition.as_subtree() {
+        let moves: Vec<_> = match self.world.partition.as_subtree() {
             Some(sp) => sp.delegations_of(dead).into_iter().map(|r| (r, dead, heir)).collect(),
             None => return,
         };
@@ -1527,19 +1465,10 @@ impl ShardedSimulation {
         let n_mds = self.cfg.n_mds as usize;
         let k = self.shards.len();
         for &(r, from, to) in moves.iter().filter(|(_, from, to)| from != to) {
-            self.delegate(r, to);
+            self.world.partition.delegate(&self.world.snapshot.ns, r, to);
             self.shards[shard_of_node(from.index(), n_mds, k)].node(from).m.life.subtrees_out += 1;
             self.shards[shard_of_node(to.index(), n_mds, k)].node(to).m.life.subtrees_in += 1;
         }
-    }
-
-    /// Delegates the subtree at `root` to `to` and repaints the region
-    /// it governs in the placement table — the only way the barrier
-    /// changes a delegation. A no-op for hashed strategies.
-    fn delegate(&mut self, root: InodeId, to: MdsId) {
-        let Some(sp) = self.partition.as_subtree_mut() else { return };
-        sp.delegate(root, to);
-        repaint_region(sp, &self.world.snapshot.ns, &mut self.world.placement, root);
     }
 
     /// Heartbeat: promote replication candidates cluster-wide (traffic
@@ -1614,7 +1543,7 @@ impl ShardedSimulation {
             // Shed the first (sorted) delegation that is not the tree
             // root to the least-loaded live node.
             let donor = MdsId(m as u16);
-            let roots = match self.partition.as_subtree() {
+            let roots = match self.world.partition.as_subtree() {
                 Some(sp) => sp.delegations_of(donor),
                 None => return,
             };
@@ -1649,7 +1578,7 @@ impl ShardedSimulation {
                 let drained = self.shards[s].proxies[i].core.drain_pending();
                 let p = self.shards[s].proxy_lo + i as u16;
                 for (item, delta) in drained {
-                    let auth = self.world.placement[item.index()];
+                    let auth = self.world.partition.authority(item);
                     let Some(auth) = self.live_ring(auth) else { continue };
                     let px = &mut self.shards[s].proxies[i];
                     let seq = px.send_seq;
@@ -1677,7 +1606,7 @@ impl ShardedSimulation {
     fn elastic_activate(&mut self, m: MdsId) {
         self.world.alive[m.index()] = true;
         let roots = std::mem::take(&mut self.world.elastic.parked_roots[m.index()]);
-        let Some(sp) = self.partition.as_subtree() else { return };
+        let Some(sp) = self.world.partition.as_subtree() else { return };
         // Count the handoff against the current owners.
         let moves: Vec<_> = roots
             .into_iter()
@@ -1698,7 +1627,7 @@ impl ShardedSimulation {
         let mut heirs: Vec<usize> =
             (0..n_mds).filter(|&i| self.world.alive[i] && i != victim.index()).collect();
         heirs.sort_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)));
-        let roots = match self.partition.as_subtree() {
+        let roots = match self.world.partition.as_subtree() {
             Some(sp) => sp.delegations_of(victim),
             None => Vec::new(),
         };
@@ -1711,12 +1640,12 @@ impl ShardedSimulation {
         // The departing node's goodbye: rewrite every client route that
         // named it to the post-handoff authority. Per-entry rewrites are
         // order-independent, so map iteration order cannot leak in.
-        let placement = &self.world.placement;
+        let partition = &self.world.partition;
         for shard in &mut self.shards {
             for cl in &mut shard.clients {
                 for (&item, m) in cl.routes.iter_mut() {
                     if *m == victim {
-                        *m = placement[item.index()];
+                        *m = partition.authority(item);
                     }
                 }
             }
@@ -2451,7 +2380,7 @@ mod tests {
     /// Every delegation names a live node, and every down node is one
     /// the controller parked.
     fn assert_no_parked_owner(sim: &ShardedSimulation, when: &str) {
-        for (root, owner) in sim.partition.as_subtree().unwrap().delegations() {
+        for (root, owner) in sim.world.partition.as_subtree().unwrap().delegations() {
             assert!(sim.world.alive[owner.index()], "{when}: {root:?} owned by parked {owner:?}");
         }
         for m in 0..sim.world.alive.len() {
@@ -2459,14 +2388,13 @@ mod tests {
         }
     }
 
-    /// The placement table holds the partition's answer for every id
-    /// below the id bound.
+    /// The placement table holds the rule's from-scratch answer for
+    /// every id below the id bound, and one past it.
     fn assert_placement_matches(sim: &ShardedSimulation, when: &str) {
         let ns = &sim.world.snapshot.ns;
-        assert_eq!(sim.world.placement.len() as u64, ns.id_bound(), "{when}");
-        for (i, &m) in sim.world.placement.iter().enumerate() {
-            let id = InodeId(i as u64);
-            assert_eq!(m, sim.partition.authority(ns, id), "{when}: {id:?}");
+        let part = &sim.world.partition;
+        for id in (0..=ns.id_bound()).map(InodeId) {
+            assert_eq!(part.authority(id), part.recompute(ns, id), "{when}: {id:?}");
         }
     }
 
@@ -2513,7 +2441,7 @@ mod tests {
         });
         run_checking_placement(&mut sim, 12, 250);
         let root = sim.world.snapshot.ns.root();
-        let now_owner = sim.partition.as_subtree().unwrap().delegation_of(root);
+        let now_owner = sim.world.partition.as_subtree().unwrap().delegation_of(root);
         assert_ne!(now_owner, Some(root_owner), "the crash moved the root");
         let r = sim.finish();
         assert!(r.migrations >= 1, "balancer idle: {r:?}");

@@ -16,7 +16,8 @@
 //!   the full dentry map agree; every primary dentry is a real dentry;
 //! * **authority** — the placement each strategy *should* compute
 //!   (recomputed independently: delegation walk, path hash, or dentry
-//!   hash) matches what the cluster's memoized partition answers;
+//!   hash) matches what the cluster's placement table answers, for every
+//!   id below the id bound, tombstones included, and one past it;
 //! * **anchor table** — the table's exact contents (entries, stored
 //!   parents, reference counts) equal a from-scratch reconstruction over
 //!   the multiply-linked files, and resolvability follows the namespace;
@@ -306,8 +307,11 @@ fn fnv_words(words: &[u64]) -> u64 {
 }
 
 /// The authority each strategy *should* assign to `id`, recomputed from
-/// first principles (no `PlacementMemo`): the §4.3 entry-hash override
-/// first, then a delegation walk (subtree strategies) or a path hash.
+/// first principles (not from the partition's table): the §4.3
+/// entry-hash override first, then a delegation walk (subtree strategies)
+/// or a path-string hash. A dead id, or one the namespace never
+/// allocated, has no parent and no path: it answers its own delegation
+/// or the root's owner, or the hash of `"/"`.
 pub fn expected_authority(cl: &Cluster, id: InodeId) -> MdsId {
     let ns = &cl.ns;
     let n = cl.cfg.n_mds;
@@ -512,7 +516,7 @@ impl Oracle {
                 }
             }
         }
-        for id in cl.ns.live_ids() {
+        for id in (0..=cl.ns.id_bound()).map(InodeId) {
             let got = cl.authority_of(id);
             if got.0 >= n {
                 self.report(format!("authority_of({id}) = {got} out of range (n_mds {n})"));

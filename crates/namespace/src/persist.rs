@@ -203,7 +203,6 @@ impl Namespace {
         ns.root = InodeId(0);
         ns.live_files = live_files;
         ns.live_dirs = live_dirs;
-        ns.move_epoch = 0;
         Ok(ns)
     }
 

@@ -115,14 +115,6 @@ pub struct Namespace {
     pub(crate) root: InodeId,
     pub(crate) live_files: u64,
     pub(crate) live_dirs: u64,
-    /// Bumped whenever an existing live entry's primary parent or name
-    /// changes — rename of a primary dentry, or hard-link promotion when
-    /// a primary dentry is unlinked. Creations and deaths do *not* bump
-    /// it: a new id cannot appear in any previously computed ancestor
-    /// chain, and a dying entry has no live descendants (directories must
-    /// be empty to unlink). Placement caches keyed on ancestor chains or
-    /// primary paths stay valid exactly while this counter is unchanged.
-    pub(crate) move_epoch: u64,
 }
 
 impl Namespace {
@@ -155,7 +147,6 @@ impl Namespace {
             root: InodeId(0),
             live_files: 0,
             live_dirs: 0,
-            move_epoch: 0,
         }
     }
 
@@ -229,12 +220,6 @@ impl Namespace {
             return Err(NamespaceError::NotADirectory);
         }
         Ok(t as usize)
-    }
-
-    /// Monotonic counter of primary-dentry moves (see the field doc); the
-    /// invalidation stamp for path- and ancestry-derived caches.
-    pub fn move_epoch(&self) -> u64 {
-        self.move_epoch
     }
 
     /// Root directory id.
@@ -588,7 +573,6 @@ impl Namespace {
             if let Some((p, sym)) = self.find_any_link(id) {
                 self.parent[i] = p.0 as u32;
                 self.name_sym[i] = sym;
-                self.move_epoch += 1;
             }
         }
         Ok(id)
@@ -647,7 +631,6 @@ impl Namespace {
         if self.parent[i] == old_dir.0 as u32 && self.name_sym[i] == ent.sym {
             self.parent[i] = new_dir.0 as u32;
             self.name_sym[i] = self.names.intern(new_name);
-            self.move_epoch += 1;
         }
         Ok(id)
     }

@@ -8,8 +8,6 @@
 
 use dynmds_namespace::{InodeId, MdsId, Namespace};
 
-use crate::memo::PlacementMemo;
-
 /// FNV-1a initial state.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -43,6 +41,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     avalanche(fnv_feed(FNV_OFFSET, bytes))
 }
 
+/// The FNV state of a child's path, given its directory's state: the
+/// directory's path followed by `"/" + name`. The root's state is
+/// [`FNV_OFFSET`] (its own path renders as `"/"`, its children's start
+/// with it).
+#[inline]
+fn child_state(dir_state: u64, name: &str) -> u64 {
+    fnv_feed(fnv_feed(dir_state, b"/"), name.as_bytes())
+}
+
+/// The server a finished path state maps to.
+#[inline]
+fn bucket(state: u64, n: u16) -> MdsId {
+    MdsId((avalanche(state) % n as u64) as u16)
+}
+
 /// Hashes an absolute path onto one of `n` servers.
 pub fn path_hash(path: &str, n: u16) -> MdsId {
     assert!(n > 0, "cluster must be non-empty");
@@ -57,17 +70,12 @@ pub fn path_hash(path: &str, n: u16) -> MdsId {
 pub fn try_path_hash_of(ns: &Namespace, id: InodeId, n: u16) -> Option<MdsId> {
     assert!(n > 0, "cluster must be non-empty");
     let mut h = FNV_OFFSET;
-    let fed = ns
-        .visit_path(id, |comp| {
-            h = fnv_feed(h, b"/");
-            h = fnv_feed(h, comp.as_bytes());
-        })
-        .ok()?;
+    let fed = ns.visit_path(id, |comp| h = child_state(h, comp)).ok()?;
     if fed == 0 {
         // The root path renders as a bare "/".
         h = fnv_feed(h, b"/");
     }
-    Some(MdsId((avalanche(h) % n as u64) as u16))
+    Some(bucket(h, n))
 }
 
 /// Hashes one directory entry onto one of `n` servers — the scheme used
@@ -91,21 +99,18 @@ pub enum HashGranularity {
     Directory,
 }
 
-/// A hash placement over `n` servers.
+/// A hash placement over `n` servers. Stateless: every answer is
+/// computed from the item's current primary path.
 pub struct HashPartition {
     n: u16,
     granularity: HashGranularity,
-    /// Memoized authority per inode. The placement itself is stateless,
-    /// so the slot stamp tracks only [`Namespace::move_epoch`] — path
-    /// hashes change exactly when a primary dentry moves.
-    memo: PlacementMemo<MdsId>,
 }
 
 impl HashPartition {
     /// Creates a placement for an `n`-server cluster.
     pub fn new(n: u16, granularity: HashGranularity) -> Self {
         assert!(n > 0, "cluster must be non-empty");
-        HashPartition { n, granularity, memo: PlacementMemo::new() }
+        HashPartition { n, granularity }
     }
 
     /// Cluster size.
@@ -123,22 +128,8 @@ impl HashPartition {
     /// Under [`HashGranularity::Directory`], files map by their parent
     /// directory's path and directories by their own path (a directory's
     /// inode lives with its contents). Under [`HashGranularity::File`],
-    /// everything maps by its own full path.
+    /// everything maps by its own full path. Dead ids map as `"/"`.
     pub fn authority(&self, ns: &Namespace, id: InodeId) -> MdsId {
-        if !ns.is_alive(id) {
-            // Tombstones bypass the memo: their death bumps no epoch.
-            return self.compute(ns, id);
-        }
-        let stamp = self.memo.stamp(ns);
-        if let Some(m) = self.memo.get(id, stamp) {
-            return m;
-        }
-        let m = self.compute(ns, id);
-        self.memo.set(id, stamp, m);
-        m
-    }
-
-    fn compute(&self, ns: &Namespace, id: InodeId) -> MdsId {
         let key_node = match self.granularity {
             HashGranularity::File => id,
             HashGranularity::Directory => {
@@ -150,6 +141,40 @@ impl HashPartition {
             }
         };
         try_path_hash_of(ns, key_node, self.n).unwrap_or_else(|| path_hash("/", self.n))
+    }
+
+    /// Writes the answer of `top` and of every id below it on primary
+    /// dentries into `owner`, indexed by `InodeId::index()`. `top` is
+    /// computed from scratch; the rest in one DFS in which each directory
+    /// carries its path's FNV state and each child extends it with
+    /// `"/" + name`, so no path is hashed twice. Under
+    /// [`HashGranularity::Directory`] a file takes its parent's answer.
+    pub(crate) fn paint(&self, ns: &Namespace, owner: &mut [MdsId], top: InodeId) {
+        owner[top.index()] = self.authority(ns, top);
+        if !ns.is_dir(top) {
+            return;
+        }
+        let mut top_state = FNV_OFFSET;
+        let Ok(_) = ns.visit_path(top, |c| top_state = child_state(top_state, c)) else { return };
+        let mut dirs = vec![(top, top_state)];
+        while let Some((dir, state)) = dirs.pop() {
+            let Ok(kids) = ns.children_syms(dir) else { continue };
+            for (sym, c) in kids {
+                if !crate::is_primary(ns, dir, sym, c) {
+                    continue;
+                }
+                let s = child_state(state, ns.resolve_sym(sym));
+                let is_dir = ns.is_dir(c);
+                owner[c.index()] = if is_dir || self.granularity == HashGranularity::File {
+                    bucket(s, self.n)
+                } else {
+                    owner[dir.index()]
+                };
+                if is_dir {
+                    dirs.push((c, s));
+                }
+            }
+        }
     }
 }
 

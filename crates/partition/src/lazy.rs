@@ -20,8 +20,7 @@
 
 use dynmds_namespace::{FxHashMap, InodeId, MdsId, Namespace};
 
-use crate::hash::{path_hash, try_path_hash_of};
-use crate::memo::PlacementMemo;
+use crate::hash::{path_hash, try_path_hash_of, HashGranularity, HashPartition};
 
 /// What kind of directory event must be propagated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,9 +63,6 @@ pub struct LazyHybrid {
     pending: Vec<PendingUpdate>,
     applied: FxHashMap<InodeId, u64>,
     lifetime: PendingStats,
-    /// Memoized authority per inode; stamped by `move_epoch` only, since
-    /// LH placement is a pure hash of the item's current path.
-    memo: PlacementMemo<MdsId>,
 }
 
 impl LazyHybrid {
@@ -79,7 +75,6 @@ impl LazyHybrid {
             pending: Vec::new(),
             applied: FxHashMap::default(),
             lifetime: PendingStats::default(),
-            memo: PlacementMemo::new(),
         }
     }
 
@@ -91,16 +86,13 @@ impl LazyHybrid {
     /// The authoritative MDS for `id` — hash of the item's full *current*
     /// path (stale placements are what the `Move` updates repair).
     pub fn authority(&self, ns: &Namespace, id: InodeId) -> MdsId {
-        if !ns.is_alive(id) {
-            return path_hash("/", self.n);
-        }
-        let stamp = self.memo.stamp(ns);
-        if let Some(m) = self.memo.get(id, stamp) {
-            return m;
-        }
-        let m = try_path_hash_of(ns, id, self.n).unwrap_or_else(|| path_hash("/", self.n));
-        self.memo.set(id, stamp, m);
-        m
+        try_path_hash_of(ns, id, self.n).unwrap_or_else(|| path_hash("/", self.n))
+    }
+
+    /// Writes the answer of `top` and its primary descendants into
+    /// `owner`: LH places exactly as file hashing does.
+    pub(crate) fn paint(&self, ns: &Namespace, owner: &mut [MdsId], top: InodeId) {
+        HashPartition::new(self.n, HashGranularity::File).paint(ns, owner, top);
     }
 
     /// Records a permission change on directory `dir`; every file nested

@@ -11,23 +11,14 @@
 //! it is replicated via the delegation protocol); authority lookup walks
 //! from the item toward the root and stops at the first delegation point.
 
-use std::cell::RefCell;
-
 use dynmds_namespace::{FxHashMap, InodeId, MdsId, Namespace};
 
 use crate::hash::{path_hash, try_path_hash_of};
-use crate::memo::PlacementMemo;
 
 /// Delegation table for subtree-partitioned clusters.
 pub struct SubtreePartition {
     delegations: FxHashMap<InodeId, MdsId>,
     root: InodeId,
-    /// Memoized `(governing delegation point, authority)` per inode; see
-    /// [`PlacementMemo`] for the invalidation scheme.
-    memo: PlacementMemo<(InodeId, MdsId)>,
-    /// Scratch for the ids visited by a resolving walk, so steady-state
-    /// lookups never allocate.
-    walk_scratch: RefCell<Vec<InodeId>>,
 }
 
 impl SubtreePartition {
@@ -35,12 +26,7 @@ impl SubtreePartition {
     pub fn new(root: InodeId, root_mds: MdsId) -> Self {
         let mut delegations = FxHashMap::default();
         delegations.insert(root, root_mds);
-        SubtreePartition {
-            delegations,
-            root,
-            memo: PlacementMemo::new(),
-            walk_scratch: RefCell::new(Vec::new()),
-        }
+        SubtreePartition { delegations, root }
     }
 
     /// The paper's initial partition (§5.1): "hashing directories near the
@@ -66,66 +52,61 @@ impl SubtreePartition {
     }
 
     /// The authoritative MDS for `id`: the delegation at the nearest
-    /// enclosing delegation point. O(1) amortized via the memo.
+    /// enclosing delegation point.
     pub fn authority(&self, ns: &Namespace, id: InodeId) -> MdsId {
-        self.resolve(ns, id).1
+        self.delegations.get(&self.subtree_root_of(ns, id)).copied().unwrap_or(MdsId(0))
     }
 
-    /// The delegation point governing `id` (itself, or nearest ancestor).
-    /// O(1) amortized via the memo.
+    /// The delegation point governing `id`: itself if delegated, else its
+    /// nearest delegated ancestor, else the tree root. A tombstone has no
+    /// ancestors, so it answers itself or the root.
     pub fn subtree_root_of(&self, ns: &Namespace, id: InodeId) -> InodeId {
-        self.resolve(ns, id).0
+        std::iter::once(id)
+            .chain(ns.ancestors(id))
+            .find(|d| self.delegations.contains_key(d))
+            .unwrap_or(self.root)
     }
 
-    /// Resolves `(governing delegation point, authority)` for `id`,
-    /// memoized. Semantics match the naive walk exactly: check `id`'s own
-    /// explicit delegation first, then each ancestor nearest-first, then
-    /// fall back to the root delegation.
-    fn resolve(&self, ns: &Namespace, id: InodeId) -> (InodeId, MdsId) {
-        let fallback =
-            || (self.root, self.delegations.get(&self.root).copied().unwrap_or(MdsId(0)));
-        if !ns.is_alive(id) {
-            // Tombstones bypass the memo (their death bumps no epoch):
-            // an explicit delegation still answers, the ancestor walk is
-            // empty, everything else falls back to the root.
-            if let Some(&m) = self.delegations.get(&id) {
-                return (id, m);
+    /// The owner of the tree root: the answer of every id with no
+    /// delegation of its own and no live ancestor chain.
+    pub(crate) fn root_owner(&self) -> MdsId {
+        self.delegations.get(&self.root).copied().unwrap_or(MdsId(0))
+    }
+
+    /// Writes `top`'s owner into `owner` (indexed by `InodeId::index()`)
+    /// for `top` and every id it governs: its descendants on primary
+    /// dentries down to, not into, nested delegation points. A hard link
+    /// elsewhere keeps its primary parent's answer. Repainting the tree
+    /// root also repaints the tombstones without a delegation of their
+    /// own, which answer the root's owner.
+    pub(crate) fn paint(&self, ns: &Namespace, owner: &mut [MdsId], top: InodeId) {
+        let m = self.authority(ns, top);
+        owner[top.index()] = m;
+        if top == self.root {
+            for (i, slot) in owner.iter_mut().enumerate() {
+                let id = InodeId(i as u64);
+                if !ns.is_alive(id) && !self.delegations.contains_key(&id) {
+                    *slot = m;
+                }
             }
-            return fallback();
         }
-        let stamp = self.memo.stamp(ns);
-        if let Some(hit) = self.memo.get(id, stamp) {
-            return hit;
+        let mut dirs = vec![top];
+        while let Some(dir) = dirs.pop() {
+            let Ok(kids) = ns.children_syms(dir) else { continue };
+            for (sym, c) in kids {
+                if crate::is_primary(ns, dir, sym, c) && !self.delegations.contains_key(&c) {
+                    owner[c.index()] = m;
+                    if ns.is_dir(c) {
+                        dirs.push(c);
+                    }
+                }
+            }
         }
-        // Walk toward the root, recording the misses; stop at the first
-        // explicit delegation or already-memoized ancestor.
-        let mut walked = self.walk_scratch.borrow_mut();
-        walked.clear();
-        let mut cur = id;
-        let answer = loop {
-            if let Some(&m) = self.delegations.get(&cur) {
-                self.memo.set(cur, stamp, (cur, m));
-                break (cur, m);
-            }
-            if let Some(hit) = self.memo.get(cur, stamp) {
-                break hit;
-            }
-            walked.push(cur);
-            match ns.parent(cur) {
-                Ok(Some(p)) => cur = p,
-                // Unreachable for live ids (the root is always
-                // delegated), but stay total.
-                _ => break fallback(),
-            }
-        };
-        self.memo.fill(&walked, stamp, answer);
-        answer
     }
 
     /// Delegates the subtree rooted at `dir` to `mds`. Returns the
     /// previous explicit delegation of `dir`, if any.
     pub fn delegate(&mut self, dir: InodeId, mds: MdsId) -> Option<MdsId> {
-        self.memo.bump();
         self.delegations.insert(dir, mds)
     }
 
@@ -135,7 +116,6 @@ impl SubtreePartition {
         if dir == self.root {
             return None;
         }
-        self.memo.bump();
         self.delegations.remove(&dir)
     }
 

@@ -12,15 +12,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Authority is total and in-range for every live item, for every
-    /// strategy, on any generated namespace.
+    /// strategy, on any generated namespace, and the filled table holds
+    /// the rule's from-scratch answer for every id and one past the bound.
     #[test]
     fn authority_total_and_in_range(seed in 0u64..500, n_mds in 1u16..32) {
         let snap = NamespaceSpec { users: 6, seed, ..Default::default() }.generate();
         for kind in StrategyKind::ALL {
             let part = dynmds_partition::Partition::initial(kind, &snap.ns, n_mds);
             for id in snap.ns.live_ids() {
-                let m = part.authority(&snap.ns, id);
+                let m = part.authority(id);
                 prop_assert!(m.index() < n_mds as usize, "{kind}: {m} out of range");
+            }
+            for id in (0..=snap.ns.id_bound()).map(InodeId) {
+                prop_assert_eq!(part.authority(id), part.recompute(&snap.ns, id), "{} {}", kind, id);
             }
         }
     }

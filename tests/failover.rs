@@ -125,7 +125,7 @@ fn hashed_strategies_remap_placement_around_dead_nodes() {
     let cluster = s.cluster();
     // live_authority is total and avoids the dead node.
     for id in cluster.ns.live_ids().take(500) {
-        let m = cluster.live_authority(cluster.partition.authority(&cluster.ns, id));
+        let m = cluster.live_authority(cluster.partition.authority(id));
         assert_ne!(m, MdsId(0));
         assert!(cluster.is_alive_node(m));
     }

@@ -1,4 +1,4 @@
-//! Golden-figure regression test: the optimized hot path (memoized
+//! Golden-figure regression test: the optimized hot path (table-backed
 //! authority, capacity-sized LRU arena, allocation-free traversal and
 //! sampling) must not change simulation *results*, only their cost. Each table here
 //! is regenerated in-process at `--quick` scale and compared byte-for-byte
