@@ -16,15 +16,22 @@
 //!   mid-window.
 //! * **Cross-shard queues.** All entity-to-entity messages (requests,
 //!   forwards, replies, loss notifications) go through per-destination
-//!   outboxes — even when source and destination share a shard. At the
-//!   end of its window step a shard swaps each non-empty outbox into its
-//!   `[parity][src][dst]` mail cell; at the start of the next executed
-//!   window the destination schedules that mail itself, on whichever
-//!   worker steps it, so the barrier only hands each shard the list of
-//!   sources that wrote to it. A message lands at exactly `send + L`, and
-//!   every same-timestamp batch is sorted by its canonical key, whose
-//!   equal keys mean identical events; the order mail is queued in
-//!   therefore cannot change the run.
+//!   outboxes — even when source and destination share a shard. How the
+//!   outboxes empty depends on how the window runs. A window the work
+//!   gate keeps *inline* runs on the coordinator and makes no driver
+//!   call: it steps only the shards with an event before the window end
+//!   and, after each step, schedules that shard's outboxes straight into
+//!   the destination queues. A *pooled* window goes through the driver,
+//!   which steps every shard; at the end of its step a shard swaps each
+//!   non-empty outbox into its `[parity][src][dst]` mail cell, the
+//!   barrier hands each shard the list of sources that wrote to it, and
+//!   the destination schedules that mail itself at the start of its next
+//!   step (or, if the next window runs inline, the coordinator schedules
+//!   it before stepping that window). A message lands at exactly `send + L`, at or past
+//!   the end of the window it was sent in, and every same-timestamp batch
+//!   is sorted by its canonical key, whose equal keys mean identical
+//!   events; the order mail is queued in, and the order shards are
+//!   stepped in, therefore cannot change the run.
 //! * **Shard-count invariance.** The *report surface* (rendered report,
 //!   CSV fields, obs exports) is identical for any K. The argument is
 //!   that entity state evolves identically: (1) every same-timestamp
@@ -75,7 +82,8 @@ use crate::report::NodeSnapshot;
 /// way the harness worker policy does. Installed once by the harness so
 /// the shard loop shares its scoped worker pool; without one, shards run
 /// serially in id order (identical results — the driver only changes
-/// wall-clock).
+/// wall-clock). Only pooled windows call it, each with every shard;
+/// inline windows run on the calling thread and never reach it.
 pub type ParallelDriver = fn(usize, Option<usize>, &(dyn Fn(usize) + Sync));
 
 static DRIVER: OnceLock<ParallelDriver> = OnceLock::new();
@@ -222,12 +230,13 @@ struct OutMsg {
 }
 
 /// Mail in flight between shards, one cell per `[parity][src][dst]`,
-/// where parity is that of the executed window the mail was sent in. A
-/// cell is filled by `src` at the end of one window step and drained by
-/// `dst` at the start of the next executed one, whose senders fill the
-/// cells of the other parity, so the two sides never touch a cell at the
-/// same time and its lock is never contended. Only pairs with mail
-/// touch a cell, once per window.
+/// where parity is that of the pooled window the mail was sent in. A
+/// cell is filled by `src` at the end of one pooled window step and
+/// drained by `dst` before or at the start of the next executed window,
+/// whose senders, if it is pooled, fill the cells of the other parity,
+/// so the two sides never touch a cell at the same time and its lock is
+/// never contended. Only pairs with mail touch a cell, once per window;
+/// inline windows touch none.
 struct Mail {
     k: usize,
     cells: Vec<Mutex<Vec<OutMsg>>>,
@@ -423,21 +432,24 @@ struct Shard {
     /// cells at the end of each window step.
     outbox: Vec<Vec<OutMsg>>,
     /// Destination shards this window's step has sent to, in first-send
-    /// order; the barrier turns them into the destinations' `inbound`.
+    /// order: an inline window delivers to them, and the barrier after a
+    /// pooled one turns them into the destinations' `inbound`.
     sent_to: Vec<usize>,
     /// Source shards whose cells hold mail for this shard, scheduled at
-    /// the start of its next window step.
+    /// the start of its next pooled step, or by the coordinator before
+    /// the next inline window steps.
     inbound: Vec<usize>,
     /// Cross-shard delivery latency, µs (== the window width): messages
     /// land at `send + hop_us`, always at or past the next barrier.
     hop_us: u64,
-    /// Single-shard run: [`Shard::send`] schedules straight into the own
-    /// queue at the delivery time, bypassing the outbox entirely.
-    direct: bool,
     /// Same-timestamp batch scratch (allocation reused across windows).
     batch: Vec<Ev>,
     /// Events the last [`Shard::run_window`] handled.
     window_events: u64,
+    /// Earliest send time among the messages of the current pooled
+    /// step (`u64::MAX` when it sent none); the barrier turns it into
+    /// [`ShardedSimulation::mail_due`].
+    first_send: u64,
     stats: ShardStats,
     lat: LatencyAgg,
 }
@@ -487,19 +499,38 @@ impl Shard {
         &mut self.clients[(c.0 - self.client_lo) as usize]
     }
 
-    /// One window step of parity `parity`: schedules the mail posted to
-    /// this shard in the previous executed window, runs every event
-    /// strictly before `end` (µs), then posts its outboxes to this
-    /// window's cells. Same-timestamp batches are collected and
-    /// canonically sorted before processing; follow-ups are always at
-    /// least 1 µs out, so a batch is closed by the time it is sorted.
-    /// Records how many events it handled.
+    /// One pooled window step of parity `parity`: schedules the mail
+    /// posted to this shard in the previous window, if that one was
+    /// pooled too, runs the window, then posts its outboxes to this
+    /// window's cells.
     fn run_window(&mut self, world: &World, mail: &Mail, parity: usize, end: u64) {
+        self.schedule_inbound(mail, parity ^ 1);
+        self.first_send = u64::MAX;
+        self.step(world, end);
+        for &dst in &self.sent_to {
+            let mut cell = mail.cell(parity, self.id, dst);
+            debug_assert!(cell.is_empty(), "a cell is drained in the window after it is filled");
+            // The swap hands the cell's drained allocation back as the outbox.
+            std::mem::swap(&mut *cell, &mut self.outbox[dst]);
+        }
+    }
+
+    /// Schedules the mail in the parity-`parity` cells of every source
+    /// in `inbound` at its delivery time.
+    fn schedule_inbound(&mut self, mail: &Mail, parity: usize) {
         for src in self.inbound.drain(..) {
-            for m in mail.cell(parity ^ 1, src, self.id).drain(..) {
+            for m in mail.cell(parity, src, self.id).drain(..) {
                 self.queue.schedule(SimTime::from_micros(m.send + self.hop_us), m.ev);
             }
         }
+    }
+
+    /// Runs every event strictly before `end` (µs), leaving what it sends
+    /// in the outboxes. Same-timestamp batches are collected and
+    /// canonically sorted before processing; follow-ups are always at
+    /// least 1 µs out, so a batch is closed by the time it is sorted.
+    /// Records how many events it handled.
+    fn step(&mut self, world: &World, end: u64) {
         let mut batch = std::mem::take(&mut self.batch);
         let mut handled = 0;
         while let Some(tt) = self.queue.peek_time() {
@@ -531,12 +562,6 @@ impl Shard {
         }
         self.batch = batch;
         self.window_events = handled;
-        for &dst in &self.sent_to {
-            let mut cell = mail.cell(parity, self.id, dst);
-            debug_assert!(cell.is_empty(), "a cell is drained in the window after it is filled");
-            // The swap hands the cell's drained allocation back as the outbox.
-            std::mem::swap(&mut *cell, &mut self.outbox[dst]);
-        }
     }
 
     fn handle(&mut self, world: &World, t: u64, ev: Ev) {
@@ -564,21 +589,12 @@ impl Shard {
     }
 
     fn send(&mut self, dst_shard: usize, send: u64, ev: Ev) {
-        if self.direct {
-            // One shard: the "cross-shard" message can go straight into
-            // the own queue at its delivery time. The delivery lands at
-            // or past the window end (hop == window width), so it never
-            // fires intra-window, and pops order strictly by (time, seq)
-            // with same-time batches canonically sorted — byte-identical
-            // to the mail path.
-            self.queue.schedule(SimTime::from_micros(send + self.hop_us), ev);
-        } else {
-            let outbox = &mut self.outbox[dst_shard];
-            if outbox.is_empty() {
-                self.sent_to.push(dst_shard);
-            }
-            outbox.push(OutMsg { send, ev });
+        let outbox = &mut self.outbox[dst_shard];
+        if outbox.is_empty() {
+            self.sent_to.push(dst_shard);
         }
+        outbox.push(OutMsg { send, ev });
+        self.first_send = self.first_send.min(send);
     }
 
     fn think_delay(rng: &mut SimRng, mean_us: f64) -> u64 {
@@ -1042,6 +1058,14 @@ pub struct ShardedSimulation {
     threads: Option<usize>,
     /// Events the last executed window handled, over all shards.
     last_window_events: u64,
+    /// The shards an inline window steps: those with an event before its
+    /// end, in id order (scratch reused by every window).
+    busy: Vec<usize>,
+    /// Earliest delivery time of the mail a pooled window left in the
+    /// cells (`u64::MAX` when none): the idle-window skip reads it in
+    /// place of the queue heads that mail has not joined yet.
+    mail_due: u64,
+    counts: RunCounts,
     window_us: u64,
     now_us: u64,
     steps: Vec<(u64, Step)>,
@@ -1059,16 +1083,27 @@ pub struct ShardedSimulation {
     snapshots: Option<SnapshotSeries>,
 }
 
+/// How a run has executed so far; see [`ShardedSimulation::run_counts`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Windows run inline on the coordinator, with no driver call.
+    pub inline_windows: u64,
+    /// Windows handed to the driver, which steps every shard.
+    pub pooled_windows: u64,
+    /// Events handled, over all shards.
+    pub events: u64,
+}
+
 /// Snapshot-series field layout (one slot per node each).
 const SNAP_FIELDS: &[&str] = &["served", "forwarded", "received", "misses"];
 
 /// Fewest events the previous executed window must have handled, over
 /// all shards, for the next one to go to the pool. Events per executed
-/// window of the benchmark's sharded workloads: the day/night elastic
-/// load handles 1 event in 55–73% of its windows, 2–3 in 25–34%, 4–7 in
-/// 2–10% and 8 or more in under 0.2%, so it stays inline; the scale tier
-/// has fewer than 8 in 4% and 16 or more in 71%, and the dense K=8 run
-/// never fewer than 64, so both still fan out. The gate reads a count of
+/// window of the benchmark's sharded workloads (DESIGN.md §11): the
+/// day/night elastic load handles fewer than 8 in 99.8% of its windows,
+/// so it stays inline; the dense K=8 run never fewer than 64, so it fans
+/// out from its second window on; the scale tier handles 8 or more in
+/// almost all of its windows and fans out too. The gate reads a count of
 /// simulated events, the same for every K and host, never a host time.
 const FANOUT_MIN_EVENTS: u64 = 8;
 
@@ -1165,7 +1200,6 @@ impl ShardedSimulation {
                 queue,
                 cfg: cfg.clone(),
                 hop_us: window_us,
-                direct: k == 1,
                 node_lo,
                 nodes,
                 client_lo,
@@ -1179,6 +1213,7 @@ impl ShardedSimulation {
                 inbound: Vec::new(),
                 batch: Vec::new(),
                 window_events: 0,
+                first_send: u64::MAX,
                 stats: ShardStats::default(),
                 lat: LatencyAgg::new(),
             });
@@ -1229,6 +1264,9 @@ impl ShardedSimulation {
             shards: shard_vec,
             threads,
             last_window_events: 0,
+            busy: Vec::with_capacity(k),
+            mail_due: u64::MAX,
+            counts: RunCounts::default(),
             window_us,
             now_us: 0,
             steps,
@@ -1275,43 +1313,143 @@ impl ShardedSimulation {
         self.shards.len()
     }
 
+    /// Windows and events executed so far. The executed-window total
+    /// and the event count are the same for every shard count; only how
+    /// the windows split between inline and pooled depends on it.
+    pub fn run_counts(&self) -> RunCounts {
+        self.counts
+    }
+
     /// Advances all shards to `until_us`, window by window. Windows end on
     /// the fixed grid of multiples of the window width; a stop off the
     /// grid splits one window in two but moves no barrier, so how callers
-    /// slice a run into `run_until` calls cannot change it. Idle window
-    /// spans — no shard event, no mail, no calendar step due — are
-    /// skipped in one jump, staying on the same grid so the state
-    /// trajectory is byte-identical with skipping on or off. An executed
-    /// window goes to the pool only when it has more than one busy shard
-    /// and the previous executed window handled at least
-    /// [`FANOUT_MIN_EVENTS`] events; any other window runs its fan-out on
-    /// this thread alone (one worker), since waking pool workers for a few
-    /// events costs more than it saves. `force_dense` turns both off and
-    /// fans every window out with the full worker count.
+    /// slice a run into `run_until` calls cannot change it. Windows go to
+    /// the pool only when [`Self::run_inline`] opens the work gate;
+    /// `force_dense` turns the gate and the idle-window skip off and fans
+    /// every window out with the full worker count.
     fn run_windows(&mut self, until_us: u64) {
         self.apply_steps(self.now_us);
-        let dense = self.cfg.force_dense;
         while self.now_us < until_us {
-            if !dense {
-                self.skip_idle_windows(until_us);
-                if self.now_us >= until_us {
-                    break;
+            let end = if self.cfg.force_dense {
+                self.next_grid().min(until_us)
+            } else {
+                match self.run_inline(until_us) {
+                    Some(end) => end,
+                    None => break,
                 }
-            }
-            let end = self.next_grid().min(until_us);
-            let fan_out =
-                dense || (self.last_window_events >= FANOUT_MIN_EVENTS && self.several_busy(end));
-            let threads = if fan_out { self.threads } else { Some(1) };
+            };
             let (world, mail, parity) = (&self.world, &self.mail, self.parity);
-            for_each_shard(&mut self.shards, &self.claims, self.driver, threads, |s| {
+            for_each_shard(&mut self.shards, &self.claims, self.driver, self.threads, |s| {
                 s.run_window(world, mail, parity, end)
             });
             self.parity ^= 1;
             self.last_window_events = self.shards.iter().map(|s| s.window_events).sum();
+            self.counts.pooled_windows += 1;
+            self.counts.events += self.last_window_events;
             self.now_us = end;
             self.address_mail();
             self.apply_steps(end);
         }
+    }
+
+    /// Runs windows on this thread, with no driver call, until `until_us`
+    /// (returns `None`) or until the work gate opens (returns the end of
+    /// the window to hand to the pool). The gate opens when more than one
+    /// shard has an event before the window end or mail in the cells, and
+    /// the previous executed window handled at least [`FANOUT_MIN_EVENTS`]
+    /// events; waking pool workers for a few events costs more than it
+    /// saves.
+    ///
+    /// Each window steps only its busy shards, and after each step
+    /// schedules the shard's outboxes straight into the destination
+    /// queues. A message sent in `[w, end)` lands at `send + L ≥ w + L ≥
+    /// end`, so no shard stepped later in the same window can see it, and
+    /// the stepping order cannot matter. Inline windows write no mail
+    /// cells, so they leave `parity` alone. Mail a pooled window left in
+    /// the cells stays there if the next window is pooled too, whose
+    /// steps schedule it on the workers; if it runs inline, this thread
+    /// schedules it first, so the window's busy list sees it.
+    ///
+    /// Idle window spans — no queued event, no mail due and no calendar
+    /// step due — are skipped in one jump, staying on the same grid. With
+    /// `t_min` the minimum over every queue head, [`Self::mail_due`] and
+    /// the next-due step, every window strictly before the one holding
+    /// `t_min` pops no event and its barrier applies no step, so the jump
+    /// lands on the grid barrier `⌊t_min / w⌋·w` with identical state. When nothing is due before
+    /// `until_us`, time jumps to the final barrier and its steps (due
+    /// exactly at `until_us`, as in a dense run) apply. `t_min` is a
+    /// function of the pending-event multiset and the calendar, both
+    /// shard-count-invariant at barriers, so every K takes the same jumps
+    /// and executes the same windows.
+    fn run_inline(&mut self, until_us: u64) -> Option<u64> {
+        while self.now_us < until_us {
+            let mut end = self.next_grid().min(until_us);
+            let t_min = self.scan_busy(end).min(self.mail_due).min(self.next_due);
+            if t_min >= self.next_grid() {
+                if t_min >= until_us {
+                    self.now_us = until_us;
+                    self.apply_steps(until_us);
+                    return None;
+                }
+                self.now_us = t_min / self.window_us * self.window_us;
+                self.apply_steps(self.now_us);
+                end = self.next_grid().min(until_us);
+                self.scan_busy(end);
+            }
+            if self.last_window_events >= FANOUT_MIN_EVENTS && self.busy.len() > 1 {
+                return Some(end);
+            }
+            if self.mail_due != u64::MAX {
+                for s in &mut self.shards {
+                    s.schedule_inbound(&self.mail, self.parity ^ 1);
+                }
+                self.mail_due = u64::MAX;
+                self.scan_busy(end);
+            }
+            let mut events = 0;
+            for j in 0..self.busy.len() {
+                events += self.step_inline(self.busy[j], end);
+            }
+            self.last_window_events = events;
+            self.counts.inline_windows += 1;
+            self.counts.events += events;
+            self.now_us = end;
+            self.apply_steps(end);
+        }
+        None
+    }
+
+    /// One pass over the queue heads: fills `busy` with the shards that
+    /// have an event before `end` or mail in the cells, and returns the
+    /// earliest queued event time (`u64::MAX` when every queue is empty).
+    fn scan_busy(&mut self, end: u64) -> u64 {
+        self.busy.clear();
+        let mut t_min = u64::MAX;
+        for (i, s) in self.shards.iter().enumerate() {
+            let head = s.queue.peek_time().map_or(u64::MAX, |t| t.as_micros());
+            t_min = t_min.min(head);
+            if head < end || !s.inbound.is_empty() {
+                self.busy.push(i);
+            }
+        }
+        t_min
+    }
+
+    /// Steps shard `i` to `end` and schedules what it sent straight into
+    /// the destination queues; returns the events it handled.
+    fn step_inline(&mut self, i: usize, end: u64) -> u64 {
+        self.shards[i].step(&self.world, end);
+        let mut sent_to = std::mem::take(&mut self.shards[i].sent_to);
+        for dst in sent_to.drain(..) {
+            let mut out = std::mem::take(&mut self.shards[i].outbox[dst]);
+            let queue = &mut self.shards[dst].queue;
+            for m in out.drain(..) {
+                queue.schedule(SimTime::from_micros(m.send + self.window_us), m.ev);
+            }
+            self.shards[i].outbox[dst] = out;
+        }
+        self.shards[i].sent_to = sent_to;
+        self.shards[i].window_events
     }
 
     /// The first grid barrier after `now_us`: where the current window ends.
@@ -1319,64 +1457,23 @@ impl ShardedSimulation {
         (self.now_us / self.window_us + 1) * self.window_us
     }
 
-    /// Whether more than one shard has inbound mail or an event before
-    /// `end`, by the same `peek_time` test `run_window`'s loop makes. It
-    /// only picks the window's worker count; every shard still runs.
-    fn several_busy(&self, end: u64) -> bool {
-        let busy = |s: &&Shard| {
-            !s.inbound.is_empty() || s.queue.peek_time().is_some_and(|t| t.as_micros() < end)
-        };
-        self.shards.iter().filter(busy).nth(1).is_some()
-    }
-
-    /// Barrier side of the mail: turns the destinations each shard sent
-    /// to in the window just run into each destination's list of sources
-    /// to drain. Costs one push per `(src, dst)` pair with mail.
+    /// Barrier side of a pooled window's mail: turns the destinations
+    /// each shard sent to into each destination's list of sources to
+    /// drain, and notes when the earliest of that mail lands. Costs one
+    /// push per `(src, dst)` pair with mail.
     fn address_mail(&mut self) {
+        self.mail_due = u64::MAX;
         for src in 0..self.shards.len() {
+            let first = self.shards[src].first_send;
+            if first != u64::MAX {
+                self.mail_due = self.mail_due.min(first + self.window_us);
+            }
             let mut sent_to = std::mem::take(&mut self.shards[src].sent_to);
             for dst in sent_to.drain(..) {
                 self.shards[dst].inbound.push(src);
             }
             self.shards[src].sent_to = sent_to;
         }
-    }
-
-    /// From a barrier, jumps `now_us` forward over windows that would
-    /// execute nothing. Mail still in its cells blocks the jump: it is
-    /// not in any queue yet, and every message lands in the next window
-    /// anyway. Otherwise let `t_min` be the minimum over every shard's
-    /// next event time and the next-due calendar step. Every window
-    /// strictly before the one containing `t_min` pops no event and its
-    /// barrier applies no step — running those windows densely would be
-    /// a pure no-op, so the jump lands on the grid barrier `⌊t_min / w⌋·w`
-    /// with identical state. When nothing is due before `until_us`, time
-    /// jumps to the final barrier and its steps (due exactly at
-    /// `until_us`, as in a dense run) apply. Whether mail is pending and
-    /// `t_min` are functions of the sent messages, the event-time
-    /// multiset and the calendar, all shard-count-invariant at barriers,
-    /// so every K takes the same jumps.
-    fn skip_idle_windows(&mut self, until_us: u64) {
-        let mut t_min = self.next_due;
-        for s in &self.shards {
-            if !s.inbound.is_empty() {
-                return; // mail in flight
-            }
-            if let Some(t) = s.queue.peek_time() {
-                t_min = t_min.min(t.as_micros());
-            }
-        }
-        if t_min < self.next_grid() {
-            return; // something due in the current window: no skip
-        }
-        if t_min >= until_us {
-            self.now_us = until_us;
-            self.apply_steps(until_us);
-            return;
-        }
-        let barrier = t_min / self.window_us * self.window_us;
-        self.now_us = barrier;
-        self.apply_steps(barrier);
     }
 
     /// Recomputes the next-due-step calendar after anything that moves
@@ -2149,60 +2246,177 @@ mod tests {
             const { std::cell::RefCell::new(Vec::new()) };
     }
 
-    /// The `threads` of every fan-out of a K=4 run with three workers:
-    /// `n_mds` servers, `n_clients` clients at `think_us` mean think time.
-    fn fanouts(n_mds: u16, n_clients: u32, think_us: u64, force_dense: bool) -> Vec<Option<usize>> {
+    /// Servers at the scale tier's cost point (30 µs per op, flash OSDs),
+    /// so that thousands of clients load windows with dozens of events.
+    fn fast_servers(cfg: &mut SimConfig) {
+        cfg.costs.cpu_per_op = SimDuration::from_micros(30);
+        cfg.costs.cpu_forward = SimDuration::from_micros(5);
+        cfg.costs.osd_disk =
+            dynmds_storage::DiskParams { latency: SimDuration::from_micros(200), iops: 20_000.0 };
+    }
+
+    /// The `threads` of every driver call of a K=4 run with three
+    /// workers, and the run's counts: `n_mds` fast servers, `n_clients`
+    /// clients at `think_us` mean think time.
+    fn fanouts(
+        n_mds: u16,
+        n_clients: u32,
+        think_us: u64,
+        force_dense: bool,
+    ) -> (Vec<Option<usize>>, RunCounts) {
         let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
         cfg.n_mds = n_mds;
         cfg.n_clients = n_clients;
         cfg.costs.think_mean = SimDuration::from_micros(think_us);
         cfg.force_dense = force_dense;
+        fast_servers(&mut cfg);
         let mut sim = build_with(cfg, 4, Some(3));
         sim.driver = Some(recording_driver);
         FANOUTS.with(|f| f.borrow_mut().clear());
-        let r = sim.run_measured(SimDuration::from_millis(200), SimDuration::from_millis(300));
-        assert!(r.ops > 0);
-        FANOUTS.with(|f| f.take())
+        sim.run_until(SimTime::from_millis(500));
+        let counts = sim.run_counts();
+        assert!(sim.finish().ops > 0);
+        (FANOUTS.with(|f| f.take()), counts)
     }
 
     #[test]
     fn sparse_windows_run_inline() {
-        // Three clients thinking 20 ms each: no window handles 8 events.
-        let calls = fanouts(4, 3, 20_000, false);
-        assert!(calls.len() > 50, "only {} windows executed", calls.len());
-        assert!(calls.iter().all(|&t| t == Some(1)), "{calls:?}");
+        // Three clients thinking 20 ms each: no window handles 8 events,
+        // so no window reaches the driver.
+        let (calls, counts) = fanouts(4, 3, 20_000, false);
+        assert!(counts.inline_windows > 50, "only {counts:?}");
+        assert_eq!(counts.pooled_windows, 0, "{counts:?}");
+        assert!(calls.is_empty(), "{calls:?}");
     }
 
     #[test]
     fn dense_windows_fan_out_once_the_first_is_seen() {
         // 2000 clients at 2 ms over 16 servers: every window after the
         // first has every shard busy and dozens of events. The first has
-        // no predecessor to vouch for it, so it runs inline.
-        let calls = fanouts(16, 2_000, 2_000, false);
-        assert!(calls.len() > 1_000, "only {} windows executed", calls.len());
-        assert_eq!(calls[0], Some(1));
-        assert!(calls[1..].iter().all(|&t| t == Some(3)), "{calls:?}");
+        // no predecessor to vouch for it, so it runs inline, with no
+        // driver call.
+        let (calls, counts) = fanouts(16, 2_000, 2_000, false);
+        assert_eq!(counts.inline_windows, 1, "{counts:?}");
+        assert_eq!(calls.len() as u64, counts.pooled_windows);
+        assert!(calls.len() > 1_000, "only {} windows pooled", calls.len());
+        assert!(calls.iter().all(|&t| t == Some(3)), "{calls:?}");
     }
 
     #[test]
     fn force_dense_fans_every_window_out_with_every_worker() {
-        let calls = fanouts(4, 3, 20_000, true);
+        let (calls, _) = fanouts(4, 3, 20_000, true);
         assert_eq!(calls.len(), 5_000, "every 100 µs window of 0.5 s executes");
         assert!(calls.iter().all(|&t| t == Some(3)));
     }
 
-    /// Runs `cfg` over `k` shards to each time in `stops` (µs) in turn,
-    /// resetting the statistics at the 100 ms warm-up stop, and reports.
-    fn run_in_stops(cfg: &SimConfig, k: usize, stops: &[u64]) -> ShardReport {
-        let mut sim = build_with(cfg.clone(), k, Some(2));
-        sim.driver = Some(threaded_driver);
+    /// A load shape: wraps the general workload.
+    type Shape = fn(GeneralWorkload) -> Box<dyn Workload + Send>;
+
+    /// Eight fast servers under a shaped load: `clients` clients at a
+    /// 1 ms mean think time, wrapped by `shape`.
+    fn build_shaped(
+        shards: usize,
+        clients: u32,
+        shape: Shape,
+        force_dense: bool,
+    ) -> ShardedSimulation {
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.n_mds = 8;
+        cfg.n_clients = clients;
+        cfg.client_leases = true;
+        cfg.costs.think_mean = SimDuration::from_millis(1);
+        cfg.heartbeat = SimDuration::from_millis(40);
+        cfg.sample_every = SimDuration::from_millis(20);
+        cfg.obs = dynmds_obs::ObsConfig::metrics_only();
+        cfg.force_dense = force_dense;
+        fast_servers(&mut cfg);
+        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
+        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+        let n_clients = clients as usize;
+        ShardedSimulation::new(cfg, shards, Some(2), snap, &move |ns| {
+            shape(GeneralWorkload::new(WorkloadConfig::default(), n_clients, &homes, &shared, ns))
+        })
+    }
+
+    /// 5 ms at full rate every 20 ms, think times ×40 in between.
+    fn bursty(w: GeneralWorkload) -> Box<dyn Workload + Send> {
+        use dynmds_workload::BurstyWorkload;
+        let ms = SimDuration::from_millis;
+        Box::new(BurstyWorkload::new(w, ms(20), ms(5), 40.0))
+    }
+
+    /// A 100 ms day/night cycle, think times up to ×150 at night.
+    fn diurnal(w: GeneralWorkload) -> Box<dyn Workload + Send> {
+        use dynmds_workload::DiurnalWorkload;
+        Box::new(DiurnalWorkload::new(w, SimDuration::from_millis(100), 150.0))
+    }
+
+    fn unshaped(w: GeneralWorkload) -> Box<dyn Workload + Send> {
+        Box::new(w)
+    }
+
+    #[test]
+    fn executed_windows_and_events_are_shard_count_invariant() {
+        let shapes: [(&str, u32, Shape); 3] =
+            [("dense", 2_000, unshaped), ("sparse", 6, unshaped), ("diurnal", 2_000, diurnal)];
+        for (name, clients, shape) in shapes {
+            let run = |k: usize, dense: bool| {
+                let mut sim = build_shaped(k, clients, shape, dense);
+                sim.driver = Some(recording_driver);
+                sim.run_until(SimTime::from_millis(300));
+                sim.run_counts()
+            };
+            let base = run(1, false);
+            assert_eq!(base.pooled_windows, 0, "{name}: one shard never fans out");
+            assert!(base.events > 500, "{name}: {base:?}");
+            for k in [2, 4, 8] {
+                let c = run(k, false);
+                assert_eq!(
+                    (c.inline_windows + c.pooled_windows, c.events),
+                    (base.inline_windows, base.events),
+                    "{name}, K={k}: {c:?}"
+                );
+                if name != "sparse" {
+                    assert!(c.pooled_windows > 0, "{name}, K={k}: {c:?}");
+                }
+            }
+            let dense = run(4, true);
+            assert_eq!((dense.inline_windows, dense.events), (0, base.events), "{name}");
+        }
+    }
+
+    /// Runs `sim` to each time in `stops` (µs) in turn, resetting the
+    /// statistics at the 100 ms stop, and reports. Also returns how often
+    /// execution switched from inline windows to pooled ones and back.
+    /// One call covers at most one window when the stops include every
+    /// grid barrier, so the counts see every switch.
+    fn run_in_stops(mut sim: ShardedSimulation, stops: &[u64]) -> (ShardReport, [u64; 2]) {
+        let mut switches = [0; 2];
+        let mut last_pooled = None;
         for &t in stops {
+            let before = sim.run_counts();
             sim.run_until(SimTime::from_micros(t));
+            let after = sim.run_counts();
+            // Parity names a pooled window's cells; inline windows write
+            // none, so only pooled windows flip it.
+            assert_eq!(sim.parity as u64, after.pooled_windows % 2, "parity at {t} µs");
+            if after != before {
+                let pooled = after.pooled_windows > before.pooled_windows;
+                if last_pooled == Some(!pooled) {
+                    switches[usize::from(!pooled)] += 1;
+                }
+                last_pooled = Some(pooled);
+            }
             if t == 100_000 {
                 sim.reset_measurement();
             }
         }
-        sim.finish()
+        (sim.finish(), switches)
+    }
+
+    fn obs(r: &ShardReport) -> (String, String) {
+        let o = r.obs.as_ref().expect("metrics on");
+        (o.metrics_jsonl.clone(), o.snapshots_jsonl.clone())
     }
 
     #[test]
@@ -2217,19 +2431,42 @@ mod tests {
             cfg.heartbeat = SimDuration::from_millis(40);
             cfg.sample_every = SimDuration::from_millis(20);
             cfg.obs = dynmds_obs::ObsConfig::metrics_only();
-            let whole = run_in_stops(&cfg, k, &[100_000, 300_000]);
-            let split = run_in_stops(
-                &cfg,
-                k,
+            let sim = || {
+                let mut sim = build_with(cfg.clone(), k, Some(2));
+                sim.driver = Some(threaded_driver);
+                sim
+            };
+            let (whole, _) = run_in_stops(sim(), &[100_000, 300_000]);
+            let (split, _) = run_in_stops(
+                sim(),
                 &[13, 37_913, 37_950, 100_000, 100_001, 123_457, 211_111, 299_999, 300_000],
             );
             assert!(whole.ops > 0);
-            let obs = |r: &ShardReport| {
-                let o = r.obs.as_ref().expect("metrics on");
-                (o.metrics_jsonl.clone(), o.snapshots_jsonl.clone())
-            };
             assert_eq!(whole.render(), split.render(), "{n_clients} clients, K={k}");
             assert_eq!(obs(&whole), obs(&split), "{n_clients} clients, K={k}");
+        }
+    }
+
+    #[test]
+    fn inline_and_pooled_windows_alternate_without_changing_the_run() {
+        // Bursts open the gate and idle stretches close it again. Stepping
+        // one grid window per call, with an off-grid stop inside every
+        // third window, must match one shard and a force-dense run.
+        let mut stops: Vec<u64> = (1..=3_000).map(|w| w * 100).collect();
+        stops.extend((0..1_000).map(|w| w * 300 + 37));
+        stops.sort_unstable();
+        let mut gated = build_shaped(4, 2_000, bursty, false);
+        gated.driver = Some(recording_driver);
+        let (stepped, [up, down]) = run_in_stops(gated, &stops);
+        assert!(up >= 10 && down >= 10, "{up} inline→pooled, {down} pooled→inline switches");
+        let (one, _) = run_in_stops(build_shaped(1, 2_000, bursty, false), &[100_000, 300_000]);
+        let mut dense = build_shaped(4, 2_000, bursty, true);
+        dense.driver = Some(recording_driver);
+        let (dense, _) = run_in_stops(dense, &[100_000, 300_000]);
+        assert!(one.ops > 500, "only {} ops", one.ops);
+        for (name, r) in [("one shard", &one), ("force dense", &dense)] {
+            assert_eq!(stepped.render(), r.render(), "{name}");
+            assert_eq!(obs(&stepped), obs(r), "{name}");
         }
     }
 
