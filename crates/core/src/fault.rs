@@ -16,6 +16,8 @@
 //! schedule replays byte-identically — and an empty schedule draws
 //! nothing, leaving fault-free runs bit-for-bit unchanged.
 
+use std::fmt;
+
 use dynmds_event::{SimDuration, SimRng, SimTime};
 use dynmds_namespace::MdsId;
 use dynmds_storage::DiskFault;
@@ -122,6 +124,28 @@ impl FaultSchedule {
     /// True when the schedule injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.churn.is_none()
+    }
+
+    /// Checks that every node the schedule names is in an `n_mds`-node
+    /// cluster: scripted crash and recover indices, and the start of a
+    /// churn `nodes=A-B` range (its end is clamped to the cluster).
+    pub fn check_nodes(&self, n_mds: usize) -> Result<(), String> {
+        let outside = |node: u16| {
+            format!("MDS {node} is outside the {n_mds}-node cluster (nodes are numbered from 0)")
+        };
+        for ev in &self.events {
+            if let FaultEvent::Crash { mds, .. } | FaultEvent::Recover { mds, .. } = *ev {
+                if mds.index() >= n_mds {
+                    return Err(format!("`{ev}`: {}", outside(mds.0)));
+                }
+            }
+        }
+        if let Some(churn @ ChurnSpec { nodes: Some((first, _)), .. }) = self.churn {
+            if usize::from(first) >= n_mds {
+                return Err(format!("`{churn}`: {}", outside(first)));
+            }
+        }
+        Ok(())
     }
 
     /// The concrete event list for an `n_mds`-node cluster: scripted
@@ -301,10 +325,82 @@ impl FaultSchedule {
     }
 }
 
+/// Writes the `--faults` grammar [`FaultSchedule::parse`] reads back:
+/// entries joined by `;`, times in integer microseconds, and floats in
+/// Rust's shortest round-trip form, so a parse restores every bit.
+impl fmt::Display for FaultSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
+        for ev in &self.events {
+            write!(f, "{sep}{ev}")?;
+            sep = ";";
+        }
+        if let Some(churn) = &self.churn {
+            write!(f, "{sep}{churn}")?;
+        }
+        Ok(())
+    }
+}
+
+/// One `--faults` entry; see [`FaultSchedule`]'s `Display`.
+impl fmt::Display for FaultEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultEvent::Crash { at, mds } => write!(f, "crash:{}@{}us", mds.0, at.as_micros()),
+            FaultEvent::Recover { at, mds } => write!(f, "recover:{}@{}us", mds.0, at.as_micros()),
+            FaultEvent::DiskDegrade { from, until, fault, scope } => {
+                let scope = match scope {
+                    DiskScope::Osd => "osd",
+                    DiskScope::Journal => "journal",
+                    DiskScope::All => "all",
+                };
+                write!(
+                    f,
+                    "disk:lat={}x,iops={}x,err={},scope={scope}@{}us..{}us",
+                    fault.latency_mult,
+                    fault.iops_mult,
+                    fault.error_p,
+                    from.as_micros(),
+                    until.as_micros()
+                )
+            }
+            FaultEvent::NetFault { from, until, spec } => write!(
+                f,
+                "net:loss={},dup={}@{}us..{}us",
+                spec.loss_p,
+                spec.dup_p,
+                from.as_micros(),
+                until.as_micros()
+            ),
+        }
+    }
+}
+
+/// The `churn:` entry of the `--faults` grammar.
+impl fmt::Display for ChurnSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "churn:mtbf={}us,mttr={}us,seed={},until={}us",
+            self.mtbf.as_micros(),
+            self.mttr.as_micros(),
+            self.seed,
+            self.until.as_micros()
+        )?;
+        if let Some((a, b)) = self.nodes {
+            write!(f, ",nodes={a}-{b}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Parses a duration like `5s`, `250ms`, `1500us` or a bare number of
-/// seconds (floats allowed).
+/// seconds (floats allowed). An integer `us` count is taken exactly.
 fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
+    if let Some(us) = s.strip_suffix("us").and_then(|n| n.trim().parse().ok()) {
+        return Ok(SimDuration::from_micros(us));
+    }
     let (num, scale) = if let Some(n) = s.strip_suffix("ms") {
         (n, 1e-3)
     } else if let Some(n) = s.strip_suffix("us") {
@@ -469,6 +565,31 @@ mod tests {
     }
 
     #[test]
+    fn check_nodes_rejects_nodes_outside_the_cluster() {
+        for ok in
+            ["crash:3@1s;recover:3@2s", "churn:mtbf=4s,mttr=1s,nodes=3-9", "net:loss=0.1@1s..2s"]
+        {
+            assert_eq!(FaultSchedule::parse(ok).unwrap().check_nodes(4), Ok(()), "{ok}");
+        }
+        for bad in ["crash:4@1s", "recover:9@1s", "churn:mtbf=4s,mttr=1s,nodes=4-6"] {
+            let err = FaultSchedule::parse(bad).unwrap().check_nodes(4).unwrap_err();
+            assert!(err.contains("outside the 4-node cluster"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn written_schedule_parses_back_exactly() {
+        let spec = "crash:1@2.5s;recover:1@3100001us;disk:lat=3.25x,iops=0.5x,err=0.0125,\
+                    scope=journal@1ms..9ms;net:loss=0.0314,dup=0.001@5ms..7ms;\
+                    churn:mtbf=10s,mttr=2s,seed=9,until=30s,nodes=1-2";
+        let s = FaultSchedule::parse(spec).unwrap();
+        let text = s.to_string();
+        assert!(text.starts_with("crash:1@2500000us;recover:1@3100001us;disk:lat=3.25x"), "{text}");
+        assert_eq!(FaultSchedule::parse(&text).unwrap(), s);
+        assert_eq!(FaultSchedule::parse(&text).unwrap().to_string(), text);
+    }
+
+    #[test]
     fn empty_spec_is_empty_schedule() {
         let s = FaultSchedule::parse("").unwrap();
         assert!(s.is_empty());
@@ -479,6 +600,8 @@ mod tests {
     fn durations_accept_suffixes() {
         assert_eq!(parse_duration("250ms").unwrap(), SimDuration::from_millis(250));
         assert_eq!(parse_duration("1500us").unwrap(), SimDuration::from_micros(1500));
+        // Integer microseconds are exact past f64's 2^53 mantissa.
+        assert_eq!(parse_duration("9007199254740993us").unwrap().as_micros(), (1 << 53) + 1);
         assert_eq!(parse_duration("2").unwrap(), SimDuration::from_secs(2));
         assert_eq!(parse_duration("0.5s").unwrap(), SimDuration::from_millis(500));
         assert!(parse_duration("-1s").is_err());

@@ -4,8 +4,8 @@
 //! The legacy [`Simulation`](crate::Simulation) dispatches every event of
 //! a run from one queue. This module partitions the cluster — MDS nodes
 //! in contiguous blocks, clients by index — into K *shards*, each with
-//! its own [`EventQueue`], timer-wheel pages, per-entity RNG streams and
-//! counters, and executes them window by window:
+//! its own [`EventQueue`], per-entity RNG streams and counters, and
+//! executes them window by window:
 //!
 //! * **Window protocol.** Virtual time advances in windows of length
 //!   `L = net_hop`, the minimum cross-shard message latency (the
@@ -1123,6 +1123,9 @@ impl ShardedSimulation {
         make_workload: &dyn Fn(&dynmds_namespace::Namespace) -> Box<dyn Workload + Send>,
     ) -> Self {
         assert!(!cfg.obs.trace, "per-op tracing is not supported by the sharded engine");
+        if let Err(e) = cfg.faults.check_nodes(cfg.n_mds as usize) {
+            panic!("fault schedule does not fit the cluster: {e}");
+        }
         let k = shards.clamp(1, cfg.n_mds as usize);
         let n_mds = cfg.n_mds as usize;
         let n_clients = cfg.n_clients;

@@ -45,6 +45,9 @@ impl Simulation {
             cfg.n_clients as usize,
             "workload must drive exactly the configured clients"
         );
+        if let Err(e) = cfg.faults.check_nodes(cfg.n_mds as usize) {
+            panic!("fault schedule does not fit the cluster: {e}");
+        }
         let n_clients = cfg.n_clients;
         let heartbeat = cfg.heartbeat;
         let sample = cfg.sample_every;

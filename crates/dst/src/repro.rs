@@ -7,15 +7,14 @@
 //! enough to commit under `dst/repros/` where `tests/dst_repros.rs`
 //! replays every file it finds.
 //!
-//! Floats (disk multipliers, loss probabilities) are stored as IEEE-754
-//! bit patterns in hex, so a round trip is exact and a replay is
-//! bit-identical to the run that produced the file.
+//! Each `fault` line holds one entry of the `--faults` grammar, written
+//! by [`FaultSchedule`]'s `Display` and read by [`FaultSchedule::parse`]:
+//! times in integer microseconds and floats in Rust's shortest round-trip
+//! form, so a round trip is exact and a replay is bit-identical to the
+//! run that produced the file.
 
-use dynmds_core::{DiskScope, FaultEvent, FaultSchedule, NetFaultSpec};
-use dynmds_event::{SimDuration, SimTime};
-use dynmds_namespace::MdsId;
+use dynmds_core::{FaultEvent, FaultSchedule};
 use dynmds_partition::StrategyKind;
-use dynmds_storage::DiskFault;
 use dynmds_workload::{Trace, TraceOp, TraceRecord};
 
 use crate::scenario::{RunOutcome, Scenario};
@@ -80,43 +79,7 @@ impl Repro {
         ));
         assert!(sc.faults.churn.is_none(), "repros carry explicit events only (shrink first)");
         for ev in &sc.faults.events {
-            match ev {
-                FaultEvent::Crash { at, mds } => {
-                    out.push_str(&format!("fault crash at_us={} mds={}\n", at.as_micros(), mds.0));
-                }
-                FaultEvent::Recover { at, mds } => {
-                    out.push_str(&format!(
-                        "fault recover at_us={} mds={}\n",
-                        at.as_micros(),
-                        mds.0
-                    ));
-                }
-                FaultEvent::DiskDegrade { from, until, fault, scope } => {
-                    let scope = match scope {
-                        DiskScope::Osd => "osd",
-                        DiskScope::Journal => "journal",
-                        DiskScope::All => "all",
-                    };
-                    out.push_str(&format!(
-                        "fault disk from_us={} until_us={} scope={} lat_bits={:#x} iops_bits={:#x} err_bits={:#x}\n",
-                        from.as_micros(),
-                        until.as_micros(),
-                        scope,
-                        fault.latency_mult.to_bits(),
-                        fault.iops_mult.to_bits(),
-                        fault.error_p.to_bits(),
-                    ));
-                }
-                FaultEvent::NetFault { from, until, spec } => {
-                    out.push_str(&format!(
-                        "fault net from_us={} until_us={} loss_bits={:#x} dup_bits={:#x}\n",
-                        from.as_micros(),
-                        until.as_micros(),
-                        spec.loss_p.to_bits(),
-                        spec.dup_p.to_bits(),
-                    ));
-                }
-            }
+            out.push_str(&format!("fault {ev}\n"));
         }
         out.push_str("uids");
         for u in &self.uids {
@@ -213,15 +176,13 @@ impl Repro {
                     scenario = Some(parse_scenario(&kv).map_err(err)?);
                 }
                 "fault" => {
-                    let kind = words.next().ok_or_else(|| err("missing fault kind".into()))?;
-                    let mut kv = std::collections::HashMap::new();
-                    for w in words {
-                        let (k, v) = w
-                            .split_once('=')
-                            .ok_or_else(|| err(format!("expected key=value, got `{w}`")))?;
-                        kv.insert(k.to_string(), v.to_string());
+                    let entry = line["fault".len()..].trim();
+                    match FaultSchedule::parse(entry).map_err(&err)? {
+                        FaultSchedule { events: ev, churn: None } if ev.len() == 1 => {
+                            events.extend(ev)
+                        }
+                        _ => return Err(err(format!("`fault {entry}`: want one scripted event"))),
                     }
-                    events.push(parse_fault(kind, &kv).map_err(err)?);
                 }
                 "uids" => {
                     for w in words {
@@ -316,81 +277,6 @@ fn parse_scenario(kv: &std::collections::HashMap<String, String>) -> Result<Scen
     })
 }
 
-fn parse_fault(
-    kind: &str,
-    kv: &std::collections::HashMap<String, String>,
-) -> Result<FaultEvent, String> {
-    fn num(kv: &std::collections::HashMap<String, String>, k: &str) -> Result<u64, String> {
-        let v = kv.get(k).ok_or_else(|| format!("fault key `{k}` missing"))?;
-        if let Some(hex) = v.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|e| format!("fault key `{k}`: {e}"))
-        } else {
-            v.parse().map_err(|e| format!("fault key `{k}`: {e}"))
-        }
-    }
-    let at = |k: &str| -> Result<SimTime, String> {
-        Ok(SimTime::ZERO + SimDuration::from_micros(num(kv, k)?))
-    };
-    // The same ranges `FaultSchedule::parse` enforces on `--faults`.
-    let mds = || -> Result<MdsId, String> {
-        let v = num(kv, "mds")?;
-        u16::try_from(v).map(MdsId).map_err(|_| format!("fault key `mds`: {v} is not a node index"))
-    };
-    let window = || -> Result<(SimTime, SimTime), String> {
-        let (from, until) = (at("from_us")?, at("until_us")?);
-        if until <= from {
-            return Err(format!(
-                "empty fault window {}..{} us",
-                from.as_micros(),
-                until.as_micros()
-            ));
-        }
-        Ok((from, until))
-    };
-    let mult = |k: &str| -> Result<f64, String> {
-        let v = f64::from_bits(num(kv, k)?);
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("fault key `{k}`: multiplier {v} must be finite and non-negative"));
-        }
-        Ok(v)
-    };
-    let prob = |k: &str| -> Result<f64, String> {
-        let v = f64::from_bits(num(kv, k)?);
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("fault key `{k}`: probability {v} must be in [0, 1]"));
-        }
-        Ok(v)
-    };
-    match kind {
-        "crash" => Ok(FaultEvent::Crash { at: at("at_us")?, mds: mds()? }),
-        "recover" => Ok(FaultEvent::Recover { at: at("at_us")?, mds: mds()? }),
-        "disk" => {
-            let scope = match kv.get("scope").map(String::as_str) {
-                Some("osd") => DiskScope::Osd,
-                Some("journal") => DiskScope::Journal,
-                Some("all") => DiskScope::All,
-                other => return Err(format!("bad disk scope {other:?}")),
-            };
-            let (from, until) = window()?;
-            let fault = DiskFault {
-                latency_mult: mult("lat_bits")?,
-                iops_mult: mult("iops_bits")?,
-                error_p: prob("err_bits")?,
-            };
-            if fault.iops_mult <= 0.0 {
-                return Err("fault key `iops_bits`: iops multiplier must be positive".into());
-            }
-            Ok(FaultEvent::DiskDegrade { from, until, fault, scope })
-        }
-        "net" => {
-            let (from, until) = window()?;
-            let spec = NetFaultSpec { loss_p: prob("loss_bits")?, dup_p: prob("dup_bits")? };
-            Ok(FaultEvent::NetFault { from, until, spec })
-        }
-        other => Err(format!("unknown fault kind `{other}`")),
-    }
-}
-
 fn parse_op<'a, I: Iterator<Item = &'a str>>(words: &mut I) -> Result<TraceRecord, String> {
     let mut next = |what: &str| words.next().ok_or_else(|| format!("op missing {what}"));
     let client: u32 = next("client")?.parse().map_err(|e| format!("op client: {e}"))?;
@@ -431,6 +317,10 @@ fn parse_op<'a, I: Iterator<Item = &'a str>>(words: &mut I) -> Result<TraceRecor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmds_core::{DiskScope, NetFaultSpec};
+    use dynmds_event::{SimDuration, SimTime};
+    use dynmds_namespace::MdsId;
+    use dynmds_storage::DiskFault;
 
     fn sample() -> Repro {
         let mut sc = Scenario::from_seed(9, StrategyKind::DynamicSubtree, 400);
@@ -537,20 +427,23 @@ mod tests {
     #[test]
     fn out_of_range_fault_fields_are_rejected() {
         let text = sample().to_text();
-        let bits = |k: &str, v: f64| format!("{k}={:#x}", v.to_bits());
         let bad = [
-            ("mds=1\n".to_string(), "mds=65537\n".to_string()),
-            ("from_us=1000 until_us=9000".into(), "from_us=9000 until_us=9000".into()),
-            ("from_us=5000 until_us=7000".into(), "from_us=7000 until_us=5000".into()),
-            (bits("lat_bits", 3.25), bits("lat_bits", f64::NAN)),
-            (bits("iops_bits", 0.5), bits("iops_bits", 0.0)),
-            (bits("err_bits", 0.0125), bits("err_bits", f64::NAN)),
-            (bits("loss_bits", 0.0314), bits("loss_bits", 1.5)),
-            (bits("dup_bits", 0.001), bits("dup_bits", -0.5)),
+            ("crash:1@", "crash:65537@"),
+            ("@1000us..9000us", "@9000us..9000us"),
+            ("@5000us..7000us", "@7000us..5000us"),
+            ("lat=3.25x", "lat=NaNx"),
+            ("iops=0.5x", "iops=0x"),
+            ("err=0.0125", "err=NaN"),
+            ("loss=0.0314", "loss=1.5"),
+            ("dup=0.001", "dup=-0.5"),
+            // A fault line holds exactly one scripted event.
+            ("fault crash:1@2500000us\n", "fault crash:1@2500000us;crash:2@1us\n"),
+            ("fault crash:1@2500000us\n", "fault churn:mtbf=1s,mttr=1s\n"),
+            ("fault crash:1@2500000us\n", "fault\n"),
         ];
         for (good, evil) in bad {
-            assert!(text.contains(&good), "sample lacks `{good}`");
-            let broken = text.replacen(&good, &evil, 1);
+            assert!(text.contains(good), "sample lacks `{good}`");
+            let broken = text.replacen(good, evil, 1);
             assert!(Repro::parse(&broken).is_err(), "accepted `{evil}`");
         }
     }

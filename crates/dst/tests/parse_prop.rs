@@ -6,11 +6,14 @@
 //!   so inputs are built from token alphabets: entries and lines that
 //!   start with a real kind or directive and go on with random tokens,
 //!   and valid repros with a few words replaced, deleted or cut off.
-//! * `Repro::to_text` → `Repro::parse` round-trips exactly.
+//! * `Repro::to_text` → `Repro::parse` round-trips exactly, and so does
+//!   a fault schedule written with `Display` and read back with
+//!   `FaultSchedule::parse` (the grammar of both `--faults` and repro
+//!   `fault` lines), float bits included.
 
-use dynmds_core::{DiskScope, FaultEvent, FaultSchedule, NetFaultSpec};
+use dynmds_core::{ChurnSpec, DiskScope, FaultEvent, FaultSchedule, NetFaultSpec};
 use dynmds_dst::{Repro, Scenario};
-use dynmds_event::SimTime;
+use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::MdsId;
 use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskFault;
@@ -33,18 +36,18 @@ const FAULT_TOKENS: &[&str] = &[
 /// Repro line directives, one bogus.
 const DIRECTIVES: &[&str] = &["v", "scenario", "fault", "uids", "op", "end", "#", "bogus"];
 
-/// Pieces of repro lines: fault and op kinds, scenario and fault keys,
-/// and boundary values (including NaN and out-of-range float bits).
+/// Pieces of repro lines: fault entries and op kinds, scenario keys, and
+/// boundary values (including NaN and out-of-range fault fields).
 #[rustfmt::skip]
 const REPRO_TOKENS: &[&str] = &[
     "1", "2", "crash", "recover", "disk", "net", "stat", "lookup", "open", "close", "readdir",
     "setattr", "create", "mkdir", "unlink", "rename", "chmod", "link", "name", "=", "0",
     "65535", "65536", "-1", "18446744073709551615", "18446744073709551616", "0x", "0xzz",
     "seed=1", "strategy=DynamicSubtree", "strategy=Bogus", "n_mds=4", "n_clients=2",
-    "n_clients=0", "mds=1", "mds=65537", "at_us=5", "from_us=9", "until_us=9", "until_us=3",
-    "scope=osd", "scope=moon", "lat_bits=0x7ff8000000000000", "err_bits=0x3ff8000000000000",
-    "iops_bits=0x0", "loss_bits=0x0", "dup_bits=0xbfe0000000000000", "force_dense=1",
-    "proxies=2", "proxy_thr=x",
+    "n_clients=0", "crash:1@5us", "recover:65536@5us", "crash:1@5us;crash:2@6us",
+    "churn:mtbf=1s,mttr=1s", "disk:lat=NaNx,scope=moon@1us..2us", "disk:iops=0x@9us..3us",
+    "net:loss=1.5,dup=-0.5@1us..2us", "net:loss=0.1@18446744073709551616us..1us",
+    "force_dense=1", "proxies=2", "proxy_thr=x",
 ];
 
 fn join(tokens: &[&str], picks: &[usize], sep: &str) -> String {
@@ -71,9 +74,30 @@ fn repro_lines(lines: &[(usize, Vec<usize>)]) -> String {
 
 const NAMES: &[&str] = &["a", "f1", "nl3", "x_y", "dir.7", "Ω"];
 
+/// A finite non-negative float from raw bits: zero and subnormals up to
+/// 1.8e308.
+fn finite(bits: u64) -> f64 {
+    let v = f64::from_bits(bits & !(1 << 63));
+    if v.is_finite() {
+        v
+    } else {
+        1.0
+    }
+}
+
+/// A probability in `[0, 1]` from raw bits.
+fn prob(bits: u64) -> f64 {
+    let v = finite(bits);
+    if v <= 1.0 {
+        v
+    } else {
+        1.0 / v
+    }
+}
+
 /// A random valid fault event: `kind` picks the variant and every field
 /// stays inside the ranges the parser accepts.
-fn fault_event((kind, a, b, node, p, q): (u8, u64, u64, u16, f64, f64)) -> FaultEvent {
+fn fault_event((kind, a, b, node, p, q): (u8, u64, u64, u16, u64, u64)) -> FaultEvent {
     let from = SimTime::from_micros(a >> 2);
     let until = SimTime::from_micros((a >> 2) + 1 + (b >> 2));
     match kind % 4 {
@@ -82,11 +106,31 @@ fn fault_event((kind, a, b, node, p, q): (u8, u64, u64, u16, f64, f64)) -> Fault
         2 => FaultEvent::DiskDegrade {
             from,
             until,
-            fault: DiskFault { latency_mult: p * 8.0, iops_mult: 0.05 + q, error_p: p * q },
+            fault: DiskFault {
+                latency_mult: finite(p),
+                iops_mult: Some(finite(q)).filter(|&v| v > 0.0).unwrap_or(1.0),
+                error_p: prob(p ^ q),
+            },
             scope: [DiskScope::Osd, DiskScope::Journal, DiskScope::All][node as usize % 3],
         },
-        _ => FaultEvent::NetFault { from, until, spec: NetFaultSpec { loss_p: p, dup_p: q } },
+        _ => FaultEvent::NetFault {
+            from,
+            until,
+            spec: NetFaultSpec { loss_p: prob(p), dup_p: prob(q) },
+        },
     }
+}
+
+/// Every float of a schedule's events, as bits.
+fn float_bits(s: &FaultSchedule) -> Vec<u64> {
+    let floats = |e: &FaultEvent| match *e {
+        FaultEvent::DiskDegrade { fault, .. } => {
+            vec![fault.latency_mult, fault.iops_mult, fault.error_p]
+        }
+        FaultEvent::NetFault { spec, .. } => vec![spec.loss_p, spec.dup_p],
+        _ => Vec::new(),
+    };
+    s.events.iter().flat_map(floats).map(f64::to_bits).collect()
 }
 
 /// A random trace record over every op kind.
@@ -163,10 +207,37 @@ proptest! {
     }
 
     #[test]
+    fn fault_schedule_text_round_trips(
+        faults in prop::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u16>(), any::<u64>(), any::<u64>()),
+            0..8,
+        ),
+        churn in (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), (any::<u16>(), any::<u16>())),
+    ) {
+        let mut sched =
+            FaultSchedule { events: faults.into_iter().map(fault_event).collect(), churn: None };
+        let (on, mtbf, mttr, seed, until, (x, y)) = churn;
+        if on % 2 == 1 {
+            sched.churn = Some(ChurnSpec {
+                mtbf: SimDuration::from_micros(mtbf | 1),
+                mttr: SimDuration::from_micros(mttr | 1),
+                seed,
+                until: SimTime::from_micros(until),
+                nodes: (on % 4 == 3).then(|| (x.min(y), x.max(y))),
+            });
+        }
+        let text = sched.to_string();
+        let back = FaultSchedule::parse(&text).expect("a written schedule parses");
+        prop_assert_eq!(&back, &sched);
+        prop_assert_eq!(float_bits(&back), float_bits(&sched));
+        prop_assert_eq!(back.to_string(), text);
+    }
+
+    #[test]
     fn repro_text_round_trips(
         seed in any::<u64>(),
         faults in prop::collection::vec(
-            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u16>(), 0.0f64..1.0, 0.0f64..1.0),
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u16>(), any::<u64>(), any::<u64>()),
             0..6,
         ),
         ops in prop::collection::vec(
@@ -188,6 +259,7 @@ proptest! {
         let text = r.to_text();
         let back = Repro::parse(&text).expect("a written repro parses");
         prop_assert_eq!(&back.scenario.faults, &r.scenario.faults);
+        prop_assert_eq!(float_bits(&back.scenario.faults), float_bits(&r.scenario.faults));
         prop_assert_eq!(&back.trace, &r.trace);
         prop_assert_eq!(&back.uids, &r.uids);
         prop_assert_eq!(&back.note, &r.note);
@@ -195,11 +267,13 @@ proptest! {
     }
 }
 
-/// A valid fault-free repro whose scenario expands from `seed`.
+/// A valid repro whose scenario expands from `seed`, with one fault line
+/// of each kind for the mutations to hit.
 fn sample_repro(seed: u64) -> Repro {
     let strategy = StrategyKind::ALL[(seed % StrategyKind::ALL.len() as u64) as usize];
     let mut scenario = Scenario::from_seed(seed, strategy, 200);
-    scenario.faults = FaultSchedule::default();
+    let events = (0..4u8).map(|k| fault_event((k, seed, !seed, 1, seed, seed >> 7))).collect();
+    scenario.faults = FaultSchedule { events, churn: None };
     scenario.force_dense = seed & 1 == 1;
     let uids = (0..scenario.n_clients).map(|c| c.wrapping_mul(seed as u32 | 1)).collect();
     let trace = Trace {

@@ -8,7 +8,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond virtual time,
 //! * [`EventQueue`] — a stable priority queue of timestamped events
-//!   (a timer wheel; [`HeapEventQueue`] is its reference model),
+//!   (a 4-ary heap of keys; [`HeapEventQueue`] is its reference model),
 //! * [`SimRng`] — a seeded random-number source with the distribution
 //!   helpers the workload and namespace generators need.
 //!

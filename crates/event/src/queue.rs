@@ -1,51 +1,25 @@
-//! Stable timestamped event queue: a hierarchical timer wheel.
+//! Stable timestamped event queue: a 4-ary min-heap of keys over a
+//! payload slab.
 //!
 //! Events are dispatched in `(time, insertion-seq)` order. The sequence
 //! number is a monotonically increasing insertion counter, so events
 //! scheduled for the same instant fire in insertion order; this stability
-//! is what makes whole-simulation runs reproducible, and the wheel
-//! preserves it bit-for-bit relative to the original binary-heap
-//! scheduler (kept below as [`HeapEventQueue`] for differential tests).
+//! is what makes whole-simulation runs reproducible. [`HeapEventQueue`],
+//! a plain `std::collections::BinaryHeap`, is the reference model the
+//! differential tests compare against.
 //!
-//! # Geometry
-//!
-//! Three wheel levels cover a near-future *span page* of `2^26`
-//! microseconds (≈67 virtual seconds) around the dispatch cursor:
-//!
-//! * level 0 — `2^10` slots of exactly 1 µs each; a slot is a FIFO of
-//!   same-timestamp events, so dispatch within a slot *is* seq order;
-//! * levels 1 and 2 — 256 slots each, `2^10` µs and `2^18` µs wide;
-//! * an overflow binary heap for events beyond the current span page.
-//!
-//! Placement is by `diff = at ^ cursor`: the highest differing bit picks
-//! the level. Slots cascade lazily — an upper-level slot is exploded into
-//! finer slots only when the cursor first reaches it, and the overflow
-//! heap is consulted only on a span-page turn. In the simulator's
-//! steady state (inter-event deltas far smaller than the span) schedule
-//! and pop are O(1) amortized, and bucket storage is recycled (`Vec` /
-//! `VecDeque` capacities survive cascades), so the schedule→dispatch
-//! cycle allocates nothing once warm.
-//!
-//! # Determinism argument
-//!
-//! The wheel only ever holds events inside the cursor's span page, and
-//! every pending event is `>= cursor` ([`EventQueue::schedule`] asserts
-//! it). Consequences, each load-bearing for order stability:
-//!
-//! 1. an upper-level slot is cascaded exactly once, at the moment the
-//!    cursor first enters the region it covers, *before* any same-region
-//!    event can be placed directly — so bucket append order is seq order;
-//! 2. on a span-page turn the wheel is empty and overflow events migrate
-//!    in ascending `(time, seq)` heap order — again append order = seq
-//!    order;
-//! 3. a level-0 slot holds exactly one timestamp, so FIFO pop order is
-//!    `(time, seq)` order.
+//! The heap orders 24-byte `(time, seq, slot)` keys; the payloads stay
+//! put in a slab (`Vec<Option<E>>`) whose freed slots are reused before
+//! it grows. Sifting moves keys only, a 4-ary heap is half as deep as a
+//! binary one, and a node's four children sit in one or two cache lines.
+//! Storage is bounded by the peak number of pending events, not by the
+//! span of simulated time the queue has crossed.
 //!
 //! Events cannot be cancelled: neither engine needs it, so every pending
-//! entry is live and [`EventQueue::peek_time`] is exact.
+//! key is live and [`EventQueue::peek_time`] is exact.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -58,78 +32,41 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-struct Entry<E> {
+/// Children per heap node: the children of `i` are `4i + 1 ..= 4i + 4`.
+const ARITY: usize = 4;
+
+/// A pending event's place in dispatch order, and where its payload is.
+#[derive(Clone, Copy)]
+struct Key {
     at: u64,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-/// Min-order wrapper: `BinaryHeap` is a max-heap, so reverse `(at, seq)`.
-struct FarEntry<E>(Entry<E>);
-
-impl<E> Ord for FarEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.at.cmp(&self.0.at).then_with(|| other.0.seq.cmp(&self.0.seq))
+impl Key {
+    /// Whether `self` dispatches before `other`: earlier time, then
+    /// earlier insertion. One 128-bit compare, so it selects without a
+    /// branch.
+    fn before(&self, other: &Key) -> bool {
+        let rank = |k: &Key| u128::from(k.at) << 64 | u128::from(k.seq);
+        rank(self) < rank(other)
     }
 }
-impl<E> PartialOrd for FarEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> PartialEq for FarEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<E> Eq for FarEntry<E> {}
-
-/// Level-0 size exponent: `2^10` one-microsecond slots.
-const L0_BITS: u32 = 10;
-const L0_SLOTS: usize = 1 << L0_BITS;
-const L0_MASK: u64 = (1 << L0_BITS) - 1;
-const OCC0_WORDS: usize = L0_SLOTS / 64;
-/// Slots per upper wheel level.
-const LEVEL_BITS: u32 = 8;
-const LEVEL_SLOTS: usize = 1 << LEVEL_BITS;
-const OCC_WORDS: usize = LEVEL_SLOTS / 64;
-/// Bit offset of the level-2 slot index.
-const L2_SHIFT: u32 = L0_BITS + LEVEL_BITS;
-/// Width exponent of the whole wheel span page.
-const SPAN_BITS: u32 = L0_BITS + 2 * LEVEL_BITS;
 
 /// Priority queue of future events, ordered by time then insertion order.
 pub struct EventQueue<E> {
-    l0: Box<[VecDeque<Entry<E>>]>,
-    l1: Box<[Vec<Entry<E>>]>,
-    l2: Box<[Vec<Entry<E>>]>,
-    occ0: [u64; OCC0_WORDS],
-    /// Summary of `occ0`: bit `w` is set iff `occ0[w] != 0`, so scanning
-    /// a mostly-empty level 0 costs one find-first-set instead of a walk
-    /// over all 16 words (the sparse-schedule fast path).
-    sum0: u64,
-    occ1: [u64; OCC_WORDS],
-    occ2: [u64; OCC_WORDS],
-    /// Occupied-slot counts per level, so pops skip the bitmap scan of a
-    /// level with nothing in it (the common case for sparse schedules).
-    live0: u32,
-    live1: u32,
-    live2: u32,
-    /// Memoized earliest timestamp per upper-level bucket (valid while
-    /// the occupancy bit is set), so `advance_next` never rescans bucket
-    /// contents.
-    min1: Box<[u64]>,
-    min2: Box<[u64]>,
-    overflow: BinaryHeap<FarEntry<E>>,
-    /// Wheel position: the dispatch time of the most recently removed
-    /// entry. All pending events are at `cursor` or later.
-    cursor: u64,
-    /// Memoized earliest pending timestamp.
-    next_at: Option<u64>,
+    /// 4-ary min-heap of the pending events' keys.
+    heap: Vec<Key>,
+    /// Payloads, indexed by `Key::slot`; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// The time of the last dispatched event: nothing may be scheduled
+    /// before it.
+    floor: u64,
     /// Insertion counter: the next event's seq, and so the number of
     /// events ever scheduled.
     next_seq: u64,
-    pending: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -141,25 +78,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            l0: (0..L0_SLOTS).map(|_| VecDeque::new()).collect(),
-            l1: (0..LEVEL_SLOTS).map(|_| Vec::new()).collect(),
-            l2: (0..LEVEL_SLOTS).map(|_| Vec::new()).collect(),
-            occ0: [0; OCC0_WORDS],
-            sum0: 0,
-            occ1: [0; OCC_WORDS],
-            occ2: [0; OCC_WORDS],
-            live0: 0,
-            live1: 0,
-            live2: 0,
-            min1: vec![0u64; LEVEL_SLOTS].into_boxed_slice(),
-            min2: vec![0u64; LEVEL_SLOTS].into_boxed_slice(),
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            next_at: None,
-            next_seq: 0,
-            pending: 0,
-        }
+        EventQueue { heap: Vec::new(), slab: Vec::new(), free: Vec::new(), floor: 0, next_seq: 0 }
     }
 
     /// Schedules `event` to fire at `at`.
@@ -168,51 +87,55 @@ impl<E> EventQueue<E> {
     ///
     /// If `at` precedes the queue's dispatch point — the last time
     /// returned by [`pop`](Self::pop) or drained via
-    /// [`pop_due`](Self::pop_due). Such an event would break the wheel's
+    /// [`pop_due`](Self::pop_due). Such an event would fire out of
     /// `(time, seq)` order, so this fails loudly in release builds too.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.as_micros();
-        assert!(at >= self.cursor, "event scheduled before an already-dispatched time");
-        let seq = self.next_seq;
+        assert!(at >= self.floor, "event scheduled before an already-dispatched time");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        let key = Key { at, seq: self.next_seq, slot };
         self.next_seq += 1;
-        self.pending += 1;
-        if self.next_at.is_none_or(|n| at < n) {
-            self.next_at = Some(at);
-        }
-        self.place(Entry { at, seq, event });
+        self.sift_up(key);
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let t = self.next_at?;
-        let e = self.take_front(t);
-        Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event })
+        let at = self.heap.first()?.at;
+        Some(ScheduledEvent { at: SimTime::from_micros(at), event: self.take_front() })
     }
 
     /// Removes the next event only if it fires exactly at `now` — the
-    /// engine's same-timestamp batch drain. O(1) while the current slot
-    /// still has entries.
+    /// engine's same-timestamp batch drain.
     pub fn pop_due(&mut self, now: SimTime) -> Option<E> {
-        let t = now.as_micros();
-        if self.next_at != Some(t) {
+        if self.heap.first()?.at != now.as_micros() {
             return None;
         }
-        Some(self.take_front(t).event)
+        Some(self.take_front())
     }
 
     /// The dispatch time of the earliest pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next_at.map(SimTime::from_micros)
+        self.heap.first().map(|k| SimTime::from_micros(k.at))
     }
 
     /// Number of pending (scheduled, not yet fired) events.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -220,256 +143,74 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Number of far-future events currently parked in the overflow heap.
-    #[cfg(test)]
-    fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
-    /// Buckets an entry by the highest bit in which its time differs
-    /// from the cursor. Shared by schedule, cascade and overflow
-    /// migration so append order always follows call order.
-    fn place(&mut self, e: Entry<E>) {
-        let diff = e.at ^ self.cursor;
-        if diff >> L0_BITS == 0 {
-            let s = (e.at & L0_MASK) as usize;
-            let (w, m) = (s >> 6, 1u64 << (s & 63));
-            if self.occ0[w] & m == 0 {
-                self.occ0[w] |= m;
-                self.sum0 |= 1u64 << w;
-                self.live0 += 1;
+    /// Removes the root key and returns its payload, freeing its slot;
+    /// the heap must be non-empty.
+    fn take_front(&mut self) -> E {
+        let last = self.heap.pop().expect("take_front on an empty queue");
+        let front = match self.heap.first() {
+            Some(&root) => {
+                self.sift_down(last);
+                root
             }
-            self.l0[s].push_back(e);
-        } else if diff >> L2_SHIFT == 0 {
-            let s = (e.at >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
-            let (w, m) = (s >> 6, 1u64 << (s & 63));
-            if self.occ1[w] & m == 0 {
-                self.occ1[w] |= m;
-                self.live1 += 1;
-                self.min1[s] = e.at;
-            } else if e.at < self.min1[s] {
-                self.min1[s] = e.at;
-            }
-            self.l1[s].push(e);
-        } else if diff >> SPAN_BITS == 0 {
-            let s = (e.at >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
-            let (w, m) = (s >> 6, 1u64 << (s & 63));
-            if self.occ2[w] & m == 0 {
-                self.occ2[w] |= m;
-                self.live2 += 1;
-                self.min2[s] = e.at;
-            } else if e.at < self.min2[s] {
-                self.min2[s] = e.at;
-            }
-            self.l2[s].push(e);
-        } else {
-            self.overflow.push(FarEntry(e));
-        }
-    }
-
-    /// Moves the cursor to `t` (the next dispatch time): on a span-page
-    /// turn, migrates newly-near overflow events in; then cascades the
-    /// upper-level slots covering `t` down to exact level-0 slots.
-    fn settle_to(&mut self, t: u64) {
-        if (t ^ self.cursor) >> SPAN_BITS != 0 {
-            // Page turn: t is the minimum pending time and lies outside
-            // the old page, so every wheel slot is empty and the cursor
-            // can jump. Heap pops arrive in (time, seq) order and
-            // `place` appends, so bucket order stays seq order.
-            debug_assert!(self.wheel_slots_empty(), "page turn with occupied wheel slots");
-            self.cursor = t;
-            while let Some(top) = self.overflow.peek() {
-                if (top.0.at ^ t) >> SPAN_BITS != 0 {
-                    break;
-                }
-                let FarEntry(e) = self.overflow.pop().expect("peeked");
-                self.place(e);
-            }
-        } else {
-            self.cursor = t;
-        }
-        let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
-        if self.occ2[s2 >> 6] & (1 << (s2 & 63)) != 0 {
-            self.occ2[s2 >> 6] &= !(1 << (s2 & 63));
-            self.live2 -= 1;
-            let mut bucket = std::mem::take(&mut self.l2[s2]);
-            for e in bucket.drain(..) {
-                debug_assert_eq!(e.at >> L2_SHIFT, t >> L2_SHIFT, "stale entry in cascaded slot");
-                self.place(e);
-            }
-            // Hand the emptied Vec back so its capacity is recycled.
-            self.l2[s2] = bucket;
-        }
-        let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
-        if self.occ1[s1 >> 6] & (1 << (s1 & 63)) != 0 {
-            self.occ1[s1 >> 6] &= !(1 << (s1 & 63));
-            self.live1 -= 1;
-            let mut bucket = std::mem::take(&mut self.l1[s1]);
-            for e in bucket.drain(..) {
-                debug_assert_eq!(e.at >> L0_BITS, t >> L0_BITS, "stale entry");
-                self.place(e);
-            }
-            self.l1[s1] = bucket;
-        }
-    }
-
-    fn wheel_slots_empty(&self) -> bool {
-        self.occ0.iter().all(|&w| w == 0)
-            && self.occ1.iter().all(|&w| w == 0)
-            && self.occ2.iter().all(|&w| w == 0)
-    }
-
-    /// Removes the first `(time, seq)` entry; requires `next_at == Some(t)`.
-    fn take_front(&mut self, t: u64) -> Entry<E> {
-        let e = if t == self.cursor {
-            self.take_level0(t)
-        } else if let Some(e) = self.take_sparse(t) {
-            e
-        } else {
-            self.settle_to(t);
-            self.take_level0(t)
+            None => last,
         };
-        self.pending -= 1;
-        e
+        self.floor = front.at;
+        self.free.push(front.slot);
+        self.slab[front.slot as usize].take().expect("a pending key's slot holds its payload")
     }
 
-    /// Pops the front of the level-0 slot holding `t` (the slow-path tail
-    /// of [`take_front`](Self::take_front), after any needed cascade).
-    fn take_level0(&mut self, t: u64) -> Entry<E> {
-        let s = (t & L0_MASK) as usize;
-        let e = self.l0[s].pop_front().expect("next_at points at an occupied slot");
-        debug_assert_eq!(e.at, t);
-        if self.l0[s].is_empty() {
-            let w = s >> 6;
-            self.occ0[w] &= !(1 << (s & 63));
-            if self.occ0[w] == 0 {
-                self.sum0 &= !(1u64 << w);
+    /// Appends `key` and moves it up past every parent it precedes.
+    fn sift_up(&mut self, key: Key) {
+        let mut i = self.heap.len();
+        self.heap.push(key);
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if !key.before(&self.heap[parent]) {
+                break;
             }
-            self.live0 -= 1;
-            self.advance_next();
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
-        e
+        self.heap[i] = key;
     }
 
-    /// Sparse fast path: when level 0 is empty and the event at `t` is
-    /// the sole occupant of its upper-level bucket — with the other upper
-    /// level's covering bucket empty, so nothing else needs cascading —
-    /// pop it straight out of the bucket. This skips the settle/cascade
-    /// round trip (bucket drain, level-0 occupancy churn, re-scan) that
-    /// otherwise costs every pop on schedules whose inter-event gaps
-    /// exceed the level-0 page. Correctness: `live0 == 0` rules out
-    /// level-0 entries, same-page rules out overflow entries at `t`, and
-    /// the bucket indexes are functions of `t` alone, so the popped entry
-    /// is the unique earliest; leaving the *other* covering bucket
-    /// untouched is required because `advance_next` scans strictly past
-    /// the cursor's own slot at every level.
-    fn take_sparse(&mut self, t: u64) -> Option<Entry<E>> {
-        if self.live0 != 0 || (t ^ self.cursor) >> SPAN_BITS != 0 {
-            return None;
-        }
-        let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
-        let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
-        let (w1, m1) = (s1 >> 6, 1u64 << (s1 & 63));
-        let (w2, m2) = (s2 >> 6, 1u64 << (s2 & 63));
-        let in1 = self.occ1[w1] & m1 != 0;
-        let in2 = self.occ2[w2] & m2 != 0;
-        let e = if in1 && !in2 && self.min1[s1] == t && self.l1[s1].len() == 1 {
-            self.occ1[w1] &= !m1;
-            self.live1 -= 1;
-            self.l1[s1].pop().expect("occupied level-1 bucket")
-        } else if in2 && !in1 && self.min2[s2] == t && self.l2[s2].len() == 1 {
-            self.occ2[w2] &= !m2;
-            self.live2 -= 1;
-            self.l2[s2].pop().expect("occupied level-2 bucket")
-        } else {
-            return None;
-        };
-        debug_assert_eq!(e.at, t);
-        self.cursor = t;
-        self.advance_next();
-        Some(e)
-    }
-
-    /// Recomputes `next_at` after the cursor's level-0 slot drained: the
-    /// earliest remaining time, scanning occupancy bitmaps outward from
-    /// the cursor. Slots behind the cursor at each level are provably
-    /// empty (pending times never precede the cursor).
-    fn advance_next(&mut self) {
-        let t = self.cursor;
-        if self.live0 > 0 {
-            let s0 = (t & L0_MASK) as usize;
-            if let Some(s) = self.scan_occ0(s0 + 1) {
-                self.next_at = Some((t & !L0_MASK) | s as u64);
-                return;
+    /// Moves `key` down from the root, whose old key is dropped: each
+    /// step moves the earliest child up into the hole. A full set of four
+    /// children is picked from by a branch-free tournament.
+    fn sift_down(&mut self, key: Key) {
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            let child = if first + ARITY <= n {
+                let c = &self.heap[first..first + ARITY];
+                let a = usize::from(c[1].before(&c[0]));
+                let b = 2 + usize::from(c[3].before(&c[2]));
+                first + if c[b].before(&c[a]) { b } else { a }
+            } else if first < n {
+                (first + 1..n)
+                    .fold(first, |m, c| if self.heap[c].before(&self.heap[m]) { c } else { m })
+            } else {
+                break;
+            };
+            if !self.heap[child].before(&key) {
+                break;
             }
-            debug_assert!(false, "live0 > 0 but no occupied slot ahead of the cursor");
+            self.heap[i] = self.heap[child];
+            i = child;
         }
-        if self.live1 > 0 {
-            let s1 = (t >> L0_BITS) as usize & (LEVEL_SLOTS - 1);
-            if let Some(s) = scan_from(&self.occ1, s1 + 1) {
-                self.next_at = Some(self.min1[s]);
-                return;
-            }
-            debug_assert!(false, "live1 > 0 but no occupied slot ahead of the cursor");
-        }
-        if self.live2 > 0 {
-            let s2 = (t >> L2_SHIFT) as usize & (LEVEL_SLOTS - 1);
-            if let Some(s) = scan_from(&self.occ2, s2 + 1) {
-                self.next_at = Some(self.min2[s]);
-                return;
-            }
-            debug_assert!(false, "live2 > 0 but no occupied slot ahead of the cursor");
-        }
-        self.next_at = self.overflow.peek().map(|f| f.0.at);
-    }
-
-    /// First occupied level-0 slot at or after `from`, using the summary
-    /// word to jump over empty bitmap words (level 0 has `2^10 / 64 = 16`
-    /// words, so the summary fits in one `u64`).
-    fn scan_occ0(&self, from: usize) -> Option<usize> {
-        let w0 = from >> 6;
-        if w0 >= OCC0_WORDS {
-            return None;
-        }
-        let first = self.occ0[w0] & (!0u64 << (from & 63));
-        if first != 0 {
-            return Some((w0 << 6) | first.trailing_zeros() as usize);
-        }
-        let rest = self.sum0 & !((1u64 << (w0 + 1)) - 1);
-        if rest == 0 {
-            return None;
-        }
-        let w = rest.trailing_zeros() as usize;
-        Some((w << 6) | self.occ0[w].trailing_zeros() as usize)
+        self.heap[i] = key;
     }
 }
 
-/// Index of the first set bit at or after `from`, if any.
-fn scan_from(words: &[u64], from: usize) -> Option<usize> {
-    let mut w = from >> 6;
-    if w >= words.len() {
-        return None;
-    }
-    let mut word = words[w] & (!0u64 << (from & 63));
-    loop {
-        if word != 0 {
-            return Some((w << 6) | word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w == words.len() {
-            return None;
-        }
-        word = words[w];
-    }
-}
-
-/// The original binary-heap scheduler, kept as the reference
-/// implementation for the wheel-vs-heap differential tests
-/// (`tests/differential.rs`). Its observable behaviour matches
-/// [`EventQueue`] exactly.
+/// The original `std::collections::BinaryHeap` scheduler, kept as the
+/// reference model for the differential tests (`tests/differential.rs`).
+/// Its observable behaviour matches [`EventQueue`] exactly.
 pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<FarEntry<E>>,
-    next_seq: u64,
+    /// Min-heap of pending `(time, seq)` pairs.
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Every event ever scheduled, indexed by seq; `None` once dispatched.
+    events: Vec<Option<E>>,
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -481,20 +222,20 @@ impl<E> Default for HeapEventQueue<E> {
 impl<E> HeapEventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapEventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        HeapEventQueue { heap: BinaryHeap::new(), events: Vec::new() }
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(FarEntry(Entry { at: at.as_micros(), seq, event }));
+        self.heap.push(Reverse((at.as_micros(), self.events.len() as u64)));
+        self.events.push(Some(event));
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let FarEntry(e) = self.heap.pop()?;
-        Some(ScheduledEvent { at: SimTime::from_micros(e.at), event: e.event })
+        let Reverse((at, seq)) = self.heap.pop()?;
+        let event = self.events[seq as usize].take().expect("each event dispatches once");
+        Some(ScheduledEvent { at: SimTime::from_micros(at), event })
     }
 
     /// Removes the next event only if it fires exactly at `now`.
@@ -502,12 +243,12 @@ impl<E> HeapEventQueue<E> {
         if self.peek_time() != Some(now) {
             return None;
         }
-        self.heap.pop().map(|FarEntry(e)| e.event)
+        self.pop().map(|e| e.event)
     }
 
     /// The dispatch time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|f| SimTime::from_micros(f.0.at))
+        self.heap.peek().map(|&Reverse((at, _))| SimTime::from_micros(at))
     }
 
     /// Number of pending events.
@@ -522,7 +263,7 @@ impl<E> HeapEventQueue<E> {
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
+        self.events.len() as u64
     }
 }
 
@@ -600,47 +341,40 @@ mod tests {
         assert_eq!(ev.event, "x");
     }
 
-    // --- wheel-specific edge cases -------------------------------------
-
-    /// Span page width: 2^26 µs.
-    const SPAN: u64 = 1 << 26;
+    /// 2^26 µs, about 67 virtual seconds: far past the deltas the engines
+    /// schedule at.
+    const FAR: u64 = 1 << 26;
 
     #[test]
-    fn far_future_events_park_in_overflow_and_migrate_back() {
+    fn far_future_events_order_with_near_ones() {
         let mut q = EventQueue::new();
         q.schedule(t(3), "near");
-        q.schedule(t(5 * SPAN + 17), "far");
-        q.schedule(t(2 * SPAN + 9), "mid");
-        assert_eq!(q.overflow_len(), 2, "both beyond the cursor's span page");
+        q.schedule(t(5 * FAR + 17), "far");
+        q.schedule(t(2 * FAR + 9), "mid");
         assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(3), event: "near" });
-        // Popping "mid" turns the page; only "far" stays parked.
-        assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(2 * SPAN + 9), event: "mid" });
-        assert_eq!(q.overflow_len(), 1);
-        assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(5 * SPAN + 17), event: "far" });
-        assert_eq!(q.overflow_len(), 0);
+        assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(2 * FAR + 9), event: "mid" });
+        assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(5 * FAR + 17), event: "far" });
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn overflow_migration_preserves_seq_order_for_ties() {
+    fn far_future_ties_keep_seq_order() {
         let mut q = EventQueue::new();
-        let far = 7 * SPAN + 123;
+        let far = 7 * FAR + 123;
         for i in 0..50 {
             q.schedule(t(far), i);
         }
         q.schedule(t(1), -1);
-        assert_eq!(q.overflow_len(), 50);
         assert_eq!(q.pop().unwrap().event, -1);
         for i in 0..50 {
-            assert_eq!(q.pop().unwrap().event, i, "ties migrated out of the heap stay stable");
+            assert_eq!(q.pop().unwrap().event, i, "far-future ties fire in insertion order");
         }
     }
 
     #[test]
-    fn events_straddling_the_page_boundary_stay_ordered() {
+    fn interleaved_near_and_far_times_pop_sorted() {
         let mut q = EventQueue::new();
-        // Just inside and just outside the first span page, interleaved.
-        let times = [SPAN - 1, SPAN, SPAN + 1, 1, 0, 2 * SPAN - 1, 2 * SPAN];
+        let times = [FAR - 1, FAR, FAR + 1, 1, 0, 2 * FAR - 1, 2 * FAR];
         for (i, &us) in times.iter().enumerate() {
             q.schedule(t(us), i);
         }
@@ -659,23 +393,52 @@ mod tests {
         let ev = q.pop().unwrap();
         assert_eq!(ev.at, SimTime::MAX);
         assert_eq!(ev.event, "end-of-time");
-        assert!(q.pop().is_none(), "drained wheel at the top of the time range");
+        assert!(q.pop().is_none(), "drained at the top of the time range");
         assert!(q.is_empty());
     }
 
     #[test]
-    fn drained_wheel_fast_path() {
+    fn drained_queue_reports_empty_and_refills() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
-        q.schedule(t(400_000), 1); // lands in an upper level from cursor 0
+        q.schedule(t(400_000), 1);
         assert_eq!(q.peek_time(), Some(t(400_000)));
         assert_eq!(q.pop().unwrap().event, 1);
-        // Fully drained again: peek/pop hit the memoized-None path.
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+        q.schedule(t(400_000), 2);
+        assert_eq!(q.pop().unwrap(), ScheduledEvent { at: t(400_000), event: 2 });
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_mixing_payloads() {
+        // Pops free payload slots; later schedules take them back while
+        // other events are still pending. Each pop must still hand back
+        // the payload scheduled with its key.
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.schedule(t(10 + i), i);
+        }
+        let mut now = 0;
+        for round in 0..4u64 {
+            for _ in 0..3 {
+                let ev = q.pop().unwrap();
+                now = ev.at.as_micros();
+                assert_eq!(ev.event, now - 10, "payload follows its key");
+            }
+            for j in 0..3 {
+                let at = now + 1 + 5 * (round + 1) + j;
+                q.schedule(t(at), at - 10);
+            }
+            assert_eq!(q.slab.len(), 8, "freed slots are reused before the slab grows");
+        }
+        while let Some(ev) = q.pop() {
+            assert_eq!(ev.event, ev.at.as_micros() - 10, "payload follows its key");
+        }
+        assert_eq!(q.free.len(), q.slab.len(), "every slot is free once drained");
     }
 
     #[test]
@@ -709,10 +472,8 @@ mod tests {
 
     #[test]
     fn sparse_schedules_match_heap_reference() {
-        // Inter-event gaps larger than the level-0 page drive every pop
-        // through the sparse fast path (single-occupant upper buckets);
-        // mixing in same-time ties and dense clusters forces the
-        // fall-back to the cascade path. Differential against the heap.
+        // Mostly wide gaps, with same-time ties and dense clusters mixed
+        // in. Differential against the reference heap.
         let mut xs = 0x5EED_CAFE_u64;
         let mut rand = move || {
             xs ^= xs << 13;
@@ -720,34 +481,34 @@ mod tests {
             xs ^= xs << 17;
             xs
         };
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut now = 0u64;
         for i in 0..5_000usize {
             let gap = match rand() % 10 {
-                0..=5 => 1_100 + rand() % 100_000,   // beyond the 2^10 µs page
+                0..=5 => 1_100 + rand() % 100_000,   // wide
                 6..=7 => rand() % 8,                 // dense / tied
-                _ => (1 << 20) + rand() % (1 << 22), // deep level 2
+                _ => (1 << 20) + rand() % (1 << 22), // seconds ahead
             };
             let at = t(now + gap);
-            wheel.schedule(at, i);
+            queue.schedule(at, i);
             heap.schedule(at, i);
             if rand() % 3 == 0 {
-                let (w, h) = (wheel.pop(), heap.pop());
+                let (w, h) = (queue.pop(), heap.pop());
                 match (&w, &h) {
                     (Some(a), Some(b)) => {
                         assert_eq!((a.at, a.event), (b.at, b.event));
                         now = a.at.as_micros();
                     }
                     (None, None) => {}
-                    _ => panic!("wheel/heap divergence: {w:?} vs {h:?}"),
+                    _ => panic!("queue/heap divergence: {w:?} vs {h:?}"),
                 }
             }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_eq!(queue.len(), heap.len());
+            assert_eq!(queue.peek_time(), heap.peek_time());
         }
         loop {
-            match (wheel.pop(), heap.pop()) {
+            match (queue.pop(), heap.pop()) {
                 (Some(a), Some(b)) => assert_eq!((a.at, a.event), (b.at, b.event)),
                 (None, None) => break,
                 (w, h) => panic!("drain divergence: {w:?} vs {h:?}"),

@@ -1,15 +1,15 @@
-//! Differential test: the timer-wheel [`EventQueue`] must be observably
-//! identical to the reference binary-heap scheduler ([`HeapEventQueue`])
-//! under random interleavings of schedule / pop / pop_due —
-//! including same-timestamp bursts, zero-delay self-schedules at the pop
-//! frontier, and deltas that cross every wheel level into the overflow
-//! heap. This is the determinism contract the wheel must honor: same
-//! inputs, same `(time, seq)` dispatch sequence, same bytes downstream.
+//! Differential test: [`EventQueue`] must be observably identical to the
+//! reference `BinaryHeap` scheduler ([`HeapEventQueue`]) under random
+//! interleavings of schedule / pop / pop_due — including same-timestamp
+//! bursts, zero-delay self-schedules at the pop frontier, and deltas from
+//! one microsecond to over an hour. This is the determinism contract the
+//! queue must honor: same inputs, same `(time, seq)` dispatch sequence,
+//! same bytes downstream.
 
 use dynmds_event::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
 
 /// A random delta, scaled by `2^shift`. The magnitude class is picked
-/// first so every wheel level (and the overflow heap) sees traffic:
+/// first so every scale of gap sees traffic:
 /// 0 = same-instant tie, then deltas around 2^3, 2^9, 2^14, 2^21, 2^32
 /// microseconds before scaling.
 fn random_delta(rng: &mut SimRng, shift: u32) -> u64 {
@@ -25,7 +25,7 @@ fn random_delta(rng: &mut SimRng, shift: u32) -> u64 {
 }
 
 fn run_differential(seed: u64, shift: u32, ops: usize) {
-    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut rng = SimRng::seed_from_u64(seed);
 
@@ -39,7 +39,7 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
             // Schedule (most common, keeps population up).
             0..=4 => {
                 let at = frontier + SimDuration::from_micros(random_delta(&mut rng, shift));
-                wheel.schedule(at, next_payload);
+                queue.schedule(at, next_payload);
                 heap.schedule(at, next_payload);
                 next_payload += 1;
             }
@@ -47,7 +47,7 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
             5 => {
                 let at = frontier + SimDuration::from_micros(random_delta(&mut rng, shift));
                 for _ in 0..rng.below(12) {
-                    wheel.schedule(at, next_payload);
+                    queue.schedule(at, next_payload);
                     heap.schedule(at, next_payload);
                     next_payload += 1;
                 }
@@ -55,7 +55,7 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
             // Pop, then sometimes a zero-delay self-schedule at the
             // popped instant (what Reply->Issue chains do).
             6 | 7 => {
-                let w = wheel.pop();
+                let w = queue.pop();
                 let h = heap.pop();
                 match (&w, &h) {
                     (Some(a), Some(b)) => {
@@ -67,7 +67,7 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
                 if let Some(ev) = w {
                     frontier = ev.at;
                     if rng.chance(0.3) {
-                        wheel.schedule(ev.at, next_payload);
+                        queue.schedule(ev.at, next_payload);
                         heap.schedule(ev.at, next_payload);
                         next_payload += 1;
                     }
@@ -75,10 +75,10 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
             }
             // Batch drain at the current earliest instant.
             _ => {
-                if let Some(at) = wheel.peek_time() {
+                if let Some(at) = queue.peek_time() {
                     frontier = at;
                     loop {
-                        let w = wheel.pop_due(at);
+                        let w = queue.pop_due(at);
                         let h = heap.pop_due(at);
                         assert_eq!(w, h, "pop_due mismatch at op {op} seed {seed}");
                         if w.is_none() {
@@ -88,18 +88,18 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
                 }
             }
         }
-        assert_eq!(wheel.len(), heap.len(), "len diverged at op {op} seed {seed}");
+        assert_eq!(queue.len(), heap.len(), "len diverged at op {op} seed {seed}");
         assert_eq!(
-            wheel.peek_time(),
+            queue.peek_time(),
             heap.peek_time(),
             "peek_time diverged at op {op} seed {seed}"
         );
-        assert_eq!(wheel.is_empty(), heap.is_empty());
+        assert_eq!(queue.is_empty(), heap.is_empty());
     }
 
     // Drain both to exhaustion: the tails must match event for event.
     loop {
-        let w = wheel.pop();
+        let w = queue.pop();
         let h = heap.pop();
         match (&w, &h) {
             (Some(a), Some(b)) => assert_eq!((a.at, a.event), (b.at, b.event), "seed {seed}"),
@@ -107,40 +107,40 @@ fn run_differential(seed: u64, shift: u32, ops: usize) {
             _ => panic!("seed {seed}: drain length mismatch"),
         }
     }
-    assert!(wheel.is_empty() && heap.is_empty());
-    assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+    assert!(queue.is_empty() && heap.is_empty());
+    assert_eq!(queue.scheduled_total(), heap.scheduled_total());
 }
 
 #[test]
-fn wheel_matches_heap_reference_across_seeds() {
+fn queue_matches_heap_reference_across_seeds() {
     for seed in 0..30 {
         run_differential(seed, 0, 600);
     }
 }
 
 #[test]
-fn wheel_matches_heap_with_coarse_deltas() {
-    // Deltas 16x larger push most traffic past the level-0 page and the
-    // span page, stressing cascades and page turns.
+fn queue_matches_heap_with_coarse_deltas() {
+    // Deltas 16x larger: most events land far apart, with ties still
+    // mixed in.
     for seed in 100..120 {
         run_differential(seed, 4, 600);
     }
 }
 
 #[test]
-fn wheel_matches_heap_under_tie_storms() {
+fn queue_matches_heap_under_tie_storms() {
     // Drive almost everything to a handful of instants.
     for seed in 0..10u64 {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
         let mut rng = SimRng::seed_from_u64(0xBEEF ^ seed);
         for payload in 0..400u64 {
             let at = SimTime::from_micros(rng.below(4) * 1_000);
-            wheel.schedule(at, payload);
+            queue.schedule(at, payload);
             heap.schedule(at, payload);
         }
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
+            let (w, h) = (queue.pop(), heap.pop());
             match (&w, &h) {
                 (Some(a), Some(b)) => assert_eq!((a.at, a.event), (b.at, b.event)),
                 (None, None) => break,

@@ -69,10 +69,13 @@ fn parse_args() -> Args {
             }
             "--faults" => {
                 let spec = it.next().unwrap_or_else(|| usage("missing --faults SPEC"));
-                faults = Some(
-                    dynmds_core::FaultSchedule::parse(&spec)
-                        .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}"))),
-                );
+                let schedule = dynmds_core::FaultSchedule::parse(&spec)
+                    .and_then(|f| {
+                        // `availability` runs it, on a cluster of fixed size.
+                        f.check_nodes(usize::from(availability::AVAIL_CLUSTER)).map(|()| f)
+                    })
+                    .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}")));
+                faults = Some(schedule);
             }
             "--obs" => obs.metrics = true,
             "--obs-trace" => {

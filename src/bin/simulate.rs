@@ -75,7 +75,8 @@ struct Args {
     no_balancing: bool,
     no_traffic_control: bool,
     dir_hash: usize,
-    faults: Vec<(u16, u64, bool)>, // (mds, secs, is_recovery)
+    /// `--fail` / `--recover`, as scripted crash and recover events.
+    faults: Vec<FaultEvent>,
     fault_spec: Option<String>,
     obs: dynmds_obs::ObsConfig,
     obs_out: String,
@@ -98,12 +99,12 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str, flag: &str) -> 
         .unwrap_or_else(|| usage(&format!("bad {flag}: {v} (want a positive integer)")))
 }
 
-fn parse_fault(v: &str) -> (u16, u64) {
+fn parse_fault(v: &str) -> (MdsId, SimTime) {
     let (m, s) =
         v.split_once('@').unwrap_or_else(|| usage(&format!("bad fault spec {v}; want MDS@SECS")));
     (
-        m.parse().unwrap_or_else(|_| usage("bad MDS index")),
-        s.parse().unwrap_or_else(|_| usage("bad fault time")),
+        MdsId(m.parse().unwrap_or_else(|_| usage("bad MDS index"))),
+        SimTime::from_secs(s.parse().unwrap_or_else(|_| usage("bad fault time"))),
     )
 }
 
@@ -194,12 +195,12 @@ fn parse_args() -> Args {
                 a.dir_hash = next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --dir-hash"))
             }
             "--fail" => {
-                let (m, s) = parse_fault(&next(&mut it, &f));
-                a.faults.push((m, s, false));
+                let (mds, at) = parse_fault(&next(&mut it, &f));
+                a.faults.push(FaultEvent::Crash { at, mds });
             }
             "--recover" => {
-                let (m, s) = parse_fault(&next(&mut it, &f));
-                a.faults.push((m, s, true));
+                let (mds, at) = parse_fault(&next(&mut it, &f));
+                a.faults.push(FaultEvent::Recover { at, mds });
             }
             "--faults" => a.fault_spec = Some(next(&mut it, &f)),
             "--obs" => a.obs.metrics = true,
@@ -242,6 +243,11 @@ fn main() {
     if let Some(spec) = &a.fault_spec {
         cfg.faults = dynmds_core::FaultSchedule::parse(spec)
             .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}")));
+    }
+    let mut scheduled = cfg.faults.clone();
+    scheduled.events.extend(&a.faults);
+    if let Err(e) = scheduled.check_nodes(a.n_mds as usize) {
+        usage(&format!("bad fault schedule: {e}"));
     }
 
     let snapshot =
@@ -295,11 +301,11 @@ fn main() {
     };
 
     let mut sim = Simulation::new(cfg, snapshot, workload);
-    for &(m, s, recovery) in &a.faults {
-        if recovery {
-            sim.schedule_recovery(SimTime::from_secs(s), MdsId(m));
-        } else {
-            sim.schedule_failure(SimTime::from_secs(s), MdsId(m));
+    for &ev in &a.faults {
+        match ev {
+            FaultEvent::Crash { at, mds } => sim.schedule_failure(at, mds),
+            FaultEvent::Recover { at, mds } => sim.schedule_recovery(at, mds),
+            _ => unreachable!("--fail and --recover script only crashes and recoveries"),
         }
     }
     sim.run_until(SimTime::from_secs(a.warmup));
@@ -398,14 +404,7 @@ fn run_sharded(a: &Args, mut cfg: SimConfig, snapshot: Snapshot) {
     }
     // The legacy --fail/--recover flags fold into the declarative fault
     // schedule the sharded engine consumes.
-    for &(m, s, recovery) in &a.faults {
-        let (at, mds) = (SimTime::from_secs(s), MdsId(m));
-        cfg.faults.events.push(if recovery {
-            FaultEvent::Recover { at, mds }
-        } else {
-            FaultEvent::Crash { at, mds }
-        });
-    }
+    cfg.faults.events.extend(&a.faults);
     dynmds_harness::parallel::install_shard_driver();
 
     let n_clients = a.n_clients as usize;

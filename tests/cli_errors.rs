@@ -63,3 +63,25 @@ fn simulate_rejects_elastic_without_shards() {
     assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--strategy elastic needs --shards"), "stderr: {stderr}");
 }
+
+/// A fault naming a node past the cluster fails as bad usage, on both
+/// engines and in `availability`, instead of panicking mid-run.
+#[test]
+fn faults_outside_the_cluster_are_usage_errors() {
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (simulate, &["--mds", "4", "--faults", "crash:9@1.5s"], SIMULATE_USAGE),
+        (simulate, &["--mds", "4", "--faults", "crash:9@1.5s", "--shards", "2"], SIMULATE_USAGE),
+        (simulate, &["--mds", "4", "--fail", "9@1"], SIMULATE_USAGE),
+        (simulate, &["--mds", "4", "--recover", "4@1"], SIMULATE_USAGE),
+        (simulate, &["--mds", "4", "--faults", "churn:mtbf=4s,mttr=1s,nodes=4-6"], SIMULATE_USAGE),
+        (experiments, &["--quick", "availability", "--faults", "crash:9@4s"], EXPERIMENTS_USAGE),
+    ];
+    for &(bin, args, banner) in cases {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains("is outside the"), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(banner), "{args:?}: stderr: {stderr}");
+    }
+}

@@ -2,7 +2,9 @@
 //! scripted and generated churn, heir rotation on failover, the client
 //! retry policy, and bit-for-bit reproducibility under faults.
 
-use dynmds::core::{ChurnSpec, FaultEvent, FaultSchedule, SimConfig, Simulation};
+use dynmds::core::{
+    ChurnSpec, FaultEvent, FaultSchedule, ShardedSimulation, SimConfig, Simulation,
+};
 use dynmds::event::{SimDuration, SimTime};
 use dynmds::harness::availability::{availability_table, default_schedule, run_availability};
 use dynmds::harness::ExperimentScale;
@@ -192,4 +194,21 @@ fn availability_experiment_is_deterministic() {
     let b = csv(run_availability(ExperimentScale::Quick, &schedule));
     assert_eq!(a, b, "availability CSV must be byte-identical across runs");
     assert!(a.lines().count() > StrategyKind::ALL.len(), "one row per strategy plus header");
+}
+
+#[test]
+#[should_panic(expected = "fault schedule does not fit the cluster: `crash:9@1000000us`")]
+fn legacy_engine_rejects_a_fault_outside_the_cluster() {
+    let mut cfg = config(StrategyKind::DynamicSubtree);
+    cfg.faults = FaultSchedule::parse("crash:9@1s").unwrap();
+    sim_with(cfg);
+}
+
+#[test]
+#[should_panic(expected = "fault schedule does not fit the cluster: `churn:")]
+fn sharded_engine_rejects_a_churn_range_past_the_cluster() {
+    let mut cfg = config(StrategyKind::DynamicSubtree);
+    cfg.faults = FaultSchedule::parse("churn:mtbf=4s,mttr=1s,nodes=4-5").unwrap();
+    let snap = NamespaceSpec::with_target_items(32, 8_000, 5).generate();
+    ShardedSimulation::new(cfg, 2, Some(1), snap, &|_| unreachable!("checked before any workload"));
 }
