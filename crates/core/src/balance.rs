@@ -19,6 +19,7 @@ use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
 
 use crate::cluster::Cluster;
+use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MIGRATE_PER_ITEM, MISS_WEIGHT};
 
 impl Cluster {
     /// One heartbeat round: refresh traffic-control state, update the
@@ -34,14 +35,14 @@ impl Cluster {
         // to migrate on.
         let n = self.nodes.len();
         for i in 0..n {
-            let raw = self.hb_served[i] as f64 + self.cfg.miss_weight * self.hb_misses[i] as f64;
+            let raw = self.hb_served[i] as f64 + MISS_WEIGHT * self.hb_misses[i] as f64;
             self.hb_ewma[i] = 0.5 * self.hb_ewma[i] + 0.5 * raw;
         }
         // Dead nodes serve nothing; folding their stale EWMA into the mean
         // would skew the gate every live node's busy_streak depends on.
         let mean = self.live_load_mean();
         for i in 0..n {
-            if mean >= 1.0 && self.alive[i] && self.hb_ewma[i] > self.cfg.imbalance_ratio * mean {
+            if mean >= 1.0 && self.alive[i] && self.hb_ewma[i] > IMBALANCE_RATIO * mean {
                 self.busy_streak[i] += 1;
             } else {
                 self.busy_streak[i] = 0;
@@ -91,12 +92,12 @@ impl Cluster {
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| loads[b].partial_cmp(&loads[a]).expect("finite"));
 
-        let mut budget = self.cfg.max_migrations_per_heartbeat;
+        let mut budget = MAX_MIGRATIONS_PER_HEARTBEAT;
         for &busy in &order {
             if budget == 0 {
                 break;
             }
-            if loads[busy] <= self.cfg.imbalance_ratio * mean {
+            if loads[busy] <= IMBALANCE_RATIO * mean {
                 break; // remaining nodes are within bounds
             }
             // A crashed node can carry residual EWMA for a few windows;
@@ -168,7 +169,7 @@ impl Cluster {
                 };
                 // Don't create a new hotspot; a smaller candidate may
                 // still fit.
-                if tload + ops as f64 > self.cfg.imbalance_ratio * mean {
+                if tload + ops as f64 > IMBALANCE_RATIO * mean {
                     continue;
                 }
                 self.migrate_subtree(now, root, MdsId(busy as u16), MdsId(target as u16));
@@ -305,7 +306,7 @@ impl Cluster {
 
         // Both ends pay CPU proportional to the state moved (the
         // double-commit exchange).
-        let cost = self.cfg.costs.migrate_per_item.saturating_mul(moved.len() as u64 + 1);
+        let cost = MIGRATE_PER_ITEM.saturating_mul(moved.len() as u64 + 1);
         self.nodes[from.index()].occupy(now, cost);
         self.nodes[to.index()].occupy(now, cost);
 

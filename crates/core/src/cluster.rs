@@ -210,7 +210,6 @@ impl Cluster {
                     cfg.cache_capacity,
                     cfg.journal_capacity,
                     cfg.costs.journal_disk,
-                    cfg.popularity_half_life,
                 )
             })
             .collect();

@@ -19,8 +19,6 @@ pub struct CostModel {
     /// Mean client think time between receiving a reply and issuing the
     /// next operation (exponentially distributed).
     pub think_mean: SimDuration,
-    /// Per-cached-item cost of migrating a subtree between servers.
-    pub migrate_per_item: SimDuration,
     /// Journal device behaviour (sequential appends: low latency, high
     /// transactional throughput).
     pub journal_disk: DiskParams,
@@ -35,7 +33,6 @@ impl Default for CostModel {
             cpu_forward: SimDuration::from_micros(20),
             net_hop: SimDuration::from_micros(100),
             think_mean: SimDuration::from_millis(1),
-            migrate_per_item: SimDuration::from_micros(10),
             journal_disk: DiskParams { latency: SimDuration::from_micros(500), iops: 5_000.0 },
             osd_disk: DiskParams { latency: SimDuration::from_millis(8), iops: 120.0 },
         }
@@ -55,7 +52,7 @@ pub struct ElasticConfig {
     /// Never park below this many live nodes.
     pub min_nodes: u16,
     /// Scale out when the mean per-live-node load (served +
-    /// `miss_weight` × misses, per second) stays above this.
+    /// [`MISS_WEIGHT`] × misses, per second) stays above this.
     pub high_load_per_s: f64,
     /// Scale in when it stays below this.
     pub low_load_per_s: f64,
@@ -79,6 +76,25 @@ impl Default for ElasticConfig {
         }
     }
 }
+
+/// Per-cached-item cost of migrating a subtree between servers.
+pub const MIGRATE_PER_ITEM: SimDuration = SimDuration::from_micros(10);
+
+/// Half-life of the popularity counters (traffic control, §4.4).
+pub const POPULARITY_HALF_LIFE: SimDuration = SimDuration::from_secs(10);
+
+/// A node whose load exceeds `IMBALANCE_RATIO ×` the cluster mean tries
+/// to shed subtrees (load balancing, §4.3).
+pub const IMBALANCE_RATIO: f64 = 1.25;
+
+/// Weight of cache misses (vs throughput) in the load metric — "a
+/// weighted combination of node throughput and cache misses" (§5.1).
+pub const MISS_WEIGHT: f64 = 4.0;
+
+/// Cluster-wide cap on subtree migrations per heartbeat; damping against
+/// migration storms ("a small overhead associated with each delegation",
+/// §4.3).
+pub const MAX_MIGRATIONS_PER_HEARTBEAT: usize = 4;
 
 /// Full configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -104,8 +120,6 @@ pub struct SimConfig {
     /// Decayed-popularity value above which an item is replicated
     /// cluster-wide.
     pub replication_threshold: f64,
-    /// Half-life of the popularity counters.
-    pub popularity_half_life: SimDuration,
 
     // --- load balancing (§4.3) ---------------------------------------
     /// Enable the heartbeat load balancer (DynamicSubtree only; ignored
@@ -113,16 +127,6 @@ pub struct SimConfig {
     pub balancing: bool,
     /// Heartbeat interval.
     pub heartbeat: SimDuration,
-    /// A node whose load exceeds `imbalance_ratio ×` the cluster mean
-    /// tries to shed subtrees.
-    pub imbalance_ratio: f64,
-    /// Weight of cache misses (vs throughput) in the load metric — "a
-    /// weighted combination of node throughput and cache misses" (§5.1).
-    pub miss_weight: f64,
-    /// Cluster-wide cap on subtree migrations per heartbeat; damping
-    /// against migration storms ("a small overhead associated with each
-    /// delegation", §4.3).
-    pub max_migrations_per_heartbeat: usize,
 
     // --- elastic autoscaling (ElasticSubtree strategy) -----------------
     /// Elastic add/remove of MDS nodes driven by the heartbeat load
@@ -208,12 +212,8 @@ impl SimConfig {
             costs: CostModel::default(),
             traffic_control: strategy.rebalances(),
             replication_threshold: 64.0,
-            popularity_half_life: SimDuration::from_secs(10),
             balancing: strategy.rebalances(),
             heartbeat: SimDuration::from_secs(5),
-            imbalance_ratio: 1.25,
-            miss_weight: 4.0,
-            max_migrations_per_heartbeat: 4,
             elastic: ElasticConfig {
                 enabled: strategy == StrategyKind::ElasticSubtree,
                 ..ElasticConfig::default()

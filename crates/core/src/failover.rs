@@ -26,6 +26,7 @@ use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::{InodeId, MdsId};
 
 use crate::cluster::Cluster;
+use crate::config::MIGRATE_PER_ITEM;
 
 /// How long a client-side request waits on a dead node before being
 /// re-driven at the live authority.
@@ -154,7 +155,7 @@ impl Cluster {
         self.obs.on_journal_warm(heir, inherited.len() as u64);
         // One journal read plus per-record replay cost.
         self.nodes[heir.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
-        let cost = self.cfg.costs.migrate_per_item.saturating_mul(inherited.len() as u64);
+        let cost = MIGRATE_PER_ITEM.saturating_mul(inherited.len() as u64);
         self.nodes[heir.index()].occupy(now, cost);
 
         // Anchor the subtree, then replay records parents-first.
@@ -200,7 +201,7 @@ impl Cluster {
         ws.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
         self.obs.on_journal_warm(mds, ws.len() as u64);
         self.nodes[mds.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
-        let cost = self.cfg.costs.migrate_per_item.saturating_mul(ws.len() as u64 + 1);
+        let cost = MIGRATE_PER_ITEM.saturating_mul(ws.len() as u64 + 1);
         self.nodes[mds.index()].occupy(now, cost);
         let mi = mds.index();
         for id in ws {

@@ -5,6 +5,8 @@ use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::MdsId;
 use dynmds_storage::{BoundedLog, DiskModel, DiskParams};
 
+use crate::config::POPULARITY_HALF_LIFE;
+
 /// Counters reset every metrics sample window.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WindowCounters {
@@ -73,13 +75,12 @@ impl MdsNode {
         cache_capacity: usize,
         journal_capacity: usize,
         journal_disk: DiskParams,
-        popularity_half_life: SimDuration,
     ) -> Self {
         MdsNode {
             id,
             cache: MetaCache::new(cache_capacity),
-            popularity: Popularity::new(popularity_half_life),
-            update_popularity: Popularity::new(popularity_half_life),
+            popularity: Popularity::new(POPULARITY_HALF_LIFE),
+            update_popularity: Popularity::new(POPULARITY_HALF_LIFE),
             journal: BoundedLog::new(journal_capacity),
             write_deltas: dynmds_namespace::FxHashMap::default(),
             journal_disk: DiskModel::new(journal_disk),
@@ -119,7 +120,6 @@ mod tests {
             100,
             100,
             DiskParams { latency: SimDuration::from_micros(500), iops: 5000.0 },
-            SimDuration::from_secs(10),
         )
     }
 

@@ -8,14 +8,10 @@ use dynmds_namespace::{InodeId, MdsId};
 use dynmds_storage::DiskFault;
 
 use super::event::{proxy_rank, Ev};
-use super::handlers::shard_of_node;
-use super::{ShardedSimulation, SNAP_FIELDS};
+use super::{owner, ShardedSimulation, SNAP_FIELDS};
+use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MISS_WEIGHT};
 use crate::elastic::ScaleAction;
 use crate::fault::{DiskScope, NetFaultSpec};
-
-// ---------------------------------------------------------------------
-// barrier-global steps
-// ---------------------------------------------------------------------
 
 /// A scheduled global step, applied at the first window barrier at or
 /// after its timestamp (the grid is K-independent, so the quantization
@@ -77,13 +73,14 @@ impl ShardedSimulation {
             }
             self.next_step += 1;
         }
+        let w = self.world.window_us;
         while self.next_heartbeat <= now {
             self.heartbeat(self.next_heartbeat);
-            self.next_heartbeat += self.cfg.heartbeat.as_micros().max(self.window_us);
+            self.next_heartbeat += self.world.cfg.heartbeat.as_micros().max(w);
         }
         while self.next_sample <= now {
             self.sample(self.next_sample);
-            self.next_sample += self.cfg.sample_every.as_micros().max(self.window_us);
+            self.next_sample += self.world.cfg.sample_every.as_micros().max(w);
         }
         self.recompute_next_due();
     }
@@ -91,13 +88,9 @@ impl ShardedSimulation {
     /// Node failure: mark dead, drop its cache, and hand its delegations
     /// to the next live node in the ring (subtree strategies).
     fn crash(&mut self, dead: MdsId) {
-        let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
         self.world.alive[dead.index()] = false;
         // A crashed node loses its in-memory state.
-        let cache_capacity = self.cfg.cache_capacity;
-        let node = self.shards[shard_of_node(dead.index(), n_mds, k)].node(dead);
-        node.m.cache = MetaCache::new(cache_capacity);
+        self.node_mut(dead).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
         // The next live node in the ring inherits (`dead` is already down).
         let Some(heir) = self.live_ring(dead) else { return };
         let moves: Vec<_> = match self.world.partition.as_subtree() {
@@ -111,12 +104,10 @@ impl ShardedSimulation {
     /// export of `from` and an import of `to`. Entries with `from == to`
     /// are skipped.
     fn redelegate(&mut self, moves: &[(InodeId, MdsId, MdsId)]) {
-        let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
         for &(r, from, to) in moves.iter().filter(|(_, from, to)| from != to) {
             self.world.partition.delegate(&self.world.snapshot.ns, r, to);
-            self.shards[shard_of_node(from.index(), n_mds, k)].node(from).m.life.subtrees_out += 1;
-            self.shards[shard_of_node(to.index(), n_mds, k)].node(to).m.life.subtrees_in += 1;
+            self.node_mut(from).m.life.subtrees_out += 1;
+            self.node_mut(to).m.life.subtrees_in += 1;
         }
     }
 
@@ -124,34 +115,24 @@ impl ShardedSimulation {
     /// control, quantized to the heartbeat), run the elastic controller,
     /// then the load balancer (rebalancing strategies only).
     fn heartbeat(&mut self, at: u64) {
-        // Traffic control: union of per-node candidates. Set semantics
-        // make the insertion order irrelevant (and the set is only ever
-        // probed, never iterated).
+        // Traffic control and the hotspot proxy tier: union of per-node
+        // candidates (none are proxy-hot while the tier is off). Set
+        // semantics make the insertion order irrelevant, and the sets are
+        // only ever probed, never iterated.
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
-                for item in n.hot_pending.drain(..) {
-                    self.world.replicated.insert(item);
-                }
+                self.world.replicated.extend(n.hot_pending.drain(..));
+                self.world.proxy_hot.extend(n.proxy_hot_pending.drain(..));
             }
         }
-        // Hotspot proxy tier: announce the nodes' hot candidates (same
-        // set semantics as traffic control) and push coalesced deltas to
-        // the authorities.
-        if self.cfg.proxy.enabled() {
-            for shard in &mut self.shards {
-                for n in &mut shard.nodes {
-                    for item in n.proxy_hot_pending.drain(..) {
-                        self.world.proxy_hot.insert(item);
-                    }
-                }
-            }
+        // Push proxy-coalesced deltas to the authorities.
+        if self.world.cfg.proxy.enabled() {
             self.flush_proxies(at);
         }
-        if !self.cfg.balancing && !self.cfg.elastic.enabled {
+        if !self.world.cfg.balancing && !self.world.cfg.elastic.enabled {
             return;
         }
-        let n_mds = self.cfg.n_mds as usize;
-        let miss_weight = self.cfg.miss_weight;
+        let n_mds = self.world.cfg.n_mds as usize;
         // Load per node since the last heartbeat.
         let mut loads = vec![0f64; n_mds];
         for shard in &mut self.shards {
@@ -160,7 +141,7 @@ impl ShardedSimulation {
                 let fetches = n.m.life.disk_fetches - n.hb_fetches;
                 n.hb_served = n.m.life.served;
                 n.hb_fetches = n.m.life.disk_fetches;
-                loads[n.m.id.index()] = served as f64 + miss_weight * fetches as f64;
+                loads[n.m.id.index()] = served as f64 + MISS_WEIGHT * fetches as f64;
             }
         }
         match self.world.elastic.step(&self.world.alive, &loads, at) {
@@ -168,7 +149,7 @@ impl ShardedSimulation {
             Some(ScaleAction::Park(m)) => self.elastic_park(m, &loads),
             None => {}
         }
-        if !self.cfg.balancing {
+        if !self.world.cfg.balancing {
             return;
         }
         let live: Vec<usize> = (0..n_mds).filter(|&m| self.world.alive[m]).collect();
@@ -180,13 +161,13 @@ impl ShardedSimulation {
             return;
         }
         let root = self.world.snapshot.ns.root();
-        let mut budget = self.cfg.max_migrations_per_heartbeat;
+        let mut budget = MAX_MIGRATIONS_PER_HEARTBEAT;
         let mut moves: Vec<(InodeId, MdsId, MdsId)> = Vec::new();
         for &m in &live {
             if budget == 0 {
                 break;
             }
-            if loads[m] <= self.cfg.imbalance_ratio * mean {
+            if loads[m] <= IMBALANCE_RATIO * mean {
                 continue;
             }
             // Shed the first (sorted) delegation that is not the tree
@@ -219,9 +200,7 @@ impl ShardedSimulation {
     /// cross-shard message pays; `at` and the message contents are
     /// K-independent, so the K-invariance argument is untouched.
     fn flush_proxies(&mut self, at: u64) {
-        let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
-        let hop = self.window_us;
+        let (n_mds, k) = (self.world.cfg.n_mds as usize, self.shards.len());
         for s in 0..k {
             for i in 0..self.shards[s].proxies.len() {
                 let drained = self.shards[s].proxies[i].core.drain_pending();
@@ -232,9 +211,8 @@ impl ShardedSimulation {
                     let px = &mut self.shards[s].proxies[i];
                     let seq = px.send_seq;
                     px.send_seq += 1;
-                    let dst = shard_of_node(auth.index(), n_mds, k);
-                    self.shards[dst].queue.schedule(
-                        SimTime::from_micros(at + hop),
+                    self.shards[owner(auth.index(), n_mds, k)].queue.schedule(
+                        SimTime::from_micros(at + self.world.window_us),
                         Ev::Coalesced { node: auth, item, delta, src: proxy_rank(p), seq },
                     );
                 }
@@ -245,7 +223,7 @@ impl ShardedSimulation {
     /// First live node at or after `m` in the ring (`None` when the
     /// whole cluster is down).
     fn live_ring(&self, m: MdsId) -> Option<MdsId> {
-        let n = self.cfg.n_mds as usize;
+        let n = self.world.cfg.n_mds as usize;
         (0..n).map(|d| (m.index() + d) % n).find(|&i| self.world.alive[i]).map(|i| MdsId(i as u16))
     }
 
@@ -270,8 +248,7 @@ impl ShardedSimulation {
     /// are redirected, and only then does it stop serving and release its
     /// RAM — nothing orphaned, no request left to time out against it.
     fn elastic_park(&mut self, victim: MdsId, loads: &[f64]) {
-        let n_mds = self.cfg.n_mds as usize;
-        let k = self.shards.len();
+        let n_mds = self.world.cfg.n_mds as usize;
         // The controller never parks the last live node, so heirs exist.
         let mut heirs: Vec<usize> =
             (0..n_mds).filter(|&i| self.world.alive[i] && i != victim.index()).collect();
@@ -302,9 +279,7 @@ impl ShardedSimulation {
         // Park: stop serving and release RAM only after the handoff.
         self.world.elastic.parked_roots[victim.index()] = roots;
         self.world.alive[victim.index()] = false;
-        let cap = self.cfg.cache_capacity;
-        self.shards[shard_of_node(victim.index(), n_mds, k)].node(victim).m.cache =
-            MetaCache::new(cap);
+        self.node_mut(victim).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
     }
 
     /// Sample tick: one snapshot row of per-node window counters.
@@ -319,7 +294,7 @@ impl ShardedSimulation {
             }
             return;
         };
-        let n_mds = self.cfg.n_mds as usize;
+        let n_mds = self.world.cfg.n_mds as usize;
         let mut wins = vec![(0u64, 0u64, 0u64, 0u64); n_mds];
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
@@ -343,9 +318,8 @@ mod tests {
     use crate::shard::testkit::*;
     use crate::shard::ShardReport;
     use dynmds_event::{SimDuration, SimTime};
-    use dynmds_namespace::NamespaceSpec;
     use dynmds_partition::StrategyKind;
-    use dynmds_workload::{GeneralWorkload, WorkloadConfig};
+    use dynmds_workload::WorkloadConfig;
 
     /// Elastic pool over a day/night load shape: tight heartbeat so the
     /// controller gets enough ticks inside a short test run.
@@ -360,23 +334,9 @@ mod tests {
         cfg.elastic.low_load_per_s = low;
         cfg.elastic.sustain = 2;
         cfg.elastic.cooldown_heartbeats = 1;
-        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
-        let n_clients = cfg.n_clients as usize;
-        let homes = snap.user_homes.clone();
-        let shared = snap.shared_roots.clone();
-        let wl_seed = cfg.seed ^ 0x17;
-        ShardedSimulation::new(cfg, shards, Some(1), snap, &move |ns| {
-            Box::new(DiurnalWorkload::new(
-                GeneralWorkload::new(
-                    WorkloadConfig { seed: wl_seed, ..Default::default() },
-                    n_clients,
-                    &homes,
-                    &shared,
-                    ns,
-                ),
-                SimDuration::from_secs(3),
-                150.0,
-            ))
+        let (snap, wl) = (snapshot(&cfg), seeded(&cfg));
+        general(cfg, shards, Some(1), snap, wl, |w| {
+            Box::new(DiurnalWorkload::new(w, SimDuration::from_secs(3), 150.0))
         })
     }
 
@@ -432,7 +392,7 @@ mod tests {
         let root_owner = dynmds_partition::path_hash("/", cfg.n_mds);
         cfg.faults =
             crate::fault::FaultSchedule::parse(&format!("crash:{}@1s", root_owner.0)).unwrap();
-        let mut snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
+        let mut snap = snapshot(&cfg);
         // A hard link into another home, and a tombstone.
         let ns = &mut snap.ns;
         let (home_a, home_b) = (snap.user_homes[0], snap.user_homes[1]);
@@ -443,17 +403,7 @@ mod tests {
             (ns.parent(doomed).unwrap().unwrap(), ns.name(doomed).unwrap().to_owned());
         ns.unlink(dir, &name).unwrap();
         assert!(!ns.is_alive(doomed));
-        let n_clients = cfg.n_clients as usize;
-        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
-        let mut sim = ShardedSimulation::new(cfg, 2, Some(1), snap, &move |ns| {
-            Box::new(GeneralWorkload::new(
-                WorkloadConfig::default(),
-                n_clients,
-                &homes,
-                &shared,
-                ns,
-            ))
-        });
+        let mut sim = general(cfg, 2, Some(1), snap, WorkloadConfig::default(), unshaped);
         run_checking_placement(&mut sim, 12, 250);
         let root = sim.world.snapshot.ns.root();
         let now_owner = sim.world.partition.as_subtree().unwrap().delegation_of(root);

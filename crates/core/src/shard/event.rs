@@ -4,10 +4,6 @@ use std::sync::{Mutex, MutexGuard};
 
 use dynmds_namespace::{ClientId, InodeId, MdsId};
 
-// ---------------------------------------------------------------------
-// events & messages
-// ---------------------------------------------------------------------
-
 /// One sharded-engine event. Cross-entity variants carry `(src, seq)` —
 /// a sender rank plus the sender's private send counter — the
 /// K-independent part of the canonical ordering key.

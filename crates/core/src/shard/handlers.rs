@@ -3,21 +3,18 @@
 use dynmds_cache::{InsertKind, Popularity};
 use dynmds_event::{EventQueue, SimRng, SimTime};
 use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Snapshot};
-use dynmds_partition::{Partition, StrategyKind};
+use dynmds_partition::Partition;
 use dynmds_proxy::ProxyCore;
 use dynmds_storage::{AccessKind, DiskModel};
 use dynmds_workload::Workload;
 
 use super::event::{canonical_key, client_rank, node_rank, proxy_rank, Ev, Mail, OutMsg};
+use super::owner;
 use super::report::LatencyAgg;
 use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
 use crate::fault::{NetFaultSpec, RetryPolicy};
 use crate::node::MdsNode;
-
-// ---------------------------------------------------------------------
-// per-shard state
-// ---------------------------------------------------------------------
 
 /// One MDS node as owned by a shard: the legacy node state plus a
 /// private OSD-fetch device, RNG stream and send counter.
@@ -83,9 +80,14 @@ pub(super) struct ShardStats {
     pub(super) stale: u64,
 }
 
-/// Global state every shard may read during a window but only the
-/// barrier (which holds `&mut` everything) may write.
+/// The run's config and global state: every shard may read it during a
+/// window, but only the barrier (which holds `&mut` everything) may write.
 pub(super) struct World {
+    /// The run's configuration, the one copy every handler reads.
+    pub(super) cfg: SimConfig,
+    /// Window width, µs, which is also the cross-shard delivery latency:
+    /// messages land at `send + window_us`, at or past the next barrier.
+    pub(super) window_us: u64,
     pub(super) snapshot: Snapshot,
     /// The placement, one for all shards: its table answers every
     /// snapshot id with one load. Only the barrier changes it, through
@@ -104,7 +106,6 @@ pub(super) struct World {
 
 pub(super) struct Shard {
     pub(super) queue: EventQueue<Ev>,
-    pub(super) cfg: SimConfig,
     pub(super) node_lo: usize,
     pub(super) nodes: Vec<ShardNode>,
     pub(super) client_lo: u32,
@@ -125,9 +126,6 @@ pub(super) struct Shard {
     /// the start of its next pooled step, or by the coordinator before
     /// the next inline window steps.
     pub(super) inbound: Vec<usize>,
-    /// Cross-shard delivery latency, µs (== the window width): messages
-    /// land at `send + hop_us`, always at or past the next barrier.
-    pub(super) hop_us: u64,
     /// Same-timestamp batch scratch (allocation reused across windows).
     pub(super) batch: Vec<Ev>,
     /// Events the last [`Shard::run_window`] handled.
@@ -138,21 +136,6 @@ pub(super) struct Shard {
     pub(super) first_send: u64,
     pub(super) stats: ShardStats,
     pub(super) lat: LatencyAgg,
-}
-
-/// Shard that owns node `m` under a contiguous block partition.
-pub(super) fn shard_of_node(m: usize, n_mds: usize, k: usize) -> usize {
-    m * k / n_mds
-}
-
-/// Shard that owns client `c`.
-pub(super) fn shard_of_client(c: u32, n_clients: u32, k: usize) -> usize {
-    (c as usize) * k / n_clients as usize
-}
-
-/// Shard that owns proxy `p`.
-pub(super) fn shard_of_proxy(p: usize, n_proxies: usize, k: usize) -> usize {
-    p * k / n_proxies
 }
 
 /// Picks a uniformly random live node (the traffic-control client
@@ -190,7 +173,7 @@ impl Shard {
     /// pooled too, runs the window, then posts its outboxes to this
     /// window's cells.
     pub(super) fn run_window(&mut self, world: &World, mail: &Mail, parity: usize, end: u64) {
-        self.schedule_inbound(mail, parity ^ 1);
+        self.schedule_inbound(world, mail, parity ^ 1);
         self.first_send = u64::MAX;
         self.step(world, end);
         for &dst in &self.sent_to {
@@ -203,10 +186,10 @@ impl Shard {
 
     /// Schedules the mail in the parity-`parity` cells of every source
     /// in `inbound` at its delivery time.
-    pub(super) fn schedule_inbound(&mut self, mail: &Mail, parity: usize) {
+    pub(super) fn schedule_inbound(&mut self, world: &World, mail: &Mail, parity: usize) {
         for src in self.inbound.drain(..) {
             for m in mail.cell(parity, src, self.id).drain(..) {
-                self.queue.schedule(SimTime::from_micros(m.send + self.hop_us), m.ev);
+                self.queue.schedule(SimTime::from_micros(m.send + world.window_us), m.ev);
             }
         }
     }
@@ -262,8 +245,8 @@ impl Shard {
             Ev::Request { node, client, op_seq, item, write, hop, .. } => {
                 self.node_request(world, t, node, client, op_seq, item, write, hop);
             }
-            Ev::Reply { client, op_seq, item, server, lease_until, ok, from_proxy, .. } => {
-                self.client_reply(t, client, op_seq, item, server, lease_until, ok, from_proxy);
+            Ev::Reply { client: c, op_seq, item, server, lease_until, ok, from_proxy, .. } => {
+                self.client_reply(world, t, c, op_seq, item, server, lease_until, ok, from_proxy);
             }
             Ev::PReq { p, client, op_seq, item, write, .. } => {
                 self.proxy_request(world, t, p, client, op_seq, item, write);
@@ -290,22 +273,16 @@ impl Shard {
     /// Think-time mean at `t`, µs: the base mean scaled by the workload's
     /// intensity envelope (diurnal/bursty shapes). The neutral envelope
     /// multiplies by exactly 1.0, which is a bit-exact identity.
-    fn think_mean_us(&self, t: u64) -> f64 {
-        self.cfg.costs.think_mean.as_micros() as f64
+    fn think_mean_us(&self, world: &World, t: u64) -> f64 {
+        world.cfg.costs.think_mean.as_micros() as f64
             * self.workload.think_scale(SimTime::from_micros(t))
     }
 
     // --- client side --------------------------------------------------
 
     fn client_issue(&mut self, world: &World, t: u64, c: ClientId, retrying: bool) {
-        let k = self.outbox.len();
-        let n_mds = self.cfg.n_mds;
-        let think_us = self.think_mean_us(t);
-        let leases_on = self.cfg.client_leases;
-        let hashed = matches!(
-            self.cfg.strategy,
-            StrategyKind::DirHash | StrategyKind::FileHash | StrategyKind::LazyHybrid
-        );
+        let (cfg, k) = (&world.cfg, self.outbox.len());
+        let think_us = self.think_mean_us(world, t);
 
         let (item, write, op_seq);
         if retrying {
@@ -323,7 +300,7 @@ impl Shard {
             let cl = self.client(c);
             cl.op_seq = cl.op_seq.wrapping_add(1);
             op_seq = cl.op_seq;
-            if leases_on && !write {
+            if cfg.client_leases && !write {
                 match cl.leases.get(&item) {
                     Some(&exp) if exp > t => {
                         // Client-local completion: one event per op.
@@ -348,10 +325,9 @@ impl Shard {
         // modelled as reliable local hops, so this leg draws no loss/dup
         // randomness; with the tier disabled `proxy_hot` is empty and
         // this branch is a no-op.
-        let n_proxies = self.cfg.proxy.count;
-        if n_proxies > 0 && world.proxy_hot.contains(&item) {
-            let p = (c.0 % n_proxies as u32) as u16;
-            let dst_shard = shard_of_proxy(p as usize, n_proxies as usize, k);
+        if cfg.proxy.enabled() && world.proxy_hot.contains(&item) {
+            let p = (c.0 % cfg.proxy.count as u32) as u16;
+            let dst_shard = owner(p as usize, cfg.proxy.count as usize, k);
             let cl = self.client(c);
             let seq = cl.send_seq;
             cl.send_seq += 1;
@@ -369,7 +345,7 @@ impl Shard {
         // guess randomly.
         let dst = if world.replicated.contains(&item) && !write {
             pick_alive(&world.alive, &mut self.client(c).rng)
-        } else if hashed {
+        } else if !cfg.strategy.is_subtree() {
             world.partition.authority(item)
         } else {
             let cl = self.client(c);
@@ -386,7 +362,7 @@ impl Shard {
         // straight into the retry wakeup the timeout would produce.
         if let Some(net) = world.net {
             if net.loss_p > 0.0 && self.client(c).rng.chance(net.loss_p) {
-                self.fail_or_retry(t, c, op_seq, item, false);
+                self.fail_or_retry(world, t, c, op_seq, item, false);
                 return;
             }
         }
@@ -394,7 +370,7 @@ impl Shard {
             Some(net) if net.dup_p > 0.0 => self.client(c).rng.chance(net.dup_p),
             _ => false,
         };
-        let dst_shard = shard_of_node(dst.index(), n_mds as usize, k);
+        let dst_shard = owner(dst.index(), cfg.n_mds as usize, k);
         for _ in 0..if dup { 2 } else { 1 } {
             let cl = self.client(c);
             let seq = cl.send_seq;
@@ -418,9 +394,17 @@ impl Shard {
 
     /// Shared timeout handling for lost requests, lost replies and dead
     /// servers: schedule the backoff retry, or give up at the cap.
-    fn fail_or_retry(&mut self, t: u64, c: ClientId, op_seq: u32, item: InodeId, drop_route: bool) {
-        let think_us = self.think_mean_us(t);
-        let retry_policy: RetryPolicy = self.cfg.retry;
+    fn fail_or_retry(
+        &mut self,
+        world: &World,
+        t: u64,
+        c: ClientId,
+        op_seq: u32,
+        item: InodeId,
+        drop_route: bool,
+    ) {
+        let think_us = self.think_mean_us(world, t);
+        let retry_policy: RetryPolicy = world.cfg.retry;
         self.stats.timeouts += 1;
         let cl = self.client(c);
         if drop_route {
@@ -443,6 +427,7 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn client_reply(
         &mut self,
+        world: &World,
         t: u64,
         c: ClientId,
         op_seq: u32,
@@ -452,14 +437,14 @@ impl Shard {
         ok: bool,
         from_proxy: bool,
     ) {
-        let think_us = self.think_mean_us(t);
+        let think_us = self.think_mean_us(world, t);
         let cl = self.client(c);
         if cl.op_seq != op_seq || cl.pending.is_none() {
             self.stats.stale += 1;
             return;
         }
         if !ok {
-            self.fail_or_retry(t, c, op_seq, item, true);
+            self.fail_or_retry(world, t, c, op_seq, item, true);
             return;
         }
         let p = cl.pending.take().unwrap();
@@ -489,18 +474,8 @@ impl Shard {
         write: bool,
         hop: u8,
     ) {
-        let k = self.outbox.len();
-        let n_mds = self.cfg.n_mds as usize;
-        let n_clients = self.cfg.n_clients;
-        let cpu = self.cfg.costs.cpu_per_op;
-        let cpu_fwd = self.cfg.costs.cpu_forward;
-        let leases_on = self.cfg.client_leases;
-        let lease_ttl = self.cfg.lease_ttl.as_micros();
-        let traffic_control = self.cfg.traffic_control;
-        let threshold = self.cfg.replication_threshold;
-        let proxy_on = self.cfg.proxy.count > 0;
-        let proxy_threshold = self.cfg.proxy.hot_threshold;
-        let client_shard = shard_of_client(client.0, n_clients, k);
+        let (cfg, k) = (&world.cfg, self.outbox.len());
+        let client_shard = owner(client.0 as usize, cfg.n_clients as usize, k);
 
         if !world.alive[m.index()] {
             // Dead node: the message vanishes; notify the client via the
@@ -537,10 +512,10 @@ impl Shard {
             // clients route by learned locations and can be stale).
             n.m.win.forwarded += 1;
             n.m.life.forwarded += 1;
-            let done = n.m.occupy(SimTime::from_micros(t), cpu_fwd).as_micros();
+            let done = n.m.occupy(SimTime::from_micros(t), cfg.costs.cpu_forward).as_micros();
             let seq = n.send_seq;
             n.send_seq += 1;
-            let auth_shard = shard_of_node(auth.index(), n_mds, k);
+            let auth_shard = owner(auth.index(), cfg.n_mds as usize, k);
             self.send(
                 auth_shard,
                 done,
@@ -561,7 +536,7 @@ impl Shard {
         // Serve (authoritative, replica, or end of a forward chain).
         let now = SimTime::from_micros(t);
         let hit = n.m.cache.lookup(item, true);
-        let mut done = n.m.occupy(now, cpu);
+        let mut done = n.m.occupy(now, cfg.costs.cpu_per_op);
         if !hit {
             n.m.win.misses += 1;
             n.m.life.disk_fetches += 1;
@@ -577,17 +552,17 @@ impl Shard {
         if replicated && auth != m {
             n.m.life.replica_serves += 1;
         }
-        if traffic_control && !write && !replicated {
+        if cfg.traffic_control && !write && !replicated {
             let pop = n.m.popularity.record(now, item);
-            if pop >= threshold {
+            if pop >= cfg.replication_threshold {
                 n.hot_pending.push(item);
             }
         }
         // Hotspot proxy tier: nodes detect hot objects (reads and writes
         // both count) and announce them at the heartbeat.
-        if proxy_on && !world.proxy_hot.contains(&item) {
+        if cfg.proxy.enabled() && !world.proxy_hot.contains(&item) {
             let v = n.proxy_pop.record(now, item);
-            if v >= proxy_threshold {
+            if v >= cfg.proxy.hot_threshold {
                 n.proxy_hot_pending.push(item);
             }
         }
@@ -597,7 +572,8 @@ impl Shard {
             _ => true,
         };
         let done_us = done.as_micros();
-        let lease_until = if ok && leases_on && !write { done_us + lease_ttl } else { 0 };
+        let lease_until =
+            if ok && cfg.client_leases && !write { done_us + cfg.lease_ttl.as_micros() } else { 0 };
         let seq = n.send_seq;
         n.send_seq += 1;
         self.send(
@@ -634,13 +610,10 @@ impl Shard {
         item: InodeId,
         write: bool,
     ) {
-        let k = self.outbox.len();
-        let n_mds = self.cfg.n_mds as usize;
-        let client_shard = shard_of_client(client.0, self.cfg.n_clients, k);
-        let cpu = self.cfg.proxy.proxy_cpu_us.max(1);
-        let lo = self.proxy_lo;
-        let px = &mut self.proxies[(p - lo) as usize];
-        let done = px.free_at.max(t) + cpu;
+        let (cfg, k) = (&world.cfg, self.outbox.len());
+        let client_shard = owner(client.0 as usize, cfg.n_clients as usize, k);
+        let px = &mut self.proxies[(p - self.proxy_lo) as usize];
+        let done = px.free_at.max(t) + cfg.proxy.proxy_cpu_us.max(1);
         px.free_at = done;
 
         let relay = if write {
@@ -657,7 +630,7 @@ impl Shard {
         px.send_seq += 1;
         if relay {
             let auth = world.partition.authority(item);
-            let auth_shard = shard_of_node(auth.index(), n_mds, k);
+            let auth_shard = owner(auth.index(), cfg.n_mds as usize, k);
             self.send(
                 auth_shard,
                 done,
@@ -699,11 +672,10 @@ impl Shard {
         if !world.alive[m.index()] {
             return;
         }
-        let cpu = self.cfg.costs.cpu_per_op;
         let now = SimTime::from_micros(t);
         let n = self.node(m);
         let _ = n.m.journal.append(item);
-        n.m.occupy(now, cpu);
+        n.m.occupy(now, world.cfg.costs.cpu_per_op);
         n.m.journal_disk.access(now, AccessKind::Write);
     }
 }

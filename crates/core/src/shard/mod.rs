@@ -1,11 +1,11 @@
 //! Sharded simulation core: one run over K event queues with
-//! conservative time-window synchronization (ROADMAP item 2).
+//! conservative time-window synchronization.
 //!
 //! The legacy [`Simulation`](crate::Simulation) dispatches every event of
-//! a run from one queue. This module partitions the cluster — MDS nodes
-//! in contiguous blocks, clients by index — into K *shards*, each with
-//! its own [`EventQueue`], per-entity RNG streams and counters, and
-//! executes them window by window:
+//! a run from one queue. This module partitions the cluster — MDS nodes,
+//! clients and proxies, each in contiguous blocks by id — into K
+//! *shards*, each with its own [`EventQueue`], per-entity RNG streams and
+//! counters, and executes them window by window:
 //!
 //! * **Window protocol.** Virtual time advances in windows of length
 //!   `L = net_hop`, the minimum cross-shard message latency (the
@@ -52,8 +52,14 @@
 //! The sharded engine is a *separate, simplified model* from the legacy
 //! cluster — close enough to exhibit the paper's phenomena at scale but
 //! not event-identical to it (see DESIGN.md §11 for the documented
-//! deviations: frozen namespace shape, exact-item client routing,
+//! deviations: frozen namespace shape, one flat cache lookup per item
+//! with no prefix traversal, exact-item client routing,
 //! heartbeat-quantized traffic control, omniscient loss notification).
+//!
+//! Submodules: `event` (events, their canonical order, mail), `handlers`
+//! (per-shard state and the client, server and proxy handlers), `window`
+//! (the window loop), `barrier` (barrier-global steps), `report` (the
+//! report and its obs export) and `driver` (the parallel fan-out).
 
 mod barrier;
 mod driver;
@@ -64,6 +70,7 @@ mod report;
 mod testkit;
 mod window;
 
+use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 
 use dynmds_cache::Popularity;
@@ -85,28 +92,33 @@ use barrier::Step;
 use driver::DRIVER;
 pub use driver::{install_parallel_driver, ParallelDriver};
 use event::{Ev, Mail};
-use handlers::{
-    shard_of_client, shard_of_node, shard_of_proxy, ClientSt, ProxySt, Shard, ShardNode,
-    ShardStats, World,
-};
-use report::build_obs;
+use handlers::{ClientSt, ProxySt, Shard, ShardNode, ShardStats, World};
 pub use report::{LatencyAgg, ShardReport};
 
-// ---------------------------------------------------------------------
-// the sharded simulation
-// ---------------------------------------------------------------------
+/// The shard that owns entity `i` of `n` when they are split into `k`
+/// contiguous blocks: the one ownership rule for nodes, clients and
+/// proxies. `owner(i, n, k) == s` exactly when `i` is in `range(s, n, k)`.
+fn owner(i: usize, n: usize, k: usize) -> usize {
+    i * k / n
+}
+
+/// The ids shard `s` owns out of `n` split into `k` blocks,
+/// `⌈s·n/k⌉..⌈(s+1)·n/k⌉`; empty when `n < k` leaves the shard none.
+fn range(s: usize, n: usize, k: usize) -> Range<usize> {
+    (s * n).div_ceil(k)..((s + 1) * n).div_ceil(k)
+}
 
 /// A configured sharded run. Behavior is deterministic for a fixed shard
 /// count and report-surface-identical across shard counts; see the
 /// module docs for the argument.
 pub struct ShardedSimulation {
-    cfg: SimConfig,
     shards: Vec<Shard>,
-    /// Claim flags for [`for_each_shard`], one per shard, reused by
-    /// every window.
+    /// Claim flags for [`for_each_shard`](driver::for_each_shard), one
+    /// per shard, reused by every window.
     claims: Vec<AtomicBool>,
     /// The fan-out driver installed when the run was built.
     driver: Option<ParallelDriver>,
+    /// The run's config and read-mostly state, shared by every shard.
     world: World,
     mail: Mail,
     /// Parity of the next executed window, which names its mail cells.
@@ -122,7 +134,6 @@ pub struct ShardedSimulation {
     /// place of the queue heads that mail has not joined yet.
     mail_due: u64,
     counts: RunCounts,
-    window_us: u64,
     now_us: u64,
     steps: Vec<(u64, Step)>,
     next_step: usize,
@@ -174,87 +185,64 @@ impl ShardedSimulation {
         }
         let k = shards.clamp(1, cfg.n_mds as usize);
         let n_mds = cfg.n_mds as usize;
-        let n_clients = cfg.n_clients;
-        let window_us = cfg.costs.net_hop.as_micros().max(1);
-        let spread = cfg.costs.think_mean;
+        let n_clients = cfg.n_clients as usize;
+        let spread = cfg.costs.think_mean.as_micros();
+        let new_node = |m: usize| ShardNode {
+            m: MdsNode::new(
+                MdsId(m as u16),
+                cfg.cache_capacity,
+                cfg.journal_capacity,
+                cfg.costs.journal_disk,
+            ),
+            osd: DiskModel::new(cfg.costs.osd_disk),
+            rng: SimRng::seed_from_u64(
+                cfg.seed ^ 0x0005_D0DE ^ (m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            send_seq: 0,
+            hot_pending: Vec::new(),
+            hb_served: 0,
+            hb_fetches: 0,
+            proxy_pop: Popularity::new(SimDuration::from_micros(cfg.proxy.half_life_us)),
+            proxy_hot_pending: Vec::new(),
+        };
+        let new_client = |c: usize| ClientSt {
+            rng: SimRng::seed_from_u64(
+                cfg.seed ^ 0x005D_C11E ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            routes: FxHashMap::default(),
+            leases: FxHashMap::default(),
+            op_seq: 0,
+            pending: None,
+            send_seq: 0,
+        };
 
         let mut shard_vec = Vec::with_capacity(k);
         for s in 0..k {
             let workload = make_workload(&snapshot.ns);
             assert_eq!(
                 workload.clients(),
-                n_clients as usize,
+                n_clients,
                 "workload must drive exactly the configured clients"
             );
-            let node_lo = (0..n_mds).find(|&m| shard_of_node(m, n_mds, k) == s).unwrap_or(n_mds);
-            let nodes: Vec<ShardNode> = (0..n_mds)
-                .filter(|&m| shard_of_node(m, n_mds, k) == s)
-                .map(|m| ShardNode {
-                    m: MdsNode::new(
-                        MdsId(m as u16),
-                        cfg.cache_capacity,
-                        cfg.journal_capacity,
-                        cfg.costs.journal_disk,
-                        cfg.popularity_half_life,
-                    ),
-                    osd: DiskModel::new(cfg.costs.osd_disk),
-                    rng: SimRng::seed_from_u64(
-                        cfg.seed ^ 0x0005_D0DE ^ (m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ),
-                    send_seq: 0,
-                    hot_pending: Vec::new(),
-                    hb_served: 0,
-                    hb_fetches: 0,
-                    proxy_pop: Popularity::new(SimDuration::from_micros(cfg.proxy.half_life_us)),
-                    proxy_hot_pending: Vec::new(),
-                })
-                .collect();
-            let client_lo = (0..n_clients)
-                .find(|&c| shard_of_client(c, n_clients, k) == s)
-                .unwrap_or(n_clients);
-            let clients: Vec<ClientSt> = (0..n_clients)
-                .filter(|&c| shard_of_client(c, n_clients, k) == s)
-                .map(|c| ClientSt {
-                    rng: SimRng::seed_from_u64(
-                        cfg.seed ^ 0x005D_C11E ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ),
-                    routes: FxHashMap::default(),
-                    leases: FxHashMap::default(),
-                    op_seq: 0,
-                    pending: None,
-                    send_seq: 0,
-                })
-                .collect();
+            let (nodes, clients, proxies) =
+                (range(s, n_mds, k), range(s, n_clients, k), range(s, cfg.proxy.count as usize, k));
             let mut queue = EventQueue::new();
             // First requests spread over one think period, same ramp as
             // the legacy engine.
-            for (i, _) in clients.iter().enumerate() {
-                let c = client_lo + i as u32;
-                let offset = if n_clients > 1 {
-                    spread.as_micros() * c as u64 / n_clients as u64
-                } else {
-                    0
-                };
-                queue.schedule(SimTime::from_micros(offset), Ev::Issue(ClientId(c)));
+            for c in clients.clone() {
+                let offset = if n_clients > 1 { spread * c as u64 / n_clients as u64 } else { 0 };
+                queue.schedule(SimTime::from_micros(offset), Ev::Issue(ClientId(c as u32)));
             }
-            let n_proxies = cfg.proxy.count as usize;
-            let proxy_lo = (0..n_proxies)
-                .find(|&p| shard_of_proxy(p, n_proxies, k) == s)
-                .unwrap_or(n_proxies) as u16;
-            let proxies: Vec<ProxySt> = (0..n_proxies)
-                .filter(|&p| shard_of_proxy(p, n_proxies, k) == s)
-                .map(|_| ProxySt { core: ProxyCore::new(&cfg.proxy), free_at: 0, send_seq: 0 })
-                .collect();
             shard_vec.push(Shard {
                 queue,
-                cfg: cfg.clone(),
-                hop_us: window_us,
-                node_lo,
-                nodes,
-                client_lo,
-                clients,
-                proxy_lo,
-                proxies,
+                node_lo: nodes.start,
+                nodes: nodes.map(new_node).collect(),
+                client_lo: clients.start as u32,
+                clients: clients.map(new_client).collect(),
+                proxy_lo: proxies.start as u16,
+                proxies: proxies
+                    .map(|_| ProxySt { core: ProxyCore::new(&cfg.proxy), free_at: 0, send_seq: 0 })
+                    .collect(),
                 workload,
                 id: s,
                 outbox: (0..k).map(|_| Vec::new()).collect(),
@@ -274,15 +262,10 @@ impl ShardedSimulation {
                 FaultEvent::Crash { at, mds } => steps.push((at.as_micros(), Step::Crash(mds))),
                 FaultEvent::Recover { at, mds } => steps.push((at.as_micros(), Step::Recover(mds))),
                 FaultEvent::DiskDegrade { from, until, fault, scope } => {
-                    let salt = cfg.seed ^ 0xD15C;
-                    steps.push((
-                        from.as_micros(),
-                        Step::Disk { scope, fault: Some(fault), node_salt: salt },
-                    ));
-                    steps.push((
-                        until.as_micros(),
-                        Step::Disk { scope, fault: None, node_salt: salt },
-                    ));
+                    for (at, fault) in [(from, Some(fault)), (until, None)] {
+                        let node_salt = cfg.seed ^ 0xD15C;
+                        steps.push((at.as_micros(), Step::Disk { scope, fault, node_salt }));
+                    }
                 }
                 FaultEvent::NetFault { from, until, spec } => {
                     steps.push((from.as_micros(), Step::Net(Some(spec))));
@@ -305,6 +288,8 @@ impl ShardedSimulation {
                 net: None,
                 replicated: FxHashSet::default(),
                 proxy_hot: FxHashSet::default(),
+                window_us: cfg.costs.net_hop.as_micros().max(1),
+                cfg,
             },
             mail: Mail::new(k),
             parity: 0,
@@ -316,7 +301,6 @@ impl ShardedSimulation {
             busy: Vec::with_capacity(k),
             mail_due: u64::MAX,
             counts: RunCounts::default(),
-            window_us,
             now_us: 0,
             steps,
             next_step: 0,
@@ -326,9 +310,8 @@ impl ShardedSimulation {
             measure_start: 0,
             migrations: 0,
             snapshots,
-            cfg,
         };
-        if sim.cfg.elastic.enabled {
+        if sim.world.cfg.elastic.enabled {
             sim.park_initial_standby();
         }
         sim.recompute_next_due();
@@ -341,8 +324,8 @@ impl ShardedSimulation {
     /// starting membership is announced, so nothing routes to a parked
     /// node.
     fn park_initial_standby(&mut self) {
-        let n_mds = self.cfg.n_mds as usize;
-        let min = (self.cfg.elastic.min_nodes.max(1) as usize).min(n_mds);
+        let n_mds = self.world.cfg.n_mds as usize;
+        let min = (self.world.cfg.elastic.min_nodes.max(1) as usize).min(n_mds);
         for parked in min..n_mds {
             let roots = match self.world.partition.as_subtree() {
                 Some(sp) => sp.delegations_of(MdsId(parked as u16)),
@@ -357,6 +340,12 @@ impl ShardedSimulation {
         }
     }
 
+    /// Node `m`, on the shard that owns it.
+    fn node_mut(&mut self, m: MdsId) -> &mut ShardNode {
+        let s = owner(m.index(), self.world.cfg.n_mds as usize, self.shards.len());
+        self.shards[s].node(m)
+    }
+
     /// Actual shard count after clamping.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -368,9 +357,7 @@ impl ShardedSimulation {
     pub fn run_counts(&self) -> RunCounts {
         self.counts
     }
-}
 
-impl ShardedSimulation {
     /// Resets measured statistics (end of warm-up).
     pub fn reset_measurement(&mut self) {
         for shard in &mut self.shards {
@@ -413,11 +400,12 @@ impl ShardedSimulation {
     /// nodes in global id order, so the output is identical for every
     /// shard count.
     pub fn finish(self) -> ShardReport {
+        let cfg = &self.world.cfg;
         let mut stats = ShardStats::default();
         let mut lat = LatencyAgg::new();
         let proxy: ProxyStats =
             self.shards.iter().flat_map(|s| &s.proxies).map(|px| px.core.stats()).sum();
-        let mut nodes = Vec::with_capacity(self.cfg.n_mds as usize);
+        let mut nodes = Vec::with_capacity(cfg.n_mds as usize);
         for shard in &self.shards {
             stats.ops += shard.stats.ops;
             stats.lease_hits += shard.stats.lease_hits;
@@ -443,29 +431,16 @@ impl ShardedSimulation {
         // Provisioned capacity over the measurement window: the heartbeat
         // integral closed out to `now` for elastic runs, the full pool for
         // everything else.
-        let provisioned_node_us = if self.cfg.elastic.enabled {
+        let provisioned_node_us = if cfg.elastic.enabled {
             let live = self.world.alive.iter().filter(|a| **a).count();
             self.world.elastic.provisioned_node_us(live, self.now_us)
         } else {
-            self.cfg.n_mds as u64 * (self.now_us - self.measure_start)
+            cfg.n_mds as u64 * (self.now_us - self.measure_start)
         };
-        let obs = self.cfg.obs.metrics.then(|| {
-            build_obs(
-                &self.cfg,
-                &stats,
-                &lat,
-                &nodes,
-                self.migrations,
-                (self.world.elastic.scale_outs, self.world.elastic.scale_ins),
-                &proxy,
-                self.snapshots.as_ref(),
-            )
-        });
-        ShardReport {
-            strategy: self.cfg.strategy,
-            n_mds: self.cfg.n_mds,
-            shards: self.shards.len(),
-            proxies: self.cfg.proxy.count,
+        let mut report = ShardReport {
+            strategy: cfg.strategy,
+            n_mds: cfg.n_mds,
+            proxies: cfg.proxy.count,
             proxy,
             measure_start: SimTime::from_micros(self.measure_start),
             measure_end: SimTime::from_micros(self.now_us),
@@ -481,8 +456,12 @@ impl ShardedSimulation {
             scale_ins: self.world.elastic.scale_ins,
             provisioned_node_us,
             latency: lat,
-            obs,
+            obs: None,
+        };
+        if cfg.obs.metrics {
+            report.obs = Some(report.obs_export(self.snapshots.as_ref()));
         }
+        report
     }
 }
 
@@ -490,7 +469,6 @@ impl ShardedSimulation {
 mod tests {
     use super::*;
     use crate::shard::testkit::*;
-    use dynmds_namespace::NamespaceSpec;
     use dynmds_partition::StrategyKind;
 
     #[test]
@@ -541,8 +519,7 @@ mod tests {
         cfg.obs = dynmds_obs::ObsConfig::metrics_only();
         cfg.proxy.count = 2;
         cfg.proxy.hot_threshold = 8.0;
-        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
-        let n_clients = cfg.n_clients as usize;
+        let (snap, n_clients) = (snapshot(&cfg), cfg.n_clients as usize);
         ShardedSimulation::new(cfg, shards, Some(1), snap, &move |ns| {
             let target = ns.walk(ns.root()).find(|&i| !ns.is_dir(i)).expect("a file exists");
             Box::new(FlashCrowd::new(target, n_clients))
@@ -590,5 +567,27 @@ mod tests {
     fn shard_count_clamps_to_node_count() {
         let sim = build(StrategyKind::DynamicSubtree, 64, false);
         assert_eq!(sim.shard_count(), 4, "small config has 4 nodes");
+    }
+
+    #[test]
+    fn owner_and_range_agree_on_every_split() {
+        // n < k leaves some blocks empty (fewer clients than shards), and
+        // n = 0 is the proxy tier switched off.
+        for n in 0..=100 {
+            for k in 1..=100 {
+                let mut next = 0;
+                for s in 0..k {
+                    let r = range(s, n, k);
+                    assert_eq!(r.start, next, "n={n} k={k}: block {s} starts where {s}-1 ends");
+                    next = r.end;
+                    assert!(r.len() <= n.div_ceil(k), "n={n} k={k}: block {s} is {r:?}");
+                    for i in r {
+                        assert_eq!(owner(i, n, k), s, "n={n} k={k}: id {i}");
+                    }
+                }
+                assert_eq!(next, n, "n={n} k={k}: the blocks cover every id");
+            }
+        }
+        assert_eq!((0..3).map(|s| range(s, 4, 3)).collect::<Vec<_>>(), [0..2, 2..3, 3..4]);
     }
 }

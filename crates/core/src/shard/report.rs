@@ -6,13 +6,8 @@ use dynmds_obs::{Registry, SnapshotSeries};
 use dynmds_partition::StrategyKind;
 use dynmds_proxy::ProxyStats;
 
-use super::handlers::ShardStats;
-use crate::config::SimConfig;
+use crate::obs::ObsExport;
 use crate::report::NodeSnapshot;
-
-// ---------------------------------------------------------------------
-// order-free latency aggregation
-// ---------------------------------------------------------------------
 
 const LAT_BUCKETS: usize = 40;
 
@@ -85,10 +80,6 @@ impl LatencyAgg {
     }
 }
 
-// ---------------------------------------------------------------------
-// report
-// ---------------------------------------------------------------------
-
 /// Results of a sharded run. Every field is derived from commutative
 /// per-entity aggregates read out in global id order — the
 /// shard-count-invariant report surface.
@@ -98,9 +89,6 @@ pub struct ShardReport {
     pub strategy: StrategyKind,
     /// Cluster size.
     pub n_mds: u16,
-    /// Shard count the run executed with (not part of `render`, which
-    /// must be byte-identical across shard counts).
-    pub shards: usize,
     /// Proxy-tier size the run was configured with (0 = tier off;
     /// `proxy` is then all zero and absent from `render`).
     pub proxies: u16,
@@ -137,7 +125,7 @@ pub struct ShardReport {
     /// Completion-latency aggregate.
     pub latency: LatencyAgg,
     /// Observability export, when `cfg.obs.metrics` was on.
-    pub obs: Option<crate::obs::ObsExport>,
+    pub obs: Option<ObsExport>,
 }
 
 impl ShardReport {
@@ -234,87 +222,72 @@ impl ShardReport {
         out.push_str(&table.render());
         out
     }
-}
 
-/// Builds the deterministic obs export from the aggregates: counters in
-/// fixed registration order, per-node slots in id order, latency
-/// buckets, and the barrier-sampled snapshot series.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn build_obs(
-    cfg: &SimConfig,
-    stats: &ShardStats,
-    lat: &LatencyAgg,
-    nodes: &[NodeSnapshot],
-    migrations: u64,
-    (scale_outs, scale_ins): (u64, u64),
-    ptotals: &ProxyStats,
-    snapshots: Option<&SnapshotSeries>,
-) -> crate::obs::ObsExport {
-    let n_mds = cfg.n_mds as usize;
-    let mut reg = Registry::new();
-    let ops = reg.counter("client.ops", 1);
-    let lease = reg.counter("client.lease_hits", 1);
-    let timeouts = reg.counter("client.timeouts", 1);
-    let retries = reg.counter("client.retries", 1);
-    let failed = reg.counter("client.failed", 1);
-    let stale = reg.counter("client.stale_replies", 1);
-    let migr = reg.counter("balancer.migrations", 1);
-    let souts = reg.counter("elastic_scale_outs", 1);
-    let sins = reg.counter("elastic_scale_ins", 1);
-    let served = reg.counter("mds.served", n_mds);
-    let forwarded = reg.counter("mds.forwarded", n_mds);
-    let received = reg.counter("mds.received", n_mds);
-    let fetches = reg.counter("mds.disk_fetches", n_mds);
-    let replica = reg.counter("mds.replica_serves", n_mds);
-    let lat_hist = reg.counter("latency.log2_us", LAT_BUCKETS);
-    reg.add(ops, 0, stats.ops);
-    reg.add(lease, 0, stats.lease_hits);
-    reg.add(timeouts, 0, stats.timeouts);
-    reg.add(retries, 0, stats.retries);
-    reg.add(failed, 0, stats.failed);
-    reg.add(stale, 0, stats.stale);
-    reg.add(migr, 0, migrations);
-    reg.add(souts, 0, scale_outs);
-    reg.add(sins, 0, scale_ins);
-    for (i, n) in nodes.iter().enumerate() {
-        reg.add(served, i, n.served);
-        reg.add(forwarded, i, n.forwarded);
-        reg.add(received, i, n.received);
-        reg.add(fetches, i, n.disk_fetches);
-        reg.add(replica, i, n.replica_serves);
-    }
-    for (i, &c) in lat.buckets.iter().enumerate() {
-        reg.add(lat_hist, i, c);
-    }
-    // Proxy counters register last and only when the tier is on, so
-    // proxy-off metric exports are byte-identical to pre-proxy builds.
-    if cfg.proxy.count > 0 {
-        let pa = reg.counter("proxy.absorbed", 1);
-        let pc = reg.counter("proxy.coalesced", 1);
-        let pf = reg.counter("proxy.forwarded", 1);
-        let pfi = reg.counter("proxy.flushed_items", 1);
-        let pfb = reg.counter("proxy.flushes", 1);
-        reg.add(pa, 0, ptotals.read_absorbs);
-        reg.add(pc, 0, ptotals.writes_coalesced);
-        reg.add(pf, 0, ptotals.forwarded);
-        reg.add(pfi, 0, ptotals.flushed_items);
-        reg.add(pfb, 0, ptotals.flush_batches);
-    }
-    let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
-    let summary = format!(
-        "sharded run: {} ops, {} lease hits, {} timeouts, {} retries, {} migrations, {} scale-outs, {} scale-ins\n",
-        stats.ops,
-        stats.lease_hits,
-        stats.timeouts,
-        stats.retries,
-        migrations,
-        scale_outs,
-        scale_ins
-    );
-    crate::obs::ObsExport {
-        metrics_jsonl: reg.to_jsonl(),
-        snapshots_jsonl,
-        trace_jsonl: None,
-        summary,
+    /// Builds the deterministic obs export from the report's aggregates:
+    /// counters in fixed registration order, per-node slots in id order,
+    /// latency buckets, and the barrier-sampled snapshot series.
+    pub(super) fn obs_export(&self, snapshots: Option<&SnapshotSeries>) -> ObsExport {
+        let n_mds = self.nodes.len();
+        let mut reg = Registry::new();
+        let ops = reg.counter("client.ops", 1);
+        let lease = reg.counter("client.lease_hits", 1);
+        let timeouts = reg.counter("client.timeouts", 1);
+        let retries = reg.counter("client.retries", 1);
+        let failed = reg.counter("client.failed", 1);
+        let stale = reg.counter("client.stale_replies", 1);
+        let migr = reg.counter("balancer.migrations", 1);
+        let souts = reg.counter("elastic_scale_outs", 1);
+        let sins = reg.counter("elastic_scale_ins", 1);
+        let served = reg.counter("mds.served", n_mds);
+        let forwarded = reg.counter("mds.forwarded", n_mds);
+        let received = reg.counter("mds.received", n_mds);
+        let fetches = reg.counter("mds.disk_fetches", n_mds);
+        let replica = reg.counter("mds.replica_serves", n_mds);
+        let lat_hist = reg.counter("latency.log2_us", LAT_BUCKETS);
+        reg.add(ops, 0, self.ops);
+        reg.add(lease, 0, self.lease_hits);
+        reg.add(timeouts, 0, self.timeouts);
+        reg.add(retries, 0, self.retries);
+        reg.add(failed, 0, self.failed);
+        reg.add(stale, 0, self.stale_replies);
+        reg.add(migr, 0, self.migrations);
+        reg.add(souts, 0, self.scale_outs);
+        reg.add(sins, 0, self.scale_ins);
+        for (i, n) in self.nodes.iter().enumerate() {
+            reg.add(served, i, n.served);
+            reg.add(forwarded, i, n.forwarded);
+            reg.add(received, i, n.received);
+            reg.add(fetches, i, n.disk_fetches);
+            reg.add(replica, i, n.replica_serves);
+        }
+        for (i, &c) in self.latency.buckets.iter().enumerate() {
+            reg.add(lat_hist, i, c);
+        }
+        // Proxy counters register last and only when the tier is on, so
+        // proxy-off metric exports are byte-identical to pre-proxy builds.
+        if self.proxies > 0 {
+            let pa = reg.counter("proxy.absorbed", 1);
+            let pc = reg.counter("proxy.coalesced", 1);
+            let pf = reg.counter("proxy.forwarded", 1);
+            let pfi = reg.counter("proxy.flushed_items", 1);
+            let pfb = reg.counter("proxy.flushes", 1);
+            reg.add(pa, 0, self.proxy.read_absorbs);
+            reg.add(pc, 0, self.proxy.writes_coalesced);
+            reg.add(pf, 0, self.proxy.forwarded);
+            reg.add(pfi, 0, self.proxy.flushed_items);
+            reg.add(pfb, 0, self.proxy.flush_batches);
+        }
+        let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
+        let summary = format!(
+            "sharded run: {} ops, {} lease hits, {} timeouts, {} retries, {} migrations, {} scale-outs, {} scale-ins\n",
+            self.ops,
+            self.lease_hits,
+            self.timeouts,
+            self.retries,
+            self.migrations,
+            self.scale_outs,
+            self.scale_ins
+        );
+        ObsExport { metrics_jsonl: reg.to_jsonl(), snapshots_jsonl, trace_jsonl: None, summary }
     }
 }

@@ -1,12 +1,47 @@
 //! Test helpers shared by the shard module's unit tests.
 
 use dynmds_event::SimDuration;
-use dynmds_namespace::NamespaceSpec;
+use dynmds_namespace::{NamespaceSpec, Snapshot};
 use dynmds_partition::StrategyKind;
-use dynmds_workload::{GeneralWorkload, WorkloadConfig};
+use dynmds_workload::{GeneralWorkload, Workload, WorkloadConfig};
 
 use super::{ShardReport, ShardedSimulation};
 use crate::config::SimConfig;
+
+/// A load shape: wraps the general workload.
+pub(super) type Shape = fn(GeneralWorkload) -> Box<dyn Workload + Send>;
+
+pub(super) fn unshaped(w: GeneralWorkload) -> Box<dyn Workload + Send> {
+    Box::new(w)
+}
+
+/// The test namespace: 24 user homes and about 6,000 items.
+pub(super) fn snapshot(cfg: &SimConfig) -> Snapshot {
+    NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate()
+}
+
+/// A workload config seeded from `cfg`.
+pub(super) fn seeded(cfg: &SimConfig) -> WorkloadConfig {
+    WorkloadConfig { seed: cfg.seed ^ 0x17, ..Default::default() }
+}
+
+/// A run of `cfg` over `shards` queues on `snap`, with a
+/// `GeneralWorkload` of `wl` driving every configured client, wrapped by
+/// `shape`.
+pub(super) fn general(
+    cfg: SimConfig,
+    shards: usize,
+    threads: Option<usize>,
+    snap: Snapshot,
+    wl: WorkloadConfig,
+    shape: Shape,
+) -> ShardedSimulation {
+    let n_clients = cfg.n_clients as usize;
+    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+    ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
+        shape(GeneralWorkload::new(wl.clone(), n_clients, &homes, &shared, ns))
+    })
+}
 
 pub(super) fn build(strategy: StrategyKind, shards: usize, obs: bool) -> ShardedSimulation {
     let mut cfg = SimConfig::small(strategy);
@@ -17,27 +52,15 @@ pub(super) fn build(strategy: StrategyKind, shards: usize, obs: bool) -> Sharded
     build_with(cfg, shards, Some(1))
 }
 
-/// A run of `cfg` over `shards` queues on a 6,000-item namespace with
-/// a `GeneralWorkload` driving every configured client.
+/// A run of `cfg` over `shards` queues on the test namespace with a
+/// seeded `GeneralWorkload` driving every configured client.
 pub(super) fn build_with(
     cfg: SimConfig,
     shards: usize,
     threads: Option<usize>,
 ) -> ShardedSimulation {
-    let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
-    let n_clients = cfg.n_clients as usize;
-    let homes = snap.user_homes.clone();
-    let shared = snap.shared_roots.clone();
-    let wl_seed = cfg.seed ^ 0x17;
-    ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
-        Box::new(GeneralWorkload::new(
-            WorkloadConfig { seed: wl_seed, ..Default::default() },
-            n_clients,
-            &homes,
-            &shared,
-            ns,
-        ))
-    })
+    let (snap, wl) = (snapshot(&cfg), seeded(&cfg));
+    general(cfg, shards, threads, snap, wl, unshaped)
 }
 
 pub(super) fn run(strategy: StrategyKind, shards: usize, obs: bool) -> ShardReport {

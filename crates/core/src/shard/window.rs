@@ -27,7 +27,7 @@ impl ShardedSimulation {
     pub(super) fn run_windows(&mut self, until_us: u64) {
         self.apply_steps(self.now_us);
         while self.now_us < until_us {
-            let end = if self.cfg.force_dense {
+            let end = if self.world.cfg.force_dense {
                 self.next_grid().min(until_us)
             } else {
                 match self.run_inline(until_us) {
@@ -88,7 +88,7 @@ impl ShardedSimulation {
                     self.apply_steps(until_us);
                     return None;
                 }
-                self.now_us = t_min / self.window_us * self.window_us;
+                self.now_us = t_min / self.world.window_us * self.world.window_us;
                 self.apply_steps(self.now_us);
                 end = self.next_grid().min(until_us);
                 self.scan_busy(end);
@@ -98,7 +98,7 @@ impl ShardedSimulation {
             }
             if self.mail_due != u64::MAX {
                 for s in &mut self.shards {
-                    s.schedule_inbound(&self.mail, self.parity ^ 1);
+                    s.schedule_inbound(&self.world, &self.mail, self.parity ^ 1);
                 }
                 self.mail_due = u64::MAX;
                 self.scan_busy(end);
@@ -141,7 +141,7 @@ impl ShardedSimulation {
             let mut out = std::mem::take(&mut self.shards[i].outbox[dst]);
             let queue = &mut self.shards[dst].queue;
             for m in out.drain(..) {
-                queue.schedule(SimTime::from_micros(m.send + self.window_us), m.ev);
+                queue.schedule(SimTime::from_micros(m.send + self.world.window_us), m.ev);
             }
             self.shards[i].outbox[dst] = out;
         }
@@ -151,7 +151,7 @@ impl ShardedSimulation {
 
     /// The first grid barrier after `now_us`: where the current window ends.
     fn next_grid(&self) -> u64 {
-        (self.now_us / self.window_us + 1) * self.window_us
+        (self.now_us / self.world.window_us + 1) * self.world.window_us
     }
 
     /// Barrier side of a pooled window's mail: turns the destinations
@@ -163,7 +163,7 @@ impl ShardedSimulation {
         for src in 0..self.shards.len() {
             let first = self.shards[src].first_send;
             if first != u64::MAX {
-                self.mail_due = self.mail_due.min(first + self.window_us);
+                self.mail_due = self.mail_due.min(first + self.world.window_us);
             }
             let mut sent_to = std::mem::take(&mut self.shards[src].sent_to);
             for dst in sent_to.drain(..) {
@@ -181,7 +181,6 @@ mod tests {
     use crate::shard::testkit::*;
     use crate::shard::{RunCounts, ShardReport};
     use dynmds_event::SimDuration;
-    use dynmds_namespace::NamespaceSpec;
     use dynmds_partition::StrategyKind;
     use dynmds_workload::{GeneralWorkload, Workload, WorkloadConfig};
 
@@ -260,9 +259,6 @@ mod tests {
         assert!(calls.iter().all(|&t| t == Some(3)));
     }
 
-    /// A load shape: wraps the general workload.
-    type Shape = fn(GeneralWorkload) -> Box<dyn Workload + Send>;
-
     /// Eight fast servers under a shaped load: `clients` clients at a
     /// 1 ms mean think time, wrapped by `shape`.
     fn build_shaped(
@@ -281,12 +277,8 @@ mod tests {
         cfg.obs = dynmds_obs::ObsConfig::metrics_only();
         cfg.force_dense = force_dense;
         fast_servers(&mut cfg);
-        let snap = NamespaceSpec::with_target_items(24, 6_000, cfg.seed ^ 0xF5).generate();
-        let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
-        let n_clients = clients as usize;
-        ShardedSimulation::new(cfg, shards, Some(2), snap, &move |ns| {
-            shape(GeneralWorkload::new(WorkloadConfig::default(), n_clients, &homes, &shared, ns))
-        })
+        let snap = snapshot(&cfg);
+        general(cfg, shards, Some(2), snap, WorkloadConfig::default(), shape)
     }
 
     /// 5 ms at full rate every 20 ms, think times ×40 in between.
@@ -300,10 +292,6 @@ mod tests {
     fn diurnal(w: GeneralWorkload) -> Box<dyn Workload + Send> {
         use dynmds_workload::DiurnalWorkload;
         Box::new(DiurnalWorkload::new(w, SimDuration::from_millis(100), 150.0))
-    }
-
-    fn unshaped(w: GeneralWorkload) -> Box<dyn Workload + Send> {
-        Box::new(w)
     }
 
     #[test]

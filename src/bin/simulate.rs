@@ -392,8 +392,8 @@ fn main() {
     }
 }
 
-/// Per-shard workload builder: each shard gets its own generator over its
-/// own namespace replica, all seeded identically.
+/// Per-shard workload builder: each shard gets its own generator, all
+/// seeded identically, over the one namespace snapshot every shard reads.
 type WorkloadFactory = Box<dyn Fn(&Namespace) -> Box<dyn Workload + Send>>;
 
 /// The `--shards N` path: one run over N event queues with deterministic

@@ -90,11 +90,12 @@ fn run_k(cfg: SimConfig, k: usize) -> (String, String, String) {
 #[test]
 fn report_and_obs_are_invariant_across_shard_counts_under_faults() {
     // Differential property run: several random workload seeds, each
-    // interleaved with the fault storm, executed at 1, 2 and 4 shards.
+    // interleaved with the fault storm, executed at 1, 2, 3 and 4 shards.
+    // Three shards split the four nodes unevenly: {0,1}, {2}, {3}.
     for seed in [55u64, 911, 4242] {
         let base = run_k(config(StrategyKind::DynamicSubtree, seed, true), 1);
         assert!(base.0.contains("ops "), "report renders");
-        for k in [2usize, 4] {
+        for k in [2usize, 3, 4] {
             let other = run_k(config(StrategyKind::DynamicSubtree, seed, true), k);
             assert_eq!(base.0, other.0, "seed {seed}: report differs at {k} shards");
             assert_eq!(base.1, other.1, "seed {seed}: obs metrics differ at {k} shards");
