@@ -1,7 +1,11 @@
 //! Integration tests for the observability layer: determinism of the
 //! exports (metrics, snapshots, op-trace spans) across same-seed runs —
-//! including a failover mid-trace — and internal consistency between
-//! the registry and the simulator's own accounting.
+//! including a failover mid-trace — internal consistency between the
+//! registry and the simulator's own accounting, and the legacy engine's
+//! exports pinned byte for byte against `tests/golden/obs/`.
+
+use std::path::Path;
+use std::process::Command;
 
 use dynmds::core::{ObsExport, SimConfig, Simulation};
 use dynmds::event::SimTime;
@@ -102,4 +106,100 @@ fn parse_per_mds(line: &str) -> Vec<u64> {
     let start = line.find("\"per_mds\":[").expect("per_mds array") + "\"per_mds\":[".len();
     let end = start + line[start..].find(']').expect("array close");
     line[start..end].split(',').map(|v| v.parse().expect("integer slot")).collect()
+}
+
+/// The `simulate` runs whose obs exports are pinned under
+/// `tests/golden/obs/<run>/`: CI's fault-determinism run (churn, disk and
+/// network faults, op-trace spans on) and a run with every optional
+/// subsystem that has obs counters (a 2-proxy tier, shared writes,
+/// leases, dynamic directory hashing).
+const GOLDEN_OBS_RUNS: &[(&str, &[&str])] = &[
+    (
+        "fault_storm",
+        &[
+            "--mds", "4", "--clients", "24", "--items", "8000", "--seconds", "8", "--warmup", "2",
+            "--faults",
+            "churn:mtbf=4s,mttr=1s,seed=9,until=10s,nodes=1-3;disk:lat=3x,err=0.01@2s..6s;net:loss=0.02,dup=0.01@3s..8s",
+            "--obs-trace",
+        ],
+    ),
+    (
+        "proxy_tier",
+        &[
+            "--mds", "4", "--clients", "24", "--items", "4000", "--seconds", "8", "--warmup", "2",
+            "--proxy", "2", "--shared-writes", "--leases", "--dir-hash", "32", "--obs",
+        ],
+    ),
+];
+
+/// Span traces larger than this are pinned by their 64-bit FNV-1a digest
+/// (`obs_trace.fnv64`) instead of verbatim.
+const TRACE_VERBATIM_MAX: usize = 64 * 1024;
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs `simulate` with `args`, writing every pinned export into `out`:
+/// the metrics and snapshot JSONL, `summary.txt` (the observability
+/// summary `simulate` prints last) and the span trace or its digest.
+fn regenerate_obs_run(args: &[&str], out: &Path) {
+    let _ = std::fs::remove_dir_all(out);
+    std::fs::create_dir_all(out).expect("create output dir");
+    let run = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .arg("--obs-out")
+        .arg(out)
+        .output()
+        .expect("spawn simulate");
+    assert!(run.status.success(), "simulate failed: {}", String::from_utf8_lossy(&run.stderr));
+    let stdout = String::from_utf8(run.stdout).expect("utf-8 stdout");
+    let at = stdout.find("# observability summary").expect("obs summary in stdout");
+    std::fs::write(out.join("summary.txt"), &stdout[at..]).expect("write summary");
+    let trace = out.join("obs_trace.jsonl");
+    if let Ok(bytes) = std::fs::read(&trace) {
+        if bytes.len() > TRACE_VERBATIM_MAX {
+            std::fs::write(out.join("obs_trace.fnv64"), format!("{:016x}\n", fnv64(&bytes)))
+                .expect("write trace digest");
+            std::fs::remove_file(&trace).expect("drop oversized trace");
+        }
+    }
+}
+
+#[test]
+fn legacy_obs_exports_match_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut mismatched = Vec::new();
+    for (run, args) in GOLDEN_OBS_RUNS {
+        let golden = Path::new(root).join("tests/golden/obs").join(run);
+        let actual = Path::new(root).join("target/golden-actual/obs").join(run);
+        regenerate_obs_run(args, &actual);
+        let mut files: Vec<String> = std::fs::read_dir(&actual)
+            .expect("list regenerated exports")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut pinned: Vec<String> = std::fs::read_dir(&golden)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden.display()))
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        pinned.sort();
+        assert_eq!(pinned, files, "{run}: pinned and regenerated file sets differ");
+        for f in files {
+            let want = std::fs::read(golden.join(&f)).expect("read golden");
+            let got = std::fs::read(actual.join(&f)).expect("read regenerated");
+            if want != got {
+                mismatched.push(format!(
+                    "diff -u {} {}",
+                    golden.join(&f).display(),
+                    actual.join(&f).display()
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatched.is_empty(),
+        "obs exports drifted from their goldens:\n{}",
+        mismatched.join("\n")
+    );
 }
