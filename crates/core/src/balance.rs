@@ -217,7 +217,7 @@ impl Cluster {
                 created.push(c);
             }
         }
-        self.obs.on_delegation_split(created.len() as u64);
+        self.counters.delegation_splits += created.len() as u64;
         // Protect fresh splits from immediate consolidation so the next
         // heartbeats can migrate them.
         for c in created {
@@ -256,7 +256,7 @@ impl Cluster {
         if to_merge.is_empty() {
             return;
         }
-        self.obs.on_delegation_merge(to_merge.len() as u64);
+        self.counters.delegation_merges += to_merge.len() as u64;
         for d in to_merge {
             self.partition.undelegate(&self.ns, d);
             self.split_at.remove(&d);
@@ -289,8 +289,7 @@ impl Cluster {
         self.imported[from.index()].retain(|&d| d != root);
         self.imported[to.index()].push(root);
         self.last_migrated.insert(root, now);
-        self.migrations += 1;
-        self.obs.on_migration();
+        self.counters.migrations += 1;
         self.nodes[from.index()].life.subtrees_out += 1;
         self.nodes[to.index()].life.subtrees_in += 1;
 
@@ -372,7 +371,7 @@ mod tests {
         assert!(!c.nodes[from.index()].cache.peek(file), "exporter dropped state");
         assert!(c.nodes[to.index()].cache.peek(file), "importer received state");
         assert!(c.nodes[to.index()].cache.peek(home), "subtree root anchored");
-        assert_eq!(c.migrations, 1);
+        assert_eq!(c.counters.migrations, 1);
         assert_eq!(c.nodes[from.index()].life.subtrees_out, 1);
         assert_eq!(c.nodes[to.index()].life.subtrees_in, 1);
         assert!(c.imported[to.index()].contains(&home));
@@ -386,7 +385,7 @@ mod tests {
         let before = c.partition.as_subtree().unwrap().delegation_count();
         c.heartbeat(SimTime::from_secs(5));
         c.heartbeat(SimTime::from_secs(10));
-        assert_eq!(c.migrations, 0);
+        assert_eq!(c.counters.migrations, 0);
         // Consolidation may simplify the initial partition, never grow it.
         assert!(c.partition.as_subtree().unwrap().delegation_count() <= before);
     }
@@ -410,16 +409,16 @@ mod tests {
         // One noisy window: no migration (persistence check).
         credit(&mut c);
         c.heartbeat(SimTime::from_secs(5));
-        assert_eq!(c.migrations, 0, "single spike must not migrate");
+        assert_eq!(c.counters.migrations, 0, "single spike must not migrate");
         // Sustained over further heartbeats: migration happens.
         for k in 2..8 {
             credit(&mut c);
             c.heartbeat(SimTime::from_secs(5 * k));
-            if c.migrations > 0 {
+            if c.counters.migrations > 0 {
                 break;
             }
         }
-        assert!(c.migrations > 0, "sustained overload must migrate");
+        assert!(c.counters.migrations > 0, "sustained overload must migrate");
     }
 
     #[test]
@@ -441,7 +440,7 @@ mod tests {
 
         c.rebalance(SimTime::from_secs(5));
 
-        assert_eq!(c.migrations, 0, "dead exporter must be skipped");
+        assert_eq!(c.counters.migrations, 0, "dead exporter must be skipped");
         assert_eq!(c.nodes[dead.index()].life.subtrees_out, 0);
         assert_eq!(
             c.partition.as_subtree().unwrap().delegation_of(home),

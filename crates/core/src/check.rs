@@ -17,9 +17,11 @@
 //!    path silently resetting `hops`);
 //! 3. a violation list, drained by the harness alongside the log.
 //!
-//! Like [`ClusterObs`](crate::obs::ClusterObs), the disabled path costs a
-//! single branch per hook site, and the probe never influences simulation
-//! behaviour — it only observes.
+//! Like the span hooks of [`ClusterObs`](crate::obs::ClusterObs), the
+//! disabled path costs a single branch per hook site, and the probe never
+//! influences simulation behaviour — it only observes. Unlike
+//! `ClusterObs`, whose counters are read from the engine at export, the
+//! probe records what the engine keeps no copy of.
 //!
 //! [`Cluster::enable_dst_probe`]: crate::cluster::Cluster::enable_dst_probe
 

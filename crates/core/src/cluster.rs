@@ -57,6 +57,63 @@ pub struct MigrationRecord {
     pub to_alive: bool,
 }
 
+/// Cluster-wide event counts over the whole run. Availability and the
+/// DST digest read them as they stand; [`Cluster::measured_counters`]
+/// gives the share since measurement restarted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ClusterCounters {
+    /// Node failures injected.
+    pub failures: u64,
+    /// Node recoveries performed.
+    pub recoveries: u64,
+    /// Requests that timed out against a dead node and were re-driven.
+    pub failover_timeouts: u64,
+    /// Client retries driven (dead-node timeouts + lost messages).
+    pub retries: u64,
+    /// Operations abandoned after exhausting the retry budget.
+    pub gave_up: u64,
+    /// Messages dropped by the network fault window.
+    pub net_lost: u64,
+    /// Messages duplicated by the network fault window.
+    pub net_dup: u64,
+    /// Subtree migrations performed.
+    pub migrations: u64,
+    /// Replica deltas merged at authorities (heartbeat + read callbacks).
+    pub shared_write_flushes: u64,
+    /// ESTALE replies: the target raced with an unlink.
+    pub estale: u64,
+    /// Items replicated cluster-wide by traffic control.
+    pub replications: u64,
+    /// Replicated items that cooled down and were de-replicated.
+    pub dereplications: u64,
+    /// Delegation points the balancer created by splitting.
+    pub delegation_splits: u64,
+    /// Redundant delegation points merged away.
+    pub delegation_merges: u64,
+}
+
+impl ClusterCounters {
+    /// The counts accumulated since `base` was copied.
+    pub fn since(&self, base: &ClusterCounters) -> ClusterCounters {
+        ClusterCounters {
+            failures: self.failures - base.failures,
+            recoveries: self.recoveries - base.recoveries,
+            failover_timeouts: self.failover_timeouts - base.failover_timeouts,
+            retries: self.retries - base.retries,
+            gave_up: self.gave_up - base.gave_up,
+            net_lost: self.net_lost - base.net_lost,
+            net_dup: self.net_dup - base.net_dup,
+            migrations: self.migrations - base.migrations,
+            shared_write_flushes: self.shared_write_flushes - base.shared_write_flushes,
+            estale: self.estale - base.estale,
+            replications: self.replications - base.replications,
+            dereplications: self.dereplications - base.dereplications,
+            delegation_splits: self.delegation_splits - base.delegation_splits,
+            delegation_merges: self.delegation_merges - base.delegation_merges,
+        }
+    }
+}
+
 /// The whole simulated system. See module docs.
 pub struct Cluster {
     /// Configuration of this run.
@@ -105,8 +162,6 @@ pub struct Cluster {
     /// Consecutive heartbeats each node has been over the imbalance
     /// threshold; migration needs persistence, not a noisy spike.
     pub(crate) busy_streak: Vec<u32>,
-    /// Total subtree migrations performed.
-    pub migrations: u64,
     /// Optional migration audit trail for tests: records the liveness of
     /// both endpoints at migration time. `None` (the default) costs one
     /// untaken branch per migration.
@@ -115,12 +170,6 @@ pub struct Cluster {
     // --- failover state (§2.1.2) ---------------------------------------
     /// Liveness per node.
     pub(crate) alive: Vec<bool>,
-    /// Node failures injected.
-    pub failures: u64,
-    /// Node recoveries performed.
-    pub recoveries: u64,
-    /// Requests that timed out against a dead node and were re-driven.
-    pub failover_timeouts: u64,
     /// Scheduled failures skipped because they would have killed the last
     /// live node (churn-generated crashes only).
     pub failures_skipped: u64,
@@ -132,14 +181,6 @@ pub struct Cluster {
     pub(crate) fault_rng: SimRng,
     /// Active network fault window, if any.
     pub(crate) net_fault: Option<NetFaultSpec>,
-    /// Client retries driven (dead-node timeouts + lost messages).
-    pub retries_total: u64,
-    /// Operations abandoned after exhausting the retry budget.
-    pub gave_up: u64,
-    /// Messages dropped by the network fault window.
-    pub net_lost: u64,
-    /// Messages duplicated by the network fault window.
-    pub net_dup: u64,
     /// Operations issued by clients (including lease-served ones).
     pub ops_issued: u64,
     /// Operations that reached a terminal outcome (reply, ESTALE reply,
@@ -147,6 +188,11 @@ pub struct Cluster {
     pub ops_completed: u64,
 
     // --- accounting -----------------------------------------------------
+    /// Cluster-wide event counts over the whole run.
+    pub counters: ClusterCounters,
+    /// `counters` and the clients' lease-hit count when measurement last
+    /// restarted.
+    pub(crate) measure_base: (ClusterCounters, u64),
     /// Served operations by kind (MDS-visible; lease-served reads are not
     /// included).
     pub op_counts: FxHashMap<dynmds_workload::OpKind, u64>,
@@ -160,10 +206,6 @@ pub struct Cluster {
     ///
     /// [`traverse`]: Cluster::traverse
     pub(crate) traverse_scratch: Vec<InodeId>,
-    /// Writes absorbed at non-authoritative replicas.
-    pub shared_write_absorbed: u64,
-    /// Delta pushes merged at authorities (heartbeat + read callbacks).
-    pub shared_write_flushes: u64,
 
     // --- hotspot proxy tier (ROADMAP item 4) ----------------------------
     /// The proxies fronting the cluster (empty = tier disabled; every
@@ -174,8 +216,8 @@ pub struct Cluster {
     pub(crate) proxy_dirty: FxHashSet<InodeId>,
 
     // --- observability ---------------------------------------------------
-    /// Metrics registry + op-trace spans + snapshots; inert (one branch
-    /// per hook) unless enabled through [`SimConfig::obs`].
+    /// Op-trace spans, snapshots and latency/hop histograms; inert (one
+    /// branch per hook) unless enabled through [`SimConfig::obs`].
     pub obs: ClusterObs,
     /// DST probe (applied-op log + protocol invariants); absent unless a
     /// simulation-testing harness calls [`enable_dst_probe`]. Costs one
@@ -247,36 +289,23 @@ impl Cluster {
             hb_misses: vec![0; n],
             hb_ewma: vec![0.0; n],
             busy_streak: vec![0; n],
-            migrations: 0,
             migration_log: None,
             alive: vec![true; n],
-            failures: 0,
-            recoveries: 0,
-            failover_timeouts: 0,
             failures_skipped: 0,
             fault_rng: SimRng::seed_from_u64(cfg.seed ^ 0xFA17),
             net_fault: None,
-            retries_total: 0,
-            gave_up: 0,
-            net_lost: 0,
-            net_dup: 0,
             ops_issued: 0,
             ops_completed: 0,
+            counters: ClusterCounters::default(),
+            measure_base: (ClusterCounters::default(), 0),
             op_counts: FxHashMap::default(),
             dirty_shared: FxHashSet::default(),
             traverse_scratch: Vec::new(),
-            shared_write_absorbed: 0,
-            shared_write_flushes: 0,
             proxies: (0..cfg.proxy.count)
                 .map(|_| dynmds_proxy::ProxyCore::new(&cfg.proxy))
                 .collect(),
             proxy_dirty: FxHashSet::default(),
-            obs: ClusterObs::with_proxies(
-                cfg.obs,
-                n,
-                cfg.n_clients as usize,
-                cfg.proxy.count as usize,
-            ),
+            obs: ClusterObs::new(cfg.obs, n, cfg.n_clients as usize),
             probe: None,
             measure_start: SimTime::ZERO,
             served_series: vec![TimeSeries::new(); n],
@@ -350,8 +379,10 @@ impl Cluster {
         v
     }
 
-    /// Restarts measurement: clears series, latency, cache statistics and
-    /// lifetime counters. Called after warm-up.
+    /// Restarts measurement: clears series, latency, cache statistics,
+    /// node and proxy counters, and takes the baseline that
+    /// [`measured_counters`](Cluster::measured_counters) subtracts.
+    /// Called after warm-up.
     pub fn reset_measurement(&mut self, now: SimTime) {
         self.measure_start = now;
         for s in self
@@ -368,11 +399,26 @@ impl Cluster {
             n.life = Default::default();
             n.win = Default::default();
         }
+        for p in &mut self.proxies {
+            p.reset_stats();
+        }
+        self.measure_base = (self.counters, self.clients.lease_hits());
         self.obs.reset();
+    }
+
+    /// Cluster-wide event counts since measurement last restarted.
+    pub fn measured_counters(&self) -> ClusterCounters {
+        self.counters.since(&self.measure_base.0)
+    }
+
+    /// Reads served from client leases since measurement last restarted.
+    pub fn measured_lease_hits(&self) -> u64 {
+        self.clients.lease_hits() - self.measure_base.1
     }
 
     /// Builds the final report.
     pub fn into_report(self, end: SimTime) -> SimReport {
+        let obs = self.obs.export(&self);
         let nodes = self
             .nodes
             .iter()
@@ -397,7 +443,7 @@ impl Cluster {
             received_series: self.received_series,
             latency: self.latency,
             nodes,
-            obs: self.obs.export(),
+            obs,
         }
     }
 
@@ -489,7 +535,6 @@ impl Cluster {
                 if let Some(probe) = self.probe.as_deref_mut() {
                     probe.on_proxy_neg_serve(now, client, *dir, name);
                 }
-                self.obs.on_proxy_neg_hit(p);
                 self.finish_at_proxy(now, client, reply_at, queue);
                 return None;
             }
@@ -505,7 +550,6 @@ impl Cluster {
             if let Some(probe) = self.probe.as_deref_mut() {
                 probe.on_proxy_read_serve(now, client, target);
             }
-            self.obs.on_proxy_read_absorb(p);
             self.finish_at_proxy(now, client, reply_at, queue);
             return None;
         }
@@ -519,7 +563,6 @@ impl Cluster {
         {
             self.proxies[p].absorb_write(target);
             self.proxy_dirty.insert(target);
-            self.obs.on_proxy_coalesce(p);
             self.finish_at_proxy(now, client, reply_at, queue);
             return None;
         }
@@ -527,7 +570,6 @@ impl Cluster {
         // 4. Hot but not absorbable: relay to the authority. One proxy
         //    hop replaces the client's own (possibly stale) routing.
         self.proxies[p].note_forwarded();
-        self.obs.on_proxy_forward(p);
         let dest = self.live_authority(self.authority_for_op(&op));
         let req = Request {
             client,
@@ -575,14 +617,12 @@ impl Cluster {
     ) {
         if let Some(nf) = self.net_fault {
             if nf.loss_p > 0.0 && self.fault_rng.chance(nf.loss_p) {
-                self.net_lost += 1;
-                self.obs.on_net_loss();
+                self.counters.net_lost += 1;
                 self.drive_retry(at + crate::failover::FAILOVER_TIMEOUT, req, queue);
                 return;
             }
             if nf.dup_p > 0.0 && self.fault_rng.chance(nf.dup_p) {
-                self.net_dup += 1;
-                self.obs.on_net_dup();
+                self.counters.net_dup += 1;
                 queue.schedule(at + self.cfg.costs.net_hop, SimEvent::NetDup { mds });
             }
         }
@@ -602,7 +642,7 @@ impl Cluster {
         if req.retries > self.cfg.retry.max_retries {
             // Terminal outcome: the op is abandoned. No latency sample is
             // recorded (the op never completed) and the client moves on.
-            self.gave_up += 1;
+            self.counters.gave_up += 1;
             self.obs.on_gave_up(detect_at, req.client.0);
             if let Some(p) = self.probe.as_deref_mut() {
                 p.on_gave_up(detect_at, req.client, req.retries, self.cfg.retry.max_retries);
@@ -610,7 +650,7 @@ impl Cluster {
             queue.schedule(detect_at, SimEvent::Reply { client: req.client });
             return;
         }
-        self.retries_total += 1;
+        self.counters.retries += 1;
         self.obs.on_retry(detect_at, req.client.0);
         let delay = self.cfg.retry.delay(req.retries, &mut self.fault_rng);
         let heir = self.live_authority(self.authority_for_op(&req.op));
@@ -632,7 +672,7 @@ impl Cluster {
         // policy. Hops are preserved — a request that keeps landing on
         // dying nodes must not evade the forwarding bound.
         if !self.alive[mds.index()] {
-            self.failover_timeouts += 1;
+            self.counters.failover_timeouts += 1;
             self.obs.on_dead_timeout(now, req.client.0, mds);
             self.drive_retry(now + crate::failover::FAILOVER_TIMEOUT, req, queue);
             return;
@@ -646,6 +686,7 @@ impl Cluster {
         let target = req.op.target();
         if !self.ns.is_alive(target) {
             // Raced with an unlink: cheap ESTALE reply.
+            self.counters.estale += 1;
             self.obs.on_estale(now, req.client.0, mds);
             let done = self.nodes[i].occupy(now, self.cfg.costs.cpu_forward);
             self.finish(now, mds, req, done, queue);
@@ -678,7 +719,7 @@ impl Cluster {
         if mds != auth {
             // Serving without authority: a replica read or an absorbed
             // shared write.
-            self.obs.on_replica_serve(mds);
+            self.nodes[i].life.replica_serves += 1;
         }
         let reply_at = self.serve(now, mds, &req);
         self.finish(now, mds, req, reply_at, queue);
@@ -779,7 +820,6 @@ impl Cluster {
         *self.op_counts.entry(req.op.kind()).or_insert(0) += 1;
         self.nodes[i].win.served += 1;
         self.nodes[i].life.served += 1;
-        self.obs.on_served(mds);
         cpu_done.max(io_done)
     }
 
@@ -814,8 +854,7 @@ impl Cluster {
             ino.size = ino.size.saturating_add(adds);
             ino.mtime_us = ino.mtime_us.max(mtime);
         });
-        self.shared_write_flushes += contributors as u64;
-        self.obs.on_shared_flush(contributors as u64);
+        self.counters.shared_write_flushes += contributors as u64;
         contributors
     }
 
@@ -832,7 +871,6 @@ impl Cluster {
             if let Some(d) = self.proxies[pi].take_pending(id) {
                 bumps += d;
                 contributors += 1;
-                self.obs.on_proxy_flush(pi, 1);
             }
         }
         if bumps > 0 {
@@ -858,13 +896,12 @@ impl Cluster {
                 continue;
             }
             self.nodes[i].win.misses += 1;
+            self.nodes[i].life.prefix_misses += 1;
             self.hb_misses[i] += 1;
-            self.obs.on_prefix_miss(mds);
             let dir_auth = self.authority_of(dir);
             if dir_auth == mds {
                 // Local miss: fetch from tier 2.
                 self.nodes[i].life.disk_fetches += 1;
-                self.obs.on_disk_fetch(mds);
                 let res = self.store.fetch_inode(now, &self.ns, dir);
                 io_done = io_done.max(res.complete_at);
                 self.install_loaded(mds, &res.loaded, dir, InsertKind::Prefix);
@@ -876,10 +913,9 @@ impl Cluster {
                 let rtt = self.cfg.costs.net_hop.saturating_mul(2);
                 let mut remote_done = now + rtt;
                 let j = dir_auth.index();
-                self.obs.on_remote_prefix(mds);
+                self.nodes[i].life.remote_prefix_fetches += 1;
                 if !self.nodes[j].cache.peek(dir) {
                     self.nodes[j].life.disk_fetches += 1;
-                    self.obs.on_disk_fetch(dir_auth);
                     let res = self.store.fetch_inode(now, &self.ns, dir);
                     remote_done = remote_done.max(res.complete_at + rtt);
                     self.install_loaded(dir_auth, &res.loaded, dir, InsertKind::Prefix);
@@ -928,29 +964,20 @@ impl Cluster {
                     .unwrap_or(true);
                 let embedded = self.store.layout() == StoreLayout::EmbeddedDirectories;
                 if !all_children_cached && embedded {
-                    self.nodes[i].win.misses += 1;
-                    self.hb_misses[i] += 1;
-                    self.nodes[i].life.disk_fetches += 1;
-                    self.obs.on_disk_fetch(mds);
+                    self.count_target_miss(i);
                     let res = self.store.fetch_dir(now, &self.ns, *dir);
                     io_done = io_done.max(res.complete_at);
                     self.install_loaded(mds, &res.loaded, InodeId(u64::MAX), InsertKind::Prefetch);
                 } else if !embedded {
                     // Name-list read; per-inode stats pay their own way.
-                    self.nodes[i].win.misses += 1;
-                    self.hb_misses[i] += 1;
-                    self.nodes[i].life.disk_fetches += 1;
-                    self.obs.on_disk_fetch(mds);
+                    self.count_target_miss(i);
                     let res = self.store.fetch_dir(now, &self.ns, *dir);
                     io_done = io_done.max(res.complete_at);
                 }
             }
             _ => {
                 if !self.nodes[i].cache.lookup(target, true) {
-                    self.nodes[i].win.misses += 1;
-                    self.hb_misses[i] += 1;
-                    self.nodes[i].life.disk_fetches += 1;
-                    self.obs.on_disk_fetch(mds);
+                    self.count_target_miss(i);
                     // Entries of a hashed directory live in per-entry
                     // storage fragments; everything else follows the
                     // configured layout.
@@ -972,6 +999,15 @@ impl Cluster {
             }
         }
         io_done
+    }
+
+    /// Counts a target cache miss at node `i`, which goes to tier 2.
+    fn count_target_miss(&mut self, i: usize) {
+        let n = &mut self.nodes[i];
+        n.win.misses += 1;
+        n.life.target_misses += 1;
+        n.life.disk_fetches += 1;
+        self.hb_misses[i] += 1;
     }
 
     /// Inserts fetched items into `mds`'s cache: `primary` with
@@ -1020,8 +1056,7 @@ impl Cluster {
                     }
                     e.1 = e.1.max(now.as_micros());
                     self.dirty_shared.insert(*f);
-                    self.shared_write_absorbed += 1;
-                    self.obs.on_shared_absorb(mds);
+                    self.nodes[i].life.shared_absorbed += 1;
                     touched.push(*f);
                     primary = Some(*f);
                     shared_absorbed = true;
@@ -1163,7 +1198,9 @@ impl Cluster {
             writebacks.extend(self.nodes[i].journal.append(id));
         }
         let jdone = self.nodes[i].journal_disk.access(now, dynmds_storage::AccessKind::Write);
-        self.obs.on_journal_commit(jdone, req.client.0, mds, writebacks.len() as u64);
+        self.nodes[i].life.journal_commits += 1;
+        self.nodes[i].life.journal_writebacks += writebacks.len() as u64;
+        self.obs.on_journal_commit(jdone, req.client.0, mds);
         // Retired entries stream to tier 2 asynchronously (don't block the
         // reply, do consume pool throughput).
         for wb in writebacks {
@@ -1296,14 +1333,12 @@ impl Cluster {
                 // server's reply cache — modelled as a delayed delivery,
                 // so the extra wait lands in the latency sample without
                 // re-applying the operation.
-                self.net_lost += 1;
-                self.obs.on_net_loss();
+                self.counters.net_lost += 1;
                 arrive += crate::failover::FAILOVER_TIMEOUT;
             }
             if nf.dup_p > 0.0 && self.fault_rng.chance(nf.dup_p) {
                 // Duplicate reply: discarded by the client; counted only.
-                self.net_dup += 1;
-                self.obs.on_net_dup();
+                self.counters.net_dup += 1;
             }
         }
         // Attribute-read replies piggyback a lease (§4.2).
@@ -1561,8 +1596,8 @@ mod tests {
         let mut req = request(Op::Stat(file));
         req.hops = 2;
         c.handle(SimTime::from_millis(1), SimEvent::Arrive { mds: dead, req }, &mut q);
-        assert_eq!(c.failover_timeouts, 1);
-        assert_eq!(c.retries_total, 1);
+        assert_eq!(c.counters.failover_timeouts, 1);
+        assert_eq!(c.counters.retries, 1);
         let ev = q.pop().expect("re-driven request queued");
         match ev.event {
             SimEvent::Arrive { mds, req } => {
@@ -1587,8 +1622,8 @@ mod tests {
             SimEvent::Arrive { mds: dead, req: request(Op::Stat(file)) },
             &mut q,
         );
-        assert_eq!(c.gave_up, 1);
-        assert_eq!(c.retries_total, 0, "an abandoned op is not a retry");
+        assert_eq!(c.counters.gave_up, 1);
+        assert_eq!(c.counters.retries, 0, "an abandoned op is not a retry");
         let ev = q.pop().expect("terminal reply queued");
         assert!(
             matches!(ev.event, SimEvent::Reply { client } if client == ClientId(0)),

@@ -40,15 +40,14 @@ impl Default for CostModel {
 }
 
 /// Elastic autoscaling knobs (ROADMAP item 3, λFS-style) for the
-/// controller in `elastic.rs`, which only the sharded engine runs. The controller watches the balancer's heartbeat load
-/// signal and activates / parks nodes between `min_nodes` and `n_mds`
+/// controller in `elastic.rs`, which runs only under
+/// [`StrategyKind::ElasticSubtree`] and only on the sharded engine (the
+/// legacy [`Simulation`](crate::Simulation) refuses that strategy). The
+/// controller watches the balancer's heartbeat load signal and activates / parks nodes between `min_nodes` and `n_mds`
 /// (the provisioned pool ceiling). All thresholds are per-*live*-node
 /// rates so they are independent of the heartbeat interval.
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
-    /// Master switch; off keeps the cluster statically provisioned.
-    /// The legacy [`Simulation`](crate::Simulation) refuses it on.
-    pub enabled: bool,
     /// Never park below this many live nodes.
     pub min_nodes: u16,
     /// Scale out when the mean per-live-node load (served +
@@ -67,7 +66,6 @@ pub struct ElasticConfig {
 impl Default for ElasticConfig {
     fn default() -> Self {
         ElasticConfig {
-            enabled: false,
             min_nodes: 2,
             high_load_per_s: 4_000.0,
             low_load_per_s: 1_500.0,
@@ -214,10 +212,7 @@ impl SimConfig {
             replication_threshold: 64.0,
             balancing: strategy.rebalances(),
             heartbeat: SimDuration::from_secs(5),
-            elastic: ElasticConfig {
-                enabled: strategy == StrategyKind::ElasticSubtree,
-                ..ElasticConfig::default()
-            },
+            elastic: ElasticConfig::default(),
             dir_hash_threshold: 0,
             disable_prefetch_probation: false,
             force_inode_table: false,

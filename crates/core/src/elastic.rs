@@ -13,8 +13,8 @@
 //! heartbeats, plus a post-action cooldown, yield
 //! [`ScaleAction::Activate`] or [`ScaleAction::Park`]. The engine applies
 //! the action at the window barrier. Nothing here draws from an RNG, so
-//! elastic runs are byte-identical across reruns and shard counts; with
-//! `enabled = false` every step returns `None` and accounts nothing.
+//! elastic runs are byte-identical across reruns and shard counts. The
+//! engine steps the controller only under the elastic strategy.
 
 use dynmds_event::SimDuration;
 use dynmds_namespace::{InodeId, MdsId};
@@ -30,8 +30,8 @@ pub(crate) enum ScaleAction {
     Park(MdsId),
 }
 
-/// Controller state, one per run. Inert unless
-/// [`ElasticConfig::enabled`] is set.
+/// Controller state, one per run; stepped only under the elastic
+/// strategy.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ElasticCtl {
     cfg: ElasticConfig,
@@ -77,9 +77,6 @@ impl ElasticCtl {
     /// action is already recorded (membership, scale counters); the
     /// caller applies it to the cluster before the next step.
     pub fn step(&mut self, alive: &[bool], loads: &[f64], at: u64) -> Option<ScaleAction> {
-        if !self.cfg.enabled {
-            return None;
-        }
         let live: Vec<usize> = (0..alive.len()).filter(|&m| alive[m]).collect();
         self.node_us += live.len() as u64 * at.saturating_sub(self.last_account);
         self.last_account = self.last_account.max(at);
@@ -155,7 +152,6 @@ mod tests {
     /// A 4-node pool with `min_nodes = 2`, watermarks 100/s and 10/s.
     fn ctl(sustain: u32, cooldown_heartbeats: u32) -> ElasticCtl {
         let cfg = ElasticConfig {
-            enabled: true,
             min_nodes: 2,
             high_load_per_s: 100.0,
             low_load_per_s: 10.0,
@@ -241,17 +237,5 @@ mod tests {
         assert_eq!(c.provisioned_node_us(3, at(2) + 7), (2 + 3) * 5_000_000 + 3 * 7);
         c.reset_accounting(at(2));
         assert_eq!(c.provisioned_node_us(3, at(3)), 3 * 5_000_000);
-    }
-
-    #[test]
-    fn controller_is_inert_when_disabled() {
-        let mut c = ctl(1, 0);
-        c.cfg.enabled = false;
-        c.members[3] = false;
-        let mut alive = [true, true, true, false];
-        assert_eq!(drive(&mut c, &mut alive, &[1e9; 4], 3), [None; 3]);
-        assert_eq!(drive(&mut c, &mut alive, &[0.0; 4], 3), [None; 3]);
-        assert_eq!(c.scale_outs + c.scale_ins, 0);
-        assert_eq!(c.provisioned_node_us(0, 0), 0, "no accounting when disabled");
     }
 }

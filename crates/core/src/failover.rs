@@ -90,8 +90,7 @@ impl Cluster {
             return;
         }
         self.alive[mds.index()] = false;
-        self.failures += 1;
-        self.obs.on_failure();
+        self.counters.failures += 1;
 
         // A dead node has no load: clear its smoothed estimate, its
         // in-window counters, and its overload streak so residual figures
@@ -121,7 +120,7 @@ impl Cluster {
         // Rotate the round-robin start by the failure count so successive
         // failures don't pile every inherited subtree onto the same
         // low-indexed survivors.
-        let offset = self.failures as usize;
+        let offset = self.counters.failures as usize;
         for (k, root) in owned.into_iter().enumerate() {
             let heir = survivors[(k + offset) % survivors.len()];
             self.partition.delegate(&self.ns, root, heir);
@@ -152,7 +151,7 @@ impl Cluster {
         if inherited.is_empty() {
             return;
         }
-        self.obs.on_journal_warm(heir, inherited.len() as u64);
+        self.nodes[heir.index()].life.journal_warmed += inherited.len() as u64;
         // One journal read plus per-record replay cost.
         self.nodes[heir.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
         let cost = MIGRATE_PER_ITEM.saturating_mul(inherited.len() as u64);
@@ -184,8 +183,7 @@ impl Cluster {
             return;
         }
         self.alive[mds.index()] = true;
-        self.recoveries += 1;
-        self.obs.on_recovery();
+        self.counters.recoveries += 1;
         if !self.cfg.journal_warming {
             return; // ablation: come back cold
         }
@@ -199,7 +197,7 @@ impl Cluster {
         // §4.6 cache warming: the log approximates the working set.
         let mut ws: Vec<InodeId> = self.nodes[mds.index()].journal.working_set().collect();
         ws.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
-        self.obs.on_journal_warm(mds, ws.len() as u64);
+        self.nodes[mds.index()].life.journal_warmed += ws.len() as u64;
         self.nodes[mds.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
         let cost = MIGRATE_PER_ITEM.saturating_mul(ws.len() as u64 + 1);
         self.nodes[mds.index()].occupy(now, cost);
@@ -269,10 +267,10 @@ mod tests {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
         c.fail_node(SimTime::from_secs(1), MdsId(1));
         c.fail_node(SimTime::from_secs(2), MdsId(1));
-        assert_eq!(c.failures, 1, "double-fail is a no-op");
+        assert_eq!(c.counters.failures, 1, "double-fail is a no-op");
         c.recover_node(SimTime::from_secs(3), MdsId(1));
         c.recover_node(SimTime::from_secs(4), MdsId(1));
-        assert_eq!(c.recoveries, 1, "double-recover is a no-op");
+        assert_eq!(c.counters.recoveries, 1, "double-recover is a no-op");
         assert!(c.is_alive_node(MdsId(1)));
     }
 

@@ -20,7 +20,8 @@ pub struct WindowCounters {
     pub misses: u64,
 }
 
-/// Lifetime counters.
+/// Counters since the start of measurement (`reset_measurement` zeroes
+/// them).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LifeCounters {
     /// Operations fully served.
@@ -31,8 +32,23 @@ pub struct LifeCounters {
     pub received: u64,
     /// Disk fetches issued.
     pub disk_fetches: u64,
-    /// Reads served from a non-authoritative replica.
+    /// Requests served without authority: replica reads and absorbed
+    /// shared writes.
     pub replica_serves: u64,
+    /// Prefix directories that missed this node's cache.
+    pub prefix_misses: u64,
+    /// Target cache probes that missed.
+    pub target_misses: u64,
+    /// Missing prefixes replicated from a peer authority.
+    pub remote_prefix_fetches: u64,
+    /// Mutations committed to this node's journal.
+    pub journal_commits: u64,
+    /// Journal entries retired to tier 2 by those commits.
+    pub journal_writebacks: u64,
+    /// Shared-write deltas absorbed here as a replica.
+    pub shared_absorbed: u64,
+    /// Working-set items preloaded into the cache from a journal.
+    pub journal_warmed: u64,
     /// Replica invalidations processed.
     pub invalidations: u64,
     /// Subtrees imported by load balancing.
@@ -64,7 +80,7 @@ pub struct MdsNode {
     busy_until: SimTime,
     /// Window counters, taken by the sampler.
     pub win: WindowCounters,
-    /// Lifetime counters.
+    /// Counters since the start of measurement.
     pub life: LifeCounters,
 }
 

@@ -1,13 +1,17 @@
 //! Cluster-side observability wiring (see `dynmds-obs` for the
 //! instruments themselves).
 //!
-//! [`ClusterObs`] owns the registry, the span recorder and the snapshot
-//! series for one simulation, and exposes one `#[inline]` hook per
-//! instrumentation point in the op pipeline. Every hook begins with the
-//! same single branch — `let Some(inner) = &mut self.inner else { return }`
-//! — so a simulation with observability disabled pays one predictable
-//! untaken branch per hook and nothing else: no allocation, no hashing,
-//! no formatting. All hot-path formatting is deferred to export time.
+//! The engine counts every event once, in its own counters: each node's
+//! [`LifeCounters`], the cluster's [`ClusterCounters`](crate::cluster::ClusterCounters)
+//! and each proxy's [`ProxyStats`]. [`ClusterObs`] records only what has
+//! no engine twin — the op-lifecycle spans, the periodic snapshot series
+//! and the latency and hop histograms sampled at reply time — and
+//! [`ClusterObs::export`] renders the counters from the engine's values
+//! when the run ends. Obs-on and obs-off runs therefore execute the same
+//! counting code. Every hook begins with one branch on whether the layer
+//! is live, so a simulation with observability disabled pays one
+//! predictable untaken branch per hook and nothing else: no allocation,
+//! no hashing, no formatting.
 //!
 //! Determinism: hooks are called from the (deterministic) event loop and
 //! record integers stamped with the sim clock, so metrics, snapshots and
@@ -17,7 +21,11 @@ use dynmds_event::SimTime;
 use dynmds_namespace::MdsId;
 use dynmds_obs::registry::{HOPS_BOUNDS, LATENCY_BOUNDS_US};
 use dynmds_obs::span::NO_MDS;
-use dynmds_obs::{CounterId, HistogramId, ObsConfig, Registry, SnapshotSeries, SpanRecorder};
+use dynmds_obs::{HistogramId, ObsConfig, Registry, SnapshotSeries, SpanRecorder};
+use dynmds_proxy::ProxyStats;
+
+use crate::cluster::Cluster;
+use crate::node::LifeCounters;
 
 pub use dynmds_obs::SpanStage;
 
@@ -57,59 +65,101 @@ pub struct ObsExport {
     pub summary: String,
 }
 
-struct Handles {
-    // per-MDS counters
-    received: CounterId,
-    served: CounterId,
-    forwarded: CounterId,
-    replica_serves: CounterId,
-    prefix_misses: CounterId,
-    target_misses: CounterId,
-    remote_prefix_fetches: CounterId,
-    disk_fetches: CounterId,
-    journal_commits: CounterId,
-    journal_writebacks: CounterId,
-    shared_absorbed: CounterId,
-    warmed_items: CounterId,
-    // cluster scalars
-    estale: CounterId,
-    lease_local: CounterId,
-    dead_timeouts: CounterId,
-    replications: CounterId,
-    dereplications: CounterId,
-    shared_flushes: CounterId,
-    migrations: CounterId,
-    delegation_splits: CounterId,
-    delegation_merges: CounterId,
-    failures: CounterId,
-    recoveries: CounterId,
-    retries: CounterId,
-    gave_up: CounterId,
-    net_lost: CounterId,
-    net_dup: CounterId,
-    // distributions
-    latency_us: HistogramId,
-    hops: HistogramId,
-    // proxy tier (registered only when the tier is enabled, so proxy-off
-    // exports keep the exact pre-proxy metric set and order)
-    proxy: Option<ProxyHandles>,
+/// A counter's export name and how to read its value from a `T`.
+type Reader<T> = (&'static str, fn(&T) -> u64);
+
+/// The per-MDS counters in export order, each read from a node's
+/// [`LifeCounters`].
+const NODE_COUNTERS: [Reader<LifeCounters>; 12] = [
+    ("received", |l| l.received),
+    ("served", |l| l.served),
+    ("forwarded", |l| l.forwarded),
+    ("replica_serves", |l| l.replica_serves),
+    ("prefix_misses", |l| l.prefix_misses),
+    ("target_misses", |l| l.target_misses),
+    ("remote_prefix_fetches", |l| l.remote_prefix_fetches),
+    ("disk_fetches", |l| l.disk_fetches),
+    ("journal_commits", |l| l.journal_commits),
+    ("journal_writebacks", |l| l.journal_writebacks),
+    ("shared_write_absorbed", |l| l.shared_absorbed),
+    ("journal_warmed_items", |l| l.journal_warmed),
+];
+
+/// The proxy-tier counters in export order, one slot per proxy, each read
+/// from a proxy's [`ProxyStats`]. Registered after every other counter
+/// and only when the tier is on, so proxy-off exports keep the pre-proxy
+/// metric set and order.
+const PROXY_COUNTERS: [Reader<ProxyStats>; 5] = [
+    ("proxy_neg_hits", |s| s.neg_hits),
+    ("proxy_read_absorbs", |s| s.read_absorbs),
+    ("proxy_writes_coalesced", |s| s.writes_coalesced),
+    ("proxy_flushed_items", |s| s.flushed_items),
+    ("proxy_forwarded", |s| s.forwarded),
+];
+
+/// The cluster-wide counters in export order, over the measurement
+/// window.
+fn scalar_counters(c: &Cluster) -> [(&'static str, u64); 15] {
+    let m = c.measured_counters();
+    [
+        ("estale_replies", m.estale),
+        ("lease_local_reads", c.measured_lease_hits()),
+        ("failover_timeouts", m.failover_timeouts),
+        ("replications", m.replications),
+        ("dereplications", m.dereplications),
+        ("shared_write_flushes", m.shared_write_flushes),
+        ("subtree_migrations", m.migrations),
+        ("delegation_splits", m.delegation_splits),
+        ("delegation_merges", m.delegation_merges),
+        ("node_failures", m.failures),
+        ("node_recoveries", m.recoveries),
+        ("client_retries", m.retries),
+        ("ops_gave_up", m.gave_up),
+        ("net_messages_lost", m.net_lost),
+        ("net_messages_duplicated", m.net_dup),
+    ]
 }
 
-struct ProxyHandles {
-    neg_hits: CounterId,
-    read_absorbs: CounterId,
-    coalesced: CounterId,
-    flushed: CounterId,
-    forwarded: CounterId,
-    n_proxies: usize,
+/// Registers every counter in export order (per-MDS, cluster-wide, then
+/// proxy) and fills it from the engine's counters.
+fn counter_registry(c: &Cluster) -> Registry {
+    let mut reg = Registry::new();
+    for (name, get) in NODE_COUNTERS {
+        let id = reg.counter(name, c.nodes.len());
+        for (i, n) in c.nodes.iter().enumerate() {
+            reg.add(id, i, get(&n.life));
+        }
+    }
+    for (name, v) in scalar_counters(c) {
+        let id = reg.counter(name, 1);
+        reg.add(id, 0, v);
+    }
+    if !c.proxies.is_empty() {
+        for (name, get) in PROXY_COUNTERS {
+            let id = reg.counter(name, c.proxies.len());
+            for (p, proxy) in c.proxies.iter().enumerate() {
+                reg.add(id, p, get(proxy.stats()));
+            }
+        }
+    }
+    reg
 }
 
 struct Inner {
-    reg: Registry,
-    h: Handles,
+    /// Holds only the two histograms below; counters are rendered from
+    /// the engine at export and print before them.
+    hists: Registry,
+    latency_us: HistogramId,
+    hops: HistogramId,
     spans: Option<SpanRecorder>,
     snaps: SnapshotSeries,
-    n_mds: usize,
+}
+
+impl Inner {
+    fn observe_reply(&mut self, reply_at: SimTime, issued_at: SimTime, hops: u64) {
+        self.hists.observe(self.latency_us, reply_at.saturating_since(issued_at).as_micros());
+        self.hists.observe(self.hops, hops);
+    }
 }
 
 /// The per-cluster observability layer. Disabled, it is a `None` and
@@ -119,63 +169,17 @@ pub struct ClusterObs {
 }
 
 impl ClusterObs {
-    /// Builds the layer for `n_mds` servers and `n_clients` clients,
-    /// without proxy instruments.
+    /// Builds the layer for `n_mds` servers and `n_clients` clients.
     pub fn new(cfg: ObsConfig, n_mds: usize, n_clients: usize) -> Self {
-        Self::with_proxies(cfg, n_mds, n_clients, 0)
-    }
-
-    /// Builds the layer; `n_proxies > 0` additionally registers the proxy
-    /// tier's counters (after every pre-existing metric, so proxy-off
-    /// exports are byte-identical to [`ClusterObs::new`]).
-    pub fn with_proxies(cfg: ObsConfig, n_mds: usize, n_clients: usize, n_proxies: usize) -> Self {
         if !cfg.enabled() {
             return ClusterObs { inner: None };
         }
-        let mut reg = Registry::new();
-        let n = n_mds;
-        let h = Handles {
-            received: reg.counter("received", n),
-            served: reg.counter("served", n),
-            forwarded: reg.counter("forwarded", n),
-            replica_serves: reg.counter("replica_serves", n),
-            prefix_misses: reg.counter("prefix_misses", n),
-            target_misses: reg.counter("target_misses", n),
-            remote_prefix_fetches: reg.counter("remote_prefix_fetches", n),
-            disk_fetches: reg.counter("disk_fetches", n),
-            journal_commits: reg.counter("journal_commits", n),
-            journal_writebacks: reg.counter("journal_writebacks", n),
-            shared_absorbed: reg.counter("shared_write_absorbed", n),
-            warmed_items: reg.counter("journal_warmed_items", n),
-            estale: reg.counter("estale_replies", 1),
-            lease_local: reg.counter("lease_local_reads", 1),
-            dead_timeouts: reg.counter("failover_timeouts", 1),
-            replications: reg.counter("replications", 1),
-            dereplications: reg.counter("dereplications", 1),
-            shared_flushes: reg.counter("shared_write_flushes", 1),
-            migrations: reg.counter("subtree_migrations", 1),
-            delegation_splits: reg.counter("delegation_splits", 1),
-            delegation_merges: reg.counter("delegation_merges", 1),
-            failures: reg.counter("node_failures", 1),
-            recoveries: reg.counter("node_recoveries", 1),
-            retries: reg.counter("client_retries", 1),
-            gave_up: reg.counter("ops_gave_up", 1),
-            net_lost: reg.counter("net_messages_lost", 1),
-            net_dup: reg.counter("net_messages_duplicated", 1),
-            latency_us: reg.histogram("latency_us", LATENCY_BOUNDS_US),
-            hops: reg.histogram("hops", HOPS_BOUNDS),
-            proxy: (n_proxies > 0).then(|| ProxyHandles {
-                neg_hits: reg.counter("proxy_neg_hits", n_proxies),
-                read_absorbs: reg.counter("proxy_read_absorbs", n_proxies),
-                coalesced: reg.counter("proxy_writes_coalesced", n_proxies),
-                flushed: reg.counter("proxy_flushed_items", n_proxies),
-                forwarded: reg.counter("proxy_forwarded", n_proxies),
-                n_proxies,
-            }),
-        };
+        let mut hists = Registry::new();
+        let latency_us = hists.histogram("latency_us", LATENCY_BOUNDS_US);
+        let hops = hists.histogram("hops", HOPS_BOUNDS);
         let spans = cfg.trace.then(|| SpanRecorder::new(n_clients, cfg.ring_capacity()));
         let snaps = SnapshotSeries::new(SNAPSHOT_FIELDS, n_mds);
-        ClusterObs { inner: Some(Box::new(Inner { reg, h, spans, snaps, n_mds })) }
+        ClusterObs { inner: Some(Box::new(Inner { hists, latency_us, hops, spans, snaps })) }
     }
 
     /// Whether any instrument is live (callers use this to skip gathering
@@ -191,13 +195,18 @@ impl ClusterObs {
         self.inner.as_ref().is_some_and(|i| i.spans.is_some())
     }
 
+    /// The span recorder, when tracing is live.
+    #[inline]
+    fn spans(&mut self) -> Option<&mut SpanRecorder> {
+        self.inner.as_mut()?.spans.as_mut()
+    }
+
     // ---- op lifecycle hooks -------------------------------------------
 
     /// Client dispatched an op: open its span.
     #[inline]
     pub fn on_issue(&mut self, now: SimTime, client: u32, kind: &'static str) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.start(client, kind, now.as_micros());
         }
     }
@@ -205,9 +214,7 @@ impl ClusterObs {
     /// Attribute read served from the client's own lease.
     #[inline]
     pub fn on_lease_local(&mut self, now: SimTime, reply_at: SimTime, client: u32) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.lease_local, 0);
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::LeaseLocal, now.as_micros(), NO_MDS);
             spans.finish(client, SpanStage::Reply, reply_at.as_micros(), NO_MDS);
         }
@@ -216,9 +223,7 @@ impl ClusterObs {
     /// Request arrived at a live MDS.
     #[inline]
     pub fn on_arrive(&mut self, now: SimTime, client: u32, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.received, mds.index());
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Arrive, now.as_micros(), mds.0);
         }
     }
@@ -226,9 +231,7 @@ impl ClusterObs {
     /// Request addressed a dead node and is being re-driven.
     #[inline]
     pub fn on_dead_timeout(&mut self, now: SimTime, client: u32, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.dead_timeouts, 0);
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::DeadTimeout, now.as_micros(), mds.0);
         }
     }
@@ -236,9 +239,7 @@ impl ClusterObs {
     /// Target raced with an unlink.
     #[inline]
     pub fn on_estale(&mut self, now: SimTime, client: u32, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.estale, 0);
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Estale, now.as_micros(), mds.0);
         }
     }
@@ -246,80 +247,34 @@ impl ClusterObs {
     /// Non-authoritative receiver forwarded the request.
     #[inline]
     pub fn on_forward(&mut self, now: SimTime, client: u32, from: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.forwarded, from.index());
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Forward, now.as_micros(), from.0);
         }
-    }
-
-    /// Read served by a non-authoritative replica holder.
-    #[inline]
-    pub fn on_replica_serve(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.replica_serves, mds.index());
     }
 
     /// Prefix traversal completed (`done` = its IO completion time).
     #[inline]
     pub fn on_traverse(&mut self, done: SimTime, client: u32, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Traverse, done.as_micros(), mds.0);
         }
-    }
-
-    /// A prefix directory missed the serving node's cache.
-    #[inline]
-    pub fn on_prefix_miss(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.prefix_misses, mds.index());
-    }
-
-    /// A missing prefix was replicated from a peer authority.
-    #[inline]
-    pub fn on_remote_prefix(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.remote_prefix_fetches, mds.index());
     }
 
     /// The target cache probe resolved (`hit`), at time `now`.
     #[inline]
     pub fn on_target_probe(&mut self, now: SimTime, client: u32, mds: MdsId, hit: bool) {
-        let Some(inner) = &mut self.inner else { return };
-        if !hit {
-            inner.reg.inc(inner.h.target_misses, mds.index());
-        }
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             let stage = if hit { SpanStage::CacheHit } else { SpanStage::CacheMiss };
             spans.event(client, stage, now.as_micros(), mds.0);
         }
     }
 
-    /// A tier-2 fetch was issued by `mds`.
+    /// A mutation committed to `mds`'s journal at `done`.
     #[inline]
-    pub fn on_disk_fetch(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.disk_fetches, mds.index());
-    }
-
-    /// A mutation committed to `mds`'s journal; `writebacks` entries were
-    /// retired to tier 2.
-    #[inline]
-    pub fn on_journal_commit(&mut self, done: SimTime, client: u32, mds: MdsId, writebacks: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.journal_commits, mds.index());
-        inner.reg.add(inner.h.journal_writebacks, mds.index(), writebacks);
-        if let Some(spans) = &mut inner.spans {
+    pub fn on_journal_commit(&mut self, done: SimTime, client: u32, mds: MdsId) {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Journal, done.as_micros(), mds.0);
         }
-    }
-
-    /// `mds` fully served an op.
-    #[inline]
-    pub fn on_served(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.served, mds.index());
     }
 
     /// The reply reached its client: close the span, record latency/hops.
@@ -333,71 +288,17 @@ impl ClusterObs {
         hops: u8,
     ) {
         let Some(inner) = &mut self.inner else { return };
-        inner.reg.observe(inner.h.latency_us, reply_at.saturating_since(issued_at).as_micros());
-        inner.reg.observe(inner.h.hops, hops as u64);
+        inner.observe_reply(reply_at, issued_at, hops as u64);
         if let Some(spans) = &mut inner.spans {
             spans.finish(client, SpanStage::Reply, reply_at.as_micros(), mds.0);
         }
-    }
-
-    // ---- subsystem hooks ----------------------------------------------
-
-    /// A shared-write delta was absorbed at replica `mds`.
-    #[inline]
-    pub fn on_shared_absorb(&mut self, mds: MdsId) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.shared_absorbed, mds.index());
-    }
-
-    /// `contributors` replica deltas were merged at an authority.
-    #[inline]
-    pub fn on_shared_flush(&mut self, contributors: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.add(inner.h.shared_flushes, 0, contributors);
-    }
-
-    /// An item was replicated cluster-wide (traffic control).
-    #[inline]
-    pub fn on_replicate(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.replications, 0);
-    }
-
-    /// `n` items cooled down and were de-replicated.
-    #[inline]
-    pub fn on_dereplicate(&mut self, n: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.add(inner.h.dereplications, 0, n);
-    }
-
-    /// A subtree migrated between servers.
-    #[inline]
-    pub fn on_migration(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.migrations, 0);
-    }
-
-    /// The balancer split a delegation into `n` new delegation points.
-    #[inline]
-    pub fn on_delegation_split(&mut self, n: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.add(inner.h.delegation_splits, 0, n);
-    }
-
-    /// Consolidation merged away `n` redundant delegation points.
-    #[inline]
-    pub fn on_delegation_merge(&mut self, n: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.add(inner.h.delegation_merges, 0, n);
     }
 
     /// A client re-drove a request after a dead-node timeout or a lost
     /// message.
     #[inline]
     pub fn on_retry(&mut self, now: SimTime, client: u32) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.retries, 0);
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.event(client, SpanStage::Retry, now.as_micros(), NO_MDS);
         }
     }
@@ -406,105 +307,19 @@ impl ClusterObs {
     /// the span with the terminal gave-up stage.
     #[inline]
     pub fn on_gave_up(&mut self, now: SimTime, client: u32) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.gave_up, 0);
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = self.spans() {
             spans.finish(client, SpanStage::GaveUp, now.as_micros(), NO_MDS);
         }
     }
 
-    /// The network fault window dropped a message.
-    #[inline]
-    pub fn on_net_loss(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.net_lost, 0);
-    }
-
-    /// The network fault window duplicated a message.
-    #[inline]
-    pub fn on_net_dup(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.net_dup, 0);
-    }
-
-    /// A node died.
-    #[inline]
-    pub fn on_failure(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.failures, 0);
-    }
-
-    /// A node came back.
-    #[inline]
-    pub fn on_recovery(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.inc(inner.h.recoveries, 0);
-    }
-
-    /// `n` working-set items were preloaded into `mds`'s cache from a
-    /// shared-storage journal.
-    #[inline]
-    pub fn on_journal_warm(&mut self, mds: MdsId, n: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.reg.add(inner.h.warmed_items, mds.index(), n);
-    }
-
-    // ---- proxy-tier hooks (no-ops unless built `with_proxies`) ---------
-
-    /// Proxy `p` answered an op from its own caches: the op never entered
+    /// A proxy answered an op from its own caches: the op never entered
     /// the cluster. Records latency and a zero hop count, closes the span.
     #[inline]
     pub fn on_proxy_serve(&mut self, reply_at: SimTime, client: u32, issued_at: SimTime) {
         let Some(inner) = &mut self.inner else { return };
-        inner.reg.observe(inner.h.latency_us, reply_at.saturating_since(issued_at).as_micros());
-        inner.reg.observe(inner.h.hops, 0);
+        inner.observe_reply(reply_at, issued_at, 0);
         if let Some(spans) = &mut inner.spans {
             spans.finish(client, SpanStage::Reply, reply_at.as_micros(), NO_MDS);
-        }
-    }
-
-    /// Proxy `p` served a negative lookup from its cache.
-    #[inline]
-    pub fn on_proxy_neg_hit(&mut self, p: usize) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(ph) = &inner.h.proxy {
-            inner.reg.inc(ph.neg_hits, p);
-        }
-    }
-
-    /// Proxy `p` absorbed a read of a hot cached item.
-    #[inline]
-    pub fn on_proxy_read_absorb(&mut self, p: usize) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(ph) = &inner.h.proxy {
-            inner.reg.inc(ph.read_absorbs, p);
-        }
-    }
-
-    /// Proxy `p` coalesced a monotone write.
-    #[inline]
-    pub fn on_proxy_coalesce(&mut self, p: usize) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(ph) = &inner.h.proxy {
-            inner.reg.inc(ph.coalesced, p);
-        }
-    }
-
-    /// Proxy `p` pushed `n` coalesced item deltas to authorities.
-    #[inline]
-    pub fn on_proxy_flush(&mut self, p: usize, n: u64) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(ph) = &inner.h.proxy {
-            inner.reg.add(ph.flushed, p, n);
-        }
-    }
-
-    /// Proxy `p` relayed a hot request into the cluster.
-    #[inline]
-    pub fn on_proxy_forward(&mut self, p: usize) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(ph) = &inner.h.proxy {
-            inner.reg.inc(ph.forwarded, p);
         }
     }
 
@@ -519,27 +334,28 @@ impl ClusterObs {
     /// Clears all recorded data (measurement restart after warm-up).
     pub fn reset(&mut self) {
         let Some(inner) = &mut self.inner else { return };
-        inner.reg.reset();
+        inner.hists.reset();
         inner.snaps.reset();
         if let Some(spans) = &mut inner.spans {
             spans.reset();
         }
     }
 
-    /// Renders every export. `None` when observability is disabled.
-    pub fn export(&self) -> Option<ObsExport> {
+    /// Renders every export of cluster `c`, its counters read from the
+    /// engine. `None` when observability is disabled.
+    pub fn export(&self, c: &Cluster) -> Option<ObsExport> {
         let inner = self.inner.as_ref()?;
+        let mut metrics_jsonl = counter_registry(c).to_jsonl();
+        metrics_jsonl.push_str(&inner.hists.to_jsonl());
         Some(ObsExport {
-            metrics_jsonl: inner.reg.to_jsonl(),
+            metrics_jsonl,
             snapshots_jsonl: inner.snaps.to_jsonl(),
             trace_jsonl: inner.spans.as_ref().map(|s| s.to_jsonl()),
-            summary: Self::render_summary(inner),
+            summary: Self::render_summary(inner, c),
         })
     }
 
-    fn render_summary(inner: &Inner) -> String {
-        let reg = &inner.reg;
-        let h = &inner.h;
+    fn render_summary(inner: &Inner, c: &Cluster) -> String {
         let mut t = dynmds_metrics::Table::new(
             "observability summary (per MDS)",
             &[
@@ -547,57 +363,58 @@ impl ClusterObs {
                 "journal",
             ],
         );
-        for i in 0..inner.n_mds {
+        for (i, n) in c.nodes.iter().enumerate() {
+            let l = &n.life;
             t.row(&[
                 format!("mds{i}"),
-                reg.counter_value(h.received, i).to_string(),
-                reg.counter_value(h.served, i).to_string(),
-                reg.counter_value(h.forwarded, i).to_string(),
-                reg.counter_value(h.replica_serves, i).to_string(),
-                reg.counter_value(h.prefix_misses, i).to_string(),
-                reg.counter_value(h.target_misses, i).to_string(),
-                reg.counter_value(h.disk_fetches, i).to_string(),
-                reg.counter_value(h.journal_commits, i).to_string(),
+                l.received.to_string(),
+                l.served.to_string(),
+                l.forwarded.to_string(),
+                l.replica_serves.to_string(),
+                l.prefix_misses.to_string(),
+                l.target_misses.to_string(),
+                l.disk_fetches.to_string(),
+                l.journal_commits.to_string(),
             ]);
         }
         let mut out = t.render();
+        let (reg, lat) = (&inner.hists, inner.latency_us);
         out.push_str(&format!(
             "\nlatency: mean {:.2} ms, ~p50 {:.2} ms, ~p99 {:.2} ms over {} ops\n",
-            reg.histogram_mean(h.latency_us) / 1e3,
-            reg.histogram_quantile(h.latency_us, 0.5) as f64 / 1e3,
-            reg.histogram_quantile(h.latency_us, 0.99) as f64 / 1e3,
-            reg.histogram_count(h.latency_us),
+            reg.histogram_mean(lat) / 1e3,
+            reg.histogram_quantile(lat, 0.5) as f64 / 1e3,
+            reg.histogram_quantile(lat, 0.99) as f64 / 1e3,
+            reg.histogram_count(lat),
         ));
+        let m = c.measured_counters();
         out.push_str(&format!(
             "cluster: lease-local {}, estale {}, failover timeouts {}, replications {} (-{}), \
              migrations {}, splits {}, merges {}, failures {}, recoveries {}\n",
-            reg.counter_total(h.lease_local),
-            reg.counter_total(h.estale),
-            reg.counter_total(h.dead_timeouts),
-            reg.counter_total(h.replications),
-            reg.counter_total(h.dereplications),
-            reg.counter_total(h.migrations),
-            reg.counter_total(h.delegation_splits),
-            reg.counter_total(h.delegation_merges),
-            reg.counter_total(h.failures),
-            reg.counter_total(h.recoveries),
+            c.measured_lease_hits(),
+            m.estale,
+            m.failover_timeouts,
+            m.replications,
+            m.dereplications,
+            m.migrations,
+            m.delegation_splits,
+            m.delegation_merges,
+            m.failures,
+            m.recoveries,
         ));
         out.push_str(&format!(
             "faults: retries {}, gave up {}, net lost {}, net dup {}\n",
-            reg.counter_total(h.retries),
-            reg.counter_total(h.gave_up),
-            reg.counter_total(h.net_lost),
-            reg.counter_total(h.net_dup),
+            m.retries, m.gave_up, m.net_lost, m.net_dup,
         ));
-        if let Some(ph) = &h.proxy {
+        if !c.proxies.is_empty() {
+            let p = c.proxy_stats();
             out.push_str(&format!(
                 "proxy ({}): neg hits {}, read absorbs {}, coalesced {}, flushed {}, forwarded {}\n",
-                ph.n_proxies,
-                reg.counter_total(ph.neg_hits),
-                reg.counter_total(ph.read_absorbs),
-                reg.counter_total(ph.coalesced),
-                reg.counter_total(ph.flushed),
-                reg.counter_total(ph.forwarded),
+                c.proxies.len(),
+                p.neg_hits,
+                p.read_absorbs,
+                p.writes_coalesced,
+                p.flushed_items,
+                p.forwarded,
             ));
         }
         out.push_str(&format!(
@@ -620,42 +437,47 @@ impl ClusterObs {
 
 #[cfg(test)]
 mod tests {
+    use dynmds_partition::StrategyKind;
+
     use super::*;
+    use crate::testutil::tiny_cluster;
 
     #[test]
     fn disabled_layer_is_inert_and_exports_nothing() {
+        let c = tiny_cluster(StrategyKind::DynamicSubtree);
         let mut obs = ClusterObs::new(ObsConfig::default(), 4, 8);
         assert!(!obs.enabled());
         assert!(!obs.tracing());
-        obs.on_served(MdsId(0));
         obs.on_reply(SimTime::from_millis(2), 0, MdsId(0), SimTime::from_millis(1), 0);
-        assert!(obs.export().is_none());
+        assert!(obs.export(&c).is_none());
     }
 
     #[test]
-    fn metrics_only_layer_counts_without_spans() {
-        let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 2, 4);
+    fn metrics_only_layer_renders_engine_counters_without_spans() {
+        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        c.nodes[1].life.served = 1;
+        let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 4, 8);
         assert!(obs.enabled());
         assert!(!obs.tracing());
         obs.on_arrive(SimTime::from_millis(1), 0, MdsId(1));
-        obs.on_served(MdsId(1));
         obs.on_reply(SimTime::from_millis(3), 0, MdsId(1), SimTime::from_millis(1), 1);
-        let e = obs.export().unwrap();
-        assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"per_mds\":[0,1]"));
+        let e = obs.export(&c).unwrap();
+        assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"per_mds\":[0,1,0,0]"));
+        assert!(e.metrics_jsonl.contains("\"name\":\"latency_us\",\"count\":1"));
         assert!(e.trace_jsonl.is_none());
         assert!(e.summary.contains("mds1"));
     }
 
     #[test]
     fn traced_op_produces_one_span_line() {
+        let c = tiny_cluster(StrategyKind::DynamicSubtree);
         let mut obs = ClusterObs::new(ObsConfig::full(), 2, 4);
         assert!(obs.tracing());
         obs.on_issue(SimTime::from_micros(10), 3, "stat");
         obs.on_arrive(SimTime::from_micros(110), 3, MdsId(0));
         obs.on_target_probe(SimTime::from_micros(110), 3, MdsId(0), true);
-        obs.on_served(MdsId(0));
         obs.on_reply(SimTime::from_micros(400), 3, MdsId(0), SimTime::from_micros(10), 0);
-        let e = obs.export().unwrap();
+        let e = obs.export(&c).unwrap();
         let trace = e.trace_jsonl.unwrap();
         assert_eq!(trace.lines().count(), 1);
         assert!(trace.contains("\"kind\":\"stat\""));
@@ -663,14 +485,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_counters_and_spans() {
-        let mut obs = ClusterObs::new(ObsConfig::full(), 1, 2);
-        obs.on_issue(SimTime::ZERO, 0, "open");
-        obs.on_served(MdsId(0));
-        obs.snapshot(SimTime::from_secs(1), vec![0; SNAPSHOT_FIELDS.len()]);
-        obs.reset();
-        let e = obs.export().unwrap();
-        assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"value\":0"));
+    fn reset_measurement_restarts_counters_and_clears_spans() {
+        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        c.obs = ClusterObs::new(ObsConfig::full(), 4, 8);
+        c.nodes[0].life.served = 5;
+        c.counters.migrations = 3;
+        c.obs.on_issue(SimTime::ZERO, 0, "open");
+        c.obs.snapshot(SimTime::from_secs(1), vec![0; SNAPSHOT_FIELDS.len() * 4]);
+        c.reset_measurement(SimTime::from_secs(1));
+        c.counters.migrations += 1;
+        let e = c.obs.export(&c).unwrap();
+        assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"per_mds\":[0,0,0,0]"));
+        assert!(e.metrics_jsonl.contains("\"name\":\"subtree_migrations\",\"value\":1"));
+        assert_eq!(c.counters.migrations, 4, "the cluster's own counts stay lifetime");
         assert_eq!(e.snapshots_jsonl, "");
         assert_eq!(e.trace_jsonl.unwrap(), "");
     }

@@ -5,6 +5,7 @@
 use dynmds_cache::MetaCache;
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
+use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskFault;
 
 use super::event::{proxy_rank, Ev};
@@ -129,7 +130,8 @@ impl ShardedSimulation {
         if self.world.cfg.proxy.enabled() {
             self.flush_proxies(at);
         }
-        if !self.world.cfg.balancing && !self.world.cfg.elastic.enabled {
+        let elastic = self.world.cfg.strategy == StrategyKind::ElasticSubtree;
+        if !self.world.cfg.balancing && !elastic {
             return;
         }
         let n_mds = self.world.cfg.n_mds as usize;
@@ -144,10 +146,12 @@ impl ShardedSimulation {
                 loads[n.m.id.index()] = served as f64 + MISS_WEIGHT * fetches as f64;
             }
         }
-        match self.world.elastic.step(&self.world.alive, &loads, at) {
-            Some(ScaleAction::Activate(m)) => self.elastic_activate(m),
-            Some(ScaleAction::Park(m)) => self.elastic_park(m, &loads),
-            None => {}
+        if elastic {
+            match self.world.elastic.step(&self.world.alive, &loads, at) {
+                Some(ScaleAction::Activate(m)) => self.elastic_activate(m),
+                Some(ScaleAction::Park(m)) => self.elastic_park(m, &loads),
+                None => {}
+            }
         }
         if !self.world.cfg.balancing {
             return;
@@ -381,6 +385,26 @@ mod tests {
             sim.run_until(SimTime::from_millis(slice_ms * step));
             assert_placement_matches(sim, &format!("t={}ms", slice_ms * step));
         }
+    }
+
+    #[test]
+    fn only_the_elastic_strategy_steps_the_controller() {
+        // Every heartbeat sits below the low watermark, so a stepped
+        // controller would park nodes down to one.
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.heartbeat = SimDuration::from_millis(250);
+        cfg.elastic.min_nodes = 1;
+        cfg.elastic.high_load_per_s = f64::MAX;
+        cfg.elastic.low_load_per_s = f64::MAX;
+        cfg.elastic.sustain = 1;
+        cfg.elastic.cooldown_heartbeats = 0;
+        let n_mds = cfg.n_mds as u64;
+        let mut sim = build_with(cfg, 2, Some(1));
+        sim.run_until(SimTime::from_secs(2));
+        assert!(sim.world.alive.iter().all(|&a| a), "a non-elastic pool parks nothing");
+        let r = sim.finish();
+        assert_eq!((r.scale_outs, r.scale_ins), (0, 0));
+        assert_eq!(r.provisioned_node_us, n_mds * 2_000_000, "the whole pool is billed");
     }
 
     #[test]

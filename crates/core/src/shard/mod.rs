@@ -77,7 +77,7 @@ use dynmds_cache::Popularity;
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, MdsId, Snapshot};
 use dynmds_obs::SnapshotSeries;
-use dynmds_partition::Partition;
+use dynmds_partition::{Partition, StrategyKind};
 use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::DiskModel;
 use dynmds_workload::Workload;
@@ -311,7 +311,7 @@ impl ShardedSimulation {
             migrations: 0,
             snapshots,
         };
-        if sim.world.cfg.elastic.enabled {
+        if sim.world.cfg.strategy == StrategyKind::ElasticSubtree {
             sim.park_initial_standby();
         }
         sim.recompute_next_due();
@@ -431,7 +431,7 @@ impl ShardedSimulation {
         // Provisioned capacity over the measurement window: the heartbeat
         // integral closed out to `now` for elastic runs, the full pool for
         // everything else.
-        let provisioned_node_us = if cfg.elastic.enabled {
+        let provisioned_node_us = if cfg.strategy == StrategyKind::ElasticSubtree {
             let live = self.world.alive.iter().filter(|a| **a).count();
             self.world.elastic.provisioned_node_us(live, self.now_us)
         } else {

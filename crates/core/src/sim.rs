@@ -2,6 +2,7 @@
 
 use dynmds_event::{EventQueue, SimDuration, SimTime};
 use dynmds_namespace::{ClientId, Snapshot};
+use dynmds_partition::StrategyKind;
 use dynmds_workload::Workload;
 
 use crate::cluster::Cluster;
@@ -37,7 +38,7 @@ impl Simulation {
         spread: SimDuration,
     ) -> Self {
         assert!(
-            !cfg.elastic.enabled,
+            cfg.strategy != StrategyKind::ElasticSubtree,
             "elastic autoscaling runs on the sharded engine only (ShardedSimulation)"
         );
         assert_eq!(
@@ -263,7 +264,6 @@ mod tests {
     #[should_panic(expected = "sharded engine only")]
     fn legacy_engine_refuses_elastic_configs() {
         let cfg = SimConfig::small(StrategyKind::ElasticSubtree);
-        assert!(cfg.elastic.enabled);
         let snap = snapshot(3);
         let wl = workload(&snap, cfg.n_clients as usize, 9);
         drop(Simulation::new(cfg, snap, wl));

@@ -41,7 +41,7 @@ impl Cluster {
             self.nodes[j].occupy(now, msg_cost);
         }
         self.replicated.insert(target);
-        self.obs.on_replicate();
+        self.counters.replications += 1;
     }
 
     /// Heartbeat push of replica-absorbed write deltas to the authorities
@@ -110,7 +110,7 @@ impl Cluster {
                 write_hot && !absorbable
             })
             .collect();
-        self.obs.on_dereplicate(cooled.len() as u64);
+        self.counters.dereplications += cooled.len() as u64;
         for id in cooled {
             self.replicated.remove(&id);
         }

@@ -657,10 +657,11 @@ impl Oracle {
 
     fn sweep_liveness(&mut self, cl: &Cluster) {
         let dead = cl.cfg.n_mds as u64 - cl.live_nodes() as u64;
-        if cl.failures < cl.recoveries || cl.failures - cl.recoveries != dead {
+        let k = cl.counters;
+        if k.failures < k.recoveries || k.failures - k.recoveries != dead {
             self.report(format!(
                 "liveness accounting off: {} failures - {} recoveries != {} dead nodes",
-                cl.failures, cl.recoveries, dead
+                k.failures, k.recoveries, dead
             ));
         }
         if cl.ops_completed > cl.ops_issued {

@@ -334,13 +334,13 @@ fn drive(sc: &Scenario, snap: Snapshot, wl: Box<dyn Workload>, uids: Vec<u32>) -
     for (i, w) in [
         cl.ops_issued,
         cl.ops_completed,
-        cl.migrations,
-        cl.failures,
-        cl.recoveries,
-        cl.retries_total,
-        cl.gave_up,
-        cl.net_lost,
-        cl.net_dup,
+        cl.counters.migrations,
+        cl.counters.failures,
+        cl.counters.recoveries,
+        cl.counters.retries,
+        cl.counters.gave_up,
+        cl.counters.net_lost,
+        cl.counters.net_dup,
         cl.anchors.len() as u64,
     ]
     .into_iter()

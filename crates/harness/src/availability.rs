@@ -106,9 +106,9 @@ pub fn run_availability(
         sim.run_until(start);
         sim.cluster_mut().reset_measurement(start);
         sim.run_until(start + scale.measure());
-        let c = sim.cluster();
+        let k = sim.cluster().counters;
         let (timeouts, retries, gave_up, failures, recoveries) =
-            (c.failover_timeouts, c.retries_total, c.gave_up, c.failures, c.recoveries);
+            (k.failover_timeouts, k.retries, k.gave_up, k.failures, k.recoveries);
         let report = sim.finish();
 
         // Per-bin cluster throughput over the measurement window.

@@ -51,7 +51,7 @@ fn diurnal_shape(scale: ExperimentScale) -> (SimDuration, f64) {
 pub fn elasticity_config(strategy: StrategyKind, scale: ExperimentScale) -> SimConfig {
     let mut cfg = scaling_config(strategy, ELASTIC_CLUSTER, scale);
     cfg.heartbeat = SimDuration::from_millis(500);
-    if cfg.elastic.enabled {
+    if strategy == StrategyKind::ElasticSubtree {
         cfg.elastic.min_nodes = ELASTIC_MIN_NODES;
         // Watermarks sit between the two observed plateaus of the diurnal
         // cycle on this sizing: daytime load per live node is

@@ -41,8 +41,14 @@ fn main() {
     );
     sim.run_until(SimTime::from_secs(END));
     let cluster = sim.cluster();
-    println!("failures: {}  recoveries: {}", cluster.failures, cluster.recoveries);
-    println!("requests that timed out against the dead node: {}", cluster.failover_timeouts);
+    println!(
+        "failures: {}  recoveries: {}",
+        cluster.counters.failures, cluster.counters.recoveries
+    );
+    println!(
+        "requests that timed out against the dead node: {}",
+        cluster.counters.failover_timeouts
+    );
     println!(
         "recovered node cache after journal warm-up: {} items\n",
         cluster.nodes[VICTIM.index()].cache.len()

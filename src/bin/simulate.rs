@@ -312,13 +312,12 @@ fn main() {
     sim.cluster_mut().reset_measurement(SimTime::from_secs(a.warmup));
     sim.run_until(SimTime::from_secs(a.warmup + a.seconds));
 
-    let migrations = sim.cluster().migrations;
-    let lease_hits = sim.cluster().clients.lease_hits();
-    let absorbed = sim.cluster().shared_write_absorbed;
-    let timeouts = sim.cluster().failover_timeouts;
-    let (retries, gave_up) = (sim.cluster().retries_total, sim.cluster().gave_up);
-    let (net_lost, net_dup) = (sim.cluster().net_lost, sim.cluster().net_dup);
-    let proxy = sim.cluster().proxy_stats();
+    // Every count below covers the measured window only.
+    let c = sim.cluster();
+    let m = c.measured_counters();
+    let lease_hits = c.measured_lease_hits();
+    let absorbed: u64 = c.nodes.iter().map(|n| n.life.shared_absorbed).sum();
+    let proxy = c.proxy_stats();
     let report = sim.finish();
 
     println!("== results over {:.0} measured seconds ==", report.span_secs());
@@ -335,8 +334,8 @@ fn main() {
         report.latency.median().unwrap_or(0.0) * 1e3,
         report.latency.quantile(0.99).unwrap_or(0.0) * 1e3,
     );
-    if migrations > 0 {
-        println!("subtree migrations : {migrations}");
+    if m.migrations > 0 {
+        println!("subtree migrations : {}", m.migrations);
     }
     if lease_hits > 0 {
         println!("lease-served reads : {lease_hits}");
@@ -347,14 +346,14 @@ fn main() {
     if proxy.absorbed() > 0 || proxy.forwarded > 0 {
         println!("proxy absorbed     : {} ({} forwarded hot)", proxy.absorbed(), proxy.forwarded);
     }
-    if timeouts > 0 {
-        println!("failover timeouts  : {timeouts}");
+    if m.failover_timeouts > 0 {
+        println!("failover timeouts  : {}", m.failover_timeouts);
     }
-    if retries > 0 || gave_up > 0 {
-        println!("client retries     : {retries} ({gave_up} gave up)");
+    if m.retries > 0 || m.gave_up > 0 {
+        println!("client retries     : {} ({} gave up)", m.retries, m.gave_up);
     }
-    if net_lost > 0 || net_dup > 0 {
-        println!("network faults     : {net_lost} lost, {net_dup} duplicated");
+    if m.net_lost > 0 || m.net_dup > 0 {
+        println!("network faults     : {} lost, {} duplicated", m.net_lost, m.net_dup);
     }
 
     println!("\nlatency distribution:");

@@ -40,7 +40,7 @@ fn cluster_survives_a_node_failure() {
             served_end > served_mid + 1_000,
             "{strategy}: cluster must keep serving after the failure"
         );
-        assert_eq!(cluster.failures, 1);
+        assert_eq!(cluster.counters.failures, 1);
         assert!(!cluster.is_alive_node(MdsId(1)));
         assert_eq!(cluster.live_nodes(), 3);
     }
@@ -64,7 +64,7 @@ fn dead_node_serves_nothing_and_survivors_take_over() {
         assert_ne!(m, MdsId(1), "no delegation may point at the dead node");
     }
     // Some requests hit the dead host and were re-driven.
-    assert!(cluster.failover_timeouts > 0, "stale client routes must time out");
+    assert!(cluster.counters.failover_timeouts > 0, "stale client routes must time out");
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn recovery_rejoins_and_rebalances() {
     s.run_until(SimTime::from_secs(30));
     let cluster = s.cluster();
     assert!(cluster.is_alive_node(MdsId(2)));
-    assert_eq!(cluster.recoveries, 1);
+    assert_eq!(cluster.counters.recoveries, 1);
     assert!(
         cluster.nodes[2].life.served > at_recovery,
         "the balancer must hand work back to the recovered node"

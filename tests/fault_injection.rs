@@ -59,7 +59,7 @@ fn heir_rotation_spreads_inherited_subtrees() {
         s.cluster_mut().fail_node(SimTime::from_secs(2), victim);
         let c = s.cluster();
         let survivors: Vec<MdsId> = (0..4).map(MdsId).filter(|&m| c.is_alive_node(m)).collect();
-        let offset = c.failures as usize;
+        let offset = c.counters.failures as usize;
         let sub = c.partition.as_subtree().unwrap();
         for (k, root) in owned.iter().enumerate() {
             let expected = survivors[(k + offset) % survivors.len()];
@@ -81,7 +81,7 @@ fn every_strategy_survives_generated_churn() {
         let mut s = sim_with(cfg);
         s.run_until(SimTime::from_secs(16));
         let c = s.cluster();
-        assert!(c.failures > 0, "{strategy}: churn must actually kill nodes");
+        assert!(c.counters.failures > 0, "{strategy}: churn must actually kill nodes");
         // Every op terminates: at most one request per client is in flight
         // (the rest completed, were forwarded to completion, or gave up).
         let in_flight = c.ops_issued - c.ops_completed;
@@ -148,9 +148,9 @@ fn scripted_crashes_fire_from_the_schedule() {
     s.run_until(SimTime::from_secs(5));
     let c = s.cluster();
     assert!(c.is_alive_node(MdsId(1)), "recover event must have fired");
-    assert_eq!((c.failures, c.recoveries), (1, 1));
-    assert!(c.failover_timeouts > 0, "clients routed to the dead node must time out");
-    assert!(c.retries_total > 0, "timeouts re-drive through the retry policy");
+    assert_eq!((c.counters.failures, c.counters.recoveries), (1, 1));
+    assert!(c.counters.failover_timeouts > 0, "clients routed to the dead node must time out");
+    assert!(c.counters.retries > 0, "timeouts re-drive through the retry policy");
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn balancer_never_names_a_dead_node_under_churn() {
     s.cluster_mut().migration_log = Some(Vec::new());
     s.run_until(SimTime::from_secs(16));
     let c = s.cluster();
-    assert!(c.failures > 0, "churn must actually kill nodes");
+    assert!(c.counters.failures > 0, "churn must actually kill nodes");
     let log = c.migration_log.as_ref().unwrap();
     assert!(!log.is_empty(), "the balancer must act for this test to bite");
     for rec in log {

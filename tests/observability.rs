@@ -15,11 +15,17 @@ use dynmds::partition::StrategyKind;
 use dynmds::workload::{GeneralWorkload, WorkloadConfig};
 
 fn sim(obs: ObsConfig) -> Simulation {
+    sim_with(obs, |_| {})
+}
+
+/// [`sim`] with `tweak` applied to the configuration.
+fn sim_with(obs: ObsConfig, tweak: impl FnOnce(&mut SimConfig)) -> Simulation {
     let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
     cfg.n_mds = 4;
     cfg.n_clients = 32;
     cfg.seed = 55;
     cfg.obs = obs;
+    tweak(&mut cfg);
     let snap = NamespaceSpec::with_target_items(32, 8_000, 5).generate();
     let wl = Box::new(GeneralWorkload::new(
         WorkloadConfig { seed: 56, ..Default::default() },
@@ -68,21 +74,27 @@ fn obs_disabled_report_carries_no_export() {
 
 #[test]
 fn registry_counters_agree_with_cluster_accounting() {
-    // No reset_measurement here: the registry restarts on reset while the
-    // report's node counters are lifetime, so only an unreset run can
-    // compare the two directly.
-    let mut s = sim(ObsConfig::metrics_only());
+    // Warm-up, reset, measure: the report's node counters and the obs
+    // export both cover the measured window. A low replication threshold
+    // makes traffic control replicate, so replica serves are counted.
+    let mut s = sim_with(ObsConfig::metrics_only(), |cfg| cfg.replication_threshold = 8.0);
+    s.run_until(SimTime::from_secs(2));
+    s.cluster_mut().reset_measurement(SimTime::from_secs(2));
     s.run_until(SimTime::from_secs(6));
     let report = s.finish();
     let export = report.obs.as_ref().expect("obs enabled");
     assert!(export.trace_jsonl.is_none(), "metrics-only run records no spans");
+    assert!(report.nodes.iter().any(|n| n.replica_serves > 0), "replicas must serve reads");
 
-    // The per-MDS served/forwarded/received counters in the registry
-    // must match the lifetime counters the report is built from.
+    // Every per-MDS counter with a report twin must match it.
     for (i, n) in report.nodes.iter().enumerate() {
-        for (name, want) in
-            [("served", n.served), ("forwarded", n.forwarded), ("received", n.received)]
-        {
+        for (name, want) in [
+            ("served", n.served),
+            ("forwarded", n.forwarded),
+            ("received", n.received),
+            ("disk_fetches", n.disk_fetches),
+            ("replica_serves", n.replica_serves),
+        ] {
             let line = export
                 .metrics_jsonl
                 .lines()

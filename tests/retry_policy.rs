@@ -95,14 +95,14 @@ fn give_up_fires_after_exactly_the_configured_budget() {
             c.handle(SimTime::from_millis(2), SimEvent::Arrive { mds: dead, req }, &mut q);
         }
 
-        assert_eq!(c.gave_up, injected, "budget {budget}: every op must give up once");
+        assert_eq!(c.counters.gave_up, injected, "budget {budget}: every op must give up once");
         assert_eq!(
-            c.retries_total,
+            c.counters.retries,
             injected * u64::from(budget),
             "budget {budget}: retries must equal exactly gave_up * max_retries"
         );
         assert_eq!(
-            c.net_lost,
+            c.counters.net_lost,
             injected * u64::from(budget),
             "budget {budget}: every retry was eaten by the loss window exactly once"
         );
