@@ -43,9 +43,10 @@ impl Default for CostModel {
 /// controller in `elastic.rs`, which runs only under
 /// [`StrategyKind::ElasticSubtree`] and only on the sharded engine (the
 /// legacy [`Simulation`](crate::Simulation) refuses that strategy). The
-/// controller watches the balancer's heartbeat load signal and activates / parks nodes between `min_nodes` and `n_mds`
-/// (the provisioned pool ceiling). All thresholds are per-*live*-node
-/// rates so they are independent of the heartbeat interval.
+/// controller watches the balancer's heartbeat load signal and activates
+/// / parks nodes between `min_nodes` and `n_mds` (the provisioned pool
+/// ceiling). All thresholds are per-*live*-node rates so they are
+/// independent of the heartbeat interval.
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
     /// Never park below this many live nodes.
