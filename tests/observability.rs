@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: determinism of the
 //! exports (metrics, snapshots, op-trace spans) across same-seed runs —
 //! including a failover mid-trace — internal consistency between the
-//! registry and the simulator's own accounting, and the legacy engine's
+//! registry and the simulator's own accounting, and both engines'
 //! exports pinned byte for byte against `tests/golden/obs/`.
 
 use std::path::Path;
@@ -121,10 +121,12 @@ fn parse_per_mds(line: &str) -> Vec<u64> {
 }
 
 /// The `simulate` runs whose obs exports are pinned under
-/// `tests/golden/obs/<run>/`: CI's fault-determinism run (churn, disk and
-/// network faults, op-trace spans on) and a run with every optional
-/// subsystem that has obs counters (a 2-proxy tier, shared writes,
-/// leases, dynamic directory hashing).
+/// `tests/golden/obs/<run>/`. Legacy engine: CI's fault-determinism run
+/// (churn, disk and network faults, op-trace spans on) and a run with
+/// every optional subsystem that has obs counters (a 2-proxy tier,
+/// shared writes, leases, dynamic directory hashing). Sharded engine:
+/// CI's elasticity-smoke run (the heartbeat load feeds the elastic
+/// controller) and its hotspot-smoke run (balancer and proxy flush).
 const GOLDEN_OBS_RUNS: &[(&str, &[&str])] = &[
     (
         "fault_storm",
@@ -142,6 +144,20 @@ const GOLDEN_OBS_RUNS: &[(&str, &[&str])] = &[
             "--proxy", "2", "--shared-writes", "--leases", "--dir-hash", "32", "--obs",
         ],
     ),
+    (
+        "sharded_elastic",
+        &[
+            "--shards", "4", "--strategy", "elastic", "--workload", "diurnal", "--mds", "6",
+            "--clients", "36", "--items", "9000", "--seconds", "6", "--warmup", "2", "--obs",
+        ],
+    ),
+    (
+        "sharded_proxy",
+        &[
+            "--shards", "4", "--proxy", "2", "--mds", "6", "--clients", "36", "--items", "9000",
+            "--seconds", "6", "--warmup", "2", "--obs",
+        ],
+    ),
 ];
 
 /// Span traces larger than this are pinned by their 64-bit FNV-1a digest
@@ -153,8 +169,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Runs `simulate` with `args`, writing every pinned export into `out`:
-/// the metrics and snapshot JSONL, `summary.txt` (the observability
-/// summary `simulate` prints last) and the span trace or its digest.
+/// the metrics and snapshot JSONL, `summary.txt` and the span trace or
+/// its digest. `summary.txt` is what `simulate` prints last: the legacy
+/// engine's observability summary, or the sharded engine's report
+/// followed by its obs summary.
 fn regenerate_obs_run(args: &[&str], out: &Path) {
     let _ = std::fs::remove_dir_all(out);
     std::fs::create_dir_all(out).expect("create output dir");
@@ -166,7 +184,10 @@ fn regenerate_obs_run(args: &[&str], out: &Path) {
         .expect("spawn simulate");
     assert!(run.status.success(), "simulate failed: {}", String::from_utf8_lossy(&run.stderr));
     let stdout = String::from_utf8(run.stdout).expect("utf-8 stdout");
-    let at = stdout.find("# observability summary").expect("obs summary in stdout");
+    let at = ["# observability summary", "=== sharded"]
+        .iter()
+        .find_map(|marker| stdout.find(marker))
+        .expect("obs summary or sharded report in stdout");
     std::fs::write(out.join("summary.txt"), &stdout[at..]).expect("write summary");
     let trace = out.join("obs_trace.jsonl");
     if let Ok(bytes) = std::fs::read(&trace) {
@@ -179,7 +200,7 @@ fn regenerate_obs_run(args: &[&str], out: &Path) {
 }
 
 #[test]
-fn legacy_obs_exports_match_golden() {
+fn obs_exports_match_golden() {
     let root = env!("CARGO_MANIFEST_DIR");
     let mut mismatched = Vec::new();
     for (run, args) in GOLDEN_OBS_RUNS {
