@@ -48,21 +48,6 @@ impl TimeSeries {
         self.points.iter().copied().filter(move |&(t, _)| t >= start && t < end)
     }
 
-    /// Mean of values in `[start, end)`, or `None` when empty.
-    pub fn mean_in(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (_, v) in self.window(start, end) {
-            sum += v;
-            n += 1;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
     /// Sum of values in `[start, end)`.
     pub fn sum_in(&self, start: SimTime, end: SimTime) -> f64 {
         self.window(start, end).map(|(_, v)| v).sum()
@@ -94,18 +79,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Event-rate series: treats each sample as one event (ignoring its
-    /// value) and reports events per second per bin.
-    pub fn rate_per_sec(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        bin: SimDuration,
-    ) -> Vec<(SimTime, f64)> {
-        let secs = bin.as_secs_f64();
-        self.binned(start, end, bin).into_iter().map(|(t, _, n)| (t, n as f64 / secs)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +101,13 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_sum() {
+    fn sum_covers_the_half_open_window() {
         let mut s = TimeSeries::new();
         for i in 1..=4 {
             s.push(t(i * 10), i as f64);
         }
-        assert_eq!(s.mean_in(t(0), t(100)), Some(2.5));
         assert_eq!(s.sum_in(t(0), t(25)), 3.0);
-        assert_eq!(s.mean_in(t(500), t(600)), None);
+        assert_eq!(s.sum_in(t(500), t(600)), 0.0);
     }
 
     #[test]
@@ -150,19 +122,6 @@ mod tests {
         assert_eq!(bins[1], (t(10), 0.0, 0), "empty bin present");
         assert_eq!(bins[2], (t(20), 3.0, 2));
         assert_eq!(bins[3], (t(30), 0.0, 0));
-    }
-
-    #[test]
-    fn rate_counts_events_per_second() {
-        let mut s = TimeSeries::new();
-        for i in 0..100 {
-            s.push(SimTime::from_millis(i * 10), 1.0); // 100 events over 1s
-        }
-        let rates =
-            s.rate_per_sec(SimTime::ZERO, SimTime::from_secs(1), SimDuration::from_millis(500));
-        assert_eq!(rates.len(), 2);
-        assert!((rates[0].1 - 100.0).abs() < 1e-9, "50 events / 0.5s");
-        assert!((rates[1].1 - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -70,14 +70,6 @@ impl Summary {
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
     }
-
-    /// Population standard deviation, or `None` with < 1 sample.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self.samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -123,20 +115,12 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_of_uniform() {
-        let s = filled();
-        let sd = s.std_dev().unwrap();
-        assert!((sd - (2.0f64).sqrt()).abs() < 1e-9, "population sd of 1..5 is sqrt(2)");
-    }
-
-    #[test]
     fn single_sample() {
         let mut s = Summary::new();
         s.record(7.0);
         assert_eq!(s.min(), Some(7.0));
         assert_eq!(s.max(), Some(7.0));
         assert_eq!(s.median(), Some(7.0));
-        assert_eq!(s.std_dev(), Some(0.0));
     }
 }
 

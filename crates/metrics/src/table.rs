@@ -28,12 +28,6 @@ impl Table {
         self
     }
 
-    /// Convenience: formats a row of mixed display values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let formatted: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&formatted)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -144,14 +138,5 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_formats() {
-        let mut t = Table::new("", &["n", "x"]);
-        t.row_display(&[&42, &1.5]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.to_csv().contains("42,1.5"));
     }
 }

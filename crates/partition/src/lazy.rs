@@ -156,15 +156,6 @@ impl LazyHybrid {
     pub fn lifetime_stats(&self) -> PendingStats {
         self.lifetime
     }
-
-    /// Drops events with generation ≤ `gen` — used once a background sweep
-    /// has pushed an update to every affected record ("as long as updates
-    /// are eventually applied more quickly than they are created"). Items
-    /// whose applied generation predates the cut keep correct behaviour
-    /// because their next access can at worst over-apply (idempotent).
-    pub fn prune_through(&mut self, gen: u64) {
-        self.pending.retain(|u| u.gen > gen);
-    }
 }
 
 #[cfg(test)]
@@ -245,18 +236,6 @@ mod tests {
         assert!(g2 > g1);
         assert_eq!(lh.current_gen(), g2);
         assert_eq!(lh.pending_events(), 2);
-    }
-
-    #[test]
-    fn prune_discards_old_events() {
-        let (ns, a, b, f, _) = tree();
-        let mut lh = LazyHybrid::new(4);
-        let g1 = lh.on_dir_permission_change(a);
-        lh.on_dir_move(b);
-        lh.prune_through(g1);
-        assert_eq!(lh.pending_events(), 1);
-        // A fresh file only sees the surviving event.
-        assert_eq!(lh.pending_for(&ns, f).total(), 1);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl OsdPool {
         }
         total
     }
-
-    /// Per-device stats, index = device.
-    pub fn per_device_stats(&self) -> Vec<DiskStats> {
-        self.disks.iter().map(|d| d.stats()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,8 +128,5 @@ mod tests {
         let s = p.total_stats();
         assert_eq!(s.reads, 30);
         assert_eq!(s.writes, 1);
-        let per = p.per_device_stats();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per.iter().map(|s| s.total()).sum::<u64>(), 31);
     }
 }
