@@ -23,8 +23,8 @@ use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MIGRATE_PER_I
 
 impl Cluster {
     /// One heartbeat round: refresh traffic-control state, update the
-    /// smoothed load estimates, then, for the dynamic strategy, rebalance.
-    /// Window counters reset afterwards.
+    /// smoothed load estimates from each node's heartbeat window, then,
+    /// for the dynamic strategy, rebalance.
     pub(crate) fn heartbeat(&mut self, now: SimTime) {
         self.flush_shared_writes(now);
         if !self.proxies.is_empty() {
@@ -35,7 +35,9 @@ impl Cluster {
         // to migrate on.
         let n = self.nodes.len();
         for i in 0..n {
-            let raw = self.hb_served[i] as f64 + MISS_WEIGHT * self.hb_misses[i] as f64;
+            let hb = self.nodes[i].take_heartbeat();
+            let misses = hb.prefix_misses + hb.target_misses;
+            let raw = hb.served as f64 + MISS_WEIGHT * misses as f64;
             self.hb_ewma[i] = 0.5 * self.hb_ewma[i] + 0.5 * raw;
         }
         // Dead nodes serve nothing; folding their stale EWMA into the mean
@@ -51,9 +53,6 @@ impl Cluster {
         if self.cfg.balancing && self.cfg.strategy.rebalances() {
             self.rebalance(now);
             self.consolidate_partition(now);
-        }
-        for v in self.hb_served.iter_mut().chain(self.hb_misses.iter_mut()) {
-            *v = 0;
         }
         self.subtree_ops.clear();
     }
@@ -341,10 +340,52 @@ impl Cluster {
 mod tests {
     use dynmds_cache::InsertKind;
     use dynmds_event::SimTime;
-    use dynmds_namespace::MdsId;
+    use dynmds_namespace::{InodeId, MdsId};
     use dynmds_partition::StrategyKind;
 
+    use crate::config::MISS_WEIGHT;
+    use crate::request::{Request, SimEvent};
     use crate::testutil::tiny_cluster;
+
+    #[test]
+    fn heartbeat_load_carries_across_the_measurement_reset() {
+        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        let first = c.ns.walk(c.ns.root()).find(|&i| !c.ns.is_dir(i)).unwrap();
+        let mds = c.authority_of(first);
+        let files: Vec<_> =
+            c.ns.walk(c.ns.root())
+                .filter(|&i| !c.ns.is_dir(i) && c.authority_of(i) == mds)
+                .take(6)
+                .collect();
+        assert_eq!(files.len(), 6);
+        let mut q = dynmds_event::EventQueue::new();
+        let mut serve = |c: &mut crate::cluster::Cluster, at_ms: u64, files: &[InodeId]| {
+            for &f in files {
+                let req = Request {
+                    client: dynmds_namespace::ClientId(0),
+                    uid: 1,
+                    op: dynmds_workload::Op::Stat(f),
+                    issued_at: SimTime::from_millis(at_ms),
+                    hops: 0,
+                    retries: 0,
+                    via_proxy: false,
+                };
+                c.handle(SimTime::from_millis(at_ms), SimEvent::Arrive { mds, req }, &mut q);
+            }
+        };
+        serve(&mut c, 1, &files[..4]);
+        c.reset_measurement(SimTime::from_millis(2));
+        serve(&mut c, 3, &files[4..]);
+        let n = &c.nodes[mds.index()];
+        assert_eq!((n.life.served, n.measured().served), (6, 2), "ops on both sides");
+        let misses = n.life.prefix_misses + n.life.target_misses;
+        assert!(misses > 0, "cold caches miss");
+        c.heartbeat(SimTime::from_secs(1));
+        // The first heartbeat's raw load counts every op since the start,
+        // the four served before the reset included.
+        let raw = 6.0 + MISS_WEIGHT * misses as f64;
+        assert_eq!(c.hb_ewma[mds.index()], 0.5 * raw);
+    }
 
     #[test]
     fn migrate_subtree_moves_delegation_and_cached_state() {
@@ -400,7 +441,7 @@ mod tests {
         assert!(files.len() >= 4, "need a few files");
         let busy = c.partition.as_subtree().unwrap().authority(&c.ns, home);
         let credit = |c: &mut crate::cluster::Cluster| {
-            c.hb_served[busy.index()] = 10_000;
+            c.nodes[busy.index()].life.served += 10_000;
             for &f in &files {
                 let root = c.partition.as_subtree().unwrap().subtree_root_of(&c.ns, f);
                 *c.subtree_ops.entry(root).or_insert(0) += 10_000 / files.len() as u64;
@@ -455,7 +496,7 @@ mod tests {
         c.fail_node(SimTime::from_secs(1), MdsId(3));
         // Residual figure, as if the fail-path zeroing were missed.
         c.hb_ewma[3] = 1_000_000.0;
-        c.hb_served[0] = 4_000; // node 0 genuinely overloaded; 1, 2 idle
+        c.nodes[0].life.served += 4_000; // node 0 genuinely overloaded; 1, 2 idle
         c.heartbeat(SimTime::from_secs(5));
         assert_eq!(c.busy_streak[3], 0, "a dead node builds no streak");
         assert!(c.busy_streak[0] >= 1, "live overload detected despite dead residue");

@@ -35,7 +35,7 @@ use crate::config::SimConfig;
 use crate::fault::{DiskScope, NetFaultSpec};
 use crate::node::MdsNode;
 use crate::obs::ClusterObs;
-use crate::report::{NodeSnapshot, SimReport};
+use crate::report::SimReport;
 use crate::request::{Request, SimEvent};
 
 /// One entry of the optional migration audit trail
@@ -153,10 +153,6 @@ pub struct Cluster {
     /// When each delegation point was created by a split (consolidation
     /// protection until it has had a chance to migrate).
     pub(crate) split_at: FxHashMap<InodeId, SimTime>,
-    /// Served ops per node since the last heartbeat.
-    pub(crate) hb_served: Vec<u64>,
-    /// Cache misses per node since the last heartbeat.
-    pub(crate) hb_misses: Vec<u64>,
     /// Exponentially smoothed load per node (heartbeat granularity).
     pub(crate) hb_ewma: Vec<f64>,
     /// Consecutive heartbeats each node has been over the imbalance
@@ -170,9 +166,6 @@ pub struct Cluster {
     // --- failover state (§2.1.2) ---------------------------------------
     /// Liveness per node.
     pub(crate) alive: Vec<bool>,
-    /// Scheduled failures skipped because they would have killed the last
-    /// live node (churn-generated crashes only).
-    pub failures_skipped: u64,
 
     // --- fault injection & retry (this crate's `fault` module) ----------
     /// Dedicated stream for fault draws (retry jitter, message loss and
@@ -193,9 +186,9 @@ pub struct Cluster {
     /// `counters` and the clients' lease-hit count when measurement last
     /// restarted.
     pub(crate) measure_base: (ClusterCounters, u64),
-    /// Served operations by kind (MDS-visible; lease-served reads are not
-    /// included).
-    pub op_counts: FxHashMap<dynmds_workload::OpKind, u64>,
+    /// Served operations, indexed by `OpKind as usize` (MDS-visible;
+    /// lease-served reads are not included).
+    pub op_counts: [u64; 12],
 
     // --- shared writes (§4.2, GPFS-style) ------------------------------
     /// Items with outstanding replica-absorbed write deltas.
@@ -246,14 +239,7 @@ impl Cluster {
         };
         let store = MetadataStore::new(layout, OsdPool::new(cfg.n_osds, cfg.costs.osd_disk));
         let mut nodes: Vec<MdsNode> = (0..cfg.n_mds)
-            .map(|i| {
-                MdsNode::new(
-                    MdsId(i),
-                    cfg.cache_capacity,
-                    cfg.journal_capacity,
-                    cfg.costs.journal_disk,
-                )
-            })
+            .map(|i| MdsNode::new(MdsId(i), cfg.cache_capacity, cfg.journal_capacity))
             .collect();
         if cfg.disable_prefetch_probation {
             for n in &mut nodes {
@@ -285,20 +271,17 @@ impl Cluster {
             subtree_ops: FxHashMap::default(),
             last_migrated: FxHashMap::default(),
             split_at: FxHashMap::default(),
-            hb_served: vec![0; n],
-            hb_misses: vec![0; n],
             hb_ewma: vec![0.0; n],
             busy_streak: vec![0; n],
             migration_log: None,
             alive: vec![true; n],
-            failures_skipped: 0,
             fault_rng: SimRng::seed_from_u64(cfg.seed ^ 0xFA17),
             net_fault: None,
             ops_issued: 0,
             ops_completed: 0,
             counters: ClusterCounters::default(),
             measure_base: (ClusterCounters::default(), 0),
-            op_counts: FxHashMap::default(),
+            op_counts: [0; 12],
             dirty_shared: FxHashSet::default(),
             traverse_scratch: Vec::new(),
             proxies: (0..cfg.proxy.count)
@@ -379,9 +362,12 @@ impl Cluster {
         v
     }
 
-    /// Restarts measurement: clears series, latency, cache statistics,
-    /// node and proxy counters, and takes the baseline that
-    /// [`measured_counters`](Cluster::measured_counters) subtracts.
+    /// Restarts measurement: clears series, latency, cache statistics and
+    /// proxy counters, and stores the readings that each node's
+    /// [`measured`](MdsNode::measured) and
+    /// [`measured_counters`](Cluster::measured_counters) subtract. Each
+    /// node's heartbeat window carries across, so the first measured
+    /// heartbeat still sees the warm-up ops since the one before it.
     /// Called after warm-up.
     pub fn reset_measurement(&mut self, now: SimTime) {
         self.measure_start = now;
@@ -395,9 +381,7 @@ impl Cluster {
         }
         self.latency = Summary::new();
         for n in &mut self.nodes {
-            n.cache.reset_stats();
-            n.life = Default::default();
-            n.win = Default::default();
+            n.reset_measurement();
         }
         for p in &mut self.proxies {
             p.reset_stats();
@@ -419,20 +403,7 @@ impl Cluster {
     /// Builds the final report.
     pub fn into_report(self, end: SimTime) -> SimReport {
         let obs = self.obs.export(&self);
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| NodeSnapshot {
-                hit_rate: n.cache.stats().hit_rate(),
-                prefix_fraction: n.cache.prefix_fraction(),
-                cache_len: n.cache.len(),
-                served: n.life.served,
-                forwarded: n.life.forwarded,
-                received: n.life.received,
-                disk_fetches: n.life.disk_fetches,
-                replica_serves: n.life.replica_serves,
-            })
-            .collect();
+        let nodes = self.nodes.iter().map(MdsNode::snapshot).collect();
         SimReport {
             strategy: self.cfg.strategy,
             n_mds: self.cfg.n_mds,
@@ -523,7 +494,7 @@ impl Cluster {
         let p = client.0 as usize % self.proxies.len();
         let target = op.target();
         let hot = self.proxies[p].observe(target, now);
-        let cpu = SimDuration::from_micros(self.cfg.proxy.proxy_cpu_us);
+        let cpu = dynmds_proxy::PROXY_CPU;
         // Absorbed answers cost client→proxy→client plus the proxy's CPU.
         let reply_at = now + self.cfg.costs.net_hop.saturating_mul(2) + cpu;
 
@@ -679,7 +650,6 @@ impl Cluster {
         }
 
         let i = mds.index();
-        self.nodes[i].win.received += 1;
         self.nodes[i].life.received += 1;
         self.obs.on_arrive(now, req.client.0, mds);
 
@@ -703,7 +673,6 @@ impl Cluster {
         if mds != auth && !replica_read && !shared_write && req.hops < 3 {
             // Forward to the authority (§4.2: "it will ordinarily forward
             // the request to the authority").
-            self.nodes[i].win.forwarded += 1;
             self.nodes[i].life.forwarded += 1;
             self.obs.on_forward(now, req.client.0, mds);
             if let Some(p) = self.probe.as_deref_mut() {
@@ -775,9 +744,10 @@ impl Cluster {
                 io_done = io_done.max(now + self.cfg.costs.net_hop.saturating_mul(2));
             }
         }
-        let misses_before = self.nodes[i].win.misses;
+        let misses_before = self.nodes[i].life.target_misses;
         io_done = io_done.max(self.access_target(now, mds, &req.op));
-        self.obs.on_target_probe(now, req.client.0, mds, self.nodes[i].win.misses == misses_before);
+        let hit = self.nodes[i].life.target_misses == misses_before;
+        self.obs.on_target_probe(now, req.client.0, mds, hit);
 
         // ---- mutation + journal commit ---------------------------------
         if req.op.is_update() {
@@ -811,14 +781,12 @@ impl Cluster {
         }
 
         // ---- balancer accounting ----------------------------------------
-        self.hb_served[i] += 1;
         if let Some(sub) = self.partition.as_subtree() {
             let root = sub.subtree_root_of(&self.ns, target);
             *self.subtree_ops.entry(root).or_insert(0) += 1;
         }
 
-        *self.op_counts.entry(req.op.kind()).or_insert(0) += 1;
-        self.nodes[i].win.served += 1;
+        self.op_counts[req.op.kind() as usize] += 1;
         self.nodes[i].life.served += 1;
         cpu_done.max(io_done)
     }
@@ -895,9 +863,7 @@ impl Cluster {
             if self.nodes[i].cache.lookup(dir, false) {
                 continue;
             }
-            self.nodes[i].win.misses += 1;
             self.nodes[i].life.prefix_misses += 1;
-            self.hb_misses[i] += 1;
             let dir_auth = self.authority_of(dir);
             if dir_auth == mds {
                 // Local miss: fetch from tier 2.
@@ -1004,10 +970,8 @@ impl Cluster {
     /// Counts a target cache miss at node `i`, which goes to tier 2.
     fn count_target_miss(&mut self, i: usize) {
         let n = &mut self.nodes[i];
-        n.win.misses += 1;
         n.life.target_misses += 1;
         n.life.disk_fetches += 1;
-        self.hb_misses[i] += 1;
     }
 
     /// Inserts fetched items into `mds`'s cache: `primary` with
@@ -1368,7 +1332,7 @@ impl Cluster {
         let track = self.obs.enabled();
         let mut loads: Vec<u64> = Vec::new();
         for (i, n) in self.nodes.iter_mut().enumerate() {
-            let w = n.take_window();
+            let w = n.take_sample();
             self.served_series[i].push(now, w.served as f64);
             self.forwarded_series[i].push(now, w.forwarded as f64);
             self.received_series[i].push(now, w.received as f64);

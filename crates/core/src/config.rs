@@ -5,9 +5,8 @@ use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskParams;
 
 /// Service-time and latency constants. Defaults model a 2004-era cluster:
-/// gigabit LAN hops, a commodity-disk OSD pool, an NVRAM-fronted journal
-/// device per MDS (§4.6: "the use of NVRAM … can further mask the latency
-/// of writes to the log").
+/// gigabit LAN hops and a commodity-disk OSD pool. Each MDS's journal
+/// device is the constant [`JOURNAL_DISK`].
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// MDS CPU time to fully process one metadata operation.
@@ -19,9 +18,6 @@ pub struct CostModel {
     /// Mean client think time between receiving a reply and issuing the
     /// next operation (exponentially distributed).
     pub think_mean: SimDuration,
-    /// Journal device behaviour (sequential appends: low latency, high
-    /// transactional throughput).
-    pub journal_disk: DiskParams,
     /// OSD pool device behaviour (random metadata objects).
     pub osd_disk: DiskParams,
 }
@@ -33,7 +29,6 @@ impl Default for CostModel {
             cpu_forward: SimDuration::from_micros(20),
             net_hop: SimDuration::from_micros(100),
             think_mean: SimDuration::from_millis(1),
-            journal_disk: DiskParams { latency: SimDuration::from_micros(500), iops: 5_000.0 },
             osd_disk: DiskParams { latency: SimDuration::from_millis(8), iops: 120.0 },
         }
     }
@@ -75,6 +70,13 @@ impl Default for ElasticConfig {
         }
     }
 }
+
+/// Journal device behaviour, one per MDS: sequential appends to an
+/// NVRAM-fronted log, low latency and high transactional throughput
+/// (§4.6: "the use of NVRAM … can further mask the latency of writes to
+/// the log").
+pub const JOURNAL_DISK: DiskParams =
+    DiskParams { latency: SimDuration::from_micros(500), iops: 5_000.0 };
 
 /// Per-cached-item cost of migrating a subtree between servers.
 pub const MIGRATE_PER_ITEM: SimDuration = SimDuration::from_micros(10);
@@ -256,7 +258,7 @@ mod tests {
     fn default_costs_are_sane() {
         let m = CostModel::default();
         assert!(m.cpu_forward < m.cpu_per_op, "forwarding is cheaper than serving");
-        assert!(m.journal_disk.latency < m.osd_disk.latency, "NVRAM journal is fast");
-        assert!(m.journal_disk.iops > m.osd_disk.iops);
+        assert!(JOURNAL_DISK.latency < m.osd_disk.latency, "NVRAM journal is fast");
+        assert!(JOURNAL_DISK.iops > m.osd_disk.iops);
     }
 }

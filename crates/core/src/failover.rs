@@ -67,20 +67,15 @@ impl Cluster {
     }
 
     /// Event-path variant of [`fail_node`] for generated churn: a crash
-    /// that would kill the last live node is skipped (and counted)
-    /// instead of panicking — a random schedule may legitimately line up
-    /// every node's down-time.
+    /// that would kill the last live node is skipped instead of panicking
+    /// — a random schedule may legitimately line up every node's
+    /// down-time.
     ///
     /// [`fail_node`]: Cluster::fail_node
     pub fn try_fail_node(&mut self, now: SimTime, mds: MdsId) {
-        if !self.alive[mds.index()] {
-            return; // already down: no-op, mirroring fail_node
+        if self.alive[mds.index()] && self.live_nodes() > 1 {
+            self.fail_node(now, mds);
         }
-        if self.live_nodes() == 1 {
-            self.failures_skipped += 1;
-            return;
-        }
-        self.fail_node(now, mds);
     }
 
     /// Kills `mds` at `now`. Panics if it is the last live node.
@@ -92,14 +87,13 @@ impl Cluster {
         self.alive[mds.index()] = false;
         self.counters.failures += 1;
 
-        // A dead node has no load: clear its smoothed estimate, its
-        // in-window counters, and its overload streak so residual figures
-        // neither mark it "busiest" nor skew the cluster mean the balancer
-        // gates on.
+        // A dead node has no load: clear its smoothed estimate and its
+        // overload streak, and open a new heartbeat window, so residual
+        // figures neither mark it "busiest" nor skew the cluster mean the
+        // balancer gates on.
         self.hb_ewma[mds.index()] = 0.0;
         self.busy_streak[mds.index()] = 0;
-        self.hb_served[mds.index()] = 0;
-        self.hb_misses[mds.index()] = 0;
+        self.nodes[mds.index()].take_heartbeat();
 
         // RAM is gone. The journal is on shared storage and survives.
         let cap = self.cfg.cache_capacity;
@@ -286,15 +280,16 @@ mod tests {
     #[test]
     fn crash_clears_the_load_signal() {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
-        c.hb_served[2] = 9_999;
-        c.hb_misses[2] = 123;
+        c.nodes[2].life.served = 9_999;
+        c.nodes[2].life.prefix_misses = 123;
+        c.nodes[2].life.target_misses = 7;
         c.hb_ewma[2] = 77_000.0;
         c.busy_streak[2] = 4;
         c.fail_node(SimTime::from_secs(1), MdsId(2));
         assert_eq!(c.hb_ewma[2], 0.0);
         assert_eq!(c.busy_streak[2], 0);
-        assert_eq!(c.hb_served[2], 0);
-        assert_eq!(c.hb_misses[2], 0);
+        c.heartbeat(SimTime::from_secs(2));
+        assert_eq!(c.hb_ewma[2], 0.0, "pre-crash ops leave the next heartbeat's load");
     }
 
     #[test]

@@ -1,27 +1,23 @@
-//! Per-MDS state: cache, journal, popularity, CPU.
+//! Per-MDS state: cache, journal, popularity, CPU, and the node's event
+//! counts.
+//!
+//! Each served, forwarded, received or missed request increments one
+//! field of the node's [`LifeCounters`], which is never reset. Every
+//! window over those counts — the measurement window the reports read,
+//! the sample window behind the time series and snapshot rows, and the
+//! heartbeat window the balancer loads on — is the difference from a
+//! reading of `life` stored when the window opened.
 
 use dynmds_cache::{MetaCache, Popularity};
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::MdsId;
-use dynmds_storage::{BoundedLog, DiskModel, DiskParams};
+use dynmds_storage::{BoundedLog, DiskModel};
 
-use crate::config::POPULARITY_HALF_LIFE;
+use crate::config::{JOURNAL_DISK, POPULARITY_HALF_LIFE};
+use crate::report::NodeSnapshot;
 
-/// Counters reset every metrics sample window.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WindowCounters {
-    /// Operations fully served (replies sent).
-    pub served: u64,
-    /// Requests forwarded to another node.
-    pub forwarded: u64,
-    /// Requests that arrived (served + forwarded).
-    pub received: u64,
-    /// Cache misses that went to disk.
-    pub misses: u64,
-}
-
-/// Counters since the start of measurement (`reset_measurement` zeroes
-/// them).
+/// One node's event counts since it was built. Never reset: a window is
+/// the [`since`](LifeCounters::since) difference from a stored reading.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LifeCounters {
     /// Operations fully served.
@@ -57,6 +53,29 @@ pub struct LifeCounters {
     pub subtrees_out: u64,
 }
 
+impl LifeCounters {
+    /// The counts accumulated since `base` was read.
+    pub fn since(&self, base: &LifeCounters) -> LifeCounters {
+        LifeCounters {
+            served: self.served - base.served,
+            forwarded: self.forwarded - base.forwarded,
+            received: self.received - base.received,
+            disk_fetches: self.disk_fetches - base.disk_fetches,
+            replica_serves: self.replica_serves - base.replica_serves,
+            prefix_misses: self.prefix_misses - base.prefix_misses,
+            target_misses: self.target_misses - base.target_misses,
+            remote_prefix_fetches: self.remote_prefix_fetches - base.remote_prefix_fetches,
+            journal_commits: self.journal_commits - base.journal_commits,
+            journal_writebacks: self.journal_writebacks - base.journal_writebacks,
+            shared_absorbed: self.shared_absorbed - base.shared_absorbed,
+            journal_warmed: self.journal_warmed - base.journal_warmed,
+            invalidations: self.invalidations - base.invalidations,
+            subtrees_in: self.subtrees_in - base.subtrees_in,
+            subtrees_out: self.subtrees_out - base.subtrees_out,
+        }
+    }
+}
+
 /// One metadata server.
 pub struct MdsNode {
     /// This node's id.
@@ -78,20 +97,19 @@ pub struct MdsNode {
     /// Dedicated journal device (sequential appends).
     pub journal_disk: DiskModel,
     busy_until: SimTime,
-    /// Window counters, taken by the sampler.
-    pub win: WindowCounters,
-    /// Counters since the start of measurement.
+    /// Event counts since the node was built.
     pub life: LifeCounters,
+    /// `life` when measurement last restarted.
+    measure_base: LifeCounters,
+    /// `life` at the last sample tick.
+    sample_base: LifeCounters,
+    /// `life` at the last heartbeat.
+    heartbeat_base: LifeCounters,
 }
 
 impl MdsNode {
     /// Creates a node with the given cache/journal sizes.
-    pub fn new(
-        id: MdsId,
-        cache_capacity: usize,
-        journal_capacity: usize,
-        journal_disk: DiskParams,
-    ) -> Self {
+    pub fn new(id: MdsId, cache_capacity: usize, journal_capacity: usize) -> Self {
         MdsNode {
             id,
             cache: MetaCache::new(cache_capacity),
@@ -99,10 +117,12 @@ impl MdsNode {
             update_popularity: Popularity::new(POPULARITY_HALF_LIFE),
             journal: BoundedLog::new(journal_capacity),
             write_deltas: dynmds_namespace::FxHashMap::default(),
-            journal_disk: DiskModel::new(journal_disk),
+            journal_disk: DiskModel::new(JOURNAL_DISK),
             busy_until: SimTime::ZERO,
-            win: WindowCounters::default(),
             life: LifeCounters::default(),
+            measure_base: LifeCounters::default(),
+            sample_base: LifeCounters::default(),
+            heartbeat_base: LifeCounters::default(),
         }
     }
 
@@ -120,9 +140,48 @@ impl MdsNode {
         self.busy_until
     }
 
-    /// Takes and resets the window counters.
-    pub fn take_window(&mut self) -> WindowCounters {
-        std::mem::take(&mut self.win)
+    /// Restarts measurement: clears the cache statistics and opens a new
+    /// measurement window and a new sample window at the current counts.
+    /// The heartbeat window is left alone.
+    pub fn reset_measurement(&mut self) {
+        self.cache.reset_stats();
+        self.measure_base = self.life;
+        self.sample_base = self.life;
+    }
+
+    /// Counts since measurement last restarted.
+    pub fn measured(&self) -> LifeCounters {
+        self.life.since(&self.measure_base)
+    }
+
+    /// Counts since the last sample tick (or measurement restart); opens
+    /// the next sample window.
+    pub fn take_sample(&mut self) -> LifeCounters {
+        let window = self.life.since(&self.sample_base);
+        self.sample_base = self.life;
+        window
+    }
+
+    /// Counts since the last heartbeat; opens the next heartbeat window.
+    pub fn take_heartbeat(&mut self) -> LifeCounters {
+        let window = self.life.since(&self.heartbeat_base);
+        self.heartbeat_base = self.life;
+        window
+    }
+
+    /// This node's report row over the measurement window.
+    pub fn snapshot(&self) -> NodeSnapshot {
+        let m = self.measured();
+        NodeSnapshot {
+            hit_rate: self.cache.stats().hit_rate(),
+            prefix_fraction: self.cache.prefix_fraction(),
+            cache_len: self.cache.len(),
+            served: m.served,
+            forwarded: m.forwarded,
+            received: m.received,
+            disk_fetches: m.disk_fetches,
+            replica_serves: m.replica_serves,
+        }
     }
 }
 
@@ -131,12 +190,7 @@ mod tests {
     use super::*;
 
     fn node() -> MdsNode {
-        MdsNode::new(
-            MdsId(0),
-            100,
-            100,
-            DiskParams { latency: SimDuration::from_micros(500), iops: 5000.0 },
-        )
+        MdsNode::new(MdsId(0), 100, 100)
     }
 
     #[test]
@@ -159,13 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn window_counters_reset_on_take() {
+    fn windows_are_differences_from_their_own_readings() {
         let mut n = node();
-        n.win.served = 5;
-        n.win.forwarded = 2;
-        let w = n.take_window();
-        assert_eq!(w.served, 5);
-        assert_eq!(w.forwarded, 2);
-        assert_eq!(n.win.served, 0);
+        n.life.served = 5;
+        n.life.forwarded = 2;
+        assert_eq!(n.take_heartbeat().served, 5);
+        n.reset_measurement();
+        n.life.served += 3;
+        let sample = n.take_sample();
+        assert_eq!((sample.served, sample.forwarded), (3, 0), "reset opened the sample window");
+        assert_eq!(n.take_sample().served, 0, "taking a sample opens the next one");
+        assert_eq!(n.measured().served, 3, "measured since the reset");
+        assert_eq!(n.take_heartbeat().served, 3, "the reset left the heartbeat window alone");
+        assert_eq!(n.life.served, 8, "life is never reset");
     }
 }

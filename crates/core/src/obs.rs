@@ -6,8 +6,8 @@
 //! and each proxy's [`ProxyStats`]. [`ClusterObs`] records only what has
 //! no engine twin — the op-lifecycle spans, the periodic snapshot series
 //! and the latency and hop histograms sampled at reply time — and
-//! [`ClusterObs::export`] renders the counters from the engine's values
-//! when the run ends. Obs-on and obs-off runs therefore execute the same
+//! [`ClusterObs::export`] renders the counters over the measurement
+//! window from the engine's values when the run ends. Obs-on and obs-off runs therefore execute the same
 //! counting code. Every hook begins with one branch on whether the layer
 //! is live, so a simulation with observability disabled pays one
 //! predictable untaken branch per hook and nothing else: no allocation,
@@ -21,11 +21,13 @@ use dynmds_event::SimTime;
 use dynmds_namespace::MdsId;
 use dynmds_obs::registry::{HOPS_BOUNDS, LATENCY_BOUNDS_US};
 use dynmds_obs::span::NO_MDS;
-use dynmds_obs::{HistogramId, ObsConfig, Registry, SnapshotSeries, SpanRecorder};
+use dynmds_obs::{
+    HistogramId, ObsConfig, Registry, SnapshotSeries, SpanRecorder, DEFAULT_TRACE_CAPACITY,
+};
 use dynmds_proxy::ProxyStats;
 
 use crate::cluster::Cluster;
-use crate::node::LifeCounters;
+use crate::node::{LifeCounters, MdsNode};
 
 pub use dynmds_obs::SpanStage;
 
@@ -66,10 +68,10 @@ pub struct ObsExport {
 }
 
 /// A counter's export name and how to read its value from a `T`.
-type Reader<T> = (&'static str, fn(&T) -> u64);
+pub(crate) type Reader<T> = (&'static str, fn(&T) -> u64);
 
 /// The per-MDS counters in export order, each read from a node's
-/// [`LifeCounters`].
+/// [`LifeCounters`] over the measurement window.
 const NODE_COUNTERS: [Reader<LifeCounters>; 12] = [
     ("received", |l| l.received),
     ("served", |l| l.served),
@@ -120,26 +122,20 @@ fn scalar_counters(c: &Cluster) -> [(&'static str, u64); 15] {
     ]
 }
 
-/// Registers every counter in export order (per-MDS, cluster-wide, then
-/// proxy) and fills it from the engine's counters.
+/// Records every counter in export order (per-MDS, cluster-wide, then
+/// proxy) from the engine's counters.
 fn counter_registry(c: &Cluster) -> Registry {
     let mut reg = Registry::new();
+    let measured: Vec<LifeCounters> = c.nodes.iter().map(MdsNode::measured).collect();
     for (name, get) in NODE_COUNTERS {
-        let id = reg.counter(name, c.nodes.len());
-        for (i, n) in c.nodes.iter().enumerate() {
-            reg.add(id, i, get(&n.life));
-        }
+        reg.counter(name, &measured.iter().map(get).collect::<Vec<_>>());
     }
     for (name, v) in scalar_counters(c) {
-        let id = reg.counter(name, 1);
-        reg.add(id, 0, v);
+        reg.counter(name, &[v]);
     }
     if !c.proxies.is_empty() {
         for (name, get) in PROXY_COUNTERS {
-            let id = reg.counter(name, c.proxies.len());
-            for (p, proxy) in c.proxies.iter().enumerate() {
-                reg.add(id, p, get(proxy.stats()));
-            }
+            reg.counter(name, &c.proxies.iter().map(|p| get(p.stats())).collect::<Vec<_>>());
         }
     }
     reg
@@ -177,7 +173,7 @@ impl ClusterObs {
         let mut hists = Registry::new();
         let latency_us = hists.histogram("latency_us", LATENCY_BOUNDS_US);
         let hops = hists.histogram("hops", HOPS_BOUNDS);
-        let spans = cfg.trace.then(|| SpanRecorder::new(n_clients, cfg.ring_capacity()));
+        let spans = cfg.trace.then(|| SpanRecorder::new(n_clients, DEFAULT_TRACE_CAPACITY));
         let snaps = SnapshotSeries::new(SNAPSHOT_FIELDS, n_mds);
         ClusterObs { inner: Some(Box::new(Inner { hists, latency_us, hops, spans, snaps })) }
     }
@@ -364,7 +360,7 @@ impl ClusterObs {
             ],
         );
         for (i, n) in c.nodes.iter().enumerate() {
-            let l = &n.life;
+            let l = n.measured();
             t.row(&[
                 format!("mds{i}"),
                 l.received.to_string(),

@@ -139,11 +139,8 @@ impl ShardedSimulation {
         let mut loads = vec![0f64; n_mds];
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
-                let served = n.m.life.served - n.hb_served;
-                let fetches = n.m.life.disk_fetches - n.hb_fetches;
-                n.hb_served = n.m.life.served;
-                n.hb_fetches = n.m.life.disk_fetches;
-                loads[n.m.id.index()] = served as f64 + MISS_WEIGHT * fetches as f64;
+                let hb = n.m.take_heartbeat();
+                loads[n.m.id.index()] = hb.served as f64 + MISS_WEIGHT * hb.disk_fetches as f64;
             }
         }
         if elastic {
@@ -286,24 +283,16 @@ impl ShardedSimulation {
         self.node_mut(victim).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
     }
 
-    /// Sample tick: one snapshot row of per-node window counters.
+    /// Sample tick: one snapshot row of each node's sample window. With
+    /// obs off nothing reads the window, so the tick touches no node.
     fn sample(&mut self, at: u64) {
-        let Some(series) = self.snapshots.as_mut() else {
-            // Window counters still get drained so they always mean
-            // "since the last sample".
-            for shard in &mut self.shards {
-                for n in &mut shard.nodes {
-                    n.m.take_window();
-                }
-            }
-            return;
-        };
+        let Some(series) = self.snapshots.as_mut() else { return };
         let n_mds = self.world.cfg.n_mds as usize;
         let mut wins = vec![(0u64, 0u64, 0u64, 0u64); n_mds];
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
-                let w = n.m.take_window();
-                wins[n.m.id.index()] = (w.served, w.forwarded, w.received, w.misses);
+                let w = n.m.take_sample();
+                wins[n.m.id.index()] = (w.served, w.forwarded, w.received, w.disk_fetches);
             }
         }
         let mut row = Vec::with_capacity(SNAP_FIELDS.len() * n_mds);
@@ -385,6 +374,36 @@ mod tests {
             sim.run_until(SimTime::from_millis(slice_ms * step));
             assert_placement_matches(sim, &format!("t={}ms", slice_ms * step));
         }
+    }
+
+    #[test]
+    fn heartbeat_load_restarts_at_the_measurement_reset() {
+        // Heartbeats every 250 ms; the reset lands mid-interval, after
+        // ops the window would otherwise count.
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.heartbeat = SimDuration::from_millis(250);
+        let mut sim = build_with(cfg, 2, Some(1));
+        let life = |sim: &mut ShardedSimulation| -> Vec<_> {
+            (0..4).map(|m| sim.node_mut(MdsId(m)).m.life).collect()
+        };
+        sim.run_until(SimTime::from_millis(1_050));
+        let after_heartbeat = life(&mut sim);
+        sim.run_until(SimTime::from_millis(1_150));
+        let at_reset = life(&mut sim);
+        sim.reset_measurement();
+        sim.run_until(SimTime::from_millis(1_200));
+        let mut pre_reset_ops = 0;
+        for m in 0..4 {
+            pre_reset_ops += at_reset[m].since(&after_heartbeat[m]).served;
+            let window = sim.node_mut(MdsId(m as u16)).m.take_heartbeat();
+            let post_reset = sim.node_mut(MdsId(m as u16)).m.life.since(&at_reset[m]);
+            assert_eq!(
+                (window.served, window.disk_fetches),
+                (post_reset.served, post_reset.disk_fetches),
+                "node {m}: the next heartbeat loads on post-reset ops only"
+            );
+        }
+        assert!(pre_reset_ops > 0, "ops before the reset, after the last heartbeat");
     }
 
     #[test]

@@ -27,10 +27,6 @@ pub(super) struct ShardNode {
     pub(super) send_seq: u64,
     /// Replication candidates observed since the last heartbeat.
     pub(super) hot_pending: Vec<InodeId>,
-    /// `life.served` / `life.disk_fetches` at the last heartbeat, for
-    /// balancer load deltas.
-    pub(super) hb_served: u64,
-    pub(super) hb_fetches: u64,
     /// Hot-object detector feeding the proxy tier (touched only when the
     /// tier is enabled; records reads *and* writes, unlike `popularity`).
     pub(super) proxy_pop: Popularity,
@@ -504,13 +500,11 @@ impl Shard {
         let replicated = world.replicated.contains(&item) && !write;
         let auth = world.partition.authority(item);
         let n = self.node(m);
-        n.m.win.received += 1;
         n.m.life.received += 1;
 
         if auth != m && !replicated && hop == 0 {
             // Wrong server: forward to the authority (subtree-strategy
             // clients route by learned locations and can be stale).
-            n.m.win.forwarded += 1;
             n.m.life.forwarded += 1;
             let done = n.m.occupy(SimTime::from_micros(t), cfg.costs.cpu_forward).as_micros();
             let seq = n.send_seq;
@@ -538,7 +532,6 @@ impl Shard {
         let hit = n.m.cache.lookup(item, true);
         let mut done = n.m.occupy(now, cfg.costs.cpu_per_op);
         if !hit {
-            n.m.win.misses += 1;
             n.m.life.disk_fetches += 1;
             done = done.max(n.osd.access(now, AccessKind::Read));
             let _ = n.m.cache.insert(item, None, InsertKind::Target);
@@ -547,7 +540,6 @@ impl Shard {
             let _ = n.m.journal.append(item);
             done = done.max(n.m.journal_disk.access(now, AccessKind::Write));
         }
-        n.m.win.served += 1;
         n.m.life.served += 1;
         if replicated && auth != m {
             n.m.life.replica_serves += 1;
@@ -613,7 +605,7 @@ impl Shard {
         let (cfg, k) = (&world.cfg, self.outbox.len());
         let client_shard = owner(client.0 as usize, cfg.n_clients as usize, k);
         let px = &mut self.proxies[(p - self.proxy_lo) as usize];
-        let done = px.free_at.max(t) + cfg.proxy.proxy_cpu_us.max(1);
+        let done = px.free_at.max(t) + dynmds_proxy::PROXY_CPU.as_micros();
         px.free_at = done;
 
         let relay = if write {

@@ -86,7 +86,6 @@ use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
 use crate::fault::FaultEvent;
 use crate::node::MdsNode;
-use crate::report::NodeSnapshot;
 
 use barrier::Step;
 use driver::DRIVER;
@@ -188,21 +187,14 @@ impl ShardedSimulation {
         let n_clients = cfg.n_clients as usize;
         let spread = cfg.costs.think_mean.as_micros();
         let new_node = |m: usize| ShardNode {
-            m: MdsNode::new(
-                MdsId(m as u16),
-                cfg.cache_capacity,
-                cfg.journal_capacity,
-                cfg.costs.journal_disk,
-            ),
+            m: MdsNode::new(MdsId(m as u16), cfg.cache_capacity, cfg.journal_capacity),
             osd: DiskModel::new(cfg.costs.osd_disk),
             rng: SimRng::seed_from_u64(
                 cfg.seed ^ 0x0005_D0DE ^ (m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             send_seq: 0,
             hot_pending: Vec::new(),
-            hb_served: 0,
-            hb_fetches: 0,
-            proxy_pop: Popularity::new(SimDuration::from_micros(cfg.proxy.half_life_us)),
+            proxy_pop: Popularity::new(dynmds_proxy::HALF_LIFE),
             proxy_hot_pending: Vec::new(),
         };
         let new_client = |c: usize| ClientSt {
@@ -358,7 +350,9 @@ impl ShardedSimulation {
         self.counts
     }
 
-    /// Resets measured statistics (end of warm-up).
+    /// Resets measured statistics (end of warm-up). Unlike the legacy
+    /// engine's, this also opens a new heartbeat window on every node, so
+    /// the first measured heartbeat loads on post-reset ops only.
     pub fn reset_measurement(&mut self) {
         for shard in &mut self.shards {
             shard.stats = ShardStats::default();
@@ -367,11 +361,8 @@ impl ShardedSimulation {
                 px.core.reset_stats();
             }
             for n in &mut shard.nodes {
-                n.m.cache.reset_stats();
-                n.m.life = Default::default();
-                n.m.take_window();
-                n.hb_served = 0;
-                n.hb_fetches = 0;
+                n.m.reset_measurement();
+                n.m.take_heartbeat();
             }
         }
         self.migrations = 0;
@@ -414,19 +405,7 @@ impl ShardedSimulation {
             stats.failed += shard.stats.failed;
             stats.stale += shard.stats.stale;
             lat.merge(&shard.lat);
-            for n in &shard.nodes {
-                let cs = n.m.cache.stats();
-                nodes.push(NodeSnapshot {
-                    hit_rate: cs.hit_rate(),
-                    prefix_fraction: n.m.cache.prefix_fraction(),
-                    cache_len: n.m.cache.len(),
-                    served: n.m.life.served,
-                    forwarded: n.m.life.forwarded,
-                    received: n.m.life.received,
-                    disk_fetches: n.m.life.disk_fetches,
-                    replica_serves: n.m.life.replica_serves,
-                });
-            }
+            nodes.extend(shard.nodes.iter().map(|n| n.m.snapshot()));
         }
         // Provisioned capacity over the measurement window: the heartbeat
         // integral closed out to `now` for elastic runs, the full pool for

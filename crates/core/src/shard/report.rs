@@ -6,7 +6,7 @@ use dynmds_obs::{Registry, SnapshotSeries};
 use dynmds_partition::StrategyKind;
 use dynmds_proxy::ProxyStats;
 
-use crate::obs::ObsExport;
+use crate::obs::{ObsExport, Reader};
 use crate::report::NodeSnapshot;
 
 const LAT_BUCKETS: usize = 40;
@@ -98,7 +98,7 @@ pub struct ShardReport {
     pub measure_start: SimTime,
     /// Measurement window end.
     pub measure_end: SimTime,
-    /// Per-node lifetime counters, id order.
+    /// Per-node counts over the measurement window, id order.
     pub nodes: Vec<NodeSnapshot>,
     /// Completed client operations in the measurement window.
     pub ops: u64,
@@ -227,55 +227,43 @@ impl ShardReport {
     /// counters in fixed registration order, per-node slots in id order,
     /// latency buckets, and the barrier-sampled snapshot series.
     pub(super) fn obs_export(&self, snapshots: Option<&SnapshotSeries>) -> ObsExport {
-        let n_mds = self.nodes.len();
         let mut reg = Registry::new();
-        let ops = reg.counter("client.ops", 1);
-        let lease = reg.counter("client.lease_hits", 1);
-        let timeouts = reg.counter("client.timeouts", 1);
-        let retries = reg.counter("client.retries", 1);
-        let failed = reg.counter("client.failed", 1);
-        let stale = reg.counter("client.stale_replies", 1);
-        let migr = reg.counter("balancer.migrations", 1);
-        let souts = reg.counter("elastic_scale_outs", 1);
-        let sins = reg.counter("elastic_scale_ins", 1);
-        let served = reg.counter("mds.served", n_mds);
-        let forwarded = reg.counter("mds.forwarded", n_mds);
-        let received = reg.counter("mds.received", n_mds);
-        let fetches = reg.counter("mds.disk_fetches", n_mds);
-        let replica = reg.counter("mds.replica_serves", n_mds);
-        let lat_hist = reg.counter("latency.log2_us", LAT_BUCKETS);
-        reg.add(ops, 0, self.ops);
-        reg.add(lease, 0, self.lease_hits);
-        reg.add(timeouts, 0, self.timeouts);
-        reg.add(retries, 0, self.retries);
-        reg.add(failed, 0, self.failed);
-        reg.add(stale, 0, self.stale_replies);
-        reg.add(migr, 0, self.migrations);
-        reg.add(souts, 0, self.scale_outs);
-        reg.add(sins, 0, self.scale_ins);
-        for (i, n) in self.nodes.iter().enumerate() {
-            reg.add(served, i, n.served);
-            reg.add(forwarded, i, n.forwarded);
-            reg.add(received, i, n.received);
-            reg.add(fetches, i, n.disk_fetches);
-            reg.add(replica, i, n.replica_serves);
+        for (name, v) in [
+            ("client.ops", self.ops),
+            ("client.lease_hits", self.lease_hits),
+            ("client.timeouts", self.timeouts),
+            ("client.retries", self.retries),
+            ("client.failed", self.failed),
+            ("client.stale_replies", self.stale_replies),
+            ("balancer.migrations", self.migrations),
+            ("elastic_scale_outs", self.scale_outs),
+            ("elastic_scale_ins", self.scale_ins),
+        ] {
+            reg.counter(name, &[v]);
         }
-        for (i, &c) in self.latency.buckets.iter().enumerate() {
-            reg.add(lat_hist, i, c);
+        let node_counters: [Reader<NodeSnapshot>; 5] = [
+            ("mds.served", |n| n.served),
+            ("mds.forwarded", |n| n.forwarded),
+            ("mds.received", |n| n.received),
+            ("mds.disk_fetches", |n| n.disk_fetches),
+            ("mds.replica_serves", |n| n.replica_serves),
+        ];
+        for (name, get) in node_counters {
+            reg.counter(name, &self.nodes.iter().map(get).collect::<Vec<_>>());
         }
+        reg.counter("latency.log2_us", &self.latency.buckets);
         // Proxy counters register last and only when the tier is on, so
         // proxy-off metric exports are byte-identical to pre-proxy builds.
         if self.proxies > 0 {
-            let pa = reg.counter("proxy.absorbed", 1);
-            let pc = reg.counter("proxy.coalesced", 1);
-            let pf = reg.counter("proxy.forwarded", 1);
-            let pfi = reg.counter("proxy.flushed_items", 1);
-            let pfb = reg.counter("proxy.flushes", 1);
-            reg.add(pa, 0, self.proxy.read_absorbs);
-            reg.add(pc, 0, self.proxy.writes_coalesced);
-            reg.add(pf, 0, self.proxy.forwarded);
-            reg.add(pfi, 0, self.proxy.flushed_items);
-            reg.add(pfb, 0, self.proxy.flush_batches);
+            for (name, v) in [
+                ("proxy.absorbed", self.proxy.read_absorbs),
+                ("proxy.coalesced", self.proxy.writes_coalesced),
+                ("proxy.forwarded", self.proxy.forwarded),
+                ("proxy.flushed_items", self.proxy.flushed_items),
+                ("proxy.flushes", self.proxy.flush_batches),
+            ] {
+                reg.counter(name, &[v]);
+            }
         }
         let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
         let summary = format!(

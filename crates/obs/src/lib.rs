@@ -3,11 +3,12 @@
 //! The paper's whole argument is made through measurements of MDS
 //! behaviour — popularity counters, load imbalance, cache hit rates,
 //! journal churn (§4.1, §5) — so the simulator is operated through its
-//! telemetry too. This crate provides the three instruments the cluster
-//! wires through its op hot path:
+//! telemetry too. This crate provides three instruments:
 //!
-//! * [`Registry`] — named counters, gauges, and fixed-bucket histograms,
-//!   each either scalar or per-MDS (one slot per server);
+//! * [`Registry`] — named counters, recorded finished at export from the
+//!   engine's own counts, and fixed-bucket histograms observed as the
+//!   run goes; a counter is either scalar or per-MDS (one slot per
+//!   server);
 //! * [`SpanRecorder`] — scoped spans tracing the op lifecycle (client
 //!   dispatch → traverse → cache probe → partition authority →
 //!   storage/journal I/O → reply) into a bounded ring buffer;
@@ -19,17 +20,18 @@
 //! wall clock, no floats, no hash-map iteration order reaches an export.
 //! Two runs with the same seed therefore produce byte-identical JSONL.
 //!
-//! **Cost rules.** The instruments are plain integer stores behind
-//! pre-registered handles; nothing here allocates per operation except
-//! span recording, which only runs when tracing is explicitly enabled.
-//! The embedding layer (dynmds-core) keeps its disabled path to a single
-//! branch on an enabled flag.
+//! **Cost rules.** Counters cost nothing while the run goes: they are
+//! built once, at export. A histogram observation is one integer store
+//! behind a pre-registered handle; nothing here allocates per operation
+//! except span recording, which only runs when tracing is explicitly
+//! enabled. The embedding layer (dynmds-core) keeps its disabled path to
+//! a single branch on an enabled flag.
 
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
+pub use registry::{HistogramId, Registry};
 pub use snapshot::SnapshotSeries;
 pub use span::{SpanRecorder, SpanStage};
 
@@ -38,39 +40,28 @@ pub use span::{SpanRecorder, SpanStage};
 pub struct ObsConfig {
     /// Enable the metrics registry and periodic snapshots.
     pub metrics: bool,
-    /// Enable per-op lifecycle spans (implies `metrics`).
+    /// Enable per-op lifecycle spans (implies `metrics`), keeping the
+    /// last [`DEFAULT_TRACE_CAPACITY`] completed spans.
     pub trace: bool,
-    /// Completed spans kept in the ring buffer; 0 means the default
-    /// ([`DEFAULT_TRACE_CAPACITY`]).
-    pub trace_capacity: usize,
 }
 
-/// Ring-buffer size used when [`ObsConfig::trace_capacity`] is 0.
+/// Completed spans kept in the span ring buffer.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 impl ObsConfig {
     /// Metrics + snapshots on, tracing off.
     pub fn metrics_only() -> Self {
-        ObsConfig { metrics: true, trace: false, trace_capacity: 0 }
+        ObsConfig { metrics: true, trace: false }
     }
 
     /// Everything on.
     pub fn full() -> Self {
-        ObsConfig { metrics: true, trace: true, trace_capacity: 0 }
+        ObsConfig { metrics: true, trace: true }
     }
 
     /// Whether any instrument is live.
     pub fn enabled(&self) -> bool {
         self.metrics || self.trace
-    }
-
-    /// The effective span ring capacity.
-    pub fn ring_capacity(&self) -> usize {
-        if self.trace_capacity == 0 {
-            DEFAULT_TRACE_CAPACITY
-        } else {
-            self.trace_capacity
-        }
     }
 }
 
@@ -101,13 +92,6 @@ mod tests {
         assert!(!c.enabled());
         assert!(ObsConfig::metrics_only().enabled());
         assert!(ObsConfig::full().trace);
-    }
-
-    #[test]
-    fn ring_capacity_falls_back_to_default() {
-        assert_eq!(ObsConfig::full().ring_capacity(), DEFAULT_TRACE_CAPACITY);
-        let c = ObsConfig { trace_capacity: 16, ..ObsConfig::full() };
-        assert_eq!(c.ring_capacity(), 16);
     }
 
     #[test]

@@ -1,21 +1,13 @@
-//! The metrics registry: counters, gauges, fixed-bucket histograms.
+//! The metrics registry: finished counters and fixed-bucket histograms.
 //!
-//! Metrics are registered once, up front, and addressed afterwards by
-//! typed index handles — the hot path never touches a name or a hash
-//! map. Each metric is a flat `Vec<u64>` with one slot per MDS (or a
-//! single slot for cluster-wide scalars), so recording is one bounds
-//! check and one integer add. Export walks metrics in registration
-//! order, which is fixed by construction: byte-reproducible output.
+//! A counter is recorded once, finished, from counts its caller already
+//! keeps: one value for a cluster-wide scalar or one per MDS. Histograms
+//! are registered up front and addressed by typed index handles, so
+//! recording an observation never touches a name or a hash map. Export
+//! walks counters, then histograms, each in registration order, which is
+//! fixed by construction: byte-reproducible output.
 
 use crate::push_json_str;
-
-/// Handle to a registered counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a registered histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +18,6 @@ struct Metric {
     /// One slot per MDS, or a single slot for scalars.
     slots: Vec<u64>,
 }
-
 struct Histogram {
     name: &'static str,
     /// Inclusive upper bounds, strictly increasing; a final implicit
@@ -62,7 +53,6 @@ pub const HOPS_BOUNDS: &[u64] = &[0, 1, 2, 3, 4];
 #[derive(Default)]
 pub struct Registry {
     counters: Vec<Metric>,
-    gauges: Vec<Metric>,
     histograms: Vec<Histogram>,
 }
 
@@ -72,19 +62,11 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers a counter with `slots` slots (1 for a cluster scalar,
-    /// `n_mds` for per-server).
-    pub fn counter(&mut self, name: &'static str, slots: usize) -> CounterId {
-        assert!(slots > 0, "a counter needs at least one slot");
-        self.counters.push(Metric { name, slots: vec![0; slots] });
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers a gauge with `slots` slots.
-    pub fn gauge(&mut self, name: &'static str, slots: usize) -> GaugeId {
-        assert!(slots > 0, "a gauge needs at least one slot");
-        self.gauges.push(Metric { name, slots: vec![0; slots] });
-        GaugeId(self.gauges.len() - 1)
+    /// Records a finished counter: one value per MDS, or a single value
+    /// for a cluster scalar.
+    pub fn counter(&mut self, name: &'static str, values: &[u64]) {
+        assert!(!values.is_empty(), "a counter needs at least one slot");
+        self.counters.push(Metric { name, slots: values.to_vec() });
     }
 
     /// Registers a histogram over fixed `bounds` (strictly increasing).
@@ -101,43 +83,10 @@ impl Registry {
         HistogramId(self.histograms.len() - 1)
     }
 
-    /// Adds 1 to a counter slot.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, slot: usize) {
-        self.counters[id.0].slots[slot] += 1;
-    }
-
-    /// Adds `v` to a counter slot.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, slot: usize, v: u64) {
-        self.counters[id.0].slots[slot] += v;
-    }
-
-    /// Sets a gauge slot.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, slot: usize, v: u64) {
-        self.gauges[id.0].slots[slot] = v;
-    }
-
     /// Records one histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: u64) {
         self.histograms[id.0].observe(value);
-    }
-
-    /// A counter slot's current value.
-    pub fn counter_value(&self, id: CounterId, slot: usize) -> u64 {
-        self.counters[id.0].slots[slot]
-    }
-
-    /// Sum of a counter across its slots.
-    pub fn counter_total(&self, id: CounterId) -> u64 {
-        self.counters[id.0].slots.iter().sum()
-    }
-
-    /// A gauge slot's current value.
-    pub fn gauge_value(&self, id: GaugeId, slot: usize) -> u64 {
-        self.gauges[id.0].slots[slot]
     }
 
     /// Observations recorded by a histogram.
@@ -174,11 +123,10 @@ impl Registry {
         h.max
     }
 
-    /// Zeroes every metric (measurement restart after warm-up).
+    /// Drops every counter and zeroes every histogram (measurement
+    /// restart after warm-up).
     pub fn reset(&mut self) {
-        for m in self.counters.iter_mut().chain(self.gauges.iter_mut()) {
-            m.slots.iter_mut().for_each(|s| *s = 0);
-        }
+        self.counters.clear();
         for h in &mut self.histograms {
             h.counts.iter_mut().for_each(|c| *c = 0);
             h.count = 0;
@@ -191,10 +139,7 @@ impl Registry {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for m in &self.counters {
-            Self::metric_line(&mut out, "counter", m.name, &m.slots);
-        }
-        for m in &self.gauges {
-            Self::metric_line(&mut out, "gauge", m.name, &m.slots);
+            Self::counter_line(&mut out, m.name, &m.slots);
         }
         for h in &self.histograms {
             out.push_str("{\"type\":\"histogram\",\"name\":");
@@ -219,10 +164,8 @@ impl Registry {
         out
     }
 
-    fn metric_line(out: &mut String, kind: &str, name: &str, slots: &[u64]) {
-        out.push_str("{\"type\":\"");
-        out.push_str(kind);
-        out.push_str("\",\"name\":");
+    fn counter_line(out: &mut String, name: &str, slots: &[u64]) {
+        out.push_str("{\"type\":\"counter\",\"name\":");
         push_json_str(out, name);
         if slots.len() == 1 {
             out.push_str(&format!(",\"value\":{}}}\n", slots[0]));
@@ -244,25 +187,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_per_slot() {
+    fn counters_render_per_mds_in_registration_order() {
         let mut r = Registry::new();
-        let c = r.counter("served", 3);
-        r.inc(c, 0);
-        r.inc(c, 2);
-        r.add(c, 2, 5);
-        assert_eq!(r.counter_value(c, 0), 1);
-        assert_eq!(r.counter_value(c, 1), 0);
-        assert_eq!(r.counter_value(c, 2), 6);
-        assert_eq!(r.counter_total(c), 7);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut r = Registry::new();
-        let g = r.gauge("cache_len", 2);
-        r.set(g, 1, 40);
-        r.set(g, 1, 7);
-        assert_eq!(r.gauge_value(g, 1), 7);
+        r.counter("served", &[1, 0, 6]);
+        r.counter("forwarded", &[2, 3, 4]);
+        assert_eq!(
+            r.to_jsonl(),
+            "{\"type\":\"counter\",\"name\":\"served\",\"per_mds\":[1,0,6]}\n\
+             {\"type\":\"counter\",\"name\":\"forwarded\",\"per_mds\":[2,3,4]}\n"
+        );
     }
 
     #[test]
@@ -283,14 +216,11 @@ mod tests {
     fn jsonl_is_stable_across_identical_sequences() {
         let build = || {
             let mut r = Registry::new();
-            let c = r.counter("ops", 2);
-            let g = r.gauge("depth", 1);
             let h = r.histogram("lat_us", LATENCY_BOUNDS_US);
             for i in 0..100u64 {
-                r.inc(c, (i % 2) as usize);
-                r.set(g, 0, i);
                 r.observe(h, i * 37);
             }
+            r.counter("ops", &[50, 50]);
             r.to_jsonl()
         };
         assert_eq!(build(), build());
@@ -299,21 +229,19 @@ mod tests {
     #[test]
     fn scalar_counters_render_value_not_array() {
         let mut r = Registry::new();
-        let c = r.counter("migrations", 1);
-        r.add(c, 0, 9);
+        r.counter("migrations", &[9]);
         assert!(r.to_jsonl().contains("\"value\":9"));
     }
 
     #[test]
-    fn reset_zeroes_everything() {
+    fn reset_drops_counters_and_zeroes_histograms() {
         let mut r = Registry::new();
-        let c = r.counter("ops", 2);
         let h = r.histogram("lat", &[10]);
-        r.inc(c, 0);
+        r.counter("ops", &[1, 0]);
         r.observe(h, 3);
         r.reset();
-        assert_eq!(r.counter_total(c), 0);
         assert_eq!(r.histogram_count(h), 0);
+        assert!(!r.to_jsonl().contains("ops"));
     }
 
     #[test]

@@ -39,22 +39,23 @@ pub struct ProxyConfig {
     /// Clients map to proxies statically: `client mod count`.
     pub count: u16,
     /// Decayed touch count above which an item counts as hot. A stream
-    /// of `r` touches/second converges on about `r * half_life / ln 2`,
+    /// of `r` touches/second converges on about `r * HALF_LIFE / ln 2`,
     /// so the threshold picks out items whose *sustained* rate is high,
     /// not one-off bursts.
     pub hot_threshold: f64,
-    /// Half-life of the hot detector's decayed counters, microseconds.
-    pub half_life_us: u64,
-    /// CPU cost a proxy pays to absorb or forward one request,
-    /// microseconds.
-    pub proxy_cpu_us: u64,
 }
 
 impl Default for ProxyConfig {
     fn default() -> Self {
-        ProxyConfig { count: 0, hot_threshold: 24.0, half_life_us: 250_000, proxy_cpu_us: 20 }
+        ProxyConfig { count: 0, hot_threshold: 24.0 }
     }
 }
+
+/// Half-life of the hot detector's decayed counters.
+pub const HALF_LIFE: SimDuration = SimDuration::from_millis(250);
+
+/// CPU cost a proxy pays to absorb or forward one request.
+pub const PROXY_CPU: SimDuration = SimDuration::from_micros(20);
 
 impl ProxyConfig {
     /// Whether the proxy tier is active.
@@ -134,7 +135,7 @@ impl ProxyCore {
     pub fn new(cfg: &ProxyConfig) -> Self {
         ProxyCore {
             hot_threshold: cfg.hot_threshold,
-            detector: Popularity::new(SimDuration::from_micros(cfg.half_life_us)),
+            detector: Popularity::new(HALF_LIFE),
             neg: FxHashMap::default(),
             cached: FxHashSet::default(),
             pending: FxHashMap::default(),

@@ -316,7 +316,7 @@ fn main() {
     let c = sim.cluster();
     let m = c.measured_counters();
     let lease_hits = c.measured_lease_hits();
-    let absorbed: u64 = c.nodes.iter().map(|n| n.life.shared_absorbed).sum();
+    let absorbed: u64 = c.nodes.iter().map(|n| n.measured().shared_absorbed).sum();
     let proxy = c.proxy_stats();
     let report = sim.finish();
 

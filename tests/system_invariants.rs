@@ -77,22 +77,29 @@ fn cache_capacity_is_respected() {
     }
 }
 
-/// The per-node time series sum to the lifetime counters over the
-/// measurement window.
+/// Over a measurement window that starts mid-run, the served series plus
+/// the sample window not yet taken equal `life` minus the reading
+/// `reset_measurement` stored.
 #[test]
 fn series_and_counters_agree() {
-    let sim = run(StrategyKind::DynamicSubtree, |_| {});
-    // Window counters not yet sampled remain in `win`; sampled ones are in
-    // the series. life = series + win.
-    let cluster = sim.cluster();
+    let mut sim = run(StrategyKind::DynamicSubtree, |_| {});
+    // Off the sampling grid, so ops since the last sample precede the
+    // reset.
+    sim.run_until(SimTime::from_millis(8_400));
+    sim.cluster_mut().reset_measurement(SimTime::from_millis(8_400));
+    sim.run_until(SimTime::from_millis(12_500));
+    let cluster = sim.cluster_mut();
     let end = SimTime::from_secs(1_000);
-    for (i, node) in cluster.nodes.iter().enumerate() {
+    for i in 0..cluster.nodes.len() {
         let series_sum: f64 =
             cluster.report_served_series(i).map(|s| s.sum_in(SimTime::ZERO, end)).unwrap_or(0.0);
+        let unsampled = cluster.nodes[i].take_sample().served;
+        let node = &cluster.nodes[i];
+        assert!(node.measured().served < node.life.served, "node {i}: warm-up ops excluded");
         assert_eq!(
-            series_sum as u64 + node.win.served,
-            node.life.served,
-            "node {i}: series + window must equal lifetime"
+            series_sum as u64 + unsampled,
+            node.measured().served,
+            "node {i}: series + unsampled window must equal the measured count"
         );
     }
 }
@@ -144,8 +151,8 @@ fn op_mix_survives_the_pipeline() {
     use dynmds::workload::OpKind;
     let sim = run(StrategyKind::DynamicSubtree, |_| {});
     let counts = &sim.cluster().op_counts;
-    let get = |k: OpKind| counts.get(&k).copied().unwrap_or(0);
-    let total: u64 = counts.values().sum();
+    let get = |k: OpKind| counts[k as usize];
+    let total: u64 = counts.iter().sum();
     assert!(total > 5_000);
     assert!(get(OpKind::Stat) * 2 > total, "stats dominate the served mix");
     let opens = get(OpKind::Open);
