@@ -7,11 +7,11 @@
 //! no engine twin — the op-lifecycle spans, the periodic snapshot series
 //! and the latency and hop histograms sampled at reply time — and
 //! [`ClusterObs::export`] renders the counters over the measurement
-//! window from the engine's values when the run ends. Obs-on and obs-off runs therefore execute the same
-//! counting code. Every hook begins with one branch on whether the layer
-//! is live, so a simulation with observability disabled pays one
-//! predictable untaken branch per hook and nothing else: no allocation,
-//! no hashing, no formatting.
+//! window from the engine's values when the run ends. Obs-on and obs-off
+//! runs therefore execute the same counting code. Every hook begins with
+//! one branch on whether the layer is live, so a simulation with
+//! observability disabled pays one predictable untaken branch per hook
+//! and nothing else: no allocation, no hashing, no formatting.
 //!
 //! Determinism: hooks are called from the (deterministic) event loop and
 //! record integers stamped with the sim clock, so metrics, snapshots and

@@ -18,6 +18,7 @@ struct Metric {
     /// One slot per MDS, or a single slot for scalars.
     slots: Vec<u64>,
 }
+
 struct Histogram {
     name: &'static str,
     /// Inclusive upper bounds, strictly increasing; a final implicit
