@@ -100,7 +100,6 @@ pub fn run_elasticity(
     threads: Option<usize>,
 ) -> Vec<ElasticityPoint> {
     crate::parallel::install_shard_driver();
-    let (period, night_mult) = diurnal_shape(scale);
     let mut strategies: Vec<StrategyKind> = StrategyKind::ALL.to_vec();
     strategies.push(StrategyKind::ElasticSubtree);
     strategies
@@ -108,28 +107,41 @@ pub fn run_elasticity(
         .map(|strategy| {
             eprintln!("elasticity: {} on the diurnal workload...", strategy.label());
             let cfg = elasticity_config(strategy, scale);
-            let snap = scaling_snapshot(&cfg, scale);
-            let n_clients = cfg.n_clients as usize;
-            let homes = snap.user_homes.clone();
-            let shared = snap.shared_roots.clone();
-            let wl_seed = cfg.seed ^ 0x17;
-            let sim = ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
-                Box::new(DiurnalWorkload::new(
-                    GeneralWorkload::new(
-                        WorkloadConfig { seed: wl_seed, ..Default::default() },
-                        n_clients,
-                        &homes,
-                        &shared,
-                        ns,
-                    ),
-                    period,
-                    night_mult,
-                ))
-            });
-            let report = sim.run_measured(scale.warmup(), scale.measure());
+            let report = run_diurnal(cfg, scale, shards, threads);
             ElasticityPoint { label: strategy.to_string(), report }
         })
         .collect()
+}
+
+/// One row of the elasticity figure: `cfg` (normally
+/// [`elasticity_config`]'s) drives the diurnal workload over its scaling
+/// snapshot through warm-up and measurement.
+pub fn run_diurnal(
+    cfg: SimConfig,
+    scale: ExperimentScale,
+    shards: usize,
+    threads: Option<usize>,
+) -> ShardReport {
+    let (period, night_mult) = diurnal_shape(scale);
+    let snap = scaling_snapshot(&cfg, scale);
+    let n_clients = cfg.n_clients as usize;
+    let homes = snap.user_homes.clone();
+    let shared = snap.shared_roots.clone();
+    let wl_seed = cfg.seed ^ 0x17;
+    let sim = ShardedSimulation::new(cfg, shards, threads, snap, &move |ns| {
+        Box::new(DiurnalWorkload::new(
+            GeneralWorkload::new(
+                WorkloadConfig { seed: wl_seed, ..Default::default() },
+                n_clients,
+                &homes,
+                &shared,
+                ns,
+            ),
+            period,
+            night_mult,
+        ))
+    });
+    sim.run_measured(scale.warmup(), scale.measure())
 }
 
 /// Renders the elasticity table (and CSV): cost against latency per

@@ -10,7 +10,7 @@ use dynmds::harness::availability::{availability_table, default_schedule, run_av
 use dynmds::harness::ExperimentScale;
 use dynmds::namespace::{MdsId, NamespaceSpec};
 use dynmds::partition::StrategyKind;
-use dynmds::workload::{GeneralWorkload, WorkloadConfig};
+use dynmds::workload::{GeneralWorkload, Workload, WorkloadConfig};
 
 fn config(strategy: StrategyKind) -> SimConfig {
     let mut cfg = SimConfig::small(strategy);
@@ -211,4 +211,60 @@ fn sharded_engine_rejects_a_churn_range_past_the_cluster() {
     cfg.faults = FaultSchedule::parse("churn:mtbf=4s,mttr=1s,nodes=4-5").unwrap();
     let snap = NamespaceSpec::with_target_items(32, 8_000, 5).generate();
     ShardedSimulation::new(cfg, 2, Some(1), snap, &|_| unreachable!("checked before any workload"));
+}
+
+/// Runs `simulate` with `args` and returns its stdout.
+fn simulate_stdout(args: &[&str]) -> String {
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .output()
+        .expect("spawn simulate");
+    assert!(run.status.success(), "simulate failed: {}", String::from_utf8_lossy(&run.stderr));
+    String::from_utf8(run.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn fail_and_recover_flags_spell_a_fault_schedule() {
+    // A crash at 5 s meets the legacy engine's first heartbeat, which is
+    // queued at construction: both spellings must order it the same way.
+    let sizing =
+        ["--mds", "4", "--clients", "24", "--items", "8000", "--seconds", "8", "--warmup", "2"];
+    for engine in [&["--shards", "0"][..], &["--shards", "2"]] {
+        let run = |faults: &[&str]| simulate_stdout(&[&sizing[..], engine, faults].concat());
+        let flags = run(&["--fail", "1@5", "--recover", "1@7"]);
+        let spec = run(&["--faults", "crash:1@5s;recover:1@7s"]);
+        assert_eq!(flags, spec, "{engine:?}: --fail/--recover and --faults differ");
+    }
+}
+
+#[test]
+fn crashing_every_node_leaves_one_serving_on_both_engines() {
+    // The second crash would take the last live node: both engines skip
+    // it, so the measured window after it still completes operations.
+    let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+    cfg.n_mds = 2;
+    cfg.n_clients = 12;
+    cfg.seed = 55;
+    cfg.faults = FaultSchedule::parse("crash:0@3s;crash:1@4s").unwrap();
+    let snapshot = || NamespaceSpec::with_target_items(12, 4_000, 5).generate();
+    let snap = snapshot();
+    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+    let make = move |ns: &dynmds::namespace::Namespace| -> Box<dyn Workload + Send> {
+        Box::new(GeneralWorkload::new(
+            WorkloadConfig { seed: 56, ..Default::default() },
+            12,
+            &homes,
+            &shared,
+            ns,
+        ))
+    };
+    let (warmup, measure) = (SimDuration::from_millis(4_500), SimDuration::from_secs(2));
+    let legacy =
+        Simulation::new(cfg.clone(), snapshot(), make(&snap.ns)).run_measured(warmup, measure);
+    let served: Vec<u64> = legacy.nodes.iter().map(|n| n.served).collect();
+    assert!(served[0] == 0 && served[1] > 0, "legacy: node 1 serves alone: {served:?}");
+    let sharded =
+        ShardedSimulation::new(cfg, 2, Some(1), snap, &make).run_measured(warmup, measure);
+    let served: Vec<u64> = sharded.nodes.iter().map(|n| n.served).collect();
+    assert!(served[0] == 0 && served[1] > 0, "sharded: node 1 serves alone: {served:?}");
 }

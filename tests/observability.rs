@@ -9,6 +9,8 @@ use std::process::Command;
 
 use dynmds::core::{ObsExport, SimConfig, Simulation};
 use dynmds::event::SimTime;
+use dynmds::harness::elasticrun::{elasticity_config, run_diurnal};
+use dynmds::harness::ExperimentScale;
 use dynmds::namespace::{MdsId, NamespaceSpec};
 use dynmds::obs::ObsConfig;
 use dynmds::partition::StrategyKind;
@@ -125,8 +127,10 @@ fn parse_per_mds(line: &str) -> Vec<u64> {
 /// (churn, disk and network faults, op-trace spans on) and a run with
 /// every optional subsystem that has obs counters (a 2-proxy tier,
 /// shared writes, leases, dynamic directory hashing). Sharded engine:
-/// CI's elasticity-smoke run (the heartbeat load feeds the elastic
-/// controller) and its hotspot-smoke run (balancer and proxy flush).
+/// CI's shard-count fault storm at four shards (churn, disk and network
+/// faults) and its hotspot-smoke run (balancer and proxy flush; 14 s,
+/// so heartbeats after the first hot-item announcement flush). The
+/// sharded elastic golden is a library run, [`regenerate_elastic_row`].
 const GOLDEN_OBS_RUNS: &[(&str, &[&str])] = &[
     (
         "fault_storm",
@@ -145,17 +149,19 @@ const GOLDEN_OBS_RUNS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "sharded_elastic",
+        "sharded_faults",
         &[
-            "--shards", "4", "--strategy", "elastic", "--workload", "diurnal", "--mds", "6",
-            "--clients", "36", "--items", "9000", "--seconds", "6", "--warmup", "2", "--obs",
+            "--shards", "4", "--mds", "4", "--clients", "24", "--items", "6000", "--seconds", "6",
+            "--warmup", "2", "--leases", "--faults",
+            "churn:mtbf=5s,mttr=1s,seed=9,until=8s,nodes=2-3;disk:lat=3x,err=0.01@2s..5s;net:loss=0.02@3s..7s",
+            "--obs",
         ],
     ),
     (
         "sharded_proxy",
         &[
             "--shards", "4", "--proxy", "2", "--mds", "6", "--clients", "36", "--items", "9000",
-            "--seconds", "6", "--warmup", "2", "--obs",
+            "--seconds", "14", "--warmup", "2", "--obs",
         ],
     ),
 ];
@@ -199,14 +205,64 @@ fn regenerate_obs_run(args: &[&str], out: &Path) {
     }
 }
 
+/// The elastic row of the quick elasticity figure at four shards with
+/// metrics on, written as [`regenerate_obs_run`] writes a sharded run.
+/// `simulate`'s sizings stay below the controller's watermarks, so its
+/// elastic runs never scale; this row does.
+fn regenerate_elastic_row(out: &Path) {
+    let _ = std::fs::remove_dir_all(out);
+    std::fs::create_dir_all(out).expect("create output dir");
+    dynmds::harness::parallel::install_shard_driver();
+    let scale = ExperimentScale::Quick;
+    let mut cfg = elasticity_config(StrategyKind::ElasticSubtree, scale);
+    cfg.obs = ObsConfig::metrics_only();
+    let report = run_diurnal(cfg, scale, 4, Some(2));
+    let export = report.obs.as_ref().expect("metrics on");
+    std::fs::write(out.join("obs_metrics.jsonl"), &export.metrics_jsonl).expect("write metrics");
+    std::fs::write(out.join("obs_snapshots.jsonl"), &export.snapshots_jsonl)
+        .expect("write snapshots");
+    std::fs::write(out.join("summary.txt"), format!("{}\n{}\n", report.render(), export.summary))
+        .expect("write summary");
+}
+
+/// The two sharded goldens that pin a controller must show it acting:
+/// proxy flushes delivered, or elastic scale actions taken. A golden of
+/// an idle controller pins nothing of its path.
+fn assert_controller_acted(run: &str, summary: &str) {
+    let count_after = |label: &str| -> u64 {
+        let at = summary.find(label).unwrap_or_else(|| panic!("{run}: no `{label}` in summary"));
+        let digits: String = summary[at + label.len()..]
+            .chars()
+            .skip_while(|c| *c == ' ')
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap_or_else(|e| panic!("{run}: `{label}` count: {e}"))
+    };
+    match run {
+        "sharded_proxy" => assert!(count_after("flushed") > 0, "{run}: no proxy flush"),
+        "sharded_elastic" => assert!(
+            count_after("scale-outs") + count_after("scale-ins") > 0,
+            "{run}: the controller never scaled"
+        ),
+        _ => {}
+    }
+}
+
 #[test]
 fn obs_exports_match_golden() {
     let root = env!("CARGO_MANIFEST_DIR");
     let mut mismatched = Vec::new();
-    for (run, args) in GOLDEN_OBS_RUNS {
+    let mut runs: Vec<(&str, Box<dyn Fn(&Path)>)> = GOLDEN_OBS_RUNS
+        .iter()
+        .map(|&(run, args)| (run, Box::new(move |out: &Path| regenerate_obs_run(args, out)) as _))
+        .collect();
+    runs.push(("sharded_elastic", Box::new(regenerate_elastic_row)));
+    for (run, regenerate) in runs {
         let golden = Path::new(root).join("tests/golden/obs").join(run);
         let actual = Path::new(root).join("target/golden-actual/obs").join(run);
-        regenerate_obs_run(args, &actual);
+        regenerate(&actual);
+        let summary = std::fs::read_to_string(actual.join("summary.txt")).expect("read summary");
+        assert_controller_acted(run, &summary);
         let mut files: Vec<String> = std::fs::read_dir(&actual)
             .expect("list regenerated exports")
             .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
