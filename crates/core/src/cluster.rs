@@ -26,15 +26,16 @@ use dynmds_metrics::{Summary, TimeSeries};
 use dynmds_namespace::{
     ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Namespace, Permissions, Snapshot,
 };
+use dynmds_obs::span::NO_MDS;
 use dynmds_partition::{dentry_hash, Partition, StrategyKind};
-use dynmds_storage::{AnchorTable, DiskFault, MetadataStore, OsdPool, StoreLayout};
+use dynmds_storage::{AnchorTable, MetadataStore, OsdPool, StoreLayout};
 use dynmds_workload::{Op, Workload};
 
 use crate::client::{ClientPool, KnownLocation};
 use crate::config::SimConfig;
-use crate::fault::{DiskScope, NetFaultSpec};
+use crate::fault::NetFaultSpec;
 use crate::node::MdsNode;
-use crate::obs::ClusterObs;
+use crate::obs::{ClusterObs, SpanStage};
 use crate::report::SimReport;
 use crate::request::{Request, SimEvent};
 
@@ -437,7 +438,8 @@ impl Cluster {
         {
             let local = SimDuration::from_micros(20);
             self.latency.record(local.as_secs_f64());
-            self.obs.on_lease_local(now, now + local, client.0);
+            self.obs.span(client.0, SpanStage::LeaseLocal, now, NO_MDS);
+            self.obs.finish(client.0, SpanStage::Reply, now + local, NO_MDS);
             queue.schedule(now + local, SimEvent::Reply { client });
             return;
         }
@@ -614,7 +616,7 @@ impl Cluster {
             // Terminal outcome: the op is abandoned. No latency sample is
             // recorded (the op never completed) and the client moves on.
             self.counters.gave_up += 1;
-            self.obs.on_gave_up(detect_at, req.client.0);
+            self.obs.finish(req.client.0, SpanStage::GaveUp, detect_at, NO_MDS);
             if let Some(p) = self.probe.as_deref_mut() {
                 p.on_gave_up(detect_at, req.client, req.retries, self.cfg.retry.max_retries);
             }
@@ -622,7 +624,7 @@ impl Cluster {
             return;
         }
         self.counters.retries += 1;
-        self.obs.on_retry(detect_at, req.client.0);
+        self.obs.span(req.client.0, SpanStage::Retry, detect_at, NO_MDS);
         let delay = self.cfg.retry.delay(req.retries, &mut self.fault_rng);
         let heir = self.live_authority(self.authority_for_op(&req.op));
         self.send_to_mds(detect_at + delay, heir, req, queue);
@@ -644,20 +646,20 @@ impl Cluster {
         // dying nodes must not evade the forwarding bound.
         if !self.alive[mds.index()] {
             self.counters.failover_timeouts += 1;
-            self.obs.on_dead_timeout(now, req.client.0, mds);
+            self.obs.span(req.client.0, SpanStage::DeadTimeout, now, mds.0);
             self.drive_retry(now + crate::failover::FAILOVER_TIMEOUT, req, queue);
             return;
         }
 
         let i = mds.index();
         self.nodes[i].life.received += 1;
-        self.obs.on_arrive(now, req.client.0, mds);
+        self.obs.span(req.client.0, SpanStage::Arrive, now, mds.0);
 
         let target = req.op.target();
         if !self.ns.is_alive(target) {
             // Raced with an unlink: cheap ESTALE reply.
             self.counters.estale += 1;
-            self.obs.on_estale(now, req.client.0, mds);
+            self.obs.span(req.client.0, SpanStage::Estale, now, mds.0);
             let done = self.nodes[i].occupy(now, self.cfg.costs.cpu_forward);
             self.finish(now, mds, req, done, queue);
             return;
@@ -674,7 +676,7 @@ impl Cluster {
             // Forward to the authority (§4.2: "it will ordinarily forward
             // the request to the authority").
             self.nodes[i].life.forwarded += 1;
-            self.obs.on_forward(now, req.client.0, mds);
+            self.obs.span(req.client.0, SpanStage::Forward, now, mds.0);
             if let Some(p) = self.probe.as_deref_mut() {
                 p.on_forward(now, req.client);
             }
@@ -709,7 +711,7 @@ impl Cluster {
         // ---- prefix handling ------------------------------------------
         if self.cfg.strategy.needs_path_traversal() {
             let tdone = self.traverse(now, mds, target);
-            self.obs.on_traverse(tdone, req.client.0, mds);
+            self.obs.span(req.client.0, SpanStage::Traverse, tdone, mds.0);
             io_done = io_done.max(tdone);
             // POSIX permission verification over the (now cached) prefix;
             // the outcome only shapes the reply, not the cost.
@@ -747,7 +749,8 @@ impl Cluster {
         let misses_before = self.nodes[i].life.target_misses;
         io_done = io_done.max(self.access_target(now, mds, &req.op));
         let hit = self.nodes[i].life.target_misses == misses_before;
-        self.obs.on_target_probe(now, req.client.0, mds, hit);
+        let probe = if hit { SpanStage::CacheHit } else { SpanStage::CacheMiss };
+        self.obs.span(req.client.0, probe, now, mds.0);
 
         // ---- mutation + journal commit ---------------------------------
         if req.op.is_update() {
@@ -1164,7 +1167,7 @@ impl Cluster {
         let jdone = self.nodes[i].journal_disk.access(now, dynmds_storage::AccessKind::Write);
         self.nodes[i].life.journal_commits += 1;
         self.nodes[i].life.journal_writebacks += writebacks.len() as u64;
-        self.obs.on_journal_commit(jdone, req.client.0, mds);
+        self.obs.span(req.client.0, SpanStage::Journal, jdone, mds.0);
         // Retired entries stream to tier 2 asynchronously (don't block the
         // reply, do consume pool throughput).
         for wb in writebacks {
@@ -1314,20 +1317,6 @@ impl Cluster {
         queue.schedule(arrive, SimEvent::Reply { client: req.client });
     }
 
-    /// Applies (or clears) a disk degradation window on the given scope.
-    /// Seeds derive from the run seed so replays are identical.
-    fn set_disk_fault(&mut self, scope: DiskScope, fault: Option<DiskFault>) {
-        let base = self.cfg.seed ^ 0xD15C;
-        if matches!(scope, DiskScope::Osd | DiskScope::All) {
-            self.store.set_pool_fault(fault, base);
-        }
-        if matches!(scope, DiskScope::Journal | DiskScope::All) {
-            for (i, n) in self.nodes.iter_mut().enumerate() {
-                n.journal_disk.set_fault(fault, base ^ ((i as u64 + 1) << 32));
-            }
-        }
-    }
-
     fn on_sample(&mut self, now: SimTime, queue: &mut EventQueue<SimEvent>) {
         let track = self.obs.enabled();
         let mut loads: Vec<u64> = Vec::new();
@@ -1401,10 +1390,7 @@ impl Cluster {
                 queue.schedule(now + self.cfg.heartbeat, SimEvent::Heartbeat);
             }
             SimEvent::Sample => self.on_sample(now, queue),
-            SimEvent::Fail(mds) => self.try_fail_node(now, mds),
-            SimEvent::Recover(mds) => self.recover_node(now, mds),
-            SimEvent::SetDiskFault { scope, fault } => self.set_disk_fault(scope, fault),
-            SimEvent::SetNetFault(spec) => self.net_fault = spec,
+            SimEvent::Fault(step) => self.apply_fault(now, step),
             SimEvent::NetDup { mds } => {
                 // A duplicated delivery: the server spends a discard's
                 // worth of CPU recognizing the replayed request.

@@ -24,9 +24,11 @@
 use dynmds_cache::InsertKind;
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::{InodeId, MdsId};
+use dynmds_storage::DiskFault;
 
 use crate::cluster::Cluster;
 use crate::config::MIGRATE_PER_ITEM;
+use crate::fault::{crash_applies, live_in_ring, DiskScope, FaultStep};
 
 /// How long a client-side request waits on a dead node before being
 /// re-driven at the live authority.
@@ -43,21 +45,10 @@ impl Cluster {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Maps an authority to a live node: the authority itself when up,
-    /// otherwise the next live node in ring order (every client and
-    /// server can compute this identically).
+    /// Maps an authority to a live node by the ring walk
+    /// ([`live_in_ring`]); with no live node, the authority itself.
     pub fn live_authority(&self, auth: MdsId) -> MdsId {
-        if self.alive[auth.index()] {
-            return auth;
-        }
-        let n = self.nodes.len();
-        for step in 1..n {
-            let cand = (auth.index() + step) % n;
-            if self.alive[cand] {
-                return MdsId(cand as u16);
-            }
-        }
-        auth // no live node: degenerate, caller's problem
+        live_in_ring(&self.alive, auth).unwrap_or(auth)
     }
 
     /// Subtree roots `mds` currently hosts beyond its initial assignment
@@ -66,15 +57,32 @@ impl Cluster {
         &self.imported[mds.index()]
     }
 
-    /// Event-path variant of [`fail_node`] for generated churn: a crash
-    /// that would kill the last live node is skipped instead of panicking
-    /// — a random schedule may legitimately line up every node's
-    /// down-time.
-    ///
-    /// [`fail_node`]: Cluster::fail_node
-    pub fn try_fail_node(&mut self, now: SimTime, mds: MdsId) {
-        if self.alive[mds.index()] && self.live_nodes() > 1 {
-            self.fail_node(now, mds);
+    /// Applies one step of the fault schedule. A crash obeys the crash
+    /// rule of both engines ([`crash_applies`]).
+    pub(crate) fn apply_fault(&mut self, now: SimTime, step: FaultStep) {
+        match step {
+            FaultStep::Crash(mds) => {
+                if crash_applies(&self.alive, mds) {
+                    self.fail_node(now, mds);
+                }
+            }
+            FaultStep::Recover(mds) => self.recover_node(now, mds),
+            FaultStep::Disk { scope, fault } => self.set_disk_fault(scope, fault),
+            FaultStep::Net(spec) => self.net_fault = spec,
+        }
+    }
+
+    /// Applies (or clears) a disk degradation window on the given scope.
+    /// Seeds derive from the run seed so replays are identical.
+    fn set_disk_fault(&mut self, scope: DiskScope, fault: Option<DiskFault>) {
+        let base = self.cfg.seed ^ 0xD15C;
+        if matches!(scope, DiskScope::Osd | DiskScope::All) {
+            self.store.set_pool_fault(fault, base);
+        }
+        if matches!(scope, DiskScope::Journal | DiskScope::All) {
+            for (i, n) in self.nodes.iter_mut().enumerate() {
+                n.journal_disk.set_fault(fault, base ^ ((i as u64 + 1) << 32));
+            }
         }
     }
 

@@ -85,7 +85,7 @@ pub struct NetFaultSpec {
 /// One scheduled fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
-    /// MDS `mds` crashes at `at` (skipped if it is the last live node).
+    /// MDS `mds` crashes at `at` (skipped under [`crash_applies`]).
     Crash { at: SimTime, mds: MdsId },
     /// MDS `mds` comes back at `at`.
     Recover { at: SimTime, mds: MdsId },
@@ -93,6 +93,45 @@ pub enum FaultEvent {
     DiskDegrade { from: SimTime, until: SimTime, fault: DiskFault, scope: DiskScope },
     /// Messages are lost/duplicated during `[from, until)`.
     NetFault { from: SimTime, until: SimTime, spec: NetFaultSpec },
+}
+
+/// One timed step of a fault schedule: what both engines apply at a
+/// step's time. A disk or network window is two steps, on (`Some`) and
+/// off (`None`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FaultStep {
+    /// The node crashes, unless [`crash_applies`] says to skip it.
+    Crash(MdsId),
+    /// The node comes back (a no-op when it is up).
+    Recover(MdsId),
+    /// Install or clear a disk degradation on the devices in `scope`.
+    Disk {
+        /// Which devices the window covers.
+        scope: DiskScope,
+        /// The degradation, or `None` to restore nominal service.
+        fault: Option<DiskFault>,
+    },
+    /// Install or clear the network fault on the client↔MDS edges.
+    Net(Option<NetFaultSpec>),
+}
+
+/// The crash rule of both engines: a crash of a node that is already
+/// down, or of the last live node, is skipped. A generated schedule may
+/// line up every node's down time, and a cluster with no live node has
+/// nowhere to send a request.
+pub fn crash_applies(alive: &[bool], mds: MdsId) -> bool {
+    alive[mds.index()] && alive.iter().filter(|&&a| a).count() > 1
+}
+
+/// The ring walk of both engines: `m` when it is alive, otherwise the
+/// next live node after it in ring order, `None` when every node is
+/// down. Every client and server computes it identically.
+pub fn live_in_ring(alive: &[bool], m: MdsId) -> Option<MdsId> {
+    if alive[m.index()] {
+        return Some(m);
+    }
+    let n = alive.len();
+    (1..n).map(|d| (m.index() + d) % n).find(|&i| alive[i]).map(|i| MdsId(i as u16))
 }
 
 /// Seeded random crash/recover churn: per-node alternating up/down
@@ -181,6 +220,30 @@ impl FaultSchedule {
             }
         }
         out
+    }
+
+    /// The timed steps both engines apply to an `n_mds`-node cluster:
+    /// each [`expanded`](Self::expanded) event in order, a window as its
+    /// on and off steps, stably sorted by time (same-time steps keep
+    /// schedule order).
+    pub fn steps(&self, n_mds: usize) -> Vec<(SimTime, FaultStep)> {
+        let mut steps = Vec::new();
+        for ev in self.expanded(n_mds) {
+            match ev {
+                FaultEvent::Crash { at, mds } => steps.push((at, FaultStep::Crash(mds))),
+                FaultEvent::Recover { at, mds } => steps.push((at, FaultStep::Recover(mds))),
+                FaultEvent::DiskDegrade { from, until, fault, scope } => {
+                    steps.push((from, FaultStep::Disk { scope, fault: Some(fault) }));
+                    steps.push((until, FaultStep::Disk { scope, fault: None }));
+                }
+                FaultEvent::NetFault { from, until, spec } => {
+                    steps.push((from, FaultStep::Net(Some(spec))));
+                    steps.push((until, FaultStep::Net(None)));
+                }
+            }
+        }
+        steps.sort_by_key(|&(at, _)| at);
+        steps
     }
 
     /// Parses a `--faults` spec: `;`-separated entries.
@@ -587,6 +650,44 @@ mod tests {
         assert!(text.starts_with("crash:1@2500000us;recover:1@3100001us;disk:lat=3.25x"), "{text}");
         assert_eq!(FaultSchedule::parse(&text).unwrap(), s);
         assert_eq!(FaultSchedule::parse(&text).unwrap().to_string(), text);
+    }
+
+    #[test]
+    fn steps_split_windows_and_sort_stably() {
+        let s = FaultSchedule::parse(
+            "net:loss=0.5@2s..4s;crash:1@3s;disk:lat=2x,scope=osd@1s..3s;recover:1@3s",
+        )
+        .unwrap();
+        let net = NetFaultSpec { loss_p: 0.5, dup_p: 0.0 };
+        let disk = DiskFault { latency_mult: 2.0, ..DiskFault::default() };
+        let osd = DiskScope::Osd;
+        assert_eq!(
+            s.steps(2),
+            vec![
+                (SimTime::from_secs(1), FaultStep::Disk { scope: osd, fault: Some(disk) }),
+                (SimTime::from_secs(2), FaultStep::Net(Some(net))),
+                (SimTime::from_secs(3), FaultStep::Crash(MdsId(1))),
+                (SimTime::from_secs(3), FaultStep::Disk { scope: osd, fault: None }),
+                (SimTime::from_secs(3), FaultStep::Recover(MdsId(1))),
+                (SimTime::from_secs(4), FaultStep::Net(None)),
+            ]
+        );
+    }
+
+    #[test]
+    fn crash_rule_skips_dead_and_last_nodes() {
+        assert!(crash_applies(&[true, true], MdsId(0)));
+        assert!(!crash_applies(&[false, true], MdsId(0)), "already down");
+        assert!(!crash_applies(&[false, true], MdsId(1)), "last live node");
+    }
+
+    #[test]
+    fn ring_walk_skips_dead_nodes_and_wraps() {
+        let alive = [true, false, false, true];
+        assert_eq!(live_in_ring(&alive, MdsId(0)), Some(MdsId(0)), "a live node is its own");
+        assert_eq!(live_in_ring(&alive, MdsId(1)), Some(MdsId(3)));
+        assert_eq!(live_in_ring(&[true, false, false], MdsId(1)), Some(MdsId(0)), "wraps");
+        assert_eq!(live_in_ring(&[false; 3], MdsId(2)), None, "no live node");
     }
 
     #[test]

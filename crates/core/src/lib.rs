@@ -49,7 +49,9 @@ pub use failover::FAILOVER_TIMEOUT;
 pub use check::{AppliedOp, DstProbe, DstRecord};
 pub use cluster::{Cluster, MigrationRecord};
 pub use config::{CostModel, ElasticConfig, SimConfig};
-pub use fault::{ChurnSpec, DiskScope, FaultEvent, FaultSchedule, NetFaultSpec, RetryPolicy};
+pub use fault::{
+    ChurnSpec, DiskScope, FaultEvent, FaultSchedule, FaultStep, NetFaultSpec, RetryPolicy,
+};
 pub use obs::{ClusterObs, ObsExport};
 pub use report::{NodeSnapshot, SimReport};
 pub use request::{Request, SimEvent};

@@ -207,69 +207,21 @@ impl ClusterObs {
         }
     }
 
-    /// Attribute read served from the client's own lease.
+    /// Records `stage` of `client`'s open span at `at`, on `mds` (or
+    /// [`NO_MDS`] for a client-side stage).
     #[inline]
-    pub fn on_lease_local(&mut self, now: SimTime, reply_at: SimTime, client: u32) {
+    pub fn span(&mut self, client: u32, stage: SpanStage, at: SimTime, mds: u16) {
         if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::LeaseLocal, now.as_micros(), NO_MDS);
-            spans.finish(client, SpanStage::Reply, reply_at.as_micros(), NO_MDS);
+            spans.event(client, stage, at.as_micros(), mds);
         }
     }
 
-    /// Request arrived at a live MDS.
+    /// Closes `client`'s span with the terminal `stage` at `at`, on
+    /// `mds` (or [`NO_MDS`]).
     #[inline]
-    pub fn on_arrive(&mut self, now: SimTime, client: u32, mds: MdsId) {
+    pub fn finish(&mut self, client: u32, stage: SpanStage, at: SimTime, mds: u16) {
         if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Arrive, now.as_micros(), mds.0);
-        }
-    }
-
-    /// Request addressed a dead node and is being re-driven.
-    #[inline]
-    pub fn on_dead_timeout(&mut self, now: SimTime, client: u32, mds: MdsId) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::DeadTimeout, now.as_micros(), mds.0);
-        }
-    }
-
-    /// Target raced with an unlink.
-    #[inline]
-    pub fn on_estale(&mut self, now: SimTime, client: u32, mds: MdsId) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Estale, now.as_micros(), mds.0);
-        }
-    }
-
-    /// Non-authoritative receiver forwarded the request.
-    #[inline]
-    pub fn on_forward(&mut self, now: SimTime, client: u32, from: MdsId) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Forward, now.as_micros(), from.0);
-        }
-    }
-
-    /// Prefix traversal completed (`done` = its IO completion time).
-    #[inline]
-    pub fn on_traverse(&mut self, done: SimTime, client: u32, mds: MdsId) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Traverse, done.as_micros(), mds.0);
-        }
-    }
-
-    /// The target cache probe resolved (`hit`), at time `now`.
-    #[inline]
-    pub fn on_target_probe(&mut self, now: SimTime, client: u32, mds: MdsId, hit: bool) {
-        if let Some(spans) = self.spans() {
-            let stage = if hit { SpanStage::CacheHit } else { SpanStage::CacheMiss };
-            spans.event(client, stage, now.as_micros(), mds.0);
-        }
-    }
-
-    /// A mutation committed to `mds`'s journal at `done`.
-    #[inline]
-    pub fn on_journal_commit(&mut self, done: SimTime, client: u32, mds: MdsId) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Journal, done.as_micros(), mds.0);
+            spans.finish(client, stage, at.as_micros(), mds);
         }
     }
 
@@ -287,24 +239,6 @@ impl ClusterObs {
         inner.observe_reply(reply_at, issued_at, hops as u64);
         if let Some(spans) = &mut inner.spans {
             spans.finish(client, SpanStage::Reply, reply_at.as_micros(), mds.0);
-        }
-    }
-
-    /// A client re-drove a request after a dead-node timeout or a lost
-    /// message.
-    #[inline]
-    pub fn on_retry(&mut self, now: SimTime, client: u32) {
-        if let Some(spans) = self.spans() {
-            spans.event(client, SpanStage::Retry, now.as_micros(), NO_MDS);
-        }
-    }
-
-    /// A client exhausted its retry budget and abandoned the op: close
-    /// the span with the terminal gave-up stage.
-    #[inline]
-    pub fn on_gave_up(&mut self, now: SimTime, client: u32) {
-        if let Some(spans) = self.spans() {
-            spans.finish(client, SpanStage::GaveUp, now.as_micros(), NO_MDS);
         }
     }
 
@@ -455,7 +389,7 @@ mod tests {
         let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 4, 8);
         assert!(obs.enabled());
         assert!(!obs.tracing());
-        obs.on_arrive(SimTime::from_millis(1), 0, MdsId(1));
+        obs.span(0, SpanStage::Arrive, SimTime::from_millis(1), 1);
         obs.on_reply(SimTime::from_millis(3), 0, MdsId(1), SimTime::from_millis(1), 1);
         let e = obs.export(&c).unwrap();
         assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"per_mds\":[0,1,0,0]"));
@@ -470,8 +404,8 @@ mod tests {
         let mut obs = ClusterObs::new(ObsConfig::full(), 2, 4);
         assert!(obs.tracing());
         obs.on_issue(SimTime::from_micros(10), 3, "stat");
-        obs.on_arrive(SimTime::from_micros(110), 3, MdsId(0));
-        obs.on_target_probe(SimTime::from_micros(110), 3, MdsId(0), true);
+        obs.span(3, SpanStage::Arrive, SimTime::from_micros(110), 0);
+        obs.span(3, SpanStage::CacheHit, SimTime::from_micros(110), 0);
         obs.on_reply(SimTime::from_micros(400), 3, MdsId(0), SimTime::from_micros(10), 0);
         let e = obs.export(&c).unwrap();
         let trace = e.trace_jsonl.unwrap();

@@ -4,6 +4,8 @@ use dynmds_event::SimTime;
 use dynmds_namespace::{ClientId, MdsId};
 use dynmds_workload::Op;
 
+use crate::fault::FaultStep;
+
 /// One in-flight client request.
 #[derive(Clone, Debug)]
 pub struct Request {
@@ -46,22 +48,10 @@ pub enum SimEvent {
     Heartbeat,
     /// Metrics sampling tick.
     Sample,
-    /// Fault injection: the node dies (§2.1.2).
-    Fail(MdsId),
-    /// Fault injection: the node comes back and warms its cache from its
-    /// journal (§4.6).
-    Recover(MdsId),
-    /// Fault injection: install (`Some`) or clear (`None`) a disk
-    /// degradation window on the given scope.
-    SetDiskFault {
-        /// Which devices the window covers.
-        scope: crate::fault::DiskScope,
-        /// The degradation, or `None` to restore nominal service.
-        fault: Option<dynmds_storage::DiskFault>,
-    },
-    /// Fault injection: install (`Some`) or clear (`None`) the network
-    /// fault window on the client↔MDS edges.
-    SetNetFault(Option<crate::fault::NetFaultSpec>),
+    /// Fault injection: one step of the run's fault schedule — a crash
+    /// (§2.1.2), a recovery warm from the journal (§4.6), or a disk or
+    /// network window opening or closing.
+    Fault(FaultStep),
     /// A duplicated request delivery: the server burns CPU discarding it
     /// (the original carries the real work).
     NetDup {

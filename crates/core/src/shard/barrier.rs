@@ -6,23 +6,12 @@ use dynmds_cache::MetaCache;
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
 use dynmds_partition::StrategyKind;
-use dynmds_storage::DiskFault;
 
 use super::event::{proxy_rank, Ev};
 use super::{owner, ShardedSimulation, SNAP_FIELDS};
 use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MISS_WEIGHT};
 use crate::elastic::ScaleAction;
-use crate::fault::{DiskScope, NetFaultSpec};
-
-/// A scheduled global step, applied at the first window barrier at or
-/// after its timestamp (the grid is K-independent, so the quantization
-/// is identical for every shard count).
-pub(super) enum Step {
-    Crash(MdsId),
-    Recover(MdsId),
-    Disk { scope: DiskScope, fault: Option<DiskFault>, node_salt: u64 },
-    Net(Option<NetFaultSpec>),
-}
+use crate::fault::{crash_applies, live_in_ring, DiskScope, FaultStep};
 
 impl ShardedSimulation {
     /// Recomputes the next-due-step calendar after anything that moves
@@ -40,38 +29,8 @@ impl ShardedSimulation {
             return;
         }
         while self.next_step < self.steps.len() && self.steps[self.next_step].0 <= now {
-            match &self.steps[self.next_step] {
-                (_, Step::Crash(m)) => {
-                    let m = *m;
-                    self.crash(m);
-                }
-                (_, Step::Recover(m)) => {
-                    let m = *m;
-                    self.world.alive[m.index()] = true;
-                    // A recovered node is back in service whatever took it
-                    // out; scaling re-parks it if the load doesn't justify
-                    // the capacity.
-                    self.world.elastic.members[m.index()] = true;
-                }
-                (_, Step::Disk { scope, fault, node_salt }) => {
-                    let (scope, fault, salt) = (*scope, *fault, *node_salt);
-                    for shard in &mut self.shards {
-                        for n in &mut shard.nodes {
-                            let node_seed =
-                                salt ^ (n.m.id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                            match scope {
-                                DiskScope::Osd => n.osd.set_fault(fault, node_seed),
-                                DiskScope::Journal => n.m.journal_disk.set_fault(fault, node_seed),
-                                DiskScope::All => {
-                                    n.osd.set_fault(fault, node_seed);
-                                    n.m.journal_disk.set_fault(fault, node_seed ^ 1);
-                                }
-                            }
-                        }
-                    }
-                }
-                (_, Step::Net(spec)) => self.world.net = *spec,
-            }
+            let step = self.steps[self.next_step].1;
+            self.apply_fault(step);
             self.next_step += 1;
         }
         let w = self.world.window_us;
@@ -86,14 +45,54 @@ impl ShardedSimulation {
         self.recompute_next_due();
     }
 
-    /// Node failure: mark dead, drop its cache, and hand its delegations
-    /// to the next live node in the ring (subtree strategies).
+    /// Applies one step of the fault schedule, at the first window
+    /// barrier at or after its time (the grid is K-independent, so the
+    /// quantization is identical for every shard count).
+    fn apply_fault(&mut self, step: FaultStep) {
+        match step {
+            FaultStep::Crash(m) => self.crash(m),
+            FaultStep::Recover(m) => {
+                self.world.alive[m.index()] = true;
+                // A recovered node is back in service whatever took it
+                // out; scaling re-parks it if the load doesn't justify
+                // the capacity.
+                self.world.elastic.members[m.index()] = true;
+            }
+            FaultStep::Disk { scope, fault } => {
+                let salt = self.world.cfg.seed ^ 0xD15C;
+                for shard in &mut self.shards {
+                    for n in &mut shard.nodes {
+                        let node_seed =
+                            salt ^ (n.m.id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        match scope {
+                            DiskScope::Osd => n.osd.set_fault(fault, node_seed),
+                            DiskScope::Journal => n.m.journal_disk.set_fault(fault, node_seed),
+                            DiskScope::All => {
+                                n.osd.set_fault(fault, node_seed);
+                                n.m.journal_disk.set_fault(fault, node_seed ^ 1);
+                            }
+                        }
+                    }
+                }
+            }
+            FaultStep::Net(spec) => self.world.net = spec,
+        }
+    }
+
+    /// Node failure under the crash rule of both engines
+    /// ([`crash_applies`]): mark dead, drop its cache, and hand its
+    /// delegations to the next live node in the ring (subtree
+    /// strategies).
     fn crash(&mut self, dead: MdsId) {
+        if !crash_applies(&self.world.alive, dead) {
+            return;
+        }
         self.world.alive[dead.index()] = false;
         // A crashed node loses its in-memory state.
         self.node_mut(dead).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
         // The next live node in the ring inherits (`dead` is already down).
-        let Some(heir) = self.live_ring(dead) else { return };
+        let heir =
+            live_in_ring(&self.world.alive, dead).expect("the crash rule leaves a live node");
         let moves: Vec<_> = match self.world.partition.as_subtree() {
             Some(sp) => sp.delegations_of(dead).into_iter().map(|r| (r, dead, heir)).collect(),
             None => return,
@@ -208,7 +207,7 @@ impl ShardedSimulation {
                 let p = self.shards[s].proxy_lo + i as u16;
                 for (item, delta) in drained {
                     let auth = self.world.partition.authority(item);
-                    let Some(auth) = self.live_ring(auth) else { continue };
+                    let Some(auth) = live_in_ring(&self.world.alive, auth) else { continue };
                     let px = &mut self.shards[s].proxies[i];
                     let seq = px.send_seq;
                     px.send_seq += 1;
@@ -219,13 +218,6 @@ impl ShardedSimulation {
                 }
             }
         }
-    }
-
-    /// First live node at or after `m` in the ring (`None` when the
-    /// whole cluster is down).
-    fn live_ring(&self, m: MdsId) -> Option<MdsId> {
-        let n = self.world.cfg.n_mds as usize;
-        (0..n).map(|d| (m.index() + d) % n).find(|&i| self.world.alive[i]).map(|i| MdsId(i as u16))
     }
 
     /// Scale-out: a standby node rejoins and is handed back the

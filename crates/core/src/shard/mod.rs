@@ -84,10 +84,9 @@ use dynmds_workload::Workload;
 
 use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
-use crate::fault::FaultEvent;
+use crate::fault::FaultStep;
 use crate::node::MdsNode;
 
-use barrier::Step;
 use driver::DRIVER;
 pub use driver::{install_parallel_driver, ParallelDriver};
 use event::{Ev, Mail};
@@ -134,7 +133,7 @@ pub struct ShardedSimulation {
     mail_due: u64,
     counts: RunCounts,
     now_us: u64,
-    steps: Vec<(u64, Step)>,
+    steps: Vec<(u64, FaultStep)>,
     next_step: usize,
     next_heartbeat: u64,
     next_sample: u64,
@@ -248,24 +247,8 @@ impl ShardedSimulation {
             });
         }
 
-        let mut steps: Vec<(u64, Step)> = Vec::new();
-        for ev in cfg.faults.expanded(n_mds) {
-            match ev {
-                FaultEvent::Crash { at, mds } => steps.push((at.as_micros(), Step::Crash(mds))),
-                FaultEvent::Recover { at, mds } => steps.push((at.as_micros(), Step::Recover(mds))),
-                FaultEvent::DiskDegrade { from, until, fault, scope } => {
-                    for (at, fault) in [(from, Some(fault)), (until, None)] {
-                        let node_salt = cfg.seed ^ 0xD15C;
-                        steps.push((at.as_micros(), Step::Disk { scope, fault, node_salt }));
-                    }
-                }
-                FaultEvent::NetFault { from, until, spec } => {
-                    steps.push((from.as_micros(), Step::Net(Some(spec))));
-                    steps.push((until.as_micros(), Step::Net(None)));
-                }
-            }
-        }
-        steps.sort_by_key(|(t, _)| *t); // stable: ties keep schedule order
+        let steps =
+            cfg.faults.steps(n_mds).into_iter().map(|(at, s)| (at.as_micros(), s)).collect();
 
         let snapshots =
             if cfg.obs.metrics { Some(SnapshotSeries::new(SNAP_FIELDS, n_mds)) } else { None };
@@ -336,11 +319,6 @@ impl ShardedSimulation {
     fn node_mut(&mut self, m: MdsId) -> &mut ShardNode {
         let s = owner(m.index(), self.world.cfg.n_mds as usize, self.shards.len());
         self.shards[s].node(m)
-    }
-
-    /// Actual shard count after clamping.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Windows and events executed so far. The executed-window total
@@ -545,7 +523,7 @@ mod tests {
     #[test]
     fn shard_count_clamps_to_node_count() {
         let sim = build(StrategyKind::DynamicSubtree, 64, false);
-        assert_eq!(sim.shard_count(), 4, "small config has 4 nodes");
+        assert_eq!(sim.shards.len(), 4, "small config has 4 nodes");
     }
 
     #[test]

@@ -54,27 +54,10 @@ impl Simulation {
         let sample = cfg.sample_every;
         let mut q = EventQueue::new();
         // Expand the fault schedule before `Cluster::new` consumes `cfg`.
-        let fault_events = cfg.faults.expanded(cfg.n_mds as usize);
-        let cluster = Cluster::new(cfg, snapshot, workload);
-        for ev in fault_events {
-            use crate::fault::FaultEvent;
-            match ev {
-                FaultEvent::Crash { at, mds } => {
-                    q.schedule(at, SimEvent::Fail(mds));
-                }
-                FaultEvent::Recover { at, mds } => {
-                    q.schedule(at, SimEvent::Recover(mds));
-                }
-                FaultEvent::DiskDegrade { from, until, fault, scope } => {
-                    q.schedule(from, SimEvent::SetDiskFault { scope, fault: Some(fault) });
-                    q.schedule(until, SimEvent::SetDiskFault { scope, fault: None });
-                }
-                FaultEvent::NetFault { from, until, spec } => {
-                    q.schedule(from, SimEvent::SetNetFault(Some(spec)));
-                    q.schedule(until, SimEvent::SetNetFault(None));
-                }
-            }
+        for (at, step) in cfg.faults.steps(cfg.n_mds as usize) {
+            q.schedule(at, SimEvent::Fault(step));
         }
+        let cluster = Cluster::new(cfg, snapshot, workload);
         for c in 0..n_clients {
             let offset = if n_clients > 1 {
                 SimDuration::from_micros(spread.as_micros() * c as u64 / n_clients as u64)
@@ -126,16 +109,6 @@ impl Simulation {
         n
     }
 
-    /// Schedules a node failure (fault injection).
-    pub fn schedule_failure(&mut self, at: SimTime, mds: dynmds_namespace::MdsId) {
-        self.queue.schedule(at, SimEvent::Fail(mds));
-    }
-
-    /// Schedules a node recovery.
-    pub fn schedule_recovery(&mut self, at: SimTime, mds: dynmds_namespace::MdsId) {
-        self.queue.schedule(at, SimEvent::Recover(mds));
-    }
-
     /// Runs `warmup` of unmeasured time, resets statistics, runs `measure`
     /// more, and reports.
     pub fn run_measured(mut self, warmup: SimDuration, measure: SimDuration) -> SimReport {
@@ -156,6 +129,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultStep;
     use dynmds_namespace::NamespaceSpec;
     use dynmds_partition::StrategyKind;
     use dynmds_workload::{GeneralWorkload, WorkloadConfig};
@@ -280,14 +254,15 @@ mod tests {
     #[test]
     fn run_until_drains_through_the_horizon_and_advances_the_clock() {
         // A hand-built simulation with only inert events queued
-        // (`SetNetFault(None)` schedules nothing), so every count is exact.
+        // (clearing the network fault schedules nothing), so every count
+        // is exact.
         let mut sim = Simulation {
             queue: EventQueue::new(),
             cluster: crate::testutil::tiny_cluster(StrategyKind::DynamicSubtree),
             now: SimTime::ZERO,
         };
         for us in [5, 10, 10, 15] {
-            sim.queue.schedule(SimTime::from_micros(us), SimEvent::SetNetFault(None));
+            sim.queue.schedule(SimTime::from_micros(us), SimEvent::Fault(FaultStep::Net(None)));
         }
         assert_eq!(sim.run_until(SimTime::from_micros(10)), 3, "t=5 and both t=10 events fire");
         assert_eq!(sim.queue.len(), 1, "the t=15 event stays queued");

@@ -150,7 +150,7 @@ pub fn run_ablate_dir_hash(scale: ExperimentScale) -> Vec<AblationPoint> {
 /// snap back to it immediately, so the first seconds after rejoin show a
 /// cold cache vs a journal-warmed one.
 pub fn run_ablate_journal_warming(scale: ExperimentScale) -> Vec<AblationPoint> {
-    use dynmds_core::Simulation;
+    use dynmds_core::{FaultEvent, Simulation};
     use dynmds_event::{SimDuration, SimTime};
     use dynmds_namespace::MdsId;
 
@@ -158,6 +158,12 @@ pub fn run_ablate_journal_warming(scale: ExperimentScale) -> Vec<AblationPoint> 
     parallel_map(&settings, |&(label, warming)| {
         let mut cfg = scaling_config(StrategyKind::FileHash, ABLATE_CLUSTER, scale);
         cfg.journal_warming = warming;
+        let fail_at = SimTime::ZERO + scale.warmup();
+        let back_at = fail_at + SimDuration::from_secs(1);
+        cfg.faults.events = vec![
+            FaultEvent::Crash { at: fail_at, mds: MdsId(0) },
+            FaultEvent::Recover { at: back_at, mds: MdsId(0) },
+        ];
         let snap = crate::params::scaling_snapshot(&cfg, scale);
         // Sticky working sets: the §4.6 claim is that the log approximates
         // the *current* working set, so the workload must not churn its
@@ -175,10 +181,6 @@ pub fn run_ablate_journal_warming(scale: ExperimentScale) -> Vec<AblationPoint> 
             &snap.ns,
         ));
         let mut sim = Simulation::new(cfg, snap, wl);
-        let fail_at = SimTime::ZERO + scale.warmup();
-        let back_at = fail_at + SimDuration::from_secs(1);
-        sim.schedule_failure(fail_at, MdsId(0));
-        sim.schedule_recovery(back_at, MdsId(0));
         // Measure the first seconds after the rejoin: the recovered node
         // is either journal-warmed or stone cold.
         sim.run_until(back_at);

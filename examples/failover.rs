@@ -7,7 +7,7 @@
 //! cargo run --release --example failover
 //! ```
 
-use dynmds::core::{SimConfig, Simulation};
+use dynmds::core::{FaultEvent, SimConfig, Simulation};
 use dynmds::event::{SimDuration, SimTime};
 use dynmds::metrics::AsciiChart;
 use dynmds::namespace::{MdsId, NamespaceSpec};
@@ -24,6 +24,10 @@ fn main() {
     cfg.n_mds = 4;
     cfg.n_clients = 48;
     cfg.seed = 31;
+    cfg.faults.events = vec![
+        FaultEvent::Crash { at: SimTime::from_secs(FAIL_AT), mds: VICTIM },
+        FaultEvent::Recover { at: SimTime::from_secs(RECOVER_AT), mds: VICTIM },
+    ];
     let snapshot = NamespaceSpec::with_target_items(48, 12_000, 8).generate();
     let workload = Box::new(GeneralWorkload::new(
         WorkloadConfig { seed: 32, ..Default::default() },
@@ -33,8 +37,6 @@ fn main() {
         &snapshot.ns,
     ));
     let mut sim = Simulation::new(cfg, snapshot, workload);
-    sim.schedule_failure(SimTime::from_secs(FAIL_AT), VICTIM);
-    sim.schedule_recovery(SimTime::from_secs(RECOVER_AT), VICTIM);
 
     println!(
         "4-node cluster, 48 clients; {VICTIM} dies at t={FAIL_AT}s and returns at t={RECOVER_AT}s\n"

@@ -26,9 +26,9 @@
 //!   --no-balancing      disable the load balancer
 //!   --no-traffic-control  disable flash-crowd replication
 //!   --dir-hash N        hash directories beyond N entries
-//!   --fail MDS@SECS     kill a node mid-run (repeatable)
-//!   --recover MDS@SECS  bring a node back (repeatable)
-//!   --faults SPEC       deterministic fault schedule, `;`-separated:
+//!   --fail MDS@SECS     kill a node mid-run (repeatable; = --faults crash:MDS@SECS)
+//!   --recover MDS@SECS  bring a node back (repeatable; = --faults recover:MDS@SECS)
+//!   --faults SPEC       deterministic fault schedule, `;`-separated (repeatable):
 //!                       crash:MDS@T  recover:MDS@T
 //!                       churn:mtbf=10s,mttr=2s,seed=9,until=30s[,nodes=A-B]
 //!                       disk:lat=4x,iops=0.5x,err=0.01[,scope=osd|journal|all]@FROM..UNTIL
@@ -44,7 +44,7 @@
 //! exports are timestamped with the sim clock and byte-identical across
 //! runs with the same seed.
 
-use dynmds_core::{FaultEvent, ShardedSimulation, SimConfig, Simulation};
+use dynmds_core::{FaultEvent, FaultSchedule, ObsExport, ShardedSimulation, SimConfig, Simulation};
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_metrics::Table;
 use dynmds_namespace::{MdsId, Namespace, NamespaceSpec, Snapshot};
@@ -75,9 +75,8 @@ struct Args {
     no_balancing: bool,
     no_traffic_control: bool,
     dir_hash: usize,
-    /// `--fail` / `--recover`, as scripted crash and recover events.
-    faults: Vec<FaultEvent>,
-    fault_spec: Option<String>,
+    /// `--faults`, `--fail` and `--recover` entries in command-line order.
+    schedule: FaultSchedule,
     obs: dynmds_obs::ObsConfig,
     obs_out: String,
 }
@@ -131,8 +130,7 @@ fn parse_args() -> Args {
         no_balancing: false,
         no_traffic_control: false,
         dir_hash: 0,
-        faults: Vec::new(),
-        fault_spec: None,
+        schedule: FaultSchedule::default(),
         obs: dynmds_obs::ObsConfig::default(),
         obs_out: ".".into(),
     };
@@ -196,13 +194,21 @@ fn parse_args() -> Args {
             }
             "--fail" => {
                 let (mds, at) = parse_fault(&next(&mut it, &f));
-                a.faults.push(FaultEvent::Crash { at, mds });
+                a.schedule.events.push(FaultEvent::Crash { at, mds });
             }
             "--recover" => {
                 let (mds, at) = parse_fault(&next(&mut it, &f));
-                a.faults.push(FaultEvent::Recover { at, mds });
+                a.schedule.events.push(FaultEvent::Recover { at, mds });
             }
-            "--faults" => a.fault_spec = Some(next(&mut it, &f)),
+            "--faults" => {
+                let spec = FaultSchedule::parse(&next(&mut it, &f))
+                    .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}")));
+                if spec.churn.is_some() && a.schedule.churn.is_some() {
+                    usage("bad --faults spec: only one churn entry is allowed");
+                }
+                a.schedule.events.extend(spec.events);
+                a.schedule.churn = a.schedule.churn.or(spec.churn);
+            }
             "--obs" => a.obs.metrics = true,
             "--obs-trace" => {
                 a.obs.metrics = true;
@@ -216,11 +222,14 @@ fn parse_args() -> Args {
     if a.strategy == StrategyKind::ElasticSubtree && a.shards == 0 {
         usage("--strategy elastic needs --shards N (only the sharded engine autoscales)");
     }
+    if let Err(e) = a.schedule.check_nodes(a.n_mds as usize) {
+        usage(&format!("bad fault schedule: {e}"));
+    }
     a
 }
 
 fn main() {
-    let a = parse_args();
+    let mut a = parse_args();
     let mut cfg = SimConfig::small(a.strategy);
     cfg.n_mds = a.n_mds;
     cfg.n_clients = a.n_clients;
@@ -240,15 +249,7 @@ fn main() {
         cfg.traffic_control = false;
     }
     cfg.obs = a.obs;
-    if let Some(spec) = &a.fault_spec {
-        cfg.faults = dynmds_core::FaultSchedule::parse(spec)
-            .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}")));
-    }
-    let mut scheduled = cfg.faults.clone();
-    scheduled.events.extend(&a.faults);
-    if let Err(e) = scheduled.check_nodes(a.n_mds as usize) {
-        usage(&format!("bad fault schedule: {e}"));
-    }
+    cfg.faults = std::mem::take(&mut a.schedule);
 
     let snapshot =
         NamespaceSpec::with_target_items(a.n_clients as usize, a.items, a.seed ^ 0xF5).generate();
@@ -263,51 +264,8 @@ fn main() {
         return;
     }
 
-    let workload: Box<dyn Workload> = match a.workload.as_str() {
-        "general" => Box::new(GeneralWorkload::new(
-            WorkloadConfig { seed: a.seed ^ 0x17, ..Default::default() },
-            a.n_clients as usize,
-            &snapshot.user_homes,
-            &snapshot.shared_roots,
-            &snapshot.ns,
-        )),
-        "diurnal" => Box::new(DiurnalWorkload::new(
-            GeneralWorkload::new(
-                WorkloadConfig { seed: a.seed ^ 0x17, ..Default::default() },
-                a.n_clients as usize,
-                &snapshot.user_homes,
-                &snapshot.shared_roots,
-                &snapshot.ns,
-            ),
-            SimDuration::from_secs(a.diurnal_period),
-            a.night_mult,
-        )),
-        "scientific" => {
-            let shared_dirs: Vec<_> = snapshot
-                .shared_roots
-                .iter()
-                .flat_map(|&r| snapshot.ns.walk(r).filter(|&i| snapshot.ns.is_dir(i)).take(4))
-                .collect();
-            Box::new(ScientificWorkload::new(
-                a.seed ^ 0x17,
-                a.n_clients as usize,
-                &snapshot.user_homes,
-                &shared_dirs,
-                SimDuration::from_secs(8),
-                SimDuration::from_secs(2),
-            ))
-        }
-        other => usage(&format!("unknown workload {other}")),
-    };
-
+    let workload = workload_factory(&a, &snapshot)(&snapshot.ns);
     let mut sim = Simulation::new(cfg, snapshot, workload);
-    for &ev in &a.faults {
-        match ev {
-            FaultEvent::Crash { at, mds } => sim.schedule_failure(at, mds),
-            FaultEvent::Recover { at, mds } => sim.schedule_recovery(at, mds),
-            _ => unreachable!("--fail and --recover script only crashes and recoveries"),
-        }
-    }
     sim.run_until(SimTime::from_secs(a.warmup));
     sim.cluster_mut().reset_measurement(SimTime::from_secs(a.warmup));
     sim.run_until(SimTime::from_secs(a.warmup + a.seconds));
@@ -374,96 +332,90 @@ fn main() {
     println!("\n{}", t.render());
 
     if let Some(export) = &report.obs {
-        println!("\n{}", export.summary);
-        std::fs::create_dir_all(&a.obs_out).expect("create --obs-out dir");
-        let mut outputs = vec![
-            ("obs_metrics.jsonl", &export.metrics_jsonl),
-            ("obs_snapshots.jsonl", &export.snapshots_jsonl),
-        ];
-        if let Some(trace) = &export.trace_jsonl {
-            outputs.push(("obs_trace.jsonl", trace));
-        }
-        for (name, body) in outputs {
-            let path = format!("{}/{name}", a.obs_out);
-            std::fs::write(&path, body).expect("write obs jsonl");
-            eprintln!("wrote {path}");
-        }
+        write_obs(export, &a.obs_out);
     }
 }
 
-/// Per-shard workload builder: each shard gets its own generator, all
-/// seeded identically, over the one namespace snapshot every shard reads.
+/// Prints the obs summary and writes the JSONL exports into `out`.
+fn write_obs(export: &ObsExport, out: &str) {
+    println!("\n{}", export.summary);
+    std::fs::create_dir_all(out).expect("create --obs-out dir");
+    let trace = export.trace_jsonl.as_ref().map(|t| ("obs_trace.jsonl", t));
+    let exports = [
+        ("obs_metrics.jsonl", &export.metrics_jsonl),
+        ("obs_snapshots.jsonl", &export.snapshots_jsonl),
+    ];
+    for (name, body) in exports.into_iter().chain(trace) {
+        let path = format!("{out}/{name}");
+        std::fs::write(&path, body).expect("write obs jsonl");
+        eprintln!("wrote {path}");
+    }
+}
+
+/// Builds the `--workload` generator over a namespace. The legacy engine
+/// calls it once; the sharded engine once per shard, each call seeded
+/// identically over the one snapshot every shard reads.
 type WorkloadFactory = Box<dyn Fn(&Namespace) -> Box<dyn Workload + Send>>;
+
+fn workload_factory(a: &Args, snapshot: &Snapshot) -> WorkloadFactory {
+    let (n_clients, seed) = (a.n_clients as usize, a.seed ^ 0x17);
+    let (homes, shared) = (snapshot.user_homes.clone(), snapshot.shared_roots.clone());
+    let general = move |ns: &Namespace| {
+        GeneralWorkload::new(
+            WorkloadConfig { seed, ..Default::default() },
+            n_clients,
+            &homes,
+            &shared,
+            ns,
+        )
+    };
+    match (a.workload.as_str(), a.shards > 0) {
+        ("general", _) => Box::new(move |ns| Box::new(general(ns))),
+        ("diurnal", _) => {
+            let (period, mult) = (SimDuration::from_secs(a.diurnal_period), a.night_mult);
+            Box::new(move |ns| Box::new(DiurnalWorkload::new(general(ns), period, mult)))
+        }
+        ("hotset", true) => {
+            Box::new(move |ns| Box::new(HotSetWorkload::new(ns, n_clients, 32, seed)))
+        }
+        ("scientific", false) => {
+            let homes = snapshot.user_homes.clone();
+            let shared_dirs: Vec<_> = snapshot
+                .shared_roots
+                .iter()
+                .flat_map(|&r| snapshot.ns.walk(r).filter(|&i| snapshot.ns.is_dir(i)).take(4))
+                .collect();
+            Box::new(move |_| {
+                Box::new(ScientificWorkload::new(
+                    seed,
+                    n_clients,
+                    &homes,
+                    &shared_dirs,
+                    SimDuration::from_secs(8),
+                    SimDuration::from_secs(2),
+                ))
+            })
+        }
+        (other, true) => usage(&format!(
+            "workload {other} is not supported with --shards (use general|hotset|diurnal)"
+        )),
+        (other, false) => usage(&format!("unknown workload {other}")),
+    }
+}
 
 /// The `--shards N` path: one run over N event queues with deterministic
 /// cross-shard exchanges. The report/CSV surface is invariant in N.
-fn run_sharded(a: &Args, mut cfg: SimConfig, snapshot: Snapshot) {
+fn run_sharded(a: &Args, cfg: SimConfig, snapshot: Snapshot) {
     if cfg.obs.trace {
         usage("--obs-trace is not supported with --shards (no per-op spans)");
     }
-    // The legacy --fail/--recover flags fold into the declarative fault
-    // schedule the sharded engine consumes.
-    cfg.faults.events.extend(&a.faults);
     dynmds_harness::parallel::install_shard_driver();
-
-    let n_clients = a.n_clients as usize;
-    let seed = a.seed;
-    let factory: WorkloadFactory = match a.workload.as_str() {
-        "general" => {
-            let homes = snapshot.user_homes.clone();
-            let shared = snapshot.shared_roots.clone();
-            Box::new(move |ns: &Namespace| {
-                Box::new(GeneralWorkload::new(
-                    WorkloadConfig { seed: seed ^ 0x17, ..Default::default() },
-                    n_clients,
-                    &homes,
-                    &shared,
-                    ns,
-                )) as Box<dyn Workload + Send>
-            })
-        }
-        "diurnal" => {
-            let homes = snapshot.user_homes.clone();
-            let shared = snapshot.shared_roots.clone();
-            let (period, mult) = (SimDuration::from_secs(a.diurnal_period), a.night_mult);
-            Box::new(move |ns: &Namespace| {
-                Box::new(DiurnalWorkload::new(
-                    GeneralWorkload::new(
-                        WorkloadConfig { seed: seed ^ 0x17, ..Default::default() },
-                        n_clients,
-                        &homes,
-                        &shared,
-                        ns,
-                    ),
-                    period,
-                    mult,
-                )) as Box<dyn Workload + Send>
-            })
-        }
-        "hotset" => Box::new(move |ns: &Namespace| {
-            Box::new(HotSetWorkload::new(ns, n_clients, 32, seed ^ 0x17))
-                as Box<dyn Workload + Send>
-        }),
-        other => usage(&format!(
-            "workload {other} is not supported with --shards (use general|hotset|diurnal)"
-        )),
-    };
-
+    let factory = workload_factory(a, &snapshot);
     let sim = ShardedSimulation::new(cfg, a.shards, a.threads, snapshot, &*factory);
     let report =
         sim.run_measured(SimDuration::from_secs(a.warmup), SimDuration::from_secs(a.seconds));
     print!("{}", report.render());
-
     if let Some(export) = &report.obs {
-        println!("\n{}", export.summary);
-        std::fs::create_dir_all(&a.obs_out).expect("create --obs-out dir");
-        for (name, body) in [
-            ("obs_metrics.jsonl", &export.metrics_jsonl),
-            ("obs_snapshots.jsonl", &export.snapshots_jsonl),
-        ] {
-            let path = format!("{}/{name}", a.obs_out);
-            std::fs::write(&path, body).expect("write obs jsonl");
-            eprintln!("wrote {path}");
-        }
+        write_obs(export, &a.obs_out);
     }
 }

@@ -1,14 +1,16 @@
 //! Integration tests: MDS failure and recovery with shared-storage
 //! takeover and journal-based cache warming (§2.1.2, §4.6).
 
-use dynmds::core::{SimConfig, Simulation};
+use dynmds::core::{FaultSchedule, SimConfig, Simulation};
 use dynmds::event::SimTime;
 use dynmds::namespace::{MdsId, NamespaceSpec};
 use dynmds::partition::StrategyKind;
 use dynmds::workload::{GeneralWorkload, WorkloadConfig};
 
-fn sim(strategy: StrategyKind) -> Simulation {
+/// A 4-node run under `strategy` with the `--faults` schedule `faults`.
+fn sim(strategy: StrategyKind, faults: &str) -> Simulation {
     let mut cfg = SimConfig::small(strategy);
+    cfg.faults = FaultSchedule::parse(faults).expect("valid fault spec");
     cfg.n_mds = 4;
     cfg.n_clients = 32;
     cfg.seed = 55;
@@ -26,8 +28,7 @@ fn sim(strategy: StrategyKind) -> Simulation {
 #[test]
 fn cluster_survives_a_node_failure() {
     for strategy in [StrategyKind::DynamicSubtree, StrategyKind::FileHash] {
-        let mut s = sim(strategy);
-        s.schedule_failure(SimTime::from_secs(5), MdsId(1));
+        let mut s = sim(strategy, "crash:1@5s");
         s.run_until(SimTime::from_secs(8));
         let served_mid = {
             let r = s.cluster();
@@ -48,7 +49,7 @@ fn cluster_survives_a_node_failure() {
 
 #[test]
 fn dead_node_serves_nothing_and_survivors_take_over() {
-    let mut s = sim(StrategyKind::DynamicSubtree);
+    let mut s = sim(StrategyKind::DynamicSubtree, "");
     // Let it warm up so mds1 is actually serving beforehand.
     s.run_until(SimTime::from_secs(5));
     let before = s.cluster().nodes[1].life.served;
@@ -69,7 +70,7 @@ fn dead_node_serves_nothing_and_survivors_take_over() {
 
 #[test]
 fn heirs_warm_their_caches_from_the_shared_journal() {
-    let mut s = sim(StrategyKind::DynamicSubtree);
+    let mut s = sim(StrategyKind::DynamicSubtree, "");
     s.run_until(SimTime::from_secs(6));
     // mds1's journal approximates its working set; remember its size.
     let ws: Vec<_> = s.cluster().nodes[1].journal.working_set().collect();
@@ -100,9 +101,7 @@ fn heirs_warm_their_caches_from_the_shared_journal() {
 
 #[test]
 fn recovery_rejoins_and_rebalances() {
-    let mut s = sim(StrategyKind::DynamicSubtree);
-    s.schedule_failure(SimTime::from_secs(4), MdsId(2));
-    s.schedule_recovery(SimTime::from_secs(10), MdsId(2));
+    let mut s = sim(StrategyKind::DynamicSubtree, "crash:2@4s;recover:2@10s");
     s.run_until(SimTime::from_secs(10));
     let at_recovery = s.cluster().nodes[2].life.served;
     s.run_until(SimTime::from_secs(30));
@@ -118,7 +117,7 @@ fn recovery_rejoins_and_rebalances() {
 
 #[test]
 fn hashed_strategies_remap_placement_around_dead_nodes() {
-    let mut s = sim(StrategyKind::FileHash);
+    let mut s = sim(StrategyKind::FileHash, "");
     s.run_until(SimTime::from_secs(3));
     s.cluster_mut().fail_node(SimTime::from_secs(3), MdsId(0));
     s.run_until(SimTime::from_secs(8));

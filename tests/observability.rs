@@ -7,11 +7,11 @@
 use std::path::Path;
 use std::process::Command;
 
-use dynmds::core::{ObsExport, SimConfig, Simulation};
+use dynmds::core::{FaultSchedule, ObsExport, SimConfig, Simulation};
 use dynmds::event::SimTime;
 use dynmds::harness::elasticrun::{elasticity_config, run_diurnal};
 use dynmds::harness::ExperimentScale;
-use dynmds::namespace::{MdsId, NamespaceSpec};
+use dynmds::namespace::NamespaceSpec;
 use dynmds::obs::ObsConfig;
 use dynmds::partition::StrategyKind;
 use dynmds::workload::{GeneralWorkload, WorkloadConfig};
@@ -42,9 +42,9 @@ fn sim_with(obs: ObsConfig, tweak: impl FnOnce(&mut SimConfig)) -> Simulation {
 /// Runs warm-up + measurement with a failure and a recovery injected
 /// mid-measurement, returning the obs exports.
 fn traced_failover_run(obs: ObsConfig) -> ObsExport {
-    let mut s = sim(obs);
-    s.schedule_failure(SimTime::from_secs(4), MdsId(1));
-    s.schedule_recovery(SimTime::from_secs(7), MdsId(1));
+    let mut s = sim_with(obs, |cfg| {
+        cfg.faults = FaultSchedule::parse("crash:1@4s;recover:1@7s").expect("valid fault spec");
+    });
     s.run_until(SimTime::from_secs(2));
     s.cluster_mut().reset_measurement(SimTime::from_secs(2));
     s.run_until(SimTime::from_secs(9));

@@ -4,7 +4,7 @@
 //! extra attempt, no early abandonment.
 
 use dynmds::core::cluster::Cluster;
-use dynmds::core::{NetFaultSpec, Request, RetryPolicy, SimConfig, SimEvent};
+use dynmds::core::{FaultStep, NetFaultSpec, Request, RetryPolicy, SimConfig, SimEvent};
 use dynmds::event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds::namespace::{ClientId, MdsId, NamespaceSpec};
 use dynmds::partition::StrategyKind;
@@ -74,7 +74,7 @@ fn give_up_fires_after_exactly_the_configured_budget() {
         // injected op must burn its whole retry budget, no more, no less.
         c.handle(
             SimTime::from_millis(1),
-            SimEvent::SetNetFault(Some(NetFaultSpec { loss_p: 1.0, dup_p: 0.0 })),
+            SimEvent::Fault(FaultStep::Net(Some(NetFaultSpec { loss_p: 1.0, dup_p: 0.0 }))),
             &mut q,
         );
         let dead = MdsId(1);
