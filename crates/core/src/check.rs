@@ -125,11 +125,6 @@ impl DstProbe {
         std::mem::take(&mut self.violations)
     }
 
-    /// Whether any violation is pending.
-    pub fn has_violations(&self) -> bool {
-        !self.violations.is_empty()
-    }
-
     // ---- hook points (called by the cluster) -------------------------
 
     /// A client issued a fresh logical op: reset its flight state. The
@@ -275,11 +270,10 @@ mod tests {
         p.on_issue(ClientId(0));
         p.on_arrive(SimTime::from_micros(1), ClientId(0), 1, 0);
         p.on_arrive(SimTime::from_micros(2), ClientId(0), 0, 1);
-        assert!(p.has_violations());
         let v = p.take_violations();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("hops went backwards"), "{}", v[0]);
-        assert!(!p.has_violations(), "drained");
+        assert!(p.take_violations().is_empty(), "drained");
     }
 
     #[test]
@@ -289,16 +283,16 @@ mod tests {
         p.on_arrive(SimTime::from_micros(1), ClientId(0), 2, 3);
         p.on_issue(ClientId(0));
         p.on_arrive(SimTime::from_micros(2), ClientId(0), 0, 0);
-        assert!(!p.has_violations(), "new logical op starts clean");
+        assert!(p.take_violations().is_empty(), "new logical op starts clean");
     }
 
     #[test]
     fn exact_give_up_budget_is_enforced() {
         let mut p = DstProbe::new(1);
         p.on_gave_up(SimTime::ZERO, ClientId(0), 7, 6);
-        assert!(!p.has_violations(), "7 = 6 + 1 is the exact budget");
+        assert!(p.take_violations().is_empty(), "7 = 6 + 1 is the exact budget");
         p.on_gave_up(SimTime::ZERO, ClientId(0), 3, 6);
-        assert!(p.has_violations(), "early give-up is a bug");
+        assert_eq!(p.take_violations().len(), 1, "early give-up is a bug");
     }
 
     #[test]
@@ -335,12 +329,12 @@ mod tests {
         let mut p = DstProbe::new(1);
         p.on_issue(ClientId(0));
         p.on_proxy_neg_serve(SimTime::from_micros(1), ClientId(0), InodeId(4), "x");
-        assert!(!p.has_violations(), "fresh flight may absorb");
+        assert!(p.take_violations().is_empty(), "fresh flight may absorb");
         p.on_issue(ClientId(0));
         p.on_arrive(SimTime::from_micros(2), ClientId(0), 1, 0);
         p.on_proxy_read_serve(SimTime::from_micros(3), ClientId(0), InodeId(4));
-        assert!(p.has_violations(), "op already inside the cluster must not be absorbed");
         let v = p.take_violations();
+        assert_eq!(v.len(), 1, "op already inside the cluster must not be absorbed");
         assert!(v[0].contains("proxy read absorbed"), "{}", v[0]);
         let recs = p.take_records();
         assert!(matches!(recs[0], DstRecord::ProxyNegServe { .. }));

@@ -134,11 +134,6 @@ impl ClientPool {
     pub fn forget(&mut self, client: ClientId, item: InodeId) {
         self.routes[client.index()].remove(&item);
     }
-
-    /// Total location entries across all clients (memory accounting).
-    pub fn total_entries(&self) -> usize {
-        self.routes.iter().map(|m| m.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +189,6 @@ mod tests {
         assert!(pool.knows(ClientId(0), a));
         assert!(!pool.knows(ClientId(1), a));
         assert_eq!(pool.route(&ns, ClientId(0), f), MdsId(5));
-        assert_eq!(pool.total_entries(), 1);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! inflation, IOPS throttling, transient errors), and network fault
 //! windows (message loss and duplication on the client↔MDS edges).
 //!
-//! Everything is driven from the event queue and every random draw comes
-//! from a dedicated seeded stream, so the same seed plus the same
-//! schedule replays byte-identically — and an empty schedule draws
+//! [`FaultSchedule::steps`] turns a schedule into the one list of timed
+//! [`FaultStep`]s both engines apply, under one crash rule
+//! ([`crash_applies`]) and one ring walk ([`live_in_ring`]). Every random
+//! draw comes from a dedicated seeded stream, so the same seed plus the
+//! same schedule replays byte-identically — and an empty schedule draws
 //! nothing, leaving fault-free runs bit-for-bit unchanged.
 
 use std::fmt;
@@ -65,7 +67,7 @@ impl RetryPolicy {
 /// Which disks a degradation window hits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskScope {
-    /// The shared OSD pool (tier-2 store + on-pool journals).
+    /// The shared OSD pool (tier-2 store).
     Osd,
     /// Each MDS's private journal device.
     Journal,

@@ -84,11 +84,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` with Fx hashing.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// An `FxHashMap` with at least `cap` capacity.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +107,7 @@ mod tests {
 
     #[test]
     fn map_and_set_behave() {
-        let mut m: FxHashMap<u64, u64> = fx_map_with_capacity(16);
+        let mut m: FxHashMap<u64, u64> = FxHashMap::default();
         for i in 0..1000 {
             m.insert(i, i * 2);
         }

@@ -66,35 +66,10 @@ impl NamespaceSpec {
         }
     }
 
-    /// Generates the snapshot.
+    /// Generates the snapshot: every user tree in order, then every
+    /// shared tree ([`StreamingGenerator::generate_all`]).
     pub fn generate(&self) -> Snapshot {
-        assert!(self.users > 0, "at least one user tree required");
-        assert!(self.depth_p > 0.0 && self.depth_p <= 1.0, "depth_p must be in (0, 1]");
-        let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut ns = Namespace::new();
-        let root = ns.root();
-        let home = ns.mkdir(root, "home", Permissions::directory(0)).expect("fresh tree");
-
-        let mut user_homes = Vec::with_capacity(self.users);
-        for u in 0..self.users {
-            let uid = u as u32 + 1;
-            let name = format!("user{u:04}");
-            let h = ns.mkdir(home, &name, Permissions::directory(uid)).expect("unique name");
-            let mut sub = rng.fork(u as u64);
-            grow_tree(&mut ns, &mut sub, h, uid, self, false);
-            user_homes.push(h);
-        }
-
-        let mut shared_roots = Vec::with_capacity(self.shared_trees);
-        for s in 0..self.shared_trees {
-            let name = format!("proj{s}");
-            let p = ns.mkdir(root, &name, Permissions::directory(0)).expect("unique name");
-            let mut sub = rng.fork(0x5000 + s as u64);
-            grow_tree(&mut ns, &mut sub, p, 0, self, true);
-            shared_roots.push(p);
-        }
-
-        Snapshot { ns, user_homes, shared_roots }
+        StreamingGenerator::new(self.clone()).generate_all()
     }
 }
 
@@ -187,25 +162,25 @@ fn count_tree(rng: &mut SimRng, spec: &NamespaceSpec, shared: bool) -> u64 {
     n_dirs as u64 + files
 }
 
-/// Streaming snapshot generator: the same deterministic tree as
-/// [`NamespaceSpec::generate`], materialized subtree-by-subtree on demand.
+/// Streaming snapshot generator: the one deterministic tree
+/// [`NamespaceSpec::generate`] builds, materialized subtree-by-subtree on
+/// demand.
 ///
 /// At the scale tier a 10⁸-inode snapshot cannot be built eagerly; but a
 /// simulated client population only ever *touches* the subtrees its
 /// working sets live in. The streaming generator banks one fork seed per
-/// user/shared tree up front (consuming exactly the draw sequence the
-/// eager generator would, so the two are interchangeable) and then grows
-/// each subtree only when asked. Untouched users cost 8 bytes of banked
-/// seed; [`logical_items`](Self::logical_items) still reports the full
-/// logical namespace size by replaying counts from the seeds without
-/// allocating nodes.
+/// user/shared tree up front and then grows each subtree only when asked.
+/// Untouched users cost 8 bytes of banked seed;
+/// [`logical_items`](Self::logical_items) still reports the full logical
+/// namespace size by replaying counts from the seeds without allocating
+/// nodes.
 ///
 /// Materializing users `0..n` in ascending order followed by shared trees
-/// `0..m` reproduces the eager generator's id assignment exactly;
-/// [`generate_all`](Self::generate_all) does precisely that and is
-/// property-tested equal to [`NamespaceSpec::generate`]. Out-of-order
-/// materialization yields isomorphic subtrees with different ids — fine
-/// within a run, as long as every rerun materializes in the same order.
+/// `0..m` is the full snapshot, with its id assignment;
+/// [`generate_all`](Self::generate_all) does precisely that, and
+/// [`NamespaceSpec::generate`] calls it. Out-of-order materialization
+/// yields isomorphic subtrees with different ids — fine within a run, as
+/// long as every rerun materializes in the same order.
 pub struct StreamingGenerator {
     spec: NamespaceSpec,
     ns: Namespace,
@@ -226,7 +201,7 @@ impl StreamingGenerator {
         let mut ns = Namespace::new();
         let root = ns.root();
         let home = ns.mkdir(root, "home", Permissions::directory(0)).expect("fresh tree");
-        // Bank fork seeds in the exact order the eager generator forks.
+        // Bank fork seeds: every user tree's, then every shared tree's.
         let user_seeds: Vec<u64> = (0..spec.users).map(|u| rng.fork_seed(u as u64)).collect();
         let shared_seeds: Vec<u64> =
             (0..spec.shared_trees).map(|s| rng.fork_seed(0x5000 + s as u64)).collect();
@@ -243,11 +218,6 @@ impl StreamingGenerator {
     /// The spec this generator was built from.
     pub fn spec(&self) -> &NamespaceSpec {
         &self.spec
-    }
-
-    /// Home directory of user `u` if already materialized.
-    pub fn user_home(&self, u: usize) -> Option<InodeId> {
-        self.user_homes[u]
     }
 
     /// Materializes user `u`'s home tree (idempotent) and returns its
@@ -301,8 +271,8 @@ impl StreamingGenerator {
         2 + users + shared // root + /home
     }
 
-    /// Materializes everything in the eager generator's order and returns
-    /// the identical snapshot.
+    /// Materializes every user tree in order, then every shared tree, and
+    /// returns the full snapshot.
     pub fn generate_all(mut self) -> Snapshot {
         for u in 0..self.spec.users {
             self.materialize_user(u);
@@ -493,8 +463,6 @@ mod tests {
         let h = gen.materialize_user(4242);
         assert!(gen.ns().total_items() > 2);
         assert_eq!(gen.ns().path_of(h).unwrap(), "/home/user4242");
-        assert_eq!(gen.user_home(4242), Some(h));
-        assert_eq!(gen.user_home(0), None);
         // Idempotent: second call adds nothing.
         let items = gen.ns().total_items();
         assert_eq!(gen.materialize_user(4242), h);
@@ -515,8 +483,7 @@ mod tests {
             rev.materialize_user(5 - u);
         }
         for u in 0..6 {
-            let a = fwd.user_home(u).unwrap();
-            let b = rev.user_home(u).unwrap();
+            let (a, b) = (fwd.materialize_user(u), rev.materialize_user(u));
             assert_eq!(fwd.ns().subtree_count(a).unwrap(), rev.ns().subtree_count(b).unwrap());
             let pa: Vec<String> = fwd.ns().walk(a).map(|i| fwd.ns().path_of(i).unwrap()).collect();
             let pb: Vec<String> = rev.ns().walk(b).map(|i| rev.ns().path_of(i).unwrap()).collect();

@@ -46,17 +46,6 @@ impl SnapshotSeries {
         self.rows.is_empty()
     }
 
-    /// The values of `field` at row `row`, one entry per MDS.
-    pub fn row_field(&self, row: usize, field: usize) -> &[u64] {
-        let start = field * self.n_slots;
-        &self.rows[row].1[start..start + self.n_slots]
-    }
-
-    /// Timestamp of row `row`.
-    pub fn row_time_us(&self, row: usize) -> u64 {
-        self.rows[row].0
-    }
-
     /// Drops all rows (measurement restart).
     pub fn reset(&mut self) {
         self.rows.clear();
@@ -97,9 +86,11 @@ mod tests {
         s.push_row(1_000_000, vec![10, 20, 5, 6]);
         s.push_row(2_000_000, vec![11, 21, 7, 8]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.row_field(0, 0), &[10, 20]);
-        assert_eq!(s.row_field(1, 1), &[7, 8]);
-        assert_eq!(s.row_time_us(1), 2_000_000);
+        assert_eq!(
+            s.to_jsonl(),
+            "{\"t_us\":1000000,\"load\":[10,20],\"cache\":[5,6]}\n\
+             {\"t_us\":2000000,\"load\":[11,21],\"cache\":[7,8]}\n"
+        );
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub struct FetchResult {
     pub loaded: Vec<InodeId>,
 }
 
-/// Key space partitioning: journals live far away from inode/dir objects.
-const JOURNAL_KEY_BASE: u64 = u64::MAX - (1 << 16);
-
 /// Tier-2 store front-end.
 pub struct MetadataStore {
     layout: StoreLayout,
@@ -52,7 +49,6 @@ pub struct MetadataStore {
     fetches: u64,
     writebacks: u64,
     coalesced_writebacks: u64,
-    journal_writes: u64,
     /// Last physical write per object key — journal retirements landing on
     /// a recently rewritten object are folded into that write (§4.6: the
     /// B-tree directory objects absorb "incremental updates … with minimal
@@ -74,7 +70,6 @@ impl MetadataStore {
             fetches: 0,
             writebacks: 0,
             coalesced_writebacks: 0,
-            journal_writes: 0,
             recent_writes: dynmds_namespace::FxHashMap::default(),
             write_coalesce_window: SimTime::from_micros(WRITE_COALESCE_US),
         }
@@ -168,13 +163,6 @@ impl MetadataStore {
         self.pool.access(now, key, AccessKind::Write)
     }
 
-    /// Appends to the journal of MDS `mds_index` (tier-1 commit).
-    pub fn journal_append(&mut self, now: SimTime, mds_index: usize) -> SimTime {
-        self.journal_writes += 1;
-        let key = JOURNAL_KEY_BASE + mds_index as u64;
-        self.pool.access(now, key, AccessKind::Write)
-    }
-
     /// Total tier-2 fetch transactions.
     pub fn fetches(&self) -> u64 {
         self.fetches
@@ -188,11 +176,6 @@ impl MetadataStore {
     /// Writebacks absorbed by a recent write to the same object.
     pub fn coalesced_writebacks(&self) -> u64 {
         self.coalesced_writebacks
-    }
-
-    /// Total journal appends.
-    pub fn journal_writes(&self) -> u64 {
-        self.journal_writes
     }
 
     /// The underlying pool (for stats).
@@ -283,12 +266,9 @@ mod tests {
         store.fetch_inode(SimTime::ZERO, &ns, files[0]);
         store.fetch_dir(SimTime::ZERO, &ns, dir);
         store.writeback(SimTime::ZERO, &ns, files[0]);
-        store.journal_append(SimTime::ZERO, 0);
-        store.journal_append(SimTime::ZERO, 1);
         assert_eq!(store.fetches(), 2);
         assert_eq!(store.writebacks(), 1);
-        assert_eq!(store.journal_writes(), 2);
-        assert_eq!(store.pool().total_stats().total(), 5);
+        assert_eq!(store.pool().total_stats().total(), 3);
     }
 
     #[test]
@@ -314,15 +294,5 @@ mod tests {
         store.writeback(SimTime::ZERO, &ns, files[0]);
         store.writeback(SimTime::ZERO, &ns, files[1]);
         assert_eq!(store.coalesced_writebacks(), 0, "distinct objects");
-    }
-
-    #[test]
-    fn journal_keys_do_not_collide_with_inodes() {
-        let (mut store, _, _, _) = setup(StoreLayout::InodeTable);
-        // Journals and low-numbered inodes may land on the same device but
-        // never share a key; this just asserts the key-space separation.
-        let t1 = store.journal_append(SimTime::ZERO, 0);
-        let t2 = store.journal_append(SimTime::ZERO, 0);
-        assert!(t2 > t1, "same journal serializes");
     }
 }

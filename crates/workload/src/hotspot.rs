@@ -74,11 +74,6 @@ impl RenameStorm {
         assert!(!dirs.is_empty(), "need target directories");
         RenameStorm { dirs, n_clients, seqs: vec![0; n_clients] }
     }
-
-    /// The directory `client` works in.
-    pub fn dir_of(&self, client: ClientId) -> InodeId {
-        self.dirs[client.index() % self.dirs.len()]
-    }
 }
 
 impl Workload for RenameStorm {
@@ -253,7 +248,6 @@ mod tests {
             s.next_op(&ns, ClientId(1), SimTime::ZERO),
             Op::Rename { dir: InodeId(4), name: "r1_b".into(), new_name: "r1_a".into() }
         );
-        assert_eq!(s.dir_of(ClientId(0)), InodeId(3));
     }
 
     #[test]

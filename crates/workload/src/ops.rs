@@ -208,22 +208,6 @@ impl OpMix {
         }
     }
 
-    /// Read-only mix (scientific analysis phases).
-    pub fn read_only() -> Self {
-        OpMix {
-            stat: 55.0,
-            open: 35.0,
-            readdir: 10.0,
-            create: 0.0,
-            mkdir: 0.0,
-            unlink: 0.0,
-            rename: 0.0,
-            chmod: 0.0,
-            setattr: 0.0,
-            link: 0.0,
-        }
-    }
-
     /// Samples an initiating op kind.
     pub fn sample(&self, rng: &mut SimRng) -> OpKind {
         const KINDS: [OpKind; 10] = [
@@ -309,15 +293,5 @@ mod tests {
         let mix = OpMix::create_heavy();
         let creates = (0..10_000).filter(|_| mix.sample(&mut rng) == OpKind::Create).count();
         assert!(creates > 5_000, "got {creates}");
-    }
-
-    #[test]
-    fn read_only_mix_never_mutates() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let mix = OpMix::read_only();
-        for _ in 0..5_000 {
-            let k = mix.sample(&mut rng);
-            assert!(matches!(k, OpKind::Stat | OpKind::Open | OpKind::Readdir), "unexpected {k:?}");
-        }
     }
 }

@@ -203,11 +203,8 @@ fn parse_args() -> Args {
             "--faults" => {
                 let spec = FaultSchedule::parse(&next(&mut it, &f))
                     .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}")));
-                if spec.churn.is_some() && a.schedule.churn.is_some() {
-                    usage("bad --faults spec: only one churn entry is allowed");
-                }
                 a.schedule.events.extend(spec.events);
-                a.schedule.churn = a.schedule.churn.or(spec.churn);
+                a.schedule.churn = spec.churn.or(a.schedule.churn);
             }
             "--obs" => a.obs.metrics = true,
             "--obs-trace" => {

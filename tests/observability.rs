@@ -252,15 +252,14 @@ fn assert_controller_acted(run: &str, summary: &str) {
 fn obs_exports_match_golden() {
     let root = env!("CARGO_MANIFEST_DIR");
     let mut mismatched = Vec::new();
-    let mut runs: Vec<(&str, Box<dyn Fn(&Path)>)> = GOLDEN_OBS_RUNS
-        .iter()
-        .map(|&(run, args)| (run, Box::new(move |out: &Path| regenerate_obs_run(args, out)) as _))
-        .collect();
-    runs.push(("sharded_elastic", Box::new(regenerate_elastic_row)));
-    for (run, regenerate) in runs {
+    let runs = GOLDEN_OBS_RUNS.iter().map(|&(run, args)| (run, Some(args)));
+    for (run, args) in runs.chain([("sharded_elastic", None)]) {
         let golden = Path::new(root).join("tests/golden/obs").join(run);
         let actual = Path::new(root).join("target/golden-actual/obs").join(run);
-        regenerate(&actual);
+        match args {
+            Some(args) => regenerate_obs_run(args, &actual),
+            None => regenerate_elastic_row(&actual),
+        }
         let summary = std::fs::read_to_string(actual.join("summary.txt")).expect("read summary");
         assert_controller_acted(run, &summary);
         let mut files: Vec<String> = std::fs::read_dir(&actual)
