@@ -14,8 +14,9 @@
 //! run that produced the file.
 
 use dynmds_core::{FaultEvent, FaultSchedule};
+use dynmds_namespace::InodeId;
 use dynmds_partition::StrategyKind;
-use dynmds_workload::{Trace, TraceOp, TraceRecord};
+use dynmds_workload::{Op, Trace, TraceRecord};
 
 use crate::scenario::{RunOutcome, Scenario};
 
@@ -93,36 +94,36 @@ impl Repro {
                 assert!(!n.contains(char::is_whitespace), "name {n:?} breaks the line format")
             };
             match &rec.op {
-                TraceOp::Stat(i) => out.push_str(&format!("stat {i}")),
-                TraceOp::Lookup { dir, name } => {
+                Op::Stat(i) => out.push_str(&format!("stat {}", i.0)),
+                Op::Lookup { dir, name } => {
                     check(name);
-                    out.push_str(&format!("lookup {dir} {name}"));
+                    out.push_str(&format!("lookup {} {name}", dir.0));
                 }
-                TraceOp::Open(i) => out.push_str(&format!("open {i}")),
-                TraceOp::Close(i) => out.push_str(&format!("close {i}")),
-                TraceOp::Readdir(i) => out.push_str(&format!("readdir {i}")),
-                TraceOp::SetAttr(i) => out.push_str(&format!("setattr {i}")),
-                TraceOp::Create { dir, name } => {
+                Op::Open(i) => out.push_str(&format!("open {}", i.0)),
+                Op::Close(i) => out.push_str(&format!("close {}", i.0)),
+                Op::Readdir(i) => out.push_str(&format!("readdir {}", i.0)),
+                Op::SetAttr(i) => out.push_str(&format!("setattr {}", i.0)),
+                Op::Create { dir, name } => {
                     check(name);
-                    out.push_str(&format!("create {dir} {name}"));
+                    out.push_str(&format!("create {} {name}", dir.0));
                 }
-                TraceOp::Mkdir { dir, name } => {
+                Op::Mkdir { dir, name } => {
                     check(name);
-                    out.push_str(&format!("mkdir {dir} {name}"));
+                    out.push_str(&format!("mkdir {} {name}", dir.0));
                 }
-                TraceOp::Unlink { dir, name } => {
+                Op::Unlink { dir, name } => {
                     check(name);
-                    out.push_str(&format!("unlink {dir} {name}"));
+                    out.push_str(&format!("unlink {} {name}", dir.0));
                 }
-                TraceOp::Rename { dir, name, new_name } => {
+                Op::Rename { dir, name, new_name } => {
                     check(name);
                     check(new_name);
-                    out.push_str(&format!("rename {dir} {name} {new_name}"));
+                    out.push_str(&format!("rename {} {name} {new_name}", dir.0));
                 }
-                TraceOp::Chmod { target, mode } => out.push_str(&format!("chmod {target} {mode}")),
-                TraceOp::Link { target, dir, name } => {
+                Op::Chmod { target, mode } => out.push_str(&format!("chmod {} {mode}", target.0)),
+                Op::Link { target, dir, name } => {
                     check(name);
-                    out.push_str(&format!("link {target} {dir} {name}"));
+                    out.push_str(&format!("link {} {} {name}", target.0, dir.0));
                 }
             }
             out.push('\n');
@@ -282,33 +283,31 @@ fn parse_op<'a, I: Iterator<Item = &'a str>>(words: &mut I) -> Result<TraceRecor
     let client: u32 = next("client")?.parse().map_err(|e| format!("op client: {e}"))?;
     let at_us: u64 = next("time")?.parse().map_err(|e| format!("op time: {e}"))?;
     let kind = next("kind")?;
-    let mut id = |what: &str| -> Result<u64, String> {
-        next(what)?.parse().map_err(|e| format!("op {what}: {e}"))
+    let mut id = |what: &str| -> Result<InodeId, String> {
+        next(what)?.parse().map(InodeId).map_err(|e| format!("op {what}: {e}"))
     };
     let op = match kind {
-        "stat" => TraceOp::Stat(id("target")?),
-        "lookup" => TraceOp::Lookup { dir: id("dir")?, name: next("name")?.to_string() },
-        "open" => TraceOp::Open(id("target")?),
-        "close" => TraceOp::Close(id("target")?),
-        "readdir" => TraceOp::Readdir(id("target")?),
-        "setattr" => TraceOp::SetAttr(id("target")?),
-        "create" => TraceOp::Create { dir: id("dir")?, name: next("name")?.to_string() },
-        "mkdir" => TraceOp::Mkdir { dir: id("dir")?, name: next("name")?.to_string() },
-        "unlink" => TraceOp::Unlink { dir: id("dir")?, name: next("name")?.to_string() },
-        "rename" => TraceOp::Rename {
+        "stat" => Op::Stat(id("target")?),
+        "lookup" => Op::Lookup { dir: id("dir")?, name: next("name")?.to_string() },
+        "open" => Op::Open(id("target")?),
+        "close" => Op::Close(id("target")?),
+        "readdir" => Op::Readdir(id("target")?),
+        "setattr" => Op::SetAttr(id("target")?),
+        "create" => Op::Create { dir: id("dir")?, name: next("name")?.to_string() },
+        "mkdir" => Op::Mkdir { dir: id("dir")?, name: next("name")?.to_string() },
+        "unlink" => Op::Unlink { dir: id("dir")?, name: next("name")?.to_string() },
+        "rename" => Op::Rename {
             dir: id("dir")?,
             name: next("old")?.to_string(),
             new_name: next("new")?.to_string(),
         },
-        "chmod" => TraceOp::Chmod {
+        "chmod" => Op::Chmod {
             target: id("target")?,
             mode: next("mode")?.parse().map_err(|e| format!("op mode: {e}"))?,
         },
-        "link" => TraceOp::Link {
-            target: id("target")?,
-            dir: id("dir")?,
-            name: next("name")?.to_string(),
-        },
+        "link" => {
+            Op::Link { target: id("target")?, dir: id("dir")?, name: next("name")?.to_string() }
+        }
         other => return Err(format!("unknown op kind `{other}`")),
     };
     Ok(TraceRecord { client, at_us, op })
@@ -352,27 +351,31 @@ mod tests {
             churn: None,
         };
         let records = vec![
-            TraceRecord { client: 0, at_us: 100, op: TraceOp::Stat(4) },
+            TraceRecord { client: 0, at_us: 100, op: Op::Stat(InodeId(4)) },
             TraceRecord {
                 client: 2,
                 at_us: 150,
-                op: TraceOp::Lookup { dir: 5, name: "nl3".into() },
+                op: Op::Lookup { dir: InodeId(5), name: "nl3".into() },
             },
             TraceRecord {
                 client: 1,
                 at_us: 200,
-                op: TraceOp::Create { dir: 5, name: "f1".into() },
+                op: Op::Create { dir: InodeId(5), name: "f1".into() },
             },
             TraceRecord {
                 client: 2,
                 at_us: 300,
-                op: TraceOp::Rename { dir: 5, name: "f1".into(), new_name: "f2".into() },
+                op: Op::Rename { dir: InodeId(5), name: "f1".into(), new_name: "f2".into() },
             },
-            TraceRecord { client: 0, at_us: 400, op: TraceOp::Chmod { target: 4, mode: 0o640 } },
+            TraceRecord {
+                client: 0,
+                at_us: 400,
+                op: Op::Chmod { target: InodeId(4), mode: 0o640 },
+            },
             TraceRecord {
                 client: 1,
                 at_us: 500,
-                op: TraceOp::Link { target: 4, dir: 5, name: "h".into() },
+                op: Op::Link { target: InodeId(4), dir: InodeId(5), name: "h".into() },
             },
         ];
         let uids = (0..sc.n_clients).map(|c| c % 3).collect();

@@ -24,7 +24,7 @@ use dynmds_namespace::{ClientId, Namespace, NamespaceSpec, Snapshot};
 use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskFault;
 use dynmds_workload::{
-    GeneralWorkload, LookupChurn, Op, OpMix, Trace, TraceOp, TraceRecord, TraceReplay, Workload,
+    GeneralWorkload, LookupChurn, Op, OpMix, Trace, TraceRecord, TraceReplay, Workload,
     WorkloadConfig,
 };
 
@@ -296,7 +296,7 @@ impl<W: Workload> Workload for SharedRecorder<W> {
         self.records.borrow_mut().push(TraceRecord {
             client: client.0,
             at_us: now.as_micros(),
-            op: TraceOp::from(&op),
+            op: op.clone(),
         });
         op
     }

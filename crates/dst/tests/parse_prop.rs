@@ -14,10 +14,11 @@
 use dynmds_core::{ChurnSpec, DiskScope, FaultEvent, FaultSchedule, NetFaultSpec};
 use dynmds_dst::{Repro, Scenario};
 use dynmds_event::{SimDuration, SimTime};
+use dynmds_namespace::InodeId;
 use dynmds_namespace::MdsId;
 use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskFault;
-use dynmds_workload::{Trace, TraceOp, TraceRecord};
+use dynmds_workload::{Op, Trace, TraceRecord};
 use proptest::prelude::*;
 
 /// Entry kinds of `--faults` specs, one bogus.
@@ -137,19 +138,20 @@ fn float_bits(s: &FaultSchedule) -> Vec<u64> {
 fn record((kind, client, at_us, x, y, n): (u8, u32, u64, u64, u64, usize)) -> TraceRecord {
     let name = NAMES[n % NAMES.len()].to_string();
     let other = NAMES[(n / NAMES.len()) % NAMES.len()].to_string();
+    let (x, y) = (InodeId(x), InodeId(y));
     let op = match kind % 12 {
-        0 => TraceOp::Stat(x),
-        1 => TraceOp::Lookup { dir: x, name },
-        2 => TraceOp::Open(x),
-        3 => TraceOp::Close(x),
-        4 => TraceOp::Readdir(x),
-        5 => TraceOp::SetAttr(x),
-        6 => TraceOp::Create { dir: x, name },
-        7 => TraceOp::Mkdir { dir: x, name },
-        8 => TraceOp::Unlink { dir: x, name },
-        9 => TraceOp::Rename { dir: x, name, new_name: other },
-        10 => TraceOp::Chmod { target: x, mode: y as u16 },
-        _ => TraceOp::Link { target: x, dir: y, name },
+        0 => Op::Stat(x),
+        1 => Op::Lookup { dir: x, name },
+        2 => Op::Open(x),
+        3 => Op::Close(x),
+        4 => Op::Readdir(x),
+        5 => Op::SetAttr(x),
+        6 => Op::Create { dir: x, name },
+        7 => Op::Mkdir { dir: x, name },
+        8 => Op::Unlink { dir: x, name },
+        9 => Op::Rename { dir: x, name, new_name: other },
+        10 => Op::Chmod { target: x, mode: y.0 as u16 },
+        _ => Op::Link { target: x, dir: y, name },
     };
     TraceRecord { client, at_us, op }
 }

@@ -21,7 +21,6 @@ pub mod generate;
 pub mod ids;
 pub mod inode;
 pub mod intern;
-pub mod persist;
 pub mod tree;
 
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
@@ -29,5 +28,4 @@ pub use generate::{NamespaceSpec, Snapshot, SnapshotStats, StreamingGenerator};
 pub use ids::{ClientId, InodeId, MdsId};
 pub use inode::{FileType, Inode, Permissions};
 pub use intern::Interner;
-pub use persist::{ImportError, NamespaceImage, NodeImage};
 pub use tree::{Namespace, NamespaceError};

@@ -56,7 +56,7 @@ impl fmt::Display for NamespaceError {
 impl std::error::Error for NamespaceError {}
 
 /// Column sentinel for "no parent" / "no directory table".
-pub(crate) const NONE_U32: u32 = u32::MAX;
+const NONE_U32: u32 = u32::MAX;
 
 /// `flags` column: low two bits encode [`FileType`], bit 2 is liveness.
 const FLAG_ALIVE: u8 = 0b100;
@@ -82,57 +82,46 @@ fn ftype_decode(flags: u8) -> FileType {
 
 /// One sorted dentry: interned name symbol plus child slot.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct DirEnt {
-    pub(crate) sym: u32,
-    pub(crate) child: u32,
+struct DirEnt {
+    sym: u32,
+    child: u32,
 }
 
 /// The file-system hierarchy, stored as parallel columns indexed by
 /// [`InodeId`].
 pub struct Namespace {
     /// Interned dentry-name vocabulary shared by all columns.
-    pub(crate) names: Interner,
+    names: Interner,
     /// Primary parent slot; [`NONE_U32`] for the root and tombstones.
-    pub(crate) parent: Vec<u32>,
+    parent: Vec<u32>,
     /// Interned name of the primary dentry.
-    pub(crate) name_sym: Vec<u32>,
+    name_sym: Vec<u32>,
     /// File type + liveness bits.
-    pub(crate) flags: Vec<u8>,
+    flags: Vec<u8>,
     /// Owning uid.
-    pub(crate) uid: Vec<u32>,
+    uid: Vec<u32>,
     /// Mode bits.
-    pub(crate) mode: Vec<u16>,
+    mode: Vec<u16>,
     /// File size in bytes.
-    pub(crate) size: Vec<u64>,
+    size: Vec<u64>,
     /// Last-modification time, simulator microseconds.
-    pub(crate) mtime_us: Vec<u64>,
+    mtime_us: Vec<u64>,
     /// Hard-link count.
-    pub(crate) nlink: Vec<u32>,
+    nlink: Vec<u32>,
     /// Index into `tables` for directories; [`NONE_U32`] otherwise.
-    pub(crate) childtab: Vec<u32>,
+    childtab: Vec<u32>,
     /// Per-directory dentry tables, each sorted by name bytes.
-    pub(crate) tables: Vec<Vec<DirEnt>>,
-    pub(crate) root: InodeId,
-    pub(crate) live_files: u64,
-    pub(crate) live_dirs: u64,
+    tables: Vec<Vec<DirEnt>>,
+    root: InodeId,
+    live_files: u64,
+    live_dirs: u64,
 }
 
 impl Namespace {
     /// Creates a namespace containing only the root directory, owned by
     /// uid 0.
     pub fn new() -> Self {
-        let mut ns = Namespace::raw_empty();
-        let root_id = InodeId(0);
-        let root = Inode::new(root_id, FileType::Directory, Permissions::directory(0));
-        ns.push_slot(None, "", &root, true);
-        ns.live_dirs = 1;
-        ns
-    }
-
-    /// An entirely empty column set — no root. Only the persistence layer
-    /// uses this, to rebuild arbitrary slot layouts from an image.
-    pub(crate) fn raw_empty() -> Self {
-        Namespace {
+        let mut ns = Namespace {
             names: Interner::new(),
             parent: Vec::new(),
             name_sym: Vec::new(),
@@ -146,26 +135,23 @@ impl Namespace {
             tables: Vec::new(),
             root: InodeId(0),
             live_files: 0,
-            live_dirs: 0,
-        }
+            live_dirs: 1,
+        };
+        let root = Inode::new(InodeId(0), FileType::Directory, Permissions::directory(0));
+        ns.push_slot(None, "", &root);
+        ns
     }
 
-    /// Appends one arena slot with the given fields, without touching any
-    /// dentry table or live counter. `id` must equal the new slot index.
-    pub(crate) fn push_slot(
-        &mut self,
-        parent: Option<InodeId>,
-        name: &str,
-        ino: &Inode,
-        alive: bool,
-    ) {
+    /// Appends one live arena slot with the given fields, without touching
+    /// any dentry table or live counter. `id` must equal the new slot index.
+    fn push_slot(&mut self, parent: Option<InodeId>, name: &str, ino: &Inode) {
         let idx = self.parent.len();
         assert!(idx < NONE_U32 as usize, "namespace exceeds the u32 slot space");
         debug_assert_eq!(ino.id.index(), idx);
         let sym = self.names.intern(name);
         self.parent.push(parent.map(|p| p.0 as u32).unwrap_or(NONE_U32));
         self.name_sym.push(sym);
-        self.flags.push(ftype_code(ino.ftype) | if alive { FLAG_ALIVE } else { 0 });
+        self.flags.push(ftype_code(ino.ftype) | FLAG_ALIVE);
         self.uid.push(ino.perm.uid);
         self.mode.push(ino.perm.mode);
         self.size.push(ino.size);
@@ -189,7 +175,7 @@ impl Namespace {
 
     /// Inserts `name → child` into directory table `ti`, keeping it
     /// sorted. Returns `false` (and inserts nothing) on a duplicate name.
-    pub(crate) fn dentry_insert(&mut self, ti: usize, name: &str, child: u32) -> bool {
+    fn dentry_insert(&mut self, ti: usize, name: &str, child: u32) -> bool {
         match self.find_in(ti, name) {
             Ok(_) => false,
             Err(pos) => {
@@ -476,7 +462,7 @@ impl Namespace {
         }
         let id = InodeId(self.parent.len() as u64);
         let ino = Inode::new(id, ftype, perm);
-        self.push_slot(Some(dir), name, &ino, true);
+        self.push_slot(Some(dir), name, &ino);
         let inserted = self.dentry_insert(ti, name, id.0 as u32);
         debug_assert!(inserted, "checked for duplicates above");
         if ftype.is_dir() {
@@ -682,6 +668,33 @@ impl Namespace {
             .enumerate()
             .filter(|(_, &f)| f & FLAG_ALIVE != 0)
             .map(|(i, _)| InodeId(i as u64))
+    }
+
+    /// Structural self-check used in tests: parents are live directories,
+    /// dentry maps agree with parent pointers, counters match.
+    pub fn validate(&self) -> Result<(), NamespaceError> {
+        let mut files = 0u64;
+        let mut dirs = 0u64;
+        for id in self.live_ids() {
+            if self.is_dir(id) {
+                dirs += 1;
+            } else {
+                files += 1;
+            }
+            if let Some(p) = self.parent(id)? {
+                if !self.is_dir(p) {
+                    return Err(NamespaceError::NotADirectory);
+                }
+                let name = self.name(id)?;
+                if self.lookup(p, name)? != id {
+                    return Err(NamespaceError::NotFound);
+                }
+            }
+        }
+        if files != self.num_files() || dirs != self.num_dirs() {
+            return Err(NamespaceError::NotFound);
+        }
+        Ok(())
     }
 
     /// Releases excess column and table capacity back to the allocator.
@@ -1092,5 +1105,13 @@ mod tests {
         let per_inode = shrunk as f64 / ns.total_items() as f64;
         assert!(per_inode < 64.0, "expected ≤64 B/inode, got {per_inode:.1}");
         assert!(per_inode > 8.0, "accounting is not free: {per_inode:.1}");
+    }
+
+    #[test]
+    fn validate_accepts_generated_trees() {
+        for seed in 0..5 {
+            let snap = crate::NamespaceSpec { users: 4, seed, ..Default::default() }.generate();
+            snap.ns.validate().expect("generated trees are sound");
+        }
     }
 }

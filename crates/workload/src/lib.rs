@@ -38,7 +38,7 @@ pub use hotspot::{CreateStorm, DeepPathHerd, LookupChurn, RenameStorm};
 pub use ops::{Op, OpKind, OpMix};
 pub use scale::ScaleWorkload;
 pub use shift::ShiftingWorkload;
-pub use trace::{Trace, TraceOp, TraceRecord, TraceRecorder, TraceReplay};
+pub use trace::{Trace, TraceRecord, TraceRecorder, TraceReplay};
 
 use dynmds_event::SimTime;
 use dynmds_namespace::{ClientId, Namespace};

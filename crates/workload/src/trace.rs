@@ -4,96 +4,30 @@
 //! The paper's future work calls for "the use of actual workload traces
 //! with matching file system metadata snapshots". This module provides the
 //! machinery: a [`TraceRecorder`] wraps any [`Workload`] and logs each
-//! generated operation; the resulting [`Trace`] serializes with `serde`
-//! and replays deterministically via [`TraceReplay`] against the *same*
-//! snapshot (pair a trace with its snapshot seed, as the paper prescribes).
-
-use serde::{Deserialize, Serialize};
+//! generated operation; the resulting [`Trace`] replays deterministically
+//! via [`TraceReplay`] against the *same* snapshot (pair a trace with its
+//! snapshot seed, as the paper prescribes).
 
 use dynmds_event::SimTime;
-use dynmds_namespace::{ClientId, InodeId, Namespace};
+use dynmds_namespace::{ClientId, Namespace};
 
 use crate::ops::Op;
 use crate::Workload;
 
-/// A serializable operation record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One recorded operation.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Which client issued it.
     pub client: u32,
     /// Virtual time of generation, microseconds.
     pub at_us: u64,
-    /// The operation, flattened for serialization.
-    pub op: TraceOp,
-}
-
-/// Serialization-friendly mirror of [`Op`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum TraceOp {
-    Stat(u64),
-    Lookup { dir: u64, name: String },
-    Open(u64),
-    Close(u64),
-    Readdir(u64),
-    Create { dir: u64, name: String },
-    Mkdir { dir: u64, name: String },
-    Unlink { dir: u64, name: String },
-    Rename { dir: u64, name: String, new_name: String },
-    Chmod { target: u64, mode: u16 },
-    SetAttr(u64),
-    Link { target: u64, dir: u64, name: String },
-}
-
-impl From<&Op> for TraceOp {
-    fn from(op: &Op) -> Self {
-        match op {
-            Op::Stat(i) => TraceOp::Stat(i.0),
-            Op::Lookup { dir, name } => TraceOp::Lookup { dir: dir.0, name: name.clone() },
-            Op::Open(i) => TraceOp::Open(i.0),
-            Op::Close(i) => TraceOp::Close(i.0),
-            Op::Readdir(i) => TraceOp::Readdir(i.0),
-            Op::Create { dir, name } => TraceOp::Create { dir: dir.0, name: name.clone() },
-            Op::Mkdir { dir, name } => TraceOp::Mkdir { dir: dir.0, name: name.clone() },
-            Op::Unlink { dir, name } => TraceOp::Unlink { dir: dir.0, name: name.clone() },
-            Op::Rename { dir, name, new_name } => {
-                TraceOp::Rename { dir: dir.0, name: name.clone(), new_name: new_name.clone() }
-            }
-            Op::Chmod { target, mode } => TraceOp::Chmod { target: target.0, mode: *mode },
-            Op::SetAttr(i) => TraceOp::SetAttr(i.0),
-            Op::Link { target, dir, name } => {
-                TraceOp::Link { target: target.0, dir: dir.0, name: name.clone() }
-            }
-        }
-    }
-}
-
-impl From<&TraceOp> for Op {
-    fn from(t: &TraceOp) -> Self {
-        match t {
-            TraceOp::Stat(i) => Op::Stat(InodeId(*i)),
-            TraceOp::Lookup { dir, name } => Op::Lookup { dir: InodeId(*dir), name: name.clone() },
-            TraceOp::Open(i) => Op::Open(InodeId(*i)),
-            TraceOp::Close(i) => Op::Close(InodeId(*i)),
-            TraceOp::Readdir(i) => Op::Readdir(InodeId(*i)),
-            TraceOp::Create { dir, name } => Op::Create { dir: InodeId(*dir), name: name.clone() },
-            TraceOp::Mkdir { dir, name } => Op::Mkdir { dir: InodeId(*dir), name: name.clone() },
-            TraceOp::Unlink { dir, name } => Op::Unlink { dir: InodeId(*dir), name: name.clone() },
-            TraceOp::Rename { dir, name, new_name } => {
-                Op::Rename { dir: InodeId(*dir), name: name.clone(), new_name: new_name.clone() }
-            }
-            TraceOp::Chmod { target, mode } => Op::Chmod { target: InodeId(*target), mode: *mode },
-            TraceOp::SetAttr(i) => Op::SetAttr(InodeId(*i)),
-            TraceOp::Link { target, dir, name } => {
-                Op::Link { target: InodeId(*target), dir: InodeId(*dir), name: name.clone() }
-            }
-        }
-    }
+    /// The operation.
+    pub op: Op,
 }
 
 /// A recorded operation stream plus the snapshot seed it was captured
 /// against.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// Seed of the `NamespaceSpec` the trace is valid against.
     pub snapshot_seed: u64,
@@ -146,7 +80,7 @@ impl<W: Workload> Workload for TraceRecorder<W> {
         self.trace.records.push(TraceRecord {
             client: client.0,
             at_us: now.as_micros(),
-            op: TraceOp::from(&op),
+            op: op.clone(),
         });
         op
     }
@@ -178,7 +112,7 @@ impl TraceReplay {
         assert!(uids.is_empty() || uids.len() == n, "uid table arity");
         let mut per_client: Vec<Vec<Op>> = vec![Vec::new(); n];
         for rec in &trace.records {
-            per_client[rec.client as usize].push(Op::from(&rec.op));
+            per_client[rec.client as usize].push(rec.op.clone());
         }
         TraceReplay { per_client, cursor: vec![0; n], uids }
     }
@@ -274,28 +208,6 @@ mod tests {
             assert!(matches!(op, Op::Stat(_)));
         }
         assert_eq!(replay.remaining(ClientId(0)), 0);
-    }
-
-    #[test]
-    fn trace_round_trips_through_every_op_kind() {
-        let ops = vec![
-            Op::Stat(InodeId(1)),
-            Op::Lookup { dir: InodeId(3), name: "missing".into() },
-            Op::Open(InodeId(2)),
-            Op::Close(InodeId(2)),
-            Op::Readdir(InodeId(3)),
-            Op::Create { dir: InodeId(3), name: "a".into() },
-            Op::Mkdir { dir: InodeId(3), name: "b".into() },
-            Op::Unlink { dir: InodeId(3), name: "a".into() },
-            Op::Rename { dir: InodeId(3), name: "b".into(), new_name: "c".into() },
-            Op::Chmod { target: InodeId(1), mode: 0o640 },
-            Op::SetAttr(InodeId(1)),
-        ];
-        for op in &ops {
-            let t = TraceOp::from(op);
-            let back = Op::from(&t);
-            assert_eq!(*op, back);
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Snapshot + trace methodology demo (§5.2 / §7): generate a file-system
-//! snapshot, record a workload trace against it, persist both, then
-//! replay the trace over a re-imported snapshot and verify the simulated
-//! cluster behaves identically — the paper's prescription that traces need
-//! "matching file system metadata snapshots".
+//! snapshot, record a workload trace against it, then replay the trace
+//! over the snapshot rebuilt from the seed the trace carries, and verify
+//! the simulated cluster behaves identically — the paper's prescription
+//! that traces need "matching file system metadata snapshots". A snapshot
+//! is its spec plus its seed.
 //!
 //! ```text
 //! cargo run --release --example snapshot_and_trace
@@ -13,7 +14,7 @@ use std::rc::Rc;
 
 use dynmds::core::{SimConfig, Simulation};
 use dynmds::event::SimTime;
-use dynmds::namespace::{ClientId, Namespace, NamespaceSpec};
+use dynmds::namespace::{ClientId, Namespace, NamespaceSpec, Snapshot};
 use dynmds::partition::StrategyKind;
 use dynmds::workload::{
     GeneralWorkload, Op, Trace, TraceRecorder, TraceReplay, Workload, WorkloadConfig,
@@ -46,15 +47,9 @@ impl Workload for PublishingRecorder {
 }
 
 fn main() {
-    // 1. Generate and persist the snapshot.
-    let snap = NamespaceSpec::with_target_items(CLIENTS as usize, 8_000, SNAPSHOT_SEED).generate();
-    let image = snap.ns.to_image();
-    println!(
-        "snapshot: {} items ({} slots incl. tombstones), {} hard-link dentries",
-        snap.ns.total_items(),
-        image.slots.len(),
-        image.extra_links.len()
-    );
+    // 1. Generate the snapshot.
+    let snap = snapshot(SNAPSHOT_SEED);
+    println!("snapshot: {} items from seed {SNAPSHOT_SEED}", snap.ns.total_items());
 
     // 2. Run a live simulation, recording the workload.
     let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
@@ -82,10 +77,8 @@ fn main() {
         trace.len()
     );
 
-    // 3. Rebuild the snapshot from its image and replay the trace.
-    let ns = Namespace::from_image(&image).expect("image is valid");
-    ns.validate().expect("rebuilt tree is sound");
-    let rebuilt = regenerate_snapshot_with(ns);
+    // 3. Rebuild the snapshot from the trace's seed and replay the trace.
+    let rebuilt = snapshot(trace.snapshot_seed);
     let replay = Box::new(TraceReplay::new(&trace, uids));
     let mut replayed = Simulation::new(cfg, rebuilt, replay);
     replayed.run_until(SimTime::from_secs(8));
@@ -98,7 +91,11 @@ fn main() {
     println!("\nlive and replayed runs are identical — trace + snapshot round trip works.");
 }
 
-fn base_workload(snap: &dynmds::namespace::Snapshot) -> GeneralWorkload {
+fn snapshot(seed: u64) -> Snapshot {
+    NamespaceSpec::with_target_items(CLIENTS as usize, 8_000, seed).generate()
+}
+
+fn base_workload(snap: &Snapshot) -> GeneralWorkload {
     GeneralWorkload::new(
         WorkloadConfig { seed: 9, ..Default::default() },
         CLIENTS as usize,
@@ -106,14 +103,4 @@ fn base_workload(snap: &dynmds::namespace::Snapshot) -> GeneralWorkload {
         &snap.shared_roots,
         &snap.ns,
     )
-}
-
-/// Wraps a re-imported namespace in a Snapshot shell (home/shared roots
-/// recovered by path).
-fn regenerate_snapshot_with(ns: Namespace) -> dynmds::namespace::Snapshot {
-    let user_homes: Vec<_> = (0..CLIENTS as usize)
-        .map(|u| ns.resolve(&format!("/home/user{u:04}")).expect("home survives"))
-        .collect();
-    let shared_roots: Vec<_> = (0..).map_while(|s| ns.resolve(&format!("/proj{s}")).ok()).collect();
-    dynmds::namespace::Snapshot { ns, user_homes, shared_roots }
 }
