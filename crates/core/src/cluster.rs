@@ -22,11 +22,12 @@
 
 use dynmds_cache::InsertKind;
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
-use dynmds_metrics::{Summary, TimeSeries};
+use dynmds_metrics::Summary;
 use dynmds_namespace::{
     ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Namespace, Permissions, Snapshot,
 };
 use dynmds_obs::span::NO_MDS;
+use dynmds_obs::SnapshotSeries;
 use dynmds_partition::{dentry_hash, Partition, StrategyKind};
 use dynmds_storage::{AnchorTable, MetadataStore, OsdPool, StoreLayout};
 use dynmds_workload::{Op, Workload};
@@ -34,7 +35,7 @@ use dynmds_workload::{Op, Workload};
 use crate::client::{ClientPool, KnownLocation};
 use crate::config::SimConfig;
 use crate::fault::NetFaultSpec;
-use crate::node::MdsNode;
+use crate::node::{sample_row, sample_series, MdsNode};
 use crate::obs::{ClusterObs, SpanStage};
 use crate::report::SimReport;
 use crate::request::{Request, SimEvent};
@@ -222,9 +223,9 @@ pub struct Cluster {
 
     // --- metrics --------------------------------------------------------
     pub(crate) measure_start: SimTime,
-    pub(crate) served_series: Vec<TimeSeries>,
-    pub(crate) forwarded_series: Vec<TimeSeries>,
-    pub(crate) received_series: Vec<TimeSeries>,
+    /// Per-node sample series: one row per sampling window since
+    /// measurement last restarted.
+    pub samples: SnapshotSeries,
     pub(crate) latency: Summary,
 }
 
@@ -292,9 +293,7 @@ impl Cluster {
             obs: ClusterObs::new(cfg.obs, n, cfg.n_clients as usize),
             probe: None,
             measure_start: SimTime::ZERO,
-            served_series: vec![TimeSeries::new(); n],
-            forwarded_series: vec![TimeSeries::new(); n],
-            received_series: vec![TimeSeries::new(); n],
+            samples: sample_series(n),
             latency: Summary::new(),
             cfg,
         }
@@ -350,11 +349,6 @@ impl Cluster {
         self.authority_of(op.target())
     }
 
-    /// The served-ops time series of one node (inspection hook).
-    pub fn report_served_series(&self, node: usize) -> Option<&TimeSeries> {
-        self.served_series.get(node)
-    }
-
     /// Ids replicated cluster-wide by traffic control (§4.4), sorted.
     /// Inspection hook.
     pub fn replicated_ids(&self) -> Vec<InodeId> {
@@ -372,14 +366,7 @@ impl Cluster {
     /// Called after warm-up.
     pub fn reset_measurement(&mut self, now: SimTime) {
         self.measure_start = now;
-        for s in self
-            .served_series
-            .iter_mut()
-            .chain(self.forwarded_series.iter_mut())
-            .chain(self.received_series.iter_mut())
-        {
-            *s = TimeSeries::new();
-        }
+        self.samples.reset();
         self.latency = Summary::new();
         for n in &mut self.nodes {
             n.reset_measurement();
@@ -410,9 +397,7 @@ impl Cluster {
             n_mds: self.cfg.n_mds,
             measure_start: self.measure_start,
             measure_end: end,
-            served_series: self.served_series,
-            forwarded_series: self.forwarded_series,
-            received_series: self.received_series,
+            samples: self.samples,
             latency: self.latency,
             nodes,
             obs,
@@ -1318,29 +1303,21 @@ impl Cluster {
     }
 
     fn on_sample(&mut self, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        let track = self.obs.enabled();
-        let mut loads: Vec<u64> = Vec::new();
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            let w = n.take_sample();
-            self.served_series[i].push(now, w.served as f64);
-            self.forwarded_series[i].push(now, w.forwarded as f64);
-            self.received_series[i].push(now, w.received as f64);
-            if track {
-                loads.push(w.served);
-            }
+        let n = self.nodes.len();
+        let row = sample_row(n, &mut self.nodes);
+        if self.obs.enabled() {
+            self.push_obs_snapshot(now, &row[..n]);
         }
-        if track {
-            self.push_obs_snapshot(now, loads);
-        }
+        self.samples.push_row(now.as_micros(), row);
         queue.schedule(now + self.cfg.sample_every, SimEvent::Sample);
     }
 
     /// Gathers one per-MDS snapshot row (field order:
     /// [`crate::obs::SNAPSHOT_FIELDS`]) — only called with obs enabled.
-    fn push_obs_snapshot(&mut self, now: SimTime, loads: Vec<u64>) {
+    fn push_obs_snapshot(&mut self, now: SimTime, loads: &[u64]) {
         let n_mds = self.nodes.len();
         let mut row = Vec::with_capacity(crate::obs::SNAPSHOT_FIELDS.len() * n_mds);
-        row.extend_from_slice(&loads);
+        row.extend_from_slice(loads);
         for n in &self.nodes {
             row.push(n.cache.len() as u64);
         }

@@ -4,17 +4,44 @@
 //! Each served, forwarded, received or missed request increments one
 //! field of the node's [`LifeCounters`], which is never reset. Every
 //! window over those counts — the measurement window the reports read,
-//! the sample window behind the time series and snapshot rows, and the
+//! the sample window behind the per-node sample series, and the
 //! heartbeat window the balancer loads on — is the difference from a
 //! reading of `life` stored when the window opened.
 
 use dynmds_cache::{MetaCache, Popularity};
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::MdsId;
+use dynmds_obs::SnapshotSeries;
 use dynmds_storage::{BoundedLog, DiskModel};
 
 use crate::config::{JOURNAL_DISK, POPULARITY_HALF_LIFE};
 use crate::report::NodeSnapshot;
+
+/// Fields of a per-node sample row, one slot per node each.
+const SAMPLE_FIELDS: &[&str] = &["served", "forwarded", "received", "misses"];
+
+/// An empty per-node sample series over `n_mds` nodes: one row per sample
+/// tick, built by [`sample_row`].
+pub fn sample_series(n_mds: usize) -> SnapshotSeries {
+    SnapshotSeries::new(SAMPLE_FIELDS, n_mds)
+}
+
+/// One sample-series row: takes every node's sample window
+/// ([`MdsNode::take_sample`]) and lays the counts out field-major, each
+/// field's slots in node-id order. `nodes` must cover ids `0..n_mds`, in
+/// any order.
+pub fn sample_row<'a>(n_mds: usize, nodes: impl IntoIterator<Item = &'a mut MdsNode>) -> Vec<u64> {
+    let mut row = vec![0; SAMPLE_FIELDS.len() * n_mds];
+    for n in nodes {
+        let w = n.take_sample();
+        let i = n.id.index();
+        row[i] = w.served;
+        row[n_mds + i] = w.forwarded;
+        row[2 * n_mds + i] = w.received;
+        row[3 * n_mds + i] = w.disk_fetches;
+    }
+    row
+}
 
 /// One node's event counts since it was built. Never reset: a window is
 /// the [`since`](LifeCounters::since) difference from a stored reading.

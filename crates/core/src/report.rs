@@ -1,7 +1,8 @@
 //! Simulation results, shaped for the paper's figures.
 
 use dynmds_event::{SimDuration, SimTime};
-use dynmds_metrics::{Summary, TimeSeries};
+use dynmds_metrics::Summary;
+use dynmds_obs::SnapshotSeries;
 use dynmds_partition::StrategyKind;
 
 /// Final per-node state.
@@ -35,12 +36,9 @@ pub struct SimReport {
     pub measure_start: SimTime,
     /// End of the run.
     pub measure_end: SimTime,
-    /// Per node: operations served, one sample per sampling window.
-    pub served_series: Vec<TimeSeries>,
-    /// Per node: requests forwarded, one sample per sampling window.
-    pub forwarded_series: Vec<TimeSeries>,
-    /// Per node: requests received, one sample per sampling window.
-    pub received_series: Vec<TimeSeries>,
+    /// Per-node sample series over the measurement window: one row per
+    /// sampling window ([`crate::node::sample_row`]).
+    pub samples: SnapshotSeries,
     /// Client-observed latency of completed operations (seconds).
     pub latency: Summary,
     /// Final per-node state.
@@ -98,6 +96,25 @@ impl SimReport {
         self.nodes.iter().map(|n| n.hit_rate * n.served as f64).sum::<f64>() / total as f64
     }
 
+    /// Per node: the sum of sample field `field` over the rows in
+    /// `[start, end)`. Summed in f64 from -0.0, as `Iterator::sum` does,
+    /// so a window holding no row reads -0.
+    fn sums_in(&self, field: &str, start: SimTime, end: SimTime) -> Vec<f64> {
+        let (start, end) = (start.as_micros(), end.as_micros());
+        let mut sums = vec![-0.0; self.nodes.len()];
+        for (_, values) in self.samples.field_rows(field).filter(|&(t, _)| t >= start && t < end) {
+            for (sum, &v) in sums.iter_mut().zip(values) {
+                *sum += v as f64;
+            }
+        }
+        sums
+    }
+
+    /// Cluster-wide sum of sample field `field` over `[start, end)`.
+    fn total_in(&self, field: &str, start: SimTime, end: SimTime) -> f64 {
+        self.sums_in(field, start, end).into_iter().sum()
+    }
+
     /// **Figure 5 quantity**: per-bin (min, mean, max) of per-node
     /// throughput in ops/s.
     pub fn throughput_range_series(&self, bin: SimDuration) -> Vec<(SimTime, f64, f64, f64)> {
@@ -106,19 +123,20 @@ impl SimReport {
         let mut t = self.measure_start;
         while t < self.measure_end {
             let next = t + bin;
+            let served = self.sums_in("served", t, next);
             let mut lo = f64::INFINITY;
             let mut hi: f64 = 0.0;
             let mut sum = 0.0;
-            for s in &self.served_series {
-                let v = s.sum_in(t, next) / secs;
+            for &s in &served {
+                let v = s / secs;
                 lo = lo.min(v);
                 hi = hi.max(v);
                 sum += v;
             }
-            if self.served_series.is_empty() {
+            if served.is_empty() {
                 lo = 0.0;
             }
-            out.push((t, lo, sum / self.served_series.len().max(1) as f64, hi));
+            out.push((t, lo, sum / served.len().max(1) as f64, hi));
             t = next;
         }
         out
@@ -131,8 +149,8 @@ impl SimReport {
         let mut t = self.measure_start;
         while t < self.measure_end {
             let next = t + bin;
-            let fwd: f64 = self.forwarded_series.iter().map(|s| s.sum_in(t, next)).sum();
-            let recv: f64 = self.received_series.iter().map(|s| s.sum_in(t, next)).sum();
+            let fwd = self.total_in("forwarded", t, next);
+            let recv = self.total_in("received", t, next);
             let frac = if recv > 0.0 { fwd / recv } else { 0.0 };
             out.push((t, frac));
             t = next;
@@ -148,8 +166,8 @@ impl SimReport {
         let mut t = self.measure_start;
         while t < self.measure_end {
             let next = t + bin;
-            let served: f64 = self.served_series.iter().map(|s| s.sum_in(t, next)).sum();
-            let fwd: f64 = self.forwarded_series.iter().map(|s| s.sum_in(t, next)).sum();
+            let served = self.total_in("served", t, next);
+            let fwd = self.total_in("forwarded", t, next);
             out.push((t, served / secs, fwd / secs));
             t = next;
         }
@@ -167,9 +185,7 @@ mod tests {
             n_mds: nodes.len() as u16,
             measure_start: SimTime::ZERO,
             measure_end: SimTime::from_secs(10),
-            served_series: vec![TimeSeries::new(); nodes.len()],
-            forwarded_series: vec![TimeSeries::new(); nodes.len()],
-            received_series: vec![TimeSeries::new(); nodes.len()],
+            samples: crate::node::sample_series(nodes.len().max(1)),
             latency: Summary::new(),
             nodes,
             obs: None,
@@ -212,13 +228,8 @@ mod tests {
     fn series_helpers_produce_bins() {
         let mut r = report_with(vec![node(100, 1.0, 0.0), node(100, 1.0, 0.0)]);
         for i in 0..10 {
-            let t = SimTime::from_secs(i);
-            r.served_series[0].push(t, 10.0);
-            r.served_series[1].push(t, 20.0);
-            r.received_series[0].push(t, 12.0);
-            r.received_series[1].push(t, 20.0);
-            r.forwarded_series[0].push(t, 2.0);
-            r.forwarded_series[1].push(t, 0.0);
+            // served, forwarded, received, misses; two nodes each.
+            r.samples.push_row(i * 1_000_000, vec![10, 20, 2, 0, 12, 20, 0, 0]);
         }
         let ranges = r.throughput_range_series(SimDuration::from_secs(2));
         assert_eq!(ranges.len(), 5);

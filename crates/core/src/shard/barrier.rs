@@ -8,10 +8,11 @@ use dynmds_namespace::{InodeId, MdsId};
 use dynmds_partition::StrategyKind;
 
 use super::event::{proxy_rank, Ev};
-use super::{owner, ShardedSimulation, SNAP_FIELDS};
+use super::{owner, ShardedSimulation};
 use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MISS_WEIGHT};
 use crate::elastic::ScaleAction;
 use crate::fault::{crash_applies, live_in_ring, DiskScope, FaultStep};
+use crate::node::sample_row;
 
 impl ShardedSimulation {
     /// Recomputes the next-due-step calendar after anything that moves
@@ -275,24 +276,11 @@ impl ShardedSimulation {
         self.node_mut(victim).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
     }
 
-    /// Sample tick: one snapshot row of each node's sample window. With
-    /// obs off nothing reads the window, so the tick touches no node.
+    /// Sample tick: one row of every node's sample window.
     fn sample(&mut self, at: u64) {
-        let Some(series) = self.snapshots.as_mut() else { return };
-        let n_mds = self.world.cfg.n_mds as usize;
-        let mut wins = vec![(0u64, 0u64, 0u64, 0u64); n_mds];
-        for shard in &mut self.shards {
-            for n in &mut shard.nodes {
-                let w = n.m.take_sample();
-                wins[n.m.id.index()] = (w.served, w.forwarded, w.received, w.disk_fetches);
-            }
-        }
-        let mut row = Vec::with_capacity(SNAP_FIELDS.len() * n_mds);
-        row.extend(wins.iter().map(|w| w.0));
-        row.extend(wins.iter().map(|w| w.1));
-        row.extend(wins.iter().map(|w| w.2));
-        row.extend(wins.iter().map(|w| w.3));
-        series.push_row(at, row);
+        let nodes = self.shards.iter_mut().flat_map(|s| s.nodes.iter_mut().map(|n| &mut n.m));
+        let row = sample_row(self.world.cfg.n_mds as usize, nodes);
+        self.samples.push_row(at, row);
     }
 }
 

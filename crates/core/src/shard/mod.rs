@@ -85,7 +85,7 @@ use dynmds_workload::Workload;
 use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
 use crate::fault::FaultStep;
-use crate::node::MdsNode;
+use crate::node::{sample_series, MdsNode};
 
 use driver::DRIVER;
 pub use driver::{install_parallel_driver, ParallelDriver};
@@ -145,7 +145,9 @@ pub struct ShardedSimulation {
     next_due: u64,
     measure_start: u64,
     migrations: u64,
-    snapshots: Option<SnapshotSeries>,
+    /// Per-node sample series: one row per sample tick since measurement
+    /// last restarted.
+    samples: SnapshotSeries,
 }
 
 /// How a run has executed so far; see [`ShardedSimulation::run_counts`].
@@ -158,9 +160,6 @@ pub struct RunCounts {
     /// Events handled, over all shards.
     pub events: u64,
 }
-
-/// Snapshot-series field layout (one slot per node each).
-const SNAP_FIELDS: &[&str] = &["served", "forwarded", "received", "misses"];
 
 impl ShardedSimulation {
     /// Builds a run over `shards` event queues. The shard count is
@@ -250,8 +249,6 @@ impl ShardedSimulation {
         let steps =
             cfg.faults.steps(n_mds).into_iter().map(|(at, s)| (at.as_micros(), s)).collect();
 
-        let snapshots =
-            if cfg.obs.metrics { Some(SnapshotSeries::new(SNAP_FIELDS, n_mds)) } else { None };
         let heartbeat = cfg.heartbeat.as_micros();
         let sample = cfg.sample_every.as_micros();
         let mut sim = ShardedSimulation {
@@ -284,7 +281,7 @@ impl ShardedSimulation {
             next_due: 0,
             measure_start: 0,
             migrations: 0,
-            snapshots,
+            samples: sample_series(n_mds),
         };
         if sim.world.cfg.strategy == StrategyKind::ElasticSubtree {
             sim.park_initial_standby();
@@ -345,9 +342,7 @@ impl ShardedSimulation {
         }
         self.migrations = 0;
         self.world.elastic.reset_accounting(self.now_us);
-        if let Some(s) = self.snapshots.as_mut() {
-            s.reset();
-        }
+        self.samples.reset();
         self.measure_start = self.now_us;
     }
 
@@ -413,10 +408,11 @@ impl ShardedSimulation {
             scale_ins: self.world.elastic.scale_ins,
             provisioned_node_us,
             latency: lat,
+            samples: self.samples,
             obs: None,
         };
         if cfg.obs.metrics {
-            report.obs = Some(report.obs_export(self.snapshots.as_ref()));
+            report.obs = Some(report.obs_export());
         }
         report
     }

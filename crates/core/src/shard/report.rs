@@ -124,6 +124,9 @@ pub struct ShardReport {
     pub provisioned_node_us: u64,
     /// Completion-latency aggregate.
     pub latency: LatencyAgg,
+    /// Per-node sample series over the measurement window: one row per
+    /// sample tick ([`crate::node::sample_row`]).
+    pub samples: SnapshotSeries,
     /// Observability export, when `cfg.obs.metrics` was on.
     pub obs: Option<ObsExport>,
 }
@@ -225,8 +228,8 @@ impl ShardReport {
 
     /// Builds the deterministic obs export from the report's aggregates:
     /// counters in fixed registration order, per-node slots in id order,
-    /// latency buckets, and the barrier-sampled snapshot series.
-    pub(super) fn obs_export(&self, snapshots: Option<&SnapshotSeries>) -> ObsExport {
+    /// latency buckets, and the barrier-sampled sample series.
+    pub(super) fn obs_export(&self) -> ObsExport {
         let mut reg = Registry::new();
         for (name, v) in [
             ("client.ops", self.ops),
@@ -265,7 +268,7 @@ impl ShardReport {
                 reg.counter(name, &[v]);
             }
         }
-        let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
+        let snapshots_jsonl = self.samples.to_jsonl();
         let summary = format!(
             "sharded run: {} ops, {} lease hits, {} timeouts, {} retries, {} migrations, {} scale-outs, {} scale-ins\n",
             self.ops,

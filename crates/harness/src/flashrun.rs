@@ -151,10 +151,8 @@ pub fn flash_summary(r: &FlashResult, scale: ExperimentScale) -> FlashSummary {
     }
 }
 
-/// Merged, time-ordered served samples across nodes.
+/// Cluster-wide served ops per sample row, in time order.
 fn serve_points(rep: &SimReport) -> Vec<(SimTime, f64)> {
-    let mut pts: Vec<(SimTime, f64)> =
-        rep.served_series.iter().flat_map(|s| s.points().iter().copied()).collect();
-    pts.sort_by_key(|&(t, _)| t);
-    pts
+    let rows = rep.samples.field_rows("served");
+    rows.map(|(t, served)| (SimTime::from_micros(t), served.iter().sum::<u64>() as f64)).collect()
 }

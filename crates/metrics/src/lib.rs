@@ -2,19 +2,18 @@
 //!
 //! Every figure in the paper's evaluation is either a time series
 //! (Figures 5–7), a per-configuration scalar swept over a parameter
-//! (Figures 2–4), or a distribution summary. This crate provides those
-//! three shapes plus plain-text rendering:
+//! (Figures 2–4), or a distribution summary. The time series are the
+//! engines' per-node sample rows (`dynmds_obs::SnapshotSeries`); this
+//! crate provides the other two shapes plus plain-text rendering:
 //!
-//! * [`TimeSeries`] — timestamped samples with binning/rate helpers,
 //! * [`Summary`] — running min/mean/max/percentile statistics,
-//! * [`Table`] — aligned ASCII tables and CSV output for the harness.
+//! * [`Table`] — aligned ASCII tables and CSV output for the harness,
+//! * [`AsciiChart`] — terminal line charts for the examples.
 
 pub mod chart;
-pub mod series;
 pub mod summary;
 pub mod table;
 
 pub use chart::AsciiChart;
-pub use series::TimeSeries;
 pub use summary::{Histogram, Summary};
 pub use table::Table;

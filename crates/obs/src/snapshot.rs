@@ -9,6 +9,7 @@
 //! without re-running a simulation.
 
 /// A named multi-column (one per MDS) time series set.
+#[derive(Clone, Debug)]
 pub struct SnapshotSeries {
     fields: Vec<&'static str>,
     n_slots: usize,
@@ -44,6 +45,18 @@ impl SnapshotSeries {
     /// Whether no rows were captured.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Every row's time (µs) and its `n_slots` values of `field`, in time
+    /// order. Panics on a field the series does not have.
+    pub fn field_rows<'a>(&'a self, field: &str) -> impl Iterator<Item = (u64, &'a [u64])> + 'a {
+        let f = self
+            .fields
+            .iter()
+            .position(|&name| name == field)
+            .unwrap_or_else(|| panic!("no field {field:?}"));
+        let (start, n) = (f * self.n_slots, self.n_slots);
+        self.rows.iter().map(move |(t, values)| (*t, &values[start..start + n]))
     }
 
     /// Drops all rows (measurement restart).
@@ -86,6 +99,8 @@ mod tests {
         s.push_row(1_000_000, vec![10, 20, 5, 6]);
         s.push_row(2_000_000, vec![11, 21, 7, 8]);
         assert_eq!(s.len(), 2);
+        let cache: Vec<_> = s.field_rows("cache").collect();
+        assert_eq!(cache, [(1_000_000, &[5, 6][..]), (2_000_000, &[7, 8][..])]);
         assert_eq!(
             s.to_jsonl(),
             "{\"t_us\":1000000,\"load\":[10,20],\"cache\":[5,6]}\n\
@@ -98,6 +113,13 @@ mod tests {
     fn wrong_row_width_panics() {
         let mut s = SnapshotSeries::new(&["load"], 2);
         s.push_row(0, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no field \"cache\"")]
+    fn unknown_field_panics() {
+        let s = SnapshotSeries::new(&["load"], 2);
+        let _ = s.field_rows("cache");
     }
 
     #[test]

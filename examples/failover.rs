@@ -58,25 +58,23 @@ fn main() {
 
     let report = sim.finish();
     let bin = SimDuration::from_secs(1);
-    let victim_pts: Vec<(f64, f64)> = report.served_series[VICTIM.index()]
-        .binned(SimTime::ZERO, SimTime::from_secs(END), bin)
-        .into_iter()
-        .map(|(t, sum, _)| (t.as_secs_f64(), sum))
-        .collect();
-    let others_pts: Vec<(f64, f64)> = {
-        let mut acc = vec![0.0f64; END as usize];
-        for (i, s) in report.served_series.iter().enumerate() {
-            if i == VICTIM.index() {
-                continue;
-            }
-            for (k, (_, sum, _)) in
-                s.binned(SimTime::ZERO, SimTime::from_secs(END), bin).into_iter().enumerate()
-            {
-                acc[k] += sum;
+    let (mut victim, mut others) = (vec![0u64; END as usize], vec![0u64; END as usize]);
+    for (t, served) in report.samples.field_rows("served") {
+        let k = (t / bin.as_micros()) as usize;
+        if k < END as usize {
+            for (i, &v) in served.iter().enumerate() {
+                if i == VICTIM.index() {
+                    victim[k] += v;
+                } else {
+                    others[k] += v;
+                }
             }
         }
-        acc.into_iter().enumerate().map(|(k, v)| (k as f64, v / 3.0)).collect()
-    };
+    }
+    let victim_pts: Vec<(f64, f64)> =
+        victim.into_iter().enumerate().map(|(k, v)| (k as f64, v as f64)).collect();
+    let others_pts: Vec<(f64, f64)> =
+        others.into_iter().enumerate().map(|(k, v)| (k as f64, v as f64 / 3.0)).collect();
 
     let mut chart =
         AsciiChart::new("ops/s over time — v = victim node, s = survivors (avg)", 72, 14);

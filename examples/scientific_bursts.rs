@@ -61,15 +61,14 @@ fn main() {
     // Cluster-wide throughput over time: bursts show as spikes.
     let bin = SimDuration::from_millis(500);
     let pts: Vec<(f64, f64)> = {
-        let mut acc = vec![0.0f64; (END_S * 2) as usize];
-        for s in &report.served_series {
-            for (k, (_, sum, _)) in
-                s.binned(SimTime::ZERO, SimTime::from_secs(END_S), bin).into_iter().enumerate()
-            {
-                acc[k] += sum * 2.0; // per-second rate
+        let mut acc = vec![0u64; (END_S * 2) as usize];
+        for (t, served) in report.samples.field_rows("served") {
+            if let Some(a) = acc.get_mut((t / bin.as_micros()) as usize) {
+                *a += served.iter().sum::<u64>();
             }
         }
-        acc.into_iter().enumerate().map(|(k, v)| (k as f64 / 2.0, v)).collect()
+        // Per-second rate.
+        acc.into_iter().enumerate().map(|(k, v)| (k as f64 / 2.0, v as f64 * 2.0)).collect()
     };
     let mut chart = AsciiChart::new("cluster ops/s over time (bursts every 8s)", 76, 12);
     chart.series('*', &pts);

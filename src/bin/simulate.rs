@@ -9,23 +9,23 @@
 //!   --clients N         clients                               (80)
 //!   --items N           metadata items in the snapshot        (32000)
 //!   --cache N           per-MDS cache capacity, inodes        (1200)
-//!   --osds N            OSD pool size                         (16)
+//!   --osds N            OSD pool size                         (16; legacy engine only)
 //!   --seconds N         measured virtual seconds              (20)
 //!   --warmup N          warm-up virtual seconds               (8)
 //!   --seed N            RNG seed                              (7)
 //!   --shards N          run the sharded engine on N event queues (0 = legacy serial engine)
-//!   --threads N         worker threads for the shard fan-out   (worker policy)
+//!   --threads N         worker threads for the shard fan-out   (worker policy; needs --shards)
 //!   --force-dense       sharded engine: run every window on all workers, never skip
-//!                       (debug/CI knob — output is byte-identical either way)
+//!                       (debug/CI knob — output is byte-identical either way; needs --shards)
 //!   --workload general|scientific|hotset|diurnal              (general)
 //!   --diurnal-period N  diurnal day length, virtual seconds    (4)
 //!   --night-mult X      night think-time multiplier            (150)
 //!   --leases            enable client metadata leases
-//!   --shared-writes     enable GPFS-style shared writes
+//!   --shared-writes     enable GPFS-style shared writes (legacy engine only)
 //!   --proxy N           put N hotspot proxies in front of the cluster (0)
 //!   --no-balancing      disable the load balancer
 //!   --no-traffic-control  disable flash-crowd replication
-//!   --dir-hash N        hash directories beyond N entries
+//!   --dir-hash N        hash directories beyond N entries (legacy engine only)
 //!   --fail MDS@SECS     kill a node mid-run (repeatable; = --faults crash:MDS@SECS)
 //!   --recover MDS@SECS  bring a node back (repeatable; = --faults recover:MDS@SECS)
 //!   --faults SPEC       deterministic fault schedule, `;`-separated (repeatable):
@@ -138,7 +138,9 @@ fn parse_args() -> Args {
     let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         it.next().unwrap_or_else(|| usage(&format!("missing value for {flag}")))
     };
+    let mut given: Vec<String> = Vec::new();
     while let Some(f) = it.next() {
+        given.push(f.clone());
         match f.as_str() {
             "--strategy" => {
                 a.strategy = match next(&mut it, &f).as_str() {
@@ -218,6 +220,15 @@ fn parse_args() -> Args {
     }
     if a.strategy == StrategyKind::ElasticSubtree && a.shards == 0 {
         usage("--strategy elastic needs --shards N (only the sharded engine autoscales)");
+    }
+    // Flags the chosen engine would silently ignore.
+    let (ignored, why): (&[&str], _) = if a.shards > 0 {
+        (&["--shared-writes", "--dir-hash", "--osds"], "is not supported with --shards")
+    } else {
+        (&["--force-dense", "--threads"], "needs --shards N (only the sharded engine reads it)")
+    };
+    if let Some(f) = given.iter().find(|f| ignored.contains(&f.as_str())) {
+        usage(&format!("{f} {why}"));
     }
     if let Err(e) = a.schedule.check_nodes(a.n_mds as usize) {
         usage(&format!("bad fault schedule: {e}"));

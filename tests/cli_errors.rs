@@ -64,6 +64,26 @@ fn simulate_rejects_elastic_without_shards() {
     assert!(stderr.contains("--strategy elastic needs --shards"), "stderr: {stderr}");
 }
 
+/// A flag the chosen engine would ignore fails as bad usage instead of
+/// running as if it were absent.
+#[test]
+fn flags_the_chosen_engine_ignores_are_usage_errors() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--shards", "2", "--shared-writes"], "--shared-writes is not supported with --shards"),
+        (&["--shards", "2", "--dir-hash", "8"], "--dir-hash is not supported with --shards"),
+        (&["--osds", "2", "--shards", "2"], "--osds is not supported with --shards"),
+        (&["--force-dense"], "--force-dense needs --shards"),
+        (&["--threads", "3"], "--threads needs --shards"),
+        (&["--shards", "0", "--threads", "3"], "--threads needs --shards"),
+    ];
+    for &(args, want) in cases {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_simulate"), args);
+        assert_eq!(code, Some(2), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(SIMULATE_USAGE), "{args:?}: stderr: {stderr}");
+    }
+}
+
 /// A fault naming a node past the cluster fails as bad usage, on both
 /// engines and in `availability`, instead of panicking mid-run.
 #[test]

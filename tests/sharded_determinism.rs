@@ -130,7 +130,8 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
     //   fault churn — crash/recover/churn/disk/net events land via the
     //                barrier-global step calendar mid-gap;
     //   elastic    — the autoscaling controller acts on heartbeat steps
-    //                that the skip must not jump past;
+    //                that the skip must not jump past (a 250 ms heartbeat
+    //                and low watermarks, so it does scale);
     //   sparse     — eight shards, six clients thinking 50 ms: nearly
     //                every executed window has at most one busy shard,
     //                so its fan-out runs on one worker.
@@ -202,9 +203,22 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
         skip.n_mds = case.n_mds;
         skip.n_clients = case.n_clients;
         skip.costs.think_mean = case.think;
+        if case.strategy == StrategyKind::ElasticSubtree {
+            skip.heartbeat = SimDuration::from_millis(250);
+            skip.elastic.high_load_per_s = 300.0;
+            skip.elastic.low_load_per_s = 150.0;
+        }
         let mut dense = skip.clone();
         dense.force_dense = true;
         let one = run_span(skip.clone(), 1, case.warmup, case.measure);
+        if case.strategy == StrategyKind::ElasticSubtree {
+            assert!(
+                !one.0.contains("scale-outs 0  scale-ins 0"),
+                "{}: no scale action",
+                case.label
+            );
+            assert!(one.0.contains("scale-outs "), "{}: report shows the controller", case.label);
+        }
         for k in [1usize, 2, 4, 8].into_iter().filter(|&k| k <= case.n_mds as usize) {
             if k > 1 {
                 let a = run_span(skip.clone(), k, case.warmup, case.measure);
