@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 echo "==> rustdoc (warnings are errors; catches stale intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked \
-    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+    --exclude proptest --exclude rand
 
 echo "==> tier-1: release build + tests"
 cargo build --release --offline --locked --workspace
