@@ -1,12 +1,18 @@
-//! Replay every shrunken repro trace under `dst/repros/`.
+//! Replay every repro trace under `dst/repros/`.
 //!
-//! `experiments torture` writes a repro file there whenever a scenario
-//! diverges from the reference-model oracle. Committing such a file
-//! turns the divergence into a plain failing `#[test]` until the bug is
-//! fixed; once fixed, the repro replays clean and should be deleted.
-//! With no repro files present this test is vacuously green.
+//! Each file is a regression test: it must replay with no oracle
+//! divergence, to the replay digest its `# digest 0x…` note line
+//! records, and its parse must serialize back to the file byte for byte.
+//! `experiments torture` writes a file there when a scenario diverges;
+//! the corpus files pin the legacy serve path (see the README there).
 
 use dynmds_dst::Repro;
+
+/// The `digest 0x…` line of a repro's note, if it has one.
+fn expected_digest(repro: &Repro) -> Option<u64> {
+    let hex = repro.note.lines().find_map(|l| l.strip_prefix("digest 0x"))?;
+    Some(u64::from_str_radix(hex, 16).expect("digest note is hex"))
+}
 
 #[test]
 fn all_committed_repros_replay_clean() {
@@ -26,19 +32,21 @@ fn all_committed_repros_replay_clean() {
         let text = std::fs::read_to_string(path).expect("readable repro file");
         let repro = Repro::parse(&text)
             .unwrap_or_else(|e| panic!("{}: malformed repro: {e}", path.display()));
+        assert_eq!(repro.to_text(), text, "{}: parse→to_text is not exact", path.display());
         let out = repro.replay();
-        if !out.divergences.is_empty() {
-            eprintln!("{} still diverges:", path.display());
-            for d in &out.divergences {
-                eprintln!("  {d}");
+        for d in &out.divergences {
+            eprintln!("{}: diverges: {d}", path.display());
+        }
+        match expected_digest(&repro) {
+            _ if !out.divergences.is_empty() => failed.push(path.display().to_string()),
+            Some(want) if want == out.digest => {
+                eprintln!("{}: replays clean ({} ops)", path.display(), repro.trace.records.len())
             }
-            failed.push(path.display().to_string());
-        } else {
-            eprintln!("{}: replays clean ({} ops)", path.display(), repro.trace.records.len());
+            want => {
+                eprintln!("{}: replay digest {:#018x}, note {want:x?}", path.display(), out.digest);
+                failed.push(path.display().to_string());
+            }
         }
     }
-    assert!(
-        failed.is_empty(),
-        "repro traces still diverging (fix the bug, then delete the repro): {failed:?}"
-    );
+    assert!(failed.is_empty(), "repros diverging, or without or off their digest: {failed:?}");
 }
