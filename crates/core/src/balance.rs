@@ -14,7 +14,6 @@
 //! trees before carving up its own workload, and transfers the cached
 //! state with them so the importer avoids re-reading from disk.
 
-use dynmds_cache::InsertKind;
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
 
@@ -26,10 +25,7 @@ impl Cluster {
     /// smoothed load estimates from each node's heartbeat window, then,
     /// for the dynamic strategy, rebalance.
     pub(crate) fn heartbeat(&mut self, now: SimTime) {
-        self.flush_shared_writes(now);
-        if !self.proxies.is_empty() {
-            self.flush_proxy_writes(now);
-        }
+        self.flush_writes(now);
         self.traffic_sweep(now);
         // Exponentially smoothed per-node load; raw windows are too noisy
         // to migrate on.
@@ -312,27 +308,9 @@ impl Cluster {
 
         // The importer anchors the subtree with the prefix inodes leading
         // to it (§4.3: "the authority must cache the containing directory
-        // (prefix) inodes for each of its subtrees") …
-        let mut anchor_chain: Vec<InodeId> = self.ns.ancestors(root).collect();
-        anchor_chain.reverse();
-        let ti = to.index();
-        for anc in anchor_chain {
-            let parent =
-                self.ns.parent(anc).ok().flatten().filter(|p| self.nodes[ti].cache.peek(*p));
-            self.nodes[ti].cache.insert(anc, parent, InsertKind::Prefix);
-        }
-        // … then receives the migrated items, parents before children.
-        let mut ordered = moved;
-        ordered.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
-        for id in ordered {
-            if !self.ns.is_alive(id) {
-                continue;
-            }
-            let parent =
-                self.ns.parent(id).ok().flatten().filter(|p| self.nodes[ti].cache.peek(*p));
-            let kind = if self.ns.is_dir(id) { InsertKind::Prefix } else { InsertKind::Target };
-            self.nodes[ti].cache.insert(id, parent, kind);
-        }
+        // (prefix) inodes for each of its subtrees"), then receives the
+        // migrated items, parents before children.
+        self.nodes[to.index()].install_subtree(&self.ns, root, moved);
     }
 }
 

@@ -1,24 +1,16 @@
-//! The MDS cluster: event handling and the request-service pipeline.
+//! The MDS cluster: event handling around the request-service pipeline.
 //!
 //! [`Simulation`](crate::Simulation) drives one [`Cluster`], handing it
-//! each event through [`Cluster::handle`]. The service pipeline for a
-//! request follows §4:
+//! each event through [`Cluster::handle`]. A request follows §4:
 //!
 //! 1. **Routing** — the client picked a server (deepest known prefix, or
 //!    the hash function); if that server is not authoritative and cannot
 //!    serve a replica read, it forwards to the authority (one hop).
-//! 2. **Path traversal** — the serving node walks the target's prefix
-//!    directories in its cache, fetching (locally or from peer
-//!    authorities) whatever is missing; the cached subset stays a tree.
-//!    Lazy Hybrid skips traversal and instead pays for any pending lazy
-//!    updates.
-//! 3. **Target access** — cache hit, or a tier-2 fetch that, under the
-//!    embedded-directories layout, prefetches the whole directory.
-//! 4. **Mutation** — namespace update + journal append (tier-1 commit);
-//!    retired journal entries stream to tier 2 asynchronously.
-//! 5. **Popularity / traffic control** — decayed counters; hot items are
-//!    replicated cluster-wide and replies advertise the replica set.
-//! 6. **Reply** — carries location information that educates the client.
+//! 2. **Service** — the node-local serve core ([`crate::serve`]): path
+//!    traversal, target access, mutation and journal commit, popularity
+//!    and traffic control. The cluster resolves the core's effects on
+//!    other nodes at once (`ClusterPeers`, in `peers.rs`).
+//! 3. **Reply** — carries location information that educates the client.
 
 use dynmds_cache::InsertKind;
 use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
@@ -28,7 +20,7 @@ use dynmds_namespace::{
 };
 use dynmds_obs::span::NO_MDS;
 use dynmds_obs::SnapshotSeries;
-use dynmds_partition::{dentry_hash, Partition, StrategyKind};
+use dynmds_partition::{dentry_hash, Partition};
 use dynmds_storage::{AnchorTable, MetadataStore, OsdPool, StoreLayout};
 use dynmds_workload::{Op, Workload};
 
@@ -37,8 +29,10 @@ use crate::config::SimConfig;
 use crate::fault::NetFaultSpec;
 use crate::node::{sample_row, sample_series, MdsNode};
 use crate::obs::{ClusterObs, SpanStage};
+use crate::peers::{all_nodes, ClusterPeers};
 use crate::report::SimReport;
 use crate::request::{Request, SimEvent};
+use crate::serve::{serve, View};
 
 /// One entry of the optional migration audit trail
 /// ([`Cluster::migration_log`]): where a subtree moved and whether both
@@ -196,12 +190,6 @@ pub struct Cluster {
     /// Items with outstanding replica-absorbed write deltas.
     pub(crate) dirty_shared: FxHashSet<InodeId>,
 
-    /// Reusable root-first ancestor-chain buffer for [`traverse`]
-    /// (steady-state request service allocates nothing per op).
-    ///
-    /// [`traverse`]: Cluster::traverse
-    pub(crate) traverse_scratch: Vec<InodeId>,
-
     // --- hotspot proxy tier (ROADMAP item 4) ----------------------------
     /// The proxies fronting the cluster (empty = tier disabled; every
     /// proxy code path is gated on non-emptiness so proxy-off runs are
@@ -285,7 +273,6 @@ impl Cluster {
             measure_base: (ClusterCounters::default(), 0),
             op_counts: [0; 12],
             dirty_shared: FxHashSet::default(),
-            traverse_scratch: Vec::new(),
             proxies: (0..cfg.proxy.count)
                 .map(|_| dynmds_proxy::ProxyCore::new(&cfg.proxy))
                 .collect(),
@@ -307,29 +294,31 @@ impl Cluster {
         self.probe = Some(Box::new(crate::check::DstProbe::new(self.cfg.n_clients as usize)));
     }
 
-    /// The authoritative MDS for `id`, honouring dynamic directory
-    /// hashing: entries of a hashed directory are owned entry-wise.
-    pub fn authority_of(&self, id: InodeId) -> MdsId {
-        if !self.hashed_dirs.is_empty() {
-            if let Ok(Some(p)) = self.ns.parent(id) {
-                if self.hashed_dirs.contains(&p) {
-                    if let Ok(name) = self.ns.name(id) {
-                        return dentry_hash(p, name, self.cfg.n_mds);
-                    }
-                }
-            }
+    /// The shared state the serve core reads.
+    pub fn view(&self) -> View<'_> {
+        View {
+            cfg: &self.cfg,
+            ns: &self.ns,
+            partition: &self.partition,
+            hashed_dirs: &self.hashed_dirs,
+            replicated: &self.replicated,
+            alive: &self.alive,
+            layout: self.store.layout(),
         }
-        self.partition.authority(id)
     }
 
-    /// The authoritative MDS for an *operation*: like [`authority_of`] on
-    /// the target, except that namespace operations naming an entry of a
-    /// hashed directory are owned by the entry's hash — "the authority for
-    /// a given directory entry is defined by a hash of the file name and
-    /// the directory inode number", letting creates into one huge
-    /// directory spread across the whole cluster (§4.3).
-    ///
-    /// [`authority_of`]: Cluster::authority_of
+    /// The authoritative MDS for `id` ([`View::authority_of`]).
+    pub fn authority_of(&self, id: InodeId) -> MdsId {
+        self.view().authority_of(id)
+    }
+
+    /// The authoritative MDS for an *operation*: like
+    /// [`authority_of`](Cluster::authority_of) on the target, except that
+    /// namespace operations naming an entry of a hashed directory are
+    /// owned by the entry's hash — "the authority for a given directory
+    /// entry is defined by a hash of the file name and the directory inode
+    /// number", letting creates into one huge directory spread across the
+    /// whole cluster (§4.3).
     pub fn authority_for_op(&self, op: &Op) -> MdsId {
         if !self.hashed_dirs.is_empty() {
             let entry = match op {
@@ -349,12 +338,14 @@ impl Cluster {
         self.authority_of(op.target())
     }
 
-    /// Ids replicated cluster-wide by traffic control (§4.4), sorted.
-    /// Inspection hook.
-    pub fn replicated_ids(&self) -> Vec<InodeId> {
-        let mut v: Vec<InodeId> = self.replicated.iter().copied().collect();
-        v.sort();
-        v
+    /// Whether this op qualifies for replica-absorbed shared writing:
+    /// monotone size/mtime updates to a replicated, non-directory item.
+    fn is_shared_write(&self, op: &Op) -> bool {
+        self.cfg.shared_writes
+            && self.cfg.strategy.is_subtree()
+            && matches!(op, Op::Close(_) | Op::SetAttr(_))
+            && self.replicated.contains(&op.target())
+            && !self.ns.is_dir(op.target())
     }
 
     /// Restarts measurement: clears series, latency, cache statistics and
@@ -646,7 +637,7 @@ impl Cluster {
             self.counters.estale += 1;
             self.obs.span(req.client.0, SpanStage::Estale, now, mds.0);
             let done = self.nodes[i].occupy(now, self.cfg.costs.cpu_forward);
-            self.finish(now, mds, req, done, queue);
+            self.finish(mds, req, done, queue);
             return;
         }
 
@@ -677,319 +668,22 @@ impl Cluster {
             // shared write.
             self.nodes[i].life.replica_serves += 1;
         }
-        let reply_at = self.serve(now, mds, &req);
-        self.finish(now, mds, req, reply_at, queue);
+        let reply_at = self.with_peers(i, |node, peers| serve(now, node, &req, peers));
+        self.finish(mds, req, reply_at, queue);
     }
+}
 
-    /// Serves a request at `mds` (which is the authority, a replica
-    /// holder, or a forwarding dead-end standing in); returns the time the
-    /// reply leaves the node.
-    fn serve(&mut self, now: SimTime, mds: MdsId, req: &Request) -> SimTime {
-        let i = mds.index();
-        let target = req.op.target();
-
-        // CPU component: requests queue on the node's serial CPU.
-        let cpu_done = self.nodes[i].occupy(now, self.cfg.costs.cpu_per_op);
-        // IO component, overlapped with other requests' CPU time.
-        let mut io_done = now;
-
-        // ---- prefix handling ------------------------------------------
-        if self.cfg.strategy.needs_path_traversal() {
-            let tdone = self.traverse(now, mds, target);
-            self.obs.span(req.client.0, SpanStage::Traverse, tdone, mds.0);
-            io_done = io_done.max(tdone);
-            // POSIX permission verification over the (now cached) prefix;
-            // the outcome only shapes the reply, not the cost.
-            let _ = self.ns.check_access(target, req.uid);
-        } else if let Some(lh) = self.partition.as_lazy_mut() {
-            // Lazy Hybrid: no traversal, but pay one network round trip
-            // per pending lazy update on this item (§3.1.3).
-            let pending = lh.apply_pending(&self.ns, target);
-            let trips = pending.total();
-            if trips > 0 {
-                let rtt = self.cfg.costs.net_hop.saturating_mul(2);
-                io_done = io_done.max(now + rtt.saturating_mul(trips));
-            }
-        }
-
-        // ---- target access --------------------------------------------
-        // A read of an item with outstanding shared-write deltas triggers
-        // the §4.2 callback: gather the latest values first (one round
-        // trip).
-        if self.cfg.shared_writes && !req.op.is_update() && self.dirty_shared.contains(&target) {
-            let contributors = self.gather_shared_writes(target);
-            if contributors > 0 {
-                io_done = io_done.max(now + self.cfg.costs.net_hop.saturating_mul(2));
-            }
-        }
-        // Same callback for coalesced proxy deltas: a read through the
-        // cluster must never observe a counter older than one a proxy
-        // already acked.
-        if !self.proxies.is_empty() && !req.op.is_update() && self.proxy_dirty.contains(&target) {
-            let contributors = self.proxy_gather(now, target);
-            if contributors > 0 {
-                io_done = io_done.max(now + self.cfg.costs.net_hop.saturating_mul(2));
-            }
-        }
-        let misses_before = self.nodes[i].life.target_misses;
-        io_done = io_done.max(self.access_target(now, mds, &req.op));
-        let hit = self.nodes[i].life.target_misses == misses_before;
-        let probe = if hit { SpanStage::CacheHit } else { SpanStage::CacheMiss };
-        self.obs.span(req.client.0, probe, now, mds.0);
-
-        // ---- mutation + journal commit ---------------------------------
-        if req.op.is_update() {
-            io_done = io_done.max(self.apply_update(now, mds, req));
-        }
-
-        // ---- popularity & traffic control -------------------------------
-        let pop = self.nodes[i].popularity.record(now, target);
-        let write_pop = if req.op.is_update() {
-            self.nodes[i].update_popularity.record(now, target)
-        } else {
-            self.nodes[i].update_popularity.value(now, target)
-        };
-        if self.cfg.traffic_control
-            && self.cfg.strategy.is_subtree()
-            && pop > self.cfg.replication_threshold
-            && !self.replicated.contains(&target)
-            && !req.op.is_update()
-            // Read-mostly only: replicating write-hot metadata would send
-            // client updates to random nodes just to be forwarded back —
-            // unless shared writes let replicas absorb them (files only).
-            && (write_pop < 0.1 * pop
-                || (self.cfg.shared_writes && !self.ns.is_dir(target)))
-        {
-            self.replicate_everywhere(now, target);
-        }
-
-        // ---- dynamic directory hashing ----------------------------------
-        if self.cfg.dir_hash_threshold > 0 && self.cfg.strategy == StrategyKind::DynamicSubtree {
-            self.update_dir_hashing(target);
-        }
-
-        // ---- balancer accounting ----------------------------------------
-        if let Some(sub) = self.partition.as_subtree() {
-            let root = sub.subtree_root_of(&self.ns, target);
-            *self.subtree_ops.entry(root).or_insert(0) += 1;
-        }
-
-        self.op_counts[req.op.kind() as usize] += 1;
-        self.nodes[i].life.served += 1;
-        cpu_done.max(io_done)
-    }
-
-    /// Whether this op qualifies for replica-absorbed shared writing:
-    /// monotone size/mtime updates to a replicated, non-directory item.
-    fn is_shared_write(&self, op: &Op) -> bool {
-        self.cfg.shared_writes
-            && self.cfg.strategy.is_subtree()
-            && matches!(op, Op::Close(_) | Op::SetAttr(_))
-            && self.replicated.contains(&op.target())
-            && !self.ns.is_dir(op.target())
-    }
-
-    /// Merges all outstanding replica deltas for `id` into the shared
-    /// namespace (authority max-merge). Returns how many replicas
-    /// contributed.
-    pub(crate) fn gather_shared_writes(&mut self, id: InodeId) -> usize {
-        if !self.dirty_shared.remove(&id) {
-            return 0;
-        }
-        let mut adds = 0u64;
-        let mut mtime = 0u64;
-        let mut contributors = 0;
-        for node in &mut self.nodes {
-            if let Some((a, m)) = node.write_deltas.remove(&id) {
-                adds += a;
-                mtime = mtime.max(m);
-                contributors += 1;
-            }
-        }
-        let _ = self.ns.update_inode(id, |ino| {
-            ino.size = ino.size.saturating_add(adds);
-            ino.mtime_us = ino.mtime_us.max(mtime);
-        });
-        self.counters.shared_write_flushes += contributors as u64;
-        contributors
-    }
-
-    /// Merges all outstanding coalesced proxy deltas for `id` into the
-    /// namespace (one monotone size/mtime bump per absorbed write).
-    /// Returns how many proxies contributed.
-    pub(crate) fn proxy_gather(&mut self, now: SimTime, id: InodeId) -> usize {
-        if !self.proxy_dirty.remove(&id) {
-            return 0;
-        }
-        let mut bumps = 0u64;
-        let mut contributors = 0usize;
-        for pi in 0..self.proxies.len() {
-            if let Some(d) = self.proxies[pi].take_pending(id) {
-                bumps += d;
-                contributors += 1;
-            }
-        }
-        if bumps > 0 {
-            let _ = self.ns.update_inode(id, |ino| {
-                ino.size = ino.size.saturating_add(4096 * bumps);
-                ino.mtime_us = ino.mtime_us.max(now.as_micros());
-            });
-        }
-        contributors
-    }
-
-    /// Walks the prefix directories of `target` in `mds`'s cache, loading
-    /// anything missing. Returns the IO completion time.
-    fn traverse(&mut self, now: SimTime, mds: MdsId, target: InodeId) -> SimTime {
-        // Reuse the cluster-owned chain buffer: after warmup this walk
-        // runs for every served op and must not allocate.
-        let mut chain = std::mem::take(&mut self.traverse_scratch);
-        self.ns.ancestors_into(target, &mut chain);
-        let i = mds.index();
-        let mut io_done = now;
-        for &dir in &chain {
-            if self.nodes[i].cache.lookup(dir, false) {
-                continue;
-            }
-            self.nodes[i].life.prefix_misses += 1;
-            let dir_auth = self.authority_of(dir);
-            if dir_auth == mds {
-                // Local miss: fetch from tier 2.
-                self.nodes[i].life.disk_fetches += 1;
-                let res = self.store.fetch_inode(now, &self.ns, dir);
-                io_done = io_done.max(res.complete_at);
-                self.install_loaded(mds, &res.loaded, dir, InsertKind::Prefix);
-            } else {
-                // Remote prefix: replicate from the peer authority — one
-                // round trip, plus the peer's disk if it misses too. This
-                // is the overhead that bloats hashed strategies' caches
-                // (§5.3.1).
-                let rtt = self.cfg.costs.net_hop.saturating_mul(2);
-                let mut remote_done = now + rtt;
-                let j = dir_auth.index();
-                self.nodes[i].life.remote_prefix_fetches += 1;
-                if !self.nodes[j].cache.peek(dir) {
-                    self.nodes[j].life.disk_fetches += 1;
-                    let res = self.store.fetch_inode(now, &self.ns, dir);
-                    remote_done = remote_done.max(res.complete_at + rtt);
-                    self.install_loaded(dir_auth, &res.loaded, dir, InsertKind::Prefix);
-                }
-                io_done = io_done.max(remote_done);
-                let parent = self.cached_parent(mds, dir);
-                self.nodes[i].cache.insert(dir, parent, InsertKind::Prefix);
-            }
-        }
-        self.traverse_scratch = chain;
-        io_done
-    }
-
-    /// Ensures the op's target metadata is in `mds`'s cache; returns IO
+impl ClusterPeers<'_> {
+    /// Applies a mutation to the namespace, journals it at `node`, and
+    /// handles strategy-specific side effects. Returns the commit
     /// completion time.
-    fn access_target(&mut self, now: SimTime, mds: MdsId, op: &Op) -> SimTime {
-        let i = mds.index();
-        let target = op.target();
-        let mut io_done = now;
-
-        match op {
-            Op::Readdir(dir) => {
-                // A readdir touches the directory *contents* object. Under
-                // the embedded layout it also loads every child inode; the
-                // inode-table layout returns names only.
-                self.nodes[i].cache.lookup(target, true);
-                // An entry-hashed directory's listing must be gathered
-                // from every node ("individual MDS nodes can act
-                // authoritatively … for all directory operations except
-                // readdir", §4.3): one scatter/gather round trip plus a
-                // small cost at each peer.
-                if self.hashed_dirs.contains(dir) {
-                    let rtt = self.cfg.costs.net_hop.saturating_mul(2);
-                    io_done = io_done.max(now + rtt);
-                    let msg = self.cfg.costs.cpu_forward;
-                    for j in 0..self.nodes.len() {
-                        if j != i && self.alive[j] {
-                            self.nodes[j].occupy(now, msg);
-                        }
-                    }
-                }
-                let all_children_cached = self
-                    .ns
-                    .children(*dir)
-                    .map(|mut it| it.all(|(_, c)| self.nodes[i].cache.peek(c)))
-                    .unwrap_or(true);
-                let embedded = self.store.layout() == StoreLayout::EmbeddedDirectories;
-                if !all_children_cached && embedded {
-                    self.count_target_miss(i);
-                    let res = self.store.fetch_dir(now, &self.ns, *dir);
-                    io_done = io_done.max(res.complete_at);
-                    self.install_loaded(mds, &res.loaded, InodeId(u64::MAX), InsertKind::Prefetch);
-                } else if !embedded {
-                    // Name-list read; per-inode stats pay their own way.
-                    self.count_target_miss(i);
-                    let res = self.store.fetch_dir(now, &self.ns, *dir);
-                    io_done = io_done.max(res.complete_at);
-                }
-            }
-            _ => {
-                if !self.nodes[i].cache.lookup(target, true) {
-                    self.count_target_miss(i);
-                    // Entries of a hashed directory live in per-entry
-                    // storage fragments; everything else follows the
-                    // configured layout.
-                    let fragmented = self
-                        .ns
-                        .parent(target)
-                        .ok()
-                        .flatten()
-                        .map(|p| self.hashed_dirs.contains(&p))
-                        .unwrap_or(false);
-                    let res = if fragmented {
-                        self.store.fetch_fragment(now, target)
-                    } else {
-                        self.store.fetch_inode(now, &self.ns, target)
-                    };
-                    io_done = io_done.max(res.complete_at);
-                    self.install_loaded(mds, &res.loaded, target, InsertKind::Target);
-                }
-            }
-        }
-        io_done
-    }
-
-    /// Counts a target cache miss at node `i`, which goes to tier 2.
-    fn count_target_miss(&mut self, i: usize) {
-        let n = &mut self.nodes[i];
-        n.life.target_misses += 1;
-        n.life.disk_fetches += 1;
-    }
-
-    /// Inserts fetched items into `mds`'s cache: `primary` with
-    /// `primary_kind`, everything else riding along as prefetch (probation
-    /// insertion, §4.5).
-    fn install_loaded(
+    pub(crate) fn apply_update(
         &mut self,
-        mds: MdsId,
-        loaded: &[InodeId],
-        primary: InodeId,
-        primary_kind: InsertKind,
-    ) {
-        let i = mds.index();
-        for &id in loaded {
-            let parent = self.cached_parent(mds, id);
-            let kind = if id == primary { primary_kind } else { InsertKind::Prefetch };
-            self.nodes[i].cache.insert(id, parent, kind);
-        }
-    }
-
-    /// The namespace parent of `id` if (and only if) it is cached at
-    /// `mds` — cache tree-linking must never point at uncached parents.
-    fn cached_parent(&self, mds: MdsId, id: InodeId) -> Option<InodeId> {
-        self.ns.parent(id).ok().flatten().filter(|p| self.nodes[mds.index()].cache.peek(*p))
-    }
-
-    /// Applies a mutation to the namespace, journals it, and handles
-    /// strategy-specific side effects. Returns the commit completion time.
-    fn apply_update(&mut self, now: SimTime, mds: MdsId, req: &Request) -> SimTime {
-        let i = mds.index();
+        now: SimTime,
+        node: &mut MdsNode,
+        req: &Request,
+    ) -> SimTime {
+        let c = &mut *self.c;
         let mut touched: Vec<InodeId> = Vec::with_capacity(2);
         // DST bookkeeping (inert without a probe): the primary inode the
         // mutation touched, and whether it was replica-absorbed.
@@ -998,21 +692,21 @@ impl Cluster {
 
         match &req.op {
             Op::Close(f) | Op::SetAttr(f) => {
-                if self.is_shared_write(&req.op) {
+                if c.is_shared_write(&req.op) {
                     // Absorb at this replica; the authority merges later
                     // (§4.2: "replicas serving concurrent writers can
                     // periodically send their most recent value").
-                    let e = self.nodes[i].write_deltas.entry(*f).or_insert((0, 0));
+                    let e = node.write_deltas.entry(*f).or_insert((0, 0));
                     if matches!(req.op, Op::Close(_)) {
                         e.0 += 4096;
                     }
                     e.1 = e.1.max(now.as_micros());
-                    self.dirty_shared.insert(*f);
-                    self.nodes[i].life.shared_absorbed += 1;
+                    c.dirty_shared.insert(*f);
+                    node.life.shared_absorbed += 1;
                     touched.push(*f);
                     primary = Some(*f);
                     shared_absorbed = true;
-                } else if self
+                } else if c
                     .ns
                     .update_inode(*f, |ino| {
                         ino.mtime_us = now.as_micros();
@@ -1026,91 +720,83 @@ impl Cluster {
                     primary = Some(*f);
                 }
             }
-            Op::Create { dir, name } => {
-                let perm = Permissions::shared(req.uid);
-                if let Ok(id) = self.ns.create_file(*dir, name, perm) {
-                    self.partition.refresh(&self.ns, id);
-                    let parent = self.cached_parent(mds, id);
-                    self.nodes[i].cache.insert(id, parent, InsertKind::Target);
-                    touched.push(id);
-                    touched.push(*dir);
-                    primary = Some(id);
-                }
-            }
-            Op::Mkdir { dir, name } => {
-                let perm = Permissions::directory(req.uid);
-                if let Ok(id) = self.ns.mkdir(*dir, name, perm) {
-                    self.partition.refresh(&self.ns, id);
-                    let parent = self.cached_parent(mds, id);
-                    self.nodes[i].cache.insert(id, parent, InsertKind::Target);
+            Op::Create { dir, name } | Op::Mkdir { dir, name } => {
+                let made = if matches!(req.op, Op::Create { .. }) {
+                    c.ns.create_file(*dir, name, Permissions::shared(req.uid))
+                } else {
+                    c.ns.mkdir(*dir, name, Permissions::directory(req.uid))
+                };
+                if let Ok(id) = made {
+                    c.partition.refresh(&c.ns, id);
+                    node.install(&c.ns, id, InsertKind::Target);
                     touched.push(id);
                     touched.push(*dir);
                     primary = Some(id);
                 }
             }
             Op::Unlink { dir, name } => {
-                if let Ok(id) = self.ns.unlink(*dir, name) {
+                if let Ok(id) = c.ns.unlink(*dir, name) {
                     // A death or a promoted surviving link.
-                    self.partition.refresh(&self.ns, id);
+                    c.partition.refresh(&c.ns, id);
                     primary = Some(id);
-                    if self.ns.is_alive(id) {
+                    if c.ns.is_alive(id) {
                         // A hard link was dropped; if only one link
                         // remains the inode no longer needs anchoring.
-                        if self.ns.inode(id).map(|i| i.nlink).unwrap_or(0) <= 1
-                            && self.anchors.contains(id)
+                        if c.ns.inode(id).map(|i| i.nlink).unwrap_or(0) <= 1
+                            && c.anchors.contains(id)
                         {
-                            self.anchors.unanchor(id);
-                        } else if self.anchors.contains(id) {
+                            c.anchors.unanchor(id);
+                        } else if c.anchors.contains(id) {
                             // The removed dentry may have been the primary:
                             // the namespace promotes a surviving link, so
                             // the inode's parent can change and the anchor
                             // chain must be retargeted (no-op otherwise).
-                            self.anchors.on_rename(&self.ns, id);
+                            c.anchors.on_rename(&c.ns, id);
                         }
                     } else {
-                        if self.anchors.contains(id) {
-                            self.anchors.unanchor(id);
+                        if c.anchors.contains(id) {
+                            c.anchors.unanchor(id);
                         }
-                        for n in &mut self.nodes {
+                        for n in all_nodes(self.lo, &mut *node, self.hi) {
                             let _ = n.cache.remove(id);
                             n.popularity.forget(id);
                         }
-                        self.replicated.remove(&id);
+                        c.replicated.remove(&id);
                     }
                     touched.push(*dir);
                 }
             }
-            Op::Link { target, dir, name } if self.ns.link(*target, *dir, name).is_ok() => {
+            Op::Link { target, dir, name } if c.ns.link(*target, *dir, name).is_ok() => {
                 // First extra link anchors the inode so it stays
                 // locatable without a path (§4.5).
-                if !self.anchors.contains(*target) {
-                    self.anchors.anchor(&self.ns, *target);
+                if !c.anchors.contains(*target) {
+                    c.anchors.anchor(&c.ns, *target);
                 }
                 touched.push(*target);
                 touched.push(*dir);
                 primary = Some(*target);
             }
             Op::Rename { dir, name, new_name } => {
-                if let Ok(id) = self.ns.rename(*dir, name, *dir, new_name) {
-                    self.partition.refresh(&self.ns, id);
-                    if self.ns.is_dir(id) {
-                        self.anchors.on_rename(&self.ns, id);
-                        if let Some(lh) = self.partition.as_lazy_mut() {
+                if let Ok(id) = c.ns.rename(*dir, name, *dir, new_name) {
+                    c.partition.refresh(&c.ns, id);
+                    if c.ns.is_dir(id) {
+                        c.anchors.on_rename(&c.ns, id);
+                        if let Some(lh) = c.partition.as_lazy_mut() {
                             lh.on_dir_move(id);
                         }
-                        self.invalidate_replicas(id);
+                        invalidate_replicas(all_nodes(self.lo, &mut *node, self.hi), id);
                     }
                     touched.push(*dir);
                     touched.push(id);
                     primary = Some(id);
                 }
             }
-            Op::Chmod { target, mode } if self.ns.chmod(*target, *mode).is_ok() => {
-                if self.ns.is_dir(*target) {
-                    if let Some(lh) = self.partition.as_lazy_mut() {
+            Op::Chmod { target, mode } if c.ns.chmod(*target, *mode).is_ok() => {
+                if c.ns.is_dir(*target) {
+                    if let Some(lh) = c.partition.as_lazy_mut() {
                         lh.on_dir_permission_change(*target);
                     }
-                    self.invalidate_replicas(*target);
+                    invalidate_replicas(all_nodes(self.lo, &mut *node, self.hi), *target);
                 }
                 touched.push(*target);
                 primary = Some(*target);
@@ -1122,14 +808,14 @@ impl Cluster {
         // change a name binding or an item's attributes retracts every
         // proxy's matching cache entries before the reply leaves, so a
         // proxy can never serve state older than an acked mutation.
-        if !self.proxies.is_empty() && !touched.is_empty() {
-            self.proxy_invalidate(&req.op, primary);
+        if !c.proxies.is_empty() && !touched.is_empty() {
+            c.proxy_invalidate(&req.op, primary);
         }
 
-        if let Some(p) = self.probe.as_deref_mut() {
+        if let Some(p) = c.probe.as_deref_mut() {
             p.on_applied(
                 now,
-                mds,
+                node.id,
                 req.client,
                 req.uid,
                 &req.op,
@@ -1147,20 +833,33 @@ impl Cluster {
         // written to stable storage", §4.6).
         let mut writebacks = Vec::new();
         for &id in &touched {
-            writebacks.extend(self.nodes[i].journal.append(id));
+            writebacks.extend(node.journal.append(id));
         }
-        let jdone = self.nodes[i].journal_disk.access(now, dynmds_storage::AccessKind::Write);
-        self.nodes[i].life.journal_commits += 1;
-        self.nodes[i].life.journal_writebacks += writebacks.len() as u64;
-        self.obs.span(req.client.0, SpanStage::Journal, jdone, mds.0);
+        let jdone = node.journal_disk.access(now, dynmds_storage::AccessKind::Write);
+        node.life.journal_commits += 1;
+        node.life.journal_writebacks += writebacks.len() as u64;
+        c.obs.span(req.client.0, SpanStage::Journal, jdone, node.id.0);
         // Retired entries stream to tier 2 asynchronously (don't block the
         // reply, do consume pool throughput).
         for wb in writebacks {
-            self.store.writeback(now, &self.ns, wb);
+            c.store.writeback(now, &c.ns, wb);
         }
         jdone
     }
+}
 
+/// Coherence callbacks for an updated item that other nodes replicate:
+/// the authority notifies every replica (§4.2). Counted; the replica
+/// entries stay cached (callback-updated, not discarded).
+fn invalidate_replicas<'b>(nodes: impl Iterator<Item = &'b mut MdsNode>, id: InodeId) {
+    for n in nodes {
+        if n.cache.peek(id) {
+            n.life.invalidations += 1;
+        }
+    }
+}
+
+impl Cluster {
     /// Retracts proxy cache entries made stale by a committed mutation.
     /// Runs on the authority's apply path (before the reply), mirroring
     /// the §4.2 replica callbacks: binding changes kill the directory's
@@ -1202,43 +901,10 @@ impl Cluster {
         }
     }
 
-    /// Coherence callbacks for an updated item that other nodes replicate:
-    /// the authority notifies every replica (§4.2). Counted; the replica
-    /// entries stay cached (callback-updated, not discarded).
-    fn invalidate_replicas(&mut self, id: InodeId) {
-        for n in &mut self.nodes {
-            if n.cache.peek(id) {
-                n.life.invalidations += 1;
-            }
-        }
-    }
-
-    /// Grows/shrinks the set of entry-hashed directories (§4.3: "as
-    /// directories grow or become popular it may become appropriate to
-    /// hash them…").
-    fn update_dir_hashing(&mut self, target: InodeId) {
-        let dir = if self.ns.is_dir(target) {
-            target
-        } else {
-            match self.ns.parent(target) {
-                Ok(Some(p)) => p,
-                _ => return,
-            }
-        };
-        let count = self.ns.child_count(dir).unwrap_or(0);
-        let threshold = self.cfg.dir_hash_threshold;
-        if count > threshold {
-            self.hashed_dirs.insert(dir);
-        } else if count < threshold / 2 {
-            self.hashed_dirs.remove(&dir);
-        }
-    }
-
     /// Completes a request: schedules the reply and teaches the client
     /// where this part of the hierarchy lives.
     fn finish(
         &mut self,
-        _now: SimTime,
         mds: MdsId,
         req: Request,
         reply_at: SimTime,
@@ -1276,7 +942,6 @@ impl Cluster {
                     );
                 }
             }
-            let _ = mds;
         }
         let mut arrive = reply_at + self.cfg.costs.net_hop;
         if let Some(nf) = self.net_fault {

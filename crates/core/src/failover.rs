@@ -144,36 +144,21 @@ impl Cluster {
         root: InodeId,
         working_set: &[InodeId],
     ) {
-        let mut inherited: Vec<InodeId> = working_set
+        let inherited: Vec<InodeId> = working_set
             .iter()
             .copied()
             .filter(|&id| self.ns.is_alive(id) && (id == root || self.ns.is_ancestor(root, id)))
             .collect();
-        inherited.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
         if inherited.is_empty() {
             return;
         }
-        self.nodes[heir.index()].life.journal_warmed += inherited.len() as u64;
+        let node = &mut self.nodes[heir.index()];
+        node.life.journal_warmed += inherited.len() as u64;
         // One journal read plus per-record replay cost.
-        self.nodes[heir.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
-        let cost = MIGRATE_PER_ITEM.saturating_mul(inherited.len() as u64);
-        self.nodes[heir.index()].occupy(now, cost);
-
+        node.journal_disk.access(now, dynmds_storage::AccessKind::Read);
+        node.occupy(now, MIGRATE_PER_ITEM.saturating_mul(inherited.len() as u64));
         // Anchor the subtree, then replay records parents-first.
-        let mut chain: Vec<InodeId> = self.ns.ancestors(root).collect();
-        chain.reverse();
-        let hi = heir.index();
-        for anc in chain {
-            let parent =
-                self.ns.parent(anc).ok().flatten().filter(|p| self.nodes[hi].cache.peek(*p));
-            self.nodes[hi].cache.insert(anc, parent, InsertKind::Prefix);
-        }
-        for id in inherited {
-            let parent =
-                self.ns.parent(id).ok().flatten().filter(|p| self.nodes[hi].cache.peek(*p));
-            let kind = if self.ns.is_dir(id) { InsertKind::Prefix } else { InsertKind::Target };
-            self.nodes[hi].cache.insert(id, parent, kind);
-        }
+        node.install_subtree(&self.ns, root, inherited);
     }
 
     /// Brings `mds` back at `now`: empty RAM, cache preloaded from its
@@ -203,29 +188,21 @@ impl Cluster {
         self.nodes[mds.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
         let cost = MIGRATE_PER_ITEM.saturating_mul(ws.len() as u64 + 1);
         self.nodes[mds.index()].occupy(now, cost);
-        let mi = mds.index();
+        let node = &mut self.nodes[mds.index()];
+        let mut chain = Vec::new();
         for id in ws {
             if !self.ns.is_alive(id) {
                 continue;
             }
             // Parents first (depth-sorted); link whatever chain is cached.
-            let mut chain: Vec<InodeId> = self.ns.ancestors(id).collect();
-            chain.reverse();
-            for anc in chain {
-                if !self.nodes[mi].cache.peek(anc) {
-                    let parent = self
-                        .ns
-                        .parent(anc)
-                        .ok()
-                        .flatten()
-                        .filter(|p| self.nodes[mi].cache.peek(*p));
-                    self.nodes[mi].cache.insert(anc, parent, InsertKind::Prefix);
+            self.ns.ancestors_into(id, &mut chain);
+            for &anc in &chain {
+                if !node.cache.peek(anc) {
+                    node.install(&self.ns, anc, InsertKind::Prefix);
                 }
             }
-            let parent =
-                self.ns.parent(id).ok().flatten().filter(|p| self.nodes[mi].cache.peek(*p));
             let kind = if self.ns.is_dir(id) { InsertKind::Prefix } else { InsertKind::Target };
-            self.nodes[mi].cache.insert(id, parent, kind);
+            node.install(&self.ns, id, kind);
         }
     }
 }

@@ -19,11 +19,11 @@
 //!
 //! | Mechanism | Module |
 //! |---|---|
-//! | hierarchical partition, path traversal, prefix caching | [`cluster`] |
-//! | authority, replication, cache coherence | [`cluster`], [`traffic`] |
+//! | hierarchical partition, path traversal, prefix caching | [`serve`] |
+//! | authority, replication, cache coherence | [`serve`], [`cluster`], [`traffic`] |
 //! | heartbeat load balancing, subtree export/import | [`balance`] |
 //! | traffic control for flash crowds | [`traffic`] |
-//! | dynamic directory hashing for huge/hot directories | [`cluster`] |
+//! | dynamic directory hashing for huge/hot directories | [`serve`], [`cluster`] |
 //! | client ignorance & request forwarding | [`client`], [`cluster`] |
 
 pub mod balance;
@@ -36,8 +36,10 @@ pub mod failover;
 pub mod fault;
 pub mod node;
 pub mod obs;
+pub(crate) mod peers;
 pub mod report;
 pub mod request;
+pub mod serve;
 pub mod shard;
 pub mod sim;
 #[cfg(test)]

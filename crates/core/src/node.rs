@@ -8,9 +8,9 @@
 //! heartbeat window the balancer loads on — is the difference from a
 //! reading of `life` stored when the window opened.
 
-use dynmds_cache::{MetaCache, Popularity};
+use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{SimDuration, SimTime};
-use dynmds_namespace::MdsId;
+use dynmds_namespace::{InodeId, MdsId, Namespace};
 use dynmds_obs::SnapshotSeries;
 use dynmds_storage::{BoundedLog, DiskModel};
 
@@ -132,6 +132,9 @@ pub struct MdsNode {
     sample_base: LifeCounters,
     /// `life` at the last heartbeat.
     heartbeat_base: LifeCounters,
+    /// Reusable root-first ancestor-chain buffer: after warm-up, path
+    /// traversal and replication run for every op and must not allocate.
+    pub(crate) chain: Vec<InodeId>,
 }
 
 impl MdsNode {
@@ -150,6 +153,35 @@ impl MdsNode {
             measure_base: LifeCounters::default(),
             sample_base: LifeCounters::default(),
             heartbeat_base: LifeCounters::default(),
+            chain: Vec::new(),
+        }
+    }
+
+    /// Caches `id` as `kind`, linked to its namespace parent if (and only
+    /// if) that parent is cached here: the cached subset stays a
+    /// parent-linked tree.
+    pub fn install(&mut self, ns: &Namespace, id: InodeId, kind: InsertKind) {
+        let parent = ns.parent(id).ok().flatten().filter(|p| self.cache.peek(*p));
+        self.cache.insert(id, parent, kind);
+    }
+
+    /// Caches a subtree's handed-over state: the prefix chain down to
+    /// `root`, then the live `items` parents-first, directories as
+    /// prefixes — what a migration or a journal replay brings in.
+    pub fn install_subtree(&mut self, ns: &Namespace, root: InodeId, mut items: Vec<InodeId>) {
+        let mut chain = std::mem::take(&mut self.chain);
+        ns.ancestors_into(root, &mut chain);
+        for &anc in &chain {
+            self.install(ns, anc, InsertKind::Prefix);
+        }
+        self.chain = chain;
+        items.sort_by_key(|&id| (ns.depth(id).unwrap_or(usize::MAX), id));
+        for id in items.into_iter().filter(|&id| ns.is_alive(id)) {
+            self.install(
+                ns,
+                id,
+                if ns.is_dir(id) { InsertKind::Prefix } else { InsertKind::Target },
+            );
         }
     }
 

@@ -10,78 +10,33 @@
 //! Items that cool back down are de-replicated during the heartbeat
 //! sweep, returning routing to the single authority.
 
-use dynmds_cache::InsertKind;
 use dynmds_event::SimTime;
 use dynmds_namespace::InodeId;
 
 use crate::cluster::Cluster;
+use crate::serve::Peers;
 
 impl Cluster {
-    /// Pushes `target` (plus prefixes) into every node's cache and marks
-    /// it replicated. Each receiving node pays a small message-handling
-    /// cost.
-    pub(crate) fn replicate_everywhere(&mut self, now: SimTime, target: InodeId) {
-        let mut chain: Vec<InodeId> = self.ns.ancestors(target).collect();
-        chain.reverse();
-        chain.push(target);
-        let msg_cost = self.cfg.costs.cpu_forward;
-        for j in 0..self.nodes.len() {
-            if !self.alive[j] {
-                continue;
-            }
-            for &id in &chain {
-                if self.nodes[j].cache.peek(id) {
-                    continue;
+    /// Heartbeat push of outstanding write deltas to the authorities:
+    /// replica-absorbed shared writes ("replicas serving concurrent
+    /// writers can periodically send their most recent value to the
+    /// authority", §4.2) and proxy-coalesced writes, merged alike. One
+    /// message per dirty (holder, item) pair.
+    pub(crate) fn flush_writes(&mut self, now: SimTime) {
+        if self.dirty_shared.is_empty() && self.proxy_dirty.is_empty() {
+            return;
+        }
+        let mut dirty: Vec<InodeId> = self.dirty_shared.union(&self.proxy_dirty).copied().collect();
+        dirty.sort();
+        let msg = self.cfg.costs.cpu_forward;
+        for id in dirty {
+            let auth = self.live_authority(self.authority_of(id));
+            self.with_peers(auth.index(), |node, peers| {
+                let contributors = peers.gather(now, node, id);
+                if contributors > 0 {
+                    node.occupy(now, msg.saturating_mul(contributors as u64));
                 }
-                let parent =
-                    self.ns.parent(id).ok().flatten().filter(|p| self.nodes[j].cache.peek(*p));
-                let kind = if id == target { InsertKind::Target } else { InsertKind::Prefix };
-                self.nodes[j].cache.insert(id, parent, kind);
-            }
-            self.nodes[j].occupy(now, msg_cost);
-        }
-        self.replicated.insert(target);
-        self.counters.replications += 1;
-    }
-
-    /// Heartbeat push of replica-absorbed write deltas to the authorities
-    /// ("replicas serving concurrent writers can periodically send their
-    /// most recent value to the authority", §4.2). One message per dirty
-    /// (node, item) pair.
-    pub(crate) fn flush_shared_writes(&mut self, now: SimTime) {
-        if self.dirty_shared.is_empty() {
-            return;
-        }
-        let mut dirty: Vec<InodeId> = self.dirty_shared.iter().copied().collect();
-        dirty.sort();
-        let msg = self.cfg.costs.cpu_forward;
-        for id in dirty {
-            let auth = self.live_authority(self.authority_of(id));
-            let contributors = self.gather_shared_writes(id);
-            if contributors > 0 {
-                let cost = msg.saturating_mul(contributors as u64);
-                self.nodes[auth.index()].occupy(now, cost);
-            }
-        }
-    }
-
-    /// Heartbeat push of proxy-coalesced write deltas to the authorities:
-    /// one message per dirty (proxy, item) pair, merged at the authority
-    /// exactly like replica shared writes.
-    pub(crate) fn flush_proxy_writes(&mut self, now: SimTime) {
-        if self.proxy_dirty.is_empty() {
-            return;
-        }
-        let mut dirty: Vec<InodeId> = self.proxy_dirty.iter().copied().collect();
-        dirty.sort();
-        let msg = self.cfg.costs.cpu_forward;
-        for id in dirty {
-            let auth = self.live_authority(self.authority_of(id));
-            let contributors = self.proxy_gather(now, id);
-            if contributors > 0 {
-                let cost = msg.saturating_mul(contributors as u64);
-                self.nodes[auth.index()].occupy(now, cost);
-            }
+            });
         }
     }
 
@@ -115,23 +70,6 @@ impl Cluster {
             self.replicated.remove(&id);
         }
     }
-
-    /// Whether `id` is currently replicated cluster-wide (test/inspection
-    /// hook).
-    pub fn is_replicated(&self, id: InodeId) -> bool {
-        self.replicated.contains(&id)
-    }
-
-    /// Number of items currently replicated cluster-wide.
-    pub fn replicated_count(&self) -> usize {
-        self.replicated.len()
-    }
-
-    /// Whether directory `id` is currently hashed entry-wise across the
-    /// cluster (test/inspection hook).
-    pub fn is_dir_hashed(&self, id: InodeId) -> bool {
-        self.hashed_dirs.contains(&id)
-    }
 }
 
 #[cfg(test)]
@@ -139,18 +77,19 @@ mod tests {
     use dynmds_event::SimTime;
     use dynmds_partition::StrategyKind;
 
+    use crate::serve::Peers;
     use crate::testutil::tiny_cluster;
 
     #[test]
-    fn replicate_everywhere_installs_item_and_prefixes_on_all_live_nodes() {
+    fn replicate_installs_item_and_prefixes_on_all_live_nodes() {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
         let file =
             c.ns.resolve("/home")
                 .map(|h| c.ns.walk(h).find(|&i| !c.ns.is_dir(i)).expect("a file"))
                 .unwrap();
-        c.replicate_everywhere(SimTime::from_secs(1), file);
-        assert!(c.is_replicated(file));
-        assert_eq!(c.replicated_count(), 1);
+        c.with_peers(0, |node, peers| peers.replicate(SimTime::from_secs(1), node, file));
+        assert!(c.replicated.contains(&file));
+        assert_eq!(c.replicated.len(), 1);
         for node in &c.nodes {
             assert!(node.cache.peek(file), "{} missing the replica", node.id);
             // The whole prefix chain is present so the replica can serve
@@ -171,12 +110,12 @@ mod tests {
         for _ in 0..100 {
             c.nodes[auth.index()].popularity.record(SimTime::from_secs(1), file);
         }
-        c.replicate_everywhere(SimTime::from_secs(1), file);
+        c.with_peers(0, |node, peers| peers.replicate(SimTime::from_secs(1), node, file));
         c.traffic_sweep(SimTime::from_secs(2));
-        assert!(c.is_replicated(file), "still hot: stays replicated");
+        assert!(c.replicated.contains(&file), "still hot: stays replicated");
         // Popularity half-life is 10 s; after 200 s it is ~0.
         c.traffic_sweep(SimTime::from_secs(200));
-        assert!(!c.is_replicated(file), "cooled: de-replicated");
+        assert!(!c.replicated.contains(&file), "cooled: de-replicated");
     }
 
     #[test]
@@ -187,19 +126,19 @@ mod tests {
         for _ in 0..100 {
             c.nodes[auth.index()].popularity.record(SimTime::from_secs(1), file);
         }
-        c.replicate_everywhere(SimTime::from_secs(1), file);
+        c.with_peers(0, |node, peers| peers.replicate(SimTime::from_secs(1), node, file));
         // Writes take over.
         for _ in 0..50 {
             c.nodes[auth.index()].update_popularity.record(SimTime::from_secs(2), file);
         }
         c.traffic_sweep(SimTime::from_secs(2));
-        assert!(!c.is_replicated(file), "write-hot items must not stay replicated");
+        assert!(!c.replicated.contains(&file), "write-hot items must not stay replicated");
     }
 
     #[test]
     fn sweep_with_nothing_replicated_is_cheap_noop() {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
         c.traffic_sweep(SimTime::from_secs(5));
-        assert_eq!(c.replicated_count(), 0);
+        assert_eq!(c.replicated.len(), 0);
     }
 }

@@ -316,7 +316,7 @@ pub fn expected_authority(cl: &Cluster, id: InodeId) -> MdsId {
     let ns = &cl.ns;
     let n = cl.cfg.n_mds;
     if let Ok(Some(p)) = ns.parent(id) {
-        if cl.is_dir_hashed(p) {
+        if cl.view().hashed_dirs.contains(&p) {
             if let Ok(name) = ns.name(id) {
                 return dentry_hash(p, name, n);
             }
@@ -640,7 +640,8 @@ impl Oracle {
     }
 
     fn sweep_replication(&mut self, cl: &Cluster) {
-        let reps = cl.replicated_ids();
+        let mut reps: Vec<InodeId> = cl.view().replicated.iter().copied().collect();
+        reps.sort();
         if !reps.is_empty() && !cl.cfg.strategy.is_subtree() {
             self.report(format!(
                 "{} ids replicated under non-subtree strategy {}",

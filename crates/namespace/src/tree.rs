@@ -628,27 +628,6 @@ impl Namespace {
         Ok(())
     }
 
-    /// Verifies that `uid` may traverse every ancestor directory of `id`
-    /// and read the entry itself — the path-traversal permission check the
-    /// MDS performs (§4.1). Returns the number of directories visited.
-    pub fn check_access(&self, id: InodeId, uid: u32) -> Result<usize, NamespaceError> {
-        let mut visited = 0;
-        for anc in self.ancestors(id) {
-            visited += 1;
-            let a = self.check(anc)?;
-            let perm = Permissions { uid: self.uid[a], mode: self.mode[a] };
-            if !perm.allows_traverse(uid) {
-                return Err(NamespaceError::NotFound); // POSIX hides the entry
-            }
-        }
-        let i = self.check(id)?;
-        let perm = Permissions { uid: self.uid[i], mode: self.mode[i] };
-        if !perm.allows_read(uid) {
-            return Err(NamespaceError::NotFound);
-        }
-        Ok(visited)
-    }
-
     /// Counts live items in the subtree rooted at `id` (inclusive).
     pub fn subtree_count(&self, id: InodeId) -> Result<u64, NamespaceError> {
         self.check(id)?;
@@ -953,16 +932,6 @@ mod tests {
         let (mut ns, _, _, notes) = sample();
         ns.chmod(notes, 0o7777).unwrap();
         assert_eq!(ns.inode(notes).unwrap().perm.mode, 0o777);
-    }
-
-    #[test]
-    fn check_access_walks_prefix() {
-        let (mut ns, _, alice, notes) = sample();
-        assert_eq!(ns.check_access(notes, 1).unwrap(), 3);
-        // Lock alice's directory against others: uid 2 loses access.
-        ns.update_inode(alice, |ino| ino.perm = Permissions { uid: 1, mode: 0o700 }).unwrap();
-        assert_eq!(ns.check_access(notes, 1).unwrap(), 3);
-        assert_eq!(ns.check_access(notes, 2), Err(NamespaceError::NotFound));
     }
 
     #[test]

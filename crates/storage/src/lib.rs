@@ -26,4 +26,4 @@ pub use anchor::AnchorTable;
 pub use disk::{AccessKind, DiskFault, DiskModel, DiskParams, DiskStats};
 pub use journal::BoundedLog;
 pub use osd::OsdPool;
-pub use store::{FetchResult, MetadataStore, StoreLayout};
+pub use store::{MetadataStore, Read, StoreLayout};

@@ -11,10 +11,9 @@
 //!   individually, so each miss loads exactly one inode and directory
 //!   entry lists are separate objects.
 //!
-//! The store does not hold metadata contents (the shared
-//! shared [`Namespace`] is the single source of
-//! truth); it models *which items an access loads* and *when the access
-//! completes* against the [`OsdPool`].
+//! The store does not hold metadata contents (the shared [`Namespace`] is
+//! the single source of truth); it models *which items an access loads*
+//! and *when the access completes* against the [`OsdPool`].
 
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, Namespace};
@@ -32,14 +31,35 @@ pub enum StoreLayout {
     InodeTable,
 }
 
-/// Outcome of a metadata fetch.
-#[derive(Clone, Debug)]
-pub struct FetchResult {
-    /// When the disk access completes.
-    pub complete_at: SimTime,
-    /// Every inode brought into memory by this access (the requested item
-    /// plus, under the embedded layout, its whole directory).
-    pub loaded: Vec<InodeId>,
+impl StoreLayout {
+    /// The ids that `read` brings into memory under this layout; a
+    /// readdir under the inode table loads names only, so nothing.
+    pub fn loaded(self, ns: &Namespace, read: Read) -> impl Iterator<Item = InodeId> + '_ {
+        let embedded = self == StoreLayout::EmbeddedDirectories;
+        let (dir, alone) = match read {
+            Read::Inode(id) if embedded => {
+                let siblings = ns.parent(id).ok().flatten().and_then(|p| ns.children_syms(p).ok());
+                let alone = siblings.is_none().then_some(id);
+                (siblings, alone)
+            }
+            Read::Dir(dir) if embedded => (ns.children_syms(dir).ok(), None),
+            Read::Dir(_) => (None, None),
+            Read::Inode(id) | Read::Fragment(id) => (None, Some(id)),
+        };
+        dir.into_iter().flatten().map(|(_, c)| c).chain(alone)
+    }
+}
+
+/// One tier-2 metadata read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Read {
+    /// An inode, through its layout's object.
+    Inode(InodeId),
+    /// A directory's contents (a readdir).
+    Dir(InodeId),
+    /// One entry of an entry-hashed directory (§4.3): the directory's
+    /// storage fragments with it, one object per entry under either layout.
+    Fragment(InodeId),
 }
 
 /// Tier-2 store front-end.
@@ -93,52 +113,18 @@ impl MetadataStore {
         }
     }
 
-    /// Fetches the metadata for `id` at `now`.
-    pub fn fetch_inode(&mut self, now: SimTime, ns: &Namespace, id: InodeId) -> FetchResult {
+    /// Performs `read` at `now`; returns when the access completes. What
+    /// it loads is [`StoreLayout::loaded`]. A readdir is one object under
+    /// either layout, but under the inode table it holds names only: the
+    /// inodes still need individual reads (the paper's "inefficient
+    /// metadata I/O" for file hashing).
+    pub fn fetch(&mut self, now: SimTime, ns: &Namespace, read: Read) -> SimTime {
         self.fetches += 1;
-        let key = self.object_key(ns, id);
-        let complete_at = self.pool.access(now, key, AccessKind::Read);
-        let loaded = match self.layout {
-            StoreLayout::EmbeddedDirectories => match ns.parent(id) {
-                Ok(Some(p)) => {
-                    // Whole-directory prefetch: every sibling arrives too.
-                    ns.children(p)
-                        .map(|it| it.map(|(_, c)| c).collect())
-                        .unwrap_or_else(|_| vec![id])
-                }
-                _ => vec![id],
-            },
-            StoreLayout::InodeTable => vec![id],
+        let key = match read {
+            Read::Inode(id) => self.object_key(ns, id),
+            Read::Dir(id) | Read::Fragment(id) => id.0,
         };
-        FetchResult { complete_at, loaded }
-    }
-
-    /// Fetches one inode from a *fragmented* directory: when a directory
-    /// is spread entry-wise across the cluster (§4.3 dynamic directory
-    /// hashing), its storage fragments with it, so each entry fetch is an
-    /// independent object access keyed by the entry itself — regardless of
-    /// the configured layout.
-    pub fn fetch_fragment(&mut self, now: SimTime, id: InodeId) -> FetchResult {
-        self.fetches += 1;
-        let complete_at = self.pool.access(now, id.0, AccessKind::Read);
-        FetchResult { complete_at, loaded: vec![id] }
-    }
-
-    /// Fetches the contents of directory `dir` (a readdir). Under the
-    /// embedded layout this is the same single object as any entry fetch
-    /// and loads all embedded inodes; under the inode-table layout it
-    /// loads the name list only — the inodes still need individual
-    /// fetches (the paper's "inefficient metadata I/O" for file hashing).
-    pub fn fetch_dir(&mut self, now: SimTime, ns: &Namespace, dir: InodeId) -> FetchResult {
-        self.fetches += 1;
-        let complete_at = self.pool.access(now, dir.0, AccessKind::Read);
-        let loaded = match self.layout {
-            StoreLayout::EmbeddedDirectories => {
-                ns.children(dir).map(|it| it.map(|(_, c)| c).collect()).unwrap_or_default()
-            }
-            StoreLayout::InodeTable => Vec::new(),
-        };
-        FetchResult { complete_at, loaded }
+        self.pool.access(now, key, AccessKind::Read)
     }
 
     /// Writes `id`'s record back to tier 2 (journal retirement). Repeated
@@ -205,43 +191,47 @@ mod tests {
         (store, ns, dir, files)
     }
 
+    fn loaded(layout: StoreLayout, ns: &Namespace, read: Read) -> Vec<InodeId> {
+        layout.loaded(ns, read).collect()
+    }
+
     #[test]
     fn embedded_fetch_loads_whole_directory() {
         let (mut store, ns, _, files) = setup(StoreLayout::EmbeddedDirectories);
-        let res = store.fetch_inode(SimTime::ZERO, &ns, files[0]);
-        assert_eq!(res.loaded.len(), 5, "all siblings prefetched");
-        for f in &files {
-            assert!(res.loaded.contains(f));
-        }
-        assert!(res.complete_at > SimTime::ZERO);
+        assert_eq!(
+            loaded(store.layout(), &ns, Read::Inode(files[0])),
+            files,
+            "siblings prefetched"
+        );
+        assert!(store.fetch(SimTime::ZERO, &ns, Read::Inode(files[0])) > SimTime::ZERO);
     }
 
     #[test]
     fn inode_table_fetch_loads_one() {
-        let (mut store, ns, _, files) = setup(StoreLayout::InodeTable);
-        let res = store.fetch_inode(SimTime::ZERO, &ns, files[0]);
-        assert_eq!(res.loaded, vec![files[0]]);
+        let (store, ns, _, files) = setup(StoreLayout::InodeTable);
+        assert_eq!(loaded(store.layout(), &ns, Read::Inode(files[0])), vec![files[0]]);
     }
 
     #[test]
-    fn embedded_readdir_loads_embedded_inodes() {
-        let (mut store, ns, dir, files) = setup(StoreLayout::EmbeddedDirectories);
-        let res = store.fetch_dir(SimTime::ZERO, &ns, dir);
-        assert_eq!(res.loaded.len(), files.len());
+    fn readdir_loads_embedded_inodes_or_names_only() {
+        let (_, ns, dir, files) = setup(StoreLayout::EmbeddedDirectories);
+        assert_eq!(loaded(StoreLayout::EmbeddedDirectories, &ns, Read::Dir(dir)), files);
+        let names_only = loaded(StoreLayout::InodeTable, &ns, Read::Dir(dir));
+        assert!(names_only.is_empty(), "inodes require separate fetches");
     }
 
     #[test]
-    fn inode_table_readdir_loads_names_only() {
-        let (mut store, ns, dir, _) = setup(StoreLayout::InodeTable);
-        let res = store.fetch_dir(SimTime::ZERO, &ns, dir);
-        assert!(res.loaded.is_empty(), "inodes require separate fetches");
+    fn fragment_loads_its_entry_under_either_layout() {
+        let (_, ns, _, files) = setup(StoreLayout::EmbeddedDirectories);
+        for layout in [StoreLayout::EmbeddedDirectories, StoreLayout::InodeTable] {
+            assert_eq!(loaded(layout, &ns, Read::Fragment(files[1])), vec![files[1]]);
+        }
     }
 
     #[test]
     fn root_fetch_works_without_parent() {
-        let (mut store, ns, _, _) = setup(StoreLayout::EmbeddedDirectories);
-        let res = store.fetch_inode(SimTime::ZERO, &ns, ns.root());
-        assert_eq!(res.loaded, vec![ns.root()]);
+        let (store, ns, _, _) = setup(StoreLayout::EmbeddedDirectories);
+        assert_eq!(loaded(store.layout(), &ns, Read::Inode(ns.root())), vec![ns.root()]);
     }
 
     #[test]
@@ -263,8 +253,8 @@ mod tests {
     #[test]
     fn counters_track_operations() {
         let (mut store, ns, dir, files) = setup(StoreLayout::EmbeddedDirectories);
-        store.fetch_inode(SimTime::ZERO, &ns, files[0]);
-        store.fetch_dir(SimTime::ZERO, &ns, dir);
+        store.fetch(SimTime::ZERO, &ns, Read::Inode(files[0]));
+        store.fetch(SimTime::ZERO, &ns, Read::Dir(dir));
         store.writeback(SimTime::ZERO, &ns, files[0]);
         assert_eq!(store.fetches(), 2);
         assert_eq!(store.writebacks(), 1);

@@ -2,9 +2,7 @@
 
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, NamespaceSpec};
-use dynmds_storage::{
-    AccessKind, BoundedLog, DiskModel, DiskParams, MetadataStore, OsdPool, StoreLayout,
-};
+use dynmds_storage::{AccessKind, BoundedLog, DiskModel, DiskParams, OsdPool, Read, StoreLayout};
 use proptest::prelude::*;
 
 proptest! {
@@ -84,18 +82,17 @@ proptest! {
         prop_assume!(!files.is_empty());
         let target = files[seed as usize % files.len()];
 
-        let mut table = MetadataStore::new(StoreLayout::InodeTable, OsdPool::new(4, DiskParams::default()));
-        let res = table.fetch_inode(SimTime::ZERO, &ns, target);
-        prop_assert_eq!(res.loaded, vec![target]);
+        let table: Vec<InodeId> = StoreLayout::InodeTable.loaded(&ns, Read::Inode(target)).collect();
+        prop_assert_eq!(table, vec![target]);
 
-        let mut emb = MetadataStore::new(StoreLayout::EmbeddedDirectories, OsdPool::new(4, DiskParams::default()));
-        let res = emb.fetch_inode(SimTime::ZERO, &ns, target);
-        prop_assert!(res.loaded.contains(&target));
+        let emb: Vec<InodeId> =
+            StoreLayout::EmbeddedDirectories.loaded(&ns, Read::Inode(target)).collect();
+        prop_assert!(emb.contains(&target));
         let parent = ns.parent(target).unwrap().unwrap();
-        for id in &res.loaded {
+        for id in &emb {
             prop_assert_eq!(ns.parent(*id).unwrap(), Some(parent), "only siblings ride along");
         }
-        prop_assert_eq!(res.loaded.len(), ns.child_count(parent).unwrap());
+        prop_assert_eq!(emb.len(), ns.child_count(parent).unwrap());
     }
 
     /// Pool placement is stable and respects device count, whatever the

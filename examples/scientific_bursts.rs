@@ -55,7 +55,7 @@ fn main() {
     ));
     let mut sim = Simulation::new(cfg, snapshot, workload);
     sim.run_until(SimTime::from_secs(END_S));
-    let replicated = sim.cluster().replicated_count();
+    let replicated = sim.cluster().view().replicated.len();
     let report = sim.finish();
 
     // Cluster-wide throughput over time: bursts show as spikes.

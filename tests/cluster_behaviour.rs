@@ -88,7 +88,7 @@ fn traffic_control_spreads_a_flash_crowd() {
             SimDuration::from_millis(100),
         );
         sim.run_until(SimTime::from_secs(1));
-        let replicated = sim.cluster().is_replicated(target);
+        let replicated = sim.cluster().view().replicated.contains(&target);
         let report = sim.finish();
         (replicated, report)
     };
@@ -149,7 +149,8 @@ fn huge_directories_get_hashed_dynamically() {
     sim.run_until(SimTime::from_secs(15));
 
     let cluster = sim.cluster();
-    let hashed: Vec<_> = cluster.ns.live_ids().filter(|&id| cluster.is_dir_hashed(id)).collect();
+    let hashed: Vec<_> =
+        cluster.ns.live_ids().filter(|&id| cluster.view().hashed_dirs.contains(&id)).collect();
     assert!(!hashed.is_empty(), "a directory past {} entries must be spread entry-wise", 50);
     for d in hashed {
         assert!(cluster.ns.child_count(d).unwrap() > 25, "hashed dirs are big");
