@@ -28,7 +28,7 @@ use dynmds_storage::DiskFault;
 
 use crate::cluster::Cluster;
 use crate::config::MIGRATE_PER_ITEM;
-use crate::fault::{crash_applies, live_in_ring, DiskScope, FaultStep};
+use crate::fault::{crash_applies, DiskScope, FaultStep};
 
 /// How long a client-side request waits on a dead node before being
 /// re-driven at the live authority.
@@ -45,10 +45,9 @@ impl Cluster {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Maps an authority to a live node by the ring walk
-    /// ([`live_in_ring`]); with no live node, the authority itself.
+    /// Maps an authority to a live node ([`crate::serve::View::live_authority`]).
     pub fn live_authority(&self, auth: MdsId) -> MdsId {
-        live_in_ring(&self.alive, auth).unwrap_or(auth)
+        self.view().live_authority(auth)
     }
 
     /// Subtree roots `mds` currently hosts beyond its initial assignment

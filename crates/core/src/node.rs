@@ -132,8 +132,7 @@ pub struct MdsNode {
     sample_base: LifeCounters,
     /// `life` at the last heartbeat.
     heartbeat_base: LifeCounters,
-    /// Reusable root-first ancestor-chain buffer: after warm-up, path
-    /// traversal and replication run for every op and must not allocate.
+    /// Reusable root-first ancestor chain: traversal allocates nothing.
     pub(crate) chain: Vec<InodeId>,
 }
 

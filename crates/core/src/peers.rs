@@ -1,8 +1,6 @@
-//! The legacy engine's [`Peers`]: it resolves each effect of the serve
-//! core at once, on the cluster's own state, at the moment the core asks.
-//!
-//! [`Cluster::with_peers`] lends one node to the core as the serving node
-//! and every other node, with the rest of the cluster, as its peers.
+//! The legacy engine's [`Peers`]: each effect of the serve core resolved
+//! at once, on the cluster's own state. [`Cluster::with_peers`] lends one
+//! node to the core as the serving node and the rest as its peers.
 
 use dynmds_cache::InsertKind;
 use dynmds_event::SimTime;
@@ -17,8 +15,7 @@ use crate::obs::SpanStage;
 use crate::request::Request;
 use crate::serve::{install_read, Peers, View};
 
-/// One serving node's peers: the cluster, with its nodes lent out for
-/// the call, and the nodes on either side of the serving node.
+/// One serving node's peers: the rest of the cluster and the other nodes.
 pub(crate) struct ClusterPeers<'a> {
     /// The cluster; its `nodes` is empty while the peers exist.
     pub(crate) c: &'a mut Cluster,

@@ -16,6 +16,7 @@ use dynmds_storage::{Read, StoreLayout};
 use dynmds_workload::{Op, OpKind};
 
 use crate::config::SimConfig;
+use crate::fault::live_in_ring;
 use crate::node::MdsNode;
 use crate::obs::SpanStage;
 use crate::request::Request;
@@ -52,6 +53,11 @@ impl View<'_> {
             }
         }
         self.partition.authority(id)
+    }
+
+    /// `auth` while it is alive, else the next live node around the ring.
+    pub fn live_authority(&self, auth: MdsId) -> MdsId {
+        live_in_ring(self.alive, auth).unwrap_or(auth)
     }
 }
 
@@ -169,7 +175,9 @@ fn traverse<P: Peers>(now: SimTime, node: &mut MdsNode, target: InodeId, peers: 
             continue;
         }
         node.life.prefix_misses += 1;
-        let auth = peers.view().authority_of(dir);
+        // A dead authority is never asked: its live stand-in serves.
+        let v = peers.view();
+        let auth = v.live_authority(v.authority_of(dir));
         if auth == node.id {
             // Local miss: read from tier 2.
             node.life.disk_fetches += 1;
@@ -404,14 +412,19 @@ mod tests {
     }
 
     #[test]
-    fn remote_prefix_is_asked_exactly_for_prefixes_owned_elsewhere() {
+    fn remote_prefix_is_asked_exactly_for_prefixes_owned_by_another_live_node() {
         let (mut p, files) = Fake::new(StrategyKind::FileHash, StoreLayout::InodeTable);
         let mut node = p.node();
         let mut chain = Vec::new();
         p.ns.ancestors_into(files[2], &mut chain);
         let (mut remote, mut local) = (Vec::new(), Vec::new());
+        // The owner of one remote prefix is down; its stand-in is asked.
+        let owner = |p: &Fake, d: InodeId| p.view().authority_of(d);
+        let down = chain[1..].iter().map(|&d| owner(&p, d)).find(|&m| m != MdsId(0)).unwrap();
+        p.alive[down.index()] = false;
         for &dir in &chain[1..] {
-            let auth = p.view().authority_of(dir);
+            let auth = p.view().live_authority(owner(&p, dir));
+            assert_ne!(auth, down, "a dead node is never asked");
             if auth == node.id {
                 local.push(Read::Inode(dir));
             } else {

@@ -131,3 +131,23 @@ fn hashed_strategies_remap_placement_around_dead_nodes() {
     // Successor ring: dead node's keys flow to the next live node.
     assert_eq!(cluster.live_authority(MdsId(0)), MdsId(1));
 }
+
+#[test]
+fn a_dead_node_is_never_asked_for_prefixes_until_it_recovers() {
+    // Under hashed placement the prefix directories of live nodes' paths
+    // hash to the dead node too. Their remote-prefix reads must go to the
+    // live stand-in: a crashed node neither reads its disk nor caches
+    // anything, and rejoins as cold as the crash left it.
+    for strategy in [StrategyKind::FileHash, StrategyKind::DirHash] {
+        let mut s = sim(strategy, "crash:1@3s;recover:1@7s");
+        s.run_until(SimTime::from_millis(3_001));
+        let dead = &s.cluster().nodes[1];
+        assert_eq!(dead.cache.len(), 0, "{strategy}: the crash empties RAM");
+        let life = format!("{:?}", dead.life);
+        s.run_until(SimTime::from_millis(6_999));
+        let cluster = s.cluster();
+        assert!(!cluster.is_alive_node(MdsId(1)));
+        assert_eq!(cluster.nodes[1].cache.len(), 0, "{strategy}: a dead node caches nothing");
+        assert_eq!(format!("{:?}", cluster.nodes[1].life), life, "{strategy}: its counts stay");
+    }
+}
