@@ -187,6 +187,12 @@ impl MetaCache {
         self.stats
     }
 
+    /// Empties the cache under its own capacity and insertion policy, with
+    /// the statistics zeroed as [`MetaCache::new`] leaves them.
+    pub fn clear(&mut self) {
+        *self = Self::with_probation(self.cap, self.probation_enabled);
+    }
+
     /// Resets hit/miss/eviction counters (contents untouched); used when a
     /// measurement window starts after warm-up.
     pub fn reset_stats(&mut self) {
@@ -770,6 +776,21 @@ mod tests {
         assert_eq!(ev, vec![id(1)], "prefetch was not sacrificed first");
         assert!(c.contains(id(2)));
         assert_eq!(c.is_prefix(id(2)), Some(false), "prefetch is not a prefix");
+        c.check_integrity();
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_insertion_policy() {
+        let mut c = MetaCache::with_probation(3, false);
+        c.insert(id(1), None, InsertKind::Target);
+        assert!(c.lookup(id(1), true));
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!((c.capacity(), c.stats()), (3, CacheStats::default()));
+        c.insert(id(1), None, InsertKind::Target);
+        c.insert(id(2), None, InsertKind::Prefetch);
+        c.insert(id(3), None, InsertKind::Target);
+        assert_eq!(c.insert(id(4), None, InsertKind::Target), vec![id(1)], "probation came back");
         c.check_integrity();
     }
 }

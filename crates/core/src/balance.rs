@@ -18,7 +18,7 @@ use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
 
 use crate::cluster::Cluster;
-use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MIGRATE_PER_ITEM, MISS_WEIGHT};
+use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MIGRATE_PER_ITEM};
 
 impl Cluster {
     /// One heartbeat round: refresh traffic-control state, update the
@@ -31,9 +31,7 @@ impl Cluster {
         // to migrate on.
         let n = self.nodes.len();
         for i in 0..n {
-            let hb = self.nodes[i].take_heartbeat();
-            let misses = hb.prefix_misses + hb.target_misses;
-            let raw = hb.served as f64 + MISS_WEIGHT * misses as f64;
+            let raw = self.nodes[i].take_heartbeat().load();
             self.hb_ewma[i] = 0.5 * self.hb_ewma[i] + 0.5 * raw;
         }
         // Dead nodes serve nothing; folding their stale EWMA into the mean

@@ -228,14 +228,8 @@ impl Cluster {
             StoreLayout::InodeTable
         };
         let store = MetadataStore::new(layout, OsdPool::new(cfg.n_osds, cfg.costs.osd_disk));
-        let mut nodes: Vec<MdsNode> = (0..cfg.n_mds)
-            .map(|i| MdsNode::new(MdsId(i), cfg.cache_capacity, cfg.journal_capacity))
-            .collect();
-        if cfg.disable_prefetch_probation {
-            for n in &mut nodes {
-                n.cache = dynmds_cache::MetaCache::with_probation(cfg.cache_capacity, false);
-            }
-        }
+        let mut nodes: Vec<MdsNode> =
+            (0..cfg.n_mds).map(|i| MdsNode::new(MdsId(i), &cfg)).collect();
         // The root is known to (and cached by) every node from the start.
         for n in &mut nodes {
             n.cache.insert(ns.root(), None, InsertKind::Prefix);
@@ -277,7 +271,7 @@ impl Cluster {
                 .map(|_| dynmds_proxy::ProxyCore::new(&cfg.proxy))
                 .collect(),
             proxy_dirty: FxHashSet::default(),
-            obs: ClusterObs::new(cfg.obs, n, cfg.n_clients as usize),
+            obs: ClusterObs::new(cfg.obs, cfg.n_clients as usize),
             probe: None,
             measure_start: SimTime::ZERO,
             samples: sample_series(n),
@@ -831,13 +825,7 @@ impl ClusterPeers<'_> {
         // Tier-1 commit: journal append on this node's journal device; the
         // reply waits for it ("all metadata transactions must be quickly
         // written to stable storage", §4.6).
-        let mut writebacks = Vec::new();
-        for &id in &touched {
-            writebacks.extend(node.journal.append(id));
-        }
-        let jdone = node.journal_disk.access(now, dynmds_storage::AccessKind::Write);
-        node.life.journal_commits += 1;
-        node.life.journal_writebacks += writebacks.len() as u64;
+        let (jdone, writebacks) = node.commit(now, &touched);
         c.obs.span(req.client.0, SpanStage::Journal, jdone, node.id.0);
         // Retired entries stream to tier 2 asynchronously (don't block the
         // reply, do consume pool throughput).
@@ -968,44 +956,9 @@ impl Cluster {
     }
 
     fn on_sample(&mut self, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        let n = self.nodes.len();
-        let row = sample_row(n, &mut self.nodes);
-        if self.obs.enabled() {
-            self.push_obs_snapshot(now, &row[..n]);
-        }
+        let row = sample_row(self.nodes.len(), &mut self.nodes, &self.alive, &self.partition);
         self.samples.push_row(now.as_micros(), row);
         queue.schedule(now + self.cfg.sample_every, SimEvent::Sample);
-    }
-
-    /// Gathers one per-MDS snapshot row (field order:
-    /// [`crate::obs::SNAPSHOT_FIELDS`]) — only called with obs enabled.
-    fn push_obs_snapshot(&mut self, now: SimTime, loads: &[u64]) {
-        let n_mds = self.nodes.len();
-        let mut row = Vec::with_capacity(crate::obs::SNAPSHOT_FIELDS.len() * n_mds);
-        row.extend_from_slice(loads);
-        for n in &self.nodes {
-            row.push(n.cache.len() as u64);
-        }
-        for n in &self.nodes {
-            row.push(n.cache.prefix_count() as u64);
-        }
-        for n in &self.nodes {
-            row.push((n.cache.len() - n.cache.prefix_count()) as u64);
-        }
-        for n in &self.nodes {
-            row.push(n.journal.len() as u64);
-        }
-        let deleg_base = row.len();
-        row.resize(deleg_base + n_mds, 0);
-        if let Some(sub) = self.partition.as_subtree() {
-            for (_, m) in sub.delegations() {
-                row[deleg_base + m.index()] += 1;
-            }
-        }
-        for &alive in &self.alive {
-            row.push(alive as u64);
-        }
-        self.obs.snapshot(now, row);
     }
 }
 

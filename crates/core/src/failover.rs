@@ -9,12 +9,13 @@
 //!
 //! Failure semantics here:
 //!
-//! * [`Cluster::fail_node`] — the node stops serving and loses its RAM.
-//!   Under subtree partitioning its delegations are redistributed
-//!   round-robin over the survivors, each of whom *warms its cache from
-//!   the failed node's journal* (shared storage) for the subtrees it
-//!   inherits. Under hashed strategies placement is remapped by skipping
-//!   the dead node ([`Cluster::live_authority`]).
+//! * [`Cluster::fail_node`] — the node stops serving and loses its RAM
+//!   ([`MdsNode::lose_memory`](crate::node::MdsNode::lose_memory)).
+//!   Under subtree partitioning its delegations go round robin to the
+//!   survivors ([`heirs`]), each of whom *warms its cache from the failed
+//!   node's journal* (shared storage) for the subtrees it inherits.
+//!   Under hashed strategies placement is remapped by skipping the dead
+//!   node ([`Cluster::live_authority`]).
 //! * Requests already in flight toward a dead node time out and are
 //!   re-sent to the live authority after `FAILOVER_TIMEOUT`.
 //! * [`Cluster::recover_node`] — the node comes back empty, preloads its
@@ -28,7 +29,7 @@ use dynmds_storage::DiskFault;
 
 use crate::cluster::Cluster;
 use crate::config::MIGRATE_PER_ITEM;
-use crate::fault::{crash_applies, DiskScope, FaultStep};
+use crate::fault::{crash_applies, heirs, DiskScope, FaultStep};
 
 /// How long a client-side request waits on a dead node before being
 /// re-driven at the live authority.
@@ -85,26 +86,23 @@ impl Cluster {
         }
     }
 
-    /// Kills `mds` at `now`. Panics if it is the last live node.
+    /// Kills `mds` at `now`; a no-op when it is already dead. Panics if
+    /// it is the last live node.
     pub fn fail_node(&mut self, now: SimTime, mds: MdsId) {
-        assert!(self.live_nodes() > 1, "cannot fail the last node");
         if !self.alive[mds.index()] {
             return;
         }
+        assert!(self.live_nodes() > 1, "cannot fail the last node");
         self.alive[mds.index()] = false;
         self.counters.failures += 1;
 
         // A dead node has no load: clear its smoothed estimate and its
-        // overload streak, and open a new heartbeat window, so residual
-        // figures neither mark it "busiest" nor skew the cluster mean the
-        // balancer gates on.
+        // overload streak (losing its memory also opens a new heartbeat
+        // window), so residual figures neither mark it "busiest" nor skew
+        // the cluster mean the balancer gates on.
         self.hb_ewma[mds.index()] = 0.0;
         self.busy_streak[mds.index()] = 0;
-        self.nodes[mds.index()].take_heartbeat();
-
-        // RAM is gone. The journal is on shared storage and survives.
-        let cap = self.cfg.cache_capacity;
-        self.nodes[mds.index()].cache = dynmds_cache::MetaCache::new(cap);
+        self.nodes[mds.index()].lose_memory();
 
         // The failed node's working set, recoverable by any successor.
         let mut working_set: Vec<InodeId> = self.nodes[mds.index()].journal.working_set().collect();
@@ -116,14 +114,8 @@ impl Cluster {
             Some(sub) => sub.delegations_of(mds),
             None => Vec::new(),
         };
-        let survivors: Vec<MdsId> =
-            (0..self.nodes.len()).filter(|&i| self.alive[i]).map(|i| MdsId(i as u16)).collect();
-        // Rotate the round-robin start by the failure count so successive
-        // failures don't pile every inherited subtree onto the same
-        // low-indexed survivors.
-        let offset = self.counters.failures as usize;
-        for (k, root) in owned.into_iter().enumerate() {
-            let heir = survivors[(k + offset) % survivors.len()];
+        let heirs = heirs(&self.alive, self.counters.failures, owned.len());
+        for (root, heir) in owned.into_iter().zip(heirs) {
             self.partition.delegate(&self.ns, root, heir);
             self.imported[mds.index()].retain(|&d| d != root);
             self.imported[heir.index()].push(root);
@@ -161,7 +153,8 @@ impl Cluster {
     }
 
     /// Brings `mds` back at `now`: empty RAM, cache preloaded from its
-    /// own journal's working set (fast sequential read), ready to serve.
+    /// own journal's working set — the §4.6 cold-start model: one fast
+    /// sequential read plus per-record replay cost — ready to serve.
     /// Under the dynamic strategy the balancer migrates load back on
     /// subsequent heartbeats.
     pub fn recover_node(&mut self, now: SimTime, mds: MdsId) {
@@ -173,21 +166,13 @@ impl Cluster {
         if !self.cfg.journal_warming {
             return; // ablation: come back cold
         }
-        self.warm_own_journal(now, mds);
-    }
-
-    /// The §4.6 cold-start model of crash recovery: preload the node's
-    /// cache from its own journal's working set (one fast sequential read
-    /// plus per-record replay cost).
-    pub(crate) fn warm_own_journal(&mut self, now: SimTime, mds: MdsId) {
-        // §4.6 cache warming: the log approximates the working set.
-        let mut ws: Vec<InodeId> = self.nodes[mds.index()].journal.working_set().collect();
-        ws.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
-        self.nodes[mds.index()].life.journal_warmed += ws.len() as u64;
-        self.nodes[mds.index()].journal_disk.access(now, dynmds_storage::AccessKind::Read);
-        let cost = MIGRATE_PER_ITEM.saturating_mul(ws.len() as u64 + 1);
-        self.nodes[mds.index()].occupy(now, cost);
         let node = &mut self.nodes[mds.index()];
+        // §4.6 cache warming: the log approximates the working set.
+        let mut ws: Vec<InodeId> = node.journal.working_set().collect();
+        ws.sort_by_key(|&id| (self.ns.depth(id).unwrap_or(usize::MAX), id));
+        node.life.journal_warmed += ws.len() as u64;
+        node.journal_disk.access(now, dynmds_storage::AccessKind::Read);
+        node.occupy(now, MIGRATE_PER_ITEM.saturating_mul(ws.len() as u64 + 1));
         let mut chain = Vec::new();
         for id in ws {
             if !self.ns.is_alive(id) {
@@ -212,7 +197,7 @@ mod tests {
     use dynmds_namespace::MdsId;
     use dynmds_partition::StrategyKind;
 
-    use crate::testutil::tiny_cluster;
+    use crate::testutil::{tiny_cluster, tiny_cluster_with};
 
     #[test]
     fn live_authority_ring_skips_dead_nodes() {
@@ -259,6 +244,70 @@ mod tests {
         for i in 0..4 {
             c.fail_node(SimTime::from_secs(1), MdsId(i));
         }
+    }
+
+    #[test]
+    fn failing_a_dead_node_is_a_no_op_with_one_node_left() {
+        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        for i in 0..3 {
+            c.fail_node(SimTime::from_secs(1), MdsId(i));
+        }
+        c.fail_node(SimTime::from_secs(2), MdsId(2));
+        assert_eq!((c.live_nodes(), c.counters.failures), (1, 3));
+    }
+
+    #[test]
+    fn a_crash_keeps_the_cache_insertion_policy() {
+        use dynmds_cache::InsertKind;
+        use dynmds_namespace::InodeId;
+        let mut c = tiny_cluster_with(StrategyKind::DynamicSubtree, |cfg| {
+            cfg.disable_prefetch_probation = true;
+        });
+        c.fail_node(SimTime::from_secs(1), MdsId(1));
+        let cache = &mut c.nodes[1].cache;
+        let cap = cache.capacity() as u64;
+        cache.insert(InodeId(1), None, InsertKind::Target);
+        cache.insert(InodeId(2), None, InsertKind::Prefetch);
+        for id in 3..=cap {
+            cache.insert(InodeId(id), None, InsertKind::Target);
+        }
+        // Near-tail insertion off: the prefetch entered at the MRU head,
+        // so the oldest target is the first to go.
+        let evicted = cache.insert(InodeId(cap + 1), None, InsertKind::Target);
+        assert_eq!(evicted, vec![InodeId(1)]);
+    }
+
+    #[test]
+    fn a_crashed_replicas_absorbed_write_reaches_the_authority() {
+        use dynmds_event::EventQueue;
+        use dynmds_namespace::ClientId;
+        use dynmds_workload::Op;
+
+        use crate::request::{Request, SimEvent};
+
+        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        c.cfg.shared_writes = true;
+        let file = c.ns.walk(c.ns.root()).find(|&i| !c.ns.is_dir(i)).unwrap();
+        c.replicated.insert(file);
+        let auth = c.authority_of(file);
+        let replica = MdsId((auth.0 + 1) % 4);
+        let size = c.ns.inode(file).unwrap().size;
+        let req = Request {
+            client: ClientId(0),
+            uid: 1,
+            op: Op::Close(file),
+            issued_at: SimTime::from_millis(1),
+            hops: 0,
+            retries: 0,
+            via_proxy: false,
+        };
+        let mut q: EventQueue<SimEvent> = EventQueue::new();
+        c.handle(SimTime::from_millis(1), SimEvent::Arrive { mds: replica, req }, &mut q);
+        assert_eq!(c.nodes[replica.index()].life.shared_absorbed, 1);
+        c.fail_node(SimTime::from_millis(2), replica);
+        c.flush_writes(SimTime::from_millis(3));
+        assert_eq!(c.ns.inode(file).unwrap().size, size + 4096);
+        assert_eq!(c.counters.shared_write_flushes, 1);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! [`FaultSchedule::steps`] turns a schedule into the one list of timed
 //! [`FaultStep`]s both engines apply, under one crash rule
-//! ([`crash_applies`]) and one ring walk ([`live_in_ring`]). Every random
-//! draw comes from a dedicated seeded stream, so the same seed plus the
-//! same schedule replays byte-identically — and an empty schedule draws
-//! nothing, leaving fault-free runs bit-for-bit unchanged.
+//! ([`crash_applies`]), one ring walk ([`live_in_ring`]) and one heir
+//! rule ([`heirs`]). Every random draw comes from a dedicated seeded
+//! stream, so the same seed plus the same schedule replays
+//! byte-identically — and an empty schedule draws nothing, leaving
+//! fault-free runs bit-for-bit unchanged.
 
 use std::fmt;
 
@@ -134,6 +135,18 @@ pub fn live_in_ring(alive: &[bool], m: MdsId) -> Option<MdsId> {
     }
     let n = alive.len();
     (1..n).map(|d| (m.index() + d) % n).find(|&i| alive[i]).map(|i| MdsId(i as u16))
+}
+
+/// The heir rule of both engines: the heirs of a crashed node's `count`
+/// delegations, in delegation order — round robin over the survivors
+/// (`alive`, the crashed node already down), starting `crashes` places
+/// in. `crashes` counts the crashes applied so far, this one included,
+/// so successive crashes do not pile every inherited subtree onto the
+/// same low-numbered survivors.
+pub fn heirs(alive: &[bool], crashes: u64, count: usize) -> Vec<MdsId> {
+    let survivors: Vec<MdsId> =
+        (0..alive.len()).filter(|&i| alive[i]).map(|i| MdsId(i as u16)).collect();
+    (0..count).map(|k| survivors[(k + crashes as usize) % survivors.len()]).collect()
 }
 
 /// Seeded random crash/recover churn: per-node alternating up/down
@@ -681,6 +694,16 @@ mod tests {
         assert!(crash_applies(&[true, true], MdsId(0)));
         assert!(!crash_applies(&[false, true], MdsId(0)), "already down");
         assert!(!crash_applies(&[false, true], MdsId(1)), "last live node");
+    }
+
+    #[test]
+    fn heirs_rotate_round_robin_over_survivors() {
+        let alive = [true, false, true, true];
+        let ids = |v: &[u16]| v.iter().map(|&m| MdsId(m)).collect::<Vec<_>>();
+        assert_eq!(heirs(&alive, 0, 4), ids(&[0, 2, 3, 0]));
+        assert_eq!(heirs(&alive, 1, 4), ids(&[2, 3, 0, 2]), "the first crash starts one in");
+        assert_eq!(heirs(&alive, 5, 2), ids(&[3, 0]));
+        assert!(heirs(&alive, 2, 0).is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Per-MDS state: cache, journal, popularity, CPU, and the node's event
-//! counts.
+//! Per-MDS state — cache, journal, popularity, CPU, event counts — and
+//! the per-node rules both engines share: build, crash, journal commit,
+//! heartbeat load and sample row.
 //!
 //! Each served, forwarded, received or missed request increments one
 //! field of the node's [`LifeCounters`], which is never reset. Every
@@ -12,13 +13,24 @@ use dynmds_cache::{InsertKind, MetaCache, Popularity};
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::{InodeId, MdsId, Namespace};
 use dynmds_obs::SnapshotSeries;
-use dynmds_storage::{BoundedLog, DiskModel};
+use dynmds_partition::Partition;
+use dynmds_storage::{AccessKind, BoundedLog, DiskModel};
 
-use crate::config::{JOURNAL_DISK, POPULARITY_HALF_LIFE};
+use crate::config::{SimConfig, JOURNAL_DISK, MISS_WEIGHT, POPULARITY_HALF_LIFE};
 use crate::report::NodeSnapshot;
 
 /// Fields of a per-node sample row, one slot per node each.
-const SAMPLE_FIELDS: &[&str] = &["served", "forwarded", "received", "misses"];
+pub(crate) const SAMPLE_FIELDS: &[&str] = &[
+    "served",
+    "forwarded",
+    "received",
+    "misses",
+    "cache_prefix",
+    "cache_target",
+    "journal_depth",
+    "delegations",
+    "alive",
+];
 
 /// An empty per-node sample series over `n_mds` nodes: one row per sample
 /// tick, built by [`sample_row`].
@@ -26,19 +38,33 @@ pub fn sample_series(n_mds: usize) -> SnapshotSeries {
     SnapshotSeries::new(SAMPLE_FIELDS, n_mds)
 }
 
-/// One sample-series row: takes every node's sample window
-/// ([`MdsNode::take_sample`]) and lays the counts out field-major, each
-/// field's slots in node-id order. `nodes` must cover ids `0..n_mds`, in
-/// any order.
-pub fn sample_row<'a>(n_mds: usize, nodes: impl IntoIterator<Item = &'a mut MdsNode>) -> Vec<u64> {
+/// One sample-series row: every node's sample window
+/// ([`MdsNode::take_sample`]), cache split and journal depth, then its
+/// delegation count under `partition` and its liveness. Field-major, each
+/// field's slots in node-id order; `nodes` must cover ids `0..n_mds`.
+pub fn sample_row<'a>(
+    n_mds: usize,
+    nodes: impl IntoIterator<Item = &'a mut MdsNode>,
+    alive: &[bool],
+    partition: &Partition,
+) -> Vec<u64> {
     let mut row = vec![0; SAMPLE_FIELDS.len() * n_mds];
     for n in nodes {
-        let w = n.take_sample();
-        let i = n.id.index();
-        row[i] = w.served;
-        row[n_mds + i] = w.forwarded;
-        row[2 * n_mds + i] = w.received;
-        row[3 * n_mds + i] = w.disk_fetches;
+        let (w, prefix) = (n.take_sample(), n.cache.prefix_count() as u64);
+        let target = n.cache.len() as u64 - prefix;
+        let depth = n.journal.len() as u64;
+        let values = [w.served, w.forwarded, w.received, w.disk_fetches, prefix, target, depth];
+        for (f, v) in values.into_iter().enumerate() {
+            row[f * n_mds + n.id.index()] = v;
+        }
+    }
+    if let Some(sub) = partition.as_subtree() {
+        for (_, m) in sub.delegations() {
+            row[7 * n_mds + m.index()] += 1;
+        }
+    }
+    for (i, &a) in alive.iter().enumerate() {
+        row[8 * n_mds + i] = a as u64;
     }
     row
 }
@@ -101,6 +127,12 @@ impl LifeCounters {
             subtrees_out: self.subtrees_out - base.subtrees_out,
         }
     }
+
+    /// The heartbeat load over these counts: "a weighted combination of
+    /// node throughput and cache misses" (§5.1).
+    pub fn load(&self) -> f64 {
+        self.served as f64 + MISS_WEIGHT * (self.prefix_misses + self.target_misses) as f64
+    }
 }
 
 /// One metadata server.
@@ -137,14 +169,15 @@ pub struct MdsNode {
 }
 
 impl MdsNode {
-    /// Creates a node with the given cache/journal sizes.
-    pub fn new(id: MdsId, cache_capacity: usize, journal_capacity: usize) -> Self {
+    /// Creates a node with the cache and journal `cfg` sizes, its cache
+    /// under `cfg`'s prefetch insertion policy.
+    pub fn new(id: MdsId, cfg: &SimConfig) -> Self {
         MdsNode {
             id,
-            cache: MetaCache::new(cache_capacity),
+            cache: MetaCache::with_probation(cfg.cache_capacity, !cfg.disable_prefetch_probation),
             popularity: Popularity::new(POPULARITY_HALF_LIFE),
             update_popularity: Popularity::new(POPULARITY_HALF_LIFE),
-            journal: BoundedLog::new(journal_capacity),
+            journal: BoundedLog::new(cfg.journal_capacity),
             write_deltas: dynmds_namespace::FxHashMap::default(),
             journal_disk: DiskModel::new(JOURNAL_DISK),
             busy_until: SimTime::ZERO,
@@ -198,6 +231,30 @@ impl MdsNode {
         self.busy_until
     }
 
+    /// A crash: the cache empties under its own capacity and insertion
+    /// policy, and a new heartbeat window opens. The journal survives, and
+    /// so do the absorbed `write_deltas`: each was committed to this
+    /// journal on shared storage before its reply left, and the heartbeat
+    /// merge of the deltas stands in for an heir replaying it.
+    pub fn lose_memory(&mut self) {
+        self.cache.clear();
+        self.take_heartbeat();
+    }
+
+    /// Commits `ids` to this node's journal (tier 1): appends them, makes
+    /// one journal-device write, and counts the commit. Returns when the
+    /// write completes and the entries the appends retired to tier 2.
+    pub fn commit(&mut self, now: SimTime, ids: &[InodeId]) -> (SimTime, Vec<InodeId>) {
+        let mut retired = Vec::new();
+        for &id in ids {
+            retired.extend(self.journal.append(id));
+        }
+        let done = self.journal_disk.access(now, AccessKind::Write);
+        self.life.journal_commits += 1;
+        self.life.journal_writebacks += retired.len() as u64;
+        (done, retired)
+    }
+
     /// Restarts measurement: clears the cache statistics and opens a new
     /// measurement window and a new sample window at the current counts.
     /// The heartbeat window is left alone.
@@ -248,7 +305,7 @@ mod tests {
     use super::*;
 
     fn node() -> MdsNode {
-        MdsNode::new(MdsId(0), 100, 100)
+        MdsNode::new(MdsId(0), &SimConfig::small(dynmds_partition::StrategyKind::DynamicSubtree))
     }
 
     #[test]

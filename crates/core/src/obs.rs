@@ -4,11 +4,11 @@
 //! The engine counts every event once, in its own counters: each node's
 //! [`LifeCounters`], the cluster's [`ClusterCounters`](crate::cluster::ClusterCounters)
 //! and each proxy's [`ProxyStats`]. [`ClusterObs`] records only what has
-//! no engine twin — the op-lifecycle spans, the periodic snapshot series
-//! and the latency and hop histograms sampled at reply time — and
-//! [`ClusterObs::export`] renders the counters over the measurement
-//! window from the engine's values when the run ends. Obs-on and obs-off
-//! runs therefore execute the same counting code. Every hook begins with
+//! no engine twin — the op-lifecycle spans and the latency and hop
+//! histograms sampled at reply time — and [`ClusterObs::export`] renders
+//! the counters over the measurement window, and the engine's per-node
+//! sample series as the snapshot export, when the run ends. Obs-on and
+//! obs-off runs therefore execute the same counting code. Every hook begins with
 //! one branch on whether the layer is live, so a simulation with
 //! observability disabled pays one predictable untaken branch per hook
 //! and nothing else: no allocation, no hashing, no formatting.
@@ -21,19 +21,13 @@ use dynmds_event::SimTime;
 use dynmds_namespace::MdsId;
 use dynmds_obs::registry::{HOPS_BOUNDS, LATENCY_BOUNDS_US};
 use dynmds_obs::span::NO_MDS;
-use dynmds_obs::{
-    HistogramId, ObsConfig, Registry, SnapshotSeries, SpanRecorder, DEFAULT_TRACE_CAPACITY,
-};
+use dynmds_obs::{HistogramId, ObsConfig, Registry, SpanRecorder, DEFAULT_TRACE_CAPACITY};
 use dynmds_proxy::ProxyStats;
 
 use crate::cluster::Cluster;
 use crate::node::{LifeCounters, MdsNode};
 
 pub use dynmds_obs::SpanStage;
-
-/// Field order of the periodic per-MDS snapshot rows.
-pub const SNAPSHOT_FIELDS: &[&str] =
-    &["load", "cache_len", "cache_prefix", "cache_target", "journal_depth", "delegations", "alive"];
 
 /// Stable lowercase tag for an op kind (span `kind` field).
 pub fn op_kind_tag(kind: dynmds_workload::OpKind) -> &'static str {
@@ -148,7 +142,6 @@ struct Inner {
     latency_us: HistogramId,
     hops: HistogramId,
     spans: Option<SpanRecorder>,
-    snaps: SnapshotSeries,
 }
 
 impl Inner {
@@ -165,8 +158,8 @@ pub struct ClusterObs {
 }
 
 impl ClusterObs {
-    /// Builds the layer for `n_mds` servers and `n_clients` clients.
-    pub fn new(cfg: ObsConfig, n_mds: usize, n_clients: usize) -> Self {
+    /// Builds the layer for `n_clients` clients.
+    pub fn new(cfg: ObsConfig, n_clients: usize) -> Self {
         if !cfg.enabled() {
             return ClusterObs { inner: None };
         }
@@ -174,15 +167,7 @@ impl ClusterObs {
         let latency_us = hists.histogram("latency_us", LATENCY_BOUNDS_US);
         let hops = hists.histogram("hops", HOPS_BOUNDS);
         let spans = cfg.trace.then(|| SpanRecorder::new(n_clients, DEFAULT_TRACE_CAPACITY));
-        let snaps = SnapshotSeries::new(SNAPSHOT_FIELDS, n_mds);
-        ClusterObs { inner: Some(Box::new(Inner { hists, latency_us, hops, spans, snaps })) }
-    }
-
-    /// Whether any instrument is live (callers use this to skip gathering
-    /// snapshot data entirely when observability is off).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        ClusterObs { inner: Some(Box::new(Inner { hists, latency_us, hops, spans })) }
     }
 
     /// Whether span tracing is live.
@@ -253,19 +238,12 @@ impl ClusterObs {
         }
     }
 
-    // ---- snapshots, reset, export -------------------------------------
-
-    /// Appends one snapshot row (field-major over [`SNAPSHOT_FIELDS`]).
-    pub fn snapshot(&mut self, now: SimTime, row: Vec<u64>) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.snaps.push_row(now.as_micros(), row);
-    }
+    // ---- reset, export ------------------------------------------------
 
     /// Clears all recorded data (measurement restart after warm-up).
     pub fn reset(&mut self) {
         let Some(inner) = &mut self.inner else { return };
         inner.hists.reset();
-        inner.snaps.reset();
         if let Some(spans) = &mut inner.spans {
             spans.reset();
         }
@@ -279,7 +257,7 @@ impl ClusterObs {
         metrics_jsonl.push_str(&inner.hists.to_jsonl());
         Some(ObsExport {
             metrics_jsonl,
-            snapshots_jsonl: inner.snaps.to_jsonl(),
+            snapshots_jsonl: c.samples.to_jsonl(),
             trace_jsonl: inner.spans.as_ref().map(|s| s.to_jsonl()),
             summary: Self::render_summary(inner, c),
         })
@@ -349,8 +327,8 @@ impl ClusterObs {
         }
         out.push_str(&format!(
             "snapshots: {} rows × {} fields",
-            inner.snaps.len(),
-            inner.snaps.fields().len()
+            c.samples.len(),
+            c.samples.fields().len()
         ));
         if let Some(spans) = &inner.spans {
             out.push_str(&format!(
@@ -375,8 +353,7 @@ mod tests {
     #[test]
     fn disabled_layer_is_inert_and_exports_nothing() {
         let c = tiny_cluster(StrategyKind::DynamicSubtree);
-        let mut obs = ClusterObs::new(ObsConfig::default(), 4, 8);
-        assert!(!obs.enabled());
+        let mut obs = ClusterObs::new(ObsConfig::default(), 8);
         assert!(!obs.tracing());
         obs.on_reply(SimTime::from_millis(2), 0, MdsId(0), SimTime::from_millis(1), 0);
         assert!(obs.export(&c).is_none());
@@ -386,8 +363,7 @@ mod tests {
     fn metrics_only_layer_renders_engine_counters_without_spans() {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
         c.nodes[1].life.served = 1;
-        let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 4, 8);
-        assert!(obs.enabled());
+        let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 8);
         assert!(!obs.tracing());
         obs.span(0, SpanStage::Arrive, SimTime::from_millis(1), 1);
         obs.on_reply(SimTime::from_millis(3), 0, MdsId(1), SimTime::from_millis(1), 1);
@@ -401,7 +377,7 @@ mod tests {
     #[test]
     fn traced_op_produces_one_span_line() {
         let c = tiny_cluster(StrategyKind::DynamicSubtree);
-        let mut obs = ClusterObs::new(ObsConfig::full(), 2, 4);
+        let mut obs = ClusterObs::new(ObsConfig::full(), 4);
         assert!(obs.tracing());
         obs.on_issue(SimTime::from_micros(10), 3, "stat");
         obs.span(3, SpanStage::Arrive, SimTime::from_micros(110), 0);
@@ -417,11 +393,11 @@ mod tests {
     #[test]
     fn reset_measurement_restarts_counters_and_clears_spans() {
         let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
-        c.obs = ClusterObs::new(ObsConfig::full(), 4, 8);
+        c.obs = ClusterObs::new(ObsConfig::full(), 8);
         c.nodes[0].life.served = 5;
         c.counters.migrations = 3;
         c.obs.on_issue(SimTime::ZERO, 0, "open");
-        c.obs.snapshot(SimTime::from_secs(1), vec![0; SNAPSHOT_FIELDS.len() * 4]);
+        c.samples.push_row(1_000_000, vec![0; crate::node::SAMPLE_FIELDS.len() * 4]);
         c.reset_measurement(SimTime::from_secs(1));
         c.counters.migrations += 1;
         let e = c.obs.export(&c).unwrap();

@@ -97,11 +97,10 @@ impl SimReport {
     }
 
     /// Per node: the sum of sample field `field` over the rows in
-    /// `[start, end)`. Summed in f64 from -0.0, as `Iterator::sum` does,
-    /// so a window holding no row reads -0.
+    /// `[start, end)`.
     fn sums_in(&self, field: &str, start: SimTime, end: SimTime) -> Vec<f64> {
         let (start, end) = (start.as_micros(), end.as_micros());
-        let mut sums = vec![-0.0; self.nodes.len()];
+        let mut sums = vec![0.0; self.nodes.len()];
         for (_, values) in self.samples.field_rows(field).filter(|&(t, _)| t >= start && t < end) {
             for (sum, &v) in sums.iter_mut().zip(values) {
                 *sum += v as f64;
@@ -228,8 +227,11 @@ mod tests {
     fn series_helpers_produce_bins() {
         let mut r = report_with(vec![node(100, 1.0, 0.0), node(100, 1.0, 0.0)]);
         for i in 0..10 {
-            // served, forwarded, received, misses; two nodes each.
-            r.samples.push_row(i * 1_000_000, vec![10, 20, 2, 0, 12, 20, 0, 0]);
+            // served, forwarded, received, misses, then five fields the
+            // series helpers do not read; two nodes each.
+            let mut row = vec![10, 20, 2, 0, 12, 20, 0, 0];
+            row.resize(crate::node::SAMPLE_FIELDS.len() * 2, 0);
+            r.samples.push_row(i * 1_000_000, row);
         }
         let ranges = r.throughput_range_series(SimDuration::from_secs(2));
         assert_eq!(ranges.len(), 5);

@@ -327,7 +327,7 @@ mod tests {
 
         /// A fresh node 0 caching only the root, as every node starts.
         fn node(&self) -> MdsNode {
-            let mut node = MdsNode::new(MdsId(0), 1_000, 100);
+            let mut node = MdsNode::new(MdsId(0), &self.cfg);
             node.cache.insert(self.ns.root(), None, InsertKind::Prefix);
             node
         }

@@ -2,16 +2,15 @@
 //! (traffic control, elastic controller, balancer), proxy flush and
 //! sampling.
 
-use dynmds_cache::MetaCache;
 use dynmds_event::SimTime;
 use dynmds_namespace::{InodeId, MdsId};
 use dynmds_partition::StrategyKind;
 
 use super::event::{proxy_rank, Ev};
 use super::{owner, ShardedSimulation};
-use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT, MISS_WEIGHT};
+use crate::config::{IMBALANCE_RATIO, MAX_MIGRATIONS_PER_HEARTBEAT};
 use crate::elastic::ScaleAction;
-use crate::fault::{crash_applies, live_in_ring, DiskScope, FaultStep};
+use crate::fault::{crash_applies, heirs, live_in_ring, DiskScope, FaultStep};
 use crate::node::sample_row;
 
 impl ShardedSimulation {
@@ -81,23 +80,20 @@ impl ShardedSimulation {
     }
 
     /// Node failure under the crash rule of both engines
-    /// ([`crash_applies`]): mark dead, drop its cache, and hand its
-    /// delegations to the next live node in the ring (subtree
+    /// ([`crash_applies`]): mark dead, lose its memory, and hand its
+    /// delegations to the heirs of both engines ([`heirs`]; subtree
     /// strategies).
     fn crash(&mut self, dead: MdsId) {
         if !crash_applies(&self.world.alive, dead) {
             return;
         }
         self.world.alive[dead.index()] = false;
-        // A crashed node loses its in-memory state.
-        self.node_mut(dead).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
-        // The next live node in the ring inherits (`dead` is already down).
-        let heir =
-            live_in_ring(&self.world.alive, dead).expect("the crash rule leaves a live node");
-        let moves: Vec<_> = match self.world.partition.as_subtree() {
-            Some(sp) => sp.delegations_of(dead).into_iter().map(|r| (r, dead, heir)).collect(),
-            None => return,
-        };
+        self.crashes += 1;
+        self.node_mut(dead).m.lose_memory();
+        let Some(sp) = self.world.partition.as_subtree() else { return };
+        let roots = sp.delegations_of(dead);
+        let heirs = heirs(&self.world.alive, self.crashes, roots.len());
+        let moves: Vec<_> = roots.into_iter().zip(heirs).map(|(r, h)| (r, dead, h)).collect();
         self.redelegate(&moves);
     }
 
@@ -139,8 +135,7 @@ impl ShardedSimulation {
         let mut loads = vec![0f64; n_mds];
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
-                let hb = n.m.take_heartbeat();
-                loads[n.m.id.index()] = hb.served as f64 + MISS_WEIGHT * hb.disk_fetches as f64;
+                loads[n.m.id.index()] = n.m.take_heartbeat().load();
             }
         }
         if elastic {
@@ -273,13 +268,14 @@ impl ShardedSimulation {
         // Park: stop serving and release RAM only after the handoff.
         self.world.elastic.parked_roots[victim.index()] = roots;
         self.world.alive[victim.index()] = false;
-        self.node_mut(victim).m.cache = MetaCache::new(self.world.cfg.cache_capacity);
+        self.node_mut(victim).m.lose_memory();
     }
 
     /// Sample tick: one row of every node's sample window.
     fn sample(&mut self, at: u64) {
         let nodes = self.shards.iter_mut().flat_map(|s| s.nodes.iter_mut().map(|n| &mut n.m));
-        let row = sample_row(self.world.cfg.n_mds as usize, nodes);
+        let w = &self.world;
+        let row = sample_row(w.cfg.n_mds as usize, nodes, &w.alive, &w.partition);
         self.samples.push_row(at, row);
     }
 }

@@ -532,13 +532,13 @@ impl Shard {
         let hit = n.m.cache.lookup(item, true);
         let mut done = n.m.occupy(now, cfg.costs.cpu_per_op);
         if !hit {
+            n.m.life.target_misses += 1;
             n.m.life.disk_fetches += 1;
             done = done.max(n.osd.access(now, AccessKind::Read));
             let _ = n.m.cache.insert(item, None, InsertKind::Target);
         }
         if write {
-            let _ = n.m.journal.append(item);
-            done = done.max(n.m.journal_disk.access(now, AccessKind::Write));
+            done = done.max(n.m.commit(now, &[item]).0);
         }
         n.m.life.served += 1;
         if replicated && auth != m {
@@ -666,8 +666,7 @@ impl Shard {
         }
         let now = SimTime::from_micros(t);
         let n = self.node(m);
-        let _ = n.m.journal.append(item);
         n.m.occupy(now, world.cfg.costs.cpu_per_op);
-        n.m.journal_disk.access(now, AccessKind::Write);
+        n.m.commit(now, &[item]);
     }
 }

@@ -145,6 +145,8 @@ pub struct ShardedSimulation {
     next_due: u64,
     measure_start: u64,
     migrations: u64,
+    /// Crashes applied so far: the heir rule's rotation.
+    crashes: u64,
     /// Per-node sample series: one row per sample tick since measurement
     /// last restarted.
     samples: SnapshotSeries,
@@ -185,7 +187,7 @@ impl ShardedSimulation {
         let n_clients = cfg.n_clients as usize;
         let spread = cfg.costs.think_mean.as_micros();
         let new_node = |m: usize| ShardNode {
-            m: MdsNode::new(MdsId(m as u16), cfg.cache_capacity, cfg.journal_capacity),
+            m: MdsNode::new(MdsId(m as u16), &cfg),
             osd: DiskModel::new(cfg.costs.osd_disk),
             rng: SimRng::seed_from_u64(
                 cfg.seed ^ 0x0005_D0DE ^ (m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -281,6 +283,7 @@ impl ShardedSimulation {
             next_due: 0,
             measure_start: 0,
             migrations: 0,
+            crashes: 0,
             samples: sample_series(n_mds),
         };
         if sim.world.cfg.strategy == StrategyKind::ElasticSubtree {
@@ -316,6 +319,11 @@ impl ShardedSimulation {
     fn node_mut(&mut self, m: MdsId) -> &mut ShardNode {
         let s = owner(m.index(), self.world.cfg.n_mds as usize, self.shards.len());
         self.shards[s].node(m)
+    }
+
+    /// The placement table.
+    pub fn partition(&self) -> &Partition {
+        &self.world.partition
     }
 
     /// Windows and events executed so far. The executed-window total

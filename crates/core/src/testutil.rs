@@ -27,10 +27,16 @@ impl Workload for NullWorkload {
 
 /// A small 4-node cluster over a deterministic snapshot.
 pub fn tiny_cluster(strategy: StrategyKind) -> Cluster {
+    tiny_cluster_with(strategy, |_| {})
+}
+
+/// [`tiny_cluster`] with `tweak` applied to its configuration.
+pub fn tiny_cluster_with(strategy: StrategyKind, tweak: impl FnOnce(&mut SimConfig)) -> Cluster {
     let mut cfg = SimConfig::small(strategy);
     cfg.n_mds = 4;
     cfg.n_clients = 8;
     cfg.seed = 1;
+    tweak(&mut cfg);
     let snap: Snapshot = NamespaceSpec { users: 8, seed: 2, ..Default::default() }.generate();
     Cluster::new(cfg, snap, Box::new(NullWorkload { n: 8 }))
 }

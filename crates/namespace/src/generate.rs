@@ -339,7 +339,7 @@ impl Snapshot {
 /// Aggregate shape of a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SnapshotStats {
-    /// Live regular files (and symlinks).
+    /// Live regular files.
     pub files: u64,
     /// Live directories.
     pub dirs: u64,

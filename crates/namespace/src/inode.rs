@@ -15,8 +15,6 @@ pub enum FileType {
     File,
     /// Directory (may contain entries with embedded inodes).
     Directory,
-    /// Symbolic link; resolved client-side, opaque to the MDS cluster.
-    Symlink,
 }
 
 impl FileType {
@@ -72,7 +70,7 @@ impl Permissions {
     }
 }
 
-/// A metadata record for one file, directory, or symlink.
+/// A metadata record for one file or directory.
 ///
 /// `Copy` is deliberate: the namespace stores inode fields as columns and
 /// materializes this record by value on access, so the type must be cheap
@@ -109,7 +107,6 @@ mod tests {
     fn file_type_predicates() {
         assert!(FileType::Directory.is_dir());
         assert!(!FileType::File.is_dir());
-        assert!(!FileType::Symlink.is_dir());
     }
 
     #[test]

@@ -58,25 +58,16 @@ impl std::error::Error for NamespaceError {}
 /// Column sentinel for "no parent" / "no directory table".
 const NONE_U32: u32 = u32::MAX;
 
-/// `flags` column: low two bits encode [`FileType`], bit 2 is liveness.
+/// `flags` column: bit 0 marks a directory, bit 2 is liveness.
+const FLAG_DIR: u8 = 0b001;
 const FLAG_ALIVE: u8 = 0b100;
-const FTYPE_MASK: u8 = 0b011;
-
-#[inline]
-fn ftype_code(ft: FileType) -> u8 {
-    match ft {
-        FileType::File => 0,
-        FileType::Directory => 1,
-        FileType::Symlink => 2,
-    }
-}
 
 #[inline]
 fn ftype_decode(flags: u8) -> FileType {
-    match flags & FTYPE_MASK {
-        0 => FileType::File,
-        1 => FileType::Directory,
-        _ => FileType::Symlink,
+    if flags & FLAG_DIR != 0 {
+        FileType::Directory
+    } else {
+        FileType::File
     }
 }
 
@@ -151,7 +142,7 @@ impl Namespace {
         let sym = self.names.intern(name);
         self.parent.push(parent.map(|p| p.0 as u32).unwrap_or(NONE_U32));
         self.name_sym.push(sym);
-        self.flags.push(ftype_code(ino.ftype) | FLAG_ALIVE);
+        self.flags.push(if ino.ftype.is_dir() { FLAG_DIR } else { 0 } | FLAG_ALIVE);
         self.uid.push(ino.perm.uid);
         self.mode.push(ino.perm.mode);
         self.size.push(ino.size);
@@ -213,7 +204,7 @@ impl Namespace {
         self.root
     }
 
-    /// Number of live regular files and symlinks.
+    /// Number of live regular files.
     pub fn num_files(&self) -> u64 {
         self.live_files
     }
@@ -301,7 +292,7 @@ impl Namespace {
 
     /// Whether `id` is a directory.
     pub fn is_dir(&self, id: InodeId) -> bool {
-        self.check(id).map(|i| self.flags[i] & FTYPE_MASK == 1).unwrap_or(false)
+        self.check(id).map(|i| self.flags[i] & FLAG_DIR != 0).unwrap_or(false)
     }
 
     /// Iterates `(name, child_id)` over a directory, in name order.
@@ -493,16 +484,6 @@ impl Namespace {
         self.insert_child(parent, name, FileType::File, perm)
     }
 
-    /// Creates a symlink (opaque to the metadata cluster beyond existing).
-    pub fn create_symlink(
-        &mut self,
-        parent: InodeId,
-        name: &str,
-        perm: Permissions,
-    ) -> Result<InodeId, NamespaceError> {
-        self.insert_child(parent, name, FileType::Symlink, perm)
-    }
-
     /// Adds a hard link `dir/name` → `target`. The target must be a file
     /// (POSIX forbids directory hard links). The new link is secondary:
     /// the inode stays embedded at its primary dentry.
@@ -513,7 +494,7 @@ impl Namespace {
         name: &str,
     ) -> Result<(), NamespaceError> {
         let t = self.check(target)?;
-        if self.flags[t] & FTYPE_MASK == 1 {
+        if self.flags[t] & FLAG_DIR != 0 {
             return Err(NamespaceError::IsADirectory);
         }
         let ti = self.dir_table(dir)?;
@@ -534,7 +515,7 @@ impl Namespace {
         let ent = self.tables[ti][pos];
         let id = InodeId(ent.child as u64);
         let i = self.check(id)?;
-        let is_dir = self.flags[i] & FTYPE_MASK == 1;
+        let is_dir = self.flags[i] & FLAG_DIR != 0;
         let was_primary = self.parent[i] == dir.0 as u32 && self.name_sym[i] == ent.sym;
         if is_dir {
             if !was_primary {

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Non-test line counts for Rust sources.
 #
-#   scripts/loc.sh [PATH...]    (default: every crates/*/src)
+#   scripts/loc.sh [--base REV] [PATH...]    (default: every crates/*/src)
 #
 # Prints one "count path" line per PATH (a directory or a .rs file) and,
-# for more than one PATH, their total. The rule:
+# for more than one PATH, their total. With `--base REV`, each line reads
+# "base → now (delta) path" instead: the same rule over REV's tree
+# (exported with `git archive` into a temporary directory), against the
+# working tree. A PATH missing from one side counts 0 there. The rule:
 #   - every line counts, blank lines, comments and doc comments included,
 #     except:
 #   - an item under `#[cfg(test)]` (a `mod tests { … }`, a test-only fn or
@@ -79,17 +82,46 @@ count_path() {
     echo "$total"
 }
 
+base=""
+if [ "${1:-}" = --base ]; then
+    [ $# -ge 2 ] || { echo "usage: $0 [--base REV] [PATH...]" >&2; exit 2; }
+    base=$(mktemp -d)
+    trap 'rm -rf "$base"' EXIT
+    git archive "$2" | tar -x -C "$base"
+    shift 2
+fi
+
+# The count of PATH in the tree rooted at DIR (0 when it is absent).
+count_in() {
+    if [ -e "$1/$2" ]; then
+        (cd "$1" && count_path "$2")
+    else
+        echo 0
+    fi
+}
+
 paths=("$@")
 if [ ${#paths[@]} -eq 0 ]; then
     paths=(crates/*/src)
 fi
 sum=0
+bsum=0
 for p in "${paths[@]}"; do
     p=${p%/}
-    c=$(count_path "$p")
-    printf '%7d %s\n' "$c" "$p"
+    c=$(count_in . "$p")
     sum=$((sum + c))
+    if [ -n "$base" ]; then
+        b=$(count_in "$base" "$p")
+        bsum=$((bsum + b))
+        printf '%7d → %7d (%+d) %s\n' "$b" "$c" "$((c - b))" "$p"
+    else
+        printf '%7d %s\n' "$c" "$p"
+    fi
 done
 if [ ${#paths[@]} -gt 1 ]; then
-    printf '%7d total\n' "$sum"
+    if [ -n "$base" ]; then
+        printf '%7d → %7d (%+d) total\n' "$bsum" "$sum" "$((sum - bsum))"
+    else
+        printf '%7d total\n' "$sum"
+    fi
 fi

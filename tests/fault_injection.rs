@@ -1,6 +1,7 @@
 //! Integration tests for the deterministic fault-injection subsystem:
-//! scripted and generated churn, heir rotation on failover, the client
-//! retry policy, and bit-for-bit reproducibility under faults.
+//! scripted and generated churn, heir rotation on failover on both
+//! engines, the client retry policy, and bit-for-bit reproducibility
+//! under faults.
 
 use dynmds::core::{
     ChurnSpec, FaultEvent, FaultSchedule, ShardedSimulation, SimConfig, Simulation,
@@ -8,8 +9,8 @@ use dynmds::core::{
 use dynmds::event::{SimDuration, SimTime};
 use dynmds::harness::availability::{availability_table, default_schedule, run_availability};
 use dynmds::harness::ExperimentScale;
-use dynmds::namespace::{MdsId, NamespaceSpec};
-use dynmds::partition::StrategyKind;
+use dynmds::namespace::{InodeId, MdsId, NamespaceSpec};
+use dynmds::partition::{Partition, StrategyKind};
 use dynmds::workload::{GeneralWorkload, Workload, WorkloadConfig};
 
 fn config(strategy: StrategyKind) -> SimConfig {
@@ -45,29 +46,71 @@ fn churn_schedule() -> FaultSchedule {
     }
 }
 
+/// The sharded engine over the same snapshot and workload as [`sim_with`].
+fn sharded_with(cfg: SimConfig) -> ShardedSimulation {
+    let snap = NamespaceSpec::with_target_items(32, 8_000, 5).generate();
+    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+    let make = move |ns: &dynmds::namespace::Namespace| -> Box<dyn Workload + Send> {
+        Box::new(GeneralWorkload::new(
+            WorkloadConfig { seed: 56, ..Default::default() },
+            32,
+            &homes,
+            &shared,
+            ns,
+        ))
+    };
+    ShardedSimulation::new(cfg, 2, Some(1), snap, &make)
+}
+
+/// Every subtree delegation, sorted by root.
+fn delegations(p: &Partition) -> Vec<(InodeId, MdsId)> {
+    let mut d: Vec<_> = p.as_subtree().unwrap().delegations().collect();
+    d.sort();
+    d
+}
+
 #[test]
 fn heir_rotation_spreads_inherited_subtrees() {
-    // Regression: the round-robin heir pick used to restart at the first
-    // survivor on every failure. The start is now rotated by the failure
-    // count, so each root k of the f-th failure lands on
+    // Regression: the legacy round-robin heir pick used to restart at the
+    // first survivor on every crash, and the sharded engine handed every
+    // root to the next live node. Both engines now rotate the start by the
+    // crash count, so each root k of the f-th crash lands on
     // survivors[(k + f) % |survivors|] — verifiable from the outside.
-    let mut s = sim_with(config(StrategyKind::DynamicSubtree));
-    s.run_until(SimTime::from_secs(2));
-    for victim in [MdsId(1), MdsId(2)] {
-        let owned = s.cluster().partition.as_subtree().unwrap().delegations_of(victim);
-        assert!(!owned.is_empty(), "{victim:?} must own subtrees before failing");
-        s.cluster_mut().fail_node(SimTime::from_secs(2), victim);
-        let c = s.cluster();
-        let survivors: Vec<MdsId> = (0..4).map(MdsId).filter(|&m| c.is_alive_node(m)).collect();
-        let offset = c.counters.failures as usize;
-        let sub = c.partition.as_subtree().unwrap();
+    let mut cfg = config(StrategyKind::DynamicSubtree);
+    cfg.balancing = false; // only the crashes move delegations
+    cfg.faults = FaultSchedule::parse("crash:1@3s;crash:2@4s").unwrap();
+    let mut legacy = sim_with(cfg.clone());
+    assert_heirs_rotate("legacy", |t| {
+        legacy.run_until(t);
+        delegations(&legacy.cluster().partition)
+    });
+    let mut sharded = sharded_with(cfg);
+    assert_heirs_rotate("sharded", |t| {
+        sharded.run_until(t);
+        delegations(sharded.partition())
+    });
+}
+
+/// Checks the heirs of the crashes of nodes 1 at 3 s and 2 at 4 s, with
+/// `delegations_at(t)` running the engine to `t` and reading its table.
+fn assert_heirs_rotate(
+    engine: &str,
+    mut delegations_at: impl FnMut(SimTime) -> Vec<(InodeId, MdsId)>,
+) {
+    let mut alive = [true; 4];
+    for (f, victim) in [MdsId(1), MdsId(2)].into_iter().enumerate() {
+        let at = 3_000 + 1_000 * f as u64;
+        let before = delegations_at(SimTime::from_millis(at - 50));
+        let owned: Vec<InodeId> =
+            before.iter().filter(|&&(_, m)| m == victim).map(|&(r, _)| r).collect();
+        assert!(!owned.is_empty(), "{engine}: {victim:?} must own subtrees before failing");
+        let after = delegations_at(SimTime::from_millis(at + 50));
+        alive[victim.index()] = false;
+        let survivors: Vec<MdsId> = (0..4).map(MdsId).filter(|m| alive[m.index()]).collect();
         for (k, root) in owned.iter().enumerate() {
-            let expected = survivors[(k + offset) % survivors.len()];
-            assert_eq!(
-                sub.delegation_of(*root),
-                Some(expected),
-                "failure #{offset}: root {k} must land on the rotated heir"
-            );
+            let expected = survivors[(k + f + 1) % survivors.len()];
+            let heir = after.iter().find(|&&(r, _)| r == *root).map(|&(_, m)| m);
+            assert_eq!(heir, Some(expected), "{engine}: crash #{}: root {k}", f + 1);
         }
     }
 }

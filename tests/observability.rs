@@ -7,14 +7,14 @@
 use std::path::Path;
 use std::process::Command;
 
-use dynmds::core::{FaultSchedule, ObsExport, SimConfig, Simulation};
-use dynmds::event::SimTime;
+use dynmds::core::{FaultSchedule, ObsExport, ShardedSimulation, SimConfig, Simulation};
+use dynmds::event::{SimDuration, SimTime};
 use dynmds::harness::elasticrun::{elasticity_config, run_diurnal};
 use dynmds::harness::ExperimentScale;
 use dynmds::namespace::NamespaceSpec;
 use dynmds::obs::ObsConfig;
 use dynmds::partition::StrategyKind;
-use dynmds::workload::{GeneralWorkload, WorkloadConfig};
+use dynmds::workload::{GeneralWorkload, Workload, WorkloadConfig};
 
 fn sim(obs: ObsConfig) -> Simulation {
     sim_with(obs, |_| {})
@@ -109,9 +109,44 @@ fn registry_counters_agree_with_cluster_accounting() {
     // Snapshots cover the measurement window at the sampling interval.
     assert!(!export.snapshots_jsonl.is_empty(), "snapshot rows were captured");
     for row in export.snapshots_jsonl.lines() {
-        for field in ["\"load\":", "\"cache_len\":", "\"journal_depth\":", "\"alive\":"] {
+        for field in ["\"served\":", "\"cache_prefix\":", "\"journal_depth\":", "\"alive\":"] {
             assert!(row.contains(field), "snapshot row missing {field}: {row}");
         }
+    }
+}
+
+#[test]
+fn both_engines_sample_the_same_nine_fields() {
+    const FIELDS: [&str; 9] = [
+        "served",
+        "forwarded",
+        "received",
+        "misses",
+        "cache_prefix",
+        "cache_target",
+        "journal_depth",
+        "delegations",
+        "alive",
+    ];
+    let (warmup, measure) = (SimDuration::from_secs(1), SimDuration::from_secs(2));
+    let legacy = sim(ObsConfig::metrics_only()).run_measured(warmup, measure);
+    let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+    cfg.obs = ObsConfig::metrics_only();
+    let snap = NamespaceSpec::with_target_items(48, 8_000, 5).generate();
+    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+    let make = move |ns: &dynmds::namespace::Namespace| -> Box<dyn Workload + Send> {
+        Box::new(GeneralWorkload::new(WorkloadConfig::default(), 48, &homes, &shared, ns))
+    };
+    let sharded =
+        ShardedSimulation::new(cfg, 2, Some(1), snap, &make).run_measured(warmup, measure);
+    for (engine, samples, export) in [
+        ("legacy", &legacy.samples, legacy.obs.as_ref()),
+        ("sharded", &sharded.samples, sharded.obs.as_ref()),
+    ] {
+        assert_eq!(samples.fields(), FIELDS, "{engine}: sample fields");
+        assert!(samples.len() >= 2, "{engine}: a row per sample tick");
+        let export = export.expect("metrics on");
+        assert_eq!(export.snapshots_jsonl, samples.to_jsonl(), "{engine}: the snapshot export");
     }
 }
 
