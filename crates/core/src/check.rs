@@ -19,9 +19,9 @@
 //!
 //! Like the span hooks of [`ClusterObs`](crate::obs::ClusterObs), the
 //! disabled path costs a single branch per hook site, and the probe never
-//! influences simulation behaviour — it only observes. Unlike
-//! `ClusterObs`, whose counters are read from the engine at export, the
-//! probe records what the engine keeps no copy of.
+//! influences simulation behaviour — it only observes. Unlike the obs
+//! export, whose counters are read from the engine when the run ends,
+//! the probe records what the engine keeps no copy of.
 //!
 //! [`Cluster::enable_dst_probe`]: crate::cluster::Cluster::enable_dst_probe
 

@@ -30,7 +30,6 @@ pub struct ClientPool {
     uids: Vec<u32>,
     rng: SimRng,
     n_mds: u16,
-    lease_hits: u64,
 }
 
 impl ClientPool {
@@ -43,23 +42,13 @@ impl ClientPool {
             uids: vec![0; n_clients as usize],
             rng: SimRng::seed_from_u64(seed ^ 0xC11E_47B0),
             n_mds,
-            lease_hits: 0,
         }
     }
 
-    /// Whether `client` holds a live lease on `item` at `now`. A hit is
-    /// counted and may be served from the client's own cache.
-    pub fn lease_valid(
-        &mut self,
-        client: ClientId,
-        item: InodeId,
-        now: dynmds_event::SimTime,
-    ) -> bool {
-        let valid = self.leases[client.index()].get(&item).map(|&exp| exp > now).unwrap_or(false);
-        if valid {
-            self.lease_hits += 1;
-        }
-        valid
+    /// Whether `client` holds a live lease on `item` at `now`: a hit may
+    /// be served from the client's own cache.
+    pub fn lease_valid(&self, client: ClientId, item: InodeId, now: dynmds_event::SimTime) -> bool {
+        self.leases[client.index()].get(&item).is_some_and(|&exp| exp > now)
     }
 
     /// Grants `client` a lease on `item` until `expiry` (reply-time
@@ -71,11 +60,6 @@ impl ClientPool {
             map.retain(|_, &mut exp| exp > expiry);
         }
         map.insert(item, expiry);
-    }
-
-    /// Total lease-served reads.
-    pub fn lease_hits(&self) -> u64 {
-        self.lease_hits
     }
 
     /// Number of clients.
@@ -204,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn leases_expire_and_count_hits() {
+    fn leases_expire_per_client() {
         use dynmds_event::SimTime;
         let mut pool = ClientPool::new(2, 4, 1);
         let item = InodeId(9);
@@ -213,7 +197,6 @@ mod tests {
         assert!(pool.lease_valid(ClientId(0), item, SimTime::from_secs(4)));
         assert!(!pool.lease_valid(ClientId(1), item, SimTime::from_secs(4)), "per-client");
         assert!(!pool.lease_valid(ClientId(0), item, SimTime::from_secs(5)), "expired at ttl");
-        assert_eq!(pool.lease_hits(), 1, "only valid checks count");
     }
 
     #[test]

@@ -53,9 +53,12 @@ pub struct MigrationRecord {
     pub to_alive: bool,
 }
 
-/// Cluster-wide event counts over the whole run. Availability and the
-/// DST digest read them as they stand; [`Cluster::measured_counters`]
-/// gives the share since measurement restarted.
+/// Cluster-wide event counts, one set for both engines. The legacy
+/// cluster keeps one, over the whole run: availability and the DST
+/// digest read it as it stands, and [`Cluster::measured_counters`] gives
+/// the share since measurement restarted. The sharded engine keeps one
+/// per shard, summed when the run ends. A count an engine does not model
+/// stays 0 there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterCounters {
     /// Node failures injected.
@@ -78,6 +81,11 @@ pub struct ClusterCounters {
     pub shared_write_flushes: u64,
     /// ESTALE replies: the target raced with an unlink.
     pub estale: u64,
+    /// Replies a client discarded: duplicates and late answers to an op
+    /// it had already finished.
+    pub stale_replies: u64,
+    /// Reads served from a client's lease without leaving the client.
+    pub lease_hits: u64,
     /// Items replicated cluster-wide by traffic control.
     pub replications: u64,
     /// Replicated items that cooled down and were de-replicated.
@@ -86,27 +94,46 @@ pub struct ClusterCounters {
     pub delegation_splits: u64,
     /// Redundant delegation points merged away.
     pub delegation_merges: u64,
+    /// Standby nodes the elastic controller activated.
+    pub scale_outs: u64,
+    /// Nodes the elastic controller parked.
+    pub scale_ins: u64,
 }
 
 impl ClusterCounters {
+    /// Applies `f` to every field pair of `self` and `other`.
+    fn zip(&self, other: &ClusterCounters, f: impl Fn(u64, u64) -> u64) -> ClusterCounters {
+        ClusterCounters {
+            failures: f(self.failures, other.failures),
+            recoveries: f(self.recoveries, other.recoveries),
+            failover_timeouts: f(self.failover_timeouts, other.failover_timeouts),
+            retries: f(self.retries, other.retries),
+            gave_up: f(self.gave_up, other.gave_up),
+            net_lost: f(self.net_lost, other.net_lost),
+            net_dup: f(self.net_dup, other.net_dup),
+            migrations: f(self.migrations, other.migrations),
+            shared_write_flushes: f(self.shared_write_flushes, other.shared_write_flushes),
+            estale: f(self.estale, other.estale),
+            stale_replies: f(self.stale_replies, other.stale_replies),
+            lease_hits: f(self.lease_hits, other.lease_hits),
+            replications: f(self.replications, other.replications),
+            dereplications: f(self.dereplications, other.dereplications),
+            delegation_splits: f(self.delegation_splits, other.delegation_splits),
+            delegation_merges: f(self.delegation_merges, other.delegation_merges),
+            scale_outs: f(self.scale_outs, other.scale_outs),
+            scale_ins: f(self.scale_ins, other.scale_ins),
+        }
+    }
+
     /// The counts accumulated since `base` was copied.
     pub fn since(&self, base: &ClusterCounters) -> ClusterCounters {
-        ClusterCounters {
-            failures: self.failures - base.failures,
-            recoveries: self.recoveries - base.recoveries,
-            failover_timeouts: self.failover_timeouts - base.failover_timeouts,
-            retries: self.retries - base.retries,
-            gave_up: self.gave_up - base.gave_up,
-            net_lost: self.net_lost - base.net_lost,
-            net_dup: self.net_dup - base.net_dup,
-            migrations: self.migrations - base.migrations,
-            shared_write_flushes: self.shared_write_flushes - base.shared_write_flushes,
-            estale: self.estale - base.estale,
-            replications: self.replications - base.replications,
-            dereplications: self.dereplications - base.dereplications,
-            delegation_splits: self.delegation_splits - base.delegation_splits,
-            delegation_merges: self.delegation_merges - base.delegation_merges,
-        }
+        self.zip(base, |a, b| a - b)
+    }
+}
+
+impl<'a> std::iter::Sum<&'a ClusterCounters> for ClusterCounters {
+    fn sum<I: Iterator<Item = &'a ClusterCounters>>(iter: I) -> Self {
+        iter.fold(ClusterCounters::default(), |t, k| t.zip(k, |a, b| a + b))
     }
 }
 
@@ -179,9 +206,8 @@ pub struct Cluster {
     // --- accounting -----------------------------------------------------
     /// Cluster-wide event counts over the whole run.
     pub counters: ClusterCounters,
-    /// `counters` and the clients' lease-hit count when measurement last
-    /// restarted.
-    pub(crate) measure_base: (ClusterCounters, u64),
+    /// `counters` when measurement last restarted.
+    pub(crate) measure_base: ClusterCounters,
     /// Served operations, indexed by `OpKind as usize` (MDS-visible;
     /// lease-served reads are not included).
     pub op_counts: [u64; 12],
@@ -199,8 +225,8 @@ pub struct Cluster {
     pub(crate) proxy_dirty: FxHashSet<InodeId>,
 
     // --- observability ---------------------------------------------------
-    /// Op-trace spans, snapshots and latency/hop histograms; inert (one
-    /// branch per hook) unless enabled through [`SimConfig::obs`].
+    /// Op-trace spans; inert (one branch per hook) unless tracing is
+    /// enabled through [`SimConfig::obs`].
     pub obs: ClusterObs,
     /// DST probe (applied-op log + protocol invariants); absent unless a
     /// simulation-testing harness calls [`enable_dst_probe`]. Costs one
@@ -264,7 +290,7 @@ impl Cluster {
             ops_issued: 0,
             ops_completed: 0,
             counters: ClusterCounters::default(),
-            measure_base: (ClusterCounters::default(), 0),
+            measure_base: ClusterCounters::default(),
             op_counts: [0; 12],
             dirty_shared: FxHashSet::default(),
             proxies: (0..cfg.proxy.count)
@@ -359,18 +385,13 @@ impl Cluster {
         for p in &mut self.proxies {
             p.reset_stats();
         }
-        self.measure_base = (self.counters, self.clients.lease_hits());
+        self.measure_base = self.counters;
         self.obs.reset();
     }
 
     /// Cluster-wide event counts since measurement last restarted.
     pub fn measured_counters(&self) -> ClusterCounters {
-        self.counters.since(&self.measure_base.0)
-    }
-
-    /// Reads served from client leases since measurement last restarted.
-    pub fn measured_lease_hits(&self) -> u64 {
-        self.clients.lease_hits() - self.measure_base.1
+        self.counters.since(&self.measure_base)
     }
 
     /// Builds the final report.
@@ -407,6 +428,7 @@ impl Cluster {
             && self.clients.lease_valid(client, target, now)
         {
             let local = SimDuration::from_micros(20);
+            self.counters.lease_hits += 1;
             self.latency.record(local.as_secs_f64());
             self.obs.span(client.0, SpanStage::LeaseLocal, now, NO_MDS);
             self.obs.finish(client.0, SpanStage::Reply, now + local, NO_MDS);
@@ -537,7 +559,7 @@ impl Cluster {
         queue: &mut EventQueue<SimEvent>,
     ) {
         self.latency.record(reply_at.saturating_since(now).as_secs_f64());
-        self.obs.on_proxy_serve(reply_at, client.0, now);
+        self.obs.finish(client.0, SpanStage::Reply, reply_at, NO_MDS);
         queue.schedule(reply_at, SimEvent::Reply { client });
     }
 
@@ -951,7 +973,7 @@ impl Cluster {
             self.clients.grant_lease(req.client, target, arrive + self.cfg.lease_ttl);
         }
         self.latency.record(arrive.saturating_since(req.issued_at).as_secs_f64());
-        self.obs.on_reply(arrive, req.client.0, mds, req.issued_at, req.hops);
+        self.obs.finish(req.client.0, SpanStage::Reply, arrive, mds.0);
         queue.schedule(arrive, SimEvent::Reply { client: req.client });
     }
 

@@ -47,10 +47,6 @@ pub(crate) struct ElasticCtl {
     high_streak: u32,
     low_streak: u32,
     cooldown: u32,
-    /// Standby activations performed.
-    pub(crate) scale_outs: u64,
-    /// Voluntary departures performed.
-    pub(crate) scale_ins: u64,
     /// Provisioned node-microseconds, integrated at heartbeat ticks.
     node_us: u64,
     /// Upper edge of the last accounted interval.
@@ -74,8 +70,8 @@ impl ElasticCtl {
     /// node's load since the last heartbeat. Accounts provisioned
     /// node-time under the population that held since the last step,
     /// then applies the watermark/sustain/cooldown policy. A returned
-    /// action is already recorded (membership, scale counters); the
-    /// caller applies it to the cluster before the next step.
+    /// action is already recorded in the membership; the caller counts it
+    /// and applies it to the cluster before the next step.
     pub fn step(&mut self, alive: &[bool], loads: &[f64], at: u64) -> Option<ScaleAction> {
         let live: Vec<usize> = (0..alive.len()).filter(|&m| alive[m]).collect();
         self.node_us += live.len() as u64 * at.saturating_sub(self.last_account);
@@ -103,7 +99,6 @@ impl ElasticCtl {
             // (they come back through recovery, not scaling).
             let i = (0..alive.len()).find(|&i| !self.members[i] && !alive[i])?;
             self.members[i] = true;
-            self.scale_outs += 1;
             self.high_streak = 0;
             self.cooldown = e.cooldown_heartbeats;
             Some(ScaleAction::Activate(MdsId(i as u16)))
@@ -114,7 +109,6 @@ impl ElasticCtl {
                 .min_by(|&&a, &&b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)))
                 .expect("live nodes exist");
             self.members[victim] = false;
-            self.scale_ins += 1;
             self.low_streak = 0;
             self.cooldown = e.cooldown_heartbeats;
             Some(ScaleAction::Park(MdsId(victim as u16)))
@@ -191,7 +185,7 @@ mod tests {
         // Least-loaded first, index breaks ties; then the floor holds.
         assert_eq!(parks, [ScaleAction::Park(MdsId(0)), ScaleAction::Park(MdsId(1))]);
         assert_eq!(alive, [false, false, true, true]);
-        assert_eq!((c.scale_ins, c.members), (2, vec![false, false, true, true]));
+        assert_eq!(c.members, [false, false, true, true]);
     }
 
     /// A 2-of-4 pool at 200/s per live node.
@@ -210,7 +204,7 @@ mod tests {
         // over the watermark, and the streak restarts after acting.
         let (c, actions) = overload(3, 0, 7);
         assert_eq!(actions, [None, None, a2, None, None, a3, None]);
-        assert_eq!((c.scale_outs, c.members), (2, vec![true; 4]));
+        assert_eq!(c.members, [true; 4]);
         // Sustain 1, cooldown 2: the watermark holds every heartbeat, but
         // the controller sits out two heartbeats after each action.
         assert_eq!(overload(1, 2, 5).1, [a2, None, None, a3, None]);

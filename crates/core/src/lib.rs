@@ -54,8 +54,8 @@ pub use config::{CostModel, ElasticConfig, SimConfig};
 pub use fault::{
     ChurnSpec, DiskScope, FaultEvent, FaultSchedule, FaultStep, NetFaultSpec, RetryPolicy,
 };
-pub use obs::{ClusterObs, ObsExport};
+pub use obs::{ClusterObs, LatencyAgg, ObsExport};
 pub use report::{NodeSnapshot, SimReport};
 pub use request::{Request, SimEvent};
-pub use shard::{LatencyAgg, ShardReport, ShardedSimulation};
+pub use shard::{ShardReport, ShardedSimulation};
 pub use sim::Simulation;

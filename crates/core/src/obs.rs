@@ -1,33 +1,36 @@
-//! Cluster-side observability wiring (see `dynmds-obs` for the
-//! instruments themselves).
+//! Observability for both engines: the one metric schema, the one
+//! summary, and the legacy engine's op-lifecycle spans (see `dynmds-obs`
+//! for the instruments themselves).
 //!
-//! The engine counts every event once, in its own counters: each node's
-//! [`LifeCounters`], the cluster's [`ClusterCounters`](crate::cluster::ClusterCounters)
-//! and each proxy's [`ProxyStats`]. [`ClusterObs`] records only what has
-//! no engine twin — the op-lifecycle spans and the latency and hop
-//! histograms sampled at reply time — and [`ClusterObs::export`] renders
-//! the counters over the measurement window, and the engine's per-node
-//! sample series as the snapshot export, when the run ends. Obs-on and
-//! obs-off runs therefore execute the same counting code. Every hook begins with
-//! one branch on whether the layer is live, so a simulation with
-//! observability disabled pays one predictable untaken branch per hook
-//! and nothing else: no allocation, no hashing, no formatting.
+//! Each engine counts every event once, in counters both engines share:
+//! each node's [`LifeCounters`], the cluster-wide [`ClusterCounters`]
+//! and each proxy's [`ProxyStats`], plus the completion-latency
+//! [`LatencyAgg`]. When a run ends, the engine hands what it measured
+//! over the measurement window to `export` as one `Measured`, which
+//! renders every metric and the summary. So both engines export the
+//! same metric names in the same order; the proxy and elastic groups
+//! appear when the config enables them, whatever the engine.
 //!
-//! Determinism: hooks are called from the (deterministic) event loop and
-//! record integers stamped with the sim clock, so metrics, snapshots and
-//! trace exports are byte-identical across runs with the same seed.
+//! [`ClusterObs`] records only what has no engine twin: the legacy
+//! engine's op-lifecycle spans (`--obs-trace`). Every hook begins with
+//! one branch on whether tracing is live, so an untraced run pays one
+//! predictable untaken branch per hook and nothing else: no allocation,
+//! no hashing, no formatting. Obs-on and obs-off runs execute the same
+//! counting code.
+//!
+//! Determinism: counters are integers read from the (deterministic)
+//! engine state, and spans are stamped with the sim clock, so metrics,
+//! snapshots and trace exports are byte-identical across runs with the
+//! same seed.
 
 use dynmds_event::SimTime;
-use dynmds_namespace::MdsId;
-use dynmds_obs::registry::{HOPS_BOUNDS, LATENCY_BOUNDS_US};
-use dynmds_obs::span::NO_MDS;
-use dynmds_obs::{HistogramId, ObsConfig, Registry, SpanRecorder, DEFAULT_TRACE_CAPACITY};
+use dynmds_obs::{ObsConfig, Registry, SnapshotSeries, SpanRecorder, DEFAULT_TRACE_CAPACITY};
 use dynmds_proxy::ProxyStats;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterCounters};
 use crate::node::{LifeCounters, MdsNode};
 
-pub use dynmds_obs::SpanStage;
+pub use dynmds_obs::{LatencyAgg, SpanStage};
 
 /// Stable lowercase tag for an op kind (span `kind` field).
 pub fn op_kind_tag(kind: dynmds_workload::OpKind) -> &'static str {
@@ -51,7 +54,7 @@ pub fn op_kind_tag(kind: dynmds_workload::OpKind) -> &'static str {
 /// Everything the observability layer produced, rendered at end of run.
 #[derive(Clone, Debug)]
 pub struct ObsExport {
-    /// One JSONL line per registered metric.
+    /// One JSONL line per metric.
     pub metrics_jsonl: String,
     /// One JSONL line per snapshot row.
     pub snapshots_jsonl: String,
@@ -62,10 +65,9 @@ pub struct ObsExport {
 }
 
 /// A counter's export name and how to read its value from a `T`.
-pub(crate) type Reader<T> = (&'static str, fn(&T) -> u64);
+type Reader<T> = (&'static str, fn(&T) -> u64);
 
-/// The per-MDS counters in export order, each read from a node's
-/// [`LifeCounters`] over the measurement window.
+/// The per-MDS counters in export order.
 const NODE_COUNTERS: [Reader<LifeCounters>; 12] = [
     ("received", |l| l.received),
     ("served", |l| l.served),
@@ -81,265 +83,243 @@ const NODE_COUNTERS: [Reader<LifeCounters>; 12] = [
     ("journal_warmed_items", |l| l.journal_warmed),
 ];
 
-/// The proxy-tier counters in export order, one slot per proxy, each read
-/// from a proxy's [`ProxyStats`]. Registered after every other counter
-/// and only when the tier is on, so proxy-off exports keep the pre-proxy
-/// metric set and order.
-const PROXY_COUNTERS: [Reader<ProxyStats>; 5] = [
+/// The cluster-wide counters in export order.
+const CLUSTER_COUNTERS: [Reader<ClusterCounters>; 16] = [
+    ("estale_replies", |k| k.estale),
+    ("stale_replies", |k| k.stale_replies),
+    ("lease_local_reads", |k| k.lease_hits),
+    ("failover_timeouts", |k| k.failover_timeouts),
+    ("replications", |k| k.replications),
+    ("dereplications", |k| k.dereplications),
+    ("shared_write_flushes", |k| k.shared_write_flushes),
+    ("subtree_migrations", |k| k.migrations),
+    ("delegation_splits", |k| k.delegation_splits),
+    ("delegation_merges", |k| k.delegation_merges),
+    ("node_failures", |k| k.failures),
+    ("node_recoveries", |k| k.recoveries),
+    ("client_retries", |k| k.retries),
+    ("ops_gave_up", |k| k.gave_up),
+    ("net_messages_lost", |k| k.net_lost),
+    ("net_messages_duplicated", |k| k.net_dup),
+];
+
+/// The elastic controller's counters, exported when it runs.
+const ELASTIC_COUNTERS: [Reader<ClusterCounters>; 2] =
+    [("elastic_scale_outs", |k| k.scale_outs), ("elastic_scale_ins", |k| k.scale_ins)];
+
+/// The proxy-tier counters in export order, one slot per proxy, exported
+/// when the tier is on.
+const PROXY_COUNTERS: [Reader<ProxyStats>; 6] = [
     ("proxy_neg_hits", |s| s.neg_hits),
     ("proxy_read_absorbs", |s| s.read_absorbs),
     ("proxy_writes_coalesced", |s| s.writes_coalesced),
     ("proxy_flushed_items", |s| s.flushed_items),
+    ("proxy_flush_batches", |s| s.flush_batches),
     ("proxy_forwarded", |s| s.forwarded),
 ];
 
-/// The cluster-wide counters in export order, over the measurement
-/// window.
-fn scalar_counters(c: &Cluster) -> [(&'static str, u64); 15] {
-    let m = c.measured_counters();
-    [
-        ("estale_replies", m.estale),
-        ("lease_local_reads", c.measured_lease_hits()),
-        ("failover_timeouts", m.failover_timeouts),
-        ("replications", m.replications),
-        ("dereplications", m.dereplications),
-        ("shared_write_flushes", m.shared_write_flushes),
-        ("subtree_migrations", m.migrations),
-        ("delegation_splits", m.delegation_splits),
-        ("delegation_merges", m.delegation_merges),
-        ("node_failures", m.failures),
-        ("node_recoveries", m.recoveries),
-        ("client_retries", m.retries),
-        ("ops_gave_up", m.gave_up),
-        ("net_messages_lost", m.net_lost),
-        ("net_messages_duplicated", m.net_dup),
-    ]
+/// What a run measured over its measurement window, in the shape both
+/// engines export.
+pub(crate) struct Measured<'a> {
+    /// Each node's counts, in id order.
+    pub nodes: Vec<LifeCounters>,
+    /// The cluster-wide counts.
+    pub counters: ClusterCounters,
+    /// Whether the elastic controller ran.
+    pub elastic: bool,
+    /// Each proxy's counts, in id order; empty when the tier is off.
+    pub proxies: &'a [ProxyStats],
+    /// Completion latencies.
+    pub latency: &'a LatencyAgg,
+    /// The per-node sample series.
+    pub samples: &'a SnapshotSeries,
+    /// Op-lifecycle spans, when traced.
+    pub spans: Option<&'a SpanRecorder>,
 }
 
-/// Records every counter in export order (per-MDS, cluster-wide, then
-/// proxy) from the engine's counters.
-fn counter_registry(c: &Cluster) -> Registry {
+/// Renders every export of a run: metrics (per-MDS counters, cluster-wide
+/// counters, then the elastic and proxy groups when enabled, then the
+/// latency histogram), snapshots, spans and the summary.
+pub(crate) fn export(m: &Measured) -> ObsExport {
     let mut reg = Registry::new();
-    let measured: Vec<LifeCounters> = c.nodes.iter().map(MdsNode::measured).collect();
     for (name, get) in NODE_COUNTERS {
-        reg.counter(name, &measured.iter().map(get).collect::<Vec<_>>());
+        reg.per_mds(name, &m.nodes.iter().map(get).collect::<Vec<_>>());
     }
-    for (name, v) in scalar_counters(c) {
-        reg.counter(name, &[v]);
+    let elastic: &[Reader<ClusterCounters>] = if m.elastic { &ELASTIC_COUNTERS } else { &[] };
+    for (name, get) in CLUSTER_COUNTERS.iter().chain(elastic) {
+        reg.scalar(name, get(&m.counters));
     }
-    if !c.proxies.is_empty() {
+    if !m.proxies.is_empty() {
         for (name, get) in PROXY_COUNTERS {
-            reg.counter(name, &c.proxies.iter().map(|p| get(p.stats())).collect::<Vec<_>>());
+            reg.per_proxy(name, &m.proxies.iter().map(get).collect::<Vec<_>>());
         }
     }
-    reg
-}
-
-struct Inner {
-    /// Holds only the two histograms below; counters are rendered from
-    /// the engine at export and print before them.
-    hists: Registry,
-    latency_us: HistogramId,
-    hops: HistogramId,
-    spans: Option<SpanRecorder>,
-}
-
-impl Inner {
-    fn observe_reply(&mut self, reply_at: SimTime, issued_at: SimTime, hops: u64) {
-        self.hists.observe(self.latency_us, reply_at.saturating_since(issued_at).as_micros());
-        self.hists.observe(self.hops, hops);
+    reg.histogram("latency_us", m.latency);
+    ObsExport {
+        metrics_jsonl: reg.to_jsonl(),
+        snapshots_jsonl: m.samples.to_jsonl(),
+        trace_jsonl: m.spans.map(SpanRecorder::to_jsonl),
+        summary: summary(m),
     }
 }
 
-/// The per-cluster observability layer. Disabled, it is a `None` and
-/// every hook is a single branch.
+fn summary(m: &Measured) -> String {
+    let mut t = dynmds_metrics::Table::new(
+        "observability summary (per MDS)",
+        &["node", "recv", "served", "fwd", "replica", "pfx miss", "tgt miss", "disk", "journal"],
+    );
+    for (i, l) in m.nodes.iter().enumerate() {
+        t.row(&[
+            format!("mds{i}"),
+            l.received.to_string(),
+            l.served.to_string(),
+            l.forwarded.to_string(),
+            l.replica_serves.to_string(),
+            l.prefix_misses.to_string(),
+            l.target_misses.to_string(),
+            l.disk_fetches.to_string(),
+            l.journal_commits.to_string(),
+        ]);
+    }
+    let mut out = t.render();
+    let (lat, k) = (m.latency, &m.counters);
+    out.push_str(&format!(
+        "\nlatency µs: mean {:.1}, ~p50 {}, ~p99 {}, max {} over {} ops\n",
+        lat.mean_us(),
+        lat.quantile_us(0.5),
+        lat.quantile_us(0.99),
+        lat.max_us,
+        lat.count,
+    ));
+    out.push_str(&format!(
+        "cluster: lease-local {}, estale {}, stale {}, failover timeouts {}, replications {} \
+         (-{}), migrations {}, splits {}, merges {}, failures {}, recoveries {}\n",
+        k.lease_hits,
+        k.estale,
+        k.stale_replies,
+        k.failover_timeouts,
+        k.replications,
+        k.dereplications,
+        k.migrations,
+        k.delegation_splits,
+        k.delegation_merges,
+        k.failures,
+        k.recoveries,
+    ));
+    out.push_str(&format!(
+        "faults: retries {}, gave up {}, net lost {}, net dup {}\n",
+        k.retries, k.gave_up, k.net_lost, k.net_dup,
+    ));
+    if m.elastic {
+        out.push_str(&format!("elastic: scale-outs {}, scale-ins {}\n", k.scale_outs, k.scale_ins));
+    }
+    if !m.proxies.is_empty() {
+        let p: ProxyStats = m.proxies.iter().sum();
+        out.push_str(&format!(
+            "proxy ({}): neg hits {}, read absorbs {}, coalesced {}, flushed {} in {} batches, \
+             forwarded {}\n",
+            m.proxies.len(),
+            p.neg_hits,
+            p.read_absorbs,
+            p.writes_coalesced,
+            p.flushed_items,
+            p.flush_batches,
+            p.forwarded,
+        ));
+    }
+    out.push_str(&format!(
+        "snapshots: {} rows × {} fields",
+        m.samples.len(),
+        m.samples.fields().len()
+    ));
+    if let Some(spans) = m.spans {
+        out.push_str(&format!(
+            "; spans: {} retained, {} dropped, {} started",
+            spans.len(),
+            spans.dropped(),
+            spans.started()
+        ));
+    }
+    out.push('\n');
+    out
+}
+
+/// The legacy engine's op-lifecycle span recorder. Untraced, it is a
+/// `None` and every hook is a single branch.
 pub struct ClusterObs {
-    inner: Option<Box<Inner>>,
+    spans: Option<Box<SpanRecorder>>,
 }
 
 impl ClusterObs {
-    /// Builds the layer for `n_clients` clients.
+    /// Builds the recorder for `n_clients` clients; it records only when
+    /// `cfg.trace` is on.
     pub fn new(cfg: ObsConfig, n_clients: usize) -> Self {
-        if !cfg.enabled() {
-            return ClusterObs { inner: None };
-        }
-        let mut hists = Registry::new();
-        let latency_us = hists.histogram("latency_us", LATENCY_BOUNDS_US);
-        let hops = hists.histogram("hops", HOPS_BOUNDS);
-        let spans = cfg.trace.then(|| SpanRecorder::new(n_clients, DEFAULT_TRACE_CAPACITY));
-        ClusterObs { inner: Some(Box::new(Inner { hists, latency_us, hops, spans })) }
+        let spans =
+            cfg.trace.then(|| Box::new(SpanRecorder::new(n_clients, DEFAULT_TRACE_CAPACITY)));
+        ClusterObs { spans }
     }
 
     /// Whether span tracing is live.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.spans.is_some())
+        self.spans.is_some()
     }
-
-    /// The span recorder, when tracing is live.
-    #[inline]
-    fn spans(&mut self) -> Option<&mut SpanRecorder> {
-        self.inner.as_mut()?.spans.as_mut()
-    }
-
-    // ---- op lifecycle hooks -------------------------------------------
 
     /// Client dispatched an op: open its span.
     #[inline]
     pub fn on_issue(&mut self, now: SimTime, client: u32, kind: &'static str) {
-        if let Some(spans) = self.spans() {
+        if let Some(spans) = &mut self.spans {
             spans.start(client, kind, now.as_micros());
         }
     }
 
     /// Records `stage` of `client`'s open span at `at`, on `mds` (or
-    /// [`NO_MDS`] for a client-side stage).
+    /// [`NO_MDS`](dynmds_obs::span::NO_MDS) for a client-side stage).
     #[inline]
     pub fn span(&mut self, client: u32, stage: SpanStage, at: SimTime, mds: u16) {
-        if let Some(spans) = self.spans() {
+        if let Some(spans) = &mut self.spans {
             spans.event(client, stage, at.as_micros(), mds);
         }
     }
 
     /// Closes `client`'s span with the terminal `stage` at `at`, on
-    /// `mds` (or [`NO_MDS`]).
+    /// `mds` (or [`NO_MDS`](dynmds_obs::span::NO_MDS)).
     #[inline]
     pub fn finish(&mut self, client: u32, stage: SpanStage, at: SimTime, mds: u16) {
-        if let Some(spans) = self.spans() {
+        if let Some(spans) = &mut self.spans {
             spans.finish(client, stage, at.as_micros(), mds);
         }
     }
 
-    /// The reply reached its client: close the span, record latency/hops.
-    #[inline]
-    pub fn on_reply(
-        &mut self,
-        reply_at: SimTime,
-        client: u32,
-        mds: MdsId,
-        issued_at: SimTime,
-        hops: u8,
-    ) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.observe_reply(reply_at, issued_at, hops as u64);
-        if let Some(spans) = &mut inner.spans {
-            spans.finish(client, SpanStage::Reply, reply_at.as_micros(), mds.0);
-        }
-    }
-
-    /// A proxy answered an op from its own caches: the op never entered
-    /// the cluster. Records latency and a zero hop count, closes the span.
-    #[inline]
-    pub fn on_proxy_serve(&mut self, reply_at: SimTime, client: u32, issued_at: SimTime) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.observe_reply(reply_at, issued_at, 0);
-        if let Some(spans) = &mut inner.spans {
-            spans.finish(client, SpanStage::Reply, reply_at.as_micros(), NO_MDS);
-        }
-    }
-
-    // ---- reset, export ------------------------------------------------
-
-    /// Clears all recorded data (measurement restart after warm-up).
+    /// Clears the recorded spans (measurement restart after warm-up).
     pub fn reset(&mut self) {
-        let Some(inner) = &mut self.inner else { return };
-        inner.hists.reset();
-        if let Some(spans) = &mut inner.spans {
+        if let Some(spans) = &mut self.spans {
             spans.reset();
         }
     }
 
-    /// Renders every export of cluster `c`, its counters read from the
-    /// engine. `None` when observability is disabled.
+    /// Renders every export of cluster `c` over its measurement window;
+    /// `None` when observability is disabled. The latency histogram is
+    /// built from the cluster's latency samples, whole microseconds held
+    /// as seconds, so the conversion back is exact.
     pub fn export(&self, c: &Cluster) -> Option<ObsExport> {
-        let inner = self.inner.as_ref()?;
-        let mut metrics_jsonl = counter_registry(c).to_jsonl();
-        metrics_jsonl.push_str(&inner.hists.to_jsonl());
-        Some(ObsExport {
-            metrics_jsonl,
-            snapshots_jsonl: c.samples.to_jsonl(),
-            trace_jsonl: inner.spans.as_ref().map(|s| s.to_jsonl()),
-            summary: Self::render_summary(inner, c),
-        })
-    }
-
-    fn render_summary(inner: &Inner, c: &Cluster) -> String {
-        let mut t = dynmds_metrics::Table::new(
-            "observability summary (per MDS)",
-            &[
-                "node", "recv", "served", "fwd", "replica", "pfx miss", "tgt miss", "disk",
-                "journal",
-            ],
-        );
-        for (i, n) in c.nodes.iter().enumerate() {
-            let l = n.measured();
-            t.row(&[
-                format!("mds{i}"),
-                l.received.to_string(),
-                l.served.to_string(),
-                l.forwarded.to_string(),
-                l.replica_serves.to_string(),
-                l.prefix_misses.to_string(),
-                l.target_misses.to_string(),
-                l.disk_fetches.to_string(),
-                l.journal_commits.to_string(),
-            ]);
+        if !c.cfg.obs.enabled() {
+            return None;
         }
-        let mut out = t.render();
-        let (reg, lat) = (&inner.hists, inner.latency_us);
-        out.push_str(&format!(
-            "\nlatency: mean {:.2} ms, ~p50 {:.2} ms, ~p99 {:.2} ms over {} ops\n",
-            reg.histogram_mean(lat) / 1e3,
-            reg.histogram_quantile(lat, 0.5) as f64 / 1e3,
-            reg.histogram_quantile(lat, 0.99) as f64 / 1e3,
-            reg.histogram_count(lat),
-        ));
-        let m = c.measured_counters();
-        out.push_str(&format!(
-            "cluster: lease-local {}, estale {}, failover timeouts {}, replications {} (-{}), \
-             migrations {}, splits {}, merges {}, failures {}, recoveries {}\n",
-            c.measured_lease_hits(),
-            m.estale,
-            m.failover_timeouts,
-            m.replications,
-            m.dereplications,
-            m.migrations,
-            m.delegation_splits,
-            m.delegation_merges,
-            m.failures,
-            m.recoveries,
-        ));
-        out.push_str(&format!(
-            "faults: retries {}, gave up {}, net lost {}, net dup {}\n",
-            m.retries, m.gave_up, m.net_lost, m.net_dup,
-        ));
-        if !c.proxies.is_empty() {
-            let p = c.proxy_stats();
-            out.push_str(&format!(
-                "proxy ({}): neg hits {}, read absorbs {}, coalesced {}, flushed {}, forwarded {}\n",
-                c.proxies.len(),
-                p.neg_hits,
-                p.read_absorbs,
-                p.writes_coalesced,
-                p.flushed_items,
-                p.forwarded,
-            ));
+        let mut latency = LatencyAgg::new();
+        for s in c.latency.samples() {
+            latency.record((s * 1e6).round() as u64);
         }
-        out.push_str(&format!(
-            "snapshots: {} rows × {} fields",
-            c.samples.len(),
-            c.samples.fields().len()
-        ));
-        if let Some(spans) = &inner.spans {
-            out.push_str(&format!(
-                "; spans: {} retained, {} dropped, {} started",
-                spans.len(),
-                spans.dropped(),
-                spans.started()
-            ));
-        }
-        out.push('\n');
-        out
+        let proxies: Vec<ProxyStats> = c.proxies.iter().map(|p| *p.stats()).collect();
+        Some(export(&Measured {
+            nodes: c.nodes.iter().map(MdsNode::measured).collect(),
+            counters: c.measured_counters(),
+            elastic: c.cfg.strategy == dynmds_partition::StrategyKind::ElasticSubtree,
+            proxies: &proxies,
+            latency: &latency,
+            samples: &c.samples,
+            spans: self.spans.as_deref(),
+        }))
     }
 }
 
@@ -348,41 +328,41 @@ mod tests {
     use dynmds_partition::StrategyKind;
 
     use super::*;
-    use crate::testutil::tiny_cluster;
+    use crate::testutil::{tiny_cluster, tiny_cluster_with};
 
     #[test]
     fn disabled_layer_is_inert_and_exports_nothing() {
         let c = tiny_cluster(StrategyKind::DynamicSubtree);
         let mut obs = ClusterObs::new(ObsConfig::default(), 8);
         assert!(!obs.tracing());
-        obs.on_reply(SimTime::from_millis(2), 0, MdsId(0), SimTime::from_millis(1), 0);
+        obs.finish(0, SpanStage::Reply, SimTime::from_millis(2), 0);
         assert!(obs.export(&c).is_none());
     }
 
     #[test]
     fn metrics_only_layer_renders_engine_counters_without_spans() {
-        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
+        let mut c = tiny_cluster_with(StrategyKind::DynamicSubtree, |cfg| {
+            cfg.obs = ObsConfig::metrics_only();
+        });
         c.nodes[1].life.served = 1;
-        let mut obs = ClusterObs::new(ObsConfig::metrics_only(), 8);
-        assert!(!obs.tracing());
-        obs.span(0, SpanStage::Arrive, SimTime::from_millis(1), 1);
-        obs.on_reply(SimTime::from_millis(3), 0, MdsId(1), SimTime::from_millis(1), 1);
-        let e = obs.export(&c).unwrap();
+        c.latency.record(0.002_5);
+        assert!(!c.obs.tracing());
+        let e = c.obs.export(&c).unwrap();
         assert!(e.metrics_jsonl.contains("\"name\":\"served\",\"per_mds\":[0,1,0,0]"));
-        assert!(e.metrics_jsonl.contains("\"name\":\"latency_us\",\"count\":1"));
+        assert!(e.metrics_jsonl.contains("\"name\":\"latency_us\",\"count\":1,\"sum\":2500"));
         assert!(e.trace_jsonl.is_none());
         assert!(e.summary.contains("mds1"));
     }
 
     #[test]
     fn traced_op_produces_one_span_line() {
-        let c = tiny_cluster(StrategyKind::DynamicSubtree);
+        let c = tiny_cluster_with(StrategyKind::DynamicSubtree, |cfg| cfg.obs = ObsConfig::full());
         let mut obs = ClusterObs::new(ObsConfig::full(), 4);
         assert!(obs.tracing());
         obs.on_issue(SimTime::from_micros(10), 3, "stat");
         obs.span(3, SpanStage::Arrive, SimTime::from_micros(110), 0);
         obs.span(3, SpanStage::CacheHit, SimTime::from_micros(110), 0);
-        obs.on_reply(SimTime::from_micros(400), 3, MdsId(0), SimTime::from_micros(10), 0);
+        obs.finish(3, SpanStage::Reply, SimTime::from_micros(400), 0);
         let e = obs.export(&c).unwrap();
         let trace = e.trace_jsonl.unwrap();
         assert_eq!(trace.lines().count(), 1);
@@ -392,8 +372,8 @@ mod tests {
 
     #[test]
     fn reset_measurement_restarts_counters_and_clears_spans() {
-        let mut c = tiny_cluster(StrategyKind::DynamicSubtree);
-        c.obs = ClusterObs::new(ObsConfig::full(), 8);
+        let mut c =
+            tiny_cluster_with(StrategyKind::DynamicSubtree, |cfg| cfg.obs = ObsConfig::full());
         c.nodes[0].life.served = 5;
         c.counters.migrations = 3;
         c.obs.on_issue(SimTime::ZERO, 0, "open");

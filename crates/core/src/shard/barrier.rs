@@ -52,6 +52,9 @@ impl ShardedSimulation {
         match step {
             FaultStep::Crash(m) => self.crash(m),
             FaultStep::Recover(m) => {
+                if !self.world.alive[m.index()] {
+                    self.node_shard(m).counters.recoveries += 1;
+                }
                 self.world.alive[m.index()] = true;
                 // A recovered node is back in service whatever took it
                 // out; scaling re-parks it if the load doesn't justify
@@ -88,11 +91,12 @@ impl ShardedSimulation {
             return;
         }
         self.world.alive[dead.index()] = false;
-        self.crashes += 1;
+        self.node_shard(dead).counters.failures += 1;
         self.node_mut(dead).m.lose_memory();
+        let crashes = self.counters().failures;
         let Some(sp) = self.world.partition.as_subtree() else { return };
         let roots = sp.delegations_of(dead);
-        let heirs = heirs(&self.world.alive, self.crashes, roots.len());
+        let heirs = heirs(&self.world.alive, crashes, roots.len());
         let moves: Vec<_> = roots.into_iter().zip(heirs).map(|(r, h)| (r, dead, h)).collect();
         self.redelegate(&moves);
     }
@@ -118,7 +122,9 @@ impl ShardedSimulation {
         // only ever probed, never iterated.
         for shard in &mut self.shards {
             for n in &mut shard.nodes {
-                self.world.replicated.extend(n.hot_pending.drain(..));
+                for id in n.hot_pending.drain(..) {
+                    shard.counters.replications += self.world.replicated.insert(id) as u64;
+                }
                 self.world.proxy_hot.extend(n.proxy_hot_pending.drain(..));
             }
         }
@@ -140,8 +146,14 @@ impl ShardedSimulation {
         }
         if elastic {
             match self.world.elastic.step(&self.world.alive, &loads, at) {
-                Some(ScaleAction::Activate(m)) => self.elastic_activate(m),
-                Some(ScaleAction::Park(m)) => self.elastic_park(m, &loads),
+                Some(ScaleAction::Activate(m)) => {
+                    self.node_shard(m).counters.scale_outs += 1;
+                    self.elastic_activate(m);
+                }
+                Some(ScaleAction::Park(m)) => {
+                    self.node_shard(m).counters.scale_ins += 1;
+                    self.elastic_park(m, &loads);
+                }
                 None => {}
             }
         }
@@ -183,7 +195,7 @@ impl ShardedSimulation {
             }
             moves.push((subtree, donor, MdsId(target as u16)));
             budget -= 1;
-            self.migrations += 1;
+            self.node_shard(donor).counters.migrations += 1;
         }
         self.redelegate(&moves);
     }

@@ -26,8 +26,8 @@ pub(super) enum Ev {
         src: u64,
         seq: u64,
     },
-    /// A reply (or, with `ok == false`, the simulator's omniscient
-    /// lost-message notification) arrives at a client. `from_proxy`
+    /// A reply (or, unless `status` is [`Status::Ok`], the simulator's
+    /// omniscient timeout notification) arrives at a client. `from_proxy`
     /// marks answers absorbed at a proxy (no route or lease learned).
     Reply {
         client: ClientId,
@@ -35,7 +35,7 @@ pub(super) enum Ev {
         item: InodeId,
         server: MdsId,
         lease_until: u64,
-        ok: bool,
+        status: Status,
         from_proxy: bool,
         src: u64,
         seq: u64,
@@ -45,6 +45,17 @@ pub(super) enum Ev {
     /// A coalesced write delta arrives at the authority from a proxy
     /// (heartbeat flush).
     Coalesced { node: MdsId, item: InodeId, delta: u64, src: u64, seq: u64 },
+}
+
+/// What became of a request, as its reply tells the client.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Status {
+    /// Served: the reply carries the answer.
+    Ok,
+    /// The network lost the reply.
+    Lost,
+    /// The server was dead: the request timed out against it.
+    Dead,
 }
 
 /// Sender ranks: nodes order before clients, clients before proxies,

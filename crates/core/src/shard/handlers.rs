@@ -8,13 +8,14 @@ use dynmds_proxy::ProxyCore;
 use dynmds_storage::{AccessKind, DiskModel};
 use dynmds_workload::Workload;
 
-use super::event::{canonical_key, client_rank, node_rank, proxy_rank, Ev, Mail, OutMsg};
+use super::event::{canonical_key, client_rank, node_rank, proxy_rank, Ev, Mail, OutMsg, Status};
 use super::owner;
-use super::report::LatencyAgg;
+use crate::cluster::ClusterCounters;
 use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
 use crate::fault::{NetFaultSpec, RetryPolicy};
 use crate::node::MdsNode;
+use crate::obs::LatencyAgg;
 
 /// One MDS node as owned by a shard: the legacy node state plus a
 /// private OSD-fetch device, RNG stream and send counter.
@@ -63,17 +64,6 @@ pub(super) struct PendingOp {
     write: bool,
     issued: u64,
     retries: u8,
-}
-
-/// Counters aggregated into the report (all commutative integers).
-#[derive(Clone, Debug, Default)]
-pub(super) struct ShardStats {
-    pub(super) ops: u64,
-    pub(super) lease_hits: u64,
-    pub(super) timeouts: u64,
-    pub(super) retries: u64,
-    pub(super) failed: u64,
-    pub(super) stale: u64,
 }
 
 /// The run's config and global state: every shard may read it during a
@@ -130,7 +120,10 @@ pub(super) struct Shard {
     /// step (`u64::MAX` when it sent none); the barrier turns it into
     /// [`ShardedSimulation::mail_due`].
     pub(super) first_send: u64,
-    pub(super) stats: ShardStats,
+    /// Cluster-wide counts of the events this shard handled, and of the
+    /// barrier steps that acted on its nodes, over the whole run.
+    pub(super) counters: ClusterCounters,
+    /// Completion latencies since measurement last restarted.
     pub(super) lat: LatencyAgg,
 }
 
@@ -241,8 +234,20 @@ impl Shard {
             Ev::Request { node, client, op_seq, item, write, hop, .. } => {
                 self.node_request(world, t, node, client, op_seq, item, write, hop);
             }
-            Ev::Reply { client: c, op_seq, item, server, lease_until, ok, from_proxy, .. } => {
-                self.client_reply(world, t, c, op_seq, item, server, lease_until, ok, from_proxy);
+            Ev::Reply {
+                client: c, op_seq, item, server, lease_until, status, from_proxy, ..
+            } => {
+                self.client_reply(
+                    world,
+                    t,
+                    c,
+                    op_seq,
+                    item,
+                    server,
+                    lease_until,
+                    status,
+                    from_proxy,
+                );
             }
             Ev::PReq { p, client, op_seq, item, write, .. } => {
                 self.proxy_request(world, t, p, client, op_seq, item, write);
@@ -282,7 +287,7 @@ impl Shard {
 
         let (item, write, op_seq);
         if retrying {
-            self.stats.retries += 1;
+            self.counters.retries += 1;
             let cl = self.client(c);
             let p = cl.pending.as_mut().expect("retry fired without a pending op");
             p.retries += 1;
@@ -301,8 +306,7 @@ impl Shard {
                     Some(&exp) if exp > t => {
                         // Client-local completion: one event per op.
                         let next = t + Self::think_delay(&mut cl.rng, think_us);
-                        self.stats.lease_hits += 1;
-                        self.stats.ops += 1;
+                        self.counters.lease_hits += 1;
                         self.lat.record(0);
                         self.queue.schedule(SimTime::from_micros(next), Ev::Issue(c));
                         return;
@@ -358,12 +362,17 @@ impl Shard {
         // straight into the retry wakeup the timeout would produce.
         if let Some(net) = world.net {
             if net.loss_p > 0.0 && self.client(c).rng.chance(net.loss_p) {
+                self.counters.net_lost += 1;
                 self.fail_or_retry(world, t, c, op_seq, item, false);
                 return;
             }
         }
         let dup = match world.net {
-            Some(net) if net.dup_p > 0.0 => self.client(c).rng.chance(net.dup_p),
+            Some(net) if net.dup_p > 0.0 => {
+                let dup = self.client(c).rng.chance(net.dup_p);
+                self.counters.net_dup += dup as u64;
+                dup
+            }
             _ => false,
         };
         let dst_shard = owner(dst.index(), cfg.n_mds as usize, k);
@@ -389,7 +398,8 @@ impl Shard {
     }
 
     /// Shared timeout handling for lost requests, lost replies and dead
-    /// servers: schedule the backoff retry, or give up at the cap.
+    /// servers, which the caller counts: schedule the backoff retry, or
+    /// give up at the cap.
     fn fail_or_retry(
         &mut self,
         world: &World,
@@ -401,7 +411,6 @@ impl Shard {
     ) {
         let think_us = self.think_mean_us(world, t);
         let retry_policy: RetryPolicy = world.cfg.retry;
-        self.stats.timeouts += 1;
         let cl = self.client(c);
         if drop_route {
             cl.routes.remove(&item);
@@ -410,7 +419,7 @@ impl Shard {
         let (issued, retries) = (p.issued, p.retries);
         if retries >= retry_policy.max_retries {
             cl.pending = None;
-            self.stats.failed += 1;
+            self.counters.gave_up += 1;
             let next = t + Self::think_delay(&mut self.client(c).rng, think_us);
             self.queue.schedule(SimTime::from_micros(next), Ev::Issue(c));
         } else {
@@ -430,16 +439,21 @@ impl Shard {
         item: InodeId,
         server: MdsId,
         lease_until: u64,
-        ok: bool,
+        status: Status,
         from_proxy: bool,
     ) {
         let think_us = self.think_mean_us(world, t);
         let cl = self.client(c);
         if cl.op_seq != op_seq || cl.pending.is_none() {
-            self.stats.stale += 1;
+            self.counters.stale_replies += 1;
             return;
         }
-        if !ok {
+        if status != Status::Ok {
+            if status == Status::Lost {
+                self.counters.net_lost += 1;
+            } else {
+                self.counters.failover_timeouts += 1;
+            }
             self.fail_or_retry(world, t, c, op_seq, item, true);
             return;
         }
@@ -451,7 +465,6 @@ impl Shard {
             cl.leases.insert(item, lease_until);
         }
         let next = t + Self::think_delay(&mut cl.rng, think_us);
-        self.stats.ops += 1;
         self.lat.record(t - p.issued);
         self.queue.schedule(SimTime::from_micros(next), Ev::Issue(c));
     }
@@ -488,7 +501,7 @@ impl Shard {
                     item,
                     server: m,
                     lease_until: 0,
-                    ok: false,
+                    status: Status::Dead,
                     from_proxy: false,
                     src: node_rank(m),
                     seq,
@@ -559,13 +572,16 @@ impl Shard {
             }
         }
         // Reply; in-transit reply loss is drawn from the node's stream.
-        let ok = match world.net {
-            Some(net) if net.loss_p > 0.0 => !n.rng.chance(net.loss_p),
-            _ => true,
+        let status = match world.net {
+            Some(net) if net.loss_p > 0.0 && n.rng.chance(net.loss_p) => Status::Lost,
+            _ => Status::Ok,
         };
         let done_us = done.as_micros();
-        let lease_until =
-            if ok && cfg.client_leases && !write { done_us + cfg.lease_ttl.as_micros() } else { 0 };
+        let lease_until = if status == Status::Ok && cfg.client_leases && !write {
+            done_us + cfg.lease_ttl.as_micros()
+        } else {
+            0
+        };
         let seq = n.send_seq;
         n.send_seq += 1;
         self.send(
@@ -577,7 +593,7 @@ impl Shard {
                 item,
                 server: m,
                 lease_until,
-                ok,
+                status,
                 from_proxy: false,
                 src: node_rank(m),
                 seq,
@@ -647,7 +663,7 @@ impl Shard {
                     item,
                     server: MdsId(0),
                     lease_until: 0,
-                    ok: true,
+                    status: Status::Ok,
                     from_proxy: true,
                     src: proxy_rank(p),
                     seq,

@@ -59,7 +59,8 @@
 //! Submodules: `event` (events, their canonical order, mail), `handlers`
 //! (per-shard state and the client, server and proxy handlers), `window`
 //! (the window loop), `barrier` (barrier-global steps), `report` (the
-//! report and its obs export) and `driver` (the parallel fan-out).
+//! report) and `driver` (the parallel fan-out). Both engines render
+//! their obs export through one function, `obs::export`.
 
 mod barrier;
 mod driver;
@@ -82,16 +83,18 @@ use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::DiskModel;
 use dynmds_workload::Workload;
 
+use crate::cluster::ClusterCounters;
 use crate::config::SimConfig;
 use crate::elastic::ElasticCtl;
 use crate::fault::FaultStep;
 use crate::node::{sample_series, MdsNode};
+use crate::obs::{LatencyAgg, Measured};
 
 use driver::DRIVER;
 pub use driver::{install_parallel_driver, ParallelDriver};
 use event::{Ev, Mail};
-use handlers::{ClientSt, ProxySt, Shard, ShardNode, ShardStats, World};
-pub use report::{LatencyAgg, ShardReport};
+use handlers::{ClientSt, ProxySt, Shard, ShardNode, World};
+pub use report::ShardReport;
 
 /// The shard that owns entity `i` of `n` when they are split into `k`
 /// contiguous blocks: the one ownership rule for nodes, clients and
@@ -144,9 +147,8 @@ pub struct ShardedSimulation {
     /// step bound.
     next_due: u64,
     measure_start: u64,
-    migrations: u64,
-    /// Crashes applied so far: the heir rule's rotation.
-    crashes: u64,
+    /// The shards' summed counters when measurement last restarted.
+    measure_base: ClusterCounters,
     /// Per-node sample series: one row per sample tick since measurement
     /// last restarted.
     samples: SnapshotSeries,
@@ -243,7 +245,7 @@ impl ShardedSimulation {
                 batch: Vec::new(),
                 window_events: 0,
                 first_send: u64::MAX,
-                stats: ShardStats::default(),
+                counters: ClusterCounters::default(),
                 lat: LatencyAgg::new(),
             });
         }
@@ -282,8 +284,7 @@ impl ShardedSimulation {
             next_sample: sample,
             next_due: 0,
             measure_start: 0,
-            migrations: 0,
-            crashes: 0,
+            measure_base: ClusterCounters::default(),
             samples: sample_series(n_mds),
         };
         if sim.world.cfg.strategy == StrategyKind::ElasticSubtree {
@@ -315,10 +316,20 @@ impl ShardedSimulation {
         }
     }
 
+    /// The shard that owns node `m`.
+    fn node_shard(&mut self, m: MdsId) -> &mut Shard {
+        let s = owner(m.index(), self.world.cfg.n_mds as usize, self.shards.len());
+        &mut self.shards[s]
+    }
+
     /// Node `m`, on the shard that owns it.
     fn node_mut(&mut self, m: MdsId) -> &mut ShardNode {
-        let s = owner(m.index(), self.world.cfg.n_mds as usize, self.shards.len());
-        self.shards[s].node(m)
+        self.node_shard(m).node(m)
+    }
+
+    /// The shards' counters summed, over the whole run.
+    fn counters(&self) -> ClusterCounters {
+        self.shards.iter().map(|s| &s.counters).sum()
     }
 
     /// The placement table.
@@ -337,8 +348,8 @@ impl ShardedSimulation {
     /// engine's, this also opens a new heartbeat window on every node, so
     /// the first measured heartbeat loads on post-reset ops only.
     pub fn reset_measurement(&mut self) {
+        self.measure_base = self.counters();
         for shard in &mut self.shards {
-            shard.stats = ShardStats::default();
             shard.lat = LatencyAgg::new();
             for px in &mut shard.proxies {
                 px.core.reset_stats();
@@ -348,7 +359,6 @@ impl ShardedSimulation {
                 n.m.take_heartbeat();
             }
         }
-        self.migrations = 0;
         self.world.elastic.reset_accounting(self.now_us);
         self.samples.reset();
         self.measure_start = self.now_us;
@@ -373,56 +383,56 @@ impl ShardedSimulation {
     /// shard count.
     pub fn finish(self) -> ShardReport {
         let cfg = &self.world.cfg;
-        let mut stats = ShardStats::default();
-        let mut lat = LatencyAgg::new();
-        let proxy: ProxyStats =
-            self.shards.iter().flat_map(|s| &s.proxies).map(|px| px.core.stats()).sum();
+        let (life, mut lat) = (self.counters(), LatencyAgg::new());
+        let counters = life.since(&self.measure_base);
         let mut nodes = Vec::with_capacity(cfg.n_mds as usize);
         for shard in &self.shards {
-            stats.ops += shard.stats.ops;
-            stats.lease_hits += shard.stats.lease_hits;
-            stats.timeouts += shard.stats.timeouts;
-            stats.retries += shard.stats.retries;
-            stats.failed += shard.stats.failed;
-            stats.stale += shard.stats.stale;
             lat.merge(&shard.lat);
-            nodes.extend(shard.nodes.iter().map(|n| n.m.snapshot()));
+            nodes.extend(shard.nodes.iter().map(|n| &n.m));
         }
+        let proxies: Vec<ProxyStats> =
+            self.shards.iter().flat_map(|s| &s.proxies).map(|px| *px.core.stats()).collect();
+        let elastic = cfg.strategy == StrategyKind::ElasticSubtree;
+        let obs = cfg.obs.enabled().then(|| {
+            crate::obs::export(&Measured {
+                nodes: nodes.iter().map(|n| n.measured()).collect(),
+                counters,
+                elastic,
+                proxies: &proxies,
+                latency: &lat,
+                samples: &self.samples,
+                spans: None,
+            })
+        });
         // Provisioned capacity over the measurement window: the heartbeat
         // integral closed out to `now` for elastic runs, the full pool for
         // everything else.
-        let provisioned_node_us = if cfg.strategy == StrategyKind::ElasticSubtree {
+        let provisioned_node_us = if elastic {
             let live = self.world.alive.iter().filter(|a| **a).count();
             self.world.elastic.provisioned_node_us(live, self.now_us)
         } else {
             cfg.n_mds as u64 * (self.now_us - self.measure_start)
         };
-        let mut report = ShardReport {
+        ShardReport {
             strategy: cfg.strategy,
             n_mds: cfg.n_mds,
             proxies: cfg.proxy.count,
-            proxy,
+            proxy: proxies.iter().sum(),
             measure_start: SimTime::from_micros(self.measure_start),
             measure_end: SimTime::from_micros(self.now_us),
-            nodes,
-            ops: stats.ops,
-            lease_hits: stats.lease_hits,
-            timeouts: stats.timeouts,
-            retries: stats.retries,
-            failed: stats.failed,
-            stale_replies: stats.stale,
-            migrations: self.migrations,
-            scale_outs: self.world.elastic.scale_outs,
-            scale_ins: self.world.elastic.scale_ins,
+            nodes: nodes.iter().map(|n| n.snapshot()).collect(),
+            ops: lat.count,
+            lease_hits: counters.lease_hits,
+            failed: counters.gave_up,
+            migrations: counters.migrations,
+            scale_outs: life.scale_outs,
+            scale_ins: life.scale_ins,
+            counters,
             provisioned_node_us,
             latency: lat,
             samples: self.samples,
-            obs: None,
-        };
-        if cfg.obs.metrics {
-            report.obs = Some(report.obs_export());
+            obs,
         }
-        report
     }
 }
 

@@ -1,84 +1,13 @@
-//! The sharded run's report: order-free latency aggregation, the
-//! shard-count-invariant text surface and the obs export.
+//! The sharded run's report: the shard-count-invariant text surface.
 
 use dynmds_event::SimTime;
-use dynmds_obs::{Registry, SnapshotSeries};
+use dynmds_obs::{LatencyAgg, SnapshotSeries};
 use dynmds_partition::StrategyKind;
 use dynmds_proxy::ProxyStats;
 
-use crate::obs::{ObsExport, Reader};
+use crate::cluster::ClusterCounters;
+use crate::obs::ObsExport;
 use crate::report::NodeSnapshot;
-
-const LAT_BUCKETS: usize = 40;
-
-/// Latency aggregate built purely from commutative integer updates
-/// (count, sum, min, max, log2 bucket counts), so merging per-shard
-/// aggregates in shard order yields the same bytes for every K.
-#[derive(Clone, Debug)]
-pub struct LatencyAgg {
-    /// Completed-operation count.
-    pub count: u64,
-    /// Sum of latencies, µs.
-    pub sum_us: u64,
-    /// Minimum latency seen, µs (`u64::MAX` when empty).
-    pub min_us: u64,
-    /// Maximum latency seen, µs.
-    pub max_us: u64,
-    /// `buckets[i]` counts latencies with `floor(log2(us)) == i - 1`
-    /// (bucket 0 is `0 µs`, i.e. client-local lease completions).
-    pub buckets: [u64; LAT_BUCKETS],
-}
-
-impl LatencyAgg {
-    pub(super) fn new() -> Self {
-        LatencyAgg { count: 0, sum_us: 0, min_us: u64::MAX, max_us: 0, buckets: [0; LAT_BUCKETS] }
-    }
-
-    pub(super) fn record(&mut self, us: u64) {
-        self.count += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-        let b = if us == 0 { 0 } else { (64 - us.leading_zeros()) as usize };
-        self.buckets[b.min(LAT_BUCKETS - 1)] += 1;
-    }
-
-    pub(super) fn merge(&mut self, other: &LatencyAgg) {
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Mean latency in µs (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket-resolution quantile: the lower bound (power of two) of the
-    /// bucket containing the q-th latency.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        self.max_us
-    }
-}
 
 /// Results of a sharded run. Every field is derived from commutative
 /// per-entity aggregates read out in global id order — the
@@ -100,23 +29,22 @@ pub struct ShardReport {
     pub measure_end: SimTime,
     /// Per-node counts over the measurement window, id order.
     pub nodes: Vec<NodeSnapshot>,
-    /// Completed client operations in the measurement window.
+    /// Cluster-wide counts over the measurement window. The fields from
+    /// `ops` to `scale_ins` repeat some of them only because `hostbench`
+    /// reads those fields.
+    pub counters: ClusterCounters,
+    /// Completed client operations in the measurement window
+    /// (`latency.count`).
     pub ops: u64,
-    /// Operations served from a client lease.
+    /// Operations served from a client lease (`counters.lease_hits`).
     pub lease_hits: u64,
-    /// Lost-message timeouts observed.
-    pub timeouts: u64,
-    /// Retransmissions issued.
-    pub retries: u64,
-    /// Operations abandoned at the retry cap.
+    /// Operations abandoned at the retry cap (`counters.gave_up`).
     pub failed: u64,
-    /// Replies discarded as stale (duplicates, late retries).
-    pub stale_replies: u64,
-    /// Balancer subtree migrations.
+    /// Balancer subtree migrations (`counters.migrations`).
     pub migrations: u64,
-    /// Elastic standby activations over the whole run.
+    /// Elastic standby activations over the whole run, warm-up included.
     pub scale_outs: u64,
-    /// Elastic voluntary departures over the whole run.
+    /// Elastic voluntary departures over the whole run, warm-up included.
     pub scale_ins: u64,
     /// Provisioned capacity consumed in the measurement window, in
     /// node-microseconds (`n_mds` × span for statically provisioned
@@ -135,6 +63,11 @@ impl ShardReport {
     /// Measurement span in seconds.
     pub fn span_secs(&self) -> f64 {
         (self.measure_end.as_micros() - self.measure_start.as_micros()) as f64 / 1e6
+    }
+
+    /// Client timeouts: lost messages and requests to a dead server.
+    pub fn timeouts(&self) -> u64 {
+        self.counters.net_lost + self.counters.failover_timeouts
     }
 
     /// Provisioned capacity in node-seconds.
@@ -170,10 +103,10 @@ impl ShardReport {
             self.ops,
             self.avg_mds_throughput(),
             self.lease_hits,
-            self.timeouts,
-            self.retries,
+            self.timeouts(),
+            self.counters.retries,
             self.failed,
-            self.stale_replies,
+            self.counters.stale_replies,
             self.migrations
         );
         if self.strategy == StrategyKind::ElasticSubtree {
@@ -224,61 +157,5 @@ impl ShardReport {
         }
         out.push_str(&table.render());
         out
-    }
-
-    /// Builds the deterministic obs export from the report's aggregates:
-    /// counters in fixed registration order, per-node slots in id order,
-    /// latency buckets, and the barrier-sampled sample series.
-    pub(super) fn obs_export(&self) -> ObsExport {
-        let mut reg = Registry::new();
-        for (name, v) in [
-            ("client.ops", self.ops),
-            ("client.lease_hits", self.lease_hits),
-            ("client.timeouts", self.timeouts),
-            ("client.retries", self.retries),
-            ("client.failed", self.failed),
-            ("client.stale_replies", self.stale_replies),
-            ("balancer.migrations", self.migrations),
-            ("elastic_scale_outs", self.scale_outs),
-            ("elastic_scale_ins", self.scale_ins),
-        ] {
-            reg.counter(name, &[v]);
-        }
-        let node_counters: [Reader<NodeSnapshot>; 5] = [
-            ("mds.served", |n| n.served),
-            ("mds.forwarded", |n| n.forwarded),
-            ("mds.received", |n| n.received),
-            ("mds.disk_fetches", |n| n.disk_fetches),
-            ("mds.replica_serves", |n| n.replica_serves),
-        ];
-        for (name, get) in node_counters {
-            reg.counter(name, &self.nodes.iter().map(get).collect::<Vec<_>>());
-        }
-        reg.counter("latency.log2_us", &self.latency.buckets);
-        // Proxy counters register last and only when the tier is on, so
-        // proxy-off metric exports are byte-identical to pre-proxy builds.
-        if self.proxies > 0 {
-            for (name, v) in [
-                ("proxy.absorbed", self.proxy.read_absorbs),
-                ("proxy.coalesced", self.proxy.writes_coalesced),
-                ("proxy.forwarded", self.proxy.forwarded),
-                ("proxy.flushed_items", self.proxy.flushed_items),
-                ("proxy.flushes", self.proxy.flush_batches),
-            ] {
-                reg.counter(name, &[v]);
-            }
-        }
-        let snapshots_jsonl = self.samples.to_jsonl();
-        let summary = format!(
-            "sharded run: {} ops, {} lease hits, {} timeouts, {} retries, {} migrations, {} scale-outs, {} scale-ins\n",
-            self.ops,
-            self.lease_hits,
-            self.timeouts,
-            self.retries,
-            self.migrations,
-            self.scale_outs,
-            self.scale_ins
-        );
-        ObsExport { metrics_jsonl: reg.to_jsonl(), snapshots_jsonl, trace_jsonl: None, summary }
     }
 }

@@ -223,9 +223,8 @@ pub fn run_ablate_leases(scale: ExperimentScale) -> Vec<LeasePoint> {
         let start = SimTime::ZERO + scale.warmup();
         sim.run_until(start);
         sim.cluster_mut().reset_measurement(start);
-        let hits_before = sim.cluster().clients.lease_hits();
         sim.run_until(start + scale.measure());
-        let hits = sim.cluster().clients.lease_hits() - hits_before;
+        let hits = sim.cluster().measured_counters().lease_hits;
         let report = sim.finish();
         let secs = report.span_secs().max(1e-9);
         let served = report.total_served() as f64;

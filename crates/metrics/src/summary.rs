@@ -19,6 +19,11 @@ impl Summary {
         self.samples.push(v);
     }
 
+    /// Every sample, in recording order.
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
+    }
+
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.samples.len()

@@ -5,10 +5,10 @@
 //! journal churn (§4.1, §5) — so the simulator is operated through its
 //! telemetry too. This crate provides three instruments:
 //!
-//! * [`Registry`] — named counters, recorded finished at export from the
-//!   engine's own counts, and fixed-bucket histograms observed as the
-//!   run goes; a counter is either scalar or per-MDS (one slot per
-//!   server);
+//! * [`Registry`] — named metrics, recorded finished at export from the
+//!   engine's own counts, each with an explicit shape: a cluster-wide
+//!   scalar, one slot per MDS, one slot per proxy, or the integer
+//!   latency histogram [`LatencyAgg`];
 //! * [`SpanRecorder`] — scoped spans tracing the op lifecycle (client
 //!   dispatch → traverse → cache probe → partition authority →
 //!   storage/journal I/O → reply) into a bounded ring buffer;
@@ -20,18 +20,19 @@
 //! wall clock, no floats, no hash-map iteration order reaches an export.
 //! Two runs with the same seed therefore produce byte-identical JSONL.
 //!
-//! **Cost rules.** Counters cost nothing while the run goes: they are
-//! built once, at export. A histogram observation is one integer store
-//! behind a pre-registered handle; nothing here allocates per operation
-//! except span recording, which only runs when tracing is explicitly
-//! enabled. The embedding layer (dynmds-core) keeps its disabled path to
-//! a single branch on an enabled flag.
+//! **Cost rules.** Metrics cost nothing while the run goes: they are
+//! built once, at export, from counts the engine keeps anyway. Nothing
+//! here allocates per operation except span recording, which only runs
+//! when tracing is explicitly enabled. The embedding layer (dynmds-core)
+//! keeps its disabled path to a single branch on an enabled flag.
 
+pub mod latency;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
-pub use registry::{HistogramId, Registry};
+pub use latency::LatencyAgg;
+pub use registry::Registry;
 pub use snapshot::SnapshotSeries;
 pub use span::{SpanRecorder, SpanStage};
 

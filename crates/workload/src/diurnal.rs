@@ -35,7 +35,7 @@ impl<W: Workload> DiurnalWorkload<W> {
     /// times stretch up to `night_mult` (≥ 1.0).
     pub fn new(inner: W, period: SimDuration, night_mult: f64) -> Self {
         assert!(period.as_micros() > 0, "period must be positive");
-        assert!(night_mult >= 1.0, "night_mult stretches think time");
+        assert!(night_mult.is_finite() && night_mult >= 1.0, "night_mult stretches think time");
         DiurnalWorkload { inner, period, night_mult }
     }
 }

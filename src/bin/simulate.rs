@@ -19,7 +19,7 @@
 //!                       (debug/CI knob — output is byte-identical either way; needs --shards)
 //!   --workload general|scientific|hotset|diurnal              (general)
 //!   --diurnal-period N  diurnal day length, virtual seconds    (4)
-//!   --night-mult X      night think-time multiplier            (150)
+//!   --night-mult X      night think-time multiplier, >= 1      (150)
 //!   --leases            enable client metadata leases
 //!   --shared-writes     enable GPFS-style shared writes (legacy engine only)
 //!   --proxy N           put N hotspot proxies in front of the cluster (0)
@@ -96,6 +96,15 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str, flag: &str) -> 
         .ok()
         .filter(|n| *n != T::default())
         .unwrap_or_else(|| usage(&format!("bad {flag}: {v} (want a positive integer)")))
+}
+
+/// Parses a think-time multiplier: finite and at least 1. A smaller one
+/// would reach an engine assert; an infinite one would stall every client.
+fn stretch(v: &str, flag: &str) -> f64 {
+    v.parse()
+        .ok()
+        .filter(|x: &f64| x.is_finite() && *x >= 1.0)
+        .unwrap_or_else(|| usage(&format!("bad {flag}: {v} (want a finite number >= 1)")))
 }
 
 fn parse_fault(v: &str) -> (MdsId, SimTime) {
@@ -176,14 +185,8 @@ fn parse_args() -> Args {
             }
             "--force-dense" => a.force_dense = true,
             "--workload" => a.workload = next(&mut it, &f),
-            "--diurnal-period" => {
-                a.diurnal_period =
-                    next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --diurnal-period"))
-            }
-            "--night-mult" => {
-                a.night_mult =
-                    next(&mut it, &f).parse().unwrap_or_else(|_| usage("bad --night-mult"))
-            }
+            "--diurnal-period" => a.diurnal_period = positive(&next(&mut it, &f), &f),
+            "--night-mult" => a.night_mult = stretch(&next(&mut it, &f), &f),
             "--leases" => a.leases = true,
             "--shared-writes" => a.shared_writes = true,
             "--proxy" => {
@@ -281,7 +284,6 @@ fn main() {
     // Every count below covers the measured window only.
     let c = sim.cluster();
     let m = c.measured_counters();
-    let lease_hits = c.measured_lease_hits();
     let absorbed: u64 = c.nodes.iter().map(|n| n.measured().shared_absorbed).sum();
     let proxy = c.proxy_stats();
     let report = sim.finish();
@@ -303,8 +305,8 @@ fn main() {
     if m.migrations > 0 {
         println!("subtree migrations : {}", m.migrations);
     }
-    if lease_hits > 0 {
-        println!("lease-served reads : {lease_hits}");
+    if m.lease_hits > 0 {
+        println!("lease-served reads : {}", m.lease_hits);
     }
     if absorbed > 0 {
         println!("shared writes absorbed: {absorbed}");

@@ -25,8 +25,9 @@ fn experiments_rejects_an_unknown_subcommand() {
     }
 }
 
-/// Sizing flags no run can honour (a zero, or more materialized users
-/// than users) fail at parse time instead of on an engine assert.
+/// Sizing and shape flags no run can honour (a zero, more materialized
+/// users than users, or a think-time multiplier below 1 or not finite)
+/// fail at parse time instead of on an engine assert or in a dead run.
 #[test]
 fn zero_sizing_flags_are_usage_errors() {
     let simulate = env!("CARGO_BIN_EXE_simulate");
@@ -37,6 +38,12 @@ fn zero_sizing_flags_are_usage_errors() {
         (simulate, &["--clients", "0"], SIMULATE_USAGE),
         (simulate, &["--osds", "0"], SIMULATE_USAGE),
         (simulate, &["--cache", "0"], SIMULATE_USAGE),
+        (simulate, &["--diurnal-period", "0", "--workload", "diurnal"], SIMULATE_USAGE),
+        (simulate, &["--night-mult", "0", "--workload", "diurnal"], SIMULATE_USAGE),
+        (simulate, &["--night-mult", "-1", "--workload", "diurnal"], SIMULATE_USAGE),
+        (simulate, &["--night-mult", "0.5", "--workload", "diurnal"], SIMULATE_USAGE),
+        (simulate, &["--night-mult", "nan", "--workload", "diurnal"], SIMULATE_USAGE),
+        (simulate, &["--night-mult", "inf", "--workload", "diurnal"], SIMULATE_USAGE),
         (experiments, &["scale", "--mds", "0"], EXPERIMENTS_USAGE),
         (experiments, &["scale", "--clients", "0"], EXPERIMENTS_USAGE),
         (experiments, &["scale", "--users", "0"], EXPERIMENTS_USAGE),

@@ -189,7 +189,7 @@ fn client_leases_offload_attribute_reads() {
         ));
         let mut sim = Simulation::new(cfg, snap, wl);
         sim.run_until(SimTime::from_secs(10));
-        let hits = sim.cluster().clients.lease_hits();
+        let hits = sim.cluster().counters.lease_hits;
         let served: u64 = sim.cluster().nodes.iter().map(|n| n.life.served).sum();
         (hits, served)
     };

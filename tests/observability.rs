@@ -1,8 +1,9 @@
 //! Integration tests for the observability layer: determinism of the
 //! exports (metrics, snapshots, op-trace spans) across same-seed runs —
-//! including a failover mid-trace — internal consistency between the
-//! registry and the simulator's own accounting, and both engines'
-//! exports pinned byte for byte against `tests/golden/obs/`.
+//! including a failover mid-trace — internal consistency between each
+//! engine's export and its own accounting, one metric schema for both
+//! engines, and both engines' exports pinned byte for byte against
+//! `tests/golden/obs/`.
 
 use std::path::Path;
 use std::process::Command;
@@ -88,24 +89,7 @@ fn registry_counters_agree_with_cluster_accounting() {
     assert!(export.trace_jsonl.is_none(), "metrics-only run records no spans");
     assert!(report.nodes.iter().any(|n| n.replica_serves > 0), "replicas must serve reads");
 
-    // Every per-MDS counter with a report twin must match it.
-    for (i, n) in report.nodes.iter().enumerate() {
-        for (name, want) in [
-            ("served", n.served),
-            ("forwarded", n.forwarded),
-            ("received", n.received),
-            ("disk_fetches", n.disk_fetches),
-            ("replica_serves", n.replica_serves),
-        ] {
-            let line = export
-                .metrics_jsonl
-                .lines()
-                .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
-                .unwrap_or_else(|| panic!("metric {name} missing"));
-            let values = parse_per_mds(line);
-            assert_eq!(values[i], want, "{name}[mds{i}] disagrees with the report");
-        }
-    }
+    assert_node_counters_match(&export.metrics_jsonl, &report.nodes);
     // Snapshots cover the measurement window at the sampling interval.
     assert!(!export.snapshots_jsonl.is_empty(), "snapshot rows were captured");
     for row in export.snapshots_jsonl.lines() {
@@ -113,6 +97,133 @@ fn registry_counters_agree_with_cluster_accounting() {
             assert!(row.contains(field), "snapshot row missing {field}: {row}");
         }
     }
+
+    // The sharded engine's export against its own report. Leases, a
+    // churn and network-loss storm and the balancer, so every compared
+    // count is live.
+    let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+    cfg.client_leases = true;
+    cfg.obs = ObsConfig::metrics_only();
+    cfg.faults = FaultSchedule::parse(
+        "churn:mtbf=2s,mttr=500ms,seed=9,until=6s,nodes=2-3;net:loss=0.02,dup=0.01@1s..5s",
+    )
+    .expect("valid fault spec");
+    let (snap, make) = general_workload(48);
+    let report = ShardedSimulation::new(cfg, 2, Some(1), snap, &make)
+        .run_measured(SimDuration::from_secs(1), SimDuration::from_secs(5));
+    let metrics = &report.obs.as_ref().expect("metrics on").metrics_jsonl;
+    assert_node_counters_match(metrics, &report.nodes);
+    let k = &report.counters;
+    for (name, want) in [
+        ("lease_local_reads", report.lease_hits),
+        ("client_retries", k.retries),
+        ("ops_gave_up", report.failed),
+        ("stale_replies", k.stale_replies),
+        ("subtree_migrations", report.migrations),
+        ("net_messages_duplicated", k.net_dup),
+        ("node_failures", k.failures),
+    ] {
+        assert_eq!(scalar(metrics, name), want, "{name} disagrees with the report");
+    }
+    let timeouts = scalar(metrics, "failover_timeouts") + scalar(metrics, "net_messages_lost");
+    assert_eq!(timeouts, report.timeouts(), "timeouts disagree with the report");
+    let latency = metrics.lines().find(|l| l.contains("\"name\":\"latency_us\"")).expect("latency");
+    assert!(latency.contains(&format!("\"count\":{},", report.ops)), "{latency}");
+    for (what, n) in [
+        ("lease hits", report.lease_hits),
+        ("failover timeouts", k.failover_timeouts),
+        ("lost messages", k.net_lost),
+        ("retries", k.retries),
+        ("failures", k.failures),
+    ] {
+        assert!(n > 0, "the run must exercise {what}: {}", report.render());
+    }
+}
+
+/// One config on both engines: the same metric names in the same order.
+/// A one-MDS cluster keeps its per-MDS shape, and the proxy group is
+/// there on both engines whenever the tier is on.
+#[test]
+fn both_engines_export_one_metric_schema() {
+    for (n_mds, proxies) in [(1u16, 0u16), (4, 2)] {
+        let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
+        cfg.n_mds = n_mds;
+        cfg.proxy.count = proxies;
+        cfg.obs = ObsConfig::metrics_only();
+        let (warmup, measure) = (SimDuration::from_secs(1), SimDuration::from_secs(2));
+        let (snap, make) = general_workload(48);
+        let wl = make(&snap.ns);
+        let legacy = Simulation::new(cfg.clone(), snap, wl).run_measured(warmup, measure);
+        let (snap, make) = general_workload(48);
+        let sharded =
+            ShardedSimulation::new(cfg, 2, Some(1), snap, &make).run_measured(warmup, measure);
+        let names = |export: Option<&ObsExport>| -> Vec<String> {
+            let metrics = &export.expect("metrics on").metrics_jsonl;
+            metrics
+                .lines()
+                .map(|l| {
+                    let at = l.find("\"name\":\"").expect("named metric") + 8;
+                    l[at..at + l[at..].find('"').expect("name close")].to_string()
+                })
+                .collect()
+        };
+        let legacy_names = names(legacy.obs.as_ref());
+        assert_eq!(legacy_names, names(sharded.obs.as_ref()), "{n_mds} MDS, {proxies} proxies");
+        assert_eq!(legacy_names.last().map(String::as_str), Some("latency_us"));
+        assert_eq!(
+            legacy_names.iter().any(|n| n.starts_with("proxy_")),
+            proxies > 0,
+            "the proxy group follows the config"
+        );
+        for (engine, export) in [("legacy", legacy.obs.as_ref()), ("sharded", sharded.obs.as_ref())]
+        {
+            let metrics = &export.expect("metrics on").metrics_jsonl;
+            let served = metrics.lines().find(|l| l.contains("\"name\":\"served\"")).unwrap();
+            assert_eq!(parse_per_mds(served).len(), n_mds as usize, "{engine}: {served}");
+        }
+    }
+}
+
+/// A namespace for `clients` clients and a factory for their general workload,
+/// the same for both engines.
+fn general_workload(
+    clients: usize,
+) -> (dynmds::namespace::Snapshot, impl Fn(&dynmds::namespace::Namespace) -> Box<dyn Workload + Send>)
+{
+    let snap = NamespaceSpec::with_target_items(clients, 8_000, 5).generate();
+    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
+    let make = move |ns: &dynmds::namespace::Namespace| -> Box<dyn Workload + Send> {
+        Box::new(GeneralWorkload::new(WorkloadConfig::default(), clients, &homes, &shared, ns))
+    };
+    (snap, make)
+}
+
+/// Every per-MDS counter with a report twin must match it.
+fn assert_node_counters_match(metrics: &str, nodes: &[dynmds::core::NodeSnapshot]) {
+    for (name, get) in [
+        ("served", (|n| n.served) as fn(&dynmds::core::NodeSnapshot) -> u64),
+        ("forwarded", |n| n.forwarded),
+        ("received", |n| n.received),
+        ("disk_fetches", |n| n.disk_fetches),
+        ("replica_serves", |n| n.replica_serves),
+    ] {
+        let line = metrics
+            .lines()
+            .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+            .unwrap_or_else(|| panic!("metric {name} missing"));
+        let want: Vec<u64> = nodes.iter().map(get).collect();
+        assert_eq!(parse_per_mds(line), want, "{name} disagrees with the report");
+    }
+}
+
+/// The `"value"` of scalar counter `name` in a metrics export.
+fn scalar(metrics: &str, name: &str) -> u64 {
+    let line = metrics
+        .lines()
+        .find(|l| l.contains(&format!("\"name\":\"{name}\",\"value\":")))
+        .unwrap_or_else(|| panic!("scalar {name} missing"));
+    let at = line.find("\"value\":").unwrap() + 8;
+    line[at..].trim_end_matches('}').parse().expect("integer value")
 }
 
 #[test]
@@ -132,11 +243,7 @@ fn both_engines_sample_the_same_nine_fields() {
     let legacy = sim(ObsConfig::metrics_only()).run_measured(warmup, measure);
     let mut cfg = SimConfig::small(StrategyKind::DynamicSubtree);
     cfg.obs = ObsConfig::metrics_only();
-    let snap = NamespaceSpec::with_target_items(48, 8_000, 5).generate();
-    let (homes, shared) = (snap.user_homes.clone(), snap.shared_roots.clone());
-    let make = move |ns: &dynmds::namespace::Namespace| -> Box<dyn Workload + Send> {
-        Box::new(GeneralWorkload::new(WorkloadConfig::default(), 48, &homes, &shared, ns))
-    };
+    let (snap, make) = general_workload(48);
     let sharded =
         ShardedSimulation::new(cfg, 2, Some(1), snap, &make).run_measured(warmup, measure);
     for (engine, samples, export) in [
@@ -213,7 +320,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// the metrics and snapshot JSONL, `summary.txt` and the span trace or
 /// its digest. `summary.txt` is what `simulate` prints last: the legacy
 /// engine's observability summary, or the sharded engine's report
-/// followed by its obs summary.
+/// followed by the same obs summary.
 fn regenerate_obs_run(args: &[&str], out: &Path) {
     let _ = std::fs::remove_dir_all(out);
     std::fs::create_dir_all(out).expect("create output dir");
@@ -227,7 +334,8 @@ fn regenerate_obs_run(args: &[&str], out: &Path) {
     let stdout = String::from_utf8(run.stdout).expect("utf-8 stdout");
     let at = ["# observability summary", "=== sharded"]
         .iter()
-        .find_map(|marker| stdout.find(marker))
+        .filter_map(|marker| stdout.find(marker))
+        .min()
         .expect("obs summary or sharded report in stdout");
     std::fs::write(out.join("summary.txt"), &stdout[at..]).expect("write summary");
     let trace = out.join("obs_trace.jsonl");

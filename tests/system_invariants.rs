@@ -133,7 +133,7 @@ fn kitchen_sink_configuration_runs() {
             cfg.balancing = true;
         });
         let served: u64 = sim.cluster().nodes.iter().map(|n| n.life.served).sum();
-        let leases = sim.cluster().clients.lease_hits();
+        let leases = sim.cluster().counters.lease_hits;
         (served, leases)
     };
     let a = go();
