@@ -84,12 +84,23 @@ fn registry_counters_agree_with_cluster_accounting() {
     s.run_until(SimTime::from_secs(2));
     s.cluster_mut().reset_measurement(SimTime::from_secs(2));
     s.run_until(SimTime::from_secs(6));
+    let k = s.cluster().measured_counters();
     let report = s.finish();
     let export = report.obs.as_ref().expect("obs enabled");
     assert!(export.trace_jsonl.is_none(), "metrics-only run records no spans");
     assert!(report.nodes.iter().any(|n| n.replica_serves > 0), "replicas must serve reads");
 
     assert_node_counters_match(&export.metrics_jsonl, &report.nodes);
+    for (name, want) in [
+        ("replications", k.replications),
+        ("subtree_migrations", k.migrations),
+        ("delegation_merges", k.delegation_merges),
+    ] {
+        assert_eq!(scalar(&export.metrics_jsonl, name), want, "{name} disagrees with the cluster");
+    }
+    assert!(k.replications > 0, "traffic control must replicate");
+    let count = format!("\"name\":\"latency_us\",\"count\":{},", report.latency.count());
+    assert!(export.metrics_jsonl.contains(&count), "latency count disagrees with the report");
     // Snapshots cover the measurement window at the sampling interval.
     assert!(!export.snapshots_jsonl.is_empty(), "snapshot rows were captured");
     for row in export.snapshots_jsonl.lines() {
